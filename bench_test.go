@@ -10,7 +10,7 @@ package futurebus_test
 import (
 	"fmt"
 	"io"
-
+	"runtime"
 	"testing"
 
 	"futurebus/internal/bus"
@@ -82,7 +82,7 @@ func BenchmarkFigure2AddressCycle(b *testing.B) {
 	for i := 0; i < 7; i++ {
 		cache.New(i, bb, protocols.MOESI(), cache.Config{Sets: 64, Ways: 2})
 	}
-	tx := &bus.Transaction{MasterID: 99, Signals: core.SigCA, Op: core.BusRead, Addr: 5}
+	tx := bus.Transaction{MasterID: 99, Signals: core.SigCA, Op: core.BusRead, Addr: 5, Data: make([]byte, 32)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -113,10 +113,15 @@ func BenchmarkFigure4Pairs(b *testing.B) {
 }
 
 // benchSim runs one simulated system per iteration and reports
-// transactions and bytes per reference.
+// transactions and bytes per reference, plus allocs/ref: heap
+// allocations per simulated reference, system setup included.
 func benchSim(b *testing.B, cfg sim.Config, gens func(sys *sim.System) []workload.Generator, refs int) {
 	b.Helper()
+	b.ReportAllocs()
 	var lastTrans, lastBytes float64
+	var refsDone int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		sys, err := sim.New(cfg)
 		if err != nil {
@@ -128,9 +133,12 @@ func benchSim(b *testing.B, cfg sim.Config, gens func(sys *sim.System) []workloa
 			b.Fatal(err)
 		}
 		lastTrans, lastBytes = m.TransPerRef(), m.BytesPerRef()
+		refsDone += m.Refs
 	}
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(lastTrans, "trans/ref")
 	b.ReportMetric(lastBytes, "bytes/ref")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(refsDone), "allocs/ref")
 }
 
 func abGens(pShared, pWrite float64) func(sys *sim.System) []workload.Generator {
@@ -380,12 +388,19 @@ func BenchmarkArbitration(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
-// BenchmarkBusLockedRMW measures the atomic FetchAdd round trip.
+// BenchmarkBusLockedRMW measures the atomic FetchAdd round trip. The
+// first FetchAdd (the miss that sizes the way and the bus frame) runs
+// before the timer, so B/op and allocs/op are the warm path's alone
+// whatever the -benchtime.
 func BenchmarkBusLockedRMW(b *testing.B) {
 	mem := memory.New(32)
 	bb := bus.New(mem, bus.Config{LineSize: 32})
 	c := cache.New(0, bb, protocols.MOESI(), cache.Config{Sets: 64, Ways: 2})
+	if _, err := c.FetchAdd(1, 0, 1); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.FetchAdd(1, 0, 1); err != nil {
 			b.Fatal(err)

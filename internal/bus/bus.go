@@ -42,8 +42,10 @@ type SnoopResponse struct {
 	// Action is the protocol action chosen for this (state, bus event)
 	// cell; its signal assertions drive the wired-OR lines.
 	Action core.SnoopAction
-	// Line, when the action asserts DI on a read, carries the owner's
-	// copy of the line so the bus can source data from it.
+	// Line, when the action asserts DI on a read, is the owner's own
+	// line buffer — not a copy. It stays valid while Query's directory
+	// hold lasts: the bus copies it into the master's buffer before it
+	// calls Commit or Cancel, and never touches it afterwards.
 	Line []byte
 	// State is the directory state the action was chosen from; the
 	// paranoid bus mode (Config.Paranoid) validates Action against the
@@ -67,6 +69,9 @@ type SnoopResponse struct {
 // In Commit, otherCH is the wired-OR of CH over all *other* units,
 // which resolves CH-conditional result states; write payloads (full
 // line or partial word) are read from the transaction itself.
+//
+// The *Transaction a snooper receives is the bus's own copy, valid only
+// for the duration of the call; snoopers must not retain it.
 type Snooper interface {
 	SnooperID() int
 	Query(tx *Transaction) SnoopResponse
@@ -87,9 +92,11 @@ type Aborter interface {
 // the default owner of all data (§3.1.3) but keeps no consistency
 // state: caches track the validity of memory's copy for it.
 type MemoryPort interface {
-	// ReadLine returns memory's copy of the line.
-	ReadLine(addr Addr) []byte
-	// WriteLine updates memory's copy.
+	// ReadLine copies memory's copy of the line into dst, a buffer of
+	// the line size that the caller owns.
+	ReadLine(addr Addr, dst []byte)
+	// WriteLine updates memory's copy from data, which the port must not
+	// retain.
 	WriteLine(addr Addr, data []byte)
 }
 
@@ -104,7 +111,8 @@ type Result struct {
 	// SL reports that at least one slave (cache or memory) connected.
 	SL bool
 	// Data is the line read (for BusRead) — from the intervening owner
-	// if DI, else from memory.
+	// if DI, else from memory. It is the master's own Transaction.Data
+	// buffer, never memory the bus or a snooper owns.
 	Data []byte
 	// Retries counts BS abort/retry rounds the transaction suffered
 	// (split-mode NACKs count here too).
@@ -206,6 +214,11 @@ type Bus struct {
 	// trace, when non-nil, receives every executed transaction.
 	trace func(tx *Transaction, r *Result)
 	depth int // nested-transaction depth (recovery pushes)
+	// frames holds one scratch frame per executeLocked nesting level,
+	// nest counts the live ones; both guarded by the arbiter lock. See
+	// frame.
+	frames []*frame
+	nest   int
 	// arbWait is the simulated time the current mastership spent
 	// waiting for the grant, measured against the recorder's occupancy
 	// clock in Acquire/Execute and consumed by the first transaction
@@ -312,8 +325,9 @@ func (b *Bus) Attach(s Snooper) {
 	b.snoopers = append(b.snoopers, s)
 }
 
-// SetTrace installs a transaction observer (used by cmd/fbtrace and
-// tests). Must be set before traffic starts.
+// SetTrace installs a transaction observer (used by cmd/fbsim and
+// tests). The observer's tx and r are the bus's scratch copies, valid
+// only during the call. Must be set before traffic starts.
 func (b *Bus) SetTrace(fn func(tx *Transaction, r *Result)) { b.trace = fn }
 
 // Stats returns a snapshot of the accumulated counters.
@@ -338,7 +352,10 @@ func (b *Bus) BusyNanos() int64 {
 // snoop responses, BS abort/recovery/retry, data routing, and commit.
 // It blocks until the arbiter grants the bus. Masters must not call
 // Execute while holding any lock a snooper's Query/Commit needs.
-func (b *Bus) Execute(tx *Transaction) (Result, error) {
+//
+// The transaction is passed by value: the bus runs it from a per-shard,
+// per-nesting-level frame, so issuing it allocates nothing.
+func (b *Bus) Execute(tx Transaction) (Result, error) {
 	b.Acquire(tx.Addr, tx.MasterID)
 	defer b.Release(tx.Addr)
 	return b.executeLocked(tx)
@@ -482,11 +499,59 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 
 // ExecuteHeld runs a transaction on an already-Acquired bus. It is also
 // how a BS recovery push runs nested inside an aborted transaction.
-func (b *Bus) ExecuteHeld(tx *Transaction) (Result, error) {
+func (b *Bus) ExecuteHeld(tx Transaction) (Result, error) {
 	return b.executeLocked(tx)
 }
 
-func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
+// frame is the scratch of one executeLocked activation, reused from
+// transaction to transaction so the clean path allocates nothing: the
+// bus's copy of the transaction (the one snoopers see), the snoop
+// responses, a line for merging a partial write into memory, and the
+// copy of the Result handed to the trace observer. Frames are kept per
+// shard (each Bus has its own) and per nesting level: a BS recovery
+// push, or a memory port issuing transactions on this same bus,
+// re-enters executeLocked while the outer activation's frame is live.
+type frame struct {
+	tx    Transaction
+	resp  []SnoopResponse
+	line  []byte
+	trace Result
+}
+
+// enter returns the frame for a new executeLocked activation, creating
+// it on first use at this nesting level. Caller holds the arbiter lock
+// and calls leave when the activation returns.
+func (b *Bus) enter() *frame {
+	if b.nest == len(b.frames) {
+		b.frames = append(b.frames, &frame{})
+	}
+	f := b.frames[b.nest]
+	b.nest++
+	if len(f.resp) != len(b.snoopers) {
+		f.resp = make([]SnoopResponse, len(b.snoopers))
+	}
+	return f
+}
+
+func (b *Bus) leave() { b.nest-- }
+
+// masterIndex returns the index of the snooper mastering tx, or -1 when the
+// master does not snoop (an uncached board or an external controller):
+// a unit never snoops its own transaction.
+func (b *Bus) masterIndex(tx *Transaction) int {
+	for i, s := range b.snoopers {
+		if s.SnooperID() == tx.MasterID {
+			return i
+		}
+	}
+	return -1
+}
+
+func (b *Bus) executeLocked(txv Transaction) (Result, error) {
+	f := b.enter()
+	defer b.leave()
+	f.tx = txv
+	tx := &f.tx
 	if err := tx.check(b.cfg.LineSize); err != nil {
 		return Result{}, err
 	}
@@ -513,6 +578,8 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			TxID: txid, CauseID: blocker,
 		})
 	}
+	self := b.masterIndex(tx)
+	responses := f.resp
 	var res Result
 	res.Phases.Arb = arbWait
 	for attempt := 0; ; attempt++ {
@@ -532,11 +599,11 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 		}
 		// Broadcast address cycle: every unit sees the address and
 		// proposes a response (§2.1). Query must be side-effect free.
-		responses := make([]SnoopResponse, len(b.snoopers))
 		busy := false
 		paranoidErr := ""
 		for i, s := range b.snoopers {
-			if s.SnooperID() == tx.MasterID {
+			if i == self {
+				responses[i] = SnoopResponse{}
 				continue
 			}
 			responses[i] = s.Query(tx)
@@ -553,12 +620,7 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 		}
 		if paranoidErr != "" {
 			// Release every directory before failing.
-			for i, s := range b.snoopers {
-				if s.SnooperID() == tx.MasterID {
-					continue
-				}
-				s.Cancel(tx, responses[i])
-			}
+			b.cancel(tx, self, responses)
 			return res, errors.New(paranoidErr)
 		}
 		// Every address cycle pays the full broadcast handshake; aborted
@@ -582,12 +644,7 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 					TxID: txid,
 				})
 			}
-			for i, s := range b.snoopers {
-				if s.SnooperID() == tx.MasterID {
-					continue
-				}
-				s.Cancel(tx, responses[i])
-			}
+			b.cancel(tx, self, responses)
 			for i, s := range b.snoopers {
 				if responses[i].Action.Abort == nil {
 					continue
@@ -616,7 +673,7 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			continue
 		}
 
-		r, err := b.completeAttempt(tx, responses)
+		r, err := b.completeAttempt(f, self)
 		if err != nil {
 			return res, err
 		}
@@ -653,25 +710,40 @@ func (b *Bus) executeLocked(tx *Transaction) (Result, error) {
 			})
 		}
 		if b.trace != nil {
-			b.trace(tx, &r)
+			// The observer gets the frame's copy, so the returned Result
+			// never has to live on the heap.
+			f.trace = r
+			b.trace(tx, &f.trace)
 		}
 		return r, nil
 	}
 }
 
+// cancel releases every snooper's directory without applying its
+// response (an abort, or a failure before the commit phase).
+func (b *Bus) cancel(tx *Transaction, self int, responses []SnoopResponse) {
+	for i, s := range b.snoopers {
+		if i != self {
+			s.Cancel(tx, responses[i])
+		}
+	}
+}
+
 // completeAttempt finishes a non-aborted transaction: resolves the
 // wired-OR response lines, routes data, and commits every snooper.
-func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Result, error) {
+func (b *Bus) completeAttempt(f *frame, self int) (Result, error) {
+	tx, responses := &f.tx, f.resp
 	var res Result
-	diCount := 0
+	diCount, chCount := 0, 0
 	var diLine []byte
-	for i, s := range b.snoopers {
-		if s.SnooperID() == tx.MasterID {
+	for i := range responses {
+		if i == self {
 			continue
 		}
 		a := responses[i].Action
 		if a.AssertCH {
 			res.CH = true
+			chCount++
 		}
 		if a.AssertSL {
 			res.SL = true
@@ -688,41 +760,38 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 	// Cancel, and leaking them would turn a reportable protocol bug
 	// into a whole-machine deadlock.
 	if diCount > 1 {
-		for i, s := range b.snoopers {
-			if s.SnooperID() == tx.MasterID {
-				continue
-			}
-			s.Cancel(tx, responses[i])
-		}
+		b.cancel(tx, self, responses)
 		return res, fmt.Errorf("bus: %d units asserted DI for %s — duplicate owners", diCount, tx)
 	}
+	// An intervening owner's line moves into the master's buffer now,
+	// while Query's hold still pins the owner's directory: once Commit
+	// releases it, a listening owner that resolved CH:O/M to M may write
+	// the line silently.
+	if tx.Op == core.BusRead && diLine != nil {
+		copy(tx.Data, diLine)
+	}
 
-	// Commit phase BEFORE the data phase: commits never need routed
-	// data (an intervening owner's line was captured at Query, write
-	// payloads ride the transaction), and releasing every directory
-	// first lets the memory port itself issue nested transactions — a
-	// multi-bus bridge serving this address from another bus
-	// (internal/hierarchy) must be able to snoop the caches this
-	// transaction just queried.
+	// Commit phase BEFORE the memory data phase: commits never need
+	// routed data (an intervening owner's line was captured above,
+	// write payloads ride the transaction), and releasing every
+	// directory first lets the memory port itself issue nested
+	// transactions — a multi-bus bridge serving this address from
+	// another bus (internal/hierarchy) must be able to snoop the caches
+	// this transaction just queried.
 	//
 	// Each snooper resolves CH-conditional states against the CH of
 	// the *other* units (§3.2.2 — the listener does not assert, so the
-	// wired-OR it observes is exactly the others').
+	// wired-OR it observes is exactly the others'): the asserters
+	// counted above, less its own assertion.
 	for i, s := range b.snoopers {
-		if s.SnooperID() == tx.MasterID {
+		if i == self {
 			continue
 		}
-		otherCH := false
-		for j, s2 := range b.snoopers {
-			if j == i || s2.SnooperID() == tx.MasterID {
-				continue
-			}
-			if responses[j].Action.AssertCH {
-				otherCH = true
-				break
-			}
+		others := chCount
+		if responses[i].Action.AssertCH {
+			others--
 		}
-		s.Commit(tx, responses[i], otherCH)
+		s.Commit(tx, responses[i], others > 0)
 		if responses[i].Action.AssertSL && tx.Op == core.BusWrite {
 			b.stats.Updates++
 		}
@@ -735,21 +804,24 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 			if diLine == nil {
 				return res, fmt.Errorf("bus: DI asserted on read without supplying data: %s", tx)
 			}
-			res.Data = append([]byte(nil), diLine...)
 			b.stats.Interventions++
 		} else {
-			res.Data = append([]byte(nil), b.memory.ReadLine(tx.Addr)...)
+			b.memory.ReadLine(tx.Addr, tx.Data)
 			res.SL = true // memory connects as the responding slave
 		}
+		res.Data = tx.Data
 	case core.BusWrite:
 		// A broadcast write reaches memory and every SL slave. A
 		// non-broadcast write is captured by the owner (DI preempts
 		// memory); only if no owner exists does memory take it.
 		if tx.Signals.Has(core.SigBC) || !res.DI {
-			if tx.Partial != nil {
-				line := b.memory.ReadLine(tx.Addr)
-				binary.LittleEndian.PutUint32(line[tx.Partial.Word*4:], tx.Partial.Val)
-				b.memory.WriteLine(tx.Addr, line)
+			if tx.Partial {
+				if len(f.line) != b.cfg.LineSize {
+					f.line = make([]byte, b.cfg.LineSize)
+				}
+				b.memory.ReadLine(tx.Addr, f.line)
+				binary.LittleEndian.PutUint32(f.line[tx.Word*4:], tx.Val)
+				b.memory.WriteLine(tx.Addr, f.line)
 			} else {
 				b.memory.WriteLine(tx.Addr, tx.Data)
 			}
@@ -765,7 +837,7 @@ func (b *Bus) completeAttempt(tx *Transaction, responses []SnoopResponse) (Resul
 	}
 
 	beats, firstWord, fromOwner := b.cfg.Timing.DataPhaseParts(tx, &res, b.cfg.LineSize)
-	if b.split && b.depth == 0 && !fromOwner && b.tenure.Deferrable(tx, &res) {
+	if b.split && b.depth == 0 && !fromOwner && b.tenure.Deferrable(tx, res.DI) {
 		// Split tenure: the grant ends with the address handshake. The
 		// first-word latency is served off-bus (Pend) and the transfer
 		// beats ride a later data tenure (Deferred); neither occupies

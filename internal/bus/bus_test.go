@@ -21,12 +21,13 @@ func newFakeMemory(lineSize int) *fakeMemory {
 	return &fakeMemory{lineSize: lineSize, lines: map[Addr][]byte{}}
 }
 
-func (m *fakeMemory) ReadLine(addr Addr) []byte {
+func (m *fakeMemory) ReadLine(addr Addr, dst []byte) {
 	m.reads++
 	if l, ok := m.lines[addr]; ok {
-		return append([]byte(nil), l...)
+		copy(dst, l)
+		return
 	}
-	return make([]byte, m.lineSize)
+	clear(dst)
 }
 
 func (m *fakeMemory) WriteLine(addr Addr, data []byte) {
@@ -106,7 +107,7 @@ func TestReadFromMemory(t *testing.T) {
 	s := &fakeSnooper{id: 1}
 	b.Attach(s)
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 1})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 1, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestInterventionPreemptsMemory(t *testing.T) {
 	owner := &fakeSnooper{id: 1, resp: respond("O,CH,DI", lineOf(16, 0xBEEF))}
 	b.Attach(owner)
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestDuplicateOwnersRejected(t *testing.T) {
 	b.Attach(&fakeSnooper{id: 1, resp: respond("O,CH,DI", lineOf(16, 1))})
 	b.Attach(&fakeSnooper{id: 2, resp: respond("O,CH,DI", lineOf(16, 2))})
 
-	_, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7})
+	_, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7, Data: make([]byte, b.LineSize())})
 	if err == nil || !strings.Contains(err.Error(), "duplicate owners") {
 		t.Fatalf("err = %v", err)
 	}
@@ -172,9 +173,9 @@ func TestNonBroadcastWriteCapturedByOwner(t *testing.T) {
 	owner := &fakeSnooper{id: 1, resp: respond("M,CH?,DI", nil)}
 	b.Attach(owner)
 
-	_, err := b.Execute(&Transaction{
+	_, err := b.Execute(Transaction{
 		MasterID: 0, Signals: core.SigIM, Op: core.BusWrite, Addr: 3,
-		Partial: &PartialWrite{Word: 1, Val: 0xAA},
+		Partial: true, Word: 1, Val: 0xAA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +195,9 @@ func TestBroadcastWriteReachesMemoryAndSlaves(t *testing.T) {
 	sharer := &fakeSnooper{id: 1, resp: respond("S,CH,SL", nil)}
 	b.Attach(sharer)
 
-	res, err := b.Execute(&Transaction{
+	res, err := b.Execute(Transaction{
 		MasterID: 0, Signals: core.SigIM | core.SigBC, Op: core.BusWrite, Addr: 3,
-		Partial: &PartialWrite{Word: 1, Val: 0xAB},
+		Partial: true, Word: 1, Val: 0xAB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +222,7 @@ func TestFullLineWriteBack(t *testing.T) {
 	mem := newFakeMemory(16)
 	b := New(mem, Config{LineSize: 16})
 	data := lineOf(16, 0xF00D)
-	if _, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusWrite, Addr: 9, Data: data}); err != nil {
+	if _, err := b.Execute(Transaction{MasterID: 0, Op: core.BusWrite, Addr: 9, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	if binary.LittleEndian.Uint32(mem.lines[9]) != 0xF00D {
@@ -240,7 +241,7 @@ func TestOtherCHExcludesSelf(t *testing.T) {
 	b.Attach(s1)
 	b.Attach(s2)
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusRead, Addr: 4})
+	res, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 4, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +255,45 @@ func TestOtherCHExcludesSelf(t *testing.T) {
 	if !s2.commits[0].otherCH {
 		t.Error("s2 missed s1's CH")
 	}
+
+	// Two asserters and a listener, with the master attached too (its
+	// CH-asserting response must not count): each asserter sees the
+	// other's CH, the listener sees both.
+	b = New(newFakeMemory(16), Config{LineSize: 16})
+	master := &fakeSnooper{id: 0, resp: respond("S,CH", nil)}
+	a1 := &fakeSnooper{id: 1, resp: respond("S,CH", nil)}
+	a2 := &fakeSnooper{id: 2, resp: respond("S,CH", nil)}
+	listener := &fakeSnooper{id: 3, resp: respond("CH:O/M,DI", lineOf(16, 5))}
+	for _, s := range []*fakeSnooper{master, a1, a2, listener} {
+		b.Attach(s)
+	}
+	if _, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 4, Data: make([]byte, b.LineSize())}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*fakeSnooper{a1, a2, listener} {
+		if len(s.commits) != 1 || !s.commits[0].otherCH {
+			t.Errorf("snooper %d: otherCH false with another unit asserting CH", s.id)
+		}
+	}
+	if len(master.commits) != 0 {
+		t.Error("master snooped its own transaction")
+	}
+
+	// A single asserter beside a non-asserting master sees no other CH.
+	b = New(newFakeMemory(16), Config{LineSize: 16})
+	lone := &fakeSnooper{id: 1, resp: respond("S,CH", nil)}
+	quiet := &fakeSnooper{id: 2}
+	b.Attach(lone)
+	b.Attach(quiet)
+	if _, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 4, Data: make([]byte, b.LineSize())}); err != nil {
+		t.Fatal(err)
+	}
+	if lone.commits[0].otherCH {
+		t.Error("lone asserter observed its own CH")
+	}
+	if !quiet.commits[0].otherCH {
+		t.Error("non-asserter missed the asserter's CH")
+	}
 }
 
 // TestMasterExcludedFromSnoop: the master's own snooper is not queried.
@@ -262,7 +302,7 @@ func TestMasterExcludedFromSnoop(t *testing.T) {
 	b := New(mem, Config{LineSize: 16})
 	self := &fakeSnooper{id: 0, resp: respond("O,CH,DI", lineOf(16, 1))}
 	b.Attach(self)
-	res, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusRead, Addr: 4})
+	res, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 4, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +337,7 @@ func (a *abortingSnooper) Query(tx *Transaction) SnoopResponse {
 
 func (a *abortingSnooper) Recover(b *Bus, aborted *Transaction, resp SnoopResponse) error {
 	a.pushed = true
-	_, err := b.ExecuteHeld(&Transaction{
+	_, err := b.ExecuteHeld(Transaction{
 		MasterID: a.id, Signals: resp.Action.Abort.Assert,
 		Op: core.BusWrite, Addr: aborted.Addr, Data: a.data,
 	})
@@ -315,7 +355,7 @@ func TestAbortPushRetry(t *testing.T) {
 	b.Attach(owner)
 	b.Attach(bystander)
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 11})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 11, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +403,7 @@ func (f *foreverBusy) Recover(b *Bus, aborted *Transaction, resp SnoopResponse) 
 func TestTooManyRetries(t *testing.T) {
 	b := New(newFakeMemory(16), Config{LineSize: 16})
 	b.Attach(&foreverBusy{fakeSnooper{id: 1}})
-	_, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusRead, Addr: 1})
+	_, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 1, Data: make([]byte, b.LineSize())})
 	if !errors.Is(err, ErrTooManyRetries) {
 		t.Fatalf("err = %v", err)
 	}
@@ -373,18 +413,21 @@ func TestTooManyRetries(t *testing.T) {
 // signal hygiene are enforced.
 func TestTransactionValidation(t *testing.T) {
 	b := New(newFakeMemory(32), Config{LineSize: 32})
-	cases := []*Transaction{
-		{MasterID: 0, Op: core.BusWrite, Addr: 1, Data: make([]byte, 16)},                           // wrong size
-		{MasterID: 0, Op: core.BusRead, Addr: 1, Data: make([]byte, 32)},                            // read with data
-		{MasterID: 0, Op: core.BusAddrOnly, Addr: 1, Partial: &PartialWrite{}},                      // addr-only with data
-		{MasterID: 0, Op: core.BusWrite, Addr: 1, Data: make([]byte, 32), Partial: &PartialWrite{}}, // both payloads
-		{MasterID: 0, Op: core.BusWrite, Addr: 1, Partial: &PartialWrite{Word: 8}},                  // word out of line
-		{MasterID: 0, Op: core.BusRead, Addr: 1, Signals: core.SigCH},                               // response signal from master
-		{MasterID: 0, Op: core.BusReadThenWrite, Addr: 1},                                           // composite op
+	cases := []Transaction{
+		{MasterID: 0, Op: core.BusWrite, Addr: 1, Data: make([]byte, 16)},                     // wrong size
+		{MasterID: 0, Op: core.BusRead, Addr: 1},                                              // read without a buffer
+		{MasterID: 0, Op: core.BusRead, Addr: 1, Data: make([]byte, 16)},                      // read buffer of the wrong size
+		{MasterID: 0, Op: core.BusRead, Addr: 1, Data: make([]byte, 32), Partial: true},       // read with a partial write
+		{MasterID: 0, Op: core.BusAddrOnly, Addr: 1, Partial: true},                           // addr-only with data
+		{MasterID: 0, Op: core.BusAddrOnly, Addr: 1, Data: make([]byte, 32)},                  // addr-only with a line
+		{MasterID: 0, Op: core.BusWrite, Addr: 1, Data: make([]byte, 32), Partial: true},      // both payloads
+		{MasterID: 0, Op: core.BusWrite, Addr: 1, Partial: true, Word: 8},                     // word out of line
+		{MasterID: 0, Op: core.BusRead, Addr: 1, Data: make([]byte, 32), Signals: core.SigCH}, // response signal from master
+		{MasterID: 0, Op: core.BusReadThenWrite, Addr: 1},                                     // composite op
 	}
 	for i, tx := range cases {
 		if _, err := b.Execute(tx); err == nil {
-			t.Errorf("case %d accepted: %s", i, tx)
+			t.Errorf("case %d accepted: %s", i, &tx)
 		}
 	}
 }
@@ -407,7 +450,7 @@ func TestTraceHook(t *testing.T) {
 	var seen int
 	b.SetTrace(func(tx *Transaction, r *Result) { seen++ })
 	for i := 0; i < 3; i++ {
-		if _, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusRead, Addr: Addr(i)}); err != nil {
+		if _, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: Addr(i), Data: make([]byte, b.LineSize())}); err != nil {
 			t.Fatal(err)
 		}
 	}

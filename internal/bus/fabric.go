@@ -26,8 +26,9 @@ type Fabric interface {
 	// exactly one shard, so snooping all shards is exactly snooping
 	// every line once). Configuration time only.
 	Attach(s Snooper)
-	// Execute runs one transaction on the home shard of tx.Addr.
-	Execute(tx *Transaction) (Result, error)
+	// Execute runs one transaction on the home shard of tx.Addr. The
+	// transaction is passed by value so issuing it allocates nothing.
+	Execute(tx Transaction) (Result, error)
 	// Acquire blocks until the home shard of addr grants mastership to
 	// master (the requesting board's id; internal callers pass -1 — the
 	// shard arbiter's Discipline orders contenders by it).
@@ -36,7 +37,7 @@ type Fabric interface {
 	Release(addr Addr)
 	// ExecuteHeld runs a transaction under an Acquire'd tenure; tx.Addr
 	// must be homed on the held shard.
-	ExecuteHeld(tx *Transaction) (Result, error)
+	ExecuteHeld(tx Transaction) (Result, error)
 	// LineSize is the system-wide line size in bytes.
 	LineSize() int
 	// Timing is the per-transaction cost model (identical across shards).
@@ -46,8 +47,9 @@ type Fabric interface {
 	// Recorder is the observability recorder shared by every shard (nil
 	// when tracing is off).
 	Recorder() *obs.Recorder
-	// SetTrace installs a transaction observer across all shards.
-	// Must be set before traffic starts.
+	// SetTrace installs a transaction observer across all shards; its
+	// arguments are valid only during the call. Must be set before
+	// traffic starts.
 	SetTrace(fn func(tx *Transaction, r *Result))
 	// Shards is the number of independent serialisation domains.
 	Shards() int
@@ -147,7 +149,7 @@ func (f *Interleaved) Attach(s Snooper) {
 }
 
 // Execute routes the transaction to its home shard.
-func (f *Interleaved) Execute(tx *Transaction) (Result, error) { return f.home(tx.Addr).Execute(tx) }
+func (f *Interleaved) Execute(tx Transaction) (Result, error) { return f.home(tx.Addr).Execute(tx) }
 
 // Acquire blocks until addr's home shard grants mastership to master.
 func (f *Interleaved) Acquire(addr Addr, master int) { f.home(addr).Acquire(addr, master) }
@@ -158,7 +160,7 @@ func (f *Interleaved) Release(addr Addr) { f.home(addr).Release(addr) }
 // ExecuteHeld runs a transaction on its home shard, which the caller
 // must have Acquired (enforced only by discipline, as on a single
 // bus).
-func (f *Interleaved) ExecuteHeld(tx *Transaction) (Result, error) {
+func (f *Interleaved) ExecuteHeld(tx Transaction) (Result, error) {
 	return f.home(tx.Addr).ExecuteHeld(tx)
 }
 

@@ -118,7 +118,7 @@ func TestHandshakeDrivenTiming(t *testing.T) {
 		cfg.Slaves = append(cfg.Slaves, SlaveTiming{AckDelay: 5, ProcessTime: slowest})
 		mem := newFakeMemory(16)
 		b := New(mem, Config{LineSize: 16, Handshake: &cfg})
-		res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA | core.SigIM, Op: core.BusAddrOnly, Addr: 1})
+		res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA | core.SigIM, Op: core.BusAddrOnly, Addr: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestParanoidAcceptsClassActions(t *testing.T) {
 		return SnoopResponse{Action: a, Line: lineOf(16, 1), State: core.Modified, Hit: true}
 	}}
 	b.Attach(owner)
-	if _, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 1}); err != nil {
+	if _, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 1, Data: make([]byte, b.LineSize())}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -34,7 +34,7 @@ func TestParanoidRejectsOutOfClass(t *testing.T) {
 		return SnoopResponse{Action: a, State: core.Shared, Hit: true}
 	}}
 	b.Attach(evil)
-	_, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA | core.SigIM, Op: core.BusAddrOnly, Addr: 1})
+	_, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA | core.SigIM, Op: core.BusAddrOnly, Addr: 1})
 	if err == nil || !strings.Contains(err.Error(), "out-of-class") {
 		t.Fatalf("err = %v", err)
 	}
@@ -47,7 +47,7 @@ func TestParanoidRejectsOutOfClass(t *testing.T) {
 	// The bus remains usable afterwards... with the evil snooper gone
 	// silent.
 	evil.resp = nil
-	if _, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusRead, Addr: 2}); err != nil {
+	if _, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 2, Data: make([]byte, b.LineSize())}); err != nil {
 		t.Fatalf("bus wedged after paranoid failure: %v", err)
 	}
 }
@@ -59,7 +59,7 @@ func TestParanoidAllowsBS(t *testing.T) {
 	b := New(mem, Config{LineSize: 16, Paranoid: true})
 	owner := &abortingSnooper{fakeSnooper: fakeSnooper{id: 1}, data: lineOf(16, 9)}
 	b.Attach(owner)
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 3})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 3, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestParanoidSkipsCleanCommands(t *testing.T) {
 		return SnoopResponse{Action: a, State: core.Shared, Hit: true}
 	}}
 	b.Attach(holder)
-	if _, err := b.Execute(&Transaction{MasterID: 0, Cmd: CmdClean, Op: core.BusAddrOnly, Addr: 1}); err != nil {
+	if _, err := b.Execute(Transaction{MasterID: 0, Cmd: CmdClean, Op: core.BusAddrOnly, Addr: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

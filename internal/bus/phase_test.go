@@ -16,7 +16,7 @@ func TestPhaseDecompositionRead(t *testing.T) {
 	b := New(mem, Config{LineSize: 16})
 	ti := b.Timing()
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 1})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 1, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPhaseDecompositionIntervention(t *testing.T) {
 	b := New(newFakeMemory(16), Config{LineSize: 16})
 	b.Attach(&fakeSnooper{id: 1, resp: respond("O,CH,DI", lineOf(16, 0xBEEF))})
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPhaseDecompositionRetry(t *testing.T) {
 	owner := &abortingSnooper{fakeSnooper: fakeSnooper{id: 1}, data: lineOf(16, 0xCAFE)}
 	b.Attach(owner)
 
-	res, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 11})
+	res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 11, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestArbitrationWait(t *testing.T) {
 	b.Acquire(5, -1) // hold the bus before the contender arrives
 	done := make(chan Result, 1)
 	go func() {
-		res, err := b.Execute(&Transaction{MasterID: 1, Signals: core.SigCA, Op: core.BusRead, Addr: 3})
+		res, err := b.Execute(Transaction{MasterID: 1, Signals: core.SigCA, Op: core.BusRead, Addr: 3, Data: make([]byte, b.LineSize())})
 		if err != nil {
 			t.Error(err)
 		}
@@ -128,7 +128,7 @@ func TestArbitrationWait(t *testing.T) {
 		runtime.Gosched()
 	}
 
-	held, err := b.ExecuteHeld(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 5})
+	held, err := b.ExecuteHeld(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 5, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestArbitrationWait(t *testing.T) {
 		t.Errorf("events: want 2 with contender ArbNS=%d, got %+v", held.Cost, spans)
 	}
 	// A fresh mastership must not inherit the old wait.
-	clean, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 9})
+	clean, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 9, Data: make([]byte, b.LineSize())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDataPhasePartsMatchCost(t *testing.T) {
 		{Transaction{Op: core.BusRead}, Result{DI: true}},
 		{Transaction{Op: core.BusWrite}, Result{}},
 		{Transaction{Op: core.BusWrite, Signals: core.SigBC}, Result{DI: true}},
-		{Transaction{Op: core.BusWrite, Partial: &PartialWrite{}}, Result{DI: true}},
+		{Transaction{Op: core.BusWrite, Partial: true}, Result{DI: true}},
 		{Transaction{Op: core.BusAddrOnly}, Result{}},
 	}
 	for i, c := range cases {

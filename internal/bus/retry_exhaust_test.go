@@ -45,7 +45,7 @@ func TestRetryExhaustionSurfaced(t *testing.T) {
 	wedged := &wedgedSnooper{fakeSnooper: fakeSnooper{id: 1}}
 	b.Attach(wedged)
 
-	_, err := b.Execute(&Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7})
+	_, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA, Op: core.BusRead, Addr: 7, Data: make([]byte, b.LineSize())})
 	if !errors.Is(err, ErrTooManyRetries) {
 		t.Fatalf("err = %v, want ErrTooManyRetries", err)
 	}
@@ -75,7 +75,7 @@ func TestRetryExhaustionSurfaced(t *testing.T) {
 
 	// The bus must stay usable after the wedged transaction failed.
 	wedged.calm = true
-	if _, err := b.Execute(&Transaction{MasterID: 0, Op: core.BusRead, Addr: 8}); err != nil {
+	if _, err := b.Execute(Transaction{MasterID: 0, Op: core.BusRead, Addr: 8, Data: make([]byte, b.LineSize())}); err != nil {
 		t.Fatalf("bus wedged after retry exhaustion: %v", err)
 	}
 }

@@ -67,7 +67,7 @@ func txBytes(tx *Transaction, lineSize int) int {
 	case core.BusRead:
 		return lineSize
 	case core.BusWrite:
-		if tx.Partial != nil {
+		if tx.Partial {
 			return 4
 		}
 		return lineSize

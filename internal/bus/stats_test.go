@@ -14,7 +14,7 @@ func TestStatsRecord(t *testing.T) {
 
 	read := &Transaction{MasterID: 0, Op: core.BusRead, Addr: 1}
 	s.record(read, &Result{Cost: 100}, lineSize)
-	partial := &Transaction{MasterID: 0, Op: core.BusWrite, Addr: 2, Partial: &PartialWrite{Word: 0, Val: 7}}
+	partial := &Transaction{MasterID: 0, Op: core.BusWrite, Addr: 2, Partial: true, Word: 0, Val: 7}
 	s.record(partial, &Result{Cost: 50}, lineSize)
 	full := &Transaction{MasterID: 0, Op: core.BusWrite, Addr: 3, Data: make([]byte, lineSize)}
 	s.record(full, &Result{Cost: 50}, lineSize)
@@ -83,7 +83,7 @@ func TestTxBytes(t *testing.T) {
 		want int
 	}{
 		{Transaction{Op: core.BusRead}, lineSize},
-		{Transaction{Op: core.BusWrite, Partial: &PartialWrite{}}, 4},
+		{Transaction{Op: core.BusWrite, Partial: true}, 4},
 		{Transaction{Op: core.BusWrite}, lineSize},
 		{Transaction{Op: core.BusAddrOnly}, 0},
 	}

@@ -30,9 +30,9 @@ type TenurePolicy interface {
 	// Name identifies the policy ("atomic", "split") in reports.
 	Name() string
 	// Deferrable reports whether a completed attempt's data phase may be
-	// decoupled from its address tenure. Called with the resolved
-	// wired-OR result, under the shard's arbiter lock.
-	Deferrable(tx *Transaction, r *Result) bool
+	// decoupled from its address tenure. di is the resolved wired-OR DI
+	// line (an owner intervened); called under the shard's arbiter lock.
+	Deferrable(tx *Transaction, di bool) bool
 	// TableSize bounds the per-shard pending-transaction table; 0 means
 	// the policy never defers (atomic mode).
 	TableSize() int
@@ -50,9 +50,9 @@ type atomicTenure struct{}
 // data and memory service, exactly the paper's electrical model.
 func AtomicTenure() TenurePolicy { return atomicTenure{} }
 
-func (atomicTenure) Name() string                          { return "atomic" }
-func (atomicTenure) Deferrable(*Transaction, *Result) bool { return false }
-func (atomicTenure) TableSize() int                        { return 0 }
+func (atomicTenure) Name() string                       { return "atomic" }
+func (atomicTenure) Deferrable(*Transaction, bool) bool { return false }
+func (atomicTenure) TableSize() int                     { return 0 }
 
 // splitTenure is the split-transaction policy.
 type splitTenure struct{ table int }
@@ -73,18 +73,16 @@ func (splitTenure) Name() string { return "split" }
 // only cycles have no data phase, partial (single-word) writes and
 // broadcast updates complete in one beat anyway, and an intervening
 // owner (DI) supplies cache-to-cache during the tenure it snooped.
-func (splitTenure) Deferrable(tx *Transaction, r *Result) bool {
-	if tx.Op == core.BusAddrOnly || tx.Partial != nil {
+func (splitTenure) Deferrable(tx *Transaction, di bool) bool {
+	if tx.Op == core.BusAddrOnly || tx.Partial {
 		return false
 	}
 	if tx.Signals.Has(core.SigBC) {
 		return false
 	}
 	switch tx.Op {
-	case core.BusRead:
-		return !r.DI
-	case core.BusWrite:
-		return !r.DI
+	case core.BusRead, core.BusWrite:
+		return !di
 	}
 	return false
 }

@@ -67,7 +67,7 @@ func (t Timing) DataPhaseParts(tx *Transaction, r *Result, lineSize int) (beats,
 		return 0, 0, false
 	}
 	words := int64((lineSize + t.WordBytes - 1) / t.WordBytes)
-	if tx.Partial != nil {
+	if tx.Partial {
 		words = 1
 	}
 	beats = words * t.DataPerWord

@@ -41,7 +41,7 @@ func TestDataPhaseCosts(t *testing.T) {
 
 	partial := tm.DataPhaseCost(&Transaction{
 		Op: core.BusWrite, Signals: core.SigIM,
-		Partial: &PartialWrite{},
+		Partial: true,
 	}, &Result{}, lineSize)
 	full := tm.DataPhaseCost(&Transaction{Op: core.BusWrite, Data: make([]byte, lineSize)}, &Result{}, lineSize)
 	if partial >= full {
@@ -50,14 +50,14 @@ func TestDataPhaseCosts(t *testing.T) {
 
 	bc := tm.DataPhaseCost(&Transaction{
 		Op: core.BusWrite, Signals: core.SigIM | core.SigBC,
-		Partial: &PartialWrite{},
+		Partial: true,
 	}, &Result{SL: true}, lineSize)
 	if bc != partial+tm.WiredORPenalty {
 		t.Errorf("broadcast word cost = %d, want %d (+penalty)", bc, partial+tm.WiredORPenalty)
 	}
 
 	captured := tm.DataPhaseCost(&Transaction{
-		Op: core.BusWrite, Signals: core.SigIM, Partial: &PartialWrite{},
+		Op: core.BusWrite, Signals: core.SigIM, Partial: true,
 	}, &Result{DI: true}, lineSize)
 	if captured >= partial {
 		t.Errorf("DI capture (%d) not faster than memory write (%d)", captured, partial)
@@ -68,7 +68,7 @@ func TestDataPhaseCosts(t *testing.T) {
 func TestStatsRecordAndAdd(t *testing.T) {
 	var s Stats
 	s.record(&Transaction{Op: core.BusRead, Signals: core.SigCA}, &Result{Cost: 100}, 32)
-	s.record(&Transaction{Op: core.BusWrite, Signals: core.SigIM, Partial: &PartialWrite{}}, &Result{Cost: 50}, 32)
+	s.record(&Transaction{Op: core.BusWrite, Signals: core.SigIM, Partial: true}, &Result{Cost: 50}, 32)
 	s.record(&Transaction{Op: core.BusWrite, Data: make([]byte, 32)}, &Result{Cost: 70}, 32)
 	s.record(&Transaction{Op: core.BusAddrOnly, Signals: core.SigCA | core.SigIM}, &Result{Cost: 10}, 32)
 

@@ -43,15 +43,22 @@ type Transaction struct {
 	Op core.BusOp
 	// Addr is the line address.
 	Addr Addr
-	// Data is the payload of a full-line write (a write-back or BS
-	// recovery push). Exactly one of Data and Partial is set on a
-	// write.
+	// Data is the master's line buffer for the data phase, so a line
+	// crosses the bus once, into or out of memory the master owns. On a
+	// full-line write (a write-back or BS recovery push) it is the
+	// payload. On a read it is where the line lands: the bus copies the
+	// intervening owner's or memory's copy into it, and Result.Data is
+	// this same slice. Its length is the system line size; address-only
+	// cycles and partial writes carry none.
 	Data []byte
-	// Partial is the payload of a single-word write: the broadcast
-	// word of an update protocol, a write-through store, or an
-	// uncached store. Participants (memory, a capturing owner,
-	// connecting SL slaves) merge the word into their own copies.
-	Partial *PartialWrite
+	// Partial marks a single-word write whose payload is Val at word
+	// index Word: the broadcast word of an update protocol, a
+	// write-through store, or an uncached store. Participants (memory,
+	// a capturing owner, connecting SL slaves) merge the word into their
+	// own copies.
+	Partial bool
+	Word    int
+	Val     uint32
 
 	// txid is the arbiter-allocated transaction id, stamped by the bus
 	// at the start of execution so snoopers can tag the events their
@@ -64,14 +71,6 @@ type Transaction struct {
 // address cycle to attribute their state changes.
 func (tx *Transaction) TxID() uint64 { return tx.txid }
 
-// PartialWrite is a single 32-bit store within a line.
-type PartialWrite struct {
-	// Word is the word index within the line.
-	Word int
-	// Val is the stored value.
-	Val uint32
-}
-
 // Event returns the Table 2 column snoopers consult for this
 // transaction, classified from the master signal triple.
 func (tx *Transaction) Event() core.BusEvent {
@@ -80,17 +79,24 @@ func (tx *Transaction) Event() core.BusEvent {
 
 func (tx *Transaction) check(lineSize int) error {
 	switch tx.Op {
-	case core.BusRead, core.BusAddrOnly:
-		if tx.Data != nil || tx.Partial != nil {
+	case core.BusAddrOnly:
+		if tx.Data != nil || tx.Partial {
 			return fmt.Errorf("bus: %s carries data", tx)
+		}
+	case core.BusRead:
+		switch {
+		case tx.Partial:
+			return fmt.Errorf("bus: %s carries a partial write", tx)
+		case len(tx.Data) != lineSize:
+			return fmt.Errorf("bus: read into a %d-byte buffer, system line size is %d", len(tx.Data), lineSize)
 		}
 	case core.BusWrite:
 		switch {
-		case tx.Data != nil && tx.Partial != nil:
+		case tx.Data != nil && tx.Partial:
 			return fmt.Errorf("bus: %s carries both full-line and partial data", tx)
-		case tx.Partial != nil:
-			if tx.Partial.Word < 0 || (tx.Partial.Word+1)*4 > lineSize {
-				return fmt.Errorf("bus: partial write word %d outside %d-byte line", tx.Partial.Word, lineSize)
+		case tx.Partial:
+			if tx.Word < 0 || (tx.Word+1)*4 > lineSize {
+				return fmt.Errorf("bus: partial write word %d outside %d-byte line", tx.Word, lineSize)
 			}
 		case len(tx.Data) != lineSize:
 			return fmt.Errorf("bus: write of %d bytes, system line size is %d (§5.1 requires a standard line size)", len(tx.Data), lineSize)

@@ -40,7 +40,7 @@ func (c *Cache) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (old, 
 	} else {
 		sh.stats.ReadMisses++
 		sh.mu.Unlock()
-		data, _, ferr := c.fillLine(addr, core.LocalRead)
+		data, ferr := c.fillLine(addr, core.LocalRead)
 		if ferr != nil {
 			return 0, 0, ferr
 		}
@@ -108,8 +108,7 @@ func (u *Uncached) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (ol
 	u.bus.Acquire(addr, u.id)
 	defer u.bus.Release(addr)
 
-	read := &bus.Transaction{MasterID: u.id, Op: core.BusRead, Addr: addr}
-	res, err := u.bus.ExecuteHeld(read)
+	res, err := u.bus.ExecuteHeld(bus.Transaction{MasterID: u.id, Op: core.BusRead, Addr: addr, Data: u.lineBuf()})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -120,11 +119,10 @@ func (u *Uncached) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (ol
 	if u.broadcast {
 		sig |= core.SigBC
 	}
-	write := &bus.Transaction{
+	wres, err := u.bus.ExecuteHeld(bus.Transaction{
 		MasterID: u.id, Signals: sig, Op: core.BusWrite, Addr: addr,
-		Partial: &bus.PartialWrite{Word: wordIdx, Val: updated},
-	}
-	wres, err := u.bus.ExecuteHeld(write)
+		Partial: true, Word: wordIdx, Val: updated,
+	})
 	if err != nil {
 		return 0, 0, err
 	}

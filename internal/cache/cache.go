@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
@@ -106,6 +107,11 @@ type Cache struct {
 	// by set number, and set s is guarded by shards[(s/gran)%nshards].
 	shards []cacheShard
 	sets   [][]line
+
+	// stall is Stats.StallNanos, kept outside the sharded counters so
+	// Stall reads it with one atomic load. noteStall adds to it with the
+	// shard lock held, so a Stats snapshot stays consistent.
+	stall atomic.Int64
 }
 
 // cacheShard is one fabric shard's slice of the cache: the directory
@@ -115,6 +121,10 @@ type cacheShard struct {
 	mu    sync.Mutex
 	clock uint64
 	stats Stats
+	// line is where a read that retains nothing (an uncacheable "I,R"
+	// fill) lands. Sized on first use; only the master holding this
+	// shard's bus tenure touches it.
+	line []byte
 }
 
 // Stats counts cache-side activity.
@@ -135,7 +145,8 @@ type Stats struct {
 	WritesCaptured        int64
 	AbortsIssued          int64
 	// StallNanos is simulated time this cache's processor spent on bus
-	// transactions it issued.
+	// transactions it issued, including the BS recovery pushes it
+	// performed for other masters.
 	StallNanos int64
 	// Transitions counts line state changes, indexed [from][to] in
 	// core.State order. Identity transitions (a Table 1/2 action that
@@ -240,7 +251,7 @@ func snoopCause(tx *bus.Transaction) string {
 // on a transaction it issued, and emits the stall span. Callers hold
 // the shard lock guarding addr.
 func (c *Cache) noteStall(sh *cacheShard, addr bus.Addr, cost int64) {
-	sh.stats.StallNanos += cost
+	c.stall.Add(cost)
 	if rec := c.obs; rec != nil {
 		// Split-mode stalls include off-bus time, which can exceed the
 		// occupancy clock's advance; clamp the span start at 0.
@@ -341,8 +352,15 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		total.Add(c.shards[i].stats)
 	}
+	total.StallNanos = c.stall.Load()
 	return total
 }
+
+// Stall returns Stats().StallNanos — the cumulative simulated time this
+// cache's processor has stalled on bus transactions, BS recovery pushes
+// included — in O(1): one atomic load, no directory lock. Safe from any
+// goroutine.
+func (c *Cache) Stall() int64 { return c.stall.Load() }
 
 // setFor maps a line address to its set index.
 func (c *Cache) setFor(addr bus.Addr) int {

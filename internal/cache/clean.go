@@ -15,7 +15,7 @@ import (
 // masterID must not collide with any attached snooper's id (a snooper
 // never observes its own transactions); use a dedicated controller id.
 func CleanLine(b bus.Fabric, masterID int, addr bus.Addr) error {
-	_, err := b.Execute(&bus.Transaction{
+	_, err := b.Execute(bus.Transaction{
 		MasterID: masterID,
 		Cmd:      bus.CmdClean,
 		Op:       core.BusAddrOnly,

@@ -50,7 +50,7 @@ func (c *Cache) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 
 	c.bus.Acquire(addr, c.id)
 	defer c.bus.Release(addr)
-	data, _, err := c.fillLine(addr, core.LocalRead)
+	data, err := c.fillLine(addr, core.LocalRead)
 	if err != nil {
 		return 0, err
 	}
@@ -132,20 +132,17 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 	sh.stats.WriteUpgrades++
 	sh.mu.Unlock()
 
-	tx := &bus.Transaction{
+	tx := bus.Transaction{
 		MasterID: c.id,
-		Signals:  action.Assert &^ core.SigBC,
+		Signals:  action.Assert,
 		Addr:     addr,
 		Op:       action.Op,
-	}
-	if action.Assert.Has(core.SigBC) {
-		tx.Signals |= core.SigBC
 	}
 	if action.Op == core.BusWrite {
 		// Update protocols broadcast the written word; holders connect
 		// (SL) and merge it, memory is updated as a Futurebus side
 		// effect (§4.2).
-		tx.Partial = &bus.PartialWrite{Word: wordIdx, Val: val}
+		tx.Partial, tx.Word, tx.Val = true, wordIdx, val
 	}
 	res, err := c.bus.ExecuteHeld(tx)
 	if err != nil {
@@ -182,7 +179,7 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 	case core.BusRead:
 		// Read-for-modify: fetch the line and invalidate every other
 		// copy in one transaction (CA, IM, R — column 6).
-		if _, _, err := c.fillLineWith(addr, action); err != nil {
+		if _, err := c.fillLineWith(addr, action); err != nil {
 			return err
 		}
 		sh.mu.Lock()
@@ -199,7 +196,7 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 	case core.BusReadThenWrite:
 		// Two transactions (Table 1 "Read>Write"): a normal read miss,
 		// then the write-hit path on the resulting state.
-		if _, _, err := c.fillLine(addr, core.LocalRead); err != nil {
+		if _, err := c.fillLine(addr, core.LocalRead); err != nil {
 			return err
 		}
 		sh.mu.Lock()
@@ -225,14 +222,13 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 	case core.BusWrite:
 		// Write past the cache (a write-through or non-allocating
 		// write): a partial word write, no local copy afterwards.
-		tx := &bus.Transaction{
+		res, err := c.bus.ExecuteHeld(bus.Transaction{
 			MasterID: c.id,
 			Signals:  action.Assert,
 			Addr:     addr,
 			Op:       core.BusWrite,
-			Partial:  &bus.PartialWrite{Word: wordIdx, Val: val},
-		}
-		res, err := c.bus.ExecuteHeld(tx)
+			Partial:  true, Word: wordIdx, Val: val,
+		})
 		if err != nil {
 			return err
 		}
@@ -255,62 +251,79 @@ func (c *Cache) mustState(addr bus.Addr) core.State {
 }
 
 // fillLine performs a read-miss fill using the policy's read-miss
-// action. Called with the bus held and the shard unlocked. Returns a
-// copy of the line data.
-func (c *Cache) fillLine(addr bus.Addr, event core.LocalEvent) ([]byte, int64, error) {
+// action. Called with the bus held and the shard unlocked. Returns the
+// buffer the line landed in (see fillLineWith).
+func (c *Cache) fillLine(addr bus.Addr, event core.LocalEvent) ([]byte, error) {
 	action, ok := c.policyFor(addr).ChooseLocal(core.Invalid, event)
 	if !ok {
-		return nil, 0, fmt.Errorf("cache %d (%s): no miss action for %s", c.id, c.policyFor(addr).Name(), event)
+		return nil, fmt.Errorf("cache %d (%s): no miss action for %s", c.id, c.policyFor(addr).Name(), event)
 	}
 	return c.fillLineWith(addr, action)
 }
 
 // fillLineWith fetches addr with the given miss action and installs the
-// line. Called with the bus held and the shard unlocked.
-func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, int64, error) {
+// line. Called with the bus held and the shard unlocked. The line lands
+// once, straight in the way it will occupy — or, for a read that retains
+// nothing, in the shard's scratch line — and that buffer is returned,
+// valid while the caller holds the bus. The way is invalid while the
+// transaction runs, so no snoop of this cache looks at its bytes; and
+// while we hold the shard, no other master can claim the way.
+func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, error) {
 	if action.Op != core.BusRead {
-		return nil, 0, fmt.Errorf("cache %d (%s): miss action %s is not a read", c.id, c.policyFor(addr).Name(), action)
+		return nil, fmt.Errorf("cache %d (%s): miss action %s is not a read", c.id, c.policyFor(addr).Name(), action)
 	}
+	sh := c.shard(addr)
 	retains := action.Next.OnCH.Valid() || action.Next.NoCH.Valid()
 	if retains {
 		// Only reads that install a line need a victim; an uncacheable
 		// read ("I,R") must not disturb the resident set.
 		if err := c.makeRoom(addr); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	tx := &bus.Transaction{
+	sh.mu.Lock()
+	var way *line
+	buf := &sh.line
+	if retains {
+		way = c.victim(addr)
+		if way.state.Valid() {
+			// makeRoom freed a way; a valid victim here means the set
+			// filled up again, which is impossible while we hold the bus
+			// shard every transaction on this set serialises through.
+			sh.mu.Unlock()
+			return nil, fmt.Errorf("cache %d: no free way for %#x after eviction", c.id, uint64(addr))
+		}
+		buf = &way.data
+	}
+	if len(*buf) != c.bus.LineSize() {
+		*buf = make([]byte, c.bus.LineSize())
+	}
+	data := *buf
+	sh.mu.Unlock()
+
+	res, err := c.bus.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
 		Signals:  action.Assert,
 		Addr:     addr,
 		Op:       core.BusRead,
-	}
-	res, err := c.bus.ExecuteHeld(tx)
+		Data:     data,
+	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	next := action.Next.Resolve(res.CH)
 
-	sh := c.shard(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c.noteStall(sh, addr, res.StallCost())
 	if !next.Valid() {
 		// A non-caching read: nothing retained.
-		return res.Data, res.StallCost(), nil
+		return data, nil
 	}
-	v := c.victim(addr)
-	if v.state.Valid() {
-		// makeRoom freed a way; a valid victim here means the set
-		// filled up again, which is impossible while we hold the bus
-		// shard every transaction on this set serialises through.
-		return nil, 0, fmt.Errorf("cache %d: no free way for %#x after eviction", c.id, uint64(addr))
-	}
-	v.addr = addr
-	c.setStateTx(sh, v, next, "fill", res.TxID)
-	v.data = append(v.data[:0], res.Data...)
-	c.touch(sh, v)
-	return append([]byte(nil), res.Data...), res.StallCost(), nil
+	way.addr = addr
+	c.setStateTx(sh, way, next, "fill", res.TxID)
+	c.touch(sh, way)
+	return data, nil
 }
 
 // makeRoom evicts a victim from addr's set if no way is free, pushing
@@ -356,20 +369,22 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	data := append([]byte(nil), v.data...)
+	data := v.data
 	sh.mu.Unlock()
 
-	// Push the dirty line. The flusher retains nothing, so CA is not
-	// asserted; sharers of an O line observe column 7 and keep their
-	// copies while memory resumes ownership (Table 1, note 4).
-	tx := &bus.Transaction{
+	// Push the dirty line straight from its way, which stays valid and
+	// unwritten until the push completes: our processor is here, and
+	// only our transactions run on the shard we hold. The flusher
+	// retains nothing, so CA is not asserted; sharers of an O line
+	// observe column 7 and keep their copies while memory resumes
+	// ownership (Table 1, note 4).
+	res, err := c.bus.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
 		Signals:  action.Assert,
 		Addr:     victimAddr,
 		Op:       core.BusWrite,
 		Data:     data,
-	}
-	res, err := c.bus.ExecuteHeld(tx)
+	})
 	if err != nil {
 		return err
 	}
@@ -437,17 +452,16 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	data := append([]byte(nil), l.data...)
+	data := l.data // pushed in place, as in makeRoom: we hold the shard
 	sh.mu.Unlock()
 
-	tx := &bus.Transaction{
+	res, err := c.bus.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
 		Signals:  action.Assert,
 		Addr:     addr,
 		Op:       core.BusWrite,
 		Data:     data,
-	}
-	res, err := c.bus.ExecuteHeld(tx)
+	})
 	if err != nil {
 		return err
 	}

@@ -193,15 +193,16 @@ func TestSnoopConformance(t *testing.T) {
 								envB.forceLine(addr, core.Shared, lineData)
 							}
 
-							tx := &bus.Transaction{MasterID: 9, Signals: col.Signals(), Addr: addr}
+							tx := bus.Transaction{MasterID: 9, Signals: col.Signals(), Addr: addr}
 							switch col {
 							case core.BusCacheRead, core.BusPlainRead:
 								tx.Op = core.BusRead
+								tx.Data = make([]byte, a.bus.LineSize())
 							case core.BusCacheRFO:
 								tx.Op = core.BusAddrOnly
 							default:
 								tx.Op = core.BusWrite
-								tx.Partial = &bus.PartialWrite{Word: 0, Val: 0x77}
+								tx.Partial, tx.Word, tx.Val = true, 0, 0x77
 							}
 							if _, err := a.bus.Execute(tx); err != nil {
 								t.Fatalf("%s state %s col %d (B=%t, shards=%d, tenure=%s): %v", name, s.Letter(), col.Column(), withB, nsh, ten, err)

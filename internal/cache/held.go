@@ -14,20 +14,27 @@ import (
 // port, or a write-back being absorbed mid-transaction.
 
 // FetchLineHeld ensures the line is present (performing a normal
-// read-miss fill if not) and returns a copy of its data. The bus must
-// be held by the caller.
-func (c *Cache) FetchLineHeld(addr bus.Addr) ([]byte, error) {
+// read-miss fill if not) and copies its data into dst, a buffer of the
+// line size. The bus must be held by the caller.
+func (c *Cache) FetchLineHeld(addr bus.Addr, dst []byte) error {
+	if len(dst) != c.bus.LineSize() {
+		return fmt.Errorf("cache %d: fetch into %d bytes, line size %d", c.id, len(dst), c.bus.LineSize())
+	}
 	sh := c.shard(addr)
 	sh.mu.Lock()
 	if l := c.lookup(addr); l != nil {
-		data := append([]byte(nil), l.data...)
+		copy(dst, l.data)
 		c.touch(sh, l)
 		sh.mu.Unlock()
-		return data, nil
+		return nil
 	}
 	sh.mu.Unlock()
-	data, _, err := c.fillLine(addr, core.LocalRead)
-	return data, err
+	data, err := c.fillLine(addr, core.LocalRead)
+	if err != nil {
+		return err
+	}
+	copy(dst, data)
+	return nil
 }
 
 // AbsorbLineHeld makes this cache the Modified owner of the line with
@@ -51,20 +58,17 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	var upgrade *bus.Transaction
-	if l != nil {
+	hit := l != nil
+	sh.mu.Unlock()
+
+	if hit {
 		// Shared hit: address-only invalidate (column 6), then own it.
-		upgrade = &bus.Transaction{
+		if _, err := c.bus.ExecuteHeld(bus.Transaction{
 			MasterID: c.id,
 			Signals:  core.SigCA | core.SigIM,
 			Op:       core.BusAddrOnly,
 			Addr:     addr,
-		}
-	}
-	sh.mu.Unlock()
-
-	if upgrade != nil {
-		if _, err := c.bus.ExecuteHeld(upgrade); err != nil {
+		}); err != nil {
 			return err
 		}
 	} else {
@@ -73,7 +77,7 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 		if err != nil {
 			return err
 		}
-		if _, _, err := c.fillLineWith(addr, rfo); err != nil {
+		if _, err := c.fillLineWith(addr, rfo); err != nil {
 			return err
 		}
 	}

@@ -18,7 +18,8 @@ func TestFetchLineHeld(t *testing.T) {
 	mustWrite(t, c1, 4, 0, 0x42) // dirty elsewhere
 
 	b.Acquire(4, -1)
-	data, err := c0.FetchLineHeld(4)
+	data := make([]byte, b.LineSize())
+	err := c0.FetchLineHeld(4, data)
 	b.Release(4)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,7 @@ func TestFetchLineHeld(t *testing.T) {
 	// A second fetch is served locally (no new transaction).
 	before := b.Stats().Transactions
 	b.Acquire(4, -1)
-	if _, err := c0.FetchLineHeld(4); err != nil {
+	if err := c0.FetchLineHeld(4, data); err != nil {
 		t.Fatal(err)
 	}
 	b.Release(4)

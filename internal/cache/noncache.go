@@ -23,6 +23,10 @@ type Uncached struct {
 	// themselves) over column 9 writes (holders must invalidate).
 	broadcast bool
 	onWrite   func(addr bus.Addr, wordIdx int, val uint32)
+	// line is where this master's reads land (bus.Transaction.Data).
+	// Like a cache, an uncached master serves one processor, so its
+	// reads never overlap.
+	line []byte
 
 	mu    sync.Mutex
 	stats UncachedStats
@@ -50,14 +54,29 @@ func (u *Uncached) Stats() UncachedStats {
 	return u.stats
 }
 
+// Stall returns Stats().StallNanos, the cumulative simulated time this
+// master has stalled on the bus.
+func (u *Uncached) Stall() int64 {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.stats.StallNanos
+}
+
+// lineBuf returns the master's read buffer, sized on first use.
+func (u *Uncached) lineBuf() []byte {
+	if u.line == nil {
+		u.line = make([]byte, u.bus.LineSize())
+	}
+	return u.line
+}
+
 // ReadWord reads one word through the bus (column 7: ~CA,~IM,~BC). If
 // a cache owns the line it intervenes (DI); otherwise memory responds.
 func (u *Uncached) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 	if wordIdx < 0 || (wordIdx+1)*4 > u.bus.LineSize() {
 		return 0, fmt.Errorf("uncached %d: word %d outside line", u.id, wordIdx)
 	}
-	tx := &bus.Transaction{MasterID: u.id, Signals: 0, Addr: addr, Op: core.BusRead}
-	res, err := u.bus.Execute(tx)
+	res, err := u.bus.Execute(bus.Transaction{MasterID: u.id, Addr: addr, Op: core.BusRead, Data: u.lineBuf()})
 	if err != nil {
 		return 0, err
 	}
@@ -79,12 +98,12 @@ func (u *Uncached) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 	if u.broadcast {
 		sig |= core.SigBC
 	}
-	tx := &bus.Transaction{
+	tx := bus.Transaction{
 		MasterID: u.id,
 		Signals:  sig,
 		Addr:     addr,
 		Op:       core.BusWrite,
-		Partial:  &bus.PartialWrite{Word: wordIdx, Val: val},
+		Partial:  true, Word: wordIdx, Val: val,
 	}
 	u.bus.Acquire(addr, u.id)
 	res, err := u.bus.ExecuteHeld(tx)

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
@@ -38,6 +39,10 @@ type SectorCache struct {
 	// the shard homing that set's sectors.
 	shards []sectorShard
 	sets   [][]sectorEntry
+
+	// stall is SectorStats.StallNanos, read by Stall in O(1) (see
+	// Cache.stall).
+	stall atomic.Int64
 }
 
 // sectorShard is one fabric shard's slice of the sector cache (see
@@ -201,14 +206,19 @@ func (c *SectorCache) Stats() SectorStats {
 	for i := range c.shards {
 		total.Add(c.shards[i].stats)
 	}
+	total.StallNanos = c.stall.Load()
 	return total
 }
+
+// Stall returns Stats().StallNanos in O(1): one atomic load, no
+// directory lock (see Cache.Stall).
+func (c *SectorCache) Stall() int64 { return c.stall.Load() }
 
 // noteStall accounts simulated bus time spent on a transaction this
 // cache issued, and emits the stall span. Callers hold the shard lock
 // guarding addr.
 func (c *SectorCache) noteStall(sh *sectorShard, addr bus.Addr, cost int64) {
-	sh.stats.StallNanos += cost
+	c.stall.Add(cost)
 	if rec := c.obs; rec != nil {
 		// Split-mode stalls include off-bus time, which can exceed the
 		// occupancy clock's advance; clamp the span start at 0.
@@ -409,9 +419,9 @@ func (c *SectorCache) writeHeld(addr bus.Addr, wordIdx int, val uint32) error {
 	}
 	sh.mu.Unlock()
 
-	tx := &bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: action.Op}
+	tx := bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: action.Op}
 	if action.Op == core.BusWrite {
-		tx.Partial = &bus.PartialWrite{Word: wordIdx, Val: val}
+		tx.Partial, tx.Word, tx.Val = true, wordIdx, val
 	}
 	res, err := c.bus.ExecuteHeld(tx)
 	if err != nil {
@@ -461,12 +471,12 @@ func (c *SectorCache) writeMissHeld(addr bus.Addr, wordIdx int, val uint32) erro
 	case core.BusWrite:
 		// Write past the cache (write-through / non-allocating): a
 		// partial word write, nothing retained.
-		res, err := c.bus.ExecuteHeld(&bus.Transaction{
+		res, err := c.bus.ExecuteHeld(bus.Transaction{
 			MasterID: c.id,
 			Signals:  action.Assert,
 			Addr:     addr,
 			Op:       core.BusWrite,
-			Partial:  &bus.PartialWrite{Word: wordIdx, Val: val},
+			Partial:  true, Word: wordIdx, Val: val,
 		})
 		if err != nil {
 			return err
@@ -492,7 +502,10 @@ func (c *SectorCache) fillSub(addr bus.Addr, event core.LocalEvent) ([]byte, err
 
 // fillSubWith fetches addr's sub-sector with the bus held: ensure the
 // sector is resident (evicting a victim sector wholesale if needed),
-// then transfer just the one sub-sector.
+// then transfer just the one sub-sector. The line lands straight in the
+// sub-sector's buffer, which is returned (valid while the caller holds
+// the bus); the sub-sector is invalid until the fill installs it, so
+// no snoop looks at those bytes meanwhile.
 func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byte, error) {
 	if action.Op != core.BusRead {
 		return nil, fmt.Errorf("sector cache %d: miss action %s is not a read", c.id, action)
@@ -506,13 +519,21 @@ func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byt
 		if err := c.allocateSector(addr); err != nil {
 			return nil, err
 		}
+		sh.mu.Lock()
 	} else {
 		sh.stats.SubMisses++
-		sh.mu.Unlock()
 	}
+	e, si := c.lookup(addr)
+	if e == nil {
+		sh.mu.Unlock()
+		return nil, fmt.Errorf("sector cache %d: allocated sector of %#x vanished", c.id, uint64(addr))
+	}
+	s := &e.subs[si]
+	sh.mu.Unlock()
 
-	tx := &bus.Transaction{MasterID: c.id, Signals: action.Assert, Addr: addr, Op: core.BusRead}
-	res, err := c.bus.ExecuteHeld(tx)
+	res, err := c.bus.ExecuteHeld(bus.Transaction{
+		MasterID: c.id, Signals: action.Assert, Addr: addr, Op: core.BusRead, Data: s.data,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -521,14 +542,9 @@ func (c *SectorCache) fillSubWith(addr bus.Addr, action core.LocalAction) ([]byt
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c.noteStall(sh, addr, res.StallCost())
-	e, si := c.lookup(addr)
-	if e == nil {
-		return nil, fmt.Errorf("sector cache %d: allocated sector of %#x vanished", c.id, uint64(addr))
-	}
-	c.setSubState(sh, addr, &e.subs[si], next, "fill", res.TxID)
-	e.subs[si].data = append(e.subs[si].data[:0], res.Data...)
+	c.setSubState(sh, addr, s, next, "fill", res.TxID)
 	c.touch(sh, e)
-	return append([]byte(nil), res.Data...), nil
+	return s.data, nil
 }
 
 // allocateSector makes a sector entry resident for addr, evicting the
@@ -568,12 +584,15 @@ func (c *SectorCache) allocateSector(addr bus.Addr) error {
 				}
 				sh.stats.DirtySubEvictions++
 				cause = "evict"
+				// Pushed in place once the lock drops: the buffer
+				// passes to the re-tagged entry's invalid sub-sector,
+				// which nothing reads or fills before the pushes end.
 				pushes = append(pushes, bus.Transaction{
 					MasterID: c.id,
 					Signals:  flush.Assert,
 					Addr:     subAddr,
 					Op:       core.BusWrite,
-					Data:     append([]byte(nil), s.data...),
+					Data:     s.data,
 				})
 			}
 			c.setSubState(sh, subAddr, s, core.Invalid, cause, 0)
@@ -591,7 +610,7 @@ func (c *SectorCache) allocateSector(addr bus.Addr) error {
 	sh.mu.Unlock()
 
 	for i := range pushes {
-		res, err := c.bus.ExecuteHeld(&pushes[i])
+		res, err := c.bus.ExecuteHeld(pushes[i])
 		if err != nil {
 			return err
 		}

@@ -48,7 +48,7 @@ func (c *SectorCache) Query(tx *bus.Transaction) bus.SnoopResponse {
 	}
 	resp := bus.SnoopResponse{Action: action, State: e.subs[si].state, Hit: true}
 	if action.AssertDI {
-		resp.Line = append([]byte(nil), e.subs[si].data...)
+		resp.Line = e.subs[si].data // copied by the bus under this lock
 	}
 	return resp
 }
@@ -69,8 +69,8 @@ func (c *SectorCache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherC
 	sh.stats.SnoopHits++
 
 	if tx.Op == core.BusWrite && (action.AssertDI || action.AssertSL) {
-		if tx.Partial != nil {
-			putWord(s.data, tx.Partial.Word, tx.Partial.Val)
+		if tx.Partial {
+			putWord(s.data, tx.Word, tx.Val)
 		} else {
 			copy(s.data, tx.Data)
 		}
@@ -115,12 +115,12 @@ func (c *SectorCache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.Sno
 	if e == nil || !e.subs[si].state.OwnedCopy() {
 		return fmt.Errorf("sector cache %d: BS recovery for %#x but sub-sector is not owned", c.id, uint64(aborted.Addr))
 	}
-	res, err := b.ExecuteHeld(&bus.Transaction{
+	res, err := b.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
 		Signals:  rec.Assert,
 		Addr:     aborted.Addr,
 		Op:       core.BusWrite,
-		Data:     append([]byte(nil), e.subs[si].data...),
+		Data:     e.subs[si].data, // in place: the lock is held across the push
 	})
 	if err != nil {
 		return err

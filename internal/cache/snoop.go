@@ -56,7 +56,9 @@ func (c *Cache) Query(tx *bus.Transaction) bus.SnoopResponse {
 	}
 	resp := bus.SnoopResponse{Action: action, State: l.state, Hit: true}
 	if action.AssertDI {
-		resp.Line = append([]byte(nil), l.data...)
+		// The line itself, not a copy: the bus copies it into the
+		// master's buffer while this Query's lock still pins it.
+		resp.Line = l.data
 	}
 	return resp
 }
@@ -103,8 +105,8 @@ func (c *Cache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherCH bool
 	// Data movement first: capture (DI on a write) or update (SL).
 	if tx.Op == core.BusWrite && (action.AssertDI || action.AssertSL) {
 		dataChanged = true
-		if tx.Partial != nil {
-			putWord(l.data, tx.Partial.Word, tx.Partial.Val)
+		if tx.Partial {
+			putWord(l.data, tx.Word, tx.Val)
 		} else {
 			copy(l.data, tx.Data)
 		}
@@ -158,14 +160,15 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 		return fmt.Errorf("cache %d: BS recovery for %#x but line is not owned", c.id, uint64(aborted.Addr))
 	}
 	sh.stats.AbortsIssued++
-	tx := &bus.Transaction{
+	// The line is pushed in place: the shard lock is held across the
+	// push, so nothing can write it meanwhile.
+	res, err := b.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
 		Signals:  rec.Assert,
 		Addr:     aborted.Addr,
 		Op:       core.BusWrite,
-		Data:     append([]byte(nil), l.data...),
-	}
-	res, err := b.ExecuteHeld(tx)
+		Data:     l.data,
+	})
 	if err != nil {
 		return err
 	}

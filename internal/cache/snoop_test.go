@@ -133,12 +133,12 @@ func TestSnoopIllegalColumnPanics(t *testing.T) {
 		}
 	}()
 	// A forged column-8 broadcast write against an M holder.
-	_, _ = b.Execute(&bus.Transaction{
+	_, _ = b.Execute(bus.Transaction{
 		MasterID: 99,
 		Signals:  core.SigCA | core.SigIM | core.SigBC,
 		Op:       core.BusWrite,
 		Addr:     6,
-		Partial:  &bus.PartialWrite{Word: 0, Val: 2},
+		Partial:  true, Word: 0, Val: 2,
 	})
 }
 

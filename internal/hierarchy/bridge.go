@@ -114,9 +114,10 @@ func (b *Bridge) setErr(err error) {
 var _ bus.MemoryPort = (*Bridge)(nil)
 
 // ReadLine implements bus.MemoryPort for the local bus: a local miss
-// with no cluster owner terminates here. The bus (and therefore the
-// shared arbiter) is held, so a global fetch nests safely.
-func (b *Bridge) ReadLine(addr bus.Addr) []byte {
+// with no cluster owner terminates here, the store's copy landing in
+// the local master's buffer. The bus (and therefore the shared arbiter)
+// is held, so a global fetch nests safely.
+func (b *Bridge) ReadLine(addr bus.Addr, dst []byte) {
 	b.mu.Lock()
 	if b.store.Contains(addr) {
 		b.stats.LocalFills++
@@ -124,12 +125,10 @@ func (b *Bridge) ReadLine(addr bus.Addr) []byte {
 		b.stats.GlobalFetches++
 	}
 	b.mu.Unlock()
-	data, err := b.store.FetchLineHeld(addr)
-	if err != nil {
+	if err := b.store.FetchLineHeld(addr, dst); err != nil {
 		b.setErr(fmt.Errorf("hierarchy: cluster %d fetch of %#x: %w", b.clusterID, uint64(addr), err))
-		return make([]byte, b.store.LineSize())
+		clear(dst)
 	}
-	return data
 }
 
 // WriteLine implements bus.MemoryPort for the local bus: cluster
@@ -203,7 +202,7 @@ func (b *Bridge) invalidateCluster(addr bus.Addr) error {
 	b.mu.Lock()
 	b.stats.ClusterInvalidations++
 	b.mu.Unlock()
-	_, err := b.local.ExecuteHeld(&bus.Transaction{
+	_, err := b.local.ExecuteHeld(bus.Transaction{
 		MasterID: b.localMasterID(),
 		Signals:  core.SigCA | core.SigIM,
 		Op:       core.BusAddrOnly,

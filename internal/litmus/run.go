@@ -235,7 +235,7 @@ func runOnce(t *Test, sched int) (map[string]uint32, map[string]map[int]uint32, 
 // cleanAll issues CmdClean from a controller id: any owner pushes the
 // line so memory holds the image, copies survive.
 func cleanAll(sys *sim.System, addr bus.Addr) error {
-	_, err := sys.Bus.Execute(&bus.Transaction{
+	_, err := sys.Bus.Execute(bus.Transaction{
 		MasterID: 1 << 20,
 		Cmd:      bus.CmdClean,
 		Op:       core.BusAddrOnly,

@@ -54,8 +54,12 @@ func (m *Memory) LineSize() int { return m.lineSize }
 // at configuration time, before traffic starts.
 func (m *Memory) SetObs(rec *obs.Recorder) { m.rec = rec }
 
-// ReadLine implements bus.MemoryPort.
-func (m *Memory) ReadLine(addr bus.Addr) []byte {
+// ReadLine implements bus.MemoryPort: the line is copied straight into
+// the caller's buffer.
+func (m *Memory) ReadLine(addr bus.Addr, dst []byte) {
+	if len(dst) != m.lineSize {
+		panic(fmt.Sprintf("memory: read into %d bytes, line size %d", len(dst), m.lineSize))
+	}
 	if rec := m.rec; rec != nil {
 		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindMemRead, Bus: -1, Proc: -1, Addr: uint64(addr), Bytes: m.lineSize})
 	}
@@ -63,12 +67,14 @@ func (m *Memory) ReadLine(addr bus.Addr) []byte {
 	defer m.mu.Unlock()
 	m.stats.Reads++
 	if line, ok := m.lines[addr]; ok {
-		return append([]byte(nil), line...)
+		copy(dst, line)
+	} else {
+		clear(dst)
 	}
-	return make([]byte, m.lineSize)
 }
 
-// WriteLine implements bus.MemoryPort.
+// WriteLine implements bus.MemoryPort. A line already stored is updated
+// in place; only the first write of a line allocates its storage.
 func (m *Memory) WriteLine(addr bus.Addr, data []byte) {
 	if len(data) != m.lineSize {
 		panic(fmt.Sprintf("memory: write of %d bytes, line size %d", len(data), m.lineSize))
@@ -79,6 +85,10 @@ func (m *Memory) WriteLine(addr bus.Addr, data []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Writes++
+	if line, ok := m.lines[addr]; ok {
+		copy(line, data)
+		return
+	}
 	m.lines[addr] = append([]byte(nil), data...)
 }
 

@@ -69,8 +69,12 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 
 	type procState struct {
 		remaining int
-		pending   *workload.Ref
-		time      int64
+		// pending is the board's next reference, drawn from its
+		// generator once and held by value (hasPending) across
+		// deferrals.
+		pending    workload.Ref
+		hasPending bool
+		time       int64
 		// waited accumulates simulated time this board's next bus access
 		// was deferred because the bus was busy; blocker is the TxID it
 		// was last deferred behind. Reported as one KindBlocked event
@@ -122,11 +126,10 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		ev := h.top()
 		p := &procs[ev.proc]
 		p.time = ev.time
-		if p.pending == nil {
-			r := e.Gens[ev.proc].Next()
-			p.pending = &r
+		if !p.hasPending {
+			p.pending, p.hasPending = e.Gens[ev.proc].Next(), true
 		}
-		ref := *p.pending
+		ref := p.pending
 		board := e.Sys.Boards[ev.proc]
 		si := e.Sys.Bus.HomeShard(busAddr(ref.Line))
 
@@ -182,7 +185,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 			return Metrics{}, fmt.Errorf("sim: board %d ref %s: %w", ev.proc, ref, err)
 		}
 		busCost := board.Stall() - before
-		p.pending = nil
+		p.hasPending = false
 		p.remaining--
 		refs++
 		e.Sys.noteRef()

@@ -161,3 +161,36 @@ func TestShardedRejectsBadSectorMix(t *testing.T) {
 		t.Fatal("sector sizes 4 and 3 on a sharded fabric should be rejected")
 	}
 }
+
+// TestConcurrentScratchMixedSplit exercises the bus's per-shard,
+// per-nesting-level scratch frames from one goroutine per board (run
+// with -race in CI): four split-tenure shards, an Illinois board whose
+// BS aborts nest recovery pushes inside other boards' transactions,
+// update-protocol boards broadcasting partial writes through the
+// memory merge line, MOESI owners intervening, and an uncached master
+// reading into its own buffer — so a board can master a transaction on
+// one shard while it recovers a line for another master on a second.
+func TestConcurrentScratchMixedSplit(t *testing.T) {
+	cfg := Config{
+		Boards: []BoardSpec{
+			{Protocol: "illinois"}, {Protocol: "moesi-update"}, {Protocol: "dragon"},
+			{Protocol: "moesi"}, {Protocol: "moesi"}, {Protocol: "uncached"},
+		},
+		Shards: 4, Tenure: "split", Discipline: "rr",
+		Shadow: true,
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := RunConcurrent(sys, abGens(sys, 0.6, 0.4, 41), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Checker().MustPass(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Bus.Aborts == 0 || m.Bus.Updates == 0 || m.Bus.Interventions == 0 || m.Bus.DataTenures == 0 {
+		t.Errorf("mix did not reach every path: %s", m.Bus)
+	}
+}

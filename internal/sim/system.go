@@ -30,7 +30,10 @@ type Board interface {
 	// UsesBusNext predicts whether the given access needs the bus (for
 	// event ordering in the deterministic engine).
 	UsesBusNext(addr bus.Addr, write bool) bool
-	// Stall returns cumulative simulated bus time this board has spent.
+	// Stall returns cumulative simulated bus time this board has spent
+	// (its Stats().StallNanos, BS recovery pushes for others included).
+	// The deterministic engine calls it twice per reference, so it must
+	// be O(1) and take no directory lock.
 	Stall() int64
 	// Describe names the board's protocol.
 	Describe() string
@@ -143,7 +146,6 @@ func (b *cachedBoard) Write(addr bus.Addr, word int, val uint32) error {
 	return b.WriteWord(addr, word, val)
 }
 func (b *cachedBoard) UsesBusNext(addr bus.Addr, write bool) bool { return b.WouldUseBus(addr, write) }
-func (b *cachedBoard) Stall() int64                               { return b.Stats().StallNanos }
 func (b *cachedBoard) Describe() string                           { return b.name }
 
 // sectorBoard adapts cache.SectorCache to Board.
@@ -157,7 +159,6 @@ func (b *sectorBoard) Write(addr bus.Addr, word int, val uint32) error {
 	return b.WriteWord(addr, word, val)
 }
 func (b *sectorBoard) UsesBusNext(addr bus.Addr, write bool) bool { return b.WouldUseBus(addr, write) }
-func (b *sectorBoard) Stall() int64                               { return b.Stats().StallNanos }
 func (b *sectorBoard) Describe() string                           { return b.name }
 
 // uncachedBoard adapts cache.Uncached to Board.
@@ -171,7 +172,6 @@ func (b *uncachedBoard) Write(addr bus.Addr, word int, val uint32) error {
 	return b.WriteWord(addr, word, val)
 }
 func (b *uncachedBoard) UsesBusNext(bus.Addr, bool) bool { return true }
-func (b *uncachedBoard) Stall() int64                    { return b.Stats().StallNanos }
 func (b *uncachedBoard) Describe() string                { return b.name }
 
 // New builds a system from the config.

@@ -7,15 +7,20 @@
 # verification ratio (BenchmarkWatchSinkOverhead record+watch vs
 # record, gated at 10%), and the saturation-telemetry ratio
 # (BenchmarkPerfSinkOverhead record+perf vs record, gated at 10%).
-# One check is NON-advisory: the atomic-mode bus fast path
+# One check is NON-advisory: the allocation footprint of two hot paths
+# must stay within 5% of the committed baseline, and a breach exits 1.
+# The gated benchmarks are the atomic-mode bus fast path
 # (BenchmarkBusLockedRMW — grant → address → data → release through the
-# arbiter with no split machinery) must stay within 5% of the committed
-# baseline, because the tenure/discipline indirection is supposed to be
-# free when unused; a breach exits 1. The gated statistic is the per-op
-# allocation footprint (B/op, allocs/op): it is deterministic, so 5%
-# means a real change, whereas wall-clock ns/op on shared hardware has
-# >5% irreducible run-to-run noise — the ns/op delta is printed on the
-# same line but stays advisory.
+# arbiter with no split machinery, which the tenure/discipline
+# indirection must not tax when unused) and a whole deterministic
+# simulation (BenchmarkP1/moesi — the engine's per-reference path and
+# the bus's per-transaction path, which allocate nothing once warm;
+# ROADMAP item 1). The gated statistic is the per-op allocation
+# footprint (B/op, allocs/op): it is deterministic, so 5% means a real
+# change, whereas wall-clock ns/op on shared hardware has >5%
+# irreducible run-to-run noise — the ns/op delta is printed on the same
+# line but stays advisory. A baseline that predates a benchmark's
+# allocation figures is noted and not gated.
 # The "_meta" entry bench.sh embeds (host/toolchain provenance) is not
 # a benchmark and is skipped.
 #
@@ -153,17 +158,25 @@ END {
 		if (s8 < s1 * 2)
 			printf "WARN  interleaved backplane no longer scales (8 shards < 2x one bus)\n"
 	}
-	# Non-advisory gate: the atomic-mode fast path must not pay for the
-	# pluggable tenure/discipline machinery it does not use. Gated on
-	# the deterministic allocation footprint; ns/op shown as advisory.
-	fp = "BenchmarkBusLockedRMW"
-	if (fp in base && fp in cur) {
-		printf "atomic fast path (%s): %.0f -> %.0f ns/op (%+.1f%%, advisory); ", \
-			fp, base[fp], cur[fp], (cur[fp] / base[fp] - 1) * 100
+	# Non-advisory gate: the hot paths must not regain allocations.
+	# Gated on the deterministic allocation footprint; ns/op shown as
+	# advisory.
+	split("BenchmarkBusLockedRMW BenchmarkP1/moesi", gated, " ")
+	label["BenchmarkBusLockedRMW"] = "atomic fast path"
+	label["BenchmarkP1/moesi"] = "simulation hot path"
+	for (g = 1; g in gated; g++) {
+		fp = gated[g]
+		if (!(fp in base && fp in cur)) continue
+		if (baseb[fp] < 0 || basea[fp] < 0) {
+			printf "note: baseline has no allocation figures for %s; not gated\n", fp
+			continue
+		}
+		printf "%s (%s): %.0f -> %.0f ns/op (%+.1f%%, advisory); ", \
+			label[fp], fp, base[fp], cur[fp], (cur[fp] / base[fp] - 1) * 100
 		printf "%.0f -> %.0f B/op, %.0f -> %.0f allocs/op (gate 5%%)\n", \
 			baseb[fp], curb[fp], basea[fp], cura[fp]
 		if (curb[fp] > baseb[fp] * 1.05 || cura[fp] > basea[fp] * 1.05 + 0.5) {
-			printf "FAIL  atomic fast path allocation footprint regressed past 5%% vs the committed baseline\n"
+			printf "FAIL  %s allocation footprint regressed past 5%% vs the committed baseline\n", label[fp]
 			fail = 1
 		}
 	}
