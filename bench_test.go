@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/cache"
@@ -113,7 +115,8 @@ func BenchmarkFigure4Pairs(b *testing.B) {
 }
 
 // benchSim runs one simulated system per iteration and reports
-// transactions and bytes per reference, plus allocs/ref: heap
+// transactions and bytes per reference, plus hostns/ref and allocs/ref:
+// host nanoseconds (ns/op over the references per op) and heap
 // allocations per simulated reference, system setup included.
 func benchSim(b *testing.B, cfg sim.Config, gens func(sys *sim.System) []workload.Generator, refs int) {
 	b.Helper()
@@ -136,6 +139,7 @@ func benchSim(b *testing.B, cfg sim.Config, gens func(sys *sim.System) []workloa
 		refsDone += m.Refs
 	}
 	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refsDone), "hostns/ref")
 	b.ReportMetric(lastTrans, "trans/ref")
 	b.ReportMetric(lastBytes, "bytes/ref")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(refsDone), "allocs/ref")
@@ -570,48 +574,63 @@ func BenchmarkModelChecker(b *testing.B) {
 	}
 }
 
-// BenchmarkObsRecordingOverhead measures the steady-state wall-clock
-// cost of recording the default fbsim workload (moesi, 4 boards) to a
-// binary .fbt trace: "off" runs with no recorder, "fbt" runs with a
-// process-lifetime recorder feeding a RecordSink, the way fbsim
-// -record-out attaches one. The recorder is created outside the timed
-// loop because its ring is a one-time allocation, not per-run cost.
-// scripts/bench-compare.sh reports the fbt/off ratio and warns when it
-// drifts: on a single-core container the drain goroutine cannot
-// overlap the simulation, so the ratio is dominated by the emission
-// pipeline (event construction, ring push, varint encode), not disk.
-func BenchmarkObsRecordingOverhead(b *testing.B) {
-	const refs = 2000
+// benchObserved runs the default fbsim workload (moesi, 4 boards, 2000
+// refs per board) b.N times with rec attached — nil runs it unobserved
+// — then closes rec. Beside wall-clock ns/op it reports cpu-ns/op: the
+// process's CPU time per op from getrusage, every thread, so the work
+// the recorder's drain goroutine does on a second core counts too. The
+// caller makes the recorder before the timer starts: its batches are a
+// one-time allocation, not per-run cost.
+func benchObserved(b *testing.B, rec *obs.Recorder) {
+	b.Helper()
 	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
+	cfg.Obs = rec
+	b.ResetTimer()
+	c0 := processCPU(b)
+	for i := 0; i < b.N; i++ {
+		sys, err := sim.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
+		if _, err := eng.Run(2000); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, nil)
-		}
-	})
-	b.Run("fbt", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
+	b.ReportMetric(float64(processCPU(b)-c0)/float64(b.N), "cpu-ns/op")
+	b.StopTimer()
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// processCPU is the process's CPU time so far, user and system, every
+// thread.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// recordSink is the .fbt RecordSink fbsim -record-out attaches, writing
+// to io.Discard.
+func recordSink() obs.Sink {
+	return obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"})
+}
+
+// BenchmarkObsRecordingOverhead measures what recording the default
+// fbsim workload to a binary .fbt trace costs: "off" runs with no
+// recorder, "fbt" with a process-lifetime recorder feeding a
+// RecordSink, the way fbsim -record-out attaches one. Each run ends
+// with a Drain (the engine reads its sinks), so cpu-ns/op holds all the
+// recording work: event construction, Emit's batch append, and the
+// drain goroutine's varint encoding. scripts/bench-compare.sh prints
+// the fbt/off ratio of both wall-clock and CPU time.
+func BenchmarkObsRecordingOverhead(b *testing.B) {
+	b.Run("off", func(b *testing.B) { benchObserved(b, nil) })
+	b.Run("fbt", func(b *testing.B) { benchObserved(b, obs.New(recordSink())) })
 }
 
 // BenchmarkCoherenceSinkOverhead measures what live coherence
@@ -622,43 +641,10 @@ func BenchmarkObsRecordingOverhead(b *testing.B) {
 // per-run telemetry cost the /coherence endpoint pays for; BENCH json
 // tracks both so drift is visible.
 func BenchmarkCoherenceSinkOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
+	b.Run("record", func(b *testing.B) { benchObserved(b, obs.New(recordSink())) })
 	b.Run("record+coherence", func(b *testing.B) {
 		sink := &obshttp.CoherenceSink{}
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}), sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
+		benchObserved(b, obs.New(recordSink(), sink))
 		if sink.Totals().StateEvents == 0 {
 			b.Fatal("coherence sink saw no state events")
 		}
@@ -669,46 +655,13 @@ func BenchmarkCoherenceSinkOverhead(b *testing.B) {
 // adds on top of recording: "record" is the plain RecordSink
 // configuration, "record+watch" attaches an obshttp.WatchSink beside
 // it the way fbsim -watch -serve does. bench-compare.sh gates the
-// ratio at 10% — a monitored run must stay within a tenth of an
-// unmonitored one.
+// wall-clock ratio at 10% — a monitored run must stay within a tenth
+// of an unmonitored one.
 func BenchmarkWatchSinkOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
+	b.Run("record", func(b *testing.B) { benchObserved(b, obs.New(recordSink())) })
 	b.Run("record+watch", func(b *testing.B) {
 		sink := obshttp.NewWatchSink(watch.Config{}, nil)
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}), sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
+		benchObserved(b, obs.New(recordSink(), sink))
 		rep := sink.Report()
 		if rep.States == 0 {
 			b.Fatal("watch sink saw no state events")
@@ -724,46 +677,13 @@ func BenchmarkWatchSinkOverhead(b *testing.B) {
 // "record+perf" attaches an obshttp.PerfSink beside it the way fbsim
 // -perf does (nil registry: the sink's own histograms and queue
 // reconstruction, no exposition cost). bench-compare.sh gates the
-// ratio at 10% — a perf-monitored run must stay within a tenth of a
-// record-only one.
+// wall-clock ratio at 10% — a perf-monitored run must stay within a
+// tenth of a record-only one.
 func BenchmarkPerfSinkOverhead(b *testing.B) {
-	const refs = 2000
-	cfg := sim.Homogeneous("moesi", 4)
-	run := func(b *testing.B, rec *obs.Recorder) {
-		b.Helper()
-		c := cfg
-		c.Obs = rec
-		sys, err := sim.New(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}
-		if _, err := eng.Run(refs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("record", func(b *testing.B) {
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
+	b.Run("record", func(b *testing.B) { benchObserved(b, obs.New(recordSink())) })
 	b.Run("record+perf", func(b *testing.B) {
 		sink := obshttp.NewPerfSink(nil)
-		rec := obs.New(obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"}), sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, rec)
-		}
-		b.StopTimer()
-		if err := rec.Close(); err != nil {
-			b.Fatal(err)
-		}
+		benchObserved(b, obs.New(recordSink(), sink))
 		snap := sink.Snapshot()
 		if snap.Events == 0 || snap.Latency[perf.MetricTenure].Count == 0 {
 			b.Fatal("perf sink saw no events")

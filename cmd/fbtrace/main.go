@@ -41,7 +41,7 @@ func main() {
 	fmt.Printf("\nLive transaction trace (4×moesi + 1 uncached DMA):\n")
 	// The live trace is an obs sink: the bus emits a structured event
 	// per completed transaction and the sink renders it. Events arrive
-	// in bus order (the ring preserves emission sequence).
+	// in bus order (the recorder preserves emission sequence).
 	count := 0
 	printer := obs.SinkFunc(func(e *obs.Event) {
 		if e.Kind != obs.KindTx || count >= *txns {

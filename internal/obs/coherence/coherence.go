@@ -9,8 +9,9 @@
 // The Analyzer is an obs.Sink, so the same aggregation runs three
 // ways: offline over a .fbt recording (cmd/fblens), live behind the
 // obshttp service's /coherence endpoint, and inside tests. It is not
-// itself goroutine-safe; the Recorder's single drain goroutine (or a
-// locking wrapper such as obshttp.CoherenceSink) provides exclusion.
+// itself goroutine-safe; the Recorder, which never runs two Consume
+// calls at once (or a locking wrapper such as obshttp.CoherenceSink),
+// provides exclusion.
 package coherence
 
 import (

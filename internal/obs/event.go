@@ -1,9 +1,9 @@
 // Package obs is the unified event-tracing and metrics layer of the
 // simulator. Every substrate — the bus, the caches, memory, the
 // engines — emits simulation-timestamped structured Events into a
-// Recorder, which moves them through a fixed-size lock-free ring buffer
-// (safe to feed from the goroutine-per-processor concurrent engine)
-// into pluggable Sinks: a Chrome trace-event exporter for Perfetto, a
+// Recorder, which hands them over in fixed-size batches (safe to feed
+// from the goroutine-per-processor concurrent engine) to pluggable
+// Sinks: a Chrome trace-event exporter for Perfetto, a
 // JSONL exporter, a per-line audit trail, and log-bucketed latency
 // histograms.
 //

@@ -4,128 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// TestRingFIFO: single-producer order is preserved exactly.
-func TestRingFIFO(t *testing.T) {
-	r := newRing(8)
-	for i := 0; i < 5; i++ {
-		if !r.push(&Event{TS: int64(i)}) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	var e Event
-	for i := 0; i < 5; i++ {
-		if !r.pop(&e) {
-			t.Fatalf("pop %d failed", i)
-		}
-		if e.TS != int64(i) {
-			t.Errorf("pop %d: TS=%d", i, e.TS)
-		}
-	}
-	if r.pop(&e) {
-		t.Error("pop on empty ring succeeded")
-	}
-}
-
-// TestRingFull: a full ring rejects pushes instead of overwriting.
-func TestRingFull(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 4; i++ {
-		if !r.push(&Event{}) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if r.push(&Event{}) {
-		t.Error("push on full ring succeeded")
-	}
-	var e Event
-	if !r.pop(&e) {
-		t.Fatal("pop failed")
-	}
-	if !r.push(&Event{}) {
-		t.Error("push after pop failed")
-	}
-}
-
-// TestRecorderConcurrentEmit: many producers, every event arrives
-// exactly once, and Seq as seen by the sink is strictly increasing
-// (the drain order is the global emission order).
-func TestRecorderConcurrentEmit(t *testing.T) {
-	const producers, each = 8, 1000
-	var mu sync.Mutex
-	var got []Event
-	rec := NewSized(64, SinkFunc(func(e *Event) {
-		mu.Lock()
-		got = append(got, *e)
-		mu.Unlock()
-	}))
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				rec.Emit(Event{Kind: KindTx, Proc: p, Addr: uint64(i)})
-			}
-		}(p)
-	}
-	wg.Wait()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != producers*each {
-		t.Fatalf("got %d events, want %d", len(got), producers*each)
-	}
-	perProc := make(map[int]int)
-	for i, e := range got {
-		if i > 0 && e.Seq <= got[i-1].Seq {
-			t.Fatalf("seq not increasing at %d: %d after %d", i, e.Seq, got[i-1].Seq)
-		}
-		// Each producer's own events must drain in its emission order.
-		if int(e.Addr) < perProc[e.Proc] {
-			t.Fatalf("producer %d reordered: addr %d after %d", e.Proc, e.Addr, perProc[e.Proc])
-		}
-		perProc[e.Proc] = int(e.Addr)
-	}
-}
-
-// TestNilRecorder: the nil fast path is inert and safe.
-func TestNilRecorder(t *testing.T) {
-	var r *Recorder
-	r.Emit(Event{Kind: KindTx})
-	r.Advance(100)
-	if r.Clock() != 0 {
-		t.Error("nil clock moved")
-	}
-	if err := r.Flush(); err != nil {
-		t.Error(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Error(err)
-	}
-	if FindHistogram(r) != nil {
-		t.Error("nil recorder has a histogram")
-	}
-}
-
-// TestRecorderClock: Advance returns the pre-advance value (the begin
-// timestamp of the span being paid for).
-func TestRecorderClock(t *testing.T) {
-	rec := New()
-	defer rec.Close()
-	if begin := rec.Advance(100); begin != 0 {
-		t.Errorf("first Advance returned %d", begin)
-	}
-	if begin := rec.Advance(50); begin != 100 {
-		t.Errorf("second Advance returned %d", begin)
-	}
-	if rec.Clock() != 150 {
-		t.Errorf("clock = %d", rec.Clock())
-	}
-}
 
 // TestHistogramQuantiles: log-bucket bounds behave as documented.
 func TestHistogramQuantiles(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 	"futurebus/internal/obs/causal"
 )
 
-// CausalSink makes a causal.Analyzer safe to feed from the Recorder's
-// drain goroutine while the /causal HTTP handler snapshots it: Consume
-// and Analyze serialize on one mutex. Analysis cost is paid per request
+// CausalSink makes a causal.Analyzer safe to feed from the Recorder
+// while the /causal HTTP handler snapshots it: Consume and Analyze
+// serialize on one mutex. Analysis cost is paid per request
 // (the analyzer itself only folds events in-loop), so a heavy run stays
 // cheap until somebody actually asks.
 type CausalSink struct {

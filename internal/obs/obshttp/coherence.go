@@ -8,21 +8,22 @@ import (
 )
 
 // coherenceBatch is how many events CoherenceSink buffers before
-// folding them into the analyzer. The buffer belongs to the recorder's
-// drain goroutine, so Consume stays lock-free on the hot path; the
-// mutex is only taken once per batch (and by snapshot readers). Live
-// snapshots may therefore lag the stream by up to one batch — call
-// Recorder.Flush first when an exact cut matters.
+// folding them into the analyzer. Only Consume and Flush touch the
+// buffer, and the recorder never runs two of those at once, so Consume
+// stays lock-free on the hot path; the mutex is only taken once per
+// batch (and by snapshot readers). Live snapshots may therefore lag the
+// stream by up to one batch — call Recorder.Flush first when an exact
+// cut matters.
 const coherenceBatch = 256
 
-// CoherenceSink adapts coherence.Analyzer (which assumes the recorder's
-// single drain goroutine) for concurrent snapshotting from HTTP
-// handlers: Consume runs on the drain goroutine, Analyze and Totals on
-// any handler goroutine, with a mutex between them. The /coherence
-// endpoint snapshots per request, so the simulation never pays for
-// report construction.
+// CoherenceSink adapts coherence.Analyzer (which assumes one Consume
+// at a time, as the recorder delivers) for concurrent snapshotting from
+// HTTP handlers: Consume runs where the recorder delivers, Analyze and
+// Totals on any handler goroutine, with a mutex between them. The
+// /coherence endpoint snapshots per request, so the simulation never
+// pays for report construction.
 type CoherenceSink struct {
-	// Drain-goroutine-owned batch state, touched without the lock.
+	// Batch state of Consume and Flush, touched without the lock.
 	// Events are digested on arrival; kinds the analyzer ignores are
 	// not buffered at all — only their count and time horizon carry
 	// over, via AddSpan at fold time.
@@ -52,7 +53,7 @@ func (s *CoherenceSink) Consume(e *obs.Event) {
 }
 
 // fold replays the buffered batch into the analyzer under the lock.
-// Like Consume it must only run on the drain goroutine.
+// Only Consume and Flush call it.
 func (s *CoherenceSink) fold() {
 	s.mu.Lock()
 	for i := range s.buf {

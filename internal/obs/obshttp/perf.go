@@ -33,8 +33,8 @@ var perfFamilies = []struct {
 	{perf.MetricMemSvc, MetricMemSvcHist, "Memory first-word service time of memory-sourced transactions in simulated ns."},
 }
 
-// PerfSink adapts perf.Sink for the live service: Consume runs on the
-// recorder's drain goroutine and feeds both the saturation sink (the
+// PerfSink adapts perf.Sink for the live service: Consume, one event at
+// a time as the recorder delivers, feeds both the saturation sink (the
 // /perf document) and the registry's native histogram metrics; depth
 // samples additionally maintain per-shard current/peak queue gauges.
 // reg may be nil (no metric export — fbsim -perf without -serve, and
@@ -46,8 +46,8 @@ type PerfSink struct {
 	depth map[int]*depthGauge
 }
 
-// depthGauge backs the per-shard queue gauges: written by the drain
-// goroutine, read atomically by the scrape handler.
+// depthGauge backs the per-shard queue gauges: written by Consume, read
+// atomically by the scrape handler.
 type depthGauge struct{ cur, peak atomic.Int64 }
 
 // NewPerfSink builds a perf sink exporting to reg (nil = none).

@@ -28,8 +28,8 @@ import (
 
 // Counter is a monotonically increasing metric, safe from any
 // goroutine (the concurrent engine's goroutine-per-board emitters
-// update counters through the recorder's drain goroutine, but gauges
-// and direct instrumentation may come from anywhere).
+// update counters through the recorder's sinks, one event at a time,
+// but gauges and direct instrumentation may come from anywhere).
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by d (negative deltas are a bug; they are

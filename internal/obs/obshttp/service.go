@@ -156,9 +156,9 @@ func (s *Service) Serve(addr string) (*Server, error) {
 	return srv, nil
 }
 
-// metricsSink feeds the registry from the event stream. It runs on the
-// Recorder's single drain goroutine, so lazy per-label registration
-// has no registration races beyond what Registry already handles.
+// metricsSink feeds the registry from the event stream. The Recorder
+// calls it one event at a time, so lazy per-label registration has no
+// registration races beyond what Registry already handles.
 type metricsSink struct {
 	reg    *Registry
 	events map[obs.Kind]*Counter

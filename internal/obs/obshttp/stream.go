@@ -18,8 +18,8 @@ const DefaultReplay = 64
 const DefaultSubscriberBuffer = 256
 
 // EventStream is a Sink that fans the event stream out to HTTP
-// subscribers as pre-marshalled JSON frames. The drain goroutine must
-// never block on a slow consumer: sends are non-blocking and frames a
+// subscribers as pre-marshalled JSON frames. Consume must never block
+// on a slow consumer: sends are non-blocking and frames a
 // subscriber cannot keep up with are shed (counted per subscriber and
 // globally), mirroring how the JSONL sink handles backpressure by not
 // having any.

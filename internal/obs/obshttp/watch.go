@@ -8,26 +8,26 @@ import (
 	"futurebus/internal/obs/watch"
 )
 
-// watchBatch mirrors coherenceBatch: WatchSink buffers events on the
-// recorder's drain goroutine and folds them into the monitor once per
-// batch, so the hot path stays lock-free and live snapshots lag the
-// stream by at most one batch (Recorder.Flush forces an exact cut).
+// watchBatch mirrors coherenceBatch: WatchSink buffers events in
+// Consume and folds them into the monitor once per batch, so the hot
+// path stays lock-free and live snapshots lag the stream by at most one
+// batch (Recorder.Flush forces an exact cut).
 const watchBatch = 256
 
 // WatchSink adapts watch.Monitor (single-goroutine, like
 // coherence.Analyzer) for concurrent snapshotting from HTTP handlers:
-// Consume runs on the drain goroutine, Report/Total on any handler
+// Consume runs where the recorder delivers, Report/Total on any handler
 // goroutine, with a mutex between them. It also syncs the monitor's
 // per-(invariant, proto) counters into the metrics registry after every
 // fold, exposing futurebus_invariant_violations_total on /metrics.
 type WatchSink struct {
-	// Drain-goroutine-owned batch state, touched without the lock.
+	// Batch state of Consume and Flush, touched without the lock.
 	buf []obs.Event
 
 	mu  sync.Mutex
 	mon *watch.Monitor
 
-	// Metric sync state (drain goroutine only): the registered counter
+	// Metric sync state (Consume and Flush only): the registered counter
 	// and last pushed value per (invariant, proto) label pair.
 	reg    *Registry
 	ctrs   map[watchLabel]*Counter
@@ -76,7 +76,8 @@ func (s *WatchSink) Consume(e *obs.Event) {
 }
 
 // fold replays the buffered batch into the monitor under the lock and
-// pushes counter deltas to the registry. Drain goroutine only.
+// pushes counter deltas to the registry. Only Consume and Flush call
+// it.
 func (s *WatchSink) fold() {
 	s.mu.Lock()
 	for i := range s.buf {

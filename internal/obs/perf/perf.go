@@ -270,8 +270,8 @@ func (a *accum) snapshot(withTimeline bool) *Snapshot {
 	return s
 }
 
-// Sink folds the event stream into saturation telemetry. Consume runs
-// on the Recorder's drain goroutine; Snapshot/EpochSnapshot may be
+// Sink folds the event stream into saturation telemetry. The Recorder
+// calls Consume one event at a time; Snapshot/EpochSnapshot may be
 // called from any goroutine (a mutex separates them).
 type Sink struct {
 	mu    sync.Mutex

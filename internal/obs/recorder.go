@@ -1,15 +1,17 @@
 package obs
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Sink consumes drained events. Consume is always called from a single
-// goroutine at a time (the Recorder serialises draining), in emission
-// order, so sinks need no internal locking against each other — only
-// against their own readers (see HistogramSink, LineAuditSink).
+// Sink consumes drained events. The Recorder calls Consume one event at
+// a time, never concurrently, in Seq order — on its drain goroutine or
+// on the goroutine calling Drain, Flush or Close — so sinks need no
+// locking against each other, only against their own readers (see
+// HistogramSink, LineAuditSink). Consume must not call back into the
+// Recorder that feeds it: an Emit, Drain or Flush from inside Consume
+// blocks forever.
 type Sink interface {
 	// Consume observes one event. The pointee is only valid for the
 	// duration of the call; sinks that retain events must copy.
@@ -27,45 +29,57 @@ func (f SinkFunc) Consume(e *Event) { f(e) }
 // Flush implements Sink.
 func (f SinkFunc) Flush() error { return nil }
 
-// DefaultBuffer is the ring capacity used by New. Kept small enough
-// that the slot array stays cache-resident: a larger ring makes every
-// push a cold-memory write and evicts the simulator's working set,
-// which costs more wall-clock than the occasional backpressure yield
-// when a burst outruns the drainer.
+// DefaultBuffer is how many events New buffers between its producers
+// and its sinks, over all its batches. Kept small enough that the
+// batches stay cache-resident: a larger buffer makes every append a
+// cold-memory write and evicts the simulator's working set.
 const DefaultBuffer = 1 << 10
 
-// Recorder accepts events from any goroutine and moves them through a
-// lock-free ring into its sinks from a background drain goroutine. A
+// batches is how many batches a recorder cycles: the one producers are
+// filling, and the others queued for the drain goroutine, being
+// consumed, or free.
+const batches = 4
+
+// Recorder accepts events from any goroutine and delivers them to its
+// sinks in batches. Producers append to the current batch under one
+// mutex; a full batch goes over a channel to a background drain
+// goroutine, which consumes it and sends it back empty. A producer that
+// finds every other batch still in flight parks until one comes back. A
 // nil *Recorder is valid and inert: every method is a no-op, which is
 // the branch-cheap fast path the substrates rely on.
 type Recorder struct {
-	ring  *ring
-	clock atomic.Int64
-	sinks []Sink
-
-	drainMu sync.Mutex // serialises ring consumption and sink access
-	notify  chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	clock   atomic.Int64
+	sinks   []Sink
 	dropped atomic.Int64
+
+	mu     sync.Mutex // guards cur, seq and closed
+	cur    []Event    // the batch being filled
+	seq    uint64
+	closed bool
+
+	full   chan []Event  // batches to consume, in Seq order; nil is a sync token
+	free   chan []Event  // consumed batches, back to the producers
+	synced chan struct{} // the drain goroutine reached a sync token; closed when it exits
 }
 
-// New creates a recorder with the default ring capacity.
+// New creates a recorder that buffers DefaultBuffer events.
 func New(sinks ...Sink) *Recorder { return NewSized(DefaultBuffer, sinks...) }
 
-// NewSized creates a recorder whose ring holds at least buffer events.
+// NewSized creates a recorder that buffers at least buffer events.
 func NewSized(buffer int, sinks ...Sink) *Recorder {
-	if buffer < 2 {
-		buffer = 2
-	}
+	size := max(1, (buffer+batches-1)/batches)
 	r := &Recorder{
-		ring:   newRing(buffer),
-		sinks:  sinks,
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		sinks: sinks,
+		// Sized so that no send blocks: at most batches-1 batches and
+		// one sync token are in flight, and at most batches-1 are free.
+		full:   make(chan []Event, batches),
+		free:   make(chan []Event, batches),
+		synced: make(chan struct{}),
 	}
-	r.wg.Add(1)
+	r.cur = make([]Event, 0, size)
+	for i := 1; i < batches; i++ {
+		r.free <- make([]Event, 0, size)
+	}
 	go r.drainLoop()
 	return r
 }
@@ -98,38 +112,32 @@ func (r *Recorder) Advance(d int64) int64 {
 	return r.clock.Add(d) - d
 }
 
-// Emit enqueues one event. Safe from any goroutine. When the ring is
-// full, Emit yields until the drainer frees space (events are never
-// dropped while the recorder is open, so audit trails stay complete).
-// Emits after Close are discarded and counted (Dropped) instead of
-// being silently lost.
+// Emit stamps e with the next Seq and buffers it. Safe from any
+// goroutine. When every batch is full or in flight, Emit parks until
+// the drain goroutine frees one (events are never dropped while the
+// recorder is open, so audit trails stay complete). Emits after Close
+// are discarded and counted (Dropped) instead of being silently lost.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	if r.closed.Load() {
-		// The drainer may already be gone; an event pushed now could
-		// sit in the ring forever. Count the discard instead.
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
 		r.dropped.Add(1)
 		return
 	}
-	for !r.ring.push(&e) {
-		if r.closed.Load() {
-			r.dropped.Add(1)
-			return // drainer gone; drop rather than spin forever
-		}
-		r.wake()
-		runtime.Gosched()
+	e.Seq = r.seq
+	r.seq++
+	r.cur = append(r.cur, e)
+	if len(r.cur) == cap(r.cur) {
+		r.full <- r.cur
+		// Wait for an empty batch still holding mu: the next Seq must
+		// not be given out before there is a batch to put it in, and
+		// the producers queued on mu sleep, as this one does.
+		r.cur = <-r.free
 	}
-	// Wake the drainer only when this event published at the consume
-	// position — the empty→non-empty transition. The drainer always
-	// drains to empty before parking, so any later event is either
-	// covered by this wake or republishes at the head itself once the
-	// drainer catches up; waking on every Emit would just burn a
-	// channel operation per event.
-	if r.ring.head.Load() == e.Seq {
-		r.wake()
-	}
+	r.mu.Unlock()
 }
 
 // Dropped returns the number of events discarded because they were
@@ -142,42 +150,42 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped.Load()
 }
 
-func (r *Recorder) wake() {
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
-}
-
 func (r *Recorder) drainLoop() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.notify:
-			r.drain()
-		case <-r.done:
-			r.drain()
-			return
+	for b := range r.full {
+		if b == nil {
+			r.synced <- struct{}{}
+			continue
+		}
+		r.consume(b)
+		r.free <- b[:0]
+	}
+	close(r.synced)
+}
+
+// consume delivers b to the sinks straight from the batch (the Sink
+// contract already limits the pointee's lifetime to the Consume call,
+// so no defensive copy is needed). It reads r.sinks once: that word
+// shares a cache line with mu, which producers write on every Emit.
+func (r *Recorder) consume(b []Event) {
+	sinks := r.sinks
+	for i := range b {
+		for _, s := range sinks {
+			s.Consume(&b[i])
 		}
 	}
 }
 
-// drain delivers every currently buffered event to the sinks, straight
-// from the ring slots (the Sink contract already limits the pointee's
-// lifetime to the Consume call, so no defensive copy is needed).
-func (r *Recorder) drain() {
-	r.drainMu.Lock()
-	defer r.drainMu.Unlock()
-	for {
-		e := r.ring.peek()
-		if e == nil {
-			return
-		}
-		for _, s := range r.sinks {
-			s.Consume(e)
-		}
-		r.ring.advance()
+// drainLocked waits until the drain goroutine has consumed every batch
+// handed to it, then consumes the partial batch on this goroutine. The
+// caller holds mu, so no batch can be handed off meanwhile and the
+// sinks still see one Consume at a time, in Seq order.
+func (r *Recorder) drainLocked() {
+	if !r.closed {
+		r.full <- nil
 	}
+	<-r.synced
+	r.consume(r.cur)
+	r.cur = r.cur[:0]
 }
 
 // Drain delivers every buffered event to the sinks without flushing
@@ -188,16 +196,21 @@ func (r *Recorder) Drain() {
 	if r == nil {
 		return
 	}
-	r.drain()
+	r.mu.Lock()
+	r.drainLocked()
+	r.mu.Unlock()
 }
 
-// Flush drains the ring and flushes every sink. Call it when the
-// system is quiescent (no emitters mid-flight) to get a complete view.
+// Flush delivers every buffered event and flushes every sink. Call it
+// when the system is quiescent (no emitters mid-flight) to get a
+// complete view.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
-	r.drain()
+	r.mu.Lock()
+	defer r.mu.Unlock() // held through the sinks' Flush, so none overlaps a Consume
+	r.drainLocked()
 	var first error
 	for _, s := range r.sinks {
 		if err := s.Flush(); err != nil && first == nil {
@@ -207,16 +220,20 @@ func (r *Recorder) Flush() error {
 	return first
 }
 
-// Close stops the drain goroutine, drains whatever remains and flushes
-// the sinks. The recorder accepts (and discards) Emits afterwards.
+// Close stops the drain goroutine, delivers whatever remains and
+// flushes the sinks. The recorder accepts (and discards) Emits
+// afterwards.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
-	if r.closed.Swap(true) {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
 		return nil
 	}
-	close(r.done)
-	r.wg.Wait()
+	r.closed = true
+	close(r.full)
+	r.mu.Unlock()
 	return r.Flush()
 }

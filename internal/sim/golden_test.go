@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +12,9 @@ import (
 	"futurebus/internal/bus"
 	"futurebus/internal/cache"
 	"futurebus/internal/memory"
+	"futurebus/internal/obs"
+	"futurebus/internal/obs/perf"
+	"futurebus/internal/obs/watch"
 	"futurebus/internal/workload"
 )
 
@@ -126,6 +131,103 @@ func TestSimulatedStatsGolden(t *testing.T) {
 			}
 			if !bytes.Equal(enc, want) {
 				t.Errorf("simulated statistics moved from %s:\ngot  %s\nwant %s", path, enc, want)
+			}
+		})
+	}
+}
+
+// goldenStream is what a fixed-seed observed run hands its sinks: the
+// sha256 of the .fbt recording, the event count, and the verdicts of
+// the watch and perf sinks that rode the same recorder.
+type goldenStream struct {
+	FbtSHA256 string
+	Events    uint64
+	Watch     goldenWatch
+	Perf      *perf.Snapshot
+}
+
+// goldenWatch is the scalar part of watch.Report.
+type goldenWatch struct {
+	Events, States, Txs int64
+	Lines               int
+	Total               int64
+}
+
+// TestEventStreamGolden pins the event stream of two deterministic
+// runs — the ab-hits system with the .fbt recorder and the watch and
+// perf sinks attached (the shape of simbench's ab-observed workload),
+// and the zipf-mix protocol mix under split tenure, rr and 2 shards —
+// against testdata/events_<name>.json. A reordered, lost or
+// duplicated event moves the .fbt digest, so a change to how the
+// recorder moves events to its sinks is checked to be invisible.
+// Regenerate with -update only for a deliberate change to what is
+// emitted.
+func TestEventStreamGolden(t *testing.T) {
+	names := map[string]string{"ab-hits": "ab-observed", "zipf-mix": "zipf-mix"}
+	for _, gc := range goldenCases() {
+		name, ok := names[gc.name]
+		if !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			h := sha256.New()
+			mon := watch.New(watch.Config{})
+			var events, misordered uint64
+			count := obs.SinkFunc(func(e *obs.Event) {
+				if e.Seq != events {
+					misordered++
+				}
+				events++
+			})
+			rec := obs.New(obs.NewRecordSink(h, obs.TraceMeta{Fingerprint: "golden " + name}),
+				mon, perf.NewSink(0), count)
+			cfg := gc.cfg
+			cfg.Shadow = true
+			cfg.Obs = rec
+			sys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := (&Engine{Sys: sys, Gens: gc.gens(sys)}).Run(gc.refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Checker().MustPass(); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Dropped() != 0 || misordered != 0 {
+				t.Fatalf("%d events dropped, %d out of Seq order", rec.Dropped(), misordered)
+			}
+			rep := mon.Report()
+			got := goldenStream{
+				FbtSHA256: hex.EncodeToString(h.Sum(nil)),
+				Events:    events,
+				Watch: goldenWatch{
+					Events: rep.Events, States: rep.States, Txs: rep.Txs,
+					Lines: rep.Lines, Total: rep.Total,
+				},
+				Perf: m.Perf,
+			}
+			enc, err := json.MarshalIndent(got, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc = append(enc, '\n')
+			path := filepath.Join("testdata", "events_"+name+".json")
+			if *updateGolden {
+				if err := os.WriteFile(path, enc, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if !bytes.Equal(enc, want) {
+				t.Errorf("event stream moved from %s:\ngot  %s\nwant %s", path, enc, want)
 			}
 		})
 	}

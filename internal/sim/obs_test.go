@@ -74,8 +74,9 @@ func TestDetEngineHistograms(t *testing.T) {
 
 // TestConcurrentEngineWithSinks: the goroutine-per-board engine emits
 // into the recorder from many goroutines at once; run with -race this
-// validates the ring buffer, and the event count must match the bus's
-// own transaction counter exactly (no drops, no duplicates).
+// validates the recorder's batch hand-off, and the event count must
+// match the bus's own transaction counter exactly (no drops, no
+// duplicates).
 func TestConcurrentEngineWithSinks(t *testing.T) {
 	var txEvents atomic.Int64
 	hist := obs.NewHistogramSink()

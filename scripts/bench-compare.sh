@@ -7,6 +7,9 @@
 # verification ratio (BenchmarkWatchSinkOverhead record+watch vs
 # record, gated at 10%), and the saturation-telemetry ratio
 # (BenchmarkPerfSinkOverhead record+perf vs record, gated at 10%).
+# Each overhead line shows the ratio of process CPU time (cpu-ns/op,
+# the drain goroutine included) beside the wall-clock one; the gates
+# judge wall-clock only.
 # One check is NON-advisory: the allocation footprint of two hot paths
 # must stay within 5% of the committed baseline, and a breach exits 1.
 # The gated benchmarks are the atomic-mode bus fast path
@@ -99,6 +102,18 @@ function bval(line) {
 	sub(/.*: */, "", v)
 	return v + 0
 }
+function cval(line) {
+	if (match(line, /"cpu_ns_per_op": *[0-9.eE+-]+/) == 0) return -1
+	v = substr(line, RSTART, RLENGTH)
+	sub(/.*: */, "", v)
+	return v + 0
+}
+# cpuratio formats the CPU-time ratio of benchmark a over b for an
+# overhead line, or "" when the run predates cpu-ns/op.
+function cpuratio(a, b) {
+	if (curc[a] <= 0 || curc[b] <= 0) return ""
+	return sprintf(", %.2fx (%+.1f%% cpu)", curc[a] / curc[b], (curc[a] / curc[b] - 1) * 100)
+}
 function aval(line) {
 	if (match(line, /"allocs_per_op": *[0-9.eE+-]+/) == 0) return -1
 	v = substr(line, RSTART, RLENGTH)
@@ -117,7 +132,7 @@ FNR == NR {
 {
 	n = name($0)
 	if (n != "") {
-		thru[n] = simms($0); cur[n] = val($0)
+		thru[n] = simms($0); cur[n] = val($0); curc[n] = cval($0)
 		curb[n] = bval($0); cura[n] = aval($0)
 	}
 	if (n == "" || !(n in base)) next
@@ -133,21 +148,24 @@ END {
 	off = cur["BenchmarkObsRecordingOverhead/off"]
 	fbt = cur["BenchmarkObsRecordingOverhead/fbt"]
 	if (off > 0 && fbt > 0) {
-		printf "recording overhead: fbt/off = %.2fx (+%.1f%% wall-clock)\n", fbt / off, (fbt / off - 1) * 100
+		printf "recording overhead: fbt/off = %.2fx (+%.1f%% wall-clock)%s\n", fbt / off, (fbt / off - 1) * 100, \
+			cpuratio("BenchmarkObsRecordingOverhead/fbt", "BenchmarkObsRecordingOverhead/off")
 		if (fbt > off * 1.05)
 			printf "WARN  .fbt recording costs more than 5%% over an unobserved run\n"
 	}
 	rec = cur["BenchmarkWatchSinkOverhead/record"]
 	mon = cur["BenchmarkWatchSinkOverhead/record+watch"]
 	if (rec > 0 && mon > 0) {
-		printf "watch overhead: record+watch/record = %.2fx (%+.1f%% wall-clock)\n", mon / rec, (mon / rec - 1) * 100
+		printf "watch overhead: record+watch/record = %.2fx (%+.1f%% wall-clock)%s\n", mon / rec, (mon / rec - 1) * 100, \
+			cpuratio("BenchmarkWatchSinkOverhead/record+watch", "BenchmarkWatchSinkOverhead/record")
 		if (mon > rec * 1.10)
 			printf "WARN  live invariant monitoring costs more than 10%% over a record-only run\n"
 	}
 	prec = cur["BenchmarkPerfSinkOverhead/record"]
 	perf = cur["BenchmarkPerfSinkOverhead/record+perf"]
 	if (prec > 0 && perf > 0) {
-		printf "perf overhead: record+perf/record = %.2fx (%+.1f%% wall-clock)\n", perf / prec, (perf / prec - 1) * 100
+		printf "perf overhead: record+perf/record = %.2fx (%+.1f%% wall-clock)%s\n", perf / prec, (perf / prec - 1) * 100, \
+			cpuratio("BenchmarkPerfSinkOverhead/record+perf", "BenchmarkPerfSinkOverhead/record")
 		if (perf > prec * 1.10)
 			printf "WARN  saturation telemetry costs more than 10%% over a record-only run\n"
 	}
