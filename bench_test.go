@@ -620,17 +620,27 @@ func recordSink() obs.Sink {
 	return obs.NewRecordSink(io.Discard, obs.TraceMeta{Fingerprint: "bench"})
 }
 
-// BenchmarkObsRecordingOverhead measures what recording the default
-// fbsim workload to a binary .fbt trace costs: "off" runs with no
-// recorder, "fbt" with a process-lifetime recorder feeding a
-// RecordSink, the way fbsim -record-out attaches one. Each run ends
-// with a Drain (the engine reads its sinks), so cpu-ns/op holds all the
-// recording work: event construction, Emit's batch append, and the
-// drain goroutine's varint encoding. scripts/bench-compare.sh prints
-// the fbt/off ratio of both wall-clock and CPU time.
+// BenchmarkObsRecordingOverhead measures what observing the default
+// fbsim workload costs: "off" runs with no recorder, "fbt" with a
+// process-lifetime recorder feeding a RecordSink, the way fbsim
+// -record-out attaches one, and "serve" with the whole live sink set of
+// fbsim -serve -watch -record-out: the RecordSink plus the obshttp
+// service's sinks with the invariant monitor enabled. Each run ends
+// with a View (the engine reads its sinks), so cpu-ns/op holds all the
+// work: event construction, Emit's batch append, and every sink's
+// Consume on the drain goroutine. scripts/bench-compare.sh prints the
+// fbt/off ratio of both wall-clock and CPU time.
 func BenchmarkObsRecordingOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) { benchObserved(b, nil) })
 	b.Run("fbt", func(b *testing.B) { benchObserved(b, obs.New(recordSink())) })
+	b.Run("serve", func(b *testing.B) {
+		svc := obshttp.NewService(0)
+		svc.EnableWatch(watch.Config{})
+		benchObserved(b, obs.New(append([]obs.Sink{recordSink()}, svc.Sinks()...)...))
+		if rep := svc.Watch.Report(); rep.States == 0 || rep.Total != 0 {
+			b.Fatalf("served monitor saw %d states, %d violations", rep.States, rep.Total)
+		}
+	})
 }
 
 // BenchmarkCoherenceSinkOverhead measures what live coherence

@@ -15,7 +15,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/faults"
@@ -59,7 +58,7 @@ func main() {
 	perfFlag := flag.Bool("perf", false, "collect saturation telemetry (arb-wait/tenure/retry/mem-service quantiles, arbitration queue depths) and print the report")
 	audit := flag.Uint64("audit", 0, "print the event history of this line address after the run (0 = off)")
 	serveAddr := flag.String("serve", "", "serve live observability on this address ("+obshttp.EndpointList()+")")
-	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run finishes")
+	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run finishes (SIGINT or SIGTERM ends it early)")
 	ledgerPath := flag.String("ledger", "", "with -serve: judge the live run against this run ledger's rolling baseline on /trend (see fbtrend)")
 	flag.Parse()
 
@@ -120,13 +119,13 @@ func main() {
 		sinks = append(sinks, auditSink)
 	}
 	var svc *obshttp.Service
-	var wsink *obshttp.WatchSink
+	var mon *watch.Monitor
 	if *serveAddr != "" {
 		svc = obshttp.NewService(0)
 		if *watchFlag {
 			// Served runs route the monitor through the service so
 			// /violations and the violation metrics are live.
-			wsink = svc.EnableWatch(watch.Config{})
+			mon = svc.EnableWatch(watch.Config{}).Monitor
 		}
 		if *ledgerPath != "" {
 			_, err := svc.EnableTrend(*ledgerPath, "", ledger.GateOpts{})
@@ -136,8 +135,7 @@ func main() {
 	} else if *ledgerPath != "" {
 		fail(fmt.Errorf("-ledger requires -serve (the verdict lives on /trend)"))
 	}
-	var mon *watch.Monitor
-	if *watchFlag && wsink == nil {
+	if *watchFlag && mon == nil {
 		mon = watch.New(watch.Config{})
 		sinks = append(sinks, mon)
 	}
@@ -276,7 +274,7 @@ func main() {
 	if srv != nil {
 		if *serveLinger > 0 {
 			fmt.Fprintf(os.Stderr, "fbsim: run finished; observability endpoint stays up for %s\n", *serveLinger)
-			time.Sleep(*serveLinger)
+			srv.Linger(*serveLinger)
 		}
 		fail(srv.Close())
 	}
@@ -321,13 +319,8 @@ func main() {
 	// The invariant verdict comes last so every other artifact (metrics
 	// JSON, traces) is written even when the run was dirty; the exit
 	// status is what CI gates on.
-	if *watchFlag {
-		var rep *watch.Report
-		if wsink != nil {
-			rep = wsink.Report()
-		} else {
-			rep = mon.Report()
-		}
+	if mon != nil {
+		rep := mon.Report()
 		fmt.Fprintf(sum, "invariants: %s\n", rep.Summary())
 		if rep.Total > 0 {
 			for i := range rep.Violations {

@@ -42,7 +42,7 @@ func main() {
 	perfFlag := flag.Bool("perf", false, "collect per-run saturation telemetry; P1 gains the p99arb and peakQ columns")
 	watchFlag := flag.Bool("watch", false, "run the invariant monitor over every system the sweep builds; exit 1 on any violation")
 	serveAddr := flag.String("serve", "", "serve live observability on this address ("+obshttp.EndpointList()+")")
-	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the sweep finishes")
+	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the sweep finishes (SIGINT or SIGTERM ends it early)")
 	flag.Parse()
 
 	// One recorder instruments every system the experiments build, so
@@ -70,24 +70,18 @@ func main() {
 	// phase summaries, SSE tail, slow-transaction ring and causal
 	// analyzer cover every system the experiments build.
 	var svc *obshttp.Service
-	var srv *obshttp.Server
-	var wsink *obshttp.WatchSink
+	var mon *watch.Monitor
 	if *serveAddr != "" {
 		svc = obshttp.NewService(0)
 		if *watchFlag {
-			wsink = svc.EnableWatch(watch.Config{})
+			mon = svc.EnableWatch(watch.Config{}).Monitor
 		}
 		sinks = append(sinks, svc.Sinks()...)
-		var err error
-		srv, err = svc.Serve(*serveAddr)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "fbsweep: serving observability on %s (%s)\n", srv.URL(), obshttp.EndpointList())
 	}
 	// Each system the sweep builds emits a KindEpoch marker, so one
 	// monitor can watch the whole battery without carrying shadow state
 	// from one system into the next.
-	var mon *watch.Monitor
-	if *watchFlag && wsink == nil {
+	if *watchFlag && mon == nil {
 		mon = watch.New(watch.Config{})
 		sinks = append(sinks, mon)
 	}
@@ -95,8 +89,15 @@ func main() {
 	if len(sinks) > 0 {
 		rec = obs.New(sinks...)
 	}
+	// The service's handlers read its sinks through the recorder, so it
+	// observes the recorder before it serves.
+	var srv *obshttp.Server
 	if svc != nil {
 		svc.ObserveRecorder(rec)
+		var err error
+		srv, err = svc.Serve(*serveAddr)
+		fail(err)
+		fmt.Fprintf(os.Stderr, "fbsweep: serving observability on %s (%s)\n", srv.URL(), obshttp.EndpointList())
 	}
 
 	opts := sim.ExperimentOpts{
@@ -200,7 +201,7 @@ func main() {
 	if srv != nil {
 		if *serveLinger > 0 {
 			fmt.Fprintf(os.Stderr, "fbsweep: sweep finished; observability endpoint stays up for %s\n", *serveLinger)
-			time.Sleep(*serveLinger)
+			srv.Linger(*serveLinger)
 		}
 		fail(srv.Close())
 	}
@@ -233,13 +234,8 @@ func main() {
 		fail(err)
 	}
 
-	if *watchFlag {
-		var rep *watch.Report
-		if wsink != nil {
-			rep = wsink.Report()
-		} else {
-			rep = mon.Report()
-		}
+	if mon != nil {
+		rep := mon.Report()
 		fmt.Fprintf(os.Stderr, "fbsweep: invariants: %s\n", rep.Summary())
 		if rep.Total > 0 {
 			for i := range rep.Violations {

@@ -23,8 +23,12 @@ import (
 func main() {
 	// The Service bundles all live-observability sinks: the metrics
 	// registry, the phase-attribution view and the SSE event stream.
+	// Its endpoints read the sinks through the recorder they are
+	// attached to, so the service observes that recorder before it
+	// serves.
 	svc := obshttp.NewService(8)
 	rec := obs.New(svc.Sinks()...)
+	svc.ObserveRecorder(rec)
 
 	cfg := sim.Homogeneous("moesi", 4)
 	cfg.Obs = rec
@@ -53,9 +57,9 @@ func main() {
 	})
 	m, err := sim.RunConcurrent(sys, gens, 5000)
 	must(err)
-	rec.Drain() // deliver everything buffered before we scrape
 
-	// Scrape ourselves exactly like Prometheus would.
+	// Scrape ourselves exactly like Prometheus would: the scrape covers
+	// every event the run emitted, buffered or not.
 	resp, err := http.Get(srv.URL() + "/metrics")
 	must(err)
 	defer resp.Body.Close()
@@ -73,8 +77,14 @@ func main() {
 
 	// The attribution sink answers the §6 question directly: of all
 	// the time processors spent on the bus, how much was waiting for
-	// the arbiter versus actually moving data?
-	arb, transfer := svc.Attr.ArbVsTransfer()
+	// the arbiter versus actually moving data? Read it the way the
+	// endpoints do, inside the recorder's View.
+	var arb, transfer int64
+	var slowest []obs.TxSpan
+	rec.View(func() {
+		arb, transfer = svc.Attr.ArbVsTransfer()
+		slowest = svc.Attr.Slowest()
+	})
 	fmt.Printf("\nbus time decomposition over %d refs (%d transactions):\n",
 		m.Refs, m.Bus.Transactions)
 	fmt.Printf("  arbitration wait: %12d ns\n", arb)
@@ -84,7 +94,7 @@ func main() {
 	}
 
 	fmt.Println("\nslowest transactions and where their time went:")
-	for _, span := range svc.Attr.Slowest()[:3] {
+	for _, span := range slowest[:3] {
 		fmt.Printf("  proc %d %s addr %#x: %d ns (addr=%d data=%d intv=%d mem=%d retry=%d, waited %d)\n",
 			span.Proc, span.Op, span.Addr, span.Dur,
 			span.Phases[obs.PhaseAddr], span.Phases[obs.PhaseData],

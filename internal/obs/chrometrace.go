@@ -111,7 +111,7 @@ func (s *ChromeTraceSink) convert(e *Event) (traceEvent, bool) {
 
 // Flush writes the complete trace JSON. The format is a single
 // document, so only the first Flush writes; later calls are no-ops
-// (use Recorder.Drain, not Flush, to read other sinks mid-run).
+// (use Recorder.View, not Flush, to read other sinks mid-run).
 func (s *ChromeTraceSink) Flush() error {
 	if s.written {
 		return nil

@@ -9,9 +9,8 @@
 // The Analyzer is an obs.Sink, so the same aggregation runs three
 // ways: offline over a .fbt recording (cmd/fblens), live behind the
 // obshttp service's /coherence endpoint, and inside tests. It is not
-// itself goroutine-safe; the Recorder, which never runs two Consume
-// calls at once (or a locking wrapper such as obshttp.CoherenceSink),
-// provides exclusion.
+// itself goroutine-safe: the Recorder never runs two Consume calls at
+// once, and a live reader takes its snapshot inside Recorder.View.
 package coherence
 
 import (
@@ -238,70 +237,6 @@ type pendingTx struct {
 	upd int
 }
 
-// Compact kinds.
-const (
-	CompactState = iota
-	CompactTx
-	CompactUpdate
-)
-
-// Compact is the pre-digested payload of one coherence-relevant event:
-// state letters resolved to indices, Table 2 column and op decoded to
-// flags, irrelevant fields dropped. It is half the size of an
-// obs.Event, so batching wrappers (obshttp.CoherenceSink) buffer these
-// instead of whole events.
-type Compact struct {
-	TS    int64
-	Addr  uint64
-	TxID  uint64
-	Cause string
-	Proto string
-	Proc  int
-	Kind  uint8
-	// State events: From/To as StateLetters indices, Snoop when the
-	// cause is a snoop-side one.
-	From, To int8
-	Snoop    bool
-	// Tx events: data phase was a read, data intervention happened,
-	// column carried the IM / BC attention signals.
-	Read, DI, IM, BC bool
-}
-
-// Digest extracts the coherence-relevant payload of e. ok is false for
-// events the analyzer ignores (other kinds, malformed state letters);
-// callers that drop those must still account their count and time
-// horizon via AddSpan.
-func Digest(e *obs.Event) (Compact, bool) {
-	switch e.Kind {
-	case obs.KindState:
-		from, to := StateIndex(e.From), StateIndex(e.To)
-		if from < 0 || to < 0 || e.Proc < 0 {
-			return Compact{}, false
-		}
-		return Compact{
-			Kind: CompactState, TS: e.TS, Proc: e.Proc, Addr: e.Addr,
-			TxID: e.TxID, Cause: e.Cause, Proto: e.Proto,
-			From: int8(from), To: int8(to),
-			Snoop: strings.HasPrefix(e.Cause, "snoop-"),
-		}, true
-	case obs.KindTx:
-		if e.Proc < 0 {
-			return Compact{}, false
-		}
-		return Compact{
-			Kind: CompactTx, TS: e.TS, Proc: e.Proc, Addr: e.Addr,
-			TxID: e.TxID,
-			Read: e.Op == "R", DI: e.DI, IM: colIM(e.Col), BC: colBC(e.Col),
-		}, true
-	case obs.KindUpdate:
-		if e.TxID == 0 {
-			return Compact{}, false
-		}
-		return Compact{Kind: CompactUpdate, TxID: e.TxID}, true
-	}
-	return Compact{}, false
-}
-
 func (a *Analyzer) init() {
 	if a.protos == nil {
 		a.protos = make(map[string]*ProtoAnalysis)
@@ -355,27 +290,20 @@ func (a *Analyzer) Consume(e *obs.Event) {
 	if ts := e.TS + e.Dur; ts > a.maxTS {
 		a.maxTS = ts
 	}
-	if c, ok := Digest(e); ok {
-		a.consume(&c)
-	}
-}
-
-// ConsumeCompact folds one digested event. Unlike Consume it does no
-// span accounting — a caller that digests and filters the raw stream
-// itself pairs it with AddSpan.
-func (a *Analyzer) ConsumeCompact(c *Compact) {
-	a.init()
-	a.consume(c)
-}
-
-func (a *Analyzer) consume(c *Compact) {
-	switch c.Kind {
-	case CompactState:
-		a.consumeState(c)
-	case CompactTx:
-		a.consumeTx(c)
-	case CompactUpdate:
-		a.pendingFor(c.TxID).upd++
+	switch e.Kind {
+	case obs.KindState:
+		from, to := StateIndex(e.From), StateIndex(e.To)
+		if from >= 0 && to >= 0 && e.Proc >= 0 {
+			a.consumeState(e, int8(from), int8(to))
+		}
+	case obs.KindTx:
+		if e.Proc >= 0 {
+			a.consumeTx(e)
+		}
+	case obs.KindUpdate:
+		if e.TxID != 0 {
+			a.pendingFor(e.TxID).upd++
+		}
 	}
 }
 
@@ -408,36 +336,38 @@ const (
 	idxI = 4
 )
 
-func (a *Analyzer) consumeState(c *Compact) {
+// consumeState folds a state event whose From and To are the
+// StateLetters indices from and to.
+func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 	a.stateEvents++
-	for len(a.procProto) <= c.Proc {
+	for len(a.procProto) <= e.Proc {
 		a.procProto = append(a.procProto, "")
 	}
-	a.procProto[c.Proc] = c.Proto
+	a.procProto[e.Proc] = e.Proto
 
-	ps := a.proto(c.Proto)
+	ps := a.proto(e.Proto)
 	ps.Transitions++
-	ps.Matrix[c.From][c.To]++
+	ps.Matrix[from][to]++
 	cm := a.lastCauseM
-	if c.Cause != a.lastCause || ps != a.lastCauseP {
+	if e.Cause != a.lastCause || ps != a.lastCauseP {
 		var ok bool
-		cm, ok = ps.ByCause[c.Cause]
+		cm, ok = ps.ByCause[e.Cause]
 		if !ok {
 			cm = &Matrix{}
-			ps.ByCause[c.Cause] = cm
+			ps.ByCause[e.Cause] = cm
 		}
-		a.lastCause, a.lastCauseP, a.lastCauseM = c.Cause, ps, cm
+		a.lastCause, a.lastCauseP, a.lastCauseM = e.Cause, ps, cm
 	}
-	cm[c.From][c.To]++
+	cm[from][to]++
 
-	if c.To == idxI && c.Snoop {
+	if to == idxI && strings.HasPrefix(e.Cause, "snoop-") {
 		ps.Invalidations++
-		if c.TxID != 0 {
-			a.pendingFor(c.TxID).inv++
+		if e.TxID != 0 {
+			a.pendingFor(e.TxID).inv++
 		}
 	}
 
-	l := a.line(c.Addr)
+	l := a.line(e.Addr)
 	if l == nil {
 		return
 	}
@@ -445,26 +375,26 @@ func (a *Analyzer) consumeState(c *Compact) {
 
 	// Residency: close the copy's previous interval against this
 	// event's timestamp.
-	for len(l.procs) <= c.Proc {
+	for len(l.procs) <= e.Proc {
 		l.procs = append(l.procs, procLine{})
 	}
-	pl := &l.procs[c.Proc]
+	pl := &l.procs[e.Proc]
 	if !pl.live {
-		*pl = procLine{live: true, state: c.From, since: c.TS, proto: c.Proto}
+		*pl = procLine{live: true, state: from, since: e.TS, proto: e.Proto}
 	}
-	if c.TS > pl.since {
-		a.proto(pl.proto).ResidencyNS[pl.state] += c.TS - pl.since
+	if e.TS > pl.since {
+		a.proto(pl.proto).ResidencyNS[pl.state] += e.TS - pl.since
 	}
-	pl.state, pl.since, pl.proto = c.To, c.TS, c.Proto
+	pl.state, pl.since, pl.proto = to, e.TS, e.Proto
 
-	// Ownership: entering M or O makes c.Proc the line's owner;
+	// Ownership: entering M or O makes e.Proc the line's owner;
 	// leaving ownership with no successor returns it to memory.
-	owned := c.To == idxM || c.To == idxO
+	owned := to == idxM || to == idxO
 	switch {
-	case owned && l.owner != c.Proc:
+	case owned && l.owner != e.Proc:
 		if l.owner >= 0 {
 			ps.OwnershipMoves++
-		} else if c.TxID != 0 && c.TxID == l.relTx {
+		} else if e.TxID != 0 && e.TxID == l.relTx {
 			// The same bus transaction that removed the previous
 			// owner installed this one: a direct migration, not a
 			// round-trip through memory — collapse the mem link.
@@ -473,14 +403,14 @@ func (a *Analyzer) consumeState(c *Compact) {
 				l.chain = l.chain[:n-1]
 			}
 		}
-		l.owner = c.Proc
+		l.owner = e.Proc
 		l.owners++
 		l.relTx = 0
-		l.appendChain(OwnerSeg{Proc: c.Proc, State: StateLetters[c.To], TS: c.TS})
-	case !owned && l.owner == c.Proc && (c.From == idxM || c.From == idxO):
+		l.appendChain(OwnerSeg{Proc: e.Proc, State: StateLetters[to], TS: e.TS})
+	case !owned && l.owner == e.Proc && (from == idxM || from == idxO):
 		l.owner = -1
-		l.relTx = c.TxID
-		l.appendChain(OwnerSeg{Proc: -1, State: StateLetters[c.To], TS: c.TS})
+		l.relTx = e.TxID
+		l.appendChain(OwnerSeg{Proc: -1, State: StateLetters[to], TS: e.TS})
 	}
 }
 
@@ -497,17 +427,17 @@ func (l *lineAgg) appendChain(seg OwnerSeg) {
 func colIM(col int) bool { return col == 6 || col == 8 || col == 9 || col == 10 }
 func colBC(col int) bool { return col == 8 || col == 10 }
 
-func (a *Analyzer) consumeTx(c *Compact) {
-	for len(a.txByProc) <= c.Proc {
+func (a *Analyzer) consumeTx(e *obs.Event) {
+	for len(a.txByProc) <= e.Proc {
 		a.txByProc = append(a.txByProc, nil)
 	}
-	t := a.txByProc[c.Proc]
+	t := a.txByProc[e.Proc]
 	if t == nil {
 		t = &txAgg{}
-		a.txByProc[c.Proc] = t
+		a.txByProc[e.Proc] = t
 	}
-	if c.Read {
-		if c.DI {
+	if e.Op == "R" {
+		if e.DI {
 			t.cacheSourced++
 		} else {
 			t.memSourced++
@@ -515,33 +445,21 @@ func (a *Analyzer) consumeTx(c *Compact) {
 	}
 	inv, upd := 0, 0
 	if len(a.pending) > 0 {
-		if p := a.pending[c.TxID]; p != nil {
+		if p := a.pending[e.TxID]; p != nil {
 			inv, upd = p.inv, p.upd
-			delete(a.pending, c.TxID)
+			delete(a.pending, e.TxID)
 		}
 	}
-	if c.IM {
+	if colIM(e.Col) {
 		bumpFanout(&t.invFanout, inv)
 	}
-	if c.BC {
+	if colBC(e.Col) {
 		bumpFanout(&t.updFanout, upd)
 	}
 }
 
 // Flush implements obs.Sink.
 func (a *Analyzer) Flush() error { return nil }
-
-// AddSpan accounts events that a caller filtered out before the
-// analyzer saw them: they extend the total event count and the time
-// horizon (which closes residency intervals) but carry no coherence
-// payload. Wrappers like obshttp.CoherenceSink use it to skip copying
-// irrelevant event kinds on the hot path.
-func (a *Analyzer) AddSpan(events, maxTS int64) {
-	a.events += events
-	if maxTS > a.maxTS {
-		a.maxTS = maxTS
-	}
-}
 
 // DefaultTopLines is how many per-line summaries Analyze keeps.
 const DefaultTopLines = 32

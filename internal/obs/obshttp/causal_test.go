@@ -53,7 +53,6 @@ func TestCausalEndpointAndDroppedMetric(t *testing.T) {
 	rec.Emit(obs.Event{Seq: 2, TS: 400, Dur: 400, Kind: obs.KindGrant, Proc: 1, TxID: 2, CauseID: 1})
 	rec.Emit(obs.Event{Seq: 3, TS: 400, Dur: 300, Kind: obs.KindTx, Proc: 1,
 		Op: "W", ArbNS: 400, AddrNS: 125, DataNS: 175, TxID: 2})
-	rec.Drain()
 
 	get := func(path string) string {
 		resp, err := http.Get(srv.URL() + path)

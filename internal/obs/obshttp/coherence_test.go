@@ -20,6 +20,7 @@ func TestCoherenceEndpointAndMetrics(t *testing.T) {
 	leaktest.Check(t)
 	svc := NewService(4)
 	rec := obs.New(svc.Sinks()...)
+	svc.ObserveRecorder(rec)
 	srv, err := svc.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +39,6 @@ func TestCoherenceEndpointAndMetrics(t *testing.T) {
 		Col: 6, Op: "R", DI: true, TxID: 2})
 	rec.Emit(obs.Event{Seq: 4, TS: 500, Kind: obs.KindState, Proc: 1, Addr: 0x40,
 		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 2})
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	get := func(path string) string {
 		resp, err := http.Get(srv.URL() + path)

@@ -109,6 +109,7 @@ func TestServerEndpoints(t *testing.T) {
 	leaktest.Check(t)
 	svc := NewService(4)
 	rec := obs.New(svc.Sinks()...)
+	svc.ObserveRecorder(rec)
 	srv, err := svc.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,6 @@ func TestServerEndpoints(t *testing.T) {
 		AddrNS: 125, DataNS: 320, IntvNS: 120})
 	rec.Emit(obs.Event{Kind: obs.KindState, Proc: 0, From: "I", To: "E"})
 	rec.Emit(obs.Event{Kind: obs.KindAbort, Proc: 1})
-	rec.Drain()
 
 	get := func(path string) string {
 		resp, err := http.Get(srv.URL() + path)

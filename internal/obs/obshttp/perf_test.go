@@ -164,6 +164,7 @@ func TestPerfSinkNilRegistry(t *testing.T) {
 func TestServicePerfEndpoint(t *testing.T) {
 	svc := NewService(4)
 	rec := obs.New(svc.Sinks()...)
+	svc.ObserveRecorder(rec)
 	srv, err := svc.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,6 @@ func TestServicePerfEndpoint(t *testing.T) {
 
 	rec.Emit(obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: 80})
 	rec.Emit(obs.Event{Kind: obs.KindTx, Bus: 0, TS: 200, Dur: 645, MemNS: 200})
-	rec.Drain()
 
 	resp, err := http.Get(srv.URL() + "/perf")
 	if err != nil {

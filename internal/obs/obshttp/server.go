@@ -1,16 +1,22 @@
 package obshttp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/causal"
+	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/ledger"
 )
 
@@ -22,11 +28,14 @@ type Server struct {
 	reg       *Registry
 	stream    *EventStream
 	attr      *obs.AttributionSink
-	causal    *CausalSink
-	coherence *CoherenceSink
+	causal    *causal.Analyzer
+	coherence *coherence.Analyzer
 	watch     *WatchSink
 	perf      *PerfSink
 	trend     *TrendSource
+	// rec feeds the sinks above; every handler reads them inside
+	// rec.View (nil: no recorder, read them directly).
+	rec *obs.Recorder
 
 	http *http.Server
 	ln   net.Listener
@@ -148,6 +157,19 @@ func (s *Server) URL() string {
 	return "http://" + s.ln.Addr().String()
 }
 
+// Linger keeps the server up for d once the run it serves has
+// finished, or until the process gets SIGINT or SIGTERM, so a run
+// stopped while lingering still closes its recorder and writes its
+// traces and verdict.
+func (s *Server) Linger(d time.Duration) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case <-time.After(d):
+	case <-ctx.Done():
+	}
+}
+
 // Close stops the listener, unblocks every /events subscriber, tears
 // down open connections and waits for the serve goroutine to exit.
 // Safe to call more than once.
@@ -160,9 +182,15 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
+// handleMetrics renders the registry. It first delivers every buffered
+// event, so the counters the sinks push include the events emitted
+// before the scrape. The render itself runs outside View: a gauge
+// callback may take a lock an emitter holds (Bus.Stats takes the
+// arbiter's), and the analyzer callbacks take a View of their own.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if s.reg != nil {
+		s.rec.View(func() {})
 		_ = s.reg.WritePrometheus(w)
 	}
 }
@@ -172,91 +200,64 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// serveJSON answers with the document snap builds, or with empty when
+// the endpoint's source is not attached. snap runs inside View, so the
+// document covers every event emitted before the request; it is built
+// per request, so the simulation never pays for it otherwise.
+func (s *Server) serveJSON(w http.ResponseWriter, attached bool, empty string, snap func() any) {
+	w.Header().Set("Content-Type", "application/json")
+	if !attached {
+		fmt.Fprintln(w, empty)
+		return
+	}
+	var doc any
+	s.rec.View(func() { doc = snap() })
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(doc)
+}
+
 func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.attr == nil {
-		fmt.Fprintln(w, "[]")
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.attr.Slowest())
+	s.serveJSON(w, s.attr != nil, "[]", func() any { return s.attr.Slowest() })
 }
 
-// handleCausal snapshots the causal analyzer and returns the full
-// analysis — run totals, blame tables, critical path — as JSON. The
-// reconstruction runs per request on the handler goroutine, so the
-// simulation itself never pays for it.
+// handleCausal serves the causal analysis — run totals, blame tables,
+// critical path.
 func (s *Server) handleCausal(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.causal == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.causal.Analyze())
+	s.serveJSON(w, s.causal != nil, "{}", func() any { return s.causal.Analyze() })
 }
 
-// handleCoherence snapshots the coherence analyzer and returns the
-// per-protocol transition matrices, residency, ownership chains and
-// fan-out distributions as JSON. Like /causal, the snapshot is built
-// per request on the handler goroutine.
+// handleCoherence serves the per-protocol transition matrices,
+// residency, ownership chains and fan-out distributions.
 func (s *Server) handleCoherence(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.coherence == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.coherence.Analyze())
+	s.serveJSON(w, s.coherence != nil, "{}", func() any { return s.coherence.Analyze(0) })
 }
 
-// handleViolations snapshots the runtime invariant monitor and returns
-// its report — totals, per-(invariant, protocol) counts, the latched
-// first violation and the bounded violation records with their causal
-// context — as JSON. Built per request on the handler goroutine.
+// handleViolations serves the runtime invariant monitor's report —
+// totals, per-(invariant, protocol) counts, the latched first violation
+// and the bounded violation records with their causal context.
 func (s *Server) handleViolations(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.watch == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.watch.Report())
+	s.serveJSON(w, s.watch != nil, "{}", func() any { return s.watch.Report() })
 }
 
-// handlePerf snapshots the saturation telemetry — per-shard
-// arbitration queue-depth timelines plus log-bucketed latency
-// distributions with quantiles — as JSON. Like /causal, the snapshot
-// is built per request on the handler goroutine.
+// handlePerf serves the saturation telemetry — per-shard arbitration
+// queue-depth timelines plus log-bucketed latency distributions with
+// quantiles.
 func (s *Server) handlePerf(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.perf == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.perf.Snapshot())
+	s.serveJSON(w, s.perf != nil, "{}", func() any { return s.perf.Snapshot() })
 }
 
 // handleTrend judges the live run against the rolling baseline of the
-// attached run ledger (see internal/obs/ledger) and returns the gate
-// report as JSON. Without a ledger attached the verdict degrades to
-// "no-baseline" rather than 404, so probes can always parse the body.
-// The gate is recomputed per request on the handler goroutine.
+// attached run ledger (see internal/obs/ledger). Without a ledger
+// attached the verdict degrades to "no-baseline" rather than 404, so
+// probes can always parse the body.
 func (s *Server) handleTrend(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if s.trend == nil {
-		_ = enc.Encode(ledger.GateReport{Verdict: "no-baseline"})
-		return
-	}
-	_ = enc.Encode(s.trend.Gate())
+	s.serveJSON(w, true, "", func() any {
+		if s.trend == nil {
+			return ledger.GateReport{Verdict: "no-baseline"}
+		}
+		return s.trend.Gate()
+	})
 }
 
 // handleEvents streams the event tail as server-sent events: the

@@ -1,10 +1,13 @@
 package obshttp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/causal"
+	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/watch"
 )
 
@@ -41,28 +44,42 @@ const (
 )
 
 // Service bundles everything live observability needs: the metrics
-// registry, the SSE event stream, the phase-attribution sink, and a
-// registry-feeding event sink. Attach Sinks() to the Recorder at
-// construction time, then Serve to expose it all over HTTP.
+// registry, the SSE event stream, the phase-attribution sink, the
+// causal, coherence, saturation and (optionally) invariant analyzers,
+// and a registry-feeding event sink. Attach Sinks() to a Recorder,
+// name it with ObserveRecorder, then Serve to expose it all over HTTP.
+//
+// The analyzers are the same single-goroutine sinks fbcausal, fblens
+// and fbwatch replay offline, attached straight to the recorder. Every
+// endpoint and every /metrics callback that reads one does so inside
+// the recorder's View, so a served document covers every event emitted
+// before the request; other readers of these fields do the same while
+// the recorder runs.
 type Service struct {
 	Registry  *Registry
 	Stream    *EventStream
 	Attr      *obs.AttributionSink
-	Causal    *CausalSink
-	Coherence *CoherenceSink
+	Causal    *causal.Analyzer
+	Coherence *coherence.Analyzer
 	// Perf is the saturation-telemetry sink: /perf serves its snapshot
 	// and the registry carries its native latency histograms and
 	// per-shard queue gauges.
 	Perf *PerfSink
-	// Watch is the runtime invariant monitor (nil unless the service
-	// was built with NewServiceWatched or the caller set one).
+	// Watch is the runtime invariant monitor (nil unless EnableWatch
+	// attached one).
 	Watch *WatchSink
 	// Trend is the rolling-baseline regression source (nil unless
 	// EnableTrend attached a run ledger); /trend serves its verdict.
 	Trend *TrendSource
 
-	metrics *metricsSink
+	metrics  *metricsSink
+	rec      *obs.Recorder
+	observed bool
 }
+
+// CoherenceSink is the coherence analyzer the service serves; the
+// simulator benchmark (simbench) attaches one by this name.
+type CoherenceSink = coherence.Analyzer
 
 // NewService builds a service with an attribution ring of topK slowest
 // transactions (0 = obs.DefaultTopK).
@@ -71,22 +88,22 @@ func NewService(topK int) *Service {
 		Registry:  NewRegistry(),
 		Stream:    NewEventStream(),
 		Attr:      obs.NewAttributionSink(topK),
-		Causal:    &CausalSink{},
-		Coherence: &CoherenceSink{},
+		Causal:    &causal.Analyzer{},
+		Coherence: &coherence.Analyzer{},
 	}
 	s.metrics = newMetricsSink(s.Registry)
 	s.Perf = NewPerfSink(s.Registry)
 	s.Registry.CounterFunc(MetricCoherenceOwnershipMoves, "",
 		"Line ownership migrating directly from one cache to another.", func() int64 {
-			return s.Coherence.Totals().OwnershipMoves
+			return s.coherenceTotals().OwnershipMoves
 		})
 	s.Registry.CounterFunc(MetricCoherenceReadSource, `source="cache"`,
 		"Completed bus reads by who supplied the line.", func() int64 {
-			return s.Coherence.Totals().CacheSourced
+			return s.coherenceTotals().CacheSourced
 		})
 	s.Registry.CounterFunc(MetricCoherenceReadSource, `source="memory"`,
 		"Completed bus reads by who supplied the line.", func() int64 {
-			return s.Coherence.Totals().MemSourced
+			return s.coherenceTotals().MemSourced
 		})
 	s.Registry.GaugeFunc(MetricSSEFrames, "", "Event frames marshalled for SSE subscribers.", func() float64 {
 		frames, _ := s.Stream.Stats()
@@ -97,6 +114,11 @@ func NewService(topK int) *Service {
 		return float64(shed)
 	})
 	return s
+}
+
+func (s *Service) coherenceTotals() (t coherence.Totals) {
+	s.rec.View(func() { t = s.Coherence.Totals() })
+	return t
 }
 
 // EnableWatch attaches the runtime invariant monitor to the service:
@@ -111,7 +133,9 @@ func (s *Service) EnableWatch(cfg watch.Config) *WatchSink {
 	s.Watch = NewWatchSink(cfg, s.Registry)
 	s.Registry.GaugeFunc(MetricInvariantLatch, "",
 		"1 once any protocol invariant has been violated, else 0 (latched).", func() float64 {
-			if s.Watch.Total() > 0 {
+			var total int64
+			s.rec.View(func() { total = s.Watch.Total() })
+			if total > 0 {
 				return 1
 			}
 			return 0
@@ -129,22 +153,32 @@ func (s *Service) Sinks() []obs.Sink {
 	return append(sinks, s.Stream)
 }
 
-// ObserveRecorder exposes the recorder's drop telemetry on /metrics:
+// ObserveRecorder names the recorder the service's Sinks() are
+// attached to: the endpoints and the registry's analyzer callbacks read
+// through its View, so call it before Serve (which refuses to start
+// without it) and before anything renders the registry. It also
+// exposes the recorder's drop telemetry on /metrics:
 // obs_events_dropped_total counts events discarded because they were
 // emitted after the recorder closed — an instrumentation site outlived
 // the recorder (0 on a healthy run; events are never shed while the
-// recorder is open). Safe to call with a nil recorder (the counter
-// then reads 0).
+// recorder is open). Safe to call with a nil recorder (no events flow,
+// and the counter reads 0).
 func (s *Service) ObserveRecorder(rec *obs.Recorder) {
+	s.rec, s.observed = rec, true
 	s.Registry.CounterFunc(MetricDropped, "",
 		"Events discarded because they were emitted after the recorder closed.",
 		rec.Dropped)
 }
 
 // Serve binds addr and starts the HTTP server over this service's
-// registry, stream, attribution and causal sinks.
+// registry, stream and analyzers. ObserveRecorder must have been
+// called first.
 func (s *Service) Serve(addr string) (*Server, error) {
+	if !s.observed {
+		return nil, errors.New("obshttp: Serve before ObserveRecorder (the handlers read the sinks through the recorder)")
+	}
 	srv := NewServer(s.Registry, s.Stream, s.Attr)
+	srv.rec = s.rec
 	srv.causal = s.Causal
 	srv.coherence = s.Coherence
 	srv.watch = s.Watch

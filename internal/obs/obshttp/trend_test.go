@@ -39,6 +39,7 @@ func trendLedger(t *testing.T, p99 float64) string {
 // it unconditionally.
 func TestTrendEndpointNoBaseline(t *testing.T) {
 	svc := NewService(4)
+	svc.ObserveRecorder(nil)
 	srv, err := svc.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +70,7 @@ func TestTrendEndpointLiveVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New(svc.Sinks()...)
+	svc.ObserveRecorder(rec)
 	srv, err := svc.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +78,6 @@ func TestTrendEndpointLiveVerdict(t *testing.T) {
 	defer srv.Close()
 
 	rec.Emit(obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: base})
-	rec.Drain()
 
 	get := func() ledger.GateReport {
 		t.Helper()
@@ -99,7 +100,6 @@ func TestTrendEndpointLiveVerdict(t *testing.T) {
 	// Blow the live arb wait far past the baseline (and the 1µs ns
 	// floor); the verdict must flip without restarting the server.
 	rec.Emit(obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 200, Dur: 500000})
-	rec.Drain()
 	rep := get()
 	if rep.Verdict != "regressed" {
 		t.Fatalf("blown live run verdict = %q, want regressed (%+v)", rep.Verdict, rep)

@@ -285,7 +285,7 @@ type Sink struct {
 	// tlCap bounds the cumulative window's per-shard timeline.
 	tlCap int
 	// onDepth, when non-nil, receives every depth sample (the obshttp
-	// wrapper forwards them to registry metrics). Drain goroutine only.
+	// wrapper forwards them to registry metrics). Consume only.
 	onDepth func(bus int, depth int64)
 	// onLatency, when non-nil, receives every latency sample.
 	onLatency func(metric string, v int64)
@@ -311,9 +311,8 @@ func (s *Sink) SetObservers(onLatency func(metric string, v int64), onDepth func
 	s.onLatency, s.onDepth = onLatency, onDepth
 }
 
-// Relevant reports whether the sink folds this event kind — callers
-// batching upstream can skip the rest early.
-func Relevant(k obs.Kind) bool {
+// relevant reports whether the sink folds this event kind.
+func relevant(k obs.Kind) bool {
 	switch k {
 	case obs.KindTx, obs.KindGrant, obs.KindBlocked, obs.KindEpoch,
 		obs.KindPend, obs.KindNack:
@@ -324,7 +323,7 @@ func Relevant(k obs.Kind) bool {
 
 // Consume implements obs.Sink.
 func (s *Sink) Consume(e *obs.Event) {
-	if !Relevant(e.Kind) {
+	if !relevant(e.Kind) {
 		return
 	}
 	s.mu.Lock()

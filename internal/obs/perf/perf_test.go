@@ -203,7 +203,7 @@ func TestArbFairnessUndefinedWithoutWaits(t *testing.T) {
 // respecting the epoch reset.
 func TestSplitEventsFolded(t *testing.T) {
 	s := NewSink(0)
-	if !Relevant(obs.KindNack) || !Relevant(obs.KindPend) {
+	if !relevant(obs.KindNack) || !relevant(obs.KindPend) {
 		t.Fatal("split kinds not relevant to the perf sink")
 	}
 	s.Consume(&obs.Event{Kind: obs.KindNack, Bus: 0, TS: 100})

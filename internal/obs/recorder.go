@@ -7,11 +7,12 @@ import (
 
 // Sink consumes drained events. The Recorder calls Consume one event at
 // a time, never concurrently, in Seq order — on its drain goroutine or
-// on the goroutine calling Drain, Flush or Close — so sinks need no
-// locking against each other, only against their own readers (see
-// HistogramSink, LineAuditSink). Consume must not call back into the
-// Recorder that feeds it: an Emit, Drain or Flush from inside Consume
-// blocks forever.
+// on the goroutine calling View, Flush or Close — so sinks need no
+// locking against each other. A sink read while the recorder runs is
+// read through View, which needs no lock in the sink either; sinks that
+// are also read outside View lock themselves (see HistogramSink,
+// LineAuditSink). Consume must not call back into the Recorder that
+// feeds it: an Emit, View or Flush from inside Consume blocks forever.
 type Sink interface {
 	// Consume observes one event. The pointee is only valid for the
 	// duration of the call; sinks that retain events must copy.
@@ -188,17 +189,29 @@ func (r *Recorder) drainLocked() {
 	r.cur = r.cur[:0]
 }
 
-// Drain delivers every buffered event to the sinks without flushing
-// them — use it to read pull-style sinks (histograms) mid-run without
-// forcing document-style sinks (the Chrome exporter writes a single
-// JSON document on Flush) to finalise their output.
-func (r *Recorder) Drain() {
+// View is the read path for sinks while the recorder runs: it delivers
+// every buffered event to the sinks, then runs fn while no sink can
+// consume, so fn reads any sink — a single-goroutine analyzer included
+// — as of every event emitted before the call. It flushes nothing:
+// document-style sinks (the Chrome exporter writes a single JSON
+// document on Flush) keep their output open. On a nil recorder View
+// just runs fn.
+//
+// fn runs under the producer mutex, with emitters waiting. So fn must
+// not call back into the recorder (Emit, View, Flush, Close), the same
+// rule as Consume, nor take a lock that an emitter may hold while it
+// emits (Bus.Stats takes the arbiter's). And no caller of View may hold
+// a lock that a sink's Consume takes: View waits for the drain
+// goroutine, which may be waiting for that lock.
+func (r *Recorder) View(fn func()) {
 	if r == nil {
+		fn()
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.drainLocked()
-	r.mu.Unlock()
+	fn()
 }
 
 // Flush delivers every buffered event and flushes every sink. Call it

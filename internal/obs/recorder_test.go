@@ -14,11 +14,12 @@ import (
 // TestRecorderConcurrentEmit: many producers through a buffer far
 // smaller than the events emitted, so batches hand off to the drain
 // goroutine thousands of times, while another goroutine keeps calling
-// Drain, which consumes partial batches itself. Every event arrives
-// exactly once, Seq as the sink sees it counts up from zero without a
-// gap (the drain order is the global emission order), and each
-// producer's events keep its own order. The sink takes no lock: the
-// recorder alone must order its Consume calls, which -race checks.
+// View, which consumes partial batches itself and then reads the sink.
+// Every event arrives exactly once, Seq as the sink sees it counts up
+// from zero without a gap (the drain order is the global emission
+// order), and each producer's events keep its own order. The sink
+// takes no lock: the recorder alone must order its Consume calls and
+// keep them off View's reads, which -race checks.
 func TestRecorderConcurrentEmit(t *testing.T) {
 	leaktest.Check(t)
 	const producers, each = 8, 5000
@@ -42,7 +43,11 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				rec.Drain()
+				rec.View(func() {
+					if n := len(got); n > 0 && got[n-1].Seq != uint64(n-1) {
+						t.Errorf("View saw %d events ending at Seq %d", n, got[n-1].Seq)
+					}
+				})
 			}
 		}
 	}()
@@ -72,7 +77,11 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Emit(Event{Kind: KindTx})
 	r.Advance(100)
-	r.Drain()
+	ran := false
+	r.View(func() { ran = true })
+	if !ran {
+		t.Error("nil View skipped fn")
+	}
 	if r.Clock() != 0 {
 		t.Error("nil clock moved")
 	}
@@ -214,7 +223,7 @@ func TestRecorderEmitAllocFree(t *testing.T) {
 	for i := 0; i < 4*DefaultBuffer; i++ {
 		rec.Emit(e)
 	}
-	rec.Drain()
+	rec.View(func() {})
 	if n := testing.AllocsPerRun(4*DefaultBuffer, func() { rec.Emit(e) }); n != 0 {
 		t.Errorf("warm Emit allocates %v times per event", n)
 	}

@@ -15,8 +15,8 @@
 // The monitor relies on the recorder's ordering guarantees: per line,
 // snoop-caused state commits precede their KindTx, and the master's own
 // fill/upgrade/push state events follow it. It is a single-goroutine
-// consumer like coherence.Analyzer; obshttp.WatchSink adapts it for
-// concurrent snapshotting.
+// consumer like coherence.Analyzer; a live reader takes its snapshot
+// inside Recorder.View.
 package watch
 
 import (
@@ -323,7 +323,8 @@ func (ln *line) holders() string {
 
 // Monitor is the runtime-verification sink. It implements obs.Sink and
 // must be consumed from a single goroutine (the Recorder's drainer, or
-// a replay loop); wrap it in obshttp.WatchSink for concurrent readers.
+// a replay loop); while a recorder feeds it, read it inside
+// Recorder.View.
 type Monitor struct {
 	cfg Config
 

@@ -13,6 +13,8 @@ import (
 	"futurebus/internal/cache"
 	"futurebus/internal/memory"
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/causal"
+	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/perf"
 	"futurebus/internal/obs/watch"
 	"futurebus/internal/workload"
@@ -114,25 +116,32 @@ func TestSimulatedStatsGolden(t *testing.T) {
 			for _, b := range sys.Boards {
 				got.Stalls = append(got.Stalls, b.Stall())
 			}
-			enc, err := json.MarshalIndent(got, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc = append(enc, '\n')
-			path := filepath.Join("testdata", "stats_"+gc.name+".json")
-			if *updateGolden {
-				if err := os.WriteFile(path, enc, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if !bytes.Equal(enc, want) {
-				t.Errorf("simulated statistics moved from %s:\ngot  %s\nwant %s", path, enc, want)
-			}
+			matchGolden(t, "simulated statistics", "stats_"+gc.name+".json", got)
 		})
+	}
+}
+
+// matchGolden compares got, as indented JSON, with testdata/file; with
+// -update it rewrites the file first.
+func matchGolden(t *testing.T, what, file string, got any) {
+	t.Helper()
+	enc, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = append(enc, '\n')
+	path := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.WriteFile(path, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(enc, want) {
+		t.Errorf("%s moved from %s:\ngot  %s\nwant %s", what, path, enc, want)
 	}
 }
 
@@ -146,6 +155,23 @@ type goldenStream struct {
 	Perf      *perf.Snapshot
 }
 
+// goldenAnalyses pins the full coherence and causal reports of the
+// same runs by the sha256 of their JSON.
+type goldenAnalyses struct {
+	CoherenceSHA256 string
+	CausalSHA256    string
+}
+
+func jsonSHA256(t *testing.T, v any) string {
+	t.Helper()
+	enc, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(enc)
+	return hex.EncodeToString(sum[:])
+}
+
 // goldenWatch is the scalar part of watch.Report.
 type goldenWatch struct {
 	Events, States, Txs int64
@@ -157,9 +183,12 @@ type goldenWatch struct {
 // runs — the ab-hits system with the .fbt recorder and the watch and
 // perf sinks attached (the shape of simbench's ab-observed workload),
 // and the zipf-mix protocol mix under split tenure, rr and 2 shards —
-// against testdata/events_<name>.json. A reordered, lost or
-// duplicated event moves the .fbt digest, so a change to how the
-// recorder moves events to its sinks is checked to be invisible.
+// against testdata/events_<name>.json, and the coherence and causal
+// reports of the same runs against testdata/analyses_<name>.json. A
+// reordered, lost or duplicated event moves the .fbt digest, so a
+// change to how the recorder moves events to its sinks is checked to
+// be invisible; a change to how an analyzer folds them moves its
+// report digest.
 // Regenerate with -update only for a deliberate change to what is
 // emitted.
 func TestEventStreamGolden(t *testing.T) {
@@ -179,8 +208,9 @@ func TestEventStreamGolden(t *testing.T) {
 				}
 				events++
 			})
+			coh, cau := &coherence.Analyzer{}, &causal.Analyzer{}
 			rec := obs.New(obs.NewRecordSink(h, obs.TraceMeta{Fingerprint: "golden " + name}),
-				mon, perf.NewSink(0), count)
+				mon, perf.NewSink(0), coh, cau, count)
 			cfg := gc.cfg
 			cfg.Shadow = true
 			cfg.Obs = rec
@@ -211,24 +241,11 @@ func TestEventStreamGolden(t *testing.T) {
 				},
 				Perf: m.Perf,
 			}
-			enc, err := json.MarshalIndent(got, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc = append(enc, '\n')
-			path := filepath.Join("testdata", "events_"+name+".json")
-			if *updateGolden {
-				if err := os.WriteFile(path, enc, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if !bytes.Equal(enc, want) {
-				t.Errorf("event stream moved from %s:\ngot  %s\nwant %s", path, enc, want)
-			}
+			matchGolden(t, "event stream", "events_"+name+".json", got)
+			matchGolden(t, "analyses", "analyses_"+name+".json", goldenAnalyses{
+				CoherenceSHA256: jsonSHA256(t, coh.Analyze(0)),
+				CausalSHA256:    jsonSHA256(t, cau.Analyze()),
+			})
 		})
 	}
 }

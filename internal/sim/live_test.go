@@ -17,6 +17,7 @@ import (
 func TestLiveMetricsDuringRun(t *testing.T) {
 	svc := obshttp.NewService(4)
 	rec := obs.New(svc.Sinks()...)
+	svc.ObserveRecorder(rec)
 	cfg := Homogeneous("moesi", 4)
 	cfg.Obs = rec
 	sys, err := New(cfg)

@@ -41,33 +41,28 @@ type Metrics struct {
 	Perf *perf.Snapshot `json:",omitempty"`
 }
 
-// histSummaries drains the recorder and digests its histogram sink, if
-// any. Safe on a nil recorder or a recorder without a HistogramSink.
-func histSummaries(rec *obs.Recorder) map[string]obs.Summary {
-	if rec == nil {
-		return nil
-	}
-	rec.Drain()
-	h := obs.FindHistogram(rec)
-	if h == nil {
-		return nil
-	}
-	return h.Summaries()
+// histSummaries digests the recorder's histogram sink, if any, as of
+// every event emitted so far. Safe on a nil recorder or a recorder
+// without a HistogramSink.
+func histSummaries(rec *obs.Recorder) (sums map[string]obs.Summary) {
+	rec.View(func() {
+		if h := obs.FindHistogram(rec); h != nil {
+			sums = h.Summaries()
+		}
+	})
+	return sums
 }
 
-// perfSnapshot drains the recorder and digests its perf sink's
-// per-epoch window, if any. Safe on a nil recorder or a recorder
-// without a perf sink.
-func perfSnapshot(rec *obs.Recorder) *perf.Snapshot {
-	if rec == nil {
-		return nil
-	}
-	rec.Drain()
-	p := perf.FindSink(rec)
-	if p == nil {
-		return nil
-	}
-	return p.EpochSnapshot()
+// perfSnapshot digests the recorder's perf sink's per-epoch window, if
+// any, as of every event emitted so far. Safe on a nil recorder or a
+// recorder without a perf sink.
+func perfSnapshot(rec *obs.Recorder) (snap *perf.Snapshot) {
+	rec.View(func() {
+		if p := perf.FindSink(rec); p != nil {
+			snap = p.EpochSnapshot()
+		}
+	})
+	return snap
 }
 
 // aggregate sums per-cache stats via cache.Stats.Add, folding
