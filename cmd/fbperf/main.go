@@ -33,39 +33,29 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"futurebus/cmd/internal/session"
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/perf"
 	"futurebus/internal/obs/regress"
 	"futurebus/internal/sim"
 	"futurebus/internal/workload"
 )
 
-// Meta pins the environment a report was produced in, mirroring the
-// _meta object scripts/bench.sh embeds in BENCH json.
-type Meta struct {
-	GitSHA     string `json:"git_sha,omitempty"`
-	Go         string `json:"go"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	CPUs       int    `json:"cpus"`
-	DateUTC    string `json:"date_utc"`
-}
-
 // Report is the perf.json document.
 type Report struct {
-	Meta    Meta   `json:"_meta"`
-	Battery string `json:"battery"`
-	Engine  string `json:"engine"`
-	Procs   int    `json:"procs"`
-	Refs    int64  `json:"refs"`
-	Seed    uint64 `json:"seed"`
+	Meta    ledger.Meta `json:"_meta"`
+	Battery string      `json:"battery"`
+	Engine  string      `json:"engine"`
+	Procs   int         `json:"procs"`
+	Refs    int64       `json:"refs"`
+	Seed    uint64      `json:"seed"`
 	// Host is the run's host-cost accounting (wall clock, allocations
 	// per reference, GC bill, goroutine peak).
 	Host perf.HostReport `json:"host"`
@@ -245,8 +235,8 @@ func cmdRun(args []string) {
 	writeLookup(*mutexProfile, "mutex")
 	writeLookup(*blockProfile, "block")
 
-	rep := Report{
-		Meta:    readMeta(),
+	fail(session.WriteJSON(*out, Report{
+		Meta:    ledger.CurrentMeta(),
 		Battery: *batteryName,
 		Engine:  *engine,
 		Procs:   len(bat.boards),
@@ -254,35 +244,10 @@ func cmdRun(args []string) {
 		Seed:    *seed,
 		Host:    host,
 		Sim:     perf.FindSink(rec).Snapshot(),
-	}
-	doc, err := json.MarshalIndent(rep, "", "  ")
-	fail(err)
-	doc = append(doc, '\n')
-	if *out == "-" {
-		_, err = os.Stdout.Write(doc)
-	} else {
-		err = os.WriteFile(*out, doc, 0o644)
-	}
-	fail(err)
+	}))
 	fmt.Fprintf(os.Stderr, "fbperf: %s (%s) — %d refs in %.1f ms, %.1f B/ref, %.0f refs/s\n",
 		*batteryName, bat.desc, m.Refs, float64(host.WallNS)/1e6,
 		host.AllocBytesPerRef, host.RefsPerSec)
-}
-
-// readMeta pins the environment. The git SHA is best-effort: fbperf
-// may run from an exported tree, and a missing SHA must not fail a
-// perf run.
-func readMeta() Meta {
-	m := Meta{
-		Go:         runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		DateUTC:    time.Now().UTC().Format(time.RFC3339),
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		m.GitSHA = strings.TrimSpace(string(out))
-	}
-	return m
 }
 
 // thresholds configures the compare gate.

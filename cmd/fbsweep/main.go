@@ -7,110 +7,39 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 
+	"futurebus/cmd/internal/session"
 	"futurebus/internal/obs"
-	"futurebus/internal/obs/obshttp"
-	"futurebus/internal/obs/watch"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/sim"
 )
 
 func main() {
+	var shared session.Flags
+	shared.Register(flag.CommandLine)
 	exp := flag.String("exp", "all", "experiment to run (P1…P11, F1, or 'all')")
-	refs := flag.Int("refs", 20000, "references per processor")
-	seed := flag.Uint64("seed", 1986, "workload seed")
 	jobs := flag.Int("jobs", 0, "worker pool size for -exp all (0 = one per CPU, forced to 1 when tracing so the event stream stays coherent)")
-	shards := flag.Int("shards", 1, "fabric shards for every system the sweep builds (1 = single Futurebus)")
-	busMode := flag.String("bus", "", "bus tenure policy for every system the sweep builds: atomic or split (default atomic; P11 sweeps its own axis)")
-	discipline := flag.String("discipline", "", "arbitration discipline for every system the sweep builds: fcfs, rr, priority or bounded (default fcfs; P11 sweeps its own axis)")
-	pendingTable := flag.Int("pending-table", 0, "split-mode pending-transaction table size per shard (0 = default)")
 	format := flag.String("format", "table", "output format: table or csv")
 	outDir := flag.String("out", "", "also write each report as <dir>/<ID>.csv")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of every system the sweep ran")
-	metricsJSON := flag.String("metrics-json", "", "write the reports as JSON to this file ('-' = stdout)")
 	jsonOut := flag.String("json", "", "write the battery as a machine-readable document to this file ('-' = stdout): {fbsweep, _meta, reports}, ingestable by fbtrend")
-	recordOut := flag.String("record-out", "", "write the sweep's full event stream as a compact binary .fbt trace (analyze offline with fbcausal)")
-	hist := flag.Bool("hist", false, "print sweep-wide p50/p95/p99 latency/stall/retry histograms")
-	perfFlag := flag.Bool("perf", false, "collect per-run saturation telemetry; P1 gains the p99arb and peakQ columns")
-	watchFlag := flag.Bool("watch", false, "run the invariant monitor over every system the sweep builds; exit 1 on any violation")
-	serveAddr := flag.String("serve", "", "serve live observability on this address ("+obshttp.EndpointList()+")")
-	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the sweep finishes (SIGINT or SIGTERM ends it early)")
 	flag.Parse()
 
-	// One recorder instruments every system the experiments build, so
-	// histograms and traces cover the whole sweep.
-	var sinks []obs.Sink
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fail(err)
-		traceFile = f
-		sinks = append(sinks, obs.NewChromeTraceSink(f))
-	}
-	if *hist {
-		sinks = append(sinks, obs.NewHistogramSink())
-	}
-	var recordFile *os.File
-	if *recordOut != "" {
-		f, err := os.Create(*recordOut)
-		fail(err)
-		recordFile = f
-		fp := fmt.Sprintf("fbsweep exp=%s refs=%d seed=%d shards=%d", strings.ToUpper(*exp), *refs, *seed, *shards)
-		sinks = append(sinks, obs.NewRecordSink(f, obs.TraceMeta{Fingerprint: fp}))
-	}
-	// -serve instruments the whole sweep: the event-fed registry,
-	// phase summaries, SSE tail, slow-transaction ring and causal
-	// analyzer cover every system the experiments build.
-	var svc *obshttp.Service
-	var mon *watch.Monitor
-	if *serveAddr != "" {
-		svc = obshttp.NewService(0)
-		if *watchFlag {
-			mon = svc.EnableWatch(watch.Config{}).Monitor
-		}
-		sinks = append(sinks, svc.Sinks()...)
-	}
-	// Each system the sweep builds emits a KindEpoch marker, so one
-	// monitor can watch the whole battery without carrying shadow state
-	// from one system into the next.
-	if *watchFlag && mon == nil {
-		mon = watch.New(watch.Config{})
-		sinks = append(sinks, mon)
-	}
-	var rec *obs.Recorder
-	if len(sinks) > 0 {
-		rec = obs.New(sinks...)
-	}
-	// The service's handlers read its sinks through the recorder, so it
-	// observes the recorder before it serves.
-	var srv *obshttp.Server
-	if svc != nil {
-		svc.ObserveRecorder(rec)
-		var err error
-		srv, err = svc.Serve(*serveAddr)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "fbsweep: serving observability on %s (%s)\n", srv.URL(), obshttp.EndpointList())
-	}
-
-	opts := sim.ExperimentOpts{
-		RefsPerProc: *refs, Seed: *seed, Obs: rec, Shards: *shards, Perf: *perfFlag,
-		Tenure: *busMode, Discipline: *discipline, PendingTable: *pendingTable,
-	}
+	s, err := startSession(&shared, *exp)
+	fail(err)
+	opts := experimentOpts(&shared, s.Rec)
 
 	// Experiments are independent and internally deterministic, so the
 	// full battery fans out over a bounded worker pool; reports come
 	// back in battery order either way. A recorder serialises the run:
 	// interleaving event streams from concurrent systems would make the
 	// trace (and its histograms) unreadable.
-	workers, forced := effectiveWorkers(*jobs, runtime.NumCPU(), rec != nil)
+	workers, forced := effectiveWorkers(*jobs, runtime.NumCPU(), s.Rec != nil)
 	if forced {
 		fmt.Fprintf(os.Stderr, "fbsweep: -jobs %d ignored — tracing (-record-out/-trace-out/-hist/-serve/-watch) forces a serial sweep so the event stream stays coherent\n", *jobs)
 	}
@@ -180,69 +109,48 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		doc := batteryDoc{
+		fail(session.WriteJSON(*jsonOut, batteryDoc{
 			Fbsweep: batteryParams{
-				Exp: strings.ToUpper(*exp), Refs: *refs, Seed: *seed, Shards: *shards,
+				Exp: strings.ToUpper(*exp), Refs: shared.Refs, Seed: shared.Seed, Shards: shared.Shards,
 			},
-			Meta:    readMeta(),
+			Meta:    ledger.CurrentMeta(),
 			Reports: reports,
-		}
-		out, err := json.MarshalIndent(doc, "", "  ")
-		fail(err)
-		out = append(out, '\n')
-		if *jsonOut == "-" {
-			_, err = os.Stdout.Write(out)
-		} else {
-			err = os.WriteFile(*jsonOut, out, 0o644)
-		}
-		fail(err)
+		}))
 	}
 
-	if srv != nil {
-		if *serveLinger > 0 {
-			fmt.Fprintf(os.Stderr, "fbsweep: sweep finished; observability endpoint stays up for %s\n", *serveLinger)
-			srv.Linger(*serveLinger)
-		}
-		fail(srv.Close())
-	}
-	if rec != nil {
-		fail(rec.Close())
-		obs.WarnDropped(os.Stderr, "fbsweep", rec)
-		if *hist {
-			if h := obs.FindHistogram(rec); h != nil {
-				fmt.Printf("\nsweep-wide latency histograms:\n%s", h.Render())
-			}
-		}
-		if traceFile != nil {
-			fail(traceFile.Close())
-			fmt.Fprintf(os.Stderr, "fbsweep: wrote Chrome trace to %s\n", *traceOut)
-		}
-		if recordFile != nil {
-			fail(recordFile.Close())
-			fmt.Fprintf(os.Stderr, "fbsweep: wrote binary trace to %s (fbcausal analyze %s)\n", *recordOut, *recordOut)
+	fail(s.Close())
+	if shared.Hist {
+		if h := obs.FindHistogram(s.Rec); h != nil {
+			fmt.Printf("\nsweep-wide latency histograms:\n%s", h.Render())
 		}
 	}
-	if *metricsJSON != "" {
-		out, err := json.MarshalIndent(reports, "", "  ")
-		fail(err)
-		out = append(out, '\n')
-		if *metricsJSON == "-" {
-			_, err = os.Stdout.Write(out)
-		} else {
-			err = os.WriteFile(*metricsJSON, out, 0o644)
-		}
-		fail(err)
+	if shared.MetricsJSON != "" {
+		fail(session.WriteJSON(shared.MetricsJSON, reports))
 	}
+	if s.Verdict(os.Stderr, "fbsweep: ") {
+		os.Exit(1)
+	}
+}
 
-	if mon != nil {
-		rep := mon.Report()
-		fmt.Fprintf(os.Stderr, "fbsweep: invariants: %s\n", rep.Summary())
-		if rep.Total > 0 {
-			for i := range rep.Violations {
-				fmt.Fprintf(os.Stderr, "fbsweep: %s\n", rep.Violations[i].String())
-			}
-			os.Exit(1)
-		}
+// startSession opens the sweep's observability session. One recorder
+// instruments every system the experiments build, so histograms, traces
+// and -serve cover the whole sweep. The experiments collect saturation
+// telemetry on private recorders when nothing traces them; a shared
+// recorder carries a perf sink in their place.
+func startSession(shared *session.Flags, exp string) (*session.Session, error) {
+	return session.Start(shared, session.Options{
+		Tool:        "fbsweep",
+		Fingerprint: fmt.Sprintf("fbsweep exp=%s refs=%d seed=%d shards=%d", strings.ToUpper(exp), shared.Refs, shared.Seed, shared.Shards),
+		PerRunPerf:  true,
+	})
+}
+
+// experimentOpts sizes every experiment from the shared flags and
+// instruments it with rec (nil = untraced).
+func experimentOpts(shared *session.Flags, rec *obs.Recorder) sim.ExperimentOpts {
+	return sim.ExperimentOpts{
+		RefsPerProc: shared.Refs, Seed: shared.Seed, Obs: rec, Shards: shared.Shards, Perf: shared.Perf,
+		Tenure: shared.Bus, Discipline: shared.Discipline, PendingTable: shared.PendingTable,
 	}
 }
 
@@ -262,31 +170,9 @@ type batteryParams struct {
 	Shards int    `json:"shards"`
 }
 
-// batteryMeta pins the environment the document was produced in,
-// mirroring fbperf's _meta block so the run ledger treats both alike.
-type batteryMeta struct {
-	GitSHA     string `json:"git_sha,omitempty"`
-	Go         string `json:"go"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	CPUs       int    `json:"cpus"`
-	DateUTC    string `json:"date_utc"`
-}
-
-// readMeta pins the environment. The git SHA is best-effort: the
-// sweep may run from an exported tree, and a missing SHA must not
-// fail the battery.
-func readMeta() batteryMeta {
-	m := batteryMeta{
-		Go:         runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-		DateUTC:    time.Now().UTC().Format(time.RFC3339),
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		m.GitSHA = strings.TrimSpace(string(out))
-	}
-	return m
-}
+// batteryMeta is the run provenance the ledger reads from every
+// report format.
+type batteryMeta = ledger.Meta
 
 // effectiveWorkers resolves the -jobs flag: 0 means one worker per
 // CPU, and an attached recorder forces a serial sweep (interleaving

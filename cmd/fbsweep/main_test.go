@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
+	"futurebus/cmd/internal/session"
 	"futurebus/internal/obs/ledger"
 	"futurebus/internal/sim"
 )
@@ -70,5 +72,46 @@ func TestBatteryDocIngestable(t *testing.T) {
 	}
 	if got := r.Metrics["sweep.atomic/fcfs.p99arb"]; got != 4100 {
 		t.Errorf("sweep.atomic/fcfs.p99arb = %v, want 4100 (keys: %v)", got, ledger.Keys(recs))
+	}
+}
+
+// TestTracedTablesMatchUntraced: tracing flags only add observers, so
+// they must not change a report table. P11's arbitration columns and
+// P1's -perf columns come from a perf sink; once a tracing flag gives
+// the sweep a shared recorder, that recorder must carry one in place of
+// the runs' private sinks.
+func TestTracedTablesMatchUntraced(t *testing.T) {
+	dir := t.TempDir()
+	render := func(shared session.Flags) string {
+		t.Helper()
+		shared.Refs, shared.Seed, shared.Perf = 300, 1986, true
+		s, err := startSession(&shared, "P11")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := experimentOpts(&shared, s.Rec)
+		p11, err := sim.ArbitrationDisciplines(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, err := sim.ProtocolComparison([]string{"moesi", "dragon"}, []int{2, 4}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return p11.Render() + p1.Render()
+	}
+	want := render(session.Flags{})
+	for name, traced := range map[string]session.Flags{
+		"watch":      {Watch: true},
+		"hist":       {Hist: true},
+		"trace-out":  {TraceOut: filepath.Join(dir, "sweep.json")},
+		"record-out": {RecordOut: filepath.Join(dir, "sweep.fbt")},
+	} {
+		if got := render(traced); got != want {
+			t.Errorf("-%s changed the report tables:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }

@@ -32,7 +32,7 @@ type htmlDoc struct {
 
 // renderHTML writes the self-contained sparkline dashboard: one row
 // per metric, grouped by family, changepoints marked. Data is embedded
-// with the same script-payload escaping as the fblens report and the
+// with the same script-payload escaping as the fbt lens report and the
 // page only builds DOM via textContent — metric keys and labels come
 // from ingested files, which may be hostile.
 func renderHTML(w io.Writer, recs []ledger.Record) error {

@@ -16,11 +16,10 @@
 // -candidate's report) regresses any non-advisory metric against the
 // rolling median+MAD baseline of the trailing window; 2 on usage or IO
 // errors. Regression semantics live in internal/obs/regress, shared
-// with fbcausal diff, fblens diff and fbperf compare.
+// with fbt causal diff, fbt lens diff and fbperf compare.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"futurebus/cmd/internal/session"
 	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/regress"
 )
@@ -63,8 +63,8 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `fbtrend — cross-run regression observatory over a JSONL run ledger
 
   fbtrend ingest [-ledger file] report.json...
-      fold reports (BENCH_*.json, fbperf run, fbcausal analyze -json,
-      fblens analyze -json, fbsweep -json) into the ledger
+      fold reports (BENCH_*.json, fbperf run, fbt causal analyze -json,
+      fbt lens analyze -json, fbsweep -json) into the ledger
 
   fbtrend list [-ledger file] [-kind k] [-label l]
       one line per ledger record: kind, label, git SHA, date, metrics
@@ -273,7 +273,7 @@ func cmdGate(args []string) {
 		Window: *gf.window, K: *gf.k, Rel: *gf.rel, MinRuns: *gf.minRuns,
 	})
 	if *asJSON {
-		writeJSON(os.Stdout, rep)
+		fail(session.WriteJSON("-", rep))
 	} else {
 		renderGate(os.Stdout, rep)
 	}
@@ -349,12 +349,6 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-func writeJSON(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	fail(enc.Encode(v))
 }
 
 func fail(err error) {

@@ -18,7 +18,7 @@ type Thresholds struct {
 	Abs int64   `json:"abs"` // nanoseconds
 }
 
-// DefaultThresholds is the fbcausal / CI default: 10% and 1µs of
+// DefaultThresholds is the fbt causal diff / CI default: 10% and 1µs of
 // simulated time.
 var DefaultThresholds = Thresholds{Rel: 0.10, Abs: 1000}
 

@@ -7,7 +7,7 @@
 // chains, and write invalidation/update fan-out distributions.
 //
 // The Analyzer is an obs.Sink, so the same aggregation runs three
-// ways: offline over a .fbt recording (cmd/fblens), live behind the
+// ways: offline over a .fbt recording (fbt lens), live behind the
 // obshttp service's /coherence endpoint, and inside tests. It is not
 // itself goroutine-safe: the Recorder never runs two Consume calls at
 // once, and a live reader takes its snapshot inside Recorder.View.
@@ -187,10 +187,11 @@ type Analyzer struct {
 
 // txAgg accumulates per-master transaction statistics. They are keyed
 // by proc (not protocol) because a master's first transactions arrive
-// before its first state event reveals its protocol — Analyze merges
-// them under the final proc→protocol mapping. The fan-out histograms
-// are dense slices (fan-out is bounded by the snooper count), bumped
-// without map hashing on the hot path.
+// before its first state event reveals its protocol — a system boundary
+// (KindEpoch) or Analyze merges them under the proc→protocol mapping of
+// the system that ran them. The fan-out histograms are dense slices
+// (fan-out is bounded by the snooper count), bumped without map hashing
+// on the hot path.
 type txAgg struct {
 	cacheSourced int64
 	memSourced   int64
@@ -287,6 +288,11 @@ func (a *Analyzer) line(addr uint64) *lineAgg {
 func (a *Analyzer) Consume(e *obs.Event) {
 	a.init()
 	a.events++
+	if e.Kind == obs.KindEpoch {
+		// A fresh system: settle the finished one at its own horizon,
+		// before the marker's timestamp extends it.
+		a.endEpoch()
+	}
 	if ts := e.TS + e.Dur; ts > a.maxTS {
 		a.maxTS = ts
 	}
@@ -461,6 +467,64 @@ func (a *Analyzer) consumeTx(e *obs.Event) {
 // Flush implements obs.Sink.
 func (a *Analyzer) Flush() error { return nil }
 
+// endEpoch settles the system that ran before a KindEpoch marker, as
+// the runtime invariant monitor does, so a sweep sharing one recorder
+// across many systems analyzes each in turn: open residency closes at
+// the horizon so far, per-master transaction stats fold under that
+// system's proc→protocol mapping, and per-line ownership, per-copy and
+// in-flight transaction state start over (the next system's caches
+// begin Invalid, and its transaction ids restart).
+func (a *Analyzer) endEpoch() {
+	a.closeResidency(a.proto)
+	a.foldTx(a.proto)
+	clear(a.txByProc)
+	clear(a.procProto)
+	clear(a.pending)
+	for _, l := range a.lines {
+		l.owner, l.relTx, l.procs = -1, 0, l.procs[:0]
+	}
+}
+
+// closeResidency charges every live copy's open interval, up to the
+// horizon, to the protocol get returns for the copy's protocol.
+func (a *Analyzer) closeResidency(get func(proto string) *ProtoAnalysis) {
+	for _, l := range a.lines {
+		for i := range l.procs {
+			pl := &l.procs[i]
+			if pl.live && a.maxTS > pl.since {
+				get(protoName(pl.proto)).ResidencyNS[pl.state] += a.maxTS - pl.since
+			}
+		}
+	}
+}
+
+// foldTx adds each master's transaction stats to the protocol get
+// returns for the protocol the master ran.
+func (a *Analyzer) foldTx(get func(proto string) *ProtoAnalysis) {
+	for proc, t := range a.txByProc {
+		if t == nil {
+			continue
+		}
+		var pn string
+		if proc < len(a.procProto) {
+			pn = a.procProto[proc]
+		}
+		ps := get(protoName(pn))
+		ps.CacheSourced += t.cacheSourced
+		ps.MemSourced += t.memSourced
+		for k, v := range t.invFanout {
+			if v != 0 {
+				ps.InvFanout[k] += v
+			}
+		}
+		for k, v := range t.updFanout {
+			if v != 0 {
+				ps.UpdFanout[k] += v
+			}
+		}
+	}
+}
+
 // DefaultTopLines is how many per-line summaries Analyze keeps.
 const DefaultTopLines = 32
 
@@ -484,47 +548,21 @@ func (a *Analyzer) Analyze(topN int) *Analysis {
 	for name, ps := range a.protos {
 		res.Protocols[name] = ps.clone()
 	}
-	// Merge per-master transaction stats under the final proc→protocol
-	// mapping (a master's first transactions precede its first state
-	// event; by now the mapping is as complete as it will get).
-	for proc, t := range a.txByProc {
-		if t == nil {
-			continue
-		}
-		var pn string
-		if proc < len(a.procProto) {
-			pn = a.procProto[proc]
-		}
-		name := protoName(pn)
+	// Merge the current system's per-master transaction stats under
+	// its final proc→protocol mapping (a master's first transactions
+	// precede its first state event; by now the mapping is as complete
+	// as it will get), and close its open residency intervals at the
+	// horizon — into the copies, so the live state is undisturbed.
+	get := func(name string) *ProtoAnalysis {
 		ps, ok := res.Protocols[name]
 		if !ok {
 			ps = (&ProtoAnalysis{}).clone()
 			res.Protocols[name] = ps
 		}
-		ps.CacheSourced += t.cacheSourced
-		ps.MemSourced += t.memSourced
-		for k, v := range t.invFanout {
-			if v != 0 {
-				ps.InvFanout[k] += v
-			}
-		}
-		for k, v := range t.updFanout {
-			if v != 0 {
-				ps.UpdFanout[k] += v
-			}
-		}
+		return ps
 	}
-	// Close open residency intervals at the horizon, into the copies.
-	for _, l := range a.lines {
-		for i := range l.procs {
-			pl := &l.procs[i]
-			if pl.live && a.maxTS > pl.since {
-				if ps := res.Protocols[protoName(pl.proto)]; ps != nil {
-					ps.ResidencyNS[pl.state] += a.maxTS - pl.since
-				}
-			}
-		}
-	}
+	a.foldTx(get)
+	a.closeResidency(get)
 	if topN > 0 {
 		res.TopLines = a.topLines(topN)
 	}
@@ -597,6 +635,8 @@ func (a *Analyzer) Totals() Totals {
 	for _, ps := range a.protos {
 		t.Invalidations += ps.Invalidations
 		t.OwnershipMoves += ps.OwnershipMoves
+		t.CacheSourced += ps.CacheSourced
+		t.MemSourced += ps.MemSourced
 	}
 	for _, tx := range a.txByProc {
 		if tx == nil {

@@ -126,8 +126,8 @@ func protoOrZero(a *Analysis, name string) *ProtoAnalysis {
 }
 
 // Render writes the diff as a table, regressions flagged, ending with
-// either "no regressions" or a count — the same contract cmd/fblens'
-// exit status relies on.
+// either "no regressions" or a count — the same contract fbt lens
+// diff's exit status relies on.
 func (r *DiffReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-12s %-30s %12s %12s %12s\n", "protocol", "metric", "old", "new", "delta")
 	for _, row := range r.Rows {

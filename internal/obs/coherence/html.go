@@ -35,7 +35,7 @@ func (an *Analysis) RenderHTML(w io.Writer) error {
 // JavaScript) are escaped too. The replacement is byte-level but safe:
 // in valid JSON those characters can only occur inside string
 // literals, where the \u form is equivalent. Exported because every
-// self-contained HTML report in the tree (fblens, fbtrend) embeds its
+// self-contained HTML report in the tree (fbt lens, fbtrend) embeds its
 // data the same way.
 func EscapeScriptPayload(b []byte) []byte {
 	var out bytes.Buffer

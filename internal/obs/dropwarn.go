@@ -9,7 +9,7 @@ import (
 // (events emitted after Close — some instrumentation site outlived the
 // recorder). Any file sinks attached to the recorder are missing those
 // events, so recorded .fbt / JSONL traces are silently truncated and
-// downstream analyses (fbcausal, fblens, fbwatch) see an incomplete
+// downstream analyses (fbt causal, lens and watch) see an incomplete
 // stream. Returns whether a warning was written. Call after
 // Recorder.Close; a nil recorder is fine (no warning).
 func WarnDropped(w io.Writer, tool string, rec *Recorder) bool {

@@ -38,7 +38,7 @@ const (
 // to tell two recordings apart before comparing them.
 type TraceMeta struct {
 	// Fingerprint identifies the configuration that produced the run
-	// (protocol mix, workload, seed, engine) — fbcausal diff refuses to
+	// (protocol mix, workload, seed, engine) — fbt causal diff refuses to
 	// silently compare apples to oranges without it.
 	Fingerprint string `json:"fingerprint"`
 }
@@ -356,12 +356,6 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	}
 	return t, nil
 }
-
-// Meta returns the header metadata.
-func (t *TraceReader) Meta() TraceMeta { return t.meta }
-
-// Count returns how many events have been decoded so far.
-func (t *TraceReader) Count() int64 { return t.n }
 
 func (t *TraceReader) uvarint() (uint64, error) {
 	v, err := binary.ReadUvarint(t.br)

@@ -21,8 +21,8 @@ import (
 //   - BENCH_*.json (scripts/bench.sh): flat benchmark → metric object
 //     with an embedded _meta block;
 //   - fbperf run reports: _meta, battery, sim quantiles, host costs;
-//   - fbcausal analyze -json: run totals and per-cause blame;
-//   - fblens analyze -json: per-protocol coherence rates;
+//   - fbt causal analyze -json: run totals and per-cause blame;
+//   - fbt lens analyze -json: per-protocol coherence rates;
 //   - fbsweep -json: the battery document with its report tables.
 func Ingest(data []byte, source string) ([]Record, error) {
 	data = []byte(strings.TrimSpace(string(data)))
@@ -165,7 +165,7 @@ func ingestPerf(data []byte, source string) (Record, error) {
 	return rec, nil
 }
 
-// causalReport mirrors the fbcausal analyze -json shape (totals and
+// causalReport mirrors the fbt causal analyze -json shape (totals and
 // blame tables; the path itself is not a metric).
 type causalReport struct {
 	Fingerprint string           `json:"fingerprint"`
@@ -179,12 +179,12 @@ type causalReport struct {
 	PathCostNS  int64            `json:"path_cost_ns"`
 }
 
-// ingestCausal folds an fbcausal analysis: run totals plus the
+// ingestCausal folds an fbt causal analysis: run totals plus the
 // per-cause blame vector, labelled by the trace's config fingerprint.
 func ingestCausal(data []byte, source string) (Record, error) {
 	var rep causalReport
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return Record{}, fmt.Errorf("ledger: fbcausal report: %w", err)
+		return Record{}, fmt.Errorf("ledger: fbt causal report: %w", err)
 	}
 	rec := newRecord(KindCausal, rep.Fingerprint, source)
 	rec.Metrics["causal.txs"] = float64(rep.Txs)
@@ -199,20 +199,20 @@ func ingestCausal(data []byte, source string) (Record, error) {
 	return rec, nil
 }
 
-// lensReport mirrors the fblens analyze -json shape: the fingerprint
+// lensReport mirrors the fbt lens analyze -json shape: the fingerprint
 // wrapper around a coherence.Analysis.
 type lensReport struct {
 	Fingerprint string `json:"fingerprint"`
 	coherence.Analysis
 }
 
-// ingestLens folds an fblens analysis into the same six per-protocol
-// rates fblens diff gates on (coherence.Diff), plus the raw transition
+// ingestLens folds an fbt lens analysis into the same six per-protocol
+// rates fbt lens diff gates on (coherence.Diff), plus the raw transition
 // count for context.
 func ingestLens(data []byte, source string) (Record, error) {
 	var rep lensReport
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return Record{}, fmt.Errorf("ledger: fblens report: %w", err)
+		return Record{}, fmt.Errorf("ledger: fbt lens report: %w", err)
 	}
 	rec := newRecord(KindLens, rep.Fingerprint, source)
 	for name, p := range rep.Protocols {
@@ -226,7 +226,7 @@ func ingestLens(data []byte, source string) (Record, error) {
 		rec.Metrics[prefix+"cache_sourced_share"] = ratio(p.CacheSourced, p.CacheSourced+p.MemSourced)
 	}
 	if len(rec.Metrics) == 0 {
-		return Record{}, fmt.Errorf("ledger: fblens report carries no protocols")
+		return Record{}, fmt.Errorf("ledger: fbt lens report carries no protocols")
 	}
 	return rec, nil
 }

@@ -9,8 +9,8 @@
 // report format it was ingested from, an optional label separating
 // incomparable series of the same kind (e.g. fbperf batteries), and a
 // flat metric-key → value map. Flatness is the point: every report
-// format the tree emits — BENCH_*.json, fbperf run reports, fbcausal
-// analyze -json, fblens -json, fbsweep -json battery docs — folds into
+// format the tree emits — BENCH_*.json, fbperf run reports, fbt causal
+// and fbt lens analyze -json, fbsweep -json battery docs — folds into
 // the same shape (see ingest.go), so one gate covers them all.
 //
 // The file is append-only by construction (Append opens O_APPEND) and
@@ -27,6 +27,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
+	"strings"
+	"time"
 )
 
 // Schema is the ledger record schema version. Bump only when an
@@ -35,17 +39,19 @@ import (
 // field). TestLedgerSchemaAppendOnly pins the field names.
 const Schema = 1
 
-// Source kinds. One per report format the ingesters understand.
+// Source kinds. One per report format the ingesters understand. The
+// names are a stored format: fbt causal and fbt lens reports keep the
+// kinds of the tools they replaced.
 const (
 	KindBench  = "bench"    // scripts/bench.sh BENCH_*.json
 	KindPerf   = "fbperf"   // fbperf run report
-	KindCausal = "fbcausal" // fbcausal analyze -json
-	KindLens   = "fblens"   // fblens analyze -json
+	KindCausal = "fbcausal" // fbt causal analyze -json
+	KindLens   = "fblens"   // fbt lens analyze -json
 	KindSweep  = "fbsweep"  // fbsweep -json battery doc
 )
 
 // Meta pins the environment a run was produced in. Field names match
-// the _meta object scripts/bench.sh and fbperf already emit, so
+// the _meta object scripts/bench.sh, fbperf and fbsweep emit, so
 // ingestion is a straight copy.
 type Meta struct {
 	GitSHA     string `json:"git_sha,omitempty"`
@@ -55,6 +61,23 @@ type Meta struct {
 	DateUTC    string `json:"date_utc,omitempty"`
 }
 
+// CurrentMeta pins the environment of the running process: the _meta
+// block fbperf and fbsweep write into their reports. The git SHA is
+// best-effort: a run from an exported tree has none, and a missing SHA
+// must not fail the run.
+func CurrentMeta() Meta {
+	m := Meta{
+		Go:         runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUs:       runtime.NumCPU(),
+		DateUTC:    time.Now().UTC().Format(time.RFC3339),
+	}
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		m.GitSHA = strings.TrimSpace(string(out))
+	}
+	return m
+}
+
 // Record is one ledger line: one run of one report family.
 type Record struct {
 	// Schema is the record's schema version (see Schema).
@@ -62,7 +85,7 @@ type Record struct {
 	// Kind names the source report format (Kind* constants).
 	Kind string `json:"kind"`
 	// Label separates incomparable series of the same kind: the fbperf
-	// battery/engine/procs tuple, an fbsweep report ID, the fbcausal
+	// battery/engine/procs tuple, an fbsweep report ID, the fbt causal
 	// config fingerprint. Rolling baselines only mix records with equal
 	// kind AND label.
 	Label string `json:"label,omitempty"`

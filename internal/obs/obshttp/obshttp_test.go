@@ -89,6 +89,38 @@ func TestEventStreamShedding(t *testing.T) {
 	}
 }
 
+// TestEventStreamIdleMarshalsNothing: with nobody subscribed the stream
+// marshals no frame, yet a late subscriber's replay carries the most
+// recent events byte for byte as live frames would have.
+func TestEventStreamIdleMarshalsNothing(t *testing.T) {
+	es := NewEventStream()
+	events := make([]obs.Event, DefaultReplay+10)
+	for i := range events {
+		events[i] = obs.Event{Kind: obs.KindState, Seq: uint64(i), Addr: uint64(i) * 32, From: "I", To: "S"}
+		es.Consume(&events[i])
+	}
+	if frames, _ := es.Stats(); frames != 0 {
+		t.Errorf("idle stream marshalled %d frames, want 0", frames)
+	}
+	_, replay, cancel := es.Subscribe()
+	defer cancel()
+	if len(replay) != DefaultReplay {
+		t.Fatalf("replay depth = %d, want %d", len(replay), DefaultReplay)
+	}
+	for i, frame := range replay {
+		want, err := json.Marshal(&events[len(events)-DefaultReplay+i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(frame) != string(want) {
+			t.Fatalf("replay frame %d = %s, want %s", i, frame, want)
+		}
+	}
+	if frames, _ := es.Stats(); frames != DefaultReplay {
+		t.Errorf("frames = %d after one replay, want %d", frames, DefaultReplay)
+	}
+}
+
 // TestEventStreamCancel: cancel closes the channel exactly once and a
 // cancelled subscriber stops receiving.
 func TestEventStreamCancel(t *testing.T) {

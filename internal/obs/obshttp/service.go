@@ -49,8 +49,8 @@ const (
 // and a registry-feeding event sink. Attach Sinks() to a Recorder,
 // name it with ObserveRecorder, then Serve to expose it all over HTTP.
 //
-// The analyzers are the same single-goroutine sinks fbcausal, fblens
-// and fbwatch replay offline, attached straight to the recorder. Every
+// The analyzers are the same single-goroutine sinks fbt causal, lens
+// and watch replay offline, attached straight to the recorder. Every
 // endpoint and every /metrics callback that reads one does so inside
 // the recorder's View, so a served document covers every event emitted
 // before the request; other readers of these fields do the same while

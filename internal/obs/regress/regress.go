@@ -1,6 +1,6 @@
 // Package regress is the shared regression-decision layer of the
-// observability stack. Every gate in the tree — fbcausal diff, fblens
-// diff, fbperf compare, fbtrend gate, the obshttp /trend endpoint —
+// observability stack. Every gate in the tree — fbt causal diff, fbt
+// lens diff, fbperf compare, fbtrend gate, the obshttp /trend endpoint —
 // answers the same question: did this metric move in its bad direction
 // by enough to matter? The answer used to be duplicated per tool; this
 // package single-sources it.
@@ -238,9 +238,9 @@ func Advisory(key string) bool {
 }
 
 // AbsFloor picks the absolute threshold matching a metric key's unit:
-// nanosecond metrics get the 1µs slack fbcausal/fbperf already used,
+// nanosecond metrics get the 1µs slack fbt causal/fbperf already used,
 // allocation counts the fbperf half-object slack (bytes 16×), queue
-// depths two slots, and dimensionless rates the fblens 0.001. Unknown
+// depths two slots, and dimensionless rates the fbt lens 0.001. Unknown
 // units get a vanishing floor so the relative gate decides alone.
 func AbsFloor(key string) float64 {
 	switch {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestBreachedParity pins the double-gate semantics the pairwise diffs
-// (fbcausal, fblens, fbperf) relied on before the logic moved here:
+// (fbt causal, fbt lens, fbperf) relied on before the logic moved here:
 // both conditions must trip, a zero baseline gates on the absolute
 // floor alone, and boundary values do not trip strict comparisons.
 func TestBreachedParity(t *testing.T) {

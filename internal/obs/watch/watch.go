@@ -29,7 +29,7 @@ import (
 )
 
 // Invariant names one checked property. The names are stable: they are
-// metric label values, fbwatch output, and CI grep targets.
+// metric label values, fbt watch output, and CI grep targets.
 type Invariant string
 
 const (
@@ -163,7 +163,7 @@ type Count struct {
 	N         int64     `json:"n"`
 }
 
-// Report is a snapshot of the monitor for /violations and fbwatch.
+// Report is a snapshot of the monitor for /violations and fbt watch.
 type Report struct {
 	// Events is every event consumed; States and Txs count the checked
 	// kinds.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"futurebus/internal/core"
@@ -145,6 +146,71 @@ func TestCoherenceMatrixEngineDeterminism(t *testing.T) {
 		if got := matrix(tc.engine, tc.shards); got != base {
 			t.Errorf("%s engine at %d shards diverged from det/1:\ngot  %v\nwant %v",
 				tc.engine, tc.shards, got, base)
+		}
+	}
+}
+
+// TestCoherenceEpochsSettleEachSystem: a sweep runs many systems on one
+// recorder, and the analyzer settles each at its KindEpoch marker — so
+// the per-protocol aggregates of a MOESI-then-Dragon stream equal the
+// two systems analyzed separately and merged. The runs differ in length
+// so each system's residency closes at its own horizon. Without the epoch, the
+// MOESI masters' read sources land under Dragon (whose boards reuse
+// their proc ids), Dragon gains ownership moves from MOESI's stale
+// owners, and MOESI's open residency runs on through Dragon's run.
+func TestCoherenceEpochsSettleEachSystem(t *testing.T) {
+	refs := map[string]int{"moesi": 2000, "dragon": 1200}
+	run := func(rec *obs.Recorder, protocol string) {
+		t.Helper()
+		cfg := Homogeneous(protocol, 4)
+		cfg.Obs = rec
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := sys.Generators(func(proc int) workload.Generator {
+			return workload.NewMigratory(proc, 4, 16, 24, sys.WordsPerLine(), 1986)
+		})
+		eng := Engine{Sys: sys, Gens: gens}
+		if _, err := eng.Run(refs[protocol]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var shared coherence.Analyzer
+	rec := obs.New(&shared)
+	want := make(map[string]*coherence.ProtoAnalysis)
+	for _, protocol := range []string{"moesi", "dragon"} {
+		run(rec, protocol)
+		var alone coherence.Analyzer
+		own := obs.New(&alone)
+		run(own, protocol)
+		if err := own.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, pa := range alone.Analyze(-1).Protocols {
+			want[name] = pa
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := shared.Analyze(-1).Protocols
+	if len(got) != len(want) {
+		t.Fatalf("two-system stream analyzed %d protocols, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g := got[name]
+		if g == nil {
+			t.Errorf("%s missing from the two-system analysis", name)
+			continue
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: two-system stream differs from its own run:\n"+
+				"  reads cache/memory %d/%d, want %d/%d\n"+
+				"  ownership moves %d, want %d\n"+
+				"  residency %v, want %v",
+				name, g.CacheSourced, g.MemSourced, w.CacheSourced, w.MemSourced,
+				g.OwnershipMoves, w.OwnershipMoves, g.ResidencyNS, w.ResidencyNS)
 		}
 	}
 }

@@ -30,11 +30,11 @@ type ExperimentOpts struct {
 	// Shards builds every system on an N-shard interleaved fabric
 	// instead of a single bus (0/1 = single bus).
 	Shards int
-	// Perf attaches a private saturation-telemetry sink (internal/obs/
-	// perf) to each homogeneous run, filling Metrics.Perf and the P1
-	// p99arb/peakQ columns. Ignored when Obs is set: the shared
-	// recorder's own perf sink (if any) already covers every run, and a
-	// second recorder would split the event stream.
+	// Perf asks for saturation telemetry (internal/obs/perf) on each
+	// homogeneous run: it fills Metrics.Perf and the P1 p99arb/peakQ
+	// columns. Without Obs each run gets a private perf sink; with Obs
+	// the shared recorder's own perf sink (if any) covers every run, as
+	// a second recorder would split the event stream.
 	Perf bool
 	// Tenure, Discipline and PendingTable select the bus-tenure policy
 	// and arbitration discipline for every system the experiments build
@@ -122,10 +122,10 @@ func ProtocolComparison(protocolNames []string, procCounts []int, opts Experimen
 			if err != nil {
 				return nil, fmt.Errorf("P1 %s×%d: %w", name, n, err)
 			}
-			// Saturation columns need a perf sink (ExperimentOpts.Perf or
-			// an instrumented recorder); "-" marks an unmeasured cell.
+			// Saturation columns follow ExperimentOpts.Perf, not whichever
+			// sinks a shared recorder carries; "-" marks an unmeasured cell.
 			p99arb, peakQ := "-", "-"
-			if m.Perf != nil {
+			if opts.Perf && m.Perf != nil {
 				p99arb = d(m.Perf.Latency[perf.MetricArbWait].P99)
 				peakQ = d(m.Perf.PeakQueueDepth())
 			}
@@ -136,7 +136,7 @@ func ProtocolComparison(protocolNames []string, procCounts []int, opts Experimen
 		}
 	}
 	rep.AddNote("expected shape (§5.2/[Arch85]): system power saturates as the bus does; BS-adapted protocols (write-once, illinois, firefly) pay extra for dirty-line transfers; write-through generates the most write traffic")
-	rep.AddNote("transition mix: inv/ref counts valid→Invalid moves per reference (invalidation churn); ownedShare is the fraction of transitions landing in M/O — fblens analyze gives the full per-protocol matrix from a -record-out trace")
+	rep.AddNote("transition mix: inv/ref counts valid→Invalid moves per reference (invalidation churn); ownedShare is the fraction of transitions landing in M/O — fbt lens analyze gives the full per-protocol matrix from a -record-out trace")
 	rep.AddNote("saturation: p99arb is the p99 arbitration wait in simulated ns (waiting episodes only), peakQ the deepest reconstructed arbitration queue; both read '-' unless the sweep ran with -perf (see docs/OBSERVABILITY.md)")
 	return rep, nil
 }
