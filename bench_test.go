@@ -284,10 +284,10 @@ func BenchmarkP10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mem := memory.New(16)
 		bb := bus.New(mem, bus.Config{LineSize: 16})
-		caches := make([]*cache.SectorCache, 4)
+		caches := make([]*cache.Cache, 4)
 		for j := range caches {
-			caches[j] = cache.NewSector(j, bb, protocols.MOESI(),
-				cache.SectorConfig{Sets: 32, Ways: 2, SubSectors: 4})
+			caches[j] = cache.New(j, bb, protocols.MOESI(),
+				cache.Config{Sets: 32, Ways: 2, SubSectors: 4})
 		}
 		gens := make([]workload.Generator, 4)
 		for j := range gens {

@@ -3,18 +3,19 @@
 // (processor read/write, replacement pass/flush) and every snooped bus
 // event is resolved by a core.Policy choosing an action from its
 // protocol table, so the same engine runs MOESI, Berkeley, Dragon,
-// Write-Once, Illinois, Firefly and write-through protocols.
+// Write-Once, Illinois, Firefly and write-through protocols, in plain
+// and §5.1 sector organisations alike (Config.SubSectors).
 //
 // Concurrency contract: each cache serves exactly one processor. The
 // directory is guarded per fabric shard: under the interleave layout
-// constraint (Sets divisible by granularity × shards) every set is
-// homed on exactly one shard, so shard s's snoop sweep and shard t's
-// can pin their slices of the directory concurrently. The processor
-// side locks one shard's mutex for local work and never holds it while
-// waiting for the bus; the bus side (Query/Commit/Cancel) holds it for
-// the duration of the address cycle, mirroring how a Futurebus address
-// handshake pins every unit's directory (§2.1). On a single bus this
-// degenerates to the one-mutex contract the package always had.
+// constraint (see checkLayout) every set is homed on exactly one shard,
+// so shard s's snoop sweep and shard t's can pin their slices of the
+// directory concurrently. The processor side locks one shard's mutex
+// for local work and never holds it while waiting for the bus; the bus
+// side (Query/Commit/Cancel) holds it for the duration of the address
+// cycle, mirroring how a Futurebus address handshake pins every unit's
+// directory (§2.1). On a single bus this degenerates to the one-mutex
+// contract the package always had.
 package cache
 
 import (
@@ -31,8 +32,16 @@ import (
 // Config parameterises a cache.
 type Config struct {
 	// Sets and Ways give the organisation; capacity is
-	// Sets × Ways × line size.
+	// Sets × Ways × SubSectors × line size.
 	Sets, Ways int
+	// SubSectors, above 1, makes the cache the §5.1 sector organisation
+	// ([Hill84]): one way's address tag and LRU position cover a sector
+	// of SubSectors consecutive lines (the transfer sub-sectors), while
+	// each line keeps its own consistency state and data and is fetched,
+	// snooped and pushed on its own — "consistency status … [is]
+	// necessarily associated with the transfer subsector". A sector miss
+	// evicts a whole resident sector. 0 or 1 is a plain cache.
+	SubSectors int
 	// OnWrite, when non-nil, observes every processor write the cache
 	// applies, in the global per-line modification order (it is called
 	// at the point the write becomes visible). The consistency checker
@@ -82,6 +91,10 @@ func (c *Cache) policyFor(addr bus.Addr) core.Policy {
 // the protocols.
 func DefaultConfig() Config { return Config{Sets: 64, Ways: 2} }
 
+// line is one line of a set. A set holds Ways × SubSectors lines, way
+// w being set[w*SubSectors : (w+1)*SubSectors]. A way's tag is its
+// lines' addresses and its LRU position the latest lastUse among them
+// (see wayUse).
 type line struct {
 	addr    bus.Addr
 	state   core.State
@@ -102,9 +115,13 @@ type Cache struct {
 	// nshards/gran mirror the fabric's interleave parameters so the
 	// hot path maps an address to its shard without an interface call.
 	nshards, gran uint64
+	// subs is the number of lines a way's tag covers: 1 for a plain
+	// cache, Config.SubSectors for a sector cache.
+	subs int
 
 	// shards holds the per-fabric-shard mutable state; sets is indexed
-	// by set number, and set s is guarded by shards[(s/gran)%nshards].
+	// by set number, and every line of a set is homed on one shard,
+	// whose cacheShard guards the set.
 	shards []cacheShard
 	sets   [][]line
 
@@ -135,8 +152,8 @@ type Stats struct {
 	ReadMisses, WriteMisses int64
 	WriteUpgrades           int64 // write hits that needed the bus (S/O)
 	Passes, Flushes         int64
-	Replacements            int64
-	DirtyEvictions          int64
+	Replacements            int64 // ways evicted: a whole sector in a sector cache
+	DirtyEvictions          int64 // lines written back by replacement
 	// Bus-side (snooped).
 	SnoopHits             int64
 	InvalidationsReceived int64
@@ -299,37 +316,38 @@ func (c *Cache) StateCensus() map[core.State]int {
 
 // checkLayout validates a cache geometry against a fabric's interleave
 // parameters: every bus-tenure sequence the cache issues (miss fill +
-// victim flush, RMW, recovery push) must stay on one shard, which
-// holds exactly when each set is homed on a single shard — Sets must
-// be a multiple of granularity × shards. The sector cache indexes by
-// tag, so it passes sets = Sets and granularity in tag units.
-func checkLayout(kind string, sets int, f bus.Fabric, granularity int) {
-	n := f.Shards()
+// victim flushes, RMW, recovery push) must stay on one shard, which
+// holds exactly when each set is homed on a single shard. Sets index
+// sectors (lines, when subs is 1), so the granularity must be a whole
+// number of sectors and Sets a multiple of that number × shards.
+func checkLayout(sets, subs int, f bus.Fabric) {
+	n, gran := f.Shards(), f.Granularity()
 	if n <= 1 {
 		return
 	}
-	if granularity < 1 || sets%(granularity*n) != 0 {
+	if gran%subs != 0 || sets%(gran/subs*n) != 0 {
 		panic(fmt.Sprintf(
-			"cache: %s with %d sets cannot interleave over %d shards at granularity %d (sets must be a multiple of granularity × shards so each set is homed on one shard)",
-			kind, sets, n, granularity))
+			"cache: %d sets of %d-line sectors cannot interleave over %d shards at granularity %d (the granularity must be a multiple of the sector and sets a multiple of granularity/sector × shards, so each set is homed on one shard)",
+			sets, subs, n, gran))
 	}
 }
 
 // New creates a cache and attaches it to the fabric as a snooper (on
 // every shard). The id must be unique among all bus masters.
 func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache: invalid geometry %d sets × %d ways", cfg.Sets, cfg.Ways))
+	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SubSectors < 0 {
+		panic(fmt.Sprintf("cache: invalid geometry %d sets × %d ways × %d sub-sectors", cfg.Sets, cfg.Ways, cfg.SubSectors))
 	}
-	checkLayout("cache", cfg.Sets, b, b.Granularity())
+	subs := max(cfg.SubSectors, 1)
+	checkLayout(cfg.Sets, subs, b)
 	c := &Cache{
 		id: id, bus: b, policy: policy, cfg: cfg, obs: b.Recorder(),
-		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()),
+		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()), subs: subs,
 	}
 	c.shards = make([]cacheShard, c.nshards)
 	c.sets = make([][]line, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = make([]line, cfg.Ways*subs)
 	}
 	b.Attach(c)
 	return c
@@ -362,25 +380,31 @@ func (c *Cache) Stats() Stats {
 // goroutine.
 func (c *Cache) Stall() int64 { return c.stall.Load() }
 
-// setFor maps a line address to its set index.
-func (c *Cache) setFor(addr bus.Addr) int {
-	return int(uint64(addr) % uint64(c.cfg.Sets))
+// setFor maps a line address to its set and to the line's position in
+// a way (always 0 in a plain cache, which indexes without dividing).
+func (c *Cache) setFor(addr bus.Addr) ([]line, int) {
+	a, i := uint64(addr), 0
+	if c.subs > 1 {
+		a, i = a/uint64(c.subs), int(a%uint64(c.subs))
+	}
+	return c.sets[a%uint64(c.cfg.Sets)], i
 }
 
-// lookup returns the way holding addr, or nil. Callers hold the shard
-// lock guarding addr.
+// lookup returns the valid line holding addr, or nil. Callers hold the
+// shard lock guarding addr. It is kept small enough for the compiler to
+// inline into every hit path.
 func (c *Cache) lookup(addr bus.Addr) *line {
-	set := c.sets[c.setFor(addr)]
-	for i := range set {
-		if set[i].state.Valid() && set[i].addr == addr {
-			return &set[i]
+	set, i := c.setFor(addr)
+	for ; i < len(set); i += c.subs {
+		if l := &set[i]; l.addr == addr && l.state != core.Invalid {
+			return l
 		}
 	}
 	return nil
 }
 
 // touch updates the LRU clock for a line. Callers hold sh.mu, where sh
-// guards l.addr (LRU only ever compares lines of one set, and a set is
+// guards l.addr (LRU only ever compares ways of one set, and a set is
 // homed on one shard, so a per-shard clock orders everything it needs
 // to).
 func (c *Cache) touch(sh *cacheShard, l *line) {
@@ -388,22 +412,60 @@ func (c *Cache) touch(sh *cacheShard, l *line) {
 	l.lastUse = sh.clock
 }
 
-// victim returns the way to fill for addr: an invalid way if one
-// exists, else the least recently used. Callers hold addr's shard
-// lock. The victim shares addr's set, hence its home shard — a miss
-// fill and its eviction push stay on the bus tenure already held.
-func (c *Cache) victim(addr bus.Addr) *line {
-	set := c.sets[c.setFor(addr)]
-	var lru *line
-	for i := range set {
-		if !set[i].state.Valid() {
-			return &set[i]
-		}
-		if lru == nil || set[i].lastUse < lru.lastUse {
-			lru = &set[i]
+// wayUse returns a way's LRU position, the latest use of any of its
+// lines, and whether the way holds a tag. A plain way holds one while
+// its line is valid; a sector way from its first claim on, since it
+// keeps its tag until it is evicted.
+func (c *Cache) wayUse(way []line) (uint64, bool) {
+	if c.subs == 1 {
+		return way[0].lastUse, way[0].state.Valid()
+	}
+	var use uint64
+	for i := range way {
+		use = max(use, way[i].lastUse)
+	}
+	return use, use > 0
+}
+
+// victim returns the way addr's line is to occupy, the line's slot in
+// it, and whether the way must be evicted first: a way already tagged
+// with addr's sector, else the first untagged way, else the least
+// recently used way. Callers hold addr's shard lock. The victim shares
+// addr's set, hence its home shard — a miss fill and its eviction
+// pushes stay on the bus tenure already held.
+func (c *Cache) victim(addr bus.Addr) (way []line, slot *line, evict bool) {
+	set, si := c.setFor(addr)
+	var free, lru []line
+	var lruUse uint64
+	for w := 0; w < len(set); w += c.subs {
+		way := set[w : w+c.subs]
+		use, tagged := c.wayUse(way)
+		switch {
+		case !tagged:
+			if free == nil {
+				free = way
+			}
+		case c.subs > 1 && way[si].addr == addr:
+			return way, &way[si], false
+		case lru == nil || use < lruUse:
+			lru, lruUse = way, use
 		}
 	}
-	return lru
+	if free != nil {
+		return free, &free[si], false
+	}
+	return lru, &lru[si], true
+}
+
+// claim tags a way with addr's sector, every line taking its address
+// in the sector, and makes it the set's most recently used way.
+// Callers hold sh.mu, where sh guards addr.
+func (c *Cache) claim(sh *cacheShard, way []line, slot *line, addr bus.Addr) {
+	base := addr - addr%bus.Addr(c.subs)
+	for i := range way {
+		way[i].addr = base + bus.Addr(i)
+	}
+	c.touch(sh, slot)
 }
 
 // State returns the cache's state for a line (Invalid if absent).
@@ -434,14 +496,20 @@ func (c *Cache) ForEachLine(fn func(addr bus.Addr, s core.State, data []byte)) {
 	}
 }
 
-// recentlyUsed reports whether l is not the least recently used valid
-// line of its set (the §5.2 notion of "quite recently used": the MRU
-// element of a two-element set is recent, the LRU element is nearing
+// recentlyUsed reports whether l's way is not the least recently used
+// tagged way of its set (the §5.2 notion of "quite recently used": the
+// MRU way of a two-way set is recent, the LRU way is nearing
 // replacement). Callers hold l.addr's shard lock.
 func (c *Cache) recentlyUsed(l *line) bool {
-	set := c.sets[c.setFor(l.addr)]
-	for i := range set {
-		if set[i].state.Valid() && set[i].lastUse < l.lastUse {
+	set, si := c.setFor(l.addr)
+	var mine uint64
+	for w := 0; w < len(set); w += c.subs {
+		if &set[w+si] == l {
+			mine, _ = c.wayUse(set[w : w+c.subs])
+		}
+	}
+	for w := 0; w < len(set); w += c.subs {
+		if use, tagged := c.wayUse(set[w : w+c.subs]); tagged && use < mine {
 			return true
 		}
 	}

@@ -282,18 +282,18 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 		}
 	}
 	sh.mu.Lock()
-	var way *line
+	var slot *line
 	buf := &sh.line
 	if retains {
-		way = c.victim(addr)
-		if way.state.Valid() {
-			// makeRoom freed a way; a valid victim here means the set
+		var evict bool
+		if _, slot, evict = c.victim(addr); evict {
+			// makeRoom freed a way; a way to evict here means the set
 			// filled up again, which is impossible while we hold the bus
 			// shard every transaction on this set serialises through.
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("cache %d: no free way for %#x after eviction", c.id, uint64(addr))
 		}
-		buf = &way.data
+		buf = &slot.data
 	}
 	if len(*buf) != c.bus.LineSize() {
 		*buf = make([]byte, c.bus.LineSize())
@@ -320,53 +320,66 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 		// A non-caching read: nothing retained.
 		return data, nil
 	}
-	way.addr = addr
-	c.setStateTx(sh, way, next, "fill", res.TxID)
-	c.touch(sh, way)
+	c.setStateTx(sh, slot, next, "fill", res.TxID)
+	c.touch(sh, slot)
 	return data, nil
 }
 
-// makeRoom evicts a victim from addr's set if no way is free, pushing
-// dirty (owned) victims to memory with the policy's Flush action.
-// Called with the bus held and the shard unlocked. The victim shares
-// addr's set and therefore its home shard, so the push runs on the bus
-// tenure already held.
+// makeRoom readies a way of addr's set for addr's line, evicting the
+// victim way if no way is free: every valid line of it leaves through
+// the policy's Flush action, dirty (owned) lines pushed to memory. The
+// way then takes addr's tag. Called with the bus held and the shard
+// unlocked. The victim shares addr's set and therefore its home shard,
+// so the pushes run on the bus tenure already held.
 func (c *Cache) makeRoom(addr bus.Addr) error {
 	sh := c.shard(addr)
 	sh.mu.Lock()
-	v := c.victim(addr)
-	if !v.state.Valid() {
-		sh.mu.Unlock()
-		return nil
+	defer sh.mu.Unlock()
+	way, slot, evict := c.victim(addr)
+	if evict {
+		sh.stats.Replacements++
+		if c.cfg.OnEvict != nil {
+			// Inclusion hook: let a bridge clear its cluster's copies
+			// before the lines leave this directory (bus held), then
+			// choose again.
+			for i := range way {
+				if a := way[i].addr; way[i].state.Valid() {
+					sh.mu.Unlock()
+					err := c.cfg.OnEvict(a)
+					sh.mu.Lock()
+					if err != nil {
+						return err
+					}
+				}
+			}
+			way, slot, evict = c.victim(addr)
+		}
 	}
-	sh.stats.Replacements++
+	if evict {
+		for i := range way {
+			if way[i].state.Valid() {
+				if err := c.evict(sh, &way[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	c.claim(sh, way, slot, addr)
+	return nil
+}
+
+// evict pushes one line out of a victim way with the policy's Flush
+// action: dropped silently when the action needs no bus (clean E, S),
+// written back otherwise. Called with the bus held and sh locked; sh is
+// locked again when it returns.
+func (c *Cache) evict(sh *cacheShard, v *line) error {
 	victimAddr := v.addr
-	victimState := v.state
-	if c.cfg.OnEvict != nil {
-		// Inclusion hook: let a bridge clear its cluster's copies
-		// before the line leaves this directory (bus held).
-		sh.mu.Unlock()
-		if err := c.cfg.OnEvict(victimAddr); err != nil {
-			return err
-		}
-		sh.mu.Lock()
-		v = c.victim(addr)
-		if !v.state.Valid() {
-			sh.mu.Unlock()
-			return nil
-		}
-		victimAddr = v.addr
-		victimState = v.state
-	}
-	action, ok := c.policyFor(victimAddr).ChooseLocal(victimState, core.Flush)
+	action, ok := c.policyFor(victimAddr).ChooseLocal(v.state, core.Flush)
 	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("cache %d (%s): no flush action for state %s", c.id, c.policyFor(victimAddr).Name(), victimState)
+		return fmt.Errorf("cache %d (%s): no flush action for state %s", c.id, c.policyFor(victimAddr).Name(), v.state)
 	}
 	if !action.NeedsBus() {
-		// Clean victims (E, S) are dropped silently.
 		c.setState(sh, v, core.Invalid, "evict-clean")
-		sh.mu.Unlock()
 		return nil
 	}
 	data := v.data
@@ -385,10 +398,10 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 		Op:       core.BusWrite,
 		Data:     data,
 	})
+	sh.mu.Lock()
 	if err != nil {
 		return err
 	}
-	sh.mu.Lock()
 	sh.stats.DirtyEvictions++
 	sh.stats.Flushes++
 	c.noteStall(sh, victimAddr, res.StallCost())
@@ -398,7 +411,6 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 	if l := c.lookup(victimAddr); l != nil {
 		c.setStateTx(sh, l, action.Next.Resolve(res.CH), "evict", res.TxID)
 	}
-	sh.mu.Unlock()
 	return nil
 }
 

@@ -89,9 +89,10 @@ type memImage interface {
 }
 
 // conformanceRig builds a fresh fabric (a single bus, or an interleaved
-// backplane when shards > 1) with the protocol under test (A), a MOESI
-// environment cache (B, optional), and a raw master id.
-func conformanceRig(t *testing.T, name string, withB bool, shards int, tenure string) (bus.Fabric, memImage, *Cache, *Cache) {
+// backplane when shards > 1) with the protocol under test (A, of subs
+// lines per tag), a MOESI environment cache (B, optional), and a raw
+// master id.
+func conformanceRig(t *testing.T, name string, withB bool, shards, subs int, tenure string) (bus.Fabric, memImage, *Cache, *Cache) {
 	t.Helper()
 	cfg := bus.Config{LineSize: testLineSize}
 	if tenure != "" && tenure != "atomic" {
@@ -105,6 +106,12 @@ func conformanceRig(t *testing.T, name string, withB bool, shards int, tenure st
 		}
 		cfg.Tenure, cfg.Discipline = tp, disc
 	}
+	// A sector cache interleaves at whole sectors, and the plain
+	// environment cache's sets must then cover granularity × shards.
+	gran, envSets := 1, 8
+	if subs > 1 {
+		gran, envSets = subs, 16
+	}
 	var b bus.Fabric
 	var mem memImage
 	if shards == 1 {
@@ -112,9 +119,9 @@ func conformanceRig(t *testing.T, name string, withB bool, shards int, tenure st
 		b = bus.New(m, cfg)
 		mem = m
 	} else {
-		m := memory.NewSharded(testLineSize, shards, 1)
+		m := memory.NewSharded(testLineSize, shards, gran)
 		b = bus.NewInterleaved(m.Ports(), bus.InterleavedConfig{
-			Config: cfg, Shards: shards, Granularity: 1,
+			Config: cfg, Shards: shards, Granularity: gran,
 		})
 		mem = m
 	}
@@ -122,10 +129,10 @@ func conformanceRig(t *testing.T, name string, withB bool, shards int, tenure st
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(0, b, p, Config{Sets: 8, Ways: 2})
+	a := New(0, b, p, Config{Sets: 8, Ways: 2, SubSectors: subs})
 	var envB *Cache
 	if withB {
-		envB = New(1, b, protocols.MOESI(), Config{Sets: 8, Ways: 2})
+		envB = New(1, b, protocols.MOESI(), Config{Sets: envSets, Ways: 2})
 	}
 	return b, mem, a, envB
 }
@@ -135,6 +142,11 @@ func conformanceRig(t *testing.T, name string, withB bool, shards int, tenure st
 // line's serialisation point is a single bus or one shard of an
 // interleaved backplane.
 var conformanceShards = []int{1, 2, 4}
+
+// conformanceSubSectors are the cache organisations under test: plain,
+// and sectors of four lines under one tag. Consistency state is per line
+// in both (§5.1), so every cell must resolve identically.
+var conformanceSubSectors = []int{1, 4}
 
 // conformanceTenures: every cell must resolve identically whether the
 // bus holds one atomic tenure per transaction or splits the data phase
@@ -157,61 +169,63 @@ func TestSnoopConformance(t *testing.T) {
 	lineData := bytes.Repeat([]byte{0x5A}, testLineSize)
 
 	checked := 0
-	for _, nsh := range conformanceShards {
-		for _, name := range conformanceProtocols {
-			p, err := protocols.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl := p.Table()
-			for _, s := range tbl.States {
-				if !s.Valid() {
-					continue
+	for _, subs := range conformanceSubSectors {
+		for _, nsh := range conformanceShards {
+			for _, name := range conformanceProtocols {
+				p, err := protocols.New(name)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, col := range tbl.BusEvents {
-					for _, withB := range []bool{false, true} {
-						otherCH := withB && chFromMOESISharer(col)
-						want, ok := expectedAfterSnoop(tbl, s, col, otherCH)
-						if !ok {
-							continue
-						}
-						// An exclusive A alongside a sharing B is not a
-						// reachable configuration; skip the contradictory
-						// setup (the CH value would be meaningless).
-						if withB && s.ExclusiveCopy() {
-							continue
-						}
-						for _, ten := range conformanceTenures {
-							_, mem, a, envB := conformanceRig(t, name, withB, nsh, ten)
-							if !s.OwnedCopy() {
-								// Unowned states must match the owner; with no
-								// owner the image is memory.
-								mem.WriteLine(addr, lineData)
+				tbl := p.Table()
+				for _, s := range tbl.States {
+					if !s.Valid() {
+						continue
+					}
+					for _, col := range tbl.BusEvents {
+						for _, withB := range []bool{false, true} {
+							otherCH := withB && chFromMOESISharer(col)
+							want, ok := expectedAfterSnoop(tbl, s, col, otherCH)
+							if !ok {
+								continue
 							}
-							a.forceLine(addr, s, lineData)
-							if envB != nil {
-								envB.forceLine(addr, core.Shared, lineData)
+							// An exclusive A alongside a sharing B is not a
+							// reachable configuration; skip the contradictory
+							// setup (the CH value would be meaningless).
+							if withB && s.ExclusiveCopy() {
+								continue
 							}
+							for _, ten := range conformanceTenures {
+								_, mem, a, envB := conformanceRig(t, name, withB, nsh, subs, ten)
+								if !s.OwnedCopy() {
+									// Unowned states must match the owner; with no
+									// owner the image is memory.
+									mem.WriteLine(addr, lineData)
+								}
+								a.forceLine(addr, s, lineData)
+								if envB != nil {
+									envB.forceLine(addr, core.Shared, lineData)
+								}
 
-							tx := bus.Transaction{MasterID: 9, Signals: col.Signals(), Addr: addr}
-							switch col {
-							case core.BusCacheRead, core.BusPlainRead:
-								tx.Op = core.BusRead
-								tx.Data = make([]byte, a.bus.LineSize())
-							case core.BusCacheRFO:
-								tx.Op = core.BusAddrOnly
-							default:
-								tx.Op = core.BusWrite
-								tx.Partial, tx.Word, tx.Val = true, 0, 0x77
+								tx := bus.Transaction{MasterID: 9, Signals: col.Signals(), Addr: addr}
+								switch col {
+								case core.BusCacheRead, core.BusPlainRead:
+									tx.Op = core.BusRead
+									tx.Data = make([]byte, a.bus.LineSize())
+								case core.BusCacheRFO:
+									tx.Op = core.BusAddrOnly
+								default:
+									tx.Op = core.BusWrite
+									tx.Partial, tx.Word, tx.Val = true, 0, 0x77
+								}
+								if _, err := a.bus.Execute(tx); err != nil {
+									t.Fatalf("%s state %s col %d (B=%t, shards=%d, subs=%d, tenure=%s): %v", name, s.Letter(), col.Column(), withB, nsh, subs, ten, err)
+								}
+								if got := a.State(addr); got != want {
+									t.Errorf("%s: state %s, col %d, B=%t, shards=%d, subs=%d, tenure=%s: engine went to %s, table says %s",
+										name, s.Letter(), col.Column(), withB, nsh, subs, ten, got.Letter(), want.Letter())
+								}
+								checked++
 							}
-							if _, err := a.bus.Execute(tx); err != nil {
-								t.Fatalf("%s state %s col %d (B=%t, shards=%d, tenure=%s): %v", name, s.Letter(), col.Column(), withB, nsh, ten, err)
-							}
-							if got := a.State(addr); got != want {
-								t.Errorf("%s: state %s, col %d, B=%t, shards=%d, tenure=%s: engine went to %s, table says %s",
-									name, s.Letter(), col.Column(), withB, nsh, ten, got.Letter(), want.Letter())
-							}
-							checked++
 						}
 					}
 				}
@@ -231,54 +245,56 @@ func TestLocalConformance(t *testing.T) {
 	lineData := bytes.Repeat([]byte{0x6B}, testLineSize)
 
 	checked := 0
-	for _, nsh := range conformanceShards {
-		for _, name := range conformanceProtocols {
-			p, err := protocols.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl := p.Table()
-			states := append([]core.State{}, tbl.States...)
-			for _, s := range states {
-				for _, e := range tbl.LocalEvents {
-					for _, withB := range []bool{false, true} {
-						want, ok := expectedAfterLocal(tbl, s, e, withB)
-						if !ok {
-							continue
-						}
-						if withB && s.ExclusiveCopy() {
-							continue
-						}
-						for _, ten := range conformanceTenures {
-							_, mem, a, envB := conformanceRig(t, name, withB, nsh, ten)
-							if !s.OwnedCopy() {
-								mem.WriteLine(addr, lineData)
+	for _, subs := range conformanceSubSectors {
+		for _, nsh := range conformanceShards {
+			for _, name := range conformanceProtocols {
+				p, err := protocols.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl := p.Table()
+				states := append([]core.State{}, tbl.States...)
+				for _, s := range states {
+					for _, e := range tbl.LocalEvents {
+						for _, withB := range []bool{false, true} {
+							want, ok := expectedAfterLocal(tbl, s, e, withB)
+							if !ok {
+								continue
 							}
-							if s.Valid() {
-								a.forceLine(addr, s, lineData)
+							if withB && s.ExclusiveCopy() {
+								continue
 							}
-							if envB != nil {
-								envB.forceLine(addr, core.Shared, lineData)
-							}
+							for _, ten := range conformanceTenures {
+								_, mem, a, envB := conformanceRig(t, name, withB, nsh, subs, ten)
+								if !s.OwnedCopy() {
+									mem.WriteLine(addr, lineData)
+								}
+								if s.Valid() {
+									a.forceLine(addr, s, lineData)
+								}
+								if envB != nil {
+									envB.forceLine(addr, core.Shared, lineData)
+								}
 
-							switch e {
-							case core.LocalRead:
-								_, err = a.ReadWord(addr, 0)
-							case core.LocalWrite:
-								err = a.WriteWord(addr, 0, 0x99)
-							case core.Pass:
-								err = a.Pass(addr)
-							case core.Flush:
-								err = a.Flush(addr)
+								switch e {
+								case core.LocalRead:
+									_, err = a.ReadWord(addr, 0)
+								case core.LocalWrite:
+									err = a.WriteWord(addr, 0, 0x99)
+								case core.Pass:
+									err = a.Pass(addr)
+								case core.Flush:
+									err = a.Flush(addr)
+								}
+								if err != nil {
+									t.Fatalf("%s state %s %s (B=%t, shards=%d, subs=%d, tenure=%s): %v", name, s.Letter(), e, withB, nsh, subs, ten, err)
+								}
+								if got := a.State(addr); got != want {
+									t.Errorf("%s: state %s, %s, B=%t, shards=%d, subs=%d, tenure=%s: engine went to %s, table says %s",
+										name, s.Letter(), e, withB, nsh, subs, ten, got.Letter(), want.Letter())
+								}
+								checked++
 							}
-							if err != nil {
-								t.Fatalf("%s state %s %s (B=%t, shards=%d, tenure=%s): %v", name, s.Letter(), e, withB, nsh, ten, err)
-							}
-							if got := a.State(addr); got != want {
-								t.Errorf("%s: state %s, %s, B=%t, shards=%d, tenure=%s: engine went to %s, table says %s",
-									name, s.Letter(), e, withB, nsh, ten, got.Letter(), want.Letter())
-							}
-							checked++
 						}
 					}
 				}

@@ -7,7 +7,8 @@ import (
 
 // forceLine installs a line directly in the directory (tests only): the
 // conformance harness uses it to place a cache in an exact MOESI state
-// before firing one event at it.
+// before firing one event at it. The line's way is tagged with its
+// sector, as a fill would tag it.
 func (c *Cache) forceLine(addr bus.Addr, s core.State, data []byte) {
 	sh := c.shard(addr)
 	sh.mu.Lock()
@@ -18,9 +19,8 @@ func (c *Cache) forceLine(addr bus.Addr, s core.State, data []byte) {
 		}
 		return
 	}
-	v := c.victim(addr)
-	v.addr = addr
+	way, v, _ := c.victim(addr)
+	c.claim(sh, way, v, addr)
 	v.state = s
 	v.data = append(v.data[:0], data...)
-	c.touch(sh, v)
 }

@@ -163,8 +163,8 @@ func TestSectorWriteUpgrade(t *testing.T) {
 		t.Errorf("plain cache has %#x", v)
 	}
 	st := sc.Stats()
-	if st.WriteHits == 0 {
-		t.Error("no write hit recorded")
+	if st.WriteHits == 0 || st.WriteUpgrades == 0 {
+		t.Errorf("write upgrade not recorded: %+v", st)
 	}
 }
 
@@ -187,10 +187,9 @@ func TestSectorOnWriteHook(t *testing.T) {
 	mem := memoryNew(t)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	var calls int
-	sc := NewSector(0, b, protocols.MOESI(), SectorConfig{
-		Sets: 2, Ways: 2, SubSectors: 4,
-		OnWrite: func(bus.Addr, int, uint32) { calls++ },
-	})
+	cfg := sectorCfg()
+	cfg.OnWrite = func(bus.Addr, int, uint32) { calls++ }
+	sc := New(0, b, protocols.MOESI(), cfg)
 	if err := sc.WriteWord(0, 0, 1); err != nil { // miss (RFO)
 		t.Fatal(err)
 	}

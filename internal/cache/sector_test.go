@@ -9,11 +9,15 @@ import (
 	"futurebus/internal/protocols"
 )
 
-func sectorRig(t *testing.T) (*bus.Bus, *memory.Memory, *SectorCache, *Cache) {
+// sectorCfg is a sector cache of 2 sets × 2 ways of 4-line sectors:
+// sector tags 0, 2, 4 (lines 0–3, 8–11, 16–19) share set 0.
+func sectorCfg() Config { return Config{Sets: 2, Ways: 2, SubSectors: 4} }
+
+func sectorRig(t *testing.T) (*bus.Bus, *memory.Memory, *Cache, *Cache) {
 	t.Helper()
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
-	sc := NewSector(0, b, protocols.MOESI(), SectorConfig{Sets: 2, Ways: 2, SubSectors: 4})
+	sc := New(0, b, protocols.MOESI(), sectorCfg())
 	pc := New(1, b, protocols.MOESI(), smallCfg())
 	return b, mem, sc, pc
 }
@@ -29,13 +33,15 @@ func TestSectorBasicRW(t *testing.T) {
 		t.Fatalf("read %#x, %v", v, err)
 	}
 	st := sc.Stats()
-	if st.SectorMisses != 1 || st.ReadHits != 1 {
+	if st.WriteMisses != 1 || st.ReadHits != 1 || st.Replacements != 0 {
 		t.Errorf("stats %+v", st)
 	}
 }
 
-// TestSectorSubFill: lines of one sector fill independently — the
-// second sub-sector is a SubMiss, not a SectorMiss.
+// TestSectorSubFill: lines of one sector fill independently, one
+// transaction each, under the sector's one tag: a whole sector plus a
+// second sector of the same set fit its two ways without a
+// replacement.
 func TestSectorSubFill(t *testing.T) {
 	b, _, sc, _ := sectorRig(t)
 	if _, err := sc.ReadWord(0, 0); err != nil { // sector miss, fetch sub 0
@@ -48,16 +54,26 @@ func TestSectorSubFill(t *testing.T) {
 	if got := b.Stats().Transactions - before; got != 1 {
 		t.Errorf("sub fill used %d transactions", got)
 	}
-	st := sc.Stats()
-	if st.SectorMisses != 1 || st.SubMisses != 1 {
-		t.Errorf("stats %+v", st)
-	}
 	// States are per sub-sector: subs 0,1 valid, 2,3 invalid.
 	if sc.State(0) == core.Invalid || sc.State(1) == core.Invalid {
 		t.Error("filled subs invalid")
 	}
 	if sc.State(2) != core.Invalid || sc.State(3) != core.Invalid {
 		t.Error("unfetched subs valid")
+	}
+	for _, a := range []bus.Addr{2, 3, 8} { // rest of sector 0, then sector 2
+		if _, err := sc.ReadWord(a, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := sc.Stats()
+	if st.ReadMisses != 5 || st.Replacements != 0 {
+		t.Errorf("stats %+v", st)
+	}
+	for a := bus.Addr(0); a < 4; a++ {
+		if !sc.Contains(a) {
+			t.Errorf("line %d of the resident sector lost", a)
+		}
 	}
 }
 
@@ -85,7 +101,7 @@ func TestSectorEvictionFlushesDirtySubs(t *testing.T) {
 		t.Fatal("sector 0 still resident")
 	}
 	st := sc.Stats()
-	if st.SectorEvictions != 1 || st.DirtySubEvictions != 2 {
+	if st.Replacements != 1 || st.DirtyEvictions != 2 || st.Flushes != 2 {
 		t.Errorf("stats %+v", st)
 	}
 	if mem.Peek(0)[0] != 0xA0 || mem.Peek(2)[0] != 0xA2 {
@@ -94,6 +110,24 @@ func TestSectorEvictionFlushesDirtySubs(t *testing.T) {
 	// Data survives the round trip.
 	if v, err := sc.ReadWord(0, 0); err != nil || v != 0xA0 {
 		t.Fatalf("read back %#x, %v", v, err)
+	}
+}
+
+// TestSectorRecentlyUsed: §5.2 recency is a way's, so a line whose
+// sector-mate was used last is recent, whatever its own last use.
+func TestSectorRecentlyUsed(t *testing.T) {
+	_, _, sc, _ := sectorRig(t)
+	mustRead(t, sc, 0, 0) // sector 0 takes way 0 of set 0
+	mustRead(t, sc, 8, 0) // sector 2 takes way 1
+	mustRead(t, sc, 1, 0) // sector 0 is the set's MRU way again
+	sh := sc.shard(0)     // sectors 0 and 2 sit in set 0, hence one shard
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !sc.recentlyUsed(sc.lookup(0)) {
+		t.Error("line of the MRU sector reported stale")
+	}
+	if sc.recentlyUsed(sc.lookup(8)) {
+		t.Error("line of the LRU sector reported recent")
 	}
 }
 
@@ -225,5 +259,5 @@ func TestSectorGeometryPanics(t *testing.T) {
 			t.Error("bad geometry accepted")
 		}
 	}()
-	NewSector(0, b, protocols.MOESI(), SectorConfig{Sets: 1, Ways: 1, SubSectors: 0})
+	New(0, b, protocols.MOESI(), Config{Sets: 1, Ways: 1, SubSectors: -1})
 }

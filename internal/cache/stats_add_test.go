@@ -40,30 +40,3 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		t.Errorf("Add dropped a field:\n got %+v\nwant %+v", a, want)
 	}
 }
-
-// TestSectorStatsAsStats: the conversion derives misses and maps the
-// sector-specific eviction counters onto their plain-cache analogues.
-func TestSectorStatsAsStats(t *testing.T) {
-	s := SectorStats{
-		Reads: 100, Writes: 40,
-		ReadHits: 90, WriteHits: 30,
-		SubMisses: 12, SectorMisses: 8,
-		SectorEvictions: 5, DirtySubEvictions: 3,
-		SnoopHits: 7, InvalidationsReceived: 2,
-		UpdatesReceived: 4, InterventionsSupplied: 1,
-		StallNanos: 12345,
-	}
-	got := s.AsStats()
-	want := Stats{
-		Reads: 100, Writes: 40,
-		ReadHits: 90, WriteHits: 30,
-		ReadMisses: 10, WriteMisses: 10,
-		Replacements: 5, DirtyEvictions: 3,
-		SnoopHits: 7, InvalidationsReceived: 2,
-		UpdatesReceived: 4, InterventionsSupplied: 1,
-		StallNanos: 12345,
-	}
-	if got != want {
-		t.Errorf("AsStats:\n got %+v\nwant %+v", got, want)
-	}
-}

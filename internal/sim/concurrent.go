@@ -59,7 +59,7 @@ func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Met
 		HitLatency: DefaultHitLatency,
 		Bus:        sys.Bus.Stats(),
 		Memory:     sys.Memory.Stats(),
-		Cache:      aggregate(sys.Caches, sys.SectorCaches),
+		Cache:      aggregate(sys.Caches),
 		Hist:       histSummaries(sys.Obs),
 		Perf:       perfSnapshot(sys.Obs),
 	}

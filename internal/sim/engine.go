@@ -240,7 +240,7 @@ func (e *Engine) metrics(refs, elapsed, hit int64) Metrics {
 		HitLatency:   hit,
 		Bus:          e.Sys.Bus.Stats(),
 		Memory:       e.Sys.Memory.Stats(),
-		Cache:        aggregate(e.Sys.Caches, e.Sys.SectorCaches),
+		Cache:        aggregate(e.Sys.Caches),
 		Hist:         histSummaries(e.Sys.Obs),
 		Perf:         perfSnapshot(e.Sys.Obs),
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"strconv"
 	"testing"
+
+	"futurebus/internal/obs"
 )
 
 // TestP9GlobalTrafficShrinksWithClustering: the §6 multi-bus shape —
@@ -53,5 +55,29 @@ func TestP10SectorMatchesBigTagBudget(t *testing.T) {
 	}
 	if sector > baseline*1.5 {
 		t.Errorf("sector miss %.4f far above the 256-tag baseline %.4f", sector, baseline)
+	}
+}
+
+// TestP10HonoursFabricOptions: P10 builds its systems from the sweep's
+// options like every other experiment, so an unknown discipline is an
+// error and a 4-shard run spreads its transactions over several buses.
+func TestP10HonoursFabricOptions(t *testing.T) {
+	if _, err := SectorVsPlain(ExperimentOpts{RefsPerProc: 50, Seed: 1986, Discipline: "no-such"}); err == nil {
+		t.Error("P10 accepted an unknown discipline")
+	}
+	buses := map[int]bool{}
+	rec := obs.New(obs.SinkFunc(func(e *obs.Event) {
+		if e.Kind == obs.KindTx {
+			buses[e.Bus] = true
+		}
+	}))
+	if _, err := SectorVsPlain(ExperimentOpts{RefsPerProc: 200, Seed: 1986, Shards: 4, Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(buses) < 2 {
+		t.Errorf("4-shard P10 put every transaction on buses %v", buses)
 	}
 }

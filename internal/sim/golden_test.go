@@ -78,6 +78,15 @@ func goldenCases() []goldenCase {
 			{Protocol: "moesi", SectorSubs: 4}, {Protocol: "dragon", SectorSubs: 4},
 			{Protocol: "moesi"}, {Protocol: "berkeley"},
 		}}, gens: abShape(0.3, 13), refs: 2000},
+		// 8 sets × 2 ways of 4-line sectors against 112 lines per
+		// board: sector misses evict whole sectors, dirty lines and all.
+		{name: "sector-evict", cfg: Config{
+			Boards: []BoardSpec{
+				{Protocol: "moesi", SectorSubs: 4}, {Protocol: "dragon", SectorSubs: 4},
+				{Protocol: "illinois", SectorSubs: 4}, {Protocol: "berkeley"},
+			},
+			CacheSets: 8, CacheWays: 2, Shards: 2, Tenure: "split", Discipline: "rr",
+		}, gens: abShape(0.3, 5), refs: 3000},
 		{name: "uncached", cfg: Config{Boards: []BoardSpec{
 			{Protocol: "moesi"}, {Protocol: "berkeley"}, {Protocol: "dragon"},
 			{Protocol: "uncached"}, {Protocol: "uncached-broadcast"},

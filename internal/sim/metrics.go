@@ -65,15 +65,11 @@ func perfSnapshot(rec *obs.Recorder) (snap *perf.Snapshot) {
 	return snap
 }
 
-// aggregate sums per-cache stats via cache.Stats.Add, folding
-// sector-cache counters in through SectorStats.AsStats — both live next
-// to the Stats definitions, so a new counter cannot be silently dropped
+// aggregate sums per-cache stats via cache.Stats.Add, which lives next
+// to the Stats definition, so a new counter cannot be silently dropped
 // here.
-func aggregate(caches []*cache.Cache, sectors []*cache.SectorCache) cache.Stats {
+func aggregate(caches []*cache.Cache) cache.Stats {
 	var total cache.Stats
-	for _, sc := range sectors {
-		total.Add(sc.Stats().AsStats())
-	}
 	for _, c := range caches {
 		total.Add(c.Stats())
 	}

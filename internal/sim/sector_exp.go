@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"futurebus/internal/bus"
-	"futurebus/internal/cache"
-	"futurebus/internal/check"
-	"futurebus/internal/memory"
-	"futurebus/internal/protocols"
 	"futurebus/internal/workload"
 )
 
@@ -49,83 +45,47 @@ func SectorVsPlain(opts ExperimentOpts) (*Report, error) {
 		{"plain 64B, 64 tags", 64, 0, 4096},
 		{"plain 16B, 256 tags", 16, 0, 4096},
 	} {
-		mem := memory.New(sh.lineSize)
-		if opts.Obs != nil {
-			mem.SetObs(opts.Obs)
+		// A sector's one tag covers sh.sector lines.
+		tags := sh.capacity / (sh.lineSize * max(sh.sector, 1))
+		cfg := Config{
+			LineSize: sh.lineSize, CacheSets: tags / 2, CacheWays: 2,
+			Boards: make([]BoardSpec, procs), Shadow: true,
 		}
-		b := bus.New(mem, bus.Config{LineSize: sh.lineSize, Obs: opts.Obs})
-		shadow := check.NewShadow(sh.lineSize)
-
-		capacity := sh.capacity
-		var sources []check.LineSource
-		type board interface {
-			ReadWord(bus.Addr, int) (uint32, error)
-			WriteWord(bus.Addr, int, uint32) error
+		for i := range cfg.Boards {
+			cfg.Boards[i] = BoardSpec{Protocol: "moesi", SectorSubs: sh.sector}
 		}
-		var boards []board
-		var tags int
-		// stats sums the arm's caches through the one shared aggregate
-		// helper; with the RFO write-miss policy used here, derived
-		// misses equal the sector cache's SubMisses+SectorMisses.
-		var stats func() cache.Stats
-
-		if sh.sector == 0 {
-			lines := capacity / sh.lineSize
-			var caches []*cache.Cache
-			for i := 0; i < procs; i++ {
-				c := cache.New(i, b, protocols.MOESI(), cache.Config{
-					Sets: lines / 2, Ways: 2, OnWrite: shadow.OnWrite,
-				})
-				caches = append(caches, c)
-				boards = append(boards, c)
-				sources = append(sources, c)
-			}
-			tags = lines
-			stats = func() cache.Stats { return aggregate(caches, nil) }
-		} else {
-			sectors := capacity / (sh.lineSize * sh.sector)
-			var caches []*cache.SectorCache
-			for i := 0; i < procs; i++ {
-				c := cache.NewSector(i, b, protocols.MOESI(), cache.SectorConfig{
-					Sets: sectors / 2, Ways: 2, SubSectors: sh.sector, OnWrite: shadow.OnWrite,
-				})
-				caches = append(caches, c)
-				boards = append(boards, c)
-				sources = append(sources, c)
-			}
-			tags = sectors
-			stats = func() cache.Stats { return aggregate(nil, caches) }
+		opts.apply(&cfg)
+		sys, err := New(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("P10 %s: %w", sh.name, err)
 		}
 
 		// A 2.5 KiB shared buffer, re-walked: reuse fits 4 KiB caches
 		// but not the tag-starved 1 KiB organisation.
-		gens := make([]workload.Generator, procs)
-		for i := range gens {
-			gens[i] = workload.NewSequential(i, 640, sh.lineSize/4, 0.02, opts.Seed)
-		}
+		gens := sys.Generators(func(proc int) workload.Generator {
+			return workload.NewSequential(proc, 640, sh.lineSize/4, 0.02, opts.Seed)
+		})
 		for n := 0; n < refs; n++ {
-			for pi, bd := range boards {
+			for pi, bd := range sys.Boards {
 				ref := gens[pi].Next()
-				var err error
 				if ref.Write {
-					err = bd.WriteWord(bus.Addr(ref.Line), ref.Word, ref.Val)
+					err = bd.Write(bus.Addr(ref.Line), ref.Word, ref.Val)
 				} else {
-					_, err = bd.ReadWord(bus.Addr(ref.Line), ref.Word)
+					_, err = bd.Read(bus.Addr(ref.Line), ref.Word)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("P10 %s: %w", sh.name, err)
 				}
 			}
 		}
-		checker := &check.Checker{Caches: sources, Memory: mem, Shadow: shadow}
-		if err := checker.MustPass(); err != nil {
+		if err := sys.Checker().MustPass(); err != nil {
 			return nil, fmt.Errorf("P10 %s: %w", sh.name, err)
 		}
 
-		st := b.Stats()
-		cs := stats()
+		st := sys.Bus.Stats()
+		cs := aggregate(sys.Caches)
 		total := float64(refs * procs)
-		rep.AddRow(sh.name, d(int64(tags)), fmt.Sprintf("%dB", capacity),
+		rep.AddRow(sh.name, d(int64(tags)), fmt.Sprintf("%dB", sh.capacity),
 			f(float64(cs.ReadMisses+cs.WriteMisses)/total),
 			f(float64(st.Transactions)/total),
 			f2(float64(st.BytesTransferred)/total),

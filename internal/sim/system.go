@@ -44,8 +44,8 @@ type Board interface {
 type BoardSpec struct {
 	Protocol string
 	// SectorSubs, when non-zero, makes the board a §5.1 sector cache
-	// with that many sub-sectors per tag (its data capacity stays
-	// CacheSets × CacheWays × SectorSubs × line size).
+	// with that many sub-sectors per tag (cache.Config.SubSectors; its
+	// data capacity is CacheSets × CacheWays × SectorSubs × line size).
 	SectorSubs int
 	// Fault names an internal/faults wrapper to inject into this
 	// board's policy — a deliberate protocol bug for testing the
@@ -103,11 +103,10 @@ type System struct {
 	Bus    bus.Fabric
 	Memory *memory.Sharded
 	Boards []Board
-	// Caches lists the plain cached boards (subset of Boards) for the
-	// checker and reports; SectorCaches the sector-organised ones.
-	Caches       []*cache.Cache
-	SectorCaches []*cache.SectorCache
-	Shadow       *check.Shadow
+	// Caches lists the cached boards, plain and sector (subset of
+	// Boards), for the checker and reports.
+	Caches []*cache.Cache
+	Shadow *check.Shadow
 	// Obs is the recorder the system was built with (nil if untraced).
 	Obs *obs.Recorder
 
@@ -147,19 +146,6 @@ func (b *cachedBoard) Write(addr bus.Addr, word int, val uint32) error {
 }
 func (b *cachedBoard) UsesBusNext(addr bus.Addr, write bool) bool { return b.WouldUseBus(addr, write) }
 func (b *cachedBoard) Describe() string                           { return b.name }
-
-// sectorBoard adapts cache.SectorCache to Board.
-type sectorBoard struct {
-	*cache.SectorCache
-	name string
-}
-
-func (b *sectorBoard) Read(addr bus.Addr, word int) (uint32, error) { return b.ReadWord(addr, word) }
-func (b *sectorBoard) Write(addr bus.Addr, word int, val uint32) error {
-	return b.WriteWord(addr, word, val)
-}
-func (b *sectorBoard) UsesBusNext(addr bus.Addr, write bool) bool { return b.WouldUseBus(addr, write) }
-func (b *sectorBoard) Describe() string                           { return b.name }
 
 // uncachedBoard adapts cache.Uncached to Board.
 type uncachedBoard struct {
@@ -275,23 +261,16 @@ func New(cfg Config) (*System, error) {
 			if p, err = faults.Wrap(spec.Fault, p); err != nil {
 				return nil, fmt.Errorf("sim: board %d: %w", i, err)
 			}
-			if spec.SectorSubs > 0 {
-				c := cache.NewSector(i, b, p, cache.SectorConfig{
-					Sets: cfg.CacheSets, Ways: cfg.CacheWays,
-					SubSectors: spec.SectorSubs, OnWrite: onWrite,
-				})
-				sys.SectorCaches = append(sys.SectorCaches, c)
-				sys.Boards = append(sys.Boards, &sectorBoard{
-					SectorCache: c,
-					name:        fmt.Sprintf("%s/sector%d", spec.Protocol, spec.SectorSubs),
-				})
-				continue
-			}
 			c := cache.New(i, b, p, cache.Config{
-				Sets: cfg.CacheSets, Ways: cfg.CacheWays, OnWrite: onWrite,
+				Sets: cfg.CacheSets, Ways: cfg.CacheWays,
+				SubSectors: spec.SectorSubs, OnWrite: onWrite,
 			})
+			name := spec.Protocol
+			if spec.SectorSubs > 0 {
+				name = fmt.Sprintf("%s/sector%d", spec.Protocol, spec.SectorSubs)
+			}
 			sys.Caches = append(sys.Caches, c)
-			sys.Boards = append(sys.Boards, &cachedBoard{Cache: c, name: spec.Protocol})
+			sys.Boards = append(sys.Boards, &cachedBoard{Cache: c, name: name})
 		}
 	}
 	return sys, nil
@@ -309,11 +288,8 @@ func Homogeneous(protocol string, n int) Config {
 // Checker returns a consistency checker over the system. Run it only
 // when the system is quiesced.
 func (s *System) Checker() *check.Checker {
-	sources := make([]check.LineSource, 0, len(s.Caches)+len(s.SectorCaches))
+	sources := make([]check.LineSource, 0, len(s.Caches))
 	for _, c := range s.Caches {
-		sources = append(sources, c)
-	}
-	for _, c := range s.SectorCaches {
 		sources = append(sources, c)
 	}
 	return &check.Checker{Caches: sources, Memory: s.Memory, Shadow: s.Shadow}

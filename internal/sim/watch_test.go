@@ -10,9 +10,10 @@ import (
 )
 
 // runWatched assembles a 4-board moesi system (board 0 optionally
-// faulted), runs it with a sharing-heavy workload under the given
-// engine and shard count, and returns the monitor's report.
-func runWatched(t *testing.T, fault, engine string, shards, refs int) *watch.Report {
+// faulted, and a sector cache of subs lines per tag when subs > 0),
+// runs it with a sharing-heavy workload under the given engine and
+// shard count, and returns the monitor's report.
+func runWatched(t *testing.T, fault, engine string, shards, subs, refs int) *watch.Report {
 	t.Helper()
 	mon := watch.New(watch.Config{})
 	rec := obs.New(mon)
@@ -25,6 +26,12 @@ func runWatched(t *testing.T, fault, engine string, shards, refs int) *watch.Rep
 	cfg.Boards[0].Fault = fault
 	cfg.CacheSets = 8 // small cache: replacement traffic exercises Flush
 	cfg.CacheWays = 2
+	if subs > 0 {
+		// The fabric interleaves whole sectors, so 16 sets keep every
+		// set on one of 4 shards.
+		cfg.Boards[0].SectorSubs = subs
+		cfg.CacheSets = 16
+	}
 	cfg.Shards = shards
 	cfg.Obs = rec
 	sys, err := New(cfg)
@@ -60,23 +67,30 @@ func runWatched(t *testing.T, fault, engine string, shards, refs int) *watch.Rep
 // TestWatchDetectsEveryFault is the fault-injection proof: every fault
 // class in the internal/faults catalog must be caught by the runtime
 // monitor with the invariant the catalog names, on both engines, at 1
-// and 4 shards.
+// and 4 shards, with the faulted board a plain cache and a sector
+// cache (suffix /sector4).
 func TestWatchDetectsEveryFault(t *testing.T) {
+	orgs := []struct {
+		suffix string
+		subs   int
+	}{{"", 0}, {"/sector4", 4}}
 	for _, f := range faults.Catalog() {
 		for _, engine := range []string{"det", "conc"} {
 			for _, shards := range []int{1, 4} {
-				f, engine, shards := f, engine, shards
-				t.Run(f.Name+"/"+engine+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-					rep := runWatched(t, f.Name, engine, shards, 3000)
-					if rep.Total == 0 {
-						t.Fatalf("fault %s went undetected (%d states, %d txs checked)",
-							f.Name, rep.States, rep.Txs)
-					}
-					if rep.ByInvariant[watch.Invariant(f.Expect)] == 0 {
-						t.Fatalf("fault %s detected, but not as %s: by-invariant %v (first: %v)",
-							f.Name, f.Expect, rep.ByInvariant, rep.First)
-					}
-				})
+				for _, org := range orgs {
+					f, engine, shards, org := f, engine, shards, org
+					t.Run(f.Name+"/"+engine+"/shards="+string(rune('0'+shards))+org.suffix, func(t *testing.T) {
+						rep := runWatched(t, f.Name, engine, shards, org.subs, 3000)
+						if rep.Total == 0 {
+							t.Fatalf("fault %s went undetected (%d states, %d txs checked)",
+								f.Name, rep.States, rep.Txs)
+						}
+						if rep.ByInvariant[watch.Invariant(f.Expect)] == 0 {
+							t.Fatalf("fault %s detected, but not as %s: by-invariant %v (first: %v)",
+								f.Name, f.Expect, rep.ByInvariant, rep.First)
+						}
+					})
+				}
 			}
 		}
 	}
