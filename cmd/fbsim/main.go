@@ -33,7 +33,7 @@ func main() {
 	pwrite := flag.Float64("pwrite", 0.3, "probability a reference is a write")
 	wl := flag.String("workload", "ab", "workload: ab, migratory, producer-consumer, read-mostly, ping-pong, zipf")
 	engine := flag.String("engine", "det", "engine: det (deterministic) or conc (goroutine per board)")
-	lineSize := flag.Int("line", 32, "system line size in bytes")
+	lineSize := flag.Int("line", 32, fmt.Sprintf("system line size in bytes (a multiple of 4, at most %d)", sim.MaxLineSize))
 	sets := flag.Int("sets", 64, "cache sets")
 	ways := flag.Int("ways", 2, "cache ways")
 	checkConsistency := flag.Bool("check", true, "run the consistency checker at the end")

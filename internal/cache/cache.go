@@ -8,7 +8,7 @@
 //
 // Concurrency contract: each cache serves exactly one processor. The
 // directory is guarded per fabric shard: under the interleave layout
-// constraint (see checkLayout) every set is homed on exactly one shard,
+// constraint (see CheckGeometry) every set is homed on exactly one shard,
 // so shard s's snoop sweep and shard t's can pin their slices of the
 // directory concurrently. The processor side locks one shard's mutex
 // for local work and never holds it while waiting for the bus; the bus
@@ -40,7 +40,8 @@ type Config struct {
 	// each line keeps its own consistency state and data and is fetched,
 	// snooped and pushed on its own — "consistency status … [is]
 	// necessarily associated with the transfer subsector". A sector miss
-	// evicts a whole resident sector. 0 or 1 is a plain cache.
+	// evicts a whole resident sector. 0 or 1 is a plain cache; at most
+	// MaxSubSectors.
 	SubSectors int
 	// OnWrite, when non-nil, observes every processor write the cache
 	// applies, in the global per-line modification order (it is called
@@ -94,7 +95,8 @@ func DefaultConfig() Config { return Config{Sets: 64, Ways: 2} }
 // line is one line of a set. A set holds Ways × SubSectors lines, way
 // w being set[w*SubSectors : (w+1)*SubSectors]. A way's tag is its
 // lines' addresses and its LRU position the latest lastUse among them
-// (see wayUse).
+// (see wayUse). data is the line's own slice of the cache's data slab,
+// one line long, fixed at New.
 type line struct {
 	addr    bus.Addr
 	state   core.State
@@ -121,7 +123,8 @@ type Cache struct {
 
 	// shards holds the per-fabric-shard mutable state; sets is indexed
 	// by set number, and every line of a set is homed on one shard,
-	// whose cacheShard guards the set.
+	// whose cacheShard guards the set. Every set is a window on one
+	// slab of lines.
 	shards []cacheShard
 	sets   [][]line
 
@@ -314,40 +317,56 @@ func (c *Cache) StateCensus() map[core.State]int {
 	return census
 }
 
-// checkLayout validates a cache geometry against a fabric's interleave
-// parameters: every bus-tenure sequence the cache issues (miss fill +
-// victim flushes, RMW, recovery push) must stay on one shard, which
-// holds exactly when each set is homed on a single shard. Sets index
-// sectors (lines, when subs is 1), so the granularity must be a whole
-// number of sectors and Sets a multiple of that number × shards.
-func checkLayout(sets, subs int, f bus.Fabric) {
-	n, gran := f.Shards(), f.Granularity()
-	if n <= 1 {
-		return
+// MaxSubSectors bounds Config.SubSectors: a 64-line sector already
+// spans 2 KiB at the default 32-byte line.
+const MaxSubSectors = 64
+
+// CheckGeometry validates a cache organisation against a fabric's
+// interleave parameters, its shard count and granularity in lines. Sets
+// and Ways must be positive and SubSectors within 0..MaxSubSectors.
+// On more than one shard every bus-tenure sequence the cache issues
+// (miss fill + victim flushes, RMW, recovery push) must stay on one
+// shard, which holds exactly when each set is homed on a single shard.
+// Sets index sectors (lines, in a plain cache), so the granularity must
+// be a whole number of sectors and Sets a multiple of that number ×
+// shards. New panics on the error; sim.New returns it.
+func CheckGeometry(cfg Config, shards, gran int) error {
+	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SubSectors < 0 || cfg.SubSectors > MaxSubSectors {
+		return fmt.Errorf("cache: invalid geometry %d sets × %d ways × %d sub-sectors (sets and ways must be positive, sub-sectors 0..%d)",
+			cfg.Sets, cfg.Ways, cfg.SubSectors, MaxSubSectors)
 	}
-	if gran%subs != 0 || sets%(gran/subs*n) != 0 {
-		panic(fmt.Sprintf(
+	subs := max(cfg.SubSectors, 1)
+	if shards > 1 && (gran%subs != 0 || cfg.Sets%(gran/subs*shards) != 0) {
+		return fmt.Errorf(
 			"cache: %d sets of %d-line sectors cannot interleave over %d shards at granularity %d (the granularity must be a multiple of the sector and sets a multiple of granularity/sector × shards, so each set is homed on one shard)",
-			sets, subs, n, gran))
+			cfg.Sets, subs, shards, gran)
 	}
+	return nil
 }
 
 // New creates a cache and attaches it to the fabric as a snooper (on
-// every shard). The id must be unique among all bus masters.
+// every shard). The id must be unique among all bus masters. It panics
+// on a geometry CheckGeometry rejects. The cache's lines, and their
+// data, are allocated as one slab each.
 func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SubSectors < 0 {
-		panic(fmt.Sprintf("cache: invalid geometry %d sets × %d ways × %d sub-sectors", cfg.Sets, cfg.Ways, cfg.SubSectors))
+	if err := CheckGeometry(cfg, b.Shards(), b.Granularity()); err != nil {
+		panic(err.Error())
 	}
 	subs := max(cfg.SubSectors, 1)
-	checkLayout(cfg.Sets, subs, b)
 	c := &Cache{
 		id: id, bus: b, policy: policy, cfg: cfg, obs: b.Recorder(),
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()), subs: subs,
 	}
 	c.shards = make([]cacheShard, c.nshards)
+	ways, size := cfg.Ways*subs, b.LineSize()
+	lines := make([]line, cfg.Sets*ways)
+	data := make([]byte, len(lines)*size)
+	for i := range lines {
+		lines[i].data = data[i*size : (i+1)*size : (i+1)*size]
+	}
 	c.sets = make([][]line, cfg.Sets)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways*subs)
+		c.sets[i] = lines[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	b.Attach(c)
 	return c

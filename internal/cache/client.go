@@ -296,7 +296,7 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 		buf = &slot.data
 	}
 	if len(*buf) != c.bus.LineSize() {
-		*buf = make([]byte, c.bus.LineSize())
+		*buf = make([]byte, c.bus.LineSize()) // the scratch line, on first use
 	}
 	data := *buf
 	sh.mu.Unlock()

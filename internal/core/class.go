@@ -70,6 +70,14 @@ type SnoopClassEntry struct {
 var (
 	localClass [numStates][numLocalEvents][]LocalClassEntry
 	snoopClass [numStates][numBusEvents][]SnoopClassEntry
+
+	// localChoices and snoopChoices are the class's action lists,
+	// computed once at init: localChoices per variant mask (every
+	// combination of the three Variant bits), state and event,
+	// snoopChoices per state and bus event. LocalChoicesFor and
+	// SnoopChoices hand them out shared.
+	localChoices [AnyVariant + 1][numStates][numLocalEvents][]LocalAction
+	snoopChoices [numStates][numBusEvents][]SnoopAction
 )
 
 // mustLocal parses a canonical local action string or panics; class
@@ -108,6 +116,35 @@ func addSnoop(s State, e BusEvent, origin, cell string) {
 func init() {
 	buildLocalClass()
 	buildSnoopClass()
+	buildChoices()
+}
+
+// buildChoices precomputes the choice lists from the class entries.
+// Each list is clipped to its length, so a caller's append copies it
+// instead of writing into a list another board is reading.
+func buildChoices() {
+	for v := range localChoices {
+		for s := range localChoices[v] {
+			for e := range localChoices[v][s] {
+				var out []LocalAction
+				for _, ent := range localClass[s][e] {
+					if ent.Variant&Variant(v) != 0 {
+						out = append(out, ent.Action)
+					}
+				}
+				localChoices[v][s][e] = out[:len(out):len(out)]
+			}
+		}
+	}
+	for s := range snoopChoices {
+		for e := range snoopChoices[s] {
+			var out []SnoopAction
+			for _, ent := range snoopClass[s][e] {
+				out = append(out, ent.Action)
+			}
+			snoopChoices[s][e] = out[:len(out):len(out)]
+		}
+	}
 }
 
 // buildLocalClass enumerates Table 1 in the paper's preference order
@@ -244,22 +281,15 @@ func SnoopClass(s State, e BusEvent) []SnoopClassEntry {
 }
 
 // LocalChoicesFor returns the permitted local actions usable by the
-// given client variant, in preference order.
+// given client variant, in preference order (nil for "—"). The list is
+// precomputed and shared: callers must not write through it.
 func LocalChoicesFor(s State, e LocalEvent, v Variant) []LocalAction {
-	var out []LocalAction
-	for _, ent := range localClass[s][e] {
-		if ent.Variant&v != 0 {
-			out = append(out, ent.Action)
-		}
-	}
-	return out
+	return localChoices[v&AnyVariant][s][e]
 }
 
-// SnoopChoices returns the permitted snoop actions in preference order.
+// SnoopChoices returns the permitted snoop actions in preference order
+// (nil for "—"). The list is precomputed and shared: callers must not
+// write through it.
 func SnoopChoices(s State, e BusEvent) []SnoopAction {
-	var out []SnoopAction
-	for _, ent := range snoopClass[s][e] {
-		out = append(out, ent.Action)
-	}
-	return out
+	return snoopChoices[s][e]
 }

@@ -211,3 +211,53 @@ func TestPreferredEntriesFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestChoiceListsPrecomputed: LocalChoicesFor and SnoopChoices return
+// the class entries usable by the variant, in class order, from lists
+// computed once — the same storage on every call, clipped so a caller's
+// append copies — and allocate nothing.
+func TestChoiceListsPrecomputed(t *testing.T) {
+	for v := Variant(0); v <= AnyVariant; v++ {
+		for _, s := range States {
+			for _, e := range LocalEvents {
+				var want []string
+				for _, ent := range LocalClass(s, e) {
+					if ent.Variant&v != 0 {
+						want = append(want, ent.Action.String())
+					}
+				}
+				got := LocalChoicesFor(s, e, v)
+				if len(got) != len(want) || cap(got) != len(got) {
+					t.Fatalf("(%s,%s,%s): %d choices cap %d, want %d", s.Letter(), e, v, len(got), cap(got), len(want))
+				}
+				for i := range got {
+					if got[i].String() != want[i] {
+						t.Errorf("(%s,%s,%s)[%d] = %s, want %s", s.Letter(), e, v, i, got[i], want[i])
+					}
+				}
+				if again := LocalChoicesFor(s, e, v|0x80); len(got) > 0 && &again[0] != &got[0] {
+					t.Errorf("(%s,%s,%s): a second call built a new list", s.Letter(), e, v)
+				}
+			}
+		}
+	}
+	for _, s := range States {
+		for _, e := range BusEvents {
+			got := SnoopChoices(s, e)
+			if len(got) != len(SnoopClass(s, e)) || cap(got) != len(got) {
+				t.Fatalf("(%s,col %d): %d choices cap %d, want %d", s.Letter(), e.Column(), len(got), cap(got), len(SnoopClass(s, e)))
+			}
+			for i, ent := range SnoopClass(s, e) {
+				if got[i].String() != ent.Action.String() {
+					t.Errorf("(%s,col %d)[%d] = %s, want %s", s.Letter(), e.Column(), i, got[i], ent.Action)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = LocalChoicesFor(Shared, LocalWrite, CopyBack)
+		_ = SnoopChoices(Owned, BusPlainRead)
+	}); n != 0 {
+		t.Errorf("choice lookup allocates %.0f times", n)
+	}
+}

@@ -11,6 +11,11 @@ import (
 // event) cell, the list of permitted alternatives in preference order
 // (the first alternative is the preferred action, §3.3). A nil cell is
 // the tables' "—": not a legal case for that protocol.
+//
+// A table is mutable only while it is being built. Freeze ends that:
+// the table may then be shared by any number of boards and goroutines,
+// SetLocal and SetSnoop panic, and readers must not write through the
+// slices Local and Snoop return. Clone gives a mutable copy.
 type Table struct {
 	// Name identifies the protocol (e.g. "MOESI", "Berkeley").
 	Name string
@@ -24,6 +29,8 @@ type Table struct {
 
 	local [numStates][numLocalEvents][]LocalAction
 	snoop [numStates][numBusEvents][]SnoopAction
+
+	frozen bool
 }
 
 // NewTable returns an empty table covering the given rows and columns.
@@ -42,14 +49,42 @@ func FullMOESITable(name string) *Table {
 	return NewTable(name, States[:], LocalEvents[:], BusEvents[:])
 }
 
-// SetLocal defines the alternatives for a local-event cell.
+// SetLocal defines the alternatives for a local-event cell. It panics
+// on a frozen table.
 func (t *Table) SetLocal(s State, e LocalEvent, alts ...LocalAction) {
+	t.mustBeMutable()
 	t.local[s][e] = alts
 }
 
-// SetSnoop defines the alternatives for a bus-event cell.
+// SetSnoop defines the alternatives for a bus-event cell. It panics on
+// a frozen table.
 func (t *Table) SetSnoop(s State, e BusEvent, alts ...SnoopAction) {
+	t.mustBeMutable()
 	t.snoop[s][e] = alts
+}
+
+func (t *Table) mustBeMutable() {
+	if t.frozen {
+		panic(fmt.Sprintf("core: table %q is frozen (shared read-only); Clone it to modify", t.Name))
+	}
+}
+
+// Freeze makes the table read-only and returns it. Every cell is
+// clipped to its length, so a reader's append copies instead of writing
+// into the table's storage.
+func (t *Table) Freeze() *Table {
+	for s := range t.local {
+		for e, alts := range t.local[s] {
+			t.local[s][e] = alts[:len(alts):len(alts)]
+		}
+	}
+	for s := range t.snoop {
+		for e, alts := range t.snoop[s] {
+			t.snoop[s][e] = alts[:len(alts):len(alts)]
+		}
+	}
+	t.frozen = true
+	return t
 }
 
 // Local returns the alternatives for a local-event cell (nil = "—").
@@ -108,7 +143,7 @@ func renderSnoopCell(alts []SnoopAction) string {
 	return strings.Join(parts, " or ")
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns a deep, mutable copy of the table.
 func (t *Table) Clone() *Table {
 	c := NewTable(t.Name, t.States, t.LocalEvents, t.BusEvents)
 	for s := range t.local {

@@ -56,6 +56,47 @@ func TestTableClone(t *testing.T) {
 	}
 }
 
+// TestFrozenTable: a frozen table refuses SetLocal and SetSnoop, its
+// cells are clipped so an append cannot write into its storage, and a
+// clone is mutable again.
+func TestFrozenTable(t *testing.T) {
+	tbl := PaperTable4()
+	tbl.SetLocal(Shared, LocalWrite, mustLocal("M,CA,IM"), mustLocal("CH:O/M,CA,IM,BC,W"))
+	tbl.Freeze()
+	for name, set := range map[string]func(){
+		"SetLocal": func() { tbl.SetLocal(Shared, LocalWrite, mustLocal("M,CA,IM")) },
+		"SetSnoop": func() { tbl.SetSnoop(Shared, BusCacheRead, mustSnoop("I")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen table did not panic", name)
+				}
+			}()
+			set()
+		}()
+	}
+	before := tbl.Render()
+	for _, s := range States {
+		for _, e := range LocalEvents {
+			if cell := tbl.Local(s, e); cap(cell) != len(cell) {
+				t.Errorf("local cell (%s,%s) not clipped: len %d cap %d", s.Letter(), e, len(cell), cap(cell))
+			}
+		}
+		for _, e := range BusEvents {
+			if cell := tbl.Snoop(s, e); cap(cell) != len(cell) {
+				t.Errorf("snoop cell (%s,col %d) not clipped: len %d cap %d", s.Letter(), e.Column(), len(cell), cap(cell))
+			}
+		}
+	}
+	grown := append(tbl.Local(Shared, LocalWrite), mustLocal("I"))
+	grown[0] = mustLocal("I")
+	if got := tbl.Render(); got != before {
+		t.Errorf("append through a cell changed the frozen table:\n%s\nwant\n%s", got, before)
+	}
+	tbl.Clone().SetLocal(Shared, LocalWrite, mustLocal("M,CA,IM")) // a clone is mutable
+}
+
 // TestUsesBS distinguishes the adapted protocols.
 func TestUsesBS(t *testing.T) {
 	for _, c := range []struct {

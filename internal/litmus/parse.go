@@ -6,13 +6,15 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"futurebus/internal/sim"
 )
 
 // Parse reads a litmus script. The grammar is line-oriented:
 //
 //	name: <free text>
 //	boards: <protocol>[, <protocol>…]        # ".s4" suffix = sector cache
-//	linesize: <bytes>                        # optional, default 32
+//	linesize: <bytes>                        # optional, default 32; see sim.CheckLineSize
 //	addr <Name> = <line address>
 //	proc <PName>:
 //	  write <Line>[<word>] <value>
@@ -20,7 +22,7 @@ import (
 //	  fetchadd <Line>[<word>] <delta> -> <reg>
 //	  flush <Line>
 //	  pass <Line>
-//	schedules: <n>                           # optional, default 32
+//	schedules: <n>                           # optional, default 32; not negative
 //	assert <always|sometimes|never> <operand> <==|!=> <operand>
 //	assert consistent
 //
@@ -115,11 +117,17 @@ func (t *Test) parseLine(line string, indented bool, cur **Program) error {
 		if err != nil {
 			return err
 		}
+		if err := sim.CheckLineSize(n); err != nil {
+			return err
+		}
 		t.LineSize = n
 	case strings.HasPrefix(line, "schedules:"):
 		n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "schedules:")))
 		if err != nil {
 			return err
+		}
+		if n < 0 {
+			return fmt.Errorf("schedules: %d is negative", n)
 		}
 		t.Schedules = n
 	case strings.HasPrefix(line, "addr "):

@@ -91,29 +91,40 @@ func Run(t *Test) (*Result, error) {
 	return res, nil
 }
 
-// runOnce executes one schedule and returns the register file, the
-// final memory view of the declared lines, and the consistency verdict.
-func runOnce(t *Test, sched int) (map[string]uint32, map[string]map[int]uint32, error, error) {
+// system builds the fresh system one schedule or round runs on: the
+// test's boards on the harness's fabric, with the golden shadow, and
+// with the runtime invariant monitor on its own recorder when Watch is
+// set (mon and rec are nil otherwise; the caller closes rec). Paranoid
+// validates every snoop response against the class.
+func (t *Test) system(paranoid bool) (sys *sim.System, mon *watch.Monitor, rec *obs.Recorder, err error) {
 	boards := make([]sim.BoardSpec, len(t.Boards))
 	for i, name := range t.Boards {
 		boards[i] = sim.BoardSpec{Protocol: name, SectorSubs: t.Sector[i]}
 	}
-	var mon *watch.Monitor
-	var rec *obs.Recorder
 	if t.Watch {
 		mon = watch.New(watch.Config{})
 		rec = obs.New(mon)
 	}
-	sys, err := sim.New(sim.Config{
+	sys, err = sim.New(sim.Config{
 		LineSize:   t.LineSize,
 		Boards:     boards,
 		Shadow:     true,
-		Paranoid:   true,
+		Paranoid:   paranoid,
 		Shards:     t.Shards,
 		Tenure:     t.Tenure,
 		Discipline: t.Discipline,
 		Obs:        rec,
 	})
+	if err != nil && rec != nil {
+		rec.Close()
+	}
+	return sys, mon, rec, err
+}
+
+// runOnce executes one schedule and returns the register file, the
+// final memory view of the declared lines, and the consistency verdict.
+func runOnce(t *Test, sched int) (map[string]uint32, map[string]map[int]uint32, error, error) {
+	sys, mon, rec, err := t.system(true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -327,25 +338,7 @@ func RunParallel(t *Test, rounds int) (*Result, error) {
 }
 
 func runParallelOnce(t *Test, round int) (map[string]uint32, map[string]map[int]uint32, error, error) {
-	boards := make([]sim.BoardSpec, len(t.Boards))
-	for i, name := range t.Boards {
-		boards[i] = sim.BoardSpec{Protocol: name, SectorSubs: t.Sector[i]}
-	}
-	var mon *watch.Monitor
-	var rec *obs.Recorder
-	if t.Watch {
-		mon = watch.New(watch.Config{})
-		rec = obs.New(mon)
-	}
-	sys, err := sim.New(sim.Config{
-		LineSize:   t.LineSize,
-		Boards:     boards,
-		Shadow:     true,
-		Shards:     t.Shards,
-		Tenure:     t.Tenure,
-		Discipline: t.Discipline,
-		Obs:        rec,
-	})
+	sys, mon, rec, err := t.system(false)
 	if err != nil {
 		return nil, nil, nil, err
 	}

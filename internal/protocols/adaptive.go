@@ -12,7 +12,12 @@ type Adaptive struct {
 	*Preferred
 }
 
-// NewAdaptive creates the recency-adaptive MOESI policy.
+// adaptive is the registry's shared moesi-adaptive policy.
+var adaptive = shared(func() core.Policy { return NewAdaptive() })
+
+// NewAdaptive creates the recency-adaptive MOESI policy. It builds a
+// fresh, mutable table on every call; the registry's moesi-adaptive
+// policy is built once and shared.
 func NewAdaptive() *Adaptive {
 	t := moesiTable("MOESI-adaptive",
 		"CH:O/M,CA,IM,BC,W", "CH:O/M,CA,IM,BC,W", "M,CA,IM,R", StyleUpdate)

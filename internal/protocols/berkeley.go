@@ -12,8 +12,10 @@ func BerkeleyTable() *core.Table { return core.PaperTable3() }
 // Berkeley returns the Berkeley protocol extended to the full Futurebus
 // event set (invalidate style) and wrapped in a preferred-choice
 // policy.
-func Berkeley() core.Policy {
+func Berkeley() core.Policy { return berkeley() }
+
+var berkeley = shared(func() core.Policy {
 	t := Extend(core.PaperTable3(), StyleInvalidate)
 	t.Name = "Berkeley"
 	return NewPreferred("Berkeley", core.CopyBack, mustInClass(t, core.CopyBack))
-}
+})

@@ -11,8 +11,10 @@ func DragonTable() *core.Table { return core.PaperTable4() }
 
 // Dragon returns the Dragon protocol extended to the full Futurebus
 // event set (update style) and wrapped in a preferred-choice policy.
-func Dragon() core.Policy {
+func Dragon() core.Policy { return dragon() }
+
+var dragon = shared(func() core.Policy {
 	t := Extend(core.PaperTable4(), StyleUpdate)
 	t.Name = "Dragon"
 	return NewPreferred("Dragon", core.CopyBack, mustInClass(t, core.CopyBack))
-}
+})

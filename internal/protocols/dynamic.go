@@ -14,7 +14,8 @@ import (
 // consistency experiments (P4) run them against the invariant checker.
 
 // classTable materialises the full class (copy-back entries, all
-// alternatives in class order) as a Table, for validation and display.
+// alternatives in class order) as a frozen Table, for validation and
+// display. Its cells are the class's shared choice lists.
 func classTable(name string) *core.Table {
 	t := core.FullMOESITable(name)
 	for _, s := range core.States {
@@ -25,8 +26,15 @@ func classTable(name string) *core.Table {
 			t.SetSnoop(s, e, core.SnoopChoices(s, e)...)
 		}
 	}
-	return t
+	return t.Freeze()
 }
+
+// randomTable and roundRobinTable are the Table of every Random and
+// every RoundRobin policy, built once.
+var (
+	randomTable     = sync.OnceValue(func() *core.Table { return classTable("random (full class)") })
+	roundRobinTable = sync.OnceValue(func() *core.Table { return classTable("round-robin (full class)") })
+)
 
 // splitmix64 is a tiny deterministic PRNG (no global state, no seeding
 // from time) so dynamic policies are reproducible.
@@ -48,6 +56,7 @@ func (r *splitmix64) intn(n int) int {
 }
 
 // Random picks a uniformly random legal class action for every event.
+// Its generator is per instance; choosing allocates nothing.
 type Random struct {
 	name string
 	mu   sync.Mutex
@@ -67,7 +76,7 @@ func (p *Random) Variant() core.Variant { return core.CopyBack }
 
 // Table implements core.Policy: the full class, since any entry may be
 // chosen.
-func (p *Random) Table() *core.Table { return classTable("random (full class)") }
+func (p *Random) Table() *core.Table { return randomTable() }
 
 // ChooseLocal implements core.Policy.
 func (p *Random) ChooseLocal(s core.State, e core.LocalEvent) (core.LocalAction, bool) {
@@ -113,7 +122,7 @@ func (p *RoundRobin) Name() string { return "round-robin" }
 func (p *RoundRobin) Variant() core.Variant { return core.CopyBack }
 
 // Table implements core.Policy.
-func (p *RoundRobin) Table() *core.Table { return classTable("round-robin (full class)") }
+func (p *RoundRobin) Table() *core.Table { return roundRobinTable() }
 
 // ChooseLocal implements core.Policy.
 func (p *RoundRobin) ChooseLocal(s core.State, e core.LocalEvent) (core.LocalAction, bool) {

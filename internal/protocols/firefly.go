@@ -13,8 +13,10 @@ func FireflyTable() *core.Table { return core.PaperTable7() }
 
 // Firefly returns the adapted Firefly protocol extended to the full
 // event set.
-func Firefly() core.Policy {
+func Firefly() core.Policy { return firefly() }
+
+var firefly = shared(func() core.Policy {
 	t := Extend(core.PaperTable7(), StyleUpdate)
 	t.Name = "Firefly"
 	return NewPreferred("Firefly", core.CopyBack, mustInClass(t, core.CopyBack))
-}
+})

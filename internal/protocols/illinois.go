@@ -13,8 +13,10 @@ func IllinoisTable() *core.Table { return core.PaperTable6() }
 
 // Illinois returns the adapted Illinois protocol extended to the full
 // event set.
-func Illinois() core.Policy {
+func Illinois() core.Policy { return illinois() }
+
+var illinois = shared(func() core.Policy {
 	t := Extend(core.PaperTable6(), StyleInvalidate)
 	t.Name = "Illinois"
 	return NewPreferred("Illinois", core.CopyBack, mustInClass(t, core.CopyBack))
-}
+})

@@ -40,28 +40,34 @@ func moesiTable(name string, writeO, writeS, writeI string, style Style) *core.T
 // modification (the observation from [Arch85] that §5.2 endorses:
 // "it was desirable to broadcast writes to other caches rather than to
 // invalidate them"); write misses fetch with intent to modify.
-func MOESI() core.Policy {
+func MOESI() core.Policy { return moesi() }
+
+var moesi = shared(func() core.Policy {
 	t := mustInClass(moesiTable("MOESI",
 		"CH:O/M,CA,IM,BC,W", "CH:O/M,CA,IM,BC,W", "M,CA,IM,R", StyleUpdate), core.CopyBack)
 	return NewPreferred("MOESI", core.CopyBack, t)
-}
+})
 
 // MOESIInvalidate returns the invalidation-based member of the class:
 // writes to shared lines invalidate the other copies with an
 // address-only transaction (Table 1's second alternative, "M,CA,IM"),
 // like Berkeley but keeping the E state.
-func MOESIInvalidate() core.Policy {
+func MOESIInvalidate() core.Policy { return moesiInvalidate() }
+
+var moesiInvalidate = shared(func() core.Policy {
 	t := mustInClass(moesiTable("MOESI-invalidate",
 		"M,CA,IM", "M,CA,IM", "M,CA,IM,R", StyleInvalidate), core.CopyBack)
 	return NewPreferred("MOESI-invalidate", core.CopyBack, t)
-}
+})
 
 // MOESIUpdate returns the fully update-based member: like the preferred
 // protocol, but write misses load the line first and then broadcast
 // ("Read>Write"), keeping every sharer's copy live — Dragon's
 // behaviour expressed over the full class.
-func MOESIUpdate() core.Policy {
+func MOESIUpdate() core.Policy { return moesiUpdate() }
+
+var moesiUpdate = shared(func() core.Policy {
 	t := mustInClass(moesiTable("MOESI-update",
 		"CH:O/M,CA,IM,BC,W", "CH:O/M,CA,IM,BC,W", "Read>Write", StyleUpdate), core.CopyBack)
 	return NewPreferred("MOESI-update", core.CopyBack, t)
-}
+})

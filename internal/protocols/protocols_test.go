@@ -304,3 +304,61 @@ func TestFreshPolicyInstances(t *testing.T) {
 		t.Error("registry shares round-robin state between instances")
 	}
 }
+
+// TestSharedPolicies: a table-driven protocol is compiled once per
+// process — New and its exported constructor return one policy whose
+// table is frozen (SetLocal and SetSnoop panic) — while random and
+// round-robin are fresh per call over one shared, frozen class table.
+func TestSharedPolicies(t *testing.T) {
+	dynamic := map[string]bool{"random": true, "round-robin": true}
+	for _, name := range Names() {
+		a, _ := New(name)
+		b, _ := New(name)
+		if (a == b) == dynamic[name] {
+			t.Errorf("%s: New returned the same instance twice = %t, want %t", name, a == b, !dynamic[name])
+		}
+		if a.Table() != b.Table() {
+			t.Errorf("%s: two boards hold different tables", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetLocal on the shared table did not panic", name)
+				}
+			}()
+			a.Table().SetLocal(core.Invalid, core.LocalRead)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetSnoop on the shared table did not panic", name)
+				}
+			}()
+			a.Table().SetSnoop(core.Invalid, core.BusCacheRead)
+		}()
+	}
+	for name, ctor := range map[string]func() core.Policy{
+		"moesi": MOESI, "moesi-invalidate": MOESIInvalidate, "moesi-update": MOESIUpdate,
+		"berkeley": Berkeley, "dragon": Dragon, "write-once": WriteOnce,
+		"illinois": Illinois, "synapse": Synapse, "firefly": Firefly,
+		"write-through":           func() core.Policy { return WriteThrough(WriteThroughConfig{}) },
+		"write-through-broadcast": func() core.Policy { return WriteThrough(WriteThroughConfig{Broadcast: true}) },
+	} {
+		if p, _ := New(name); ctor() != p {
+			t.Errorf("%s: the exported constructor and New disagree", name)
+		}
+	}
+}
+
+// TestChoosingAllocatesNothing: the dynamic policies draw from the
+// precomputed class lists, and Preferred reads its frozen table.
+func TestChoosingAllocatesNothing(t *testing.T) {
+	for _, p := range []core.Policy{NewRandom(1), NewRoundRobin(), MOESI()} {
+		if n := testing.AllocsPerRun(100, func() {
+			p.ChooseLocal(core.Shared, core.LocalWrite)
+			p.ChooseSnoop(core.Owned, core.BusPlainRead)
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocations per choice pair", p.Name(), n)
+		}
+	}
+}

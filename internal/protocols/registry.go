@@ -7,8 +7,10 @@ import (
 	"futurebus/internal/core"
 )
 
-// Factory creates a fresh policy instance. Dynamic policies (random,
-// round-robin) carry per-instance state, so every cache gets its own.
+// Factory returns the policy for one board. A table-driven protocol
+// returns its one shared, frozen policy (see the package doc); the
+// dynamic policies (random, round-robin) carry per-instance choice
+// state, so they return a fresh instance and every cache gets its own.
 type Factory func() core.Policy
 
 // registry maps protocol names to factories for the command-line tools
@@ -17,7 +19,7 @@ var registry = map[string]Factory{
 	"moesi":            MOESI,
 	"moesi-invalidate": MOESIInvalidate,
 	"moesi-update":     MOESIUpdate,
-	"moesi-adaptive":   func() core.Policy { return NewAdaptive() },
+	"moesi-adaptive":   adaptive,
 	"berkeley":         Berkeley,
 	"dragon":           Dragon,
 	"write-once":       WriteOnce,
@@ -34,7 +36,8 @@ var registry = map[string]Factory{
 	"round-robin": func() core.Policy { return NewRoundRobin() },
 }
 
-// New creates a policy by registry name.
+// New returns a board's policy by registry name: the shared policy of a
+// table-driven protocol, a fresh one for random and round-robin.
 func New(name string) (core.Policy, error) {
 	f, ok := registry[name]
 	if !ok {

@@ -22,7 +22,9 @@ import "futurebus/internal/core"
 //
 // Like Illinois, the result needs the BS extension but no §4 adapted
 // local actions, so it mixes safely with any class member.
-func Synapse() core.Policy {
+func Synapse() core.Policy { return synapse() }
+
+var synapse = shared(func() core.Policy {
 	states := []core.State{core.Modified, core.Shared, core.Invalid}
 	locals := []core.LocalEvent{core.LocalRead, core.LocalWrite}
 	buses := []core.BusEvent{core.BusCacheRead, core.BusCacheRFO}
@@ -40,7 +42,7 @@ func Synapse() core.Policy {
 	full := Extend(t, StyleInvalidate)
 	full.Name = "Synapse"
 	return NewPreferred("Synapse", core.CopyBack, mustInClass(full, core.CopyBack))
-}
+})
 
 // SynapseRefetchTable is the historically faithful write-hit behaviour:
 // the Synapse machine did not trust its shared copy and re-read the

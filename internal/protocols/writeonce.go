@@ -15,8 +15,10 @@ func WriteOnceTable() *core.Table { return core.PaperTable5() }
 // full event set. Its signature move survives: the FIRST write to an S
 // line is written through (E,CA,IM,W — invalidating other copies and
 // updating memory at once), and only the second write dirties the line.
-func WriteOnce() core.Policy {
+func WriteOnce() core.Policy { return writeOnce() }
+
+var writeOnce = shared(func() core.Policy {
 	t := Extend(core.PaperTable5(), StyleInvalidate)
 	t.Name = "Write-Once"
 	return NewPreferred("Write-Once", core.CopyBack, mustInClass(t, core.CopyBack))
-}
+})

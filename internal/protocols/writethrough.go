@@ -20,6 +20,27 @@ type WriteThroughConfig struct {
 // intervene and must invalidate on any non-broadcast write it snoops
 // (§3.3 point 8).
 func WriteThrough(cfg WriteThroughConfig) core.Policy {
+	i := 0
+	if cfg.Broadcast {
+		i |= 1
+	}
+	if cfg.Allocate {
+		i |= 2
+	}
+	return writeThroughs[i]()
+}
+
+// writeThroughs holds the shared policy of each WriteThroughConfig,
+// indexed Broadcast | Allocate<<1.
+var writeThroughs = func() (out [4]func() core.Policy) {
+	for i := range out {
+		cfg := WriteThroughConfig{Broadcast: i&1 != 0, Allocate: i&2 != 0}
+		out[i] = shared(func() core.Policy { return newWriteThrough(cfg) })
+	}
+	return out
+}()
+
+func newWriteThrough(cfg WriteThroughConfig) core.Policy {
 	name := "write-through"
 	writeHit, writeMiss := "S,IM,W", "I,IM,W"
 	if cfg.Broadcast {

@@ -41,3 +41,24 @@ func TestEngineReferenceAllocs(t *testing.T) {
 		t.Errorf("stream missed %d times, want one cold miss", m.ReadMisses+m.WriteMisses)
 	}
 }
+
+// TestNewAllocs pins what building an 8×moesi system costs once the
+// process has compiled the protocol: every board shares the one frozen
+// MOESI policy, and each cache's lines and data are one slab each, so
+// sim.New allocates a fixed few dozen times (1,710 when every board
+// parsed its own table and every set and way allocated on its own).
+func TestNewAllocs(t *testing.T) {
+	cfg := Homogeneous("moesi", 8)
+	if _, err := New(cfg); err != nil { // warm-up: compiles MOESI once
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("sim.New(8×moesi): %.0f allocations", allocs)
+	if allocs > 100 {
+		t.Errorf("sim.New(8×moesi) = %.0f allocations, want ≤ 100", allocs)
+	}
+}

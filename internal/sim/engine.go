@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"futurebus/internal/bus"
@@ -38,23 +37,60 @@ type procEvent struct {
 	seq  int64 // tie-break for determinism
 }
 
+// before orders events by (time, rank, seq). The order is strict and
+// total: each board has exactly one queued event and no two events
+// share a seq, so any correct heap pops the same sequence.
+func (a procEvent) before(b procEvent) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of procEvents under before.
 type eventHeap []procEvent
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) top() procEvent { return h[0] }
+
+// replaceTop replaces the earliest event and restores the heap.
+func (h eventHeap) replaceTop(e procEvent) {
+	h[0] = e
+	h.down(0)
 }
-func (h eventHeap) Swap(i, j int)           { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)             { *h = append(*h, x.(procEvent)) }
-func (h *eventHeap) Pop() any               { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (h eventHeap) top() procEvent          { return h[0] }
-func (h *eventHeap) replaceTop(e procEvent) { (*h)[0] = e; heap.Fix(h, 0) }
+
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	if n > 0 {
+		h.down(0)
+	}
+}
+
+// down sifts the event at i toward the leaves until neither child is
+// before it.
+func (h eventHeap) down(i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
 
 // Run executes refsPerProc references on every board and returns the
 // aggregated metrics.
@@ -90,6 +126,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		defers int
 	}
 	procs := make([]procState, len(e.Sys.Boards))
+	// Every board starts at time 0 in seq order: already a heap.
 	h := make(eventHeap, 0, len(procs))
 	var seq int64
 	for i := range procs {
@@ -98,7 +135,6 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		h = append(h, procEvent{time: 0, proc: i, seq: seq})
 		seq++
 	}
-	heap.Init(&h)
 
 	// Per-shard arbitration state: a private Discipline instance per
 	// shard (mirroring the concurrent engine's per-shard arbiter) and
@@ -221,7 +257,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 			seq++
 			h.replaceTop(ev)
 		} else {
-			heap.Pop(&h)
+			h.pop()
 		}
 	}
 

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"testing"
+	"time"
 
+	"futurebus/internal/bus"
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/perf"
 )
@@ -28,6 +31,18 @@ func TestDetEnginePerfMetrics(t *testing.T) {
 	checkPerfMetrics(t, m)
 }
 
+// TestConcurrentEnginePerfMetrics is the same check on the concurrent
+// engine, where a run with no arbitration wait at all is a legal
+// outcome: the boards may happen to take turns without ever
+// finding the bus busy, and then there is no queue to report. So the
+// test forces one. Before the boards start it takes the bus as an extra
+// master. Every board's first reference misses its empty cache and
+// must arbitrate, so boards park behind it; once the arbiter shows one
+// parked (depth 2: the holder plus a waiter), the holder runs one read
+// and releases. The parked board read its wait-start clock before the
+// read's cost advanced that clock, so its grant carries a wait > 0 and
+// the queue telemetry a depth ≥ 1. The read is an ordinary transaction
+// and counts toward both the tenure samples and the bus's total.
 func TestConcurrentEnginePerfMetrics(t *testing.T) {
 	rec := obs.New(perf.NewSink(0))
 	defer rec.Close()
@@ -37,11 +52,35 @@ func TestConcurrentEnginePerfMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunConcurrent(sys, abGens(sys, 0.4, 0.4, 7), 1500)
+	const holder, addr = 99, bus.Addr(1 << 30) // no board's id, no board's line
+	sys.Bus.Acquire(addr, holder)
+	type result struct {
+		m   Metrics
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := RunConcurrent(sys, abGens(sys, 0.4, 0.4, 7), 1500)
+		done <- result{m, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); sys.Bus.Shard(0).ArbQueueDepth() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("no board queued behind the held bus")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	_, err = sys.Bus.ExecuteHeld(bus.Transaction{
+		MasterID: holder, Addr: addr, Op: core.BusRead, Data: make([]byte, sys.Bus.LineSize()),
+	})
+	sys.Bus.Release(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPerfMetrics(t, m)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	checkPerfMetrics(t, res.m)
 }
 
 func checkPerfMetrics(t *testing.T, m Metrics) {

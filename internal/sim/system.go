@@ -54,12 +54,28 @@ type BoardSpec struct {
 	Fault string
 }
 
-// Config assembles a System.
+// MaxLineSize bounds Config.LineSize, in bytes. Every cache allocates
+// its lines' data up front, so the bound also bounds a cache's size.
+const MaxLineSize = 1024
+
+// CheckLineSize validates a system line size: a positive multiple of
+// the 4-byte word, at most MaxLineSize.
+func CheckLineSize(n int) error {
+	if n <= 0 || n%4 != 0 || n > MaxLineSize {
+		return fmt.Errorf("sim: line size %d: must be a positive multiple of 4 bytes, at most %d", n, MaxLineSize)
+	}
+	return nil
+}
+
+// Config assembles a System. New validates it and returns an error for
+// a line size CheckLineSize rejects, or a cache geometry
+// cache.CheckGeometry rejects.
 type Config struct {
 	// LineSize in bytes; 0 = bus.DefaultLineSize. §5.1: one standard
 	// line size for the whole system.
 	LineSize int
-	// CacheSets and CacheWays give every cache's geometry.
+	// CacheSets and CacheWays give every cache's geometry; 0 = 64 sets,
+	// 2 ways.
 	CacheSets, CacheWays int
 	// Timing overrides the bus cost model (zero = default).
 	Timing bus.Timing
@@ -169,6 +185,9 @@ func New(cfg Config) (*System, error) {
 	if lineSize == 0 {
 		lineSize = bus.DefaultLineSize
 	}
+	if err := CheckLineSize(lineSize); err != nil {
+		return nil, err
+	}
 	if cfg.CacheSets == 0 {
 		cfg.CacheSets = 64
 	}
@@ -184,19 +203,20 @@ func New(cfg Config) (*System, error) {
 	}
 	// The interleave granularity is the largest sector size on any
 	// board, so every sector (and its write-backs) is homed on one
-	// shard; smaller sector sizes must divide it.
+	// shard; smaller sector sizes must divide it (cache.CheckGeometry).
 	gran := 1
 	for _, spec := range cfg.Boards {
 		if spec.SectorSubs > gran {
 			gran = spec.SectorSubs
 		}
 	}
-	if shards > 1 {
-		for i, spec := range cfg.Boards {
-			if spec.SectorSubs > 0 && gran%spec.SectorSubs != 0 {
-				return nil, fmt.Errorf("sim: board %d sector size %d does not divide interleave granularity %d",
-					i, spec.SectorSubs, gran)
-			}
+	for i, spec := range cfg.Boards {
+		if uncached(spec.Protocol) {
+			continue
+		}
+		geo := cache.Config{Sets: cfg.CacheSets, Ways: cfg.CacheWays, SubSectors: spec.SectorSubs}
+		if err := cache.CheckGeometry(geo, shards, gran); err != nil {
+			return nil, fmt.Errorf("sim: board %d: %w", i, err)
 		}
 	}
 	mem := memory.NewSharded(lineSize, shards, gran)
@@ -249,8 +269,8 @@ func New(cfg Config) (*System, error) {
 	}
 
 	for i, spec := range cfg.Boards {
-		switch spec.Protocol {
-		case "uncached", "uncached-broadcast":
+		switch {
+		case uncached(spec.Protocol):
 			u := cache.NewUncached(i, b, spec.Protocol == "uncached-broadcast", onWrite)
 			sys.Boards = append(sys.Boards, &uncachedBoard{Uncached: u, name: spec.Protocol})
 		default:
@@ -274,6 +294,11 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// uncached reports whether a board protocol names an uncached master.
+func uncached(protocol string) bool {
+	return protocol == "uncached" || protocol == "uncached-broadcast"
 }
 
 // Homogeneous returns a Config with n identical cached boards.

@@ -53,6 +53,11 @@ func Markdown() string {
 	b.WriteString("algorithm generates; a mixed Futurebus delivers more. These are the\n")
 	b.WriteString("Extend-completed tables every board actually runs, with the paper's\n")
 	b.WriteString("cells preserved verbatim (verified by the T3–T7 diffs above).\n\n")
+	b.WriteString("Each table is built once per process. `protocols.New` returns the\n")
+	b.WriteString("one shared, immutable (frozen) policy of a table-driven protocol to\n")
+	b.WriteString("every board that names it; `random` and `round-robin` return a fresh\n")
+	b.WriteString("instance per board, since their choice state is per board, over one\n")
+	b.WriteString("shared frozen class table.\n\n")
 	for _, name := range protocols.Names() {
 		p, err := protocols.New(name)
 		if err != nil {
