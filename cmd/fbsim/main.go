@@ -97,9 +97,6 @@ func main() {
 	sys, err := sim.New(cfg)
 	fail(err)
 	if s.Svc != nil {
-		for i, spec := range boards {
-			s.Svc.Attr.SetProcLabel(i, spec.Protocol)
-		}
 		sys.RegisterLiveGauges(s.Svc.Registry, sim.DefaultHitLatency)
 	}
 

@@ -9,12 +9,14 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
 	"strings"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/obshttp"
 	"futurebus/internal/sim"
 	"futurebus/internal/workload"
@@ -22,10 +24,11 @@ import (
 
 func main() {
 	// The Service bundles all live-observability sinks: the metrics
-	// registry, the phase-attribution view and the SSE event stream.
-	// Its endpoints read the sinks through the recorder they are
-	// attached to, so the service observes that recorder before it
-	// serves.
+	// registry, its own fold of the stream (counts, phase histograms,
+	// the /slow ring), the causal, coherence and saturation analyzers
+	// and the SSE event stream. Its endpoints read the sinks through
+	// the recorder they are attached to, so the service observes that
+	// recorder before it serves.
 	svc := obshttp.NewService(8)
 	rec := obs.New(svc.Sinks()...)
 	svc.ObserveRecorder(rec)
@@ -34,9 +37,6 @@ func main() {
 	cfg.Obs = rec
 	sys, err := sim.New(cfg)
 	must(err)
-	for i := range sys.Boards {
-		svc.Attr.SetProcLabel(i, "moesi")
-	}
 	sys.RegisterLiveGauges(svc.Registry, 0)
 
 	// ":0" binds an ephemeral port; URL() reports where we landed.
@@ -75,16 +75,16 @@ func main() {
 	}
 	must(sc.Err())
 
-	// The attribution sink answers the §6 question directly: of all
-	// the time processors spent on the bus, how much was waiting for
-	// the arbiter versus actually moving data? Read it the way the
-	// endpoints do, inside the recorder's View.
-	var arb, transfer int64
-	var slowest []obs.TxSpan
-	rec.View(func() {
-		arb, transfer = svc.Attr.ArbVsTransfer()
-		slowest = svc.Attr.Slowest()
-	})
+	// The causal analysis answers the §6 question directly: of all the
+	// time processors spent on the bus, how much was waiting for the
+	// arbiter versus actually moving data? Its per-phase totals hold
+	// the split; read them the way the endpoints do, inside the
+	// recorder's View.
+	var an *causal.Analysis
+	rec.View(func() { an = svc.Causal.Analyze() })
+	phase := func(ph int) int64 { return an.ByPhase[obs.PhaseNames[ph]] }
+	arb := phase(obs.PhaseArb)
+	transfer := phase(obs.PhaseData) + phase(obs.PhaseIntervention) + phase(obs.PhaseMemory)
 	fmt.Printf("\nbus time decomposition over %d refs (%d transactions):\n",
 		m.Refs, m.Bus.Transactions)
 	fmt.Printf("  arbitration wait: %12d ns\n", arb)
@@ -93,6 +93,13 @@ func main() {
 		fmt.Printf("  wait/transfer:    %12.3f\n", float64(arb)/float64(transfer))
 	}
 
+	// /slow serves the service's ring of the slowest transactions, each
+	// with its phase decomposition.
+	resp, err = http.Get(srv.URL() + "/slow")
+	must(err)
+	defer resp.Body.Close()
+	var slowest []obs.TxSpan
+	must(json.NewDecoder(resp.Body).Decode(&slowest))
 	fmt.Println("\nslowest transactions and where their time went:")
 	for _, span := range slowest[:3] {
 		fmt.Printf("  proc %d %s addr %#x: %d ns (addr=%d data=%d intv=%d mem=%d retry=%d, waited %d)\n",

@@ -88,6 +88,12 @@ func New(cfg Config) (*System, error) {
 		cfg.BridgeWays = 2 * cfg.CacheWays
 	}
 
+	if len(cfg.ClusterProtocols) != 0 && len(cfg.ClusterProtocols) != cfg.Clusters {
+		return nil, fmt.Errorf("hierarchy: %d cluster protocols for %d clusters", len(cfg.ClusterProtocols), cfg.Clusters)
+	}
+
+	// Every bus shares one FCFS arbiter.
+	cfg.Obs.MarkEpoch(0, "fcfs")
 	arb := bus.NewArbiter()
 	mem := memory.New(cfg.LineSize)
 	if cfg.Obs != nil {
@@ -100,9 +106,6 @@ func New(cfg Config) (*System, error) {
 		sys.Shadow = check.NewShadow(cfg.LineSize)
 	}
 
-	if len(cfg.ClusterProtocols) != 0 && len(cfg.ClusterProtocols) != cfg.Clusters {
-		return nil, fmt.Errorf("hierarchy: %d cluster protocols for %d clusters", len(cfg.ClusterProtocols), cfg.Clusters)
-	}
 	for ci := 0; ci < cfg.Clusters; ci++ {
 		cluster, err := newCluster(ci, cfg, sys, global, arb)
 		if err != nil {

@@ -648,6 +648,15 @@ func (a *Analyzer) Totals() Totals {
 	return t
 }
 
+// Transitions calls fn with each protocol observed so far, its running
+// transition matrix and its snoop-caused invalidations: the cheap
+// per-protocol read a metrics scrape pulls (Analyze copies far more).
+func (a *Analyzer) Transitions(fn func(proto string, m *Matrix, invalidations int64)) {
+	for name, ps := range a.protos {
+		fn(name, &ps.Matrix, ps.Invalidations)
+	}
+}
+
 // FanoutMean returns the weighted mean of a fan-out histogram (0 when
 // empty).
 func FanoutMean(h map[int]int64) float64 {

@@ -16,9 +16,11 @@ import (
 // escapes — one series per line, label value properly quoted.
 func TestRegistryTextEscaping(t *testing.T) {
 	reg := NewRegistry()
-	for _, raw := range []string{`plain`, `quo"te`, `back\slash`, "new\nline"} {
-		reg.Counter("esc_total", fmt.Sprintf("proto=%q", raw), "escaping").Inc()
-	}
+	reg.FamilyFunc("esc_total", "counter", "escaping", func(add func(string, int64)) {
+		for _, raw := range []string{`plain`, `quo"te`, `back\slash`, "new\nline"} {
+			add(fmt.Sprintf("proto=%q", raw), 1)
+		}
+	})
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

@@ -14,17 +14,22 @@ import (
 )
 
 // TestRegistryPrometheus: the text exposition has TYPE/HELP headers,
-// sorted families, label rendering, and summary quantile series.
+// sorted families, label rendering, collected series sorted by label
+// set, and summary quantile series.
 func TestRegistryPrometheus(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("zz_total", "", "last family").Add(3)
-	reg.Counter("aa_total", `op="R"`, "first family").Inc()
-	reg.Counter("aa_total", `op="W"`, "first family").Add(2)
+	reg.CounterFunc("zz_total", "", "last family", func() int64 { return 3 })
+	reg.FamilyFunc("aa_total", "counter", "first family", func(add func(string, int64)) {
+		add(`op="W"`, 2)
+		add(`op="R"`, 1)
+	})
+	reg.FamilyFunc("empty_total", "counter", "never adds a series", func(func(string, int64)) {})
 	reg.GaugeFunc("mid_gauge", "", "a gauge", func() float64 { return 0.5 })
-	sum := reg.Summary("lat_ns", `phase="arb"`, "a summary")
+	var lat obs.Histogram
 	for _, v := range []int64{10, 20, 1000} {
-		sum.Observe(v)
+		lat.Observe(v)
 	}
+	reg.Summary("lat_ns", `phase="arb"`, "a summary", func() obs.Histogram { return lat })
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -32,9 +37,7 @@ func TestRegistryPrometheus(t *testing.T) {
 	}
 	text := b.String()
 	for _, want := range []string{
-		"# HELP aa_total first family\n# TYPE aa_total counter\n",
-		"aa_total{op=\"R\"} 1\n",
-		"aa_total{op=\"W\"} 2\n",
+		"# HELP aa_total first family\n# TYPE aa_total counter\naa_total{op=\"R\"} 1\naa_total{op=\"W\"} 2\n",
 		"# TYPE mid_gauge gauge\nmid_gauge 0.5\n",
 		"# TYPE zz_total counter\nzz_total 3\n",
 		"# TYPE lat_ns summary\n",
@@ -50,10 +53,76 @@ func TestRegistryPrometheus(t *testing.T) {
 	if strings.Index(text, "# TYPE aa_total") > strings.Index(text, "# TYPE zz_total") {
 		t.Error("families not sorted by name")
 	}
-	// Idempotent re-registration returns the same counter.
-	reg.Counter("aa_total", `op="R"`, "first family").Inc()
-	if got := reg.Counter("aa_total", `op="R"`, "x").Value(); got != 2 {
-		t.Errorf("re-registered counter = %d, want 2", got)
+	if strings.Contains(text, "empty_total") {
+		t.Errorf("a family without series rendered its header:\n%s", text)
+	}
+	// Registering a (name, labels) pair again replaces its source.
+	reg.CounterFunc("zz_total", "", "last family", func() int64 { return 4 })
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if text := b.String(); !strings.Contains(text, "zz_total 4\n") || strings.Contains(text, "zz_total 3\n") {
+		t.Errorf("re-registered counter not replaced:\n%s", text)
+	}
+}
+
+// TestSummarySumExact: a summary's _sum is its histogram's exact sample
+// sum. These seven samples total 123,456,828, and mean × count rounds
+// to 1.2345682799999999e+08 in float64.
+func TestSummarySumExact(t *testing.T) {
+	var h obs.Histogram
+	for _, v := range []int64{17636689, 17636689, 17636689, 17636689, 17636689, 17636689, 17636694} {
+		h.Observe(v)
+	}
+	reg := NewRegistry()
+	reg.Summary("x_ns", "", "seven samples", func() obs.Histogram { return h })
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"x_ns_sum 123456828\n", "x_ns_count 7\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q in:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestServedFoldPhasesAndSlowest: the service's own fold observes the
+// always-paid phases (arb, addr, data) on every transaction and the
+// conditional ones only when they cost something, and its /slow ring
+// keeps the top-K slowest transactions, slowest first, with their
+// breakdown.
+func TestServedFoldPhasesAndSlowest(t *testing.T) {
+	tx := func(seq uint64, proc int, dur, arb, addr, data, intv, mem, retry int64) *obs.Event {
+		return &obs.Event{
+			Seq: seq, Kind: obs.KindTx, Proc: proc, Dur: dur, Op: "R", Col: 6,
+			ArbNS: arb, AddrNS: addr, DataNS: data, IntvNS: intv, MemNS: mem, RetryNS: retry,
+		}
+	}
+	m := newMetricsSink(NewRegistry(), 2)
+	m.Consume(tx(1, 0, 645, 0, 125, 320, 0, 200, 0))
+	m.Consume(tx(2, 0, 770, 50, 125, 320, 0, 200, 125))
+	m.Consume(tx(3, 1, 565, 10, 125, 320, 120, 0, 0))
+	m.Consume(&obs.Event{Kind: obs.KindStall, Dur: 999}) // no span
+
+	for ph, want := range [obs.NumPhases]int64{3, 3, 3, 1, 2, 1} {
+		if got := m.phases[ph].Count(); got != want {
+			t.Errorf("phase %s: %d samples, want %d", obs.PhaseNames[ph], got, want)
+		}
+	}
+	if got := m.phases[obs.PhaseArb].Summary().Max; got != 50 {
+		t.Errorf("arb max = %d, want 50", got)
+	}
+	if m.stall.Count() != 1 {
+		t.Errorf("stall samples = %d, want 1", m.stall.Count())
+	}
+	slow := m.slowest()
+	if len(slow) != 2 || slow[0].Dur != 770 || slow[1].Dur != 645 {
+		t.Errorf("slowest: %+v", slow)
+	}
+	if slow[0].Phases[obs.PhaseRetry] != 125 {
+		t.Errorf("slow span lost its breakdown: %+v", slow[0])
 	}
 }
 

@@ -2,7 +2,6 @@ package obshttp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/perf"
@@ -21,7 +20,7 @@ const (
 	MetricQueuePeak   = "futurebus_arb_queue_peak"
 )
 
-// perfHelp maps the perf.Sink metric names to registry families.
+// perfFamilies maps the perf.Sink metric names to registry families.
 var perfFamilies = []struct {
 	metric string // perf.Metric* key
 	name   string // registry family
@@ -33,71 +32,37 @@ var perfFamilies = []struct {
 	{perf.MetricMemSvc, MetricMemSvcHist, "Memory first-word service time of memory-sourced transactions in simulated ns."},
 }
 
-// PerfSink adapts perf.Sink for the live service: Consume, one event at
-// a time as the recorder delivers, feeds both the saturation sink (the
-// /perf document) and the registry's native histogram metrics; depth
-// samples additionally maintain per-shard current/peak queue gauges.
-// reg may be nil (no metric export — fbsim -perf without -serve, and
-// the overhead benchmark).
-type PerfSink struct {
-	sink  *perf.Sink
-	reg   *Registry
-	hists map[string]*HistogramMetric
-	depth map[int]*depthGauge
-}
+// PerfSink is the service's saturation-telemetry sink: /perf serves
+// its cumulative snapshot, and the registry renders the same
+// cumulative window — the four latency histograms and each shard's
+// latest and peak arbitration queue depth.
+type PerfSink struct{ *perf.Sink }
 
-// depthGauge backs the per-shard queue gauges: written by Consume, read
-// atomically by the scrape handler.
-type depthGauge struct{ cur, peak atomic.Int64 }
-
-// NewPerfSink builds a perf sink exporting to reg (nil = none).
+// NewPerfSink builds a perf sink whose cumulative window reg renders
+// (nil = no metric export: fbsim -perf without -serve, and the
+// overhead benchmark).
 func NewPerfSink(reg *Registry) *PerfSink {
-	s := &PerfSink{sink: perf.NewSink(0), reg: reg}
+	s := &PerfSink{perf.NewSink(0)}
 	if reg == nil {
 		return s
 	}
-	s.hists = make(map[string]*HistogramMetric, len(perfFamilies))
 	for _, f := range perfFamilies {
-		s.hists[f.metric] = reg.Histogram(f.name, "", f.help)
+		reg.Histogram(f.name, "", f.help, func() obs.Histogram { return s.Latency(f.metric) })
 	}
-	s.depth = make(map[int]*depthGauge)
-	s.sink.SetObservers(
-		func(metric string, v int64) {
-			if h := s.hists[metric]; h != nil {
-				h.Observe(v)
+	queue := func(name, help string, v func(perf.QueueDepth) int64) {
+		reg.FamilyFunc(name, "gauge", help, func(add func(string, int64)) {
+			for _, q := range s.QueueDepths() {
+				add(fmt.Sprintf("bus=%q", fmt.Sprint(q.Bus)), v(q))
 			}
-		},
-		func(bus int, depth int64) {
-			d, ok := s.depth[bus]
-			if !ok {
-				d = &depthGauge{}
-				s.depth[bus] = d
-				labels := fmt.Sprintf("bus=%q", fmt.Sprint(bus))
-				reg.GaugeFunc(MetricQueueDepth, labels,
-					"Arbitration queue depth at the most recent grant, per fabric shard.",
-					func() float64 { return float64(d.cur.Load()) })
-				reg.GaugeFunc(MetricQueuePeak, labels,
-					"Deepest arbitration queue observed, per fabric shard.",
-					func() float64 { return float64(d.peak.Load()) })
-			}
-			d.cur.Store(depth)
-			if depth > d.peak.Load() {
-				d.peak.Store(depth)
-			}
-		},
-	)
+		})
+	}
+	queue(MetricQueueDepth, "Arbitration queue depth at the most recent grant, per fabric shard.",
+		func(q perf.QueueDepth) int64 { return q.Last })
+	queue(MetricQueuePeak, "Deepest arbitration queue observed, per fabric shard.",
+		func(q perf.QueueDepth) int64 { return q.Peak })
 	return s
 }
 
-// Consume implements obs.Sink.
-func (s *PerfSink) Consume(e *obs.Event) { s.sink.Consume(e) }
-
-// Flush implements obs.Sink.
-func (s *PerfSink) Flush() error { return nil }
-
 // PerfSink exposes the wrapped saturation sink (perf.FindSink unwraps
 // through this, so engines fill Metrics.Perf from a served run too).
-func (s *PerfSink) PerfSink() *perf.Sink { return s.sink }
-
-// Snapshot digests the cumulative window (the /perf document).
-func (s *PerfSink) Snapshot() *perf.Snapshot { return s.sink.Snapshot() }
+func (s *PerfSink) PerfSink() *perf.Sink { return s.Sink }

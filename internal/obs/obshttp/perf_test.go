@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/leaktest"
 	"futurebus/internal/obs/perf"
 )
 
@@ -18,7 +19,7 @@ import (
 // handler (not the mux's NotFound fallback), so the fbsim/fbsweep
 // banner can never advertise a path the server 404s.
 func TestEndpointsMatchMux(t *testing.T) {
-	srv := NewServer(NewRegistry(), nil, nil)
+	srv := newServer(NewService(0))
 	mux := srv.http.Handler.(*http.ServeMux)
 	for _, e := range Endpoints() {
 		req := httptest.NewRequest("GET", e.Path, nil)
@@ -38,12 +39,13 @@ func TestEndpointsMatchMux(t *testing.T) {
 // The native histogram exposition: cumulative _bucket counts with
 // le = 2^i - 1 bounds, the +Inf terminator, and exact _sum/_count.
 func TestWritePrometheusHistogram(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("test_hist", "", "a histogram")
+	var h obs.Histogram
 	h.Observe(0) // bucket 0, le="0"
 	h.Observe(1) // bucket 1, le="1"
 	h.Observe(7) // bucket 3, le="7"
 	h.Observe(6) // bucket 3, le="7"
+	reg := NewRegistry()
+	reg.Histogram("test_hist", "", "a histogram", func() obs.Histogram { return h })
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -67,8 +69,10 @@ func TestWritePrometheusHistogram(t *testing.T) {
 }
 
 func TestHistogramMetricLabels(t *testing.T) {
+	var h obs.Histogram
+	h.Observe(3)
 	reg := NewRegistry()
-	reg.Histogram("h", `shard="0"`, "labelled").Observe(3)
+	reg.Histogram("h", `shard="0"`, "labelled", func() obs.Histogram { return h })
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -84,21 +88,27 @@ func TestHistogramMetricLabels(t *testing.T) {
 	}
 }
 
-// Observe and exposition race under -race unless the metric locks
-// correctly: hammer a summary and a histogram from many goroutines
-// while a scraper renders.
+// The registry reads sink-owned histograms inside its view, so a
+// recorder's drain goroutine can fold samples while scrapers render:
+// under -race this fails unless every read happens inside the view.
 func TestMetricsConcurrentObserve(t *testing.T) {
+	leaktest.Check(t)
+	var sum, hist obs.Histogram
+	rec := obs.New(obs.SinkFunc(func(e *obs.Event) {
+		sum.Observe(e.Dur)
+		hist.Observe(e.TS)
+	}))
 	reg := NewRegistry()
-	sum := reg.Summary("race_sum", "", "")
-	hist := reg.Histogram("race_hist", "", "")
+	reg.view = rec.View
+	reg.Summary("race_sum", "", "", func() obs.Histogram { return sum })
+	reg.Histogram("race_hist", "", "", func() obs.Histogram { return hist })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				sum.Observe(int64(g*1000 + i))
-				hist.Observe(int64(i))
+				rec.Emit(obs.Event{Kind: obs.KindTx, TS: int64(i), Dur: int64(g*1000 + i)})
 			}
 		}(g)
 	}
@@ -108,11 +118,17 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := hist.Summary().Count; got != 8000 {
-		t.Errorf("histogram lost samples: count = %d, want 8000", got)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := sum.Summary().Count; got != 8000 {
-		t.Errorf("summary lost samples: count = %d, want 8000", got)
+	for _, want := range []string{"race_sum_count 8000\n", "race_hist_count 8000\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("lost samples: missing %q in:\n%s", want, b.String())
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

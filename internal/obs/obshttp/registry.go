@@ -7,8 +7,9 @@
 //
 // The package deliberately implements the exposition format itself
 // (the text format is a page of code) rather than depending on the
-// Prometheus client library: the simulator's metric needs are atomic
-// counters, gauge callbacks, and the log-bucketed obs.Histogram
+// Prometheus client library. The registry keeps no numbers of its own:
+// it reads every series at exposition time, from the sink that folds
+// it or from a gauge callback. A sink's log-bucketed obs.Histogram is
 // re-exposed either as a summary (p50/p90/p95/p99/p999 quantiles) or
 // as a native cumulative histogram (_bucket/_sum/_count) so scrapers
 // can aggregate and compute quantiles server-side.
@@ -21,88 +22,17 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"futurebus/internal/obs"
 )
 
-// Counter is a monotonically increasing metric, safe from any
-// goroutine (the concurrent engine's goroutine-per-board emitters
-// update counters through the recorder's sinks, one event at a time,
-// but gauges and direct instrumentation may come from anywhere).
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by d (negative deltas are a bug; they are
-// applied anyway so the inconsistency is visible rather than hidden).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// SummaryMetric wraps an obs.Histogram as a concurrency-safe
-// Prometheus summary: quantile series plus _sum and _count.
-type SummaryMetric struct {
-	mu sync.Mutex
-	h  obs.Histogram
-}
-
-// Observe records one sample.
-func (s *SummaryMetric) Observe(v int64) {
-	s.mu.Lock()
-	s.h.Observe(v)
-	s.mu.Unlock()
-}
-
-// Summary digests the distribution.
-func (s *SummaryMetric) Summary() obs.Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Summary()
-}
-
-// HistogramMetric wraps an obs.Histogram as a native Prometheus
-// histogram: cumulative _bucket{le="…"} series plus _sum and _count.
-// Unlike SummaryMetric's pre-digested quantiles, the buckets let a
-// scraper aggregate across instances and compute any quantile with
-// histogram_quantile(). Bucket boundaries are the log buckets of
-// obs.Histogram: le = 2^i − 1 for each non-empty power-of-two bucket.
-type HistogramMetric struct {
-	mu sync.Mutex
-	h  obs.Histogram
-}
-
-// Observe records one sample.
-func (m *HistogramMetric) Observe(v int64) {
-	m.mu.Lock()
-	m.h.Observe(v)
-	m.mu.Unlock()
-}
-
-// snapshot copies the bucket counts, sum and count under the lock.
-func (m *HistogramMetric) snapshot() (buckets []int64, sum, count int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.h.Buckets(), m.h.Sum(), m.h.Count()
-}
-
-// Summary digests the distribution (the /perf text view reuses it).
-func (m *HistogramMetric) Summary() obs.Summary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.h.Summary()
-}
-
-// series is one labelled time series within a family.
+// series is one labelled time series within a family, read at
+// exposition time from exactly one of its sources.
 type series struct {
-	labels  string // rendered label set: `phase="arb"` (no braces), "" = unlabelled
-	ctr     *Counter
-	ctrFunc func() int64
-	gauge   func() float64
-	sum     *SummaryMetric
-	histo   *HistogramMetric
+	labels string // rendered label set: `phase="arb"` (no braces), "" = unlabelled
+	ctr    func() int64
+	gauge  func() float64
+	hist   func() obs.Histogram // a sink's histogram, read inside the view
 }
 
 // family is one metric name with its TYPE/HELP header and series.
@@ -110,21 +40,26 @@ type family struct {
 	name string
 	typ  string // "counter", "gauge", "summary", "histogram"
 	help string
-	ser  []*series
+	ser  []series
+	// collect, when set, lists the family's series inside the view.
+	collect func(add func(labels string, v int64))
 }
 
 // Registry holds metric families and renders them in the Prometheus
-// text exposition format. Registration methods are idempotent on
-// (name, labels): re-registering returns the existing metric, so
-// event-driven sinks can register lazily per label value.
+// text exposition format. Registering a (name, labels) pair again
+// replaces its source.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
+	// view runs the reads of sink-owned series: Recorder.View once the
+	// service observes a recorder, so a scrape covers every event
+	// emitted before it.
+	view func(func())
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family)}
+	return &Registry{fams: make(map[string]*family), view: func(fn func()) { fn() }}
 }
 
 func (r *Registry) familyLocked(name, typ, help string) *family {
@@ -138,150 +73,178 @@ func (r *Registry) familyLocked(name, typ, help string) *family {
 	return f
 }
 
-func (f *family) seriesLocked(labels string) (*series, bool) {
-	for _, s := range f.ser {
-		if s.labels == labels {
-			return s, true
+func (r *Registry) put(name, typ, help string, s series) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyLocked(name, typ, help)
+	for i := range f.ser {
+		if f.ser[i].labels == s.labels {
+			f.ser[i] = s
+			return
 		}
 	}
-	s := &series{labels: labels}
 	f.ser = append(f.ser, s)
-	return s, false
 }
 
-// Counter registers (or finds) a counter. labels is a rendered label
-// set like `op="R"` or empty.
-func (r *Registry) Counter(name, labels, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.familyLocked(name, "counter", help).seriesLocked(labels)
-	if !ok {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
-}
-
-// CounterFunc registers a counter whose value is pulled from fn at
-// exposition time — for monotonic totals another subsystem already
-// tracks (e.g. the Recorder's dropped-event count). fn must be safe to
-// call from the HTTP handler goroutine at any moment.
+// CounterFunc registers a counter pulled from fn at exposition time,
+// for a total kept outside the sinks (the Recorder's dropped-event
+// count). fn runs outside the view and must be safe to call from the
+// HTTP handler goroutine at any moment.
 func (r *Registry) CounterFunc(name, labels, help string, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, _ := r.familyLocked(name, "counter", help).seriesLocked(labels)
-	s.ctrFunc = fn
+	r.put(name, "counter", help, series{labels: labels, ctr: fn})
 }
 
-// GaugeFunc registers a gauge whose value is pulled from fn at
-// exposition time. fn must be safe to call from the HTTP handler
-// goroutine at any moment.
+// GaugeFunc registers a gauge pulled from fn at exposition time. fn
+// runs outside the view — it may take a lock an emitter holds, as
+// Bus.Stats takes the arbiter's — and must be safe to call from the
+// HTTP handler goroutine at any moment.
 func (r *Registry) GaugeFunc(name, labels, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, _ := r.familyLocked(name, "gauge", help).seriesLocked(labels)
-	s.gauge = fn
+	r.put(name, "gauge", help, series{labels: labels, gauge: fn})
 }
 
-// Summary registers (or finds) a summary metric.
-func (r *Registry) Summary(name, labels, help string) *SummaryMetric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.familyLocked(name, "summary", help).seriesLocked(labels)
-	if !ok {
-		s.sum = &SummaryMetric{}
-	}
-	return s.sum
+// Summary registers a summary series — p50/p90/p95/p99/p999 quantile
+// series (upper bounds of the log buckets) plus _sum and _count —
+// rendered from the histogram read returns. read runs inside the view
+// and returns a histogram one sink owns.
+func (r *Registry) Summary(name, labels, help string, read func() obs.Histogram) {
+	r.put(name, "summary", help, series{labels: labels, hist: read})
 }
 
-// Histogram registers (or finds) a native histogram metric.
-func (r *Registry) Histogram(name, labels, help string) *HistogramMetric {
+// Histogram registers a native histogram series rendered from the
+// histogram read returns: cumulative _bucket{le="…"} series plus _sum
+// and _count. Unlike a summary's pre-digested quantiles, the buckets
+// let a scraper aggregate across instances and compute any quantile
+// with histogram_quantile(). Bucket boundaries are the log buckets of
+// obs.Histogram: le = 2^i − 1 for each bucket up to the highest
+// non-empty one. read runs inside the view and returns a histogram one
+// sink owns.
+func (r *Registry) Histogram(name, labels, help string, read func() obs.Histogram) {
+	r.put(name, "histogram", help, series{labels: labels, hist: read})
+}
+
+// FamilyFunc registers a counter or gauge family one sink owns whose
+// label set is only known at scrape time: collect runs inside the view
+// and calls add once per series. A family that adds no series renders
+// nothing, not even its header.
+func (r *Registry) FamilyFunc(name, typ, help string, collect func(add func(labels string, v int64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.familyLocked(name, "histogram", help).seriesLocked(labels)
-	if !ok {
-		s.histo = &HistogramMetric{}
-	}
-	return s.histo
+	r.familyLocked(name, typ, help).collect = collect
 }
 
 // WritePrometheus renders every family in the text exposition format,
-// sorted by family name for stable scrapes.
+// sorted by family name for stable scrapes. The sink-owned series are
+// all read inside one view; the callbacks run after it.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
+	fams := make([]family, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		c := *f
+		c.ser = append([]series(nil), f.ser...)
+		fams = append(fams, c)
 	}
+	view := r.view
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
+	body := make([]strings.Builder, len(fams))
+	view(func() {
+		for i := range fams {
+			fams[i].write(&body[i], true)
+		}
+	})
 	var b strings.Builder
-	for _, f := range fams {
+	for i := range fams {
+		f := &fams[i]
+		f.write(&body[i], false)
+		if body[i].Len() == 0 {
+			continue
+		}
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		// Take the series snapshot under the registry lock so lazy
-		// registrations during rendering cannot tear the slice.
-		r.mu.Lock()
-		ser := append([]*series(nil), f.ser...)
-		r.mu.Unlock()
-		for _, s := range ser {
-			switch {
-			case s.ctr != nil:
-				fmt.Fprintf(&b, "%s %d\n", renderName(f.name, s.labels), s.ctr.Value())
-			case s.ctrFunc != nil:
-				fmt.Fprintf(&b, "%s %d\n", renderName(f.name, s.labels), s.ctrFunc())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s %s\n", renderName(f.name, s.labels), formatFloat(s.gauge()))
-			case s.sum != nil:
-				writeSummary(&b, f.name, s.labels, s.sum.Summary())
-			case s.histo != nil:
-				buckets, sum, count := s.histo.snapshot()
-				writeHistogram(&b, f.name, s.labels, buckets, sum, count)
-			}
-		}
+		b.WriteString(body[i].String())
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
+// write renders the family's series that are read inside the view
+// (inView) or outside it. A collected family's series come out sorted
+// by label set.
+func (f *family) write(b *strings.Builder, inView bool) {
+	if f.collect != nil {
+		if !inView {
+			return
+		}
+		type sample struct {
+			labels string
+			v      int64
+		}
+		var got []sample
+		f.collect(func(labels string, v int64) { got = append(got, sample{labels, v}) })
+		sort.Slice(got, func(i, j int) bool { return got[i].labels < got[j].labels })
+		for _, s := range got {
+			fmt.Fprintf(b, "%s %d\n", renderName(f.name, s.labels), s.v)
+		}
+		return
+	}
+	for _, s := range f.ser {
+		if (s.hist != nil) != inView {
+			continue
+		}
+		switch {
+		case s.ctr != nil:
+			fmt.Fprintf(b, "%s %d\n", renderName(f.name, s.labels), s.ctr())
+		case s.gauge != nil:
+			fmt.Fprintf(b, "%s %s\n", renderName(f.name, s.labels), formatFloat(s.gauge()))
+		case f.typ == "summary":
+			h := s.hist()
+			writeSummary(b, f.name, s.labels, &h)
+		default:
+			h := s.hist()
+			writeHistogram(b, f.name, s.labels, &h)
+		}
+	}
+}
+
+// withLabel appends one label to a rendered label set.
+func withLabel(labels, extra string) string {
+	if labels == "" {
+		return extra
+	}
+	return labels + "," + extra
+}
+
 // writeHistogram renders one native-histogram series: the cumulative
 // _bucket counts with le = 2^i − 1 (the log-bucket upper bounds), the
 // mandatory le="+Inf" terminator, then _sum and _count.
-func writeHistogram(b *strings.Builder, name, labels string, buckets []int64, sum, count int64) {
-	withQ := func(extra string) string {
-		if labels == "" {
-			return extra
-		}
-		return labels + "," + extra
-	}
+func writeHistogram(b *strings.Builder, name, labels string, h *obs.Histogram) {
 	var cum int64
-	for i, c := range buckets {
+	for i, c := range h.Buckets() {
 		cum += c
 		le := int64(1)<<uint(i) - 1
-		fmt.Fprintf(b, "%s %d\n", renderName(name+"_bucket", withQ(fmt.Sprintf("le=%q", fmt.Sprint(le)))), cum)
+		fmt.Fprintf(b, "%s %d\n", renderName(name+"_bucket", withLabel(labels, fmt.Sprintf("le=%q", fmt.Sprint(le)))), cum)
 	}
-	fmt.Fprintf(b, "%s %d\n", renderName(name+"_bucket", withQ(`le="+Inf"`)), count)
-	fmt.Fprintf(b, "%s %d\n", renderName(name+"_sum", labels), sum)
-	fmt.Fprintf(b, "%s %d\n", renderName(name+"_count", labels), count)
+	fmt.Fprintf(b, "%s %d\n", renderName(name+"_bucket", withLabel(labels, `le="+Inf"`)), h.Count())
+	fmt.Fprintf(b, "%s %d\n", renderName(name+"_sum", labels), h.Sum())
+	fmt.Fprintf(b, "%s %d\n", renderName(name+"_count", labels), h.Count())
 }
 
 // writeSummary renders one summary series: the p50/p90/p95/p99/p999
-// quantiles (upper bounds of the log buckets) plus _sum and _count.
-func writeSummary(b *strings.Builder, name, labels string, s obs.Summary) {
+// quantiles (upper bounds of the log buckets) plus the exact _sum and
+// _count.
+func writeSummary(b *strings.Builder, name, labels string, h *obs.Histogram) {
+	s := h.Summary()
 	for _, q := range [...]struct {
 		q string
 		v int64
 	}{{"0.5", s.P50}, {"0.9", s.P90}, {"0.95", s.P95}, {"0.99", s.P99}, {"0.999", s.P999}} {
-		ql := fmt.Sprintf("quantile=%q", q.q)
-		if labels != "" {
-			ql = labels + "," + ql
-		}
-		fmt.Fprintf(b, "%s %d\n", renderName(name, ql), q.v)
+		fmt.Fprintf(b, "%s %d\n", renderName(name, withLabel(labels, fmt.Sprintf("quantile=%q", q.q))), q.v)
 	}
-	fmt.Fprintf(b, "%s %s\n", renderName(name+"_sum", labels), formatFloat(s.Mean*float64(s.Count)))
-	fmt.Fprintf(b, "%s %d\n", renderName(name+"_count", labels), s.Count)
+	fmt.Fprintf(b, "%s %d\n", renderName(name+"_sum", labels), h.Sum())
+	fmt.Fprintf(b, "%s %d\n", renderName(name+"_count", labels), h.Count())
 }
 
 func renderName(name, labels string) string {

@@ -14,28 +14,18 @@ import (
 	"syscall"
 	"time"
 
-	"futurebus/internal/obs"
-	"futurebus/internal/obs/causal"
-	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/ledger"
 )
 
-// Server is the embedded observability endpoint. It owns its own mux
-// (the global http.DefaultServeMux stays untouched so two servers, or
-// a test harness, can coexist) and its own listener, so ":0" works and
-// Addr() reports the bound port. The route table is Endpoints().
+// Server is the embedded observability endpoint of a Service. It owns
+// its own mux (the global http.DefaultServeMux stays untouched so two
+// servers, or a test harness, can coexist) and its own listener, so
+// ":0" works and Addr() reports the bound port. The route table is
+// Endpoints().
 type Server struct {
-	reg       *Registry
-	stream    *EventStream
-	attr      *obs.AttributionSink
-	causal    *causal.Analyzer
-	coherence *coherence.Analyzer
-	watch     *WatchSink
-	perf      *PerfSink
-	trend     *TrendSource
-	// rec feeds the sinks above; every handler reads them inside
-	// rec.View (nil: no recorder, read them directly).
-	rec *obs.Recorder
+	// svc holds the sinks; every handler reads them inside the View of
+	// the recorder it observes.
+	svc *Service
 
 	http *http.Server
 	ln   net.Listener
@@ -53,7 +43,7 @@ type Endpoint struct {
 }
 
 // endpointTable is the single source of truth for the server's routes:
-// NewServer builds its mux from it and EndpointList renders the banner
+// newServer builds its mux from it and EndpointList renders the banner
 // fbsim/fbsweep print, so the two cannot drift (TestEndpointsMatchMux
 // asserts the mux serves every entry). The extra /debug/pprof/*
 // subpaths hang off the /debug/pprof/ prefix and are registered
@@ -104,12 +94,9 @@ func EndpointList() string {
 	return strings.Join(parts, " ")
 }
 
-// NewServer builds a server over the given registry, stream and
-// attribution sink; any of them may be nil, in which case the matching
-// endpoint degrades gracefully (404 for /events without a stream,
-// empty documents otherwise).
-func NewServer(reg *Registry, stream *EventStream, attr *obs.AttributionSink) *Server {
-	s := &Server{reg: reg, stream: stream, attr: attr, done: make(chan struct{})}
+// newServer builds the server over svc's registry, stream and sinks.
+func newServer(svc *Service) *Server {
+	s := &Server{svc: svc, done: make(chan struct{})}
 	mux := http.NewServeMux()
 	for _, e := range endpointTable {
 		mux.HandleFunc(e.Path, e.handler(s))
@@ -182,17 +169,11 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// handleMetrics renders the registry. It first delivers every buffered
-// event, so the counters the sinks push include the events emitted
-// before the scrape. The render itself runs outside View: a gauge
-// callback may take a lock an emitter holds (Bus.Stats takes the
-// arbiter's), and the analyzer callbacks take a View of their own.
+// handleMetrics renders the registry, which reads the sinks inside the
+// recorder's View, so the scrape covers every event emitted before it.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if s.reg != nil {
-		s.rec.View(func() {})
-		_ = s.reg.WritePrometheus(w)
-	}
+	_ = s.svc.Registry.WritePrometheus(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -200,51 +181,55 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// serveJSON answers with the document snap builds, or with empty when
-// the endpoint's source is not attached. snap runs inside View, so the
-// document covers every event emitted before the request; it is built
-// per request, so the simulation never pays for it otherwise.
-func (s *Server) serveJSON(w http.ResponseWriter, attached bool, empty string, snap func() any) {
+// serveJSON answers with the document snap builds. snap runs inside
+// View, so the document covers every event emitted before the request;
+// it is built per request, so the simulation never pays for it
+// otherwise.
+func (s *Server) serveJSON(w http.ResponseWriter, snap func() any) {
 	w.Header().Set("Content-Type", "application/json")
-	if !attached {
-		fmt.Fprintln(w, empty)
-		return
-	}
 	var doc any
-	s.rec.View(func() { doc = snap() })
+	s.svc.rec.View(func() { doc = snap() })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(doc)
 }
 
+// handleSlow serves the service fold's ring of the slowest
+// transactions, slowest first, each with its phase decomposition.
 func (s *Server) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	s.serveJSON(w, s.attr != nil, "[]", func() any { return s.attr.Slowest() })
+	s.serveJSON(w, func() any { return s.svc.metrics.slowest() })
 }
 
 // handleCausal serves the causal analysis — run totals, blame tables,
 // critical path.
 func (s *Server) handleCausal(w http.ResponseWriter, _ *http.Request) {
-	s.serveJSON(w, s.causal != nil, "{}", func() any { return s.causal.Analyze() })
+	s.serveJSON(w, func() any { return s.svc.Causal.Analyze() })
 }
 
 // handleCoherence serves the per-protocol transition matrices,
 // residency, ownership chains and fan-out distributions.
 func (s *Server) handleCoherence(w http.ResponseWriter, _ *http.Request) {
-	s.serveJSON(w, s.coherence != nil, "{}", func() any { return s.coherence.Analyze(0) })
+	s.serveJSON(w, func() any { return s.svc.Coherence.Analyze(0) })
 }
 
 // handleViolations serves the runtime invariant monitor's report —
 // totals, per-(invariant, protocol) counts, the latched first violation
-// and the bounded violation records with their causal context.
+// and the bounded violation records with their causal context. Without
+// a monitor the document is empty.
 func (s *Server) handleViolations(w http.ResponseWriter, _ *http.Request) {
-	s.serveJSON(w, s.watch != nil, "{}", func() any { return s.watch.Report() })
+	s.serveJSON(w, func() any {
+		if s.svc.Watch == nil {
+			return struct{}{}
+		}
+		return s.svc.Watch.Report()
+	})
 }
 
 // handlePerf serves the saturation telemetry — per-shard arbitration
 // queue-depth timelines plus log-bucketed latency distributions with
 // quantiles.
 func (s *Server) handlePerf(w http.ResponseWriter, _ *http.Request) {
-	s.serveJSON(w, s.perf != nil, "{}", func() any { return s.perf.Snapshot() })
+	s.serveJSON(w, func() any { return s.svc.Perf.Snapshot() })
 }
 
 // handleTrend judges the live run against the rolling baseline of the
@@ -252,11 +237,11 @@ func (s *Server) handlePerf(w http.ResponseWriter, _ *http.Request) {
 // attached the verdict degrades to "no-baseline" rather than 404, so
 // probes can always parse the body.
 func (s *Server) handleTrend(w http.ResponseWriter, _ *http.Request) {
-	s.serveJSON(w, true, "", func() any {
-		if s.trend == nil {
+	s.serveJSON(w, func() any {
+		if s.svc.Trend == nil {
 			return ledger.GateReport{Verdict: "no-baseline"}
 		}
-		return s.trend.Gate()
+		return s.svc.Trend.Gate()
 	})
 }
 
@@ -265,10 +250,6 @@ func (s *Server) handleTrend(w http.ResponseWriter, _ *http.Request) {
 // the server closes. A slow client does not stall the simulation —
 // frames it cannot drain are shed upstream in EventStream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.stream == nil {
-		http.NotFound(w, r)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -278,7 +259,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	ch, replay, cancel := s.stream.Subscribe()
+	ch, replay, cancel := s.svc.Stream.Subscribe()
 	defer cancel()
 	for _, frame := range replay {
 		if writeSSE(w, frame) != nil {

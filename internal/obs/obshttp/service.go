@@ -1,13 +1,15 @@
 package obshttp
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
-	"strings"
+	"sort"
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
+	"futurebus/internal/obs/perf"
 	"futurebus/internal/obs/watch"
 )
 
@@ -44,26 +46,27 @@ const (
 )
 
 // Service bundles everything live observability needs: the metrics
-// registry, the SSE event stream, the phase-attribution sink, the
-// causal, coherence, saturation and (optionally) invariant analyzers,
-// and a registry-feeding event sink. Attach Sinks() to a Recorder,
-// name it with ObserveRecorder, then Serve to expose it all over HTTP.
+// registry, the SSE event stream, the service's own fold of the stream
+// (event counts, phase and stall histograms, the /slow ring), and the
+// causal, coherence, saturation and (optionally) invariant analyzers.
+// Attach Sinks() to a Recorder, name it with ObserveRecorder, then
+// Serve to expose it all over HTTP.
 //
 // The analyzers are the same single-goroutine sinks fbt causal, lens
-// and watch replay offline, attached straight to the recorder. Every
-// endpoint and every /metrics callback that reads one does so inside
-// the recorder's View, so a served document covers every event emitted
-// before the request; other readers of these fields do the same while
-// the recorder runs.
+// and watch replay offline, attached straight to the recorder. Each
+// number has one owner: the registry keeps none, but renders the
+// sinks' counts and histograms. Every endpoint and every scrape reads
+// them inside the recorder's View, so a served document covers every
+// event emitted before the request; other readers of these fields do
+// the same while the recorder runs.
 type Service struct {
 	Registry  *Registry
 	Stream    *EventStream
-	Attr      *obs.AttributionSink
 	Causal    *causal.Analyzer
 	Coherence *coherence.Analyzer
 	// Perf is the saturation-telemetry sink: /perf serves its snapshot
-	// and the registry carries its native latency histograms and
-	// per-shard queue gauges.
+	// and the registry renders its latency histograms and per-shard
+	// queue gauges.
 	Perf *PerfSink
 	// Watch is the runtime invariant monitor (nil unless EnableWatch
 	// attached one).
@@ -81,30 +84,22 @@ type Service struct {
 // simulator benchmark (simbench) attaches one by this name.
 type CoherenceSink = coherence.Analyzer
 
-// NewService builds a service with an attribution ring of topK slowest
-// transactions (0 = obs.DefaultTopK).
+// NewService builds a service whose /slow ring keeps the topK slowest
+// transactions (0 = DefaultTopK).
 func NewService(topK int) *Service {
 	s := &Service{
 		Registry:  NewRegistry(),
 		Stream:    NewEventStream(),
-		Attr:      obs.NewAttributionSink(topK),
 		Causal:    &causal.Analyzer{},
 		Coherence: &coherence.Analyzer{},
 	}
-	s.metrics = newMetricsSink(s.Registry)
+	s.metrics = newMetricsSink(s.Registry, topK)
 	s.Perf = NewPerfSink(s.Registry)
-	s.Registry.CounterFunc(MetricCoherenceOwnershipMoves, "",
-		"Line ownership migrating directly from one cache to another.", func() int64 {
-			return s.coherenceTotals().OwnershipMoves
-		})
-	s.Registry.CounterFunc(MetricCoherenceReadSource, `source="cache"`,
-		"Completed bus reads by who supplied the line.", func() int64 {
-			return s.coherenceTotals().CacheSourced
-		})
-	s.Registry.CounterFunc(MetricCoherenceReadSource, `source="memory"`,
-		"Completed bus reads by who supplied the line.", func() int64 {
-			return s.coherenceTotals().MemSourced
-		})
+	// perf's tenure histogram holds every completed transaction's bus
+	// occupancy, the samples a per-transaction latency summary digests.
+	s.Registry.Summary(MetricTxLatency, "", "Per-transaction bus occupancy in simulated ns.",
+		func() obs.Histogram { return s.Perf.Latency(perf.MetricTenure) })
+	s.registerCoherence()
 	s.Registry.GaugeFunc(MetricSSEFrames, "", "Event frames marshalled for SSE subscribers.", func() float64 {
 		frames, _ := s.Stream.Stats()
 		return float64(frames)
@@ -116,9 +111,51 @@ func NewService(topK int) *Service {
 	return s
 }
 
-func (s *Service) coherenceTotals() (t coherence.Totals) {
-	s.rec.View(func() { t = s.Coherence.Totals() })
-	return t
+// registerCoherence renders the coherence analyzer's transition
+// matrices and totals: the state-transition families count only cells
+// that happened, as the series appear when the first transition does.
+func (s *Service) registerCoherence() {
+	cells := func(m *coherence.Matrix, add func(from, to string, n int64)) {
+		for f, row := range m {
+			for t, n := range row {
+				if n > 0 {
+					add(coherence.StateLetters[f], coherence.StateLetters[t], n)
+				}
+			}
+		}
+	}
+	reg := s.Registry
+	reg.FamilyFunc(MetricStateTransitions, "counter", "Cache-line state transitions.", func(add func(string, int64)) {
+		var all coherence.Matrix
+		s.Coherence.Transitions(func(_ string, m *coherence.Matrix, _ int64) { all.Add(m) })
+		cells(&all, func(from, to string, n int64) { add(fmt.Sprintf("from=%q,to=%q", from, to), n) })
+	})
+	reg.FamilyFunc(MetricCoherenceTransitions, "counter", "Cache-line state transitions by governing protocol.",
+		func(add func(string, int64)) {
+			s.Coherence.Transitions(func(proto string, m *coherence.Matrix, _ int64) {
+				cells(m, func(from, to string, n int64) {
+					add(fmt.Sprintf("proto=%q,from=%q,to=%q", proto, from, to), n)
+				})
+			})
+		})
+	reg.FamilyFunc(MetricCoherenceInvalidations, "counter", "Snoop-caused transitions to Invalid by protocol.",
+		func(add func(string, int64)) {
+			s.Coherence.Transitions(func(proto string, _ *coherence.Matrix, inv int64) {
+				if inv > 0 {
+					add(fmt.Sprintf("proto=%q", proto), inv)
+				}
+			})
+		})
+	reg.FamilyFunc(MetricCoherenceOwnershipMoves, "counter",
+		"Line ownership migrating directly from one cache to another.", func(add func(string, int64)) {
+			add("", s.Coherence.Totals().OwnershipMoves)
+		})
+	reg.FamilyFunc(MetricCoherenceReadSource, "counter",
+		"Completed bus reads by who supplied the line.", func(add func(string, int64)) {
+			t := s.Coherence.Totals()
+			add(`source="cache"`, t.CacheSourced)
+			add(`source="memory"`, t.MemSourced)
+		})
 }
 
 // EnableWatch attaches the runtime invariant monitor to the service:
@@ -127,26 +164,16 @@ func (s *Service) coherenceTotals() (t coherence.Totals) {
 // first-violation latch gauge. Call before Sinks()/Serve. Zero cfg
 // fields take the monitor's defaults.
 func (s *Service) EnableWatch(cfg watch.Config) *WatchSink {
-	if s.Watch != nil {
-		return s.Watch
+	if s.Watch == nil {
+		s.Watch = NewWatchSink(cfg, s.Registry)
 	}
-	s.Watch = NewWatchSink(cfg, s.Registry)
-	s.Registry.GaugeFunc(MetricInvariantLatch, "",
-		"1 once any protocol invariant has been violated, else 0 (latched).", func() float64 {
-			var total int64
-			s.rec.View(func() { total = s.Watch.Total() })
-			if total > 0 {
-				return 1
-			}
-			return 0
-		})
 	return s.Watch
 }
 
 // Sinks returns the obs.Sinks the service needs attached to the
 // Recorder, in the order they should run.
 func (s *Service) Sinks() []obs.Sink {
-	sinks := []obs.Sink{s.metrics, s.Attr, s.Causal, s.Coherence, s.Perf}
+	sinks := []obs.Sink{s.metrics, s.Causal, s.Coherence, s.Perf}
 	if s.Watch != nil {
 		sinks = append(sinks, s.Watch)
 	}
@@ -154,17 +181,20 @@ func (s *Service) Sinks() []obs.Sink {
 }
 
 // ObserveRecorder names the recorder the service's Sinks() are
-// attached to: the endpoints and the registry's analyzer callbacks read
-// through its View, so call it before Serve (which refuses to start
-// without it) and before anything renders the registry. It also
-// exposes the recorder's drop telemetry on /metrics:
-// obs_events_dropped_total counts events discarded because they were
-// emitted after the recorder closed — an instrumentation site outlived
-// the recorder (0 on a healthy run; events are never shed while the
-// recorder is open). Safe to call with a nil recorder (no events flow,
-// and the counter reads 0).
+// attached to: the endpoints and the registry read the sinks through
+// its View, so call it before Serve (which refuses to start without
+// it) and before anything renders the registry. It also exposes the
+// recorder's drop telemetry on /metrics: obs_events_dropped_total
+// counts events discarded because they were emitted after the recorder
+// closed — an instrumentation site outlived the recorder (0 on a
+// healthy run; events are never shed while the recorder is open). Safe
+// to call with a nil recorder (no events flow, and the counter reads
+// 0).
 func (s *Service) ObserveRecorder(rec *obs.Recorder) {
 	s.rec, s.observed = rec, true
+	s.Registry.mu.Lock()
+	s.Registry.view = rec.View
+	s.Registry.mu.Unlock()
 	s.Registry.CounterFunc(MetricDropped, "",
 		"Events discarded because they were emitted after the recorder closed.",
 		rec.Dropped)
@@ -177,139 +207,126 @@ func (s *Service) Serve(addr string) (*Server, error) {
 	if !s.observed {
 		return nil, errors.New("obshttp: Serve before ObserveRecorder (the handlers read the sinks through the recorder)")
 	}
-	srv := NewServer(s.Registry, s.Stream, s.Attr)
-	srv.rec = s.rec
-	srv.causal = s.Causal
-	srv.coherence = s.Coherence
-	srv.watch = s.Watch
-	srv.perf = s.Perf
-	srv.trend = s.Trend
+	srv := newServer(s)
 	if err := srv.Listen(addr); err != nil {
 		return nil, err
 	}
 	return srv, nil
 }
 
-// metricsSink feeds the registry from the event stream. The Recorder
-// calls it one event at a time, so lazy per-label registration has no
-// registration races beyond what Registry already handles.
+// DefaultTopK is the /slow ring capacity of NewService(0).
+const DefaultTopK = 16
+
+// metricsSink is the service's own fold of the event stream: events by
+// kind, completed transactions by op, the abort, retry, NACK and
+// retry-exhaustion counts, the per-phase and per-bus-op stall
+// histograms, and the /slow ring of the slowest transactions. The
+// Recorder calls it one event at a time, and the registry and /slow
+// read it inside the recorder's View.
 type metricsSink struct {
-	reg    *Registry
-	events map[obs.Kind]*Counter
-	txOps  map[string]*Counter
-	trans  map[[2]string]*Counter
-	ctrans map[[3]string]*Counter
-	cinv   map[string]*Counter
-	aborts *Counter
-	retry  *Counter
-	nacks  *Counter
-	exh    *Counter
-	phases [obs.NumPhases]*SummaryMetric
-	txLat  *SummaryMetric
-	stall  *SummaryMetric
+	events  map[obs.Kind]int64
+	txOps   map[string]int64
+	aborts  int64
+	retries int64
+	nacks   int64
+	exh     int64
+	phases  [obs.NumPhases]obs.Histogram
+	stall   obs.Histogram
+	topK    int
+	slow    slowHeap // min-heap by Dur, at most topK spans
 }
 
-func newMetricsSink(reg *Registry) *metricsSink {
-	m := &metricsSink{
-		reg:    reg,
-		events: make(map[obs.Kind]*Counter),
-		txOps:  make(map[string]*Counter),
-		trans:  make(map[[2]string]*Counter),
-		ctrans: make(map[[3]string]*Counter),
-		cinv:   make(map[string]*Counter),
-		aborts: reg.Counter(MetricAborts, "", "BS aborts of bus transaction attempts."),
-		retry:  reg.Counter(MetricRetries, "", "BS abort/retry rounds across all transactions."),
-		nacks: reg.Counter(MetricNacks, "",
-			"Split-mode NACKs: address tenures bounced because the pending table was full."),
-		exh: reg.Counter(MetricRetryExhausted, "",
-			"Transactions that gave up after the BS abort/retry bound (ErrTooManyRetries)."),
-		txLat: reg.Summary(MetricTxLatency, "", "Per-transaction bus occupancy in simulated ns."),
-		stall: reg.Summary(MetricStall, "", "Per-bus-op processor stall in simulated ns."),
+func newMetricsSink(reg *Registry, topK int) *metricsSink {
+	if topK <= 0 {
+		topK = DefaultTopK
+	}
+	m := &metricsSink{events: make(map[obs.Kind]int64), txOps: make(map[string]int64), topK: topK}
+	reg.FamilyFunc(MetricEvents, "counter", "Events by kind.", func(add func(string, int64)) {
+		for k, n := range m.events {
+			add(fmt.Sprintf("kind=%q", k), n)
+		}
+	})
+	reg.FamilyFunc(MetricTransactions, "counter", "Completed bus transactions by data-phase op.",
+		func(add func(string, int64)) {
+			for op, n := range m.txOps {
+				add(fmt.Sprintf("op=%q", op), n)
+			}
+		})
+	for _, c := range []struct {
+		name, help string
+		n          *int64
+	}{
+		{MetricAborts, "BS aborts of bus transaction attempts.", &m.aborts},
+		{MetricRetries, "BS abort/retry rounds across all transactions.", &m.retries},
+		{MetricNacks, "Split-mode NACKs: address tenures bounced because the pending table was full.", &m.nacks},
+		{MetricRetryExhausted, "Transactions that gave up after the BS abort/retry bound (ErrTooManyRetries).", &m.exh},
+	} {
+		reg.FamilyFunc(c.name, "counter", c.help, func(add func(string, int64)) { add("", *c.n) })
 	}
 	for ph, name := range obs.PhaseNames {
-		m.phases[ph] = reg.Summary(MetricPhaseLatency, fmt.Sprintf("phase=%q", name),
-			"Per-phase bus transaction latency in simulated ns.")
+		reg.Summary(MetricPhaseLatency, fmt.Sprintf("phase=%q", name),
+			"Per-phase bus transaction latency in simulated ns.", func() obs.Histogram { return m.phases[ph] })
 	}
+	reg.Summary(MetricStall, "", "Per-bus-op processor stall in simulated ns.",
+		func() obs.Histogram { return m.stall })
 	return m
 }
 
 // Consume implements obs.Sink.
 func (m *metricsSink) Consume(e *obs.Event) {
-	c, ok := m.events[e.Kind]
-	if !ok {
-		c = m.reg.Counter(MetricEvents, fmt.Sprintf("kind=%q", e.Kind), "Events by kind.")
-		m.events[e.Kind] = c
-	}
-	c.Inc()
-
+	m.events[e.Kind]++
 	switch e.Kind {
 	case obs.KindTx:
 		op := e.Op
 		if op == "" {
 			op = "A"
 		}
-		oc, ok := m.txOps[op]
-		if !ok {
-			oc = m.reg.Counter(MetricTransactions, fmt.Sprintf("op=%q", op),
-				"Completed bus transactions by data-phase op.")
-			m.txOps[op] = oc
-		}
-		oc.Inc()
-		m.retry.Add(int64(e.Retries))
-		m.txLat.Observe(e.Dur)
-		if span, ok := obs.SpanFromEvent(e); ok {
-			for ph, v := range span.Phases {
-				// Same rule as AttributionSink: the always-paid phases
-				// count zeros, conditional phases only real samples.
-				if ph > obs.PhaseData && v == 0 {
-					continue
-				}
-				m.phases[ph].Observe(v)
+		m.txOps[op]++
+		m.retries += int64(e.Retries)
+		span, _ := obs.SpanFromEvent(e)
+		for ph, v := range span.Phases {
+			// Arb, Addr and Data are paid by every transaction, so zero
+			// is a real sample ("no wait"); the remaining phases only
+			// happened when they cost something — a zero there would
+			// skew the distribution with not-applicable entries.
+			if ph > obs.PhaseData && v == 0 {
+				continue
 			}
+			m.phases[ph].Observe(v)
+		}
+		if len(m.slow) < m.topK {
+			heap.Push(&m.slow, span)
+		} else if span.Dur > m.slow[0].Dur {
+			m.slow[0] = span
+			heap.Fix(&m.slow, 0)
 		}
 	case obs.KindAbort:
-		m.aborts.Inc()
-	case obs.KindState:
-		key := [2]string{e.From, e.To}
-		tc, ok := m.trans[key]
-		if !ok {
-			tc = m.reg.Counter(MetricStateTransitions,
-				fmt.Sprintf("from=%q,to=%q", e.From, e.To),
-				"Cache-line state transitions.")
-			m.trans[key] = tc
-		}
-		tc.Inc()
-		proto := e.Proto
-		if proto == "" {
-			proto = "unknown"
-		}
-		ckey := [3]string{proto, e.From, e.To}
-		cc, ok := m.ctrans[ckey]
-		if !ok {
-			cc = m.reg.Counter(MetricCoherenceTransitions,
-				fmt.Sprintf("proto=%q,from=%q,to=%q", proto, e.From, e.To),
-				"Cache-line state transitions by governing protocol.")
-			m.ctrans[ckey] = cc
-		}
-		cc.Inc()
-		if e.To == "I" && strings.HasPrefix(e.Cause, "snoop-") {
-			ic, ok := m.cinv[proto]
-			if !ok {
-				ic = m.reg.Counter(MetricCoherenceInvalidations,
-					fmt.Sprintf("proto=%q", proto),
-					"Snoop-caused transitions to Invalid by protocol.")
-				m.cinv[proto] = ic
-			}
-			ic.Inc()
-		}
+		m.aborts++
 	case obs.KindStall:
 		m.stall.Observe(e.Dur)
 	case obs.KindNack:
-		m.nacks.Inc()
+		m.nacks++
 	case obs.KindRetryExhausted:
-		m.exh.Inc()
+		m.exh++
 	}
 }
 
 // Flush implements obs.Sink.
 func (m *metricsSink) Flush() error { return nil }
+
+// slowest returns the retained slowest transactions, slowest first.
+func (m *metricsSink) slowest() []obs.TxSpan {
+	out := append([]obs.TxSpan(nil), m.slow...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
+	return out
+}
+
+// slowHeap is a min-heap of spans by duration, so the root is the
+// cheapest retained span — the one a slower newcomer evicts.
+type slowHeap []obs.TxSpan
+
+func (h slowHeap) Len() int           { return len(h) }
+func (h slowHeap) Less(i, j int) bool { return h[i].Dur < h[j].Dur }
+func (h slowHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *slowHeap) Push(x any)        { *h = append(*h, x.(obs.TxSpan)) }
+func (h *slowHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }

@@ -1,6 +1,7 @@
 package obshttp
 
 import (
+	"strings"
 	"testing"
 
 	"futurebus/internal/obs"
@@ -11,14 +12,17 @@ import (
 // so a scrape distinguishes back-pressure from livelock.
 func TestMetricsSinkSplitCounters(t *testing.T) {
 	reg := NewRegistry()
-	m := newMetricsSink(reg)
+	m := newMetricsSink(reg, 0)
 	m.Consume(&obs.Event{Kind: obs.KindNack, Bus: 0})
 	m.Consume(&obs.Event{Kind: obs.KindNack, Bus: 1})
 	m.Consume(&obs.Event{Kind: obs.KindRetryExhausted, Proc: 3})
-	if got := reg.Counter(MetricNacks, "", "x").Value(); got != 2 {
-		t.Errorf("%s = %d, want 2", MetricNacks, got)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Counter(MetricRetryExhausted, "", "x").Value(); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricRetryExhausted, got)
+	for _, want := range []string{MetricNacks + " 2\n", MetricRetryExhausted + " 1\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q in:\n%s", want, b.String())
+		}
 	}
 }

@@ -142,6 +142,7 @@ func (s *Snapshot) Render() string {
 // queueAccum accumulates one shard's depth samples in one window.
 type queueAccum struct {
 	depth    obs.Histogram
+	last     int64
 	peak     int64
 	timeline []DepthPoint // FIFO ring, nil when the window keeps none
 	tlHead   int
@@ -150,6 +151,7 @@ type queueAccum struct {
 
 func (q *queueAccum) observe(ts, depth int64, keepTimeline bool, cap int) {
 	q.depth.Observe(depth)
+	q.last = depth
 	if depth > q.peak {
 		q.peak = depth
 	}
@@ -229,22 +231,30 @@ func (a *accum) queue(bus int) *queueAccum {
 	return q
 }
 
+// latency returns the window's histogram of metric, one of the Metric*
+// names, or nil.
+func (a *accum) latency(metric string) *obs.Histogram {
+	switch metric {
+	case MetricArbWait:
+		return &a.arbWait
+	case MetricTenure:
+		return &a.tenure
+	case MetricRetry:
+		return &a.retry
+	case MetricMemSvc:
+		return &a.memSvc
+	}
+	return nil
+}
+
 func (a *accum) snapshot(withTimeline bool) *Snapshot {
 	s := &Snapshot{
 		Events:  a.events,
 		Latency: make(map[string]obs.Summary, 4),
 	}
-	for _, m := range []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{MetricArbWait, &a.arbWait},
-		{MetricTenure, &a.tenure},
-		{MetricRetry, &a.retry},
-		{MetricMemSvc, &a.memSvc},
-	} {
-		if m.h.Count() > 0 {
-			s.Latency[m.name] = m.h.Summary()
+	for _, name := range []string{MetricArbWait, MetricTenure, MetricRetry, MetricMemSvc} {
+		if h := a.latency(name); h.Count() > 0 {
+			s.Latency[name] = h.Summary()
 		}
 	}
 	s.Nacks = a.nacks
@@ -284,11 +294,6 @@ type Sink struct {
 	ends map[int][]int64
 	// tlCap bounds the cumulative window's per-shard timeline.
 	tlCap int
-	// onDepth, when non-nil, receives every depth sample (the obshttp
-	// wrapper forwards them to registry metrics). Consume only.
-	onDepth func(bus int, depth int64)
-	// onLatency, when non-nil, receives every latency sample.
-	onLatency func(metric string, v int64)
 }
 
 // NewSink creates a sink keeping timelinePoints depth samples per shard
@@ -303,12 +308,6 @@ func NewSink(timelinePoints int) *Sink {
 		ends:  make(map[int][]int64),
 		tlCap: timelinePoints,
 	}
-}
-
-// SetObservers installs per-sample callbacks (registry export). Must be
-// set before events flow.
-func (s *Sink) SetObservers(onLatency func(metric string, v int64), onDepth func(bus int, depth int64)) {
-	s.onLatency, s.onDepth = onLatency, onDepth
 }
 
 // relevant reports whether the sink folds this event kind.
@@ -344,7 +343,7 @@ func (s *Sink) Consume(e *obs.Event) {
 		if e.Dur <= 0 {
 			return
 		}
-		s.observe(MetricArbWait, &s.cum.arbWait, &s.epoch.arbWait, e.Dur)
+		observe(&s.cum.arbWait, &s.epoch.arbWait, e.Dur)
 		if e.Proc >= 0 {
 			s.cum.boardWait[e.Proc] += e.Dur
 			s.epoch.boardWait[e.Proc] += e.Dur
@@ -354,28 +353,26 @@ func (s *Sink) Consume(e *obs.Event) {
 		// Split-mode off-bus memory service (the first-word latency a
 		// pending transaction spends in the table).
 		if e.Dur > 0 {
-			s.observe(MetricMemSvc, &s.cum.memSvc, &s.epoch.memSvc, e.Dur)
+			observe(&s.cum.memSvc, &s.epoch.memSvc, e.Dur)
 		}
 	case obs.KindNack:
 		s.cum.nacks++
 		s.epoch.nacks++
 	case obs.KindTx:
-		s.observe(MetricTenure, &s.cum.tenure, &s.epoch.tenure, e.Dur)
+		observe(&s.cum.tenure, &s.epoch.tenure, e.Dur)
 		if e.RetryNS > 0 {
-			s.observe(MetricRetry, &s.cum.retry, &s.epoch.retry, e.RetryNS)
+			observe(&s.cum.retry, &s.epoch.retry, e.RetryNS)
 		}
 		if e.MemNS > 0 {
-			s.observe(MetricMemSvc, &s.cum.memSvc, &s.epoch.memSvc, e.MemNS)
+			observe(&s.cum.memSvc, &s.epoch.memSvc, e.MemNS)
 		}
 	}
 }
 
-func (s *Sink) observe(metric string, cum, epoch *obs.Histogram, v int64) {
+// observe folds one latency sample into both windows.
+func observe(cum, epoch *obs.Histogram, v int64) {
 	cum.Observe(v)
 	epoch.Observe(v)
-	if s.onLatency != nil {
-		s.onLatency(metric, v)
-	}
 }
 
 // observeDepth folds one wait interval [ts-dur, ts] into the shard's
@@ -395,9 +392,6 @@ func (s *Sink) observeDepth(bus int, ts, dur int64) {
 	s.ends[bus] = append(ends, ts)
 	s.cum.queue(bus).observe(ts, depth, true, s.tlCap)
 	s.epoch.queue(bus).observe(ts, depth, false, 0)
-	if s.onDepth != nil {
-		s.onDepth(bus, depth)
-	}
 }
 
 // Flush implements obs.Sink (the sink is pull-only).
@@ -409,6 +403,36 @@ func (s *Sink) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cum.snapshot(true)
+}
+
+// Latency returns a copy of the cumulative window's distribution of
+// metric, one of the Metric* names (empty for any other name).
+func (s *Sink) Latency(metric string) obs.Histogram {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h := s.cum.latency(metric); h != nil {
+		return *h
+	}
+	return obs.Histogram{}
+}
+
+// QueueDepth is one shard's arbitration queue in the cumulative window:
+// the depth at its most recent sample and the deepest observed.
+type QueueDepth struct {
+	Bus        int
+	Last, Peak int64
+}
+
+// QueueDepths returns the QueueDepth of every shard sampled so far, in
+// no particular order.
+func (s *Sink) QueueDepths() []QueueDepth {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]QueueDepth, 0, len(s.cum.queues))
+	for bus, q := range s.cum.queues {
+		out = append(out, QueueDepth{Bus: bus, Last: q.last, Peak: q.peak})
+	}
+	return out
 }
 
 // EpochSnapshot digests the window since the last KindEpoch marker —

@@ -148,20 +148,31 @@ func TestFindSinkDirect(t *testing.T) {
 	}
 }
 
-func TestObservers(t *testing.T) {
+// The registry renders the cumulative window through Latency and
+// QueueDepths: copies of the histograms Snapshot digests, and each
+// shard's latest and deepest queue.
+func TestCumulativeReads(t *testing.T) {
 	s := NewSink(0)
-	var lat, dep int
-	s.SetObservers(
-		func(string, int64) { lat++ },
-		func(int, int64) { dep++ },
-	)
-	s.Consume(grant(0, 100, 100))
-	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 150, Dur: 50, MemNS: 10})
-	if lat != 3 { // arb wait + tenure + memsvc
-		t.Errorf("latency callbacks = %d, want 3", lat)
+	s.Consume(grant(0, 100, 100)) // depth 1
+	s.Consume(grant(0, 150, 100)) // overlaps the first wait: depth 2
+	s.Consume(grant(0, 400, 50))  // alone again: depth 1
+	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 450, Dur: 50, MemNS: 10})
+	s.Consume(&obs.Event{Kind: obs.KindEpoch})
+	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 500, Dur: 70})
+	snap := s.Snapshot()
+	for _, m := range []string{MetricArbWait, MetricTenure, MetricMemSvc} {
+		if got := s.Latency(m); got.Summary() != snap.Latency[m] {
+			t.Errorf("Latency(%s) = %v, snapshot %v", m, got.Summary(), snap.Latency[m])
+		}
 	}
-	if dep != 1 {
-		t.Errorf("depth callbacks = %d, want 1", dep)
+	if h := s.Latency(MetricTenure); h.Count() != 2 || h.Sum() != 120 {
+		t.Errorf("tenure spans the epoch: count %d sum %d, want 2 and 120", h.Count(), h.Sum())
+	}
+	if h := s.Latency("no.such.metric"); h.Count() != 0 {
+		t.Errorf("unknown metric has %d samples", h.Count())
+	}
+	if got := s.QueueDepths(); len(got) != 1 || got[0] != (QueueDepth{Bus: 0, Last: 1, Peak: 2}) {
+		t.Errorf("QueueDepths = %+v, want bus 0 last 1 peak 2", got)
 	}
 }
 

@@ -141,6 +141,19 @@ func (r *Recorder) Emit(e Event) {
 	r.mu.Unlock()
 }
 
+// MarkEpoch emits the KindEpoch marker that opens a freshly assembled
+// system on the stream, at the current clock: bus is the system's first
+// segment and discipline its effective arbitration discipline, which
+// causal's per-discipline blame table reads back. Sweeps reuse one
+// recorder across many systems, and the stateful sinks start over on
+// the marker. A nil recorder ignores it.
+func (r *Recorder) MarkEpoch(bus int, discipline string) {
+	if r == nil {
+		return
+	}
+	r.Emit(Event{TS: r.Clock(), Kind: KindEpoch, Bus: bus, Proc: -1, Cause: discipline})
+}
+
 // Dropped returns the number of events discarded because they were
 // emitted after Close. A non-zero value means some instrumentation
 // site outlived the recorder — surface it rather than hide it.

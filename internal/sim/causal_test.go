@@ -3,10 +3,12 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
+	"futurebus/internal/obs/obshttp"
 	"futurebus/internal/workload"
 )
 
@@ -52,26 +54,38 @@ func analyzeTrace(t *testing.T, raw []byte) *causal.Analysis {
 }
 
 // TestRecordReplayAttributionParity: replaying a recorded run through a
-// fresh AttributionSink must reproduce exactly the per-phase histogram
-// totals the live sink saw — the codec loses no attribution-relevant
-// information.
+// fresh service must reproduce exactly the per-phase histograms the live
+// service folded, and the causal per-phase totals the arbitration-wait
+// vs transfer split comes from — the codec loses no
+// attribution-relevant information.
 func TestRecordReplayAttributionParity(t *testing.T) {
-	live := obs.NewAttributionSink(8)
+	live := obshttp.NewService(8)
 	raw := recordRun(t, "moesi", 4, 2000, "det",
-		func(sys *System) []workload.Generator { return abGens(sys, 0.3, 0.3, 1986) }, live)
+		func(sys *System) []workload.Generator { return abGens(sys, 0.3, 0.3, 1986) }, live.Sinks()...)
 
-	replayed := obs.NewAttributionSink(8)
-	if _, _, err := obs.ReplayTrace(bytes.NewReader(raw), replayed); err != nil {
+	replayed := obshttp.NewService(8)
+	if _, _, err := obs.ReplayTrace(bytes.NewReader(raw), replayed.Sinks()...); err != nil {
 		t.Fatal(err)
 	}
-	liveSum, replaySum := live.PhaseSummaries(), replayed.PhaseSummaries()
-	if !reflect.DeepEqual(liveSum, replaySum) {
-		t.Errorf("phase summaries diverged after replay:\nlive:   %+v\nreplay: %+v", liveSum, replaySum)
+	phases := func(svc *obshttp.Service) []string {
+		var b strings.Builder
+		if err := svc.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, obshttp.MetricPhaseLatency) {
+				out = append(out, line)
+			}
+		}
+		return out
 	}
-	la, lt := live.ArbVsTransfer()
-	ra, rt := replayed.ArbVsTransfer()
-	if la != ra || lt != rt {
-		t.Errorf("arb/transfer split diverged: live %d/%d, replay %d/%d", la, lt, ra, rt)
+	livePh, replayPh := phases(live), phases(replayed)
+	if len(livePh) == 0 || !reflect.DeepEqual(livePh, replayPh) {
+		t.Errorf("phase histograms diverged after replay:\nlive:   %q\nreplay: %q", livePh, replayPh)
+	}
+	if la, ra := live.Causal.Analyze().ByPhase, replayed.Causal.Analyze().ByPhase; !reflect.DeepEqual(la, ra) {
+		t.Errorf("per-phase totals diverged: live %v, replay %v", la, ra)
 	}
 }
 

@@ -247,19 +247,11 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 	sys := &System{Bus: b, Memory: mem, Obs: cfg.Obs, split: tenure.TableSize() > 0, disc: disc}
-	if cfg.Obs != nil {
-		// Mark the system boundary on the stream: sweeps reuse one
-		// recorder across many systems, and stateful sinks (the runtime
-		// invariant monitor) reset their per-line shadow here. Cause
-		// carries the effective arbitration discipline so downstream
-		// analysis (causal's per-discipline blame table) can label the
-		// waits that follow.
-		discName := cfg.Discipline
-		if discName == "" {
-			discName = "fcfs" // the bus default grant order
-		}
-		cfg.Obs.Emit(obs.Event{TS: cfg.Obs.Clock(), Kind: obs.KindEpoch, Bus: cfg.ObsID, Proc: -1, Cause: discName})
+	discName := cfg.Discipline
+	if discName == "" {
+		discName = "fcfs" // the bus default grant order
 	}
+	cfg.Obs.MarkEpoch(cfg.ObsID, discName)
 	if cfg.Shadow {
 		sys.Shadow = check.NewShadow(lineSize)
 	}

@@ -211,3 +211,21 @@ func TestWatchSurvivesSweepEpochs(t *testing.T) {
 		t.Fatalf("back-to-back systems flagged %d violations; first: %v", rep.Total, rep.First)
 	}
 }
+
+// TestMultiBusScalingWatchedClean: P9 builds four hierarchy systems on
+// one recorder, and each marks its epoch as sim.New's systems do, so a
+// monitor watching the whole experiment starts every system's shadow
+// afresh instead of misreading the last one's lines as violations.
+func TestMultiBusScalingWatchedClean(t *testing.T) {
+	mon := watch.New(watch.Config{})
+	rec := obs.New(mon)
+	if _, err := MultiBusScaling(ExperimentOpts{RefsPerProc: 2000, Seed: 1986, Obs: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := mon.Report(); rep.Total != 0 {
+		t.Fatalf("P9 under the monitor: %d violations; first: %v", rep.Total, rep.First)
+	}
+}

@@ -3,7 +3,8 @@
 # BENCH_<date>.json baseline and warn (exit 0 either way — timing on
 # shared CI hardware is advisory) about per-benchmark ns/op regressions
 # past a threshold. Also reports the observability recording-overhead
-# ratio (BenchmarkObsRecordingOverhead fbt vs off), the runtime
+# ratio (BenchmarkObsRecordingOverhead fbt vs off) and the analysis
+# stack's (serve vs off, advisory), the runtime
 # verification ratio (BenchmarkWatchSinkOverhead record+watch vs
 # record, gated at 10%), and the saturation-telemetry ratio
 # (BenchmarkPerfSinkOverhead record+perf vs record, gated at 10%).
@@ -156,6 +157,12 @@ END {
 		if (fbt > off * 1.05)
 			printf "WARN  .fbt recording costs more than 5%% over an unobserved run\n"
 	}
+	# The whole analysis stack of fbsim -serve -watch -record-out, not
+	# gated yet: advisory, like the fbt/off line above.
+	srv = cur["BenchmarkObsRecordingOverhead/serve"]
+	if (off > 0 && srv > 0)
+		printf "analysis overhead: serve/off = %.2fx (+%.1f%% wall-clock)%s\n", srv / off, (srv / off - 1) * 100, \
+			cpuratio("BenchmarkObsRecordingOverhead/serve", "BenchmarkObsRecordingOverhead/off")
 	rec = cur["BenchmarkWatchSinkOverhead/record"]
 	mon = cur["BenchmarkWatchSinkOverhead/record+watch"]
 	if (rec > 0 && mon > 0) {
