@@ -506,6 +506,97 @@ func BenchmarkBroadcastUpdate(b *testing.B) {
 	}
 }
 
+// --- the layer ladder: one rung per simulator layer (ROADMAP item 1) ---
+
+// BenchmarkLayer drives one layer of the simulator per rung:
+//   - engine: the deterministic engine's scheduler on the ab-hits shape
+//     (8 MOESI boards, 93% hits), with hostns/ref and allocs/ref, and
+//     the engine's own deterministic work: UsesBusNext probes and the
+//     deferrals they decide, per reference;
+//   - snoop/held-N: one address cycle of an external master's read on
+//     an 8-cache bus, for a line N of the caches hold (ns/op is ns/tx).
+func BenchmarkLayer(b *testing.B) {
+	b.Run("engine", benchLayerEngine)
+	for _, held := range []int{0, 1, 7} {
+		b.Run(fmt.Sprintf("snoop/held-%d", held), func(b *testing.B) { benchLayerSnoop(b, held) })
+	}
+}
+
+// probeCounter counts a board's UsesBusNext probes and those that
+// deferred its access.
+type probeCounter struct {
+	sim.Board
+	probes, deferrals int64
+}
+
+func (p *probeCounter) UsesBusNext(addr bus.Addr, write bool) bool {
+	p.probes++
+	uses := p.Board.UsesBusNext(addr, write)
+	if uses {
+		p.deferrals++
+	}
+	return uses
+}
+
+func benchLayerEngine(b *testing.B) {
+	b.ReportAllocs()
+	var refs, probes, deferrals int64
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		sys, err := sim.New(sim.Homogeneous("moesi", 8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		counters := make([]*probeCounter, len(sys.Boards))
+		for j, board := range sys.Boards {
+			counters[j] = &probeCounter{Board: board}
+			sys.Boards[j] = counters[j]
+		}
+		m, err := (&sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}).Run(5000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += m.Refs
+		for _, c := range counters {
+			probes += c.probes
+			deferrals += c.deferrals
+		}
+	}
+	reportPerRef(b, refs, &before)
+	b.ReportMetric(float64(probes)/float64(refs), "probes/ref")
+	b.ReportMetric(float64(deferrals)/float64(refs), "deferrals/ref")
+}
+
+// benchLayerSnoop times an uncached master's read (Table 2 column 7) of
+// a line held by the first held of eight MOESI caches. The holders stay
+// in their states, so every iteration runs the same address cycle; the
+// first runs before the timer, so allocs/op is the warm path's alone.
+func benchLayerSnoop(b *testing.B, held int) {
+	bb := bus.New(memory.New(32), bus.Config{LineSize: 32})
+	caches := make([]*cache.Cache, 8)
+	for i := range caches {
+		caches[i] = cache.New(i, bb, protocols.MOESI(), cache.Config{Sets: 64, Ways: 2})
+	}
+	const line = bus.Addr(5)
+	for _, c := range caches[:held] {
+		if _, err := c.ReadWord(line, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tx := bus.Transaction{MasterID: 99, Addr: line, Op: core.BusRead, Data: make([]byte, 32)}
+	if _, err := bb.Execute(tx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bb.Execute(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRandomPolicyChoice measures the §3.4 dynamic chooser. The
 // policy is built before ResetTimer, so the allocation footprint the
 // gate in scripts/bench-compare.sh reads is the choice's alone — 0 at

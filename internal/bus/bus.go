@@ -70,6 +70,10 @@ type SnoopResponse struct {
 // which resolves CH-conditional result states; write payloads (full
 // line or partial word) are read from the transaction itself.
 //
+// A snooper that also implements Holder is called only for the lines
+// the shard's holder record says it holds (see holders.go); any other
+// snooper on every address cycle.
+//
 // The *Transaction a snooper receives is the bus's own copy, valid only
 // for the duration of the call; snoopers must not retain it.
 type Snooper interface {
@@ -206,11 +210,17 @@ const DefaultLineSize = 32
 
 // Bus is a simulated Futurebus segment.
 type Bus struct {
-	cfg      Config
-	memory   MemoryPort
-	snoopers []Snooper
-	arb      *Arbiter
-	stats    Stats
+	cfg    Config
+	memory MemoryPort
+	// snoopers are the attached units, in attach order.
+	snoopers []attached
+	// holders is the holder record (see holders.go); tracked has bit i
+	// set when snooper i keeps it, always when snooper i is queried on
+	// every address cycle instead.
+	holders         holderTable
+	tracked, always uint64
+	arb             *Arbiter
+	stats           Stats
 	// trace, when non-nil, receives every executed transaction.
 	trace func(tx *Transaction, r *Result)
 	depth int // nested-transaction depth (recovery pushes)
@@ -314,15 +324,34 @@ func (b *Bus) Shard(i int) *Bus {
 	return b
 }
 
+// attached is one attached snooper and its id.
+type attached struct {
+	Snooper
+	id int
+}
+
 // Attach registers a snooping unit. Units attach at configuration time,
 // before traffic starts; Attach is not safe concurrently with Execute.
+// A Holder among the first 64 snoopers is queried only for the lines it
+// holds; every other snooper on every address cycle.
 func (b *Bus) Attach(s Snooper) {
+	id := s.SnooperID()
 	for _, old := range b.snoopers {
-		if old.SnooperID() == s.SnooperID() {
-			panic(fmt.Sprintf("bus: duplicate snooper id %d", s.SnooperID()))
+		if old.id == id {
+			panic(fmt.Sprintf("bus: duplicate snooper id %d", id))
 		}
 	}
-	b.snoopers = append(b.snoopers, s)
+	i := len(b.snoopers)
+	b.snoopers = append(b.snoopers, attached{s, id})
+	if i >= maxHolders {
+		return
+	}
+	if h, ok := s.(Holder); ok {
+		b.holders.reserve(h.HeldLines())
+		b.tracked |= 1 << i
+	} else {
+		b.always |= 1 << i
+	}
 }
 
 // SetTrace installs a transaction observer (used by cmd/fbsim and
@@ -506,14 +535,16 @@ func (b *Bus) ExecuteHeld(tx Transaction) (Result, error) {
 // frame is the scratch of one executeLocked activation, reused from
 // transaction to transaction so the clean path allocates nothing: the
 // bus's copy of the transaction (the one snoopers see), the snoop
-// responses, a line for merging a partial write into memory, and the
-// copy of the Result handed to the trace observer. Frames are kept per
+// responses (indexed by snooper) and the snoopers the current address
+// cycle queries, a line for merging a partial write into memory, and
+// the copy of the Result handed to the trace observer. Frames are kept per
 // shard (each Bus has its own) and per nesting level: a BS recovery
 // push, or a memory port issuing transactions on this same bus,
 // re-enters executeLocked while the outer activation's frame is live.
 type frame struct {
 	tx    Transaction
 	resp  []SnoopResponse
+	visit []int
 	line  []byte
 	trace Result
 }
@@ -529,6 +560,7 @@ func (b *Bus) enter() *frame {
 	b.nest++
 	if len(f.resp) != len(b.snoopers) {
 		f.resp = make([]SnoopResponse, len(b.snoopers))
+		f.visit = make([]int, 0, len(b.snoopers))
 	}
 	return f
 }
@@ -540,7 +572,7 @@ func (b *Bus) leave() { b.nest-- }
 // a unit never snoops its own transaction.
 func (b *Bus) masterIndex(tx *Transaction) int {
 	for i, s := range b.snoopers {
-		if s.SnooperID() == tx.MasterID {
+		if s.id == tx.MasterID {
 			return i
 		}
 	}
@@ -598,14 +630,14 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			return res, fmt.Errorf("%w: %s", ErrTooManyRetries, tx)
 		}
 		// Broadcast address cycle: every unit sees the address and
-		// proposes a response (§2.1). Query must be side-effect free.
+		// proposes a response (§2.1). Query must be side-effect free. A
+		// unit that does not hold the line answers from Table 2's
+		// Invalid row — nothing — so only the holders are asked.
 		busy := false
 		paranoidErr := ""
-		for i, s := range b.snoopers {
-			if i == self {
-				responses[i] = SnoopResponse{}
-				continue
-			}
+		visit := b.snoopSet(f, tx.Addr, self)
+		for _, i := range visit {
+			s := b.snoopers[i]
 			responses[i] = s.Query(tx)
 			if responses[i].Action.Abort != nil {
 				busy = true
@@ -620,7 +652,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 		}
 		if paranoidErr != "" {
 			// Release every directory before failing.
-			b.cancel(tx, self, responses)
+			b.cancel(f)
 			return res, errors.New(paranoidErr)
 		}
 		// Every address cycle pays the full broadcast handshake; aborted
@@ -644,12 +676,13 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 					TxID: txid,
 				})
 			}
-			b.cancel(tx, self, responses)
-			for i, s := range b.snoopers {
+			b.cancel(f)
+			for _, i := range visit {
+				s := b.snoopers[i]
 				if responses[i].Action.Abort == nil {
 					continue
 				}
-				a, ok := s.(Aborter)
+				a, ok := s.Snooper.(Aborter)
 				if !ok {
 					return res, fmt.Errorf("bus: snooper %d asserted BS without implementing Aborter", s.SnooperID())
 				}
@@ -673,7 +706,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			continue
 		}
 
-		r, err := b.completeAttempt(f, self)
+		r, err := b.completeAttempt(f)
 		if err != nil {
 			return res, err
 		}
@@ -719,27 +752,24 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 	}
 }
 
-// cancel releases every snooper's directory without applying its
-// response (an abort, or a failure before the commit phase).
-func (b *Bus) cancel(tx *Transaction, self int, responses []SnoopResponse) {
-	for i, s := range b.snoopers {
-		if i != self {
-			s.Cancel(tx, responses[i])
-		}
+// cancel releases the directory of every snooper the frame's address
+// cycle queried, without applying its response (an abort, or a failure
+// before the commit phase).
+func (b *Bus) cancel(f *frame) {
+	for _, i := range f.visit {
+		b.snoopers[i].Cancel(&f.tx, f.resp[i])
 	}
 }
 
 // completeAttempt finishes a non-aborted transaction: resolves the
-// wired-OR response lines, routes data, and commits every snooper.
-func (b *Bus) completeAttempt(f *frame, self int) (Result, error) {
+// wired-OR response lines, routes data, and commits every snooper the
+// address cycle queried.
+func (b *Bus) completeAttempt(f *frame) (Result, error) {
 	tx, responses := &f.tx, f.resp
 	var res Result
 	diCount, chCount := 0, 0
 	var diLine []byte
-	for i := range responses {
-		if i == self {
-			continue
-		}
+	for _, i := range f.visit {
 		a := responses[i].Action
 		if a.AssertCH {
 			res.CH = true
@@ -760,7 +790,7 @@ func (b *Bus) completeAttempt(f *frame, self int) (Result, error) {
 	// Cancel, and leaking them would turn a reportable protocol bug
 	// into a whole-machine deadlock.
 	if diCount > 1 {
-		b.cancel(tx, self, responses)
+		b.cancel(f)
 		return res, fmt.Errorf("bus: %d units asserted DI for %s — duplicate owners", diCount, tx)
 	}
 	// An intervening owner's line moves into the master's buffer now,
@@ -783,15 +813,12 @@ func (b *Bus) completeAttempt(f *frame, self int) (Result, error) {
 	// the *other* units (§3.2.2 — the listener does not assert, so the
 	// wired-OR it observes is exactly the others'): the asserters
 	// counted above, less its own assertion.
-	for i, s := range b.snoopers {
-		if i == self {
-			continue
-		}
+	for _, i := range f.visit {
 		others := chCount
 		if responses[i].Action.AssertCH {
 			others--
 		}
-		s.Commit(tx, responses[i], others > 0)
+		b.snoopers[i].Commit(tx, responses[i], others > 0)
 		if responses[i].Action.AssertSL && tx.Op == core.BusWrite {
 			b.stats.Updates++
 		}

@@ -30,16 +30,16 @@ func (c *Cache) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (old, 
 	// Read phase: local copy if present, otherwise a normal read-miss
 	// fill (still under the held bus).
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	sh.stats.Reads++
 	if l := c.lookup(addr); l != nil {
-		old = word(l.data, wordIdx)
+		old = word(c.lineData(l), wordIdx)
 		c.touch(sh, l)
 		sh.stats.ReadHits++
-		sh.mu.Unlock()
+		c.unlock(sh)
 	} else {
 		sh.stats.ReadMisses++
-		sh.mu.Unlock()
+		c.unlock(sh)
 		data, ferr := c.fillLine(addr, core.LocalRead)
 		if ferr != nil {
 			return 0, 0, ferr
@@ -48,9 +48,9 @@ func (c *Cache) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (old, 
 	}
 
 	updated = f(old)
-	sh.mu.Lock()
+	c.lock(sh)
 	sh.stats.Writes++
-	sh.mu.Unlock()
+	c.unlock(sh)
 	if err := c.writeHeld(addr, wordIdx, updated); err != nil {
 		return 0, 0, err
 	}

@@ -30,7 +30,7 @@ func wordPos(addr bus.Addr, word, wordsPerLine, step int) (bus.Addr, int) {
 // ReadBlock reads len(dst) consecutive words starting at (addr, word),
 // crossing line boundaries as separate per-line transactions.
 func (c *Cache) ReadBlock(addr bus.Addr, word int, dst []uint32) error {
-	wpl := c.bus.LineSize() / 4
+	wpl := c.lineSize / 4
 	if word < 0 || word >= wpl {
 		return fmt.Errorf("cache %d: block start word %d outside line", c.id, word)
 	}
@@ -48,7 +48,7 @@ func (c *Cache) ReadBlock(addr bus.Addr, word int, dst []uint32) error {
 // WriteBlock writes len(src) consecutive words starting at (addr,
 // word), crossing line boundaries as separate per-line transactions.
 func (c *Cache) WriteBlock(addr bus.Addr, word int, src []uint32) error {
-	wpl := c.bus.LineSize() / 4
+	wpl := c.lineSize / 4
 	if word < 0 || word >= wpl {
 		return fmt.Errorf("cache %d: block start word %d outside line", c.id, word)
 	}

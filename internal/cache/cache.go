@@ -16,6 +16,16 @@
 // cycle, mirroring how a Futurebus address handshake pins every unit's
 // directory (§2.1). On a single bus this degenerates to the one-mutex
 // contract the package always had.
+//
+// A cache that one goroutine drives alone — processor side and every
+// snoop — may be marked single-owner (SetSingleOwner); while it is, the
+// shard mutexes are skipped. The deterministic engine marks its caches
+// for the length of a run.
+//
+// Every cache keeps its fabric's holder record (bus.Holder): each
+// valid↔invalid transition of a line is reported to the line's home
+// shard, under that shard's bus tenure, so address cycles skip the
+// cache for lines it does not hold.
 package cache
 
 import (
@@ -95,13 +105,13 @@ func DefaultConfig() Config { return Config{Sets: 64, Ways: 2} }
 // line is one line of a set. A set holds Ways × SubSectors lines, way
 // w being set[w*SubSectors : (w+1)*SubSectors]. A way's tag is its
 // lines' addresses and its LRU position the latest lastUse among them
-// (see wayUse). data is the line's own slice of the cache's data slab,
-// one line long, fixed at New.
+// (see wayUse). slot is the line's index in the cache's slab of lines,
+// and so of its data (see lineData).
 type line struct {
 	addr    bus.Addr
-	state   core.State
-	data    []byte
 	lastUse uint64
+	slot    int32
+	state   core.State
 }
 
 // Cache is one snooping cache attached to a fabric (a single bus or an
@@ -121,17 +131,26 @@ type Cache struct {
 	// cache, Config.SubSectors for a sector cache.
 	subs int
 
-	// shards holds the per-fabric-shard mutable state; sets is indexed
-	// by set number, and every line of a set is homed on one shard,
-	// whose cacheShard guards the set. Every set is a window on one
-	// slab of lines.
-	shards []cacheShard
-	sets   [][]line
+	// shards holds the per-fabric-shard mutable state. lines is the
+	// slab of every line, set s of the nsets being lines[s*setLines :
+	// (s+1)*setLines], and every line of a set is homed on one shard,
+	// whose cacheShard guards the set. data is the slab of the lines'
+	// data, lineSize bytes each.
+	shards   []cacheShard
+	lines    []line
+	nsets    uint64
+	setLines int
+	data     []byte
+	lineSize int
 
 	// stall is Stats.StallNanos, kept outside the sharded counters so
 	// Stall reads it with one atomic load. noteStall adds to it with the
 	// shard lock held, so a Stats snapshot stays consistent.
 	stall atomic.Int64
+
+	// single marks the cache single-owner: one goroutine drives it, so
+	// lock and unlock skip the shard mutexes. See SetSingleOwner.
+	single bool
 }
 
 // cacheShard is one fabric shard's slice of the cache: the directory
@@ -145,6 +164,8 @@ type cacheShard struct {
 	// fill) lands. Sized on first use; only the master holding this
 	// shard's bus tenure touches it.
 	line []byte
+	// held is this cache's handle on the shard's holder record.
+	held bus.Presence
 }
 
 // Stats counts cache-side activity.
@@ -239,6 +260,16 @@ func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause strin
 			Proto: c.policyFor(l.addr).Name(), TxID: txid,
 		})
 	}
+	c.place(sh, l, next)
+}
+
+// place sets a line's state, reporting a valid↔invalid change to the
+// holder record. Callers hold sh, which guards l.addr, and l.addr's bus
+// tenure whenever the line's validity changes.
+func (c *Cache) place(sh *cacheShard, l *line, next core.State) {
+	if l.state.Valid() != next.Valid() {
+		sh.held.Note(l.addr, next.Valid())
+	}
 	l.state = next
 }
 
@@ -286,20 +317,42 @@ func (c *Cache) noteStall(sh *cacheShard, addr bus.Addr, cost int64) {
 	}
 }
 
+// lock takes a shard's directory lock; unlock releases it. Both are
+// no-ops while the cache is single-owner.
+func (c *Cache) lock(sh *cacheShard) {
+	if !c.single {
+		sh.mu.Lock()
+	}
+}
+
+func (c *Cache) unlock(sh *cacheShard) {
+	if !c.single {
+		sh.mu.Unlock()
+	}
+}
+
 // lockAll takes every shard lock in shard order (whole-directory
 // operations: Stats, StateCensus, ForEachLine). The matching
 // unlockAll releases them.
 func (c *Cache) lockAll() {
 	for i := range c.shards {
-		c.shards[i].mu.Lock()
+		c.lock(&c.shards[i])
 	}
 }
 
 func (c *Cache) unlockAll() {
 	for i := range c.shards {
-		c.shards[i].mu.Unlock()
+		c.unlock(&c.shards[i])
 	}
 }
+
+// SetSingleOwner marks the cache as driven by one goroutine alone (on)
+// or releases the mark (off). While it is marked, no other goroutine may
+// touch the cache — its processor side, its snoops through the fabric,
+// or its Stats — and the directory runs without its shard mutexes.
+// Change the mark only while the cache is quiescent, with no shard lock
+// held.
+func (c *Cache) SetSingleOwner(on bool) { c.single = on }
 
 // StateCensus returns the number of valid lines per state — the
 // occupancy distribution the Archibald–Baer style reports use.
@@ -307,11 +360,9 @@ func (c *Cache) StateCensus() map[core.State]int {
 	c.lockAll()
 	defer c.unlockAll()
 	census := make(map[core.State]int)
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state.Valid() {
-				census[set[i].state]++
-			}
+	for i := range c.lines {
+		if s := c.lines[i].state; s.Valid() {
+			census[s]++
 		}
 	}
 	return census
@@ -344,10 +395,10 @@ func CheckGeometry(cfg Config, shards, gran int) error {
 	return nil
 }
 
-// New creates a cache and attaches it to the fabric as a snooper (on
-// every shard). The id must be unique among all bus masters. It panics
-// on a geometry CheckGeometry rejects. The cache's lines, and their
-// data, are allocated as one slab each.
+// New creates a cache and attaches it to the fabric as a snooper and
+// holder (on every shard). The id must be unique among all bus
+// masters. It panics on a geometry CheckGeometry rejects. The cache's
+// lines, and their data, are allocated as one slab each.
 func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 	if err := CheckGeometry(cfg, b.Shards(), b.Granularity()); err != nil {
 		panic(err.Error())
@@ -358,25 +409,45 @@ func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()), subs: subs,
 	}
 	c.shards = make([]cacheShard, c.nshards)
-	ways, size := cfg.Ways*subs, b.LineSize()
-	lines := make([]line, cfg.Sets*ways)
-	data := make([]byte, len(lines)*size)
-	for i := range lines {
-		lines[i].data = data[i*size : (i+1)*size : (i+1)*size]
-	}
-	c.sets = make([][]line, cfg.Sets)
-	for i := range c.sets {
-		c.sets[i] = lines[i*ways : (i+1)*ways : (i+1)*ways]
+	c.nsets, c.setLines, c.lineSize = uint64(cfg.Sets), cfg.Ways*subs, b.LineSize()
+	c.lines = make([]line, cfg.Sets*c.setLines)
+	c.data = make([]byte, len(c.lines)*c.lineSize)
+	for i := range c.lines {
+		c.lines[i].slot = int32(i)
 	}
 	b.Attach(c)
+	for i := range c.shards {
+		c.shards[i].held = b.Shard(i).Presence(c)
+	}
 	return c
+}
+
+// HeldLines implements bus.Holder: the lines of the sets homed on one
+// shard (CheckGeometry spreads the sets evenly over the shards).
+func (c *Cache) HeldLines() int {
+	return c.cfg.Sets * c.cfg.Ways * c.subs / int(c.nshards)
+}
+
+// Dynamic reports whether the cache's protocol, or that of any of its
+// regions, draws its choices (core.Policy.Dynamic), so WouldUseBus can
+// answer differently for an unchanged line state.
+func (c *Cache) Dynamic() bool {
+	if c.policy.Dynamic() {
+		return true
+	}
+	for _, r := range c.cfg.Regions {
+		if r.Policy.Dynamic() {
+			return true
+		}
+	}
+	return false
 }
 
 // ID returns the cache's bus master id.
 func (c *Cache) ID() int { return c.id }
 
 // LineSize returns the system line size the cache operates on.
-func (c *Cache) LineSize() int { return c.bus.LineSize() }
+func (c *Cache) LineSize() int { return c.lineSize }
 
 // Policy returns the protocol the cache runs.
 func (c *Cache) Policy() core.Policy { return c.policy }
@@ -402,20 +473,32 @@ func (c *Cache) Stall() int64 { return c.stall.Load() }
 // setFor maps a line address to its set and to the line's position in
 // a way (always 0 in a plain cache, which indexes without dividing).
 func (c *Cache) setFor(addr bus.Addr) ([]line, int) {
-	a, i := uint64(addr), 0
+	base, i := c.setIndex(addr)
+	return c.lines[base : base+c.setLines], i
+}
+
+// setIndex is setFor as the index of the set's first line in the slab.
+func (c *Cache) setIndex(addr bus.Addr) (base, i int) {
+	a := uint64(addr)
 	if c.subs > 1 {
 		a, i = a/uint64(c.subs), int(a%uint64(c.subs))
 	}
-	return c.sets[a%uint64(c.cfg.Sets)], i
+	return int(a%c.nsets) * c.setLines, i
+}
+
+// lineData returns a line's data, its own lineSize bytes of the slab.
+func (c *Cache) lineData(l *line) []byte {
+	i := int(l.slot) * c.lineSize
+	return c.data[i : i+c.lineSize : i+c.lineSize]
 }
 
 // lookup returns the valid line holding addr, or nil. Callers hold the
 // shard lock guarding addr. It is kept small enough for the compiler to
 // inline into every hit path.
 func (c *Cache) lookup(addr bus.Addr) *line {
-	set, i := c.setFor(addr)
-	for ; i < len(set); i += c.subs {
-		if l := &set[i]; l.addr == addr && l.state != core.Invalid {
+	base, i := c.setIndex(addr)
+	for ; i < c.setLines; i += c.subs {
+		if l := &c.lines[base+i]; l.addr == addr && l.state != core.Invalid {
 			return l
 		}
 	}
@@ -490,8 +573,8 @@ func (c *Cache) claim(sh *cacheShard, way []line, slot *line, addr bus.Addr) {
 // State returns the cache's state for a line (Invalid if absent).
 func (c *Cache) State(addr bus.Addr) core.State {
 	sh := c.shard(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	if l := c.lookup(addr); l != nil {
 		return l.state
 	}
@@ -506,11 +589,9 @@ func (c *Cache) Contains(addr bus.Addr) bool { return c.State(addr).Valid() }
 func (c *Cache) ForEachLine(fn func(addr bus.Addr, s core.State, data []byte)) {
 	c.lockAll()
 	defer c.unlockAll()
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state.Valid() {
-				fn(set[i].addr, set[i].state, append([]byte(nil), set[i].data...))
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.state.Valid() {
+			fn(l.addr, l.state, append([]byte(nil), c.lineData(l)...))
 		}
 	}
 }
@@ -543,8 +624,8 @@ func (c *Cache) recentlyUsed(l *line) bool {
 // access runs).
 func (c *Cache) WouldUseBus(addr bus.Addr, write bool) bool {
 	sh := c.shard(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	event := core.LocalRead
 	if write {
 		event = core.LocalWrite
@@ -572,8 +653,8 @@ func putWord(data []byte, idx int, v uint32) {
 }
 
 func (c *Cache) checkWord(wordIdx int) error {
-	if wordIdx < 0 || (wordIdx+1)*4 > c.bus.LineSize() {
-		return fmt.Errorf("cache %d: word %d outside %d-byte line", c.id, wordIdx, c.bus.LineSize())
+	if wordIdx < 0 || (wordIdx+1)*4 > c.lineSize {
+		return fmt.Errorf("cache %d: word %d outside %d-byte line", c.id, wordIdx, c.lineSize)
 	}
 	return nil
 }

@@ -28,25 +28,25 @@ func (c *Cache) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 		return 0, err
 	}
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	sh.stats.Reads++
 	if l := c.lookup(addr); l != nil {
 		// Read hit: every protocol in the class keeps the state (the
 		// Read column of Table 1 is the identity on valid states).
 		action, ok := c.policyFor(addr).ChooseLocal(l.state, core.LocalRead)
 		if !ok || action.NeedsBus() {
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return 0, fmt.Errorf("cache %d (%s): no local read action for state %s", c.id, c.policyFor(addr).Name(), l.state)
 		}
 		c.setState(sh, l, action.Next.Resolve(false), "read-hit")
 		c.touch(sh, l)
-		v := word(l.data, wordIdx)
+		v := word(c.lineData(l), wordIdx)
 		sh.stats.ReadHits++
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return v, nil
 	}
 	sh.stats.ReadMisses++
-	sh.mu.Unlock()
+	c.unlock(sh)
 
 	c.bus.Acquire(addr, c.id)
 	defer c.bus.Release(addr)
@@ -63,29 +63,29 @@ func (c *Cache) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 		return err
 	}
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	sh.stats.Writes++
 	l := c.lookup(addr)
 	if l != nil {
 		action, ok := c.policyFor(addr).ChooseLocal(l.state, core.LocalWrite)
 		if !ok {
 			st := l.state
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return fmt.Errorf("cache %d (%s): no local write action for state %s", c.id, c.policyFor(addr).Name(), st)
 		}
 		if !action.NeedsBus() {
 			// Silent write: M stays M, E goes to M (the M/E pair of
 			// Figure 4 — no other copy can exist).
 			c.setState(sh, l, action.Next.Resolve(false), "silent-write")
-			putWord(l.data, wordIdx, val)
+			putWord(c.lineData(l), wordIdx, val)
 			c.touch(sh, l)
 			sh.stats.WriteHits++
 			c.noteWrite(addr, wordIdx, val)
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return nil
 		}
 	}
-	sh.mu.Unlock()
+	c.unlock(sh)
 
 	c.bus.Acquire(addr, c.id)
 	defer c.bus.Release(addr)
@@ -97,9 +97,9 @@ func (c *Cache) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 // arbiter, another master may have invalidated or downgraded the copy.
 func (c *Cache) writeHeld(addr bus.Addr, wordIdx int, val uint32) error {
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	if c.lookup(addr) == nil {
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return c.writeMiss(addr, wordIdx, val)
 	}
 	sh.stats.WriteHits++
@@ -116,21 +116,21 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 	action, ok := c.policyFor(addr).ChooseLocal(l.state, core.LocalWrite)
 	if !ok {
 		st := l.state
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return fmt.Errorf("cache %d (%s): no local write action for state %s", c.id, c.policyFor(addr).Name(), st)
 	}
 	if !action.NeedsBus() {
 		// The state improved (e.g. everyone else was invalidated)
 		// while we waited for the bus.
 		c.setState(sh, l, action.Next.Resolve(false), "write-hit")
-		putWord(l.data, wordIdx, val)
+		putWord(c.lineData(l), wordIdx, val)
 		c.touch(sh, l)
 		c.noteWrite(addr, wordIdx, val)
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	}
 	sh.stats.WriteUpgrades++
-	sh.mu.Unlock()
+	c.unlock(sh)
 
 	tx := bus.Transaction{
 		MasterID: c.id,
@@ -149,18 +149,18 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 		return err
 	}
 
-	sh.mu.Lock()
+	c.lock(sh)
 	l = c.lookup(addr)
 	if l == nil {
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return fmt.Errorf("cache %d: line %#x vanished during its own upgrade", c.id, uint64(addr))
 	}
 	c.setStateTx(sh, l, action.Next.Resolve(res.CH), "write-upgrade", res.TxID)
-	putWord(l.data, wordIdx, val)
+	putWord(c.lineData(l), wordIdx, val)
 	c.touch(sh, l)
 	c.noteStall(sh, addr, res.StallCost())
 	c.noteWrite(addr, wordIdx, val)
-	sh.mu.Unlock()
+	c.unlock(sh)
 	return nil
 }
 
@@ -168,9 +168,9 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 // with the bus held and the shard unlocked.
 func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	sh.stats.WriteMisses++
-	sh.mu.Unlock()
+	c.unlock(sh)
 	action, ok := c.policyFor(addr).ChooseLocal(core.Invalid, core.LocalWrite)
 	if !ok {
 		return fmt.Errorf("cache %d (%s): no write-miss action", c.id, c.policyFor(addr).Name())
@@ -182,16 +182,16 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 		if _, err := c.fillLineWith(addr, action); err != nil {
 			return err
 		}
-		sh.mu.Lock()
+		c.lock(sh)
 		l := c.lookup(addr)
 		if l == nil {
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return fmt.Errorf("cache %d: RFO fill of %#x vanished", c.id, uint64(addr))
 		}
-		putWord(l.data, wordIdx, val)
+		putWord(c.lineData(l), wordIdx, val)
 		c.touch(sh, l)
 		c.noteWrite(addr, wordIdx, val)
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	case core.BusReadThenWrite:
 		// Two transactions (Table 1 "Read>Write"): a normal read miss,
@@ -199,23 +199,23 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 		if _, err := c.fillLine(addr, core.LocalRead); err != nil {
 			return err
 		}
-		sh.mu.Lock()
+		c.lock(sh)
 		if l := c.lookup(addr); l == nil {
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return fmt.Errorf("cache %d: Read>Write fill of %#x vanished", c.id, uint64(addr))
 		}
 		action2, ok := c.policyFor(addr).ChooseLocal(c.mustState(addr), core.LocalWrite)
 		if !ok {
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return fmt.Errorf("cache %d (%s): no write action after Read>Write", c.id, c.policyFor(addr).Name())
 		}
 		if !action2.NeedsBus() {
 			l := c.lookup(addr)
 			c.setState(sh, l, action2.Next.Resolve(false), "write-hit")
-			putWord(l.data, wordIdx, val)
+			putWord(c.lineData(l), wordIdx, val)
 			c.touch(sh, l)
 			c.noteWrite(addr, wordIdx, val)
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return nil
 		}
 		return c.writeHitBus(addr, wordIdx, val) // unlocks the shard
@@ -232,10 +232,10 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 		if err != nil {
 			return err
 		}
-		sh.mu.Lock()
+		c.lock(sh)
 		c.noteStall(sh, addr, res.StallCost())
 		c.noteWrite(addr, wordIdx, val)
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	default:
 		return fmt.Errorf("cache %d (%s): unsupported write-miss op %v", c.id, c.policyFor(addr).Name(), action.Op)
@@ -281,25 +281,26 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 			return nil, err
 		}
 	}
-	sh.mu.Lock()
+	c.lock(sh)
 	var slot *line
-	buf := &sh.line
+	var data []byte
 	if retains {
 		var evict bool
 		if _, slot, evict = c.victim(addr); evict {
 			// makeRoom freed a way; a way to evict here means the set
 			// filled up again, which is impossible while we hold the bus
 			// shard every transaction on this set serialises through.
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return nil, fmt.Errorf("cache %d: no free way for %#x after eviction", c.id, uint64(addr))
 		}
-		buf = &slot.data
+		data = c.lineData(slot)
+	} else {
+		if len(sh.line) != c.lineSize {
+			sh.line = make([]byte, c.lineSize) // the scratch line, on first use
+		}
+		data = sh.line
 	}
-	if len(*buf) != c.bus.LineSize() {
-		*buf = make([]byte, c.bus.LineSize()) // the scratch line, on first use
-	}
-	data := *buf
-	sh.mu.Unlock()
+	c.unlock(sh)
 
 	res, err := c.bus.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
@@ -313,8 +314,8 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 	}
 	next := action.Next.Resolve(res.CH)
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	c.noteStall(sh, addr, res.StallCost())
 	if !next.Valid() {
 		// A non-caching read: nothing retained.
@@ -333,8 +334,8 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 // so the pushes run on the bus tenure already held.
 func (c *Cache) makeRoom(addr bus.Addr) error {
 	sh := c.shard(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	way, slot, evict := c.victim(addr)
 	if evict {
 		sh.stats.Replacements++
@@ -344,9 +345,9 @@ func (c *Cache) makeRoom(addr bus.Addr) error {
 			// choose again.
 			for i := range way {
 				if a := way[i].addr; way[i].state.Valid() {
-					sh.mu.Unlock()
+					c.unlock(sh)
 					err := c.cfg.OnEvict(a)
-					sh.mu.Lock()
+					c.lock(sh)
 					if err != nil {
 						return err
 					}
@@ -382,8 +383,8 @@ func (c *Cache) evict(sh *cacheShard, v *line) error {
 		c.setState(sh, v, core.Invalid, "evict-clean")
 		return nil
 	}
-	data := v.data
-	sh.mu.Unlock()
+	data := c.lineData(v)
+	c.unlock(sh)
 
 	// Push the dirty line straight from its way, which stays valid and
 	// unwritten until the push completes: our processor is here, and
@@ -398,7 +399,7 @@ func (c *Cache) evict(sh *cacheShard, v *line) error {
 		Op:       core.BusWrite,
 		Data:     data,
 	})
-	sh.mu.Lock()
+	c.lock(sh)
 	if err != nil {
 		return err
 	}
@@ -426,13 +427,13 @@ func (c *Cache) Flush(addr bus.Addr) error {
 // an unowned state. It is a no-op on unowned or absent lines.
 func (c *Cache) Pass(addr bus.Addr) error {
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	l := c.lookup(addr)
 	if l == nil || !l.state.OwnedCopy() {
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	}
-	sh.mu.Unlock()
+	c.unlock(sh)
 	return c.pushLine(addr, core.Pass)
 }
 
@@ -440,20 +441,20 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 	c.bus.Acquire(addr, c.id)
 	defer c.bus.Release(addr)
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	l := c.lookup(addr)
 	if l == nil {
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	}
 	action, ok := c.policyFor(addr).ChooseLocal(l.state, event)
 	if !ok {
 		if event == core.Pass {
-			sh.mu.Unlock()
+			c.unlock(sh)
 			return nil
 		}
 		st := l.state
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return fmt.Errorf("cache %d (%s): no %s action for state %s", c.id, c.policyFor(addr).Name(), event, st)
 	}
 	if !action.NeedsBus() {
@@ -461,11 +462,11 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 		if event == core.Flush {
 			sh.stats.Flushes++
 		}
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	}
-	data := l.data // pushed in place, as in makeRoom: we hold the shard
-	sh.mu.Unlock()
+	data := c.lineData(l) // pushed in place, as in makeRoom: we hold the shard
+	c.unlock(sh)
 
 	res, err := c.bus.ExecuteHeld(bus.Transaction{
 		MasterID: c.id,
@@ -477,7 +478,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 	if err != nil {
 		return err
 	}
-	sh.mu.Lock()
+	c.lock(sh)
 	if l := c.lookup(addr); l != nil {
 		c.setStateTx(sh, l, action.Next.Resolve(res.CH), "push", res.TxID)
 	}
@@ -488,7 +489,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 		sh.stats.Flushes++
 	}
 	c.noteStall(sh, addr, res.StallCost())
-	sh.mu.Unlock()
+	c.unlock(sh)
 	return nil
 }
 
@@ -499,11 +500,9 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 func (c *Cache) FlushAll() error {
 	c.lockAll()
 	var addrs []bus.Addr
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state.Valid() {
-				addrs = append(addrs, set[i].addr)
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.state.Valid() {
+			addrs = append(addrs, l.addr)
 		}
 	}
 	c.unlockAll()

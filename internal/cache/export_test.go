@@ -11,16 +11,21 @@ import (
 // sector, as a fill would tag it.
 func (c *Cache) forceLine(addr bus.Addr, s core.State, data []byte) {
 	sh := c.shard(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	if !s.Valid() {
 		if l := c.lookup(addr); l != nil {
-			l.state = core.Invalid
+			c.place(sh, l, core.Invalid)
 		}
 		return
 	}
 	way, v, _ := c.victim(addr)
+	for i := range way {
+		if way[i].addr/bus.Addr(c.subs) != addr/bus.Addr(c.subs) {
+			c.place(sh, &way[i], core.Invalid)
+		}
+	}
 	c.claim(sh, way, v, addr)
-	v.state = s
-	v.data = append(v.data[:0], data...)
+	c.place(sh, v, s)
+	copy(c.lineData(v), data)
 }

@@ -17,18 +17,18 @@ import (
 // read-miss fill if not) and copies its data into dst, a buffer of the
 // line size. The bus must be held by the caller.
 func (c *Cache) FetchLineHeld(addr bus.Addr, dst []byte) error {
-	if len(dst) != c.bus.LineSize() {
-		return fmt.Errorf("cache %d: fetch into %d bytes, line size %d", c.id, len(dst), c.bus.LineSize())
+	if len(dst) != c.lineSize {
+		return fmt.Errorf("cache %d: fetch into %d bytes, line size %d", c.id, len(dst), c.lineSize)
 	}
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	if l := c.lookup(addr); l != nil {
-		copy(dst, l.data)
+		copy(dst, c.lineData(l))
 		c.touch(sh, l)
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	}
-	sh.mu.Unlock()
+	c.unlock(sh)
 	data, err := c.fillLine(addr, core.LocalRead)
 	if err != nil {
 		return err
@@ -45,21 +45,21 @@ func (c *Cache) FetchLineHeld(addr bus.Addr, dst []byte) error {
 // The bus must be held by the caller. The OnWrite hook is NOT invoked:
 // absorption relays data already recorded by the original writer.
 func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
-	if len(data) != c.bus.LineSize() {
-		return fmt.Errorf("cache %d: absorb of %d bytes, line size %d", c.id, len(data), c.bus.LineSize())
+	if len(data) != c.lineSize {
+		return fmt.Errorf("cache %d: absorb of %d bytes, line size %d", c.id, len(data), c.lineSize)
 	}
 	sh := c.shard(addr)
-	sh.mu.Lock()
+	c.lock(sh)
 	l := c.lookup(addr)
 	if l != nil && l.state.MayModifySilently() {
-		copy(l.data, data)
+		copy(c.lineData(l), data)
 		c.setState(sh, l, core.Modified, "absorb")
 		c.touch(sh, l)
-		sh.mu.Unlock()
+		c.unlock(sh)
 		return nil
 	}
 	hit := l != nil
-	sh.mu.Unlock()
+	c.unlock(sh)
 
 	if hit {
 		// Shared hit: address-only invalidate (column 6), then own it.
@@ -82,13 +82,13 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 		}
 	}
 
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	l = c.lookup(addr)
 	if l == nil {
 		return fmt.Errorf("cache %d: absorbed line %#x vanished", c.id, uint64(addr))
 	}
-	copy(l.data, data)
+	copy(c.lineData(l), data)
 	c.setState(sh, l, core.Modified, "absorb")
 	c.touch(sh, l)
 	return nil
@@ -100,8 +100,8 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 // caller must hold the bus.
 func (c *Cache) InvalidateHeld(addr bus.Addr) {
 	sh := c.shard(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	if l := c.lookup(addr); l != nil {
 		c.setState(sh, l, core.Invalid, "invalidate-held")
 	}

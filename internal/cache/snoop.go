@@ -16,6 +16,9 @@ import (
 // directory hold of a real address handshake (see the bus.Snooper
 // contract). Sweeps on different fabric shards lock different
 // cacheShards, so they proceed concurrently without ever contending.
+// The bus calls a cache only for the lines its holder record says the
+// cache holds (bus.Holder); for any other line, Query would find
+// nothing and Commit or Cancel would only unlock.
 
 var _ bus.Aborter = (*Cache)(nil)
 
@@ -26,7 +29,7 @@ func (c *Cache) SnooperID() int { return c.id }
 // for the snooped transaction, leaving the line's shard lock held until
 // Commit/Cancel.
 func (c *Cache) Query(tx *bus.Transaction) bus.SnoopResponse {
-	c.shard(tx.Addr).mu.Lock() // released by Commit or Cancel
+	c.lock(c.shard(tx.Addr)) // released by Commit or Cancel
 	l := c.lookup(tx.Addr)
 	if l == nil {
 		// Not in the directory: Invalid row of Table 2, all columns I.
@@ -58,7 +61,7 @@ func (c *Cache) Query(tx *bus.Transaction) bus.SnoopResponse {
 	if action.AssertDI {
 		// The line itself, not a copy: the bus copies it into the
 		// master's buffer while this Query's lock still pins it.
-		resp.Line = l.data
+		resp.Line = c.lineData(l)
 	}
 	return resp
 }
@@ -89,7 +92,7 @@ func (c *Cache) queryClean(l *line) bus.SnoopResponse {
 // release the directory.
 func (c *Cache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherCH bool) {
 	sh := c.shard(tx.Addr)
-	defer sh.mu.Unlock()
+	defer c.unlock(sh)
 	if !resp.Hit {
 		return
 	}
@@ -106,9 +109,9 @@ func (c *Cache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherCH bool
 	if tx.Op == core.BusWrite && (action.AssertDI || action.AssertSL) {
 		dataChanged = true
 		if tx.Partial {
-			putWord(l.data, tx.Word, tx.Val)
+			putWord(c.lineData(l), tx.Word, tx.Val)
 		} else {
-			copy(l.data, tx.Data)
+			copy(c.lineData(l), tx.Data)
 		}
 		if action.AssertDI {
 			sh.stats.WritesCaptured++
@@ -137,7 +140,7 @@ func (c *Cache) Commit(tx *bus.Transaction, resp bus.SnoopResponse, otherCH bool
 // Cancel implements bus.Snooper: the transaction was aborted by BS;
 // release the directory without applying anything.
 func (c *Cache) Cancel(tx *bus.Transaction, resp bus.SnoopResponse) {
-	c.shard(tx.Addr).mu.Unlock()
+	c.unlock(c.shard(tx.Addr))
 }
 
 // Recover implements bus.Aborter: after this cache asserted BS, push
@@ -153,8 +156,8 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 		return fmt.Errorf("cache %d: Recover called without an abort action", c.id)
 	}
 	sh := c.shard(aborted.Addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.lock(sh)
+	defer c.unlock(sh)
 	l := c.lookup(aborted.Addr)
 	if l == nil || !l.state.OwnedCopy() {
 		return fmt.Errorf("cache %d: BS recovery for %#x but line is not owned", c.id, uint64(aborted.Addr))
@@ -167,7 +170,7 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 		Signals:  rec.Assert,
 		Addr:     aborted.Addr,
 		Op:       core.BusWrite,
-		Data:     l.data,
+		Data:     c.lineData(l),
 	})
 	if err != nil {
 		return err

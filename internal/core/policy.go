@@ -25,6 +25,12 @@ type Policy interface {
 	ChooseLocal(s State, e LocalEvent) (LocalAction, bool)
 	// ChooseSnoop picks the action for a snooped bus event.
 	ChooseSnoop(s State, e BusEvent) (SnoopAction, bool)
+	// Dynamic reports whether the policy draws its choices from state
+	// of its own (§3.4's random and round-robin choosers): asking twice
+	// for one cell may then give two actions, and every ask moves the
+	// chooser. A table-driven policy is not dynamic — its choice is a
+	// function of (state, event) alone.
+	Dynamic() bool
 }
 
 // RecencyAware is an optional Policy refinement from §5.2: "have a

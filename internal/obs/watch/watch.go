@@ -14,7 +14,11 @@
 //
 // The monitor relies on the recorder's ordering guarantees: per line,
 // snoop-caused state commits precede their KindTx, and the master's own
-// fill/upgrade/push state events follow it. It is a single-goroutine
+// fill/upgrade/push state events follow it. One transaction's snoop
+// commits land one snooper at a time, so a snooper's exclusivity is
+// judged when the KindTx arrives, once every snooper has committed: a
+// listening owner that resolves CH:O/M to M may commit before the last
+// sharer's S→I of the same column-7 read. It is a single-goroutine
 // consumer like coherence.Analyzer; a live reader takes its snapshot
 // inside Recorder.View.
 package watch
@@ -221,9 +225,14 @@ type line struct {
 	txSnap       uint64
 	ownersAtSnap int
 	ownerAtSnap  int
-	ring         []obs.Event
-	ringPos      int
-	ringFull     bool
+	// held are the snoop-caused state events of transaction heldTx that
+	// broke real exclusivity when they committed, to be judged again
+	// when the transaction's KindTx arrives.
+	held     []obs.Event
+	heldTx   uint64
+	ring     []obs.Event
+	ringPos  int
+	ringFull bool
 }
 
 func (ln *line) stateOf(proc int) int8 {
@@ -472,6 +481,7 @@ func (m *Monitor) reset() {
 		ln.states = ln.states[:0]
 		ln.owners, ln.excl, ln.valid = 0, 0, 0
 		ln.txSnap, ln.ownersAtSnap, ln.ownerAtSnap = 0, 0, -1
+		ln.held, ln.heldTx = ln.held[:0], 0
 		ln.ring = ln.ring[:0]
 		ln.ringPos, ln.ringFull = 0, false
 	}
@@ -532,6 +542,7 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 	if e.TxID != 0 {
 		ln.snapshot(e.TxID)
 	}
+	m.judgeHeld(ln)
 
 	// §3.1.4, operationally: memory supplies (and accepts) data exactly
 	// when no cache owns the line; an owner must intervene on reads and
@@ -585,6 +596,11 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	if e.TxID != 0 {
 		ln.snapshot(e.TxID)
 	}
+	if ln.heldTx != e.TxID {
+		// The held events' KindTx never came (a transaction that failed
+		// after its commits, or a truncated trace): judge them now.
+		m.judgeHeld(ln)
+	}
 
 	// Trace integrity: the event's From must match the shadow.
 	if prev := ln.stateOf(e.Proc); prev >= 0 && core.State(prev) != from {
@@ -604,21 +620,52 @@ func (m *Monitor) consumeState(e *obs.Event) {
 		m.report(InvSingleOwner, e, ln, fmt.Sprintf(
 			"%d caches own the line after this transition — §3.1.3 allows at most one", ln.owners))
 	}
-	if to.Valid() {
-		exclOthers := ln.excl
-		if to.ExclusiveCopy() {
-			exclOthers--
-		}
-		switch {
-		case to.ExclusiveCopy() && ln.valid > 1:
-			m.report(InvExclusivity, e, ln, fmt.Sprintf(
-				"copy became %s (exclusive) while %d cached copies exist — §3.1.2 requires it to be the only one",
-				to.Letter(), ln.valid))
-		case exclOthers > 0:
-			m.report(InvExclusivity, e, ln,
-				"copy became valid while another cache holds the line in an exclusive state (M/E)")
+	if !to.Valid() {
+		return
+	}
+	switch detail := exclusivity(ln, to); {
+	case detail == "":
+	case strings.HasPrefix(e.Cause, "snoop") && e.TxID != 0:
+		// Judged when the KindTx arrives, once every snooper has
+		// committed.
+		ln.held, ln.heldTx = append(ln.held, *e), e.TxID
+	default:
+		m.report(InvExclusivity, e, ln, detail)
+	}
+}
+
+// exclusivity checks §3.1.2 for a copy of the line in state to: an
+// exclusive copy must be the only one, and no copy may coexist with
+// another cache's exclusive one. It returns the breach, or "".
+func exclusivity(ln *line, to core.State) string {
+	exclOthers := ln.excl
+	if to.ExclusiveCopy() {
+		exclOthers--
+	}
+	switch {
+	case to.ExclusiveCopy() && ln.valid > 1:
+		return fmt.Sprintf(
+			"copy became %s (exclusive) while %d cached copies exist — §3.1.2 requires it to be the only one",
+			to.Letter(), ln.valid)
+	case exclOthers > 0:
+		return "copy became valid while another cache holds the line in an exclusive state (M/E)"
+	}
+	return ""
+}
+
+// judgeHeld reports the held snoop-caused state events that still break
+// real exclusivity now that their transaction's snoopers have all
+// committed.
+func (m *Monitor) judgeHeld(ln *line) {
+	for i := range ln.held {
+		e := &ln.held[i]
+		if s := ln.stateOf(e.Proc); s > 0 {
+			if detail := exclusivity(ln, core.State(s)); detail != "" {
+				m.report(InvExclusivity, e, ln, detail)
+			}
 		}
 	}
+	ln.held, ln.heldTx = ln.held[:0], 0
 }
 
 // snoopLegal checks a snooper-side transition against its Table 2

@@ -131,6 +131,51 @@ func TestStaleReaderCaught(t *testing.T) {
 	}
 }
 
+// TestListeningOwnerBeforeLastSharer is P3's transaction 1445 (fbsweep
+// -exp P3 -refs 500): on a column-7 read by an uncached master, the
+// owner (proc 0) commits first and resolves CH:O/M to M, because the
+// only sharer (proc 5) drops its copy instead of asserting CH — but
+// proc 5's S→I commits after proc 0's O→M. Once the KindTx arrives, the
+// line has one copy, M: no violation.
+func TestListeningOwnerBeforeLastSharer(t *testing.T) {
+	r := newRig(t, Config{})
+	const a = 0x100000003
+	r.tx(0, a, 6, "R", false, false, 1)
+	r.st(0, a, "I", "M", "fill", 1)
+	r.st(0, a, "M", "O", "snoop-cache-read", 2)
+	r.tx(5, a, 5, "R", true, true, 2)
+	r.st(5, a, "I", "S", "fill", 2)
+
+	r.st(0, a, "O", "M", "snoop-read", 3)
+	r.st(5, a, "S", "I", "snoop-read", 3)
+	r.tx(6, a, 7, "R", false, true, 3)
+	r.wantClean()
+}
+
+// TestSnoopExclusivityHeldToKindTx keeps the deferred judgement honest:
+// a snooper that turns exclusive while a sharer keeps its copy through
+// the whole transaction is still a violation, reported once the KindTx
+// arrives, and blamed on the snoop transition.
+func TestSnoopExclusivityHeldToKindTx(t *testing.T) {
+	r := newRig(t, Config{})
+	const a = 0x2800
+	r.tx(0, a, 6, "R", false, false, 1)
+	r.st(0, a, "I", "M", "fill", 1)
+	r.st(0, a, "M", "O", "snoop-cache-read", 2)
+	r.tx(1, a, 5, "R", true, true, 2)
+	r.st(1, a, "I", "S", "fill", 2)
+
+	r.st(0, a, "O", "M", "snoop-read", 3)
+	if r.m.Total() != 0 {
+		t.Fatalf("judged before the KindTx: %v", r.m.First())
+	}
+	r.tx(6, a, 7, "R", false, true, 3)
+	v := r.wantViolation(InvExclusivity)
+	if v.Proc != 0 || v.Cause != "snoop-read" || v.TxID != 3 {
+		t.Fatalf("violation blames proc %d cause %q tx %d, want 0/snoop-read/3", v.Proc, v.Cause, v.TxID)
+	}
+}
+
 func TestIllegalSnoopTransition(t *testing.T) {
 	r := newRig(t, Config{})
 	const a = 0x2200

@@ -102,6 +102,9 @@ func (p *Random) ChooseSnoop(s core.State, e core.BusEvent) (core.SnoopAction, b
 	return alts[i], true
 }
 
+// Dynamic implements core.Policy: every choice draws from the generator.
+func (p *Random) Dynamic() bool { return true }
+
 var _ core.Policy = (*Random)(nil)
 
 // RoundRobin cycles through the legal class actions of each cell in
@@ -149,5 +152,8 @@ func (p *RoundRobin) ChooseSnoop(s core.State, e core.BusEvent) (core.SnoopActio
 	p.mu.Unlock()
 	return alts[i], true
 }
+
+// Dynamic implements core.Policy: every choice advances its cell's turn.
+func (p *RoundRobin) Dynamic() bool { return true }
 
 var _ core.Policy = (*RoundRobin)(nil)

@@ -92,6 +92,28 @@ func goldenCases() []goldenCase {
 			{Protocol: "uncached"}, {Protocol: "uncached-broadcast"},
 		}}, gens: abShape(0.4, 17), refs: 2000},
 		{name: "write-once", cfg: Homogeneous("write-once", 4), gens: abShape(0.3, 19), refs: 2000},
+		// P3's heterogeneous bus. The uncached board's column-7 read
+		// can turn a waiting owner O→M, so its deferred write no longer
+		// needs the bus; the random board's probe can say "local" while
+		// its access takes the bus.
+		{name: "mixed-bus", cfg: Config{Boards: []BoardSpec{
+			{Protocol: "moesi"}, {Protocol: "moesi-invalidate"}, {Protocol: "berkeley"},
+			{Protocol: "dragon"}, {Protocol: "write-through"}, {Protocol: "random"},
+			{Protocol: "uncached"},
+		}}, gens: abShape(0.3, 23), refs: 3000},
+		// Both dynamic choosers beside two fixed protocols, under the
+		// aging discipline and split occupancy.
+		{name: "mixed-choosers", cfg: Config{
+			Boards: []BoardSpec{
+				{Protocol: "random"}, {Protocol: "round-robin"},
+				{Protocol: "moesi"}, {Protocol: "berkeley"},
+			},
+			Shards: 2, Tenure: "split", Discipline: "bounded",
+		}, gens: abShape(0.4, 29), refs: 2000},
+		// Eight waiters re-ranked by slot number on every grant.
+		{name: "priority", cfg: Config{
+			Boards: Homogeneous("moesi", 8).Boards, Discipline: "priority",
+		}, gens: abShape(0.2, 31), refs: 3000},
 	}
 }
 
@@ -192,6 +214,8 @@ type goldenWatch struct {
 // runs — the ab-hits system with the .fbt recorder and the watch and
 // perf sinks attached (the shape of simbench's ab-observed workload),
 // and the zipf-mix protocol mix under split tenure, rr and 2 shards —
+// and of the mixed-bus, mixed-choosers and priority rows, whose
+// KindBlocked events carry every deferred access's wait and blocker,
 // against testdata/events_<name>.json, and the coherence and causal
 // reports of the same runs against testdata/analyses_<name>.json. A
 // reordered, lost or duplicated event moves the .fbt digest, so a
@@ -201,7 +225,10 @@ type goldenWatch struct {
 // Regenerate with -update only for a deliberate change to what is
 // emitted.
 func TestEventStreamGolden(t *testing.T) {
-	names := map[string]string{"ab-hits": "ab-observed", "zipf-mix": "zipf-mix"}
+	names := map[string]string{
+		"ab-hits": "ab-observed", "zipf-mix": "zipf-mix",
+		"mixed-bus": "mixed-bus", "mixed-choosers": "mixed-choosers", "priority": "priority",
+	}
 	for _, gc := range goldenCases() {
 		name, ok := names[gc.name]
 		if !ok {

@@ -14,6 +14,7 @@ import (
 	"futurebus/internal/bus"
 	"futurebus/internal/cache"
 	"futurebus/internal/check"
+	"futurebus/internal/core"
 	"futurebus/internal/faults"
 	"futurebus/internal/memory"
 	"futurebus/internal/obs"
@@ -30,6 +31,15 @@ type Board interface {
 	// UsesBusNext predicts whether the given access needs the bus (for
 	// event ordering in the deterministic engine).
 	UsesBusNext(addr bus.Addr, write bool) bool
+	// LineState returns the board's directory state for a line:
+	// core.Invalid when it holds none, or keeps no directory. Unless the
+	// board is Dynamic, UsesBusNext gives the same answer for an access
+	// as long as its line's LineState is unchanged.
+	LineState(addr bus.Addr) core.State
+	// Dynamic reports whether the board draws its choices (§3.4's
+	// random and round-robin choosers): then every UsesBusNext call
+	// moves the chooser, and may change its answer.
+	Dynamic() bool
 	// Stall returns cumulative simulated bus time this board has spent
 	// (its Stats().StallNanos, BS recovery pushes for others included).
 	// The deterministic engine calls it twice per reference, so it must
@@ -161,6 +171,7 @@ func (b *cachedBoard) Write(addr bus.Addr, word int, val uint32) error {
 	return b.WriteWord(addr, word, val)
 }
 func (b *cachedBoard) UsesBusNext(addr bus.Addr, write bool) bool { return b.WouldUseBus(addr, write) }
+func (b *cachedBoard) LineState(addr bus.Addr) core.State         { return b.State(addr) }
 func (b *cachedBoard) Describe() string                           { return b.name }
 
 // uncachedBoard adapts cache.Uncached to Board.
@@ -174,6 +185,8 @@ func (b *uncachedBoard) Write(addr bus.Addr, word int, val uint32) error {
 	return b.WriteWord(addr, word, val)
 }
 func (b *uncachedBoard) UsesBusNext(bus.Addr, bool) bool { return true }
+func (b *uncachedBoard) LineState(bus.Addr) core.State   { return core.Invalid }
+func (b *uncachedBoard) Dynamic() bool                   { return false }
 func (b *uncachedBoard) Describe() string                { return b.name }
 
 // New builds a system from the config.

@@ -11,7 +11,7 @@
 # Each overhead line shows the ratio of process CPU time (cpu-ns/op,
 # the drain goroutine included) beside the wall-clock one; the gates
 # judge wall-clock only.
-# One check is NON-advisory: the allocation footprint of four hot paths
+# One check is NON-advisory: the allocation footprint of the hot paths
 # must stay within 5% of the committed baseline, and a breach exits 1.
 # The gated benchmarks are the atomic-mode bus fast path
 # (BenchmarkBusLockedRMW — grant → address → data → release through the
@@ -20,9 +20,12 @@
 # simulation (BenchmarkP1/moesi — the engine's per-reference path and
 # the bus's per-transaction path, which allocate nothing once warm;
 # ROADMAP item 1), the same with §3.4 random-choice boards
-# (BenchmarkP4), and the random chooser itself
+# (BenchmarkP4), the random chooser itself
 # (BenchmarkRandomPolicyChoice — the class choice lists are built once,
-# so a choice allocates nothing). The gated statistic is the per-op allocation
+# so a choice allocates nothing), and the engine and snoop rungs of the
+# layer ladder (BenchmarkLayer/engine, BenchmarkLayer/snoop/held-N —
+# nothing is allocated per deferral or per address cycle). The gated
+# statistic is the per-op allocation
 # footprint (B/op, allocs/op): it is deterministic, so 5% means a real
 # change, whereas wall-clock ns/op on shared hardware has >5%
 # irreducible run-to-run noise — the ns/op delta is printed on the same
@@ -189,11 +192,16 @@ END {
 	# Non-advisory gate: the hot paths must not regain allocations.
 	# Gated on the deterministic allocation footprint; ns/op shown as
 	# advisory.
-	split("BenchmarkBusLockedRMW BenchmarkP1/moesi BenchmarkP4 BenchmarkRandomPolicyChoice", gated, " ")
+	split("BenchmarkBusLockedRMW BenchmarkP1/moesi BenchmarkP4 BenchmarkRandomPolicyChoice " \
+		"BenchmarkLayer/engine BenchmarkLayer/snoop/held-0 BenchmarkLayer/snoop/held-1 BenchmarkLayer/snoop/held-7", gated, " ")
 	label["BenchmarkBusLockedRMW"] = "atomic fast path"
 	label["BenchmarkP1/moesi"] = "simulation hot path"
 	label["BenchmarkP4"] = "random-choice simulation"
 	label["BenchmarkRandomPolicyChoice"] = "class choice"
+	label["BenchmarkLayer/engine"] = "engine rung"
+	label["BenchmarkLayer/snoop/held-0"] = "snoop rung, no holder"
+	label["BenchmarkLayer/snoop/held-1"] = "snoop rung, one holder"
+	label["BenchmarkLayer/snoop/held-7"] = "snoop rung, seven holders"
 	for (g = 1; g in gated; g++) {
 		fp = gated[g]
 		if (!(fp in base && fp in cur)) continue
