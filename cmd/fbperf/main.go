@@ -1,41 +1,28 @@
 // Command fbperf measures what the host pays to run the simulator and
-// what the simulated bus pays to run the workload, and gates the two
-// against a baseline.
+// what the simulated bus pays to run the workload.
 //
 //	fbperf run -battery ab -refs 5000 -out perf.json \
 //	    -cpuprofile cpu.pprof -heapprofile heap.pprof
-//	fbperf compare old.json new.json
 //
 // `run` drives a named workload battery with a saturation-telemetry
 // sink attached (internal/obs/perf), samples the Go runtime around the
 // run (allocations per reference, GC pauses, goroutine peak), captures
 // optional CPU/heap/mutex/block pprof profiles, and writes a
-// structured perf.json report.
+// structured perf.json report (ledger.PerfReport).
 //
-// `compare` diffs two reports metric by metric. A metric regresses
-// when the new value exceeds the old by BOTH the relative threshold
-// (-rel) and its absolute slack (-abs-ns / -abs-allocs / -abs-depth) —
-// the double condition keeps tiny absolute wobbles on tiny baselines
-// from tripping the gate. Simulated-time metrics (latency quantiles,
-// queue depth) are deterministic for a fixed battery/seed/engine, so
-// they gate hard; wall-clock metrics are reported but never gate.
-// Exits 1 on any regression, which is what scripts/bench-compare.sh
-// and CI hang the perf gate on.
+// `fbtrend diff old.json new.json` judges two reports and `fbtrend
+// gate` judges one against a run ledger. Simulated-time metrics
+// (latency quantiles, queue depth) are deterministic for a fixed
+// battery/seed/engine, so they gate hard, as do allocations per
+// reference; wall-clock metrics are reported but never gate.
 package main
 
-// The compare fixtures under testdata/ are hand-shaped minimal reports
-// (one probe per threshold path); regenerate them after changing the
-// report schema with `go generate ./cmd/fbperf`.
-//go:generate go run ./testdata/gen
-
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -43,26 +30,9 @@ import (
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/perf"
-	"futurebus/internal/obs/regress"
 	"futurebus/internal/sim"
 	"futurebus/internal/workload"
 )
-
-// Report is the perf.json document.
-type Report struct {
-	Meta    ledger.Meta `json:"_meta"`
-	Battery string      `json:"battery"`
-	Engine  string      `json:"engine"`
-	Procs   int         `json:"procs"`
-	Refs    int64       `json:"refs"`
-	Seed    uint64      `json:"seed"`
-	// Host is the run's host-cost accounting (wall clock, allocations
-	// per reference, GC bill, goroutine peak).
-	Host perf.HostReport `json:"host"`
-	// Sim is the saturation telemetry in simulated time: latency
-	// quantiles and per-shard arbitration queue stats.
-	Sim *perf.Snapshot `json:"sim"`
-}
 
 // battery is one named workload the runner can drive.
 type battery struct {
@@ -119,8 +89,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		cmdRun(os.Args[2:])
-	case "compare":
-		cmdCompare(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -132,7 +100,6 @@ func usage() {
   fbperf run -battery <name> [-refs N] [-procs N] [-engine det|conc] [-seed S]
              [-out perf.json] [-cpuprofile f] [-heapprofile f]
              [-mutexprofile f] [-blockprofile f]
-  fbperf compare [-rel R] [-abs-ns N] [-abs-allocs A] [-abs-depth D] old.json new.json
 
 batteries: ab, migratory, ping-pong, mixed`)
 }
@@ -235,7 +202,7 @@ func cmdRun(args []string) {
 	writeLookup(*mutexProfile, "mutex")
 	writeLookup(*blockProfile, "block")
 
-	fail(session.WriteJSON(*out, Report{
+	fail(session.WriteJSON(*out, ledger.PerfReport{
 		Meta:    ledger.CurrentMeta(),
 		Battery: *batteryName,
 		Engine:  *engine,
@@ -248,128 +215,6 @@ func cmdRun(args []string) {
 	fmt.Fprintf(os.Stderr, "fbperf: %s (%s) — %d refs in %.1f ms, %.1f B/ref, %.0f refs/s\n",
 		*batteryName, bat.desc, m.Refs, float64(host.WallNS)/1e6,
 		host.AllocBytesPerRef, host.RefsPerSec)
-}
-
-// thresholds configures the compare gate.
-type thresholds struct {
-	// rel is the relative growth a metric may show before regressing.
-	rel float64
-	// absNS, absAllocs, absDepth are per-unit absolute slacks: a metric
-	// only regresses when it exceeds BOTH rel and its absolute slack.
-	absNS     float64
-	absAllocs float64
-	absDepth  float64
-}
-
-// delta is one compared metric.
-type delta struct {
-	name     string
-	old, new float64
-	abs      float64 // absolute slack for this metric
-	gate     bool    // false = advisory (wall-clock noise)
-}
-
-func (d delta) regressed(rel float64) bool {
-	if !d.gate {
-		return false
-	}
-	th := regress.Thresholds{Rel: rel, Abs: d.abs}
-	return th.Breached(d.old, d.new-d.old)
-}
-
-func (d delta) relChange() float64 {
-	if d.old == 0 {
-		if d.new == 0 {
-			return 0
-		}
-		return 1
-	}
-	return d.new/d.old - 1
-}
-
-// compareReports flattens the two documents into comparable metrics.
-func compareReports(old, new *Report, th thresholds) []delta {
-	var out []delta
-	names := make([]string, 0, len(old.Sim.Latency))
-	for name := range old.Sim.Latency {
-		if _, ok := new.Sim.Latency[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		o, n := old.Sim.Latency[name], new.Sim.Latency[name]
-		out = append(out,
-			delta{name + ".p50", float64(o.P50), float64(n.P50), th.absNS, true},
-			delta{name + ".p99", float64(o.P99), float64(n.P99), th.absNS, true},
-			delta{name + ".p999", float64(o.P999), float64(n.P999), th.absNS, true},
-		)
-	}
-	out = append(out,
-		delta{"queue.peak_depth", float64(old.Sim.PeakQueueDepth()), float64(new.Sim.PeakQueueDepth()), th.absDepth, true},
-		delta{"host.alloc_bytes_per_ref", old.Host.AllocBytesPerRef, new.Host.AllocBytesPerRef, th.absAllocs * 16, true},
-		delta{"host.alloc_objects_per_ref", old.Host.AllocObjectsPerRef, new.Host.AllocObjectsPerRef, th.absAllocs, true},
-		// Wall-clock metrics depend on machine load; report, never gate.
-		delta{"host.wall_ns", float64(old.Host.WallNS), float64(new.Host.WallNS), 0, false},
-		delta{"host.gc_pause_total_ns", float64(old.Host.GCPauseTotalNS), float64(new.Host.GCPauseTotalNS), 0, false},
-	)
-	return out
-}
-
-func cmdCompare(args []string) {
-	fs := flag.NewFlagSet("fbperf compare", flag.ExitOnError)
-	rel := fs.Float64("rel", 0.10, "relative growth allowed before a metric regresses")
-	absNS := fs.Float64("abs-ns", 1000, "absolute slack for simulated-ns metrics")
-	absAllocs := fs.Float64("abs-allocs", 0.5, "absolute slack for allocated objects per reference (bytes get 16x)")
-	absDepth := fs.Float64("abs-depth", 2, "absolute slack for queue-depth metrics")
-	fail(fs.Parse(args))
-	if fs.NArg() != 2 {
-		usage()
-		os.Exit(2)
-	}
-	old, err := readReport(fs.Arg(0))
-	fail(err)
-	new, err := readReport(fs.Arg(1))
-	fail(err)
-	if old.Battery != new.Battery || old.Engine != new.Engine || old.Seed != new.Seed {
-		fmt.Fprintf(os.Stderr, "fbperf: warning: comparing %s/%s/seed=%d against %s/%s/seed=%d — deltas may not be meaningful\n",
-			old.Battery, old.Engine, old.Seed, new.Battery, new.Engine, new.Seed)
-	}
-
-	th := thresholds{rel: *rel, absNS: *absNS, absAllocs: *absAllocs, absDepth: *absDepth}
-	deltas := compareReports(old, new, th)
-	regressions := 0
-	fmt.Printf("%-32s %14s %14s %8s\n", "metric", "old", "new", "change")
-	for _, d := range deltas {
-		verdict := ""
-		if d.regressed(*rel) {
-			verdict = "  REGRESSED"
-			regressions++
-		} else if !d.gate {
-			verdict = "  (advisory)"
-		}
-		fmt.Printf("%-32s %14.1f %14.1f %+7.1f%%%s\n", d.name, d.old, d.new, 100*d.relChange(), verdict)
-	}
-	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "fbperf: %d metric(s) regressed beyond rel=%.0f%% plus absolute slack\n", regressions, 100**rel)
-		os.Exit(1)
-	}
-	fmt.Println("fbperf: no regressions")
-}
-
-func readReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Sim == nil {
-		return nil, fmt.Errorf("%s: no sim telemetry in report", path)
-	}
-	return &r, nil
 }
 
 func fail(err error) {

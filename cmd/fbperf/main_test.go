@@ -1,104 +1,150 @@
 package main
 
 import (
+	"encoding/json"
+	"slices"
 	"testing"
+
+	"futurebus/internal/obs"
+	"futurebus/internal/obs/ledger"
+	"futurebus/internal/obs/perf"
 )
 
-func defaultThresholds() thresholds {
-	return thresholds{rel: 0.10, absNS: 1000, absAllocs: 0.5, absDepth: 2}
+// report is a minimal fbperf run report: two latency digests, two
+// arbitration queues and the host-cost block.
+func report() *ledger.PerfReport {
+	return &ledger.PerfReport{
+		Battery: "fixture", Engine: "det", Procs: 4, Refs: 1000, Seed: 1986,
+		Host: perf.HostReport{
+			WallNS: 1_000_000, Refs: 1000,
+			AllocBytesPerRef: 128, AllocObjectsPerRef: 2,
+			RefsPerSec: 1e6, GCPauseTotalNS: 50,
+		},
+		Sim: &perf.Snapshot{
+			Events: 5000,
+			Latency: map[string]obs.Summary{
+				perf.MetricArbWait: {Count: 900, P50: 1200, P99: 42_000, P999: 51_000},
+				perf.MetricTenure:  {Count: 900, P50: 650, P99: 1200, P999: 1300},
+			},
+			Queue:       []perf.QueueStats{{Bus: 0, Peak: 3}, {Bus: 1, Peak: 5}},
+			ArbFairness: 0.93,
+		},
+	}
 }
 
-func regressedNames(deltas []delta, rel float64) []string {
-	var out []string
-	for _, d := range deltas {
-		if d.regressed(rel) {
-			out = append(out, d.name)
+// record ingests rep as fbtrend does: encoded to JSON, then read back
+// by ledger.Ingest.
+func record(t *testing.T, rep *ledger.PerfReport) ledger.Record {
+	t.Helper()
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ledger.Ingest(data, "perf.json")
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("Ingest = %d records, %v", len(recs), err)
+	}
+	return recs[0]
+}
+
+func regressed(rep ledger.GateReport) []string {
+	var keys []string
+	for _, row := range rep.Rows {
+		if row.Direction == "regressed" && !row.Advisory {
+			keys = append(keys, row.Key)
 		}
 	}
-	return out
+	return keys
 }
 
 // A report diffed against itself must never regress — the CI self-diff
 // gate depends on this being exactly zero.
 func TestCompareSelfDiffClean(t *testing.T) {
-	rep, err := readReport("testdata/base.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := defaultThresholds()
-	if names := regressedNames(compareReports(rep, rep, th), th.rel); len(names) != 0 {
-		t.Fatalf("self-diff regressed: %v", names)
+	rec := record(t, report())
+	if rep := ledger.Diff(rec, rec, 0); rep.Verdict != "ok" || rep.Regressions != 0 {
+		t.Fatalf("self-diff verdict %q, regressed %v", rep.Verdict, regressed(rep))
 	}
 }
 
-// The injected-regression fixture doubles the arb-wait p99 and triples
-// allocated objects per reference; both must be flagged.
+// CI's injected regression doubles the arb-wait p99 and triples the
+// objects allocated per reference; exactly those two rows must flag.
 func TestCompareInjectedRegression(t *testing.T) {
-	base, err := readReport("testdata/base.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := readReport("testdata/regress.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := defaultThresholds()
-	names := regressedNames(compareReports(base, bad, th), th.rel)
-	want := map[string]bool{"perf.arb_wait_ns.p99": false, "host.alloc_objects_per_ref": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		} else {
-			t.Errorf("unexpected regression %s", n)
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("regression %s not flagged", n)
-		}
+	bad := report()
+	arb := bad.Sim.Latency[perf.MetricArbWait]
+	arb.P99 = arb.P99*2 + 100_000
+	bad.Sim.Latency[perf.MetricArbWait] = arb
+	bad.Host.AllocObjectsPerRef = bad.Host.AllocObjectsPerRef*3 + 10
+	rep := ledger.Diff(record(t, report()), record(t, bad), 0)
+	want := []string{"host.alloc_objects_per_ref", "perf.arb_wait_ns.p99"}
+	if got := regressed(rep); !slices.Equal(got, want) || rep.Verdict != "regressed" {
+		t.Errorf("regressed rows %v (verdict %q), want %v", got, rep.Verdict, want)
 	}
 }
 
 // The gate requires BOTH the relative and the absolute threshold to be
 // exceeded: a large relative jump on a tiny baseline (under the
-// absolute slack) and a small relative drift on a large baseline must
-// both pass.
+// absolute floor) and a small relative drift on a large baseline must
+// both pass, and a zero baseline gates on the absolute floor alone.
 func TestDeltaDoubleCondition(t *testing.T) {
 	cases := []struct {
-		name string
-		d    delta
-		rel  float64
-		want bool
+		name     string
+		key      string
+		old, new float64
+		want     bool
 	}{
-		{"tiny-baseline-big-rel", delta{"m", 10, 100, 1000, true}, 0.10, false},
-		{"big-baseline-small-rel", delta{"m", 1_000_000, 1_040_000, 1000, true}, 0.10, false},
-		{"both-exceeded", delta{"m", 10_000, 20_000, 1000, true}, 0.10, true},
-		{"advisory-never-gates", delta{"m", 10_000, 90_000, 0, false}, 0.10, false},
-		{"zero-baseline-above-abs", delta{"m", 0, 5_000, 1000, true}, 0.10, true},
+		{"tiny-baseline-big-rel", "perf.arb_wait_ns.p99", 10, 100, false},
+		{"big-baseline-small-rel", "perf.arb_wait_ns.p99", 1_000_000, 1_040_000, false},
+		{"both-exceeded", "perf.arb_wait_ns.p99", 10_000, 20_000, true},
+		{"advisory-never-gates", "host.wall_ns", 10_000, 90_000, false},
+		{"zero-baseline-above-abs", "perf.arb_wait_ns.p99", 0, 5_000, true},
+		{"zero-baseline-under-abs", "perf.arb_wait_ns.p99", 0, 900, false},
+		{"alloc-objects-past-half", "host.alloc_objects_per_ref", 2, 2.6, true},
+		{"queue-depth-under-two", "queue.peak_depth", 5, 7, false},
 	}
 	for _, c := range cases {
-		if got := c.d.regressed(c.rel); got != c.want {
-			t.Errorf("%s: regressed = %v, want %v", c.name, got, c.want)
+		rec := func(v float64) ledger.Record {
+			return ledger.Record{Kind: ledger.KindPerf, Metrics: map[string]float64{c.key: v}}
+		}
+		if got := ledger.Diff(rec(c.old), rec(c.new), 0).Regressions > 0; got != c.want {
+			t.Errorf("%s: %s %v → %v regressed = %v, want %v", c.name, c.key, c.old, c.new, got, c.want)
 		}
 	}
 }
 
-// Wall-clock metrics must be present but advisory: they never gate.
+// Host-time metrics must be present but advisory: they never gate.
 func TestCompareWallClockAdvisory(t *testing.T) {
-	base, err := readReport("testdata/base.json")
+	slow := report()
+	slow.Host.WallNS *= 10
+	slow.Host.GCPauseTotalNS *= 10
+	slow.Host.RefsPerSec /= 10
+	rep := ledger.Diff(record(t, report()), record(t, slow), 0)
+	seen := 0
+	for _, row := range rep.Rows {
+		switch row.Key {
+		case "host.wall_ns", "host.gc_pause_total_ns", "host.refs_per_sec":
+			seen++
+			if !row.Advisory {
+				t.Errorf("%s must be advisory", row.Key)
+			}
+		}
+	}
+	if seen != 3 || rep.Verdict != "ok" {
+		t.Errorf("saw %d host-time rows, verdict %q; want 3 advisory rows and ok", seen, rep.Verdict)
+	}
+}
+
+// A report without sim telemetry is not an fbperf run report.
+func TestReadReportRejectsMissingSim(t *testing.T) {
+	rep := report()
+	rep.Sim = nil
+	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := defaultThresholds()
-	for _, d := range compareReports(base, base, th) {
-		if (d.name == "host.wall_ns" || d.name == "host.gc_pause_total_ns") && d.gate {
-			t.Errorf("%s must be advisory", d.name)
-		}
+	if _, err := ledger.Ingest(data, "perf.json"); err == nil {
+		t.Error("fbperf report with \"sim\": null: want an Ingest error")
 	}
-}
-
-func TestReadReportRejectsMissingSim(t *testing.T) {
-	if _, err := readReport("testdata/nonexistent.json"); err == nil {
-		t.Error("missing file: want error")
+	if _, err := ledger.Ingest([]byte(`{"battery": "ab", "engine": "det"}`), "perf.json"); err == nil {
+		t.Error("fbperf report without \"sim\": want an Ingest error")
 	}
 }

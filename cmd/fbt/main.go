@@ -26,6 +26,7 @@ import (
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/watch"
 )
 
@@ -35,8 +36,8 @@ const usage = `fbt — offline analysis of .fbt traces
       reconstruct the dependency DAG and print the critical path,
       cost-by-cause table and per-board blame
 
-  fbt causal diff [-rel frac] [-abs ns] [-canonical] [-json] old.fbt new.fbt
-      compare two recordings per phase and per cause
+  fbt causal diff [-rel frac] [-canonical] [-json] old.fbt new.fbt
+      compare two recordings' totals and per-phase and per-cause blame
 
   fbt causal export [-o file] run.fbt
       re-export the raw event stream as JSON Lines
@@ -46,8 +47,17 @@ const usage = `fbt — offline analysis of .fbt traces
       transition matrices, residency, ownership chains and write
       fan-out; -html additionally writes a self-contained report
 
-  fbt lens diff [-rel frac] [-abs rate] [-json] old.fbt new.fbt
+  fbt lens diff [-rel frac] [-json] old.fbt new.fbt
       compare two recordings' coherence rates per protocol
+
+  Both diffs are the one-run case of fbtrend's rolling gate: a metric
+  regresses when it moves in its bad direction past both its relative
+  threshold (-rel; default 10%, 5% for the lens keys) and the absolute
+  floor of its unit (1 µs for times, 0.001 for rates). The counts
+  (causal txs and aborts, lens transitions) have no floor and gate on
+  the relative threshold alone, so one abort over a zero-abort
+  baseline regresses. A metric only one recording has is 0 in the
+  other.
 
   fbt watch [-json] [-max N] [-context N] run.fbt [more.fbt ...]
       replay each trace through the shadow-state invariant monitor
@@ -63,14 +73,6 @@ const (
 	exitOK    = 0
 	exitDirty = 1 // a diff metric regressed or a trace violated an invariant
 	exitError = 2 // usage, I/O or decode error
-)
-
-// Default lens diff thresholds. The compared metrics are rates (per
-// transition, shares, fan-out means), so the absolute gate is a small
-// rate delta, not nanoseconds.
-const (
-	lensRel = 0.05
-	lensAbs = 0.001
 )
 
 // errUsage marks a command line that did not parse; the parse error or
@@ -200,19 +202,31 @@ func (t *tool) writeAnalysis(path string, meta obs.TraceMeta, asJSON bool, an an
 	return nil
 }
 
-// writeDiff writes a diff of the recordings fs names: as JSON, or as
-// the old/new header followed by the report's own rendering.
-func (t *tool) writeDiff(fs *flag.FlagSet, oldMeta, newMeta obs.TraceMeta, asJSON bool, rep any, render func(io.Writer)) error {
-	if asJSON {
-		return t.writeJSON(head{OldFingerprint: oldMeta.Fingerprint, NewFingerprint: newMeta.Fingerprint}, rep)
+// diff adds the flags both diffs share, judges the two recordings fs
+// names with ledger.Diff over the records load builds, and writes the
+// report: as JSON, or as the old/new header followed by its rendering.
+func (t *tool) diff(fs *flag.FlagSet, args []string, load func(path string) (obs.TraceMeta, ledger.Record, error)) (bool, error) {
+	rel := fs.Float64("rel", 0, "relative regression threshold (fraction; 0 = each metric's default)")
+	asJSON := fs.Bool("json", false, "emit the report as JSON")
+	if err := t.parse(fs, args, 2, 2); err != nil {
+		return false, err
+	}
+	oldMeta, oldRec, err := load(fs.Arg(0))
+	if err != nil {
+		return false, err
+	}
+	newMeta, newRec, err := load(fs.Arg(1))
+	if err != nil {
+		return false, err
+	}
+	rep := ledger.Diff(oldRec, newRec, *rel)
+	if *asJSON {
+		return rep.Regressions > 0, t.writeJSON(head{OldFingerprint: oldMeta.Fingerprint, NewFingerprint: newMeta.Fingerprint}, rep)
 	}
 	fmt.Fprintf(t.stdout, "old: %s (%s)\nnew: %s (%s)\n",
 		fs.Arg(0), orUnknown(oldMeta.Fingerprint), fs.Arg(1), orUnknown(newMeta.Fingerprint))
-	if oldMeta.Fingerprint != newMeta.Fingerprint {
-		fmt.Fprintf(t.stdout, "note: configs differ — deltas compare different runs, not a regression test\n")
-	}
-	render(t.stdout)
-	return nil
+	rep.Render(t.stdout)
+	return rep.Regressions > 0, nil
 }
 
 func orUnknown(s string) string {
@@ -266,23 +280,11 @@ func causalAnalyze(t *tool, args []string) (bool, error) {
 
 func causalDiff(t *tool, args []string) (bool, error) {
 	fs := flag.NewFlagSet("fbt causal diff", flag.ContinueOnError)
-	rel := fs.Float64("rel", causal.DefaultThresholds.Rel, "relative regression threshold (fraction)")
-	abs := fs.Int64("abs", causal.DefaultThresholds.Abs, "absolute regression threshold (simulated ns)")
 	canonical := fs.Bool("canonical", false, "canonicalize both event streams first (compare concurrent-engine runs)")
-	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	if err := t.parse(fs, args, 2, 2); err != nil {
-		return false, err
-	}
-	oldMeta, oldA, err := loadCausal(fs.Arg(0), *canonical)
-	if err != nil {
-		return false, err
-	}
-	newMeta, newA, err := loadCausal(fs.Arg(1), *canonical)
-	if err != nil {
-		return false, err
-	}
-	rep := causal.Diff(oldA, newA, causal.Thresholds{Rel: *rel, Abs: *abs})
-	return rep.Regressions > 0, t.writeDiff(fs, oldMeta, newMeta, *asJSON, rep, rep.Render)
+	return t.diff(fs, args, func(path string) (obs.TraceMeta, ledger.Record, error) {
+		meta, an, err := loadCausal(path, *canonical)
+		return meta, ledger.CausalRecord(meta.Fingerprint, an), err
+	})
 }
 
 func causalExport(t *tool, args []string) (bool, error) {
@@ -333,23 +335,11 @@ func lensAnalyze(t *tool, args []string) (bool, error) {
 }
 
 func lensDiff(t *tool, args []string) (bool, error) {
-	fs := flag.NewFlagSet("fbt lens diff", flag.ContinueOnError)
-	rel := fs.Float64("rel", lensRel, "relative regression threshold (fraction)")
-	abs := fs.Float64("abs", lensAbs, "absolute regression threshold (rate delta)")
-	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	if err := t.parse(fs, args, 2, 2); err != nil {
-		return false, err
-	}
-	oldMeta, oldA, err := loadLens(fs.Arg(0), -1)
-	if err != nil {
-		return false, err
-	}
-	newMeta, newA, err := loadLens(fs.Arg(1), -1)
-	if err != nil {
-		return false, err
-	}
-	rep := coherence.Diff(oldA, newA, *rel, *abs)
-	return rep.Regressions > 0, t.writeDiff(fs, oldMeta, newMeta, *asJSON, rep, rep.Render)
+	return t.diff(flag.NewFlagSet("fbt lens diff", flag.ContinueOnError), args,
+		func(path string) (obs.TraceMeta, ledger.Record, error) {
+			meta, an, err := loadLens(path, -1)
+			return meta, ledger.LensRecord(meta.Fingerprint, an), err
+		})
 }
 
 func watchTraces(t *tool, args []string) (bool, error) {

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/watch"
 	"futurebus/internal/sim"
 	"futurebus/internal/workload"
@@ -131,13 +133,13 @@ func TestJSONMatchesReplay(t *testing.T) {
 		{[]string{"causal", "diff", "-json", clean, clean}, indented(t, struct {
 			OldFingerprint string `json:"old_fingerprint,omitempty"`
 			NewFingerprint string `json:"new_fingerprint,omitempty"`
-			*causal.DiffReport
-		}{fp, fp, causal.Diff(can, can, causal.DefaultThresholds)})},
+			ledger.GateReport
+		}{fp, fp, ledger.Diff(ledger.CausalRecord(fp, can), ledger.CausalRecord(fp, can), 0)})},
 		{[]string{"lens", "diff", "-json", clean, clean}, indented(t, struct {
 			OldFingerprint string `json:"old_fingerprint,omitempty"`
 			NewFingerprint string `json:"new_fingerprint,omitempty"`
-			*coherence.DiffReport
-		}{fp, fp, coherence.Diff(lanAll, lanAll, lensRel, lensAbs)})},
+			ledger.GateReport
+		}{fp, fp, ledger.Diff(ledger.LensRecord(fp, lanAll), ledger.LensRecord(fp, lanAll), 0)})},
 		{[]string{"causal", "export", clean}, jsonl.String()},
 	}
 	for _, tc := range cases {
@@ -167,6 +169,42 @@ func TestDiffHeader(t *testing.T) {
 	for _, sub := range []string{"causal", "lens"} {
 		if out, _ := fbt(sub, "diff", clean, faulty); !strings.HasPrefix(out, want) {
 			t.Errorf("fbt %s diff header:\n%.300s\nwant prefix:\n%s", sub, out, want)
+		}
+	}
+}
+
+// TestDiffIsLedgerDiffOfAnalyses: the rows of each diff's -json report
+// are ledger.Diff over Ingest of the two analyze -json documents, so a
+// diff and an ingested analysis cannot name or compute a metric
+// differently.
+func TestDiffIsLedgerDiffOfAnalyses(t *testing.T) {
+	clean, faulty := traces(t)
+	ingest := func(sub, path string) ledger.Record {
+		doc, code := fbt(sub, "analyze", "-json", path)
+		if code != exitOK {
+			t.Fatalf("fbt %s analyze -json %s: exit %d", sub, path, code)
+		}
+		recs, err := ledger.Ingest([]byte(doc), path)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("Ingest(fbt %s analyze -json %s) = %d records, %v", sub, path, len(recs), err)
+		}
+		return recs[0]
+	}
+	for _, sub := range []string{"causal", "lens"} {
+		for _, pair := range [][2]string{{clean, faulty}, {faulty, clean}} {
+			doc, code := fbt(sub, "diff", "-json", pair[0], pair[1])
+			var got ledger.GateReport
+			if err := json.Unmarshal([]byte(doc), &got); err != nil {
+				t.Fatalf("fbt %s diff -json: %v\n%s", sub, err, doc)
+			}
+			want := ledger.Diff(ingest(sub, pair[0]), ingest(sub, pair[1]), 0)
+			if len(want.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("fbt %s diff -json rows differ from ledger.Diff of the ingested analyses\ngot:  %+v\nwant: %+v",
+					sub, got.Rows, want.Rows)
+			}
+			if wantCode := map[bool]int{false: exitOK, true: exitDirty}[want.Regressions > 0]; code != wantCode {
+				t.Errorf("fbt %s diff: exit %d, want %d", sub, code, wantCode)
+			}
 		}
 	}
 }

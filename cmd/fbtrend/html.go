@@ -50,9 +50,8 @@ func renderHTML(w io.Writer, recs []ledger.Record) error {
 				s.Runs = append(s.Runs, r.Meta.GitSHA)
 			}
 		}
-		th := regress.Thresholds{Rel: 0.10, Abs: regress.AbsFloor(key)}
 		s.Slope = regress.Slope(s.Values)
-		s.Steps = regress.Changepoints(s.Values, regress.DefaultWindow, regress.DefaultK, th)
+		s.Steps = regress.Changepoints(s.Values, regress.DefaultWindow, regress.DefaultK, regress.ThresholdsFor(key, 0))
 		doc.Series = append(doc.Series, s)
 	}
 	payload, err := json.Marshal(doc)

@@ -10,13 +10,16 @@
 //	fbtrend list [-ledger file] [-kind k] [-label l]
 //	fbtrend trend [-ledger file] [-kind k] [-label l] [-window N] [-k mult] [-rel frac] metric
 //	fbtrend gate [-ledger file] [-kind k] [-label l] [-window N] [-k mult] [-rel frac] [-min-runs N] [-candidate report.json] [-json]
+//	fbtrend diff old.json new.json
 //	fbtrend report [-ledger file] [-kind k] [-label l] -html out.html
 //
 // gate exits 1 when the candidate run (the newest ledger record, or
 // -candidate's report) regresses any non-advisory metric against the
-// rolling median+MAD baseline of the trailing window; 2 on usage or IO
-// errors. Regression semantics live in internal/obs/regress, shared
-// with fbt causal diff, fbt lens diff and fbperf compare.
+// rolling median+MAD baseline of the trailing window; diff is the same
+// gate over a one-run history, judging new.json against old.json. Both
+// exit 2 on usage, input or IO errors, and diff also when the two
+// reports are of different kinds. Every verdict comes from
+// ledger.Gate, as do fbt's diffs and fbsim's /trend.
 package main
 
 import (
@@ -49,6 +52,8 @@ func main() {
 		cmdTrend(os.Args[2:])
 	case "gate":
 		cmdGate(os.Args[2:])
+	case "diff":
+		os.Exit(runDiff(os.Args[2:], os.Stdout, os.Stderr))
 	case "report":
 		cmdReport(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -76,6 +81,11 @@ func usage() {
                [-rel frac] [-min-runs N] [-candidate report.json] [-json]
       judge the newest run (or -candidate) against the rolling
       median+MAD baseline of the trailing window; exit 1 on regression
+
+  fbtrend diff old.json new.json
+      judge one report against another of the same kind: the gate over
+      a one-run history (in causal and lens reports a metric only one
+      side has counts as 0); exit 1 on regression
 
   fbtrend report [-ledger file] [-kind k] [-label l] -html out.html
       self-contained HTML sparkline dashboard per metric family
@@ -110,7 +120,7 @@ func addGateFlags(fs *flag.FlagSet) gateFlags {
 	return gateFlags{
 		window:  fs.Int("window", regress.DefaultWindow, "trailing runs in the rolling baseline"),
 		k:       fs.Float64("k", regress.DefaultK, "MAD multiplier of the noise envelope"),
-		rel:     fs.Float64("rel", 0.10, "relative regression floor (fraction)"),
+		rel:     fs.Float64("rel", 0, "relative regression floor (fraction; 0 = each metric's default: 5% lens rates, 10% the rest)"),
 		minRuns: fs.Int("min-runs", 2, "minimum baseline runs before a metric is judged"),
 	}
 }
@@ -180,8 +190,7 @@ func cmdTrend(args []string) {
 	if len(series) == 0 {
 		fail(fmt.Errorf("metric %q not found in any matching record (try fbtrend list)", key))
 	}
-	th := regress.Thresholds{Rel: *gf.rel, Abs: regress.AbsFloor(key)}
-	steps := regress.Changepoints(series, *gf.window, *gf.k, th)
+	steps := regress.Changepoints(series, *gf.window, *gf.k, regress.ThresholdsFor(key, *gf.rel))
 	stepSet := make(map[int]bool, len(steps))
 	for _, s := range steps {
 		stepSet[s] = true
@@ -250,16 +259,9 @@ func cmdGate(args []string) {
 	history := lf.read()
 	var cand ledger.Record
 	if *candidate != "" {
-		data, err := os.ReadFile(*candidate)
+		var err error
+		cand, err = ingestOne(*candidate)
 		fail(err)
-		recs, err := ledger.Ingest(data, *candidate)
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", *candidate, err))
-		}
-		if len(recs) != 1 {
-			fail(fmt.Errorf("%s: yields %d records; gate one run at a time", *candidate, len(recs)))
-		}
-		cand = recs[0]
 		// Only prior runs of the same series form the baseline.
 		history = ledger.Filter(history, cand.Kind, cand.Label)
 	} else {
@@ -275,31 +277,55 @@ func cmdGate(args []string) {
 	if *asJSON {
 		fail(session.WriteJSON("-", rep))
 	} else {
-		renderGate(os.Stdout, rep)
+		rep.Render(os.Stdout)
 	}
 	if rep.Verdict == "regressed" {
 		os.Exit(1)
 	}
 }
 
-func renderGate(w io.Writer, rep ledger.GateReport) {
-	fmt.Fprintf(w, "gate: kind=%s label=%s baseline=%d run(s)\n",
-		orDash(rep.Kind), orDash(rep.Label), rep.Runs)
-	fmt.Fprintf(w, "  %-42s %14s %14s %8s\n", "metric", "median", "value", "verdict")
-	for _, row := range rep.Rows {
-		verdict := row.Direction
-		switch {
-		case row.Skipped:
-			verdict = "(no baseline)"
-		case row.Advisory:
-			verdict = "(advisory)"
-		case row.Direction == "regressed":
-			verdict = "REGRESSED"
-		}
-		fmt.Fprintf(w, "  %-42s %14.3f %14.3f  %s\n", row.Key, row.Baseline.Median, row.Value, verdict)
+// runDiff judges the report at args[1] against the one at args[0],
+// writes the rendered verdict to stdout and returns the exit status: 0
+// clean, 1 regressed, 2 usage or input error.
+func runDiff(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: fbtrend diff old.json new.json")
+		return 2
 	}
-	fmt.Fprintf(w, "verdict: %s (%d regressed, %d improved)\n",
-		rep.Verdict, rep.Regressions, rep.Improvements)
+	old, err := ingestOne(args[0])
+	var cand ledger.Record
+	if err == nil {
+		cand, err = ingestOne(args[1])
+	}
+	if err == nil && old.Kind != cand.Kind {
+		err = fmt.Errorf("%s (kind %s) and %s (kind %s) are different report kinds", args[0], old.Kind, args[1], cand.Kind)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fbtrend:", err)
+		return 2
+	}
+	rep := ledger.Diff(old, cand, 0)
+	rep.Render(stdout)
+	if rep.Verdict == "regressed" {
+		return 1
+	}
+	return 0
+}
+
+// ingestOne reads the report at path as exactly one ledger record.
+func ingestOne(path string) (ledger.Record, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return ledger.Record{}, err
+	}
+	recs, err := ledger.Ingest(data, path)
+	if err != nil {
+		return ledger.Record{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(recs) != 1 {
+		return ledger.Record{}, fmt.Errorf("%s: yields %d records; judge one run at a time", path, len(recs))
+	}
+	return recs[0], nil
 }
 
 func cmdReport(args []string) {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,7 +65,7 @@ func TestRenderGateMarksRegressions(t *testing.T) {
 		t.Fatalf("verdict = %q, want regressed", rep.Verdict)
 	}
 	var sb strings.Builder
-	renderGate(&sb, rep)
+	rep.Render(&sb)
 	out := sb.String()
 	if !strings.Contains(out, "REGRESSED") {
 		t.Errorf("render lacks REGRESSED marker:\n%s", out)
@@ -119,6 +122,65 @@ func TestFamily(t *testing.T) {
 	} {
 		if got := family(key); got != want {
 			t.Errorf("family(%q) = %q, want %q", key, got, want)
+		}
+	}
+}
+
+// perfDoc is a minimal fbperf run report with the given battery,
+// arbitration-wait p99 and objects allocated per reference.
+func perfDoc(battery string, p99, objects float64) string {
+	return fmt.Sprintf(`{"battery":%q,"engine":"det","procs":4,
+	  "host":{"wall_ns":1000,"alloc_bytes_per_ref":128,"alloc_objects_per_ref":%g},
+	  "sim":{"latency":{"perf.arb_wait_ns":{"count":9,"p50":1200,"p99":%g}},"arb_fairness":0.93}}`,
+		battery, objects, p99)
+}
+
+// TestDiffExitCodes: fbtrend diff exits 0 clean, 1 regressed and 2 on
+// an input error, and notes a diff of two differently labelled runs.
+func TestDiffExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, doc string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", perfDoc("ab", 42_000, 2))
+	injected := write("regress.json", perfDoc("ab", 84_000, 6))
+	other := write("other.json", perfDoc("migratory", 42_000, 2))
+	bench := write("bench.json", `{"BenchmarkP1/moesi":{"runs":3,"ns_per_op":4464077,"allocs_per_op":230}}`)
+	sweep := write("sweep.json", `{"reports":[
+	  {"id":"P1","columns":["protocol","miss"],"rows":[["moesi","0.05"]]},
+	  {"id":"P2","columns":["protocol","miss"],"rows":[["moesi","0.06"]]}]}`)
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stdout []string
+		stderr string
+	}{
+		{"self-diff", []string{base, base}, 0, []string{"verdict: ok", "no regressions"}, ""},
+		{"injected regression", []string{base, injected}, 1,
+			[]string{"perf.arb_wait_ns.p99", "host.alloc_objects_per_ref", "2 regression(s)"}, ""},
+		{"configs differ", []string{base, other}, 0, []string{"note: configs differ", "no regressions"}, ""},
+		{"different kinds", []string{base, bench}, 2, nil, "different report kinds"},
+		{"multi-record sweep", []string{sweep, sweep}, 2, nil, "yields 2 records"},
+		{"one argument", []string{base}, 2, nil, "usage: fbtrend diff"},
+	}
+	for _, c := range cases {
+		var stdout, stderr strings.Builder
+		if code := runDiff(c.args, &stdout, &stderr); code != c.code {
+			t.Errorf("%s: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", c.name, code, c.code, stdout.String(), stderr.String())
+			continue
+		}
+		for _, want := range c.stdout {
+			if !strings.Contains(stdout.String(), want) {
+				t.Errorf("%s: stdout lacks %q:\n%s", c.name, want, stdout.String())
+			}
+		}
+		if !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%s: stderr %q lacks %q", c.name, stderr.String(), c.stderr)
 		}
 	}
 }

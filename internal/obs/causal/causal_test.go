@@ -178,41 +178,6 @@ func TestCanonicalizeRemapsCauseID(t *testing.T) {
 	}
 }
 
-func TestDiffThresholds(t *testing.T) {
-	oldA := AnalyzeEvents([]obs.Event{tx(0, 0, 1000, 0, 1, 0)})
-	newA := AnalyzeEvents([]obs.Event{tx(0, 0, 3000, 0, 1, 0)})
-	r := Diff(oldA, newA, Thresholds{Rel: 0.10, Abs: 100})
-	if r.Regressions == 0 {
-		t.Fatal("3× cost growth not flagged as regression")
-	}
-	// Same analysis diffed against itself: zero regressions.
-	if r := Diff(oldA, oldA, DefaultThresholds); r.Regressions != 0 {
-		t.Errorf("self-diff reported %d regressions", r.Regressions)
-	}
-	// Below the absolute floor nothing triggers regardless of ratio.
-	small := AnalyzeEvents([]obs.Event{tx(0, 0, 10, 0, 1, 0)})
-	big := AnalyzeEvents([]obs.Event{tx(0, 0, 25, 0, 1, 0)})
-	if r := Diff(small, big, DefaultThresholds); r.Regressions != 0 {
-		t.Errorf("sub-threshold delta reported %d regressions", r.Regressions)
-	}
-}
-
-func TestDiffRender(t *testing.T) {
-	a := AnalyzeEvents([]obs.Event{tx(0, 0, 1000, 0, 1, 0)})
-	b := AnalyzeEvents([]obs.Event{tx(0, 0, 5000, 0, 1, 0)})
-	var buf bytes.Buffer
-	Diff(a, b, DefaultThresholds).Render(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "bs-retry") {
-		t.Errorf("render missing expected content:\n%s", out)
-	}
-	buf.Reset()
-	Diff(a, a, DefaultThresholds).Render(&buf)
-	if !strings.Contains(buf.String(), "no regressions") {
-		t.Errorf("self-diff render missing 'no regressions':\n%s", buf.String())
-	}
-}
-
 func TestAnalysisRender(t *testing.T) {
 	an := AnalyzeEvents([]obs.Event{
 		tx(0, 0, 400, 0, 1, 0),
@@ -244,18 +209,6 @@ func TestCauseVecJSON(t *testing.T) {
 	}
 	if v.Dominant() != CauseBSRetry {
 		t.Errorf("Dominant = %q, want %q", v.Dominant(), CauseBSRetry)
-	}
-}
-
-func TestEmptyAnalysis(t *testing.T) {
-	an := AnalyzeEvents(nil)
-	if an.Txs != 0 || len(an.Path) != 0 {
-		t.Errorf("empty analysis = %+v", an)
-	}
-	var buf bytes.Buffer
-	an.Render(&buf, 3) // must not panic
-	if r := Diff(an, an, DefaultThresholds); r.Regressions != 0 {
-		t.Errorf("empty self-diff regressions = %d", r.Regressions)
 	}
 }
 

@@ -156,44 +156,6 @@ func TestUpdateFanout(t *testing.T) {
 	}
 }
 
-// TestDiffSelfCleanAndRegression: self-diff reports zero regressions
-// and renders "no regressions"; a run with more invalidation traffic
-// trips the gate.
-func TestDiffSelfCleanAndRegression(t *testing.T) {
-	var quiet Analyzer
-	feed(&quiet,
-		state(0, 0, 0x40, "I", "E", "fill", "moesi", 1),
-		state(50, 0, 0x40, "E", "M", "silent-write", "moesi", 0),
-	)
-	q := quiet.Analyze(0)
-
-	self := Diff(q, q, 0.05, 0.001)
-	if self.Regressions != 0 {
-		t.Fatalf("self-diff regressions = %d, want 0", self.Regressions)
-	}
-	var buf bytes.Buffer
-	self.Render(&buf)
-	if !strings.Contains(buf.String(), "no regressions") {
-		t.Errorf("self-diff output missing 'no regressions':\n%s", buf.String())
-	}
-
-	var noisy Analyzer
-	feed(&noisy,
-		state(0, 0, 0x40, "I", "E", "fill", "moesi", 1),
-		state(50, 1, 0x40, "I", "M", "fill", "moesi", 2),
-		state(50, 0, 0x40, "E", "I", "snoop-cache-rfo", "moesi", 2),
-		obs.Event{TS: 50, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", TxID: 2},
-	)
-	n := noisy.Analyze(0)
-	r := Diff(q, n, 0.05, 0.001)
-	if r.Regressions == 0 {
-		t.Error("invalidation-heavy run diffed clean against a quiet one")
-	}
-	if r.MatrixDelta["moesi"] == 0 {
-		t.Error("matrix delta not reported for differing runs")
-	}
-}
-
 // TestAnalysisJSONRoundTrip: the Analysis must survive JSON (the CLI's
 // -json mode and the /coherence endpoint both rely on it).
 func TestAnalysisJSONRoundTrip(t *testing.T) {

@@ -3,12 +3,14 @@ package ledger
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 
-	"futurebus/internal/obs"
+	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
+	"futurebus/internal/obs/perf"
 )
 
 // Ingest sniffs the report format in data and folds it into ledger
@@ -20,9 +22,9 @@ import (
 //
 //   - BENCH_*.json (scripts/bench.sh): flat benchmark → metric object
 //     with an embedded _meta block;
-//   - fbperf run reports: _meta, battery, sim quantiles, host costs;
-//   - fbt causal analyze -json: run totals and per-cause blame;
-//   - fbt lens analyze -json: per-protocol coherence rates;
+//   - fbperf run reports (PerfReport);
+//   - fbt causal analyze -json (CausalRecord);
+//   - fbt lens analyze -json (LensRecord);
 //   - fbsweep -json: the battery document with its report tables.
 func Ingest(data []byte, source string) ([]Record, error) {
 	data = []byte(strings.TrimSpace(string(data)))
@@ -33,24 +35,26 @@ func Ingest(data []byte, source string) ([]Record, error) {
 	if err := json.Unmarshal(data, &top); err != nil {
 		return nil, fmt.Errorf("ledger: unrecognized report (not a JSON object): %w", err)
 	}
+	var recs []Record
+	var err error
 	switch {
 	case top["reports"] != nil:
-		return ingestSweep(data, source)
+		recs, err = ingestSweep(data)
 	case top["battery"] != nil && top["sim"] != nil:
-		rec, err := ingestPerf(data, source)
-		return wrap(rec, err)
+		recs, err = wrap(ingestPerf(data))
 	case top["by_cause"] != nil && top["path_cost_ns"] != nil:
-		rec, err := ingestCausal(data, source)
-		return wrap(rec, err)
+		recs, err = wrap(ingestCausal(data))
 	case top["state_events"] != nil && top["protocols"] != nil:
-		rec, err := ingestLens(data, source)
-		return wrap(rec, err)
+		recs, err = wrap(ingestLens(data))
 	case hasBenchmarkKey(top): // _meta is optional (pre-provenance BENCH files lack it)
-		rec, err := ingestBench(data, source)
-		return wrap(rec, err)
+		recs, err = wrap(ingestBench(data))
 	default:
 		return nil, fmt.Errorf("ledger: unrecognized report format (no bench/fbperf/fbcausal/fblens/fbsweep markers)")
 	}
+	for i := range recs {
+		recs[i].Source = source
+	}
+	return recs, err
 }
 
 func wrap(rec Record, err error) ([]Record, error) {
@@ -72,12 +76,12 @@ func hasBenchmarkKey(top map[string]json.RawMessage) bool {
 // ingestBench folds a BENCH_*.json document: every benchmark's metric
 // pairs become "bench.<name>.<unit>" keys ("runs" is bookkeeping, not
 // a metric).
-func ingestBench(data []byte, source string) (Record, error) {
+func ingestBench(data []byte) (Record, error) {
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return Record{}, err
 	}
-	rec := newRecord(KindBench, "", source)
+	rec := newRecord(KindBench, "")
 	if raw, ok := doc["_meta"]; ok {
 		if err := json.Unmarshal(raw, &rec.Meta); err != nil {
 			return Record{}, fmt.Errorf("ledger: bench _meta: %w", err)
@@ -104,118 +108,120 @@ func ingestBench(data []byte, source string) (Record, error) {
 	return rec, nil
 }
 
-// perfReport mirrors the fbperf run report shape (cmd/fbperf.Report)
-// without importing the main package.
-type perfReport struct {
+// PerfReport is the fbperf run report (fbperf run -out).
+type PerfReport struct {
 	Meta    Meta   `json:"_meta"`
 	Battery string `json:"battery"`
 	Engine  string `json:"engine"`
 	Procs   int    `json:"procs"`
-	Host    struct {
-		WallNS             int64   `json:"wall_ns"`
-		AllocBytesPerRef   float64 `json:"alloc_bytes_per_ref"`
-		AllocObjectsPerRef float64 `json:"alloc_objects_per_ref"`
-		RefsPerSec         float64 `json:"refs_per_sec"`
-		GCPauseTotalNS     uint64  `json:"gc_pause_total_ns"`
-	} `json:"host"`
-	Sim *struct {
-		Latency map[string]obs.Summary `json:"latency"`
-		Queue   []struct {
-			Peak int64 `json:"peak"`
-		} `json:"queue"`
-		Nacks       int64   `json:"nacks"`
-		ArbFairness float64 `json:"arb_fairness"`
-	} `json:"sim"`
+	Refs    int64  `json:"refs"`
+	Seed    uint64 `json:"seed"`
+	// Host is the run's host-cost accounting (wall clock, allocations
+	// per reference, GC bill, goroutine peak).
+	Host perf.HostReport `json:"host"`
+	// Sim is the saturation telemetry in simulated time: latency
+	// quantiles and per-shard arbitration queue stats.
+	Sim *perf.Snapshot `json:"sim"`
 }
 
-// ingestPerf folds an fbperf run report. Metric keys match the rows
-// fbperf compare prints (perf.*_ns.p50/.p99/.p999, queue.peak_depth,
-// host.*), so the two views of a run agree on names; the battery/
-// engine/procs tuple becomes the label separating incomparable series.
-func ingestPerf(data []byte, source string) (Record, error) {
-	var rep perfReport
+func ingestPerf(data []byte) (Record, error) {
+	var rep PerfReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return Record{}, fmt.Errorf("ledger: fbperf report: %w", err)
 	}
 	if rep.Sim == nil {
 		return Record{}, fmt.Errorf("ledger: fbperf report has no sim telemetry")
 	}
-	rec := newRecord(KindPerf, fmt.Sprintf("%s/%s/p%d", rep.Battery, rep.Engine, rep.Procs), source)
+	// The battery/engine/procs tuple separates incomparable series.
+	rec := PerfRecord(fmt.Sprintf("%s/%s/p%d", rep.Battery, rep.Engine, rep.Procs), rep.Sim, &rep.Host)
 	rec.Meta = rep.Meta
-	for name, s := range rep.Sim.Latency {
-		rec.Metrics[name+".p50"] = float64(s.P50)
-		rec.Metrics[name+".p99"] = float64(s.P99)
-		rec.Metrics[name+".p999"] = float64(s.P999)
-	}
-	var peak int64
-	for _, q := range rep.Sim.Queue {
-		if q.Peak > peak {
-			peak = q.Peak
-		}
-	}
-	rec.Metrics["queue.peak_depth"] = float64(peak)
-	if rep.Sim.ArbFairness > 0 {
-		rec.Metrics["queue.arb_fairness"] = rep.Sim.ArbFairness
-	}
-	rec.Metrics["host.alloc_bytes_per_ref"] = rep.Host.AllocBytesPerRef
-	rec.Metrics["host.alloc_objects_per_ref"] = rep.Host.AllocObjectsPerRef
-	rec.Metrics["host.wall_ns"] = float64(rep.Host.WallNS)
-	rec.Metrics["host.gc_pause_total_ns"] = float64(rep.Host.GCPauseTotalNS)
-	rec.Metrics["host.refs_per_sec"] = rep.Host.RefsPerSec
 	return rec, nil
 }
 
-// causalReport mirrors the fbt causal analyze -json shape (totals and
-// blame tables; the path itself is not a metric).
-type causalReport struct {
-	Fingerprint string           `json:"fingerprint"`
-	Txs         int64            `json:"txs"`
-	ElapsedNS   int64            `json:"elapsed_ns"`
-	TotalCostNS int64            `json:"total_cost_ns"`
-	TotalWaitNS int64            `json:"total_wait_ns"`
-	Aborts      int64            `json:"aborts"`
-	ByCause     map[string]int64 `json:"by_cause"`
-	ByPhase     map[string]int64 `json:"by_phase"`
-	PathCostNS  int64            `json:"path_cost_ns"`
+// PerfRecord flattens fbperf telemetry: the p50/p99/p999 of every
+// simulated latency (perf.*_ns), the deepest arbitration queue and the
+// fairness index, and, when host is non-nil (a finished run), the
+// allocation and host-time costs per reference.
+func PerfRecord(label string, sim *perf.Snapshot, host *perf.HostReport) Record {
+	rec := newRecord(KindPerf, label)
+	m := rec.Metrics
+	for name, s := range sim.Latency {
+		m[name+".p50"] = float64(s.P50)
+		m[name+".p99"] = float64(s.P99)
+		m[name+".p999"] = float64(s.P999)
+	}
+	m["queue.peak_depth"] = float64(sim.PeakQueueDepth())
+	if sim.ArbFairness > 0 {
+		m["queue.arb_fairness"] = sim.ArbFairness
+	}
+	if host != nil {
+		m["host.alloc_bytes_per_ref"] = host.AllocBytesPerRef
+		m["host.alloc_objects_per_ref"] = host.AllocObjectsPerRef
+		m["host.wall_ns"] = float64(host.WallNS)
+		m["host.gc_pause_total_ns"] = float64(host.GCPauseTotalNS)
+		m["host.refs_per_sec"] = host.RefsPerSec
+	}
+	return rec
 }
 
-// ingestCausal folds an fbt causal analysis: run totals plus the
-// per-cause blame vector, labelled by the trace's config fingerprint.
-func ingestCausal(data []byte, source string) (Record, error) {
-	var rep causalReport
+func ingestCausal(data []byte) (Record, error) {
+	var rep struct {
+		Fingerprint string `json:"fingerprint"`
+		causal.Analysis
+	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return Record{}, fmt.Errorf("ledger: fbt causal report: %w", err)
 	}
-	rec := newRecord(KindCausal, rep.Fingerprint, source)
-	rec.Metrics["causal.txs"] = float64(rep.Txs)
-	rec.Metrics["causal.elapsed_ns"] = float64(rep.ElapsedNS)
-	rec.Metrics["causal.total_cost_ns"] = float64(rep.TotalCostNS)
-	rec.Metrics["causal.total_wait_ns"] = float64(rep.TotalWaitNS)
-	rec.Metrics["causal.path_cost_ns"] = float64(rep.PathCostNS)
-	rec.Metrics["causal.aborts"] = float64(rep.Aborts)
-	for cause, v := range rep.ByCause {
-		rec.Metrics["causal.by_cause."+sanitizeKey(cause)+"_ns"] = float64(v)
+	return CausalRecord(rep.Fingerprint, &rep.Analysis), nil
+}
+
+// CausalRecord flattens an fbt causal analysis, labelled by its
+// trace's config fingerprint: the run totals plus the per-cause and
+// per-phase blame in nanoseconds. The critical path itself is not a
+// metric.
+func CausalRecord(fingerprint string, an *causal.Analysis) Record {
+	rec := newRecord(KindCausal, fingerprint)
+	m := rec.Metrics
+	m["causal.txs"] = float64(an.Txs)
+	m["causal.aborts"] = float64(an.Aborts)
+	m["causal.elapsed_ns"] = float64(an.Elapsed)
+	m["causal.total_cost_ns"] = float64(an.TotalCost)
+	m["causal.total_wait_ns"] = float64(an.TotalWait)
+	m["causal.path_cost_ns"] = float64(an.PathCost)
+	for i, cause := range causal.Causes {
+		m["causal.by_cause."+cause+"_ns"] = float64(an.ByCause[i])
+	}
+	for phase, v := range an.ByPhase {
+		m["causal.by_phase."+sanitizeKey(phase)+"_ns"] = float64(v)
+	}
+	return rec
+}
+
+func ingestLens(data []byte) (Record, error) {
+	var rep struct {
+		Fingerprint string `json:"fingerprint"`
+		coherence.Analysis
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return Record{}, fmt.Errorf("ledger: fbt lens report: %w", err)
+	}
+	rec := LensRecord(rep.Fingerprint, &rep.Analysis)
+	if len(rec.Metrics) == 0 {
+		return Record{}, fmt.Errorf("ledger: fbt lens report carries no protocols")
 	}
 	return rec, nil
 }
 
-// lensReport mirrors the fbt lens analyze -json shape: the fingerprint
-// wrapper around a coherence.Analysis.
-type lensReport struct {
-	Fingerprint string `json:"fingerprint"`
-	coherence.Analysis
-}
-
-// ingestLens folds an fbt lens analysis into the same six per-protocol
-// rates fbt lens diff gates on (coherence.Diff), plus the raw transition
-// count for context.
-func ingestLens(data []byte, source string) (Record, error) {
-	var rep lensReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return Record{}, fmt.Errorf("ledger: fbt lens report: %w", err)
-	}
-	rec := newRecord(KindLens, rep.Fingerprint, source)
-	for name, p := range rep.Protocols {
+// LensRecord flattens an fbt lens analysis, labelled by its trace's
+// config fingerprint: six coherence rates per protocol (Tables 1–2's
+// invalidation and ownership traffic, fan-out, and who sources a read)
+// plus the protocol's transition count.
+func LensRecord(fingerprint string, an *coherence.Analysis) Record {
+	rec := newRecord(KindLens, fingerprint)
+	for name, p := range an.Protocols {
+		if p == nil {
+			continue
+		}
 		prefix := "lens." + sanitizeKey(name) + "."
 		rec.Metrics[prefix+"transitions"] = float64(p.Transitions)
 		rec.Metrics[prefix+"inv_per_transition"] = ratio(p.Invalidations, p.Transitions)
@@ -225,10 +231,7 @@ func ingestLens(data []byte, source string) (Record, error) {
 		rec.Metrics[prefix+"mem_sourced_share"] = ratio(p.MemSourced, p.CacheSourced+p.MemSourced)
 		rec.Metrics[prefix+"cache_sourced_share"] = ratio(p.CacheSourced, p.CacheSourced+p.MemSourced)
 	}
-	if len(rec.Metrics) == 0 {
-		return Record{}, fmt.Errorf("ledger: fbt lens report carries no protocols")
-	}
-	return rec, nil
+	return rec
 }
 
 // sweepDoc mirrors the fbsweep -json document.
@@ -249,16 +252,17 @@ type sweepDoc struct {
 
 // ingestSweep folds an fbsweep -json battery document: one record per
 // report table (label = report ID), each row keyed by its non-numeric
-// cells ("sweep.<rowkey>.<column>" = numeric cell). The P1 protocol
-// grid and the P11 tenure×discipline grid both flatten this way.
-func ingestSweep(data []byte, source string) ([]Record, error) {
+// cells ("sweep.<rowkey>.<column>" = numeric cell; a non-finite cell
+// is neither). The P1 protocol grid and the P11 tenure×discipline grid
+// both flatten this way.
+func ingestSweep(data []byte) ([]Record, error) {
 	var doc sweepDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("ledger: fbsweep doc: %w", err)
 	}
 	var recs []Record
 	for _, rep := range doc.Reports {
-		rec := newRecord(KindSweep, rep.ID, source)
+		rec := newRecord(KindSweep, rep.ID)
 		rec.Meta = doc.Meta
 		for ri, row := range rep.Rows {
 			var keyParts []string
@@ -272,10 +276,12 @@ func ingestSweep(data []byte, source string) ([]Record, error) {
 				if ci < len(rep.Columns) {
 					col = rep.Columns[ci]
 				}
-				if v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64); err == nil {
-					nums = append(nums, numCell{sanitizeKey(col), v})
-				} else {
+				v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+				switch {
+				case err != nil:
 					keyParts = append(keyParts, sanitizeKey(cell))
+				case !math.IsNaN(v) && !math.IsInf(v, 0): // "NaN" and "Inf" cells are not metrics
+					nums = append(nums, numCell{sanitizeKey(col), v})
 				}
 			}
 			rowKey := strings.Join(keyParts, "/")
@@ -320,12 +326,11 @@ func sanitizeKey(s string) string {
 	}, s)
 }
 
-func newRecord(kind, label, source string) Record {
+func newRecord(kind, label string) Record {
 	return Record{
 		Schema:  Schema,
 		Kind:    kind,
 		Label:   label,
-		Source:  source,
 		Metrics: make(map[string]float64),
 	}
 }

@@ -2,6 +2,9 @@ package ledger
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -256,4 +259,58 @@ func TestIngestGateEndToEnd(t *testing.T) {
 	if rep := Gate(Filter(history, KindPerf, bad[0].Label), bad[0], GateOpts{}); rep.Verdict != "regressed" {
 		t.Fatalf("injected +100%% p99 verdict = %q, want regressed", rep.Verdict)
 	}
+}
+
+// TestIngestSkipsNonFiniteCells: strconv.ParseFloat accepts "NaN" and
+// "Inf", which JSON cannot encode; such a cell is neither a metric nor
+// part of the row key, so the record still appends.
+func TestIngestSkipsNonFiniteCells(t *testing.T) {
+	doc := `{"reports": [{"id": "P1", "columns": ["protocol", "miss", "eff"],
+	  "rows": [["moesi", "NaN", "0.5"], ["dragon", "-Inf", "+Inf"]]}]}`
+	recs, err := Ingest([]byte(doc), "sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"sweep.moesi.eff": 0.5}
+	if !reflect.DeepEqual(recs[0].Metrics, want) {
+		t.Errorf("metrics = %v, want %v", recs[0].Metrics, want)
+	}
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := Append(path, recs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendEncodesBeforeCreating: a record JSON cannot encode is an
+// error that leaves no ledger file behind.
+func TestAppendEncodesBeforeCreating(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	bad := sampleRecord("a", map[string]float64{"m": math.NaN()})
+	if err := Append(path, sampleRecord("a", map[string]float64{"m": 1}), bad); err == nil {
+		t.Fatal("Append of a NaN metric: want an error")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("failed Append left a ledger file behind (stat err %v)", err)
+	}
+}
+
+// FuzzIngest: Ingest never panics, and every record it returns survives
+// Append → Read unchanged. The seed corpus in testdata/fuzz/FuzzIngest
+// holds one small document per format and a sweep doc with a "NaN"
+// cell, which once failed to append.
+func FuzzIngest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := Ingest(data, "fuzz.json")
+		if err != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		if err := Append(path, recs...); err != nil {
+			t.Fatalf("Append of ingested records: %v", err)
+		}
+		got, dropped, err := Read(path)
+		if err != nil || dropped != 0 || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("Append → Read: dropped %d, err %v\ngot  %+v\nwant %+v", dropped, err, got, recs)
+		}
+	})
 }

@@ -11,7 +11,9 @@
 // flat metric-key → value map. Flatness is the point: every report
 // format the tree emits — BENCH_*.json, fbperf run reports, fbt causal
 // and fbt lens analyze -json, fbsweep -json battery docs — folds into
-// the same shape (see ingest.go), so one gate covers them all.
+// the same shape (see ingest.go), so one gate covers them all: Gate
+// judges a run against the rolling baseline of its history, and Diff
+// is the same gate over a history of one run.
 //
 // The file is append-only by construction (Append opens O_APPEND) and
 // by contract: records are never rewritten, and the reader tolerates a
@@ -99,14 +101,11 @@ type Record struct {
 }
 
 // Append writes the records to the ledger file, one JSON line each,
-// creating it if needed. The file is opened O_APPEND so concurrent
-// appenders interleave whole lines, never bytes.
+// creating it if needed. Every record is encoded before the file is
+// touched, so a record that cannot be encoded leaves no file behind.
+// The file is opened O_APPEND so concurrent appenders interleave whole
+// lines, never bytes.
 func Append(path string, recs ...Record) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	var buf bytes.Buffer
 	for i := range recs {
 		line, err := json.Marshal(&recs[i])
@@ -116,6 +115,11 @@ func Append(path string, recs ...Record) error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
 	if _, err := f.Write(buf.Bytes()); err != nil {
 		return err
 	}

@@ -292,3 +292,121 @@ func TestGateWindowSlides(t *testing.T) {
 		}
 	}
 }
+
+// regressedKeys lists the rows of rep that regressed.
+func regressedKeys(rep GateReport) []string {
+	var keys []string
+	for _, row := range rep.Rows {
+		if row.Direction == "regressed" {
+			keys = append(keys, row.Key)
+		}
+	}
+	return keys
+}
+
+// TestDiffZeroFill: in causal and lens records a key only one side
+// carries counts as 0 on the other, so a blame category that appears
+// and a protocol that vanishes are judged like any other move.
+func TestDiffZeroFill(t *testing.T) {
+	rec := func(kind string, m map[string]float64) Record {
+		return Record{Schema: Schema, Kind: kind, Metrics: m}
+	}
+	cases := []struct {
+		name       string
+		base, cand Record
+		want       []string
+	}{
+		{"bs-retry appears above 1µs",
+			rec(KindCausal, map[string]float64{"causal.total_cost_ns": 1e6}),
+			rec(KindCausal, map[string]float64{"causal.total_cost_ns": 1e6, "causal.by_cause.bs-retry_ns": 1500}),
+			[]string{"causal.by_cause.bs-retry_ns"}},
+		{"bs-retry appears under 1µs",
+			rec(KindCausal, map[string]float64{"causal.total_cost_ns": 1e6}),
+			rec(KindCausal, map[string]float64{"causal.total_cost_ns": 1e6, "causal.by_cause.bs-retry_ns": 900}),
+			nil},
+		{"protocol only in the baseline",
+			rec(KindLens, map[string]float64{"lens.moesi.cache_sourced_share": 0.75, "lens.dragon.cache_sourced_share": 0.5}),
+			rec(KindLens, map[string]float64{"lens.moesi.cache_sourced_share": 0.75}),
+			[]string{"lens.dragon.cache_sourced_share"}},
+	}
+	for _, c := range cases {
+		rep := Diff(c.base, c.cand, 0)
+		if got := regressedKeys(rep); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: regressed %v, want %v (rows %+v)", c.name, got, c.want, rep.Rows)
+		}
+	}
+}
+
+// TestDiffBenchAddedBenchmark: in a bench record a missing key means
+// the benchmark was not run, not that it measured 0, so a benchmark new
+// in the candidate is a "(no baseline)" row and one the candidate
+// dropped is not judged; the diff stays clean.
+func TestDiffBenchAddedBenchmark(t *testing.T) {
+	base := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{
+		"bench.BenchmarkOld.allocs_per_op":  230,
+		"bench.BenchmarkKept.allocs_per_op": 40,
+	}}
+	cand := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{
+		"bench.BenchmarkKept.allocs_per_op": 40,
+		"bench.BenchmarkNew.allocs_per_op":  500,
+		"bench.BenchmarkNew.B_per_op":       12_000,
+	}}
+	rep := Diff(base, cand, 0)
+	if rep.Verdict != "ok" || rep.Regressions != 0 || len(rep.Rows) != 3 {
+		t.Fatalf("verdict %q, %d regressed, %d rows; want ok, 0, 3 (rows %+v)", rep.Verdict, rep.Regressions, len(rep.Rows), rep.Rows)
+	}
+	for _, row := range rep.Rows {
+		if skipped := strings.HasPrefix(row.Key, "bench.BenchmarkNew."); row.Skipped != skipped {
+			t.Errorf("%s: skipped %v, want %v", row.Key, row.Skipped, skipped)
+		}
+	}
+	var sb strings.Builder
+	rep.Render(&sb)
+	if out := sb.String(); !strings.Contains(out, "(no baseline)") || strings.Contains(out, "BenchmarkOld") {
+		t.Errorf("render: want the new benchmark's rows marked (no baseline) and no row for the dropped one:\n%s", out)
+	}
+}
+
+// TestDiffIsOneRunGate: Diff is Gate over a one-run history, so the
+// lens rates get the 5% relative default, everything else 10%, and a
+// nonzero rel overrides both; labels are noted, never filtered.
+func TestDiffIsOneRunGate(t *testing.T) {
+	base := sampleRecord("a", map[string]float64{"lens.moesi.inv_per_transition": 0.100, "perf.arb_wait_ns.p99": 100_000})
+	cand := sampleRecord("b", map[string]float64{"lens.moesi.inv_per_transition": 0.107, "perf.arb_wait_ns.p99": 107_000})
+	rep := Diff(base, cand, 0)
+	if got := regressedKeys(rep); !reflect.DeepEqual(got, []string{"lens.moesi.inv_per_transition"}) {
+		t.Errorf("default thresholds: regressed %v, want only the lens rate (7%% > 5%%, 7%% < 10%%)", got)
+	}
+	if rep.Runs != 1 || rep.Note == "" || rep.Label != "b" {
+		t.Errorf("runs %d, note %q, label %q: want 1, a configs note, the candidate's label", rep.Runs, rep.Note, rep.Label)
+	}
+	if got := regressedKeys(Diff(base, cand, 0.06)); len(got) != 2 {
+		t.Errorf("-rel 0.06: regressed %v, want both", got)
+	}
+	if got := regressedKeys(Diff(cand, base, 0)); len(got) != 0 {
+		t.Errorf("reverse diff regressed %v, want none (both improved)", got)
+	}
+}
+
+// TestRenderMarksVerdicts: one row per metric with its verdict, then the
+// verdict line and the regression count CI greps for.
+func TestRenderMarksVerdicts(t *testing.T) {
+	base := sampleRecord("a", map[string]float64{"perf.arb_wait_ns.p99": 42_000, "host.wall_ns": 1e9})
+	cand := sampleRecord("a", map[string]float64{"perf.arb_wait_ns.p99": 84_000, "host.wall_ns": 9e9})
+	var sb strings.Builder
+	Diff(base, cand, 0).Render(&sb)
+	out := sb.String()
+	for _, want := range []string{
+		"perf.arb_wait_ns.p99", "+100.0%  REGRESSED", "(advisory)",
+		"verdict: regressed (1 regressed, 0 improved)\n1 regression(s)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
+	sb.Reset()
+	Diff(base, base, 0).Render(&sb)
+	if !strings.HasSuffix(sb.String(), "verdict: ok (0 regressed, 0 improved)\nno regressions\n") {
+		t.Errorf("self-diff render:\n%s", sb.String())
+	}
+}

@@ -1,6 +1,9 @@
 package ledger
 
 import (
+	"fmt"
+	"io"
+
 	"futurebus/internal/obs/regress"
 )
 
@@ -28,8 +31,9 @@ type GateOpts struct {
 	// K is the MAD multiplier of the noise envelope
 	// (regress.DefaultK when 0).
 	K float64
-	// Rel is the relative floor (0.10 when 0); the absolute floor is
-	// chosen per metric key by regress.AbsFloor.
+	// Rel overrides the relative floor when positive; by default each
+	// metric key gets regress.ThresholdsFor's (5% for lens rates, 10%
+	// for the rest). The absolute floor is always the key's.
 	Rel float64
 	// MinRuns is the minimum baseline size required to judge a metric
 	// (2 when 0): one prior run is a pairwise diff, not a baseline.
@@ -42,9 +46,6 @@ func (o GateOpts) withDefaults() GateOpts {
 	}
 	if o.K <= 0 {
 		o.K = regress.DefaultK
-	}
-	if o.Rel <= 0 {
-		o.Rel = 0.10
 	}
 	if o.MinRuns <= 0 {
 		o.MinRuns = 2
@@ -81,6 +82,8 @@ type GateReport struct {
 	Improvements int `json:"improvements"`
 	// Verdict is "ok", "regressed", or "no-baseline" (nothing judged).
 	Verdict string `json:"verdict"`
+	// Note flags a Diff of two runs whose labels differ.
+	Note string `json:"note,omitempty"`
 }
 
 // Gate judges a candidate run against the rolling baseline of its
@@ -110,7 +113,7 @@ func Gate(history []Record, candidate Record, opts GateOpts) GateReport {
 			rep.Rows = append(rep.Rows, row)
 			continue
 		}
-		th := regress.Thresholds{Rel: o.Rel, Abs: regress.AbsFloor(key)}
+		th := regress.ThresholdsFor(key, o.Rel)
 		dir := row.Baseline.Classify(v, o.K, th, !regress.BetterUp(key))
 		row.Direction = dir.String()
 		rep.Rows = append(rep.Rows, row)
@@ -134,4 +137,83 @@ func Gate(history []Record, candidate Record, opts GateOpts) GateReport {
 		rep.Verdict = "ok"
 	}
 	return rep
+}
+
+// Diff judges cand against base as a one-run rolling gate. Over a
+// history of one run the baseline's MAD is zero, so a metric regresses
+// exactly when it moved in its bad direction past both of
+// regress.ThresholdsFor's floors (rel, when positive, overrides the
+// relative one). In causal and lens records a key only one side carries
+// counts as 0 on the other: a protocol that vanished or a blame
+// category that appeared is judged, not skipped. In the other kinds a
+// missing key means the benchmark, row or metric was not run, so a key
+// only the candidate has is a "(no baseline)" row and a key only the
+// baseline has is not judged. Labels are not filtered; a mismatch is
+// noted.
+func Diff(base, cand Record, rel float64) GateReport {
+	if cand.Kind == KindCausal || cand.Kind == KindLens {
+		base, cand = zeroFill(base, cand), zeroFill(cand, base)
+	}
+	rep := Gate([]Record{base}, cand, GateOpts{Window: 1, MinRuns: 1, Rel: rel})
+	if base.Label != cand.Label {
+		rep.Note = "configs differ — deltas compare different runs, not a regression test"
+	}
+	return rep
+}
+
+// zeroFill returns r with every metric key of other that r lacks set to
+// 0, on a copy of r's metrics.
+func zeroFill(r, other Record) Record {
+	m := make(map[string]float64, len(r.Metrics)+len(other.Metrics))
+	for k := range other.Metrics {
+		m[k] = 0
+	}
+	for k, v := range r.Metrics {
+		m[k] = v
+	}
+	r.Metrics = m
+	return r
+}
+
+// Render writes the report as a table: one row per metric with its
+// baseline median, value, relative change and verdict, then the verdict
+// line and either "no regressions" or "N regression(s)".
+func (r GateReport) Render(w io.Writer) {
+	if r.Note != "" {
+		fmt.Fprintf(w, "note: %s\n", r.Note)
+	}
+	fmt.Fprintf(w, "gate: kind=%s label=%s baseline=%d run(s)\n", orDash(r.Kind), orDash(r.Label), r.Runs)
+	fmt.Fprintf(w, "  %-42s %14s %14s %8s  %s\n", "metric", "baseline", "value", "change", "verdict")
+	for _, row := range r.Rows {
+		verdict := row.Direction
+		switch {
+		case row.Skipped:
+			verdict = "(no baseline)"
+		case row.Advisory:
+			verdict = "(advisory)"
+		case row.Direction == regress.Regressed.String():
+			verdict = "REGRESSED"
+		}
+		base := row.Baseline.Median
+		change := "new"
+		if base != 0 {
+			change = fmt.Sprintf("%+.1f%%", 100*(row.Value-base)/base)
+		} else if row.Value == 0 {
+			change = "+0.0%"
+		}
+		fmt.Fprintf(w, "  %-42s %14.4f %14.4f %8s  %s\n", row.Key, base, row.Value, change, verdict)
+	}
+	fmt.Fprintf(w, "verdict: %s (%d regressed, %d improved)\n", r.Verdict, r.Regressions, r.Improvements)
+	if r.Regressions == 0 {
+		fmt.Fprintln(w, "no regressions")
+	} else {
+		fmt.Fprintf(w, "%d regression(s)\n", r.Regressions)
+	}
+}
+
+func orDash(s string) string {
+	if s == "" {
+		return "-"
+	}
+	return s
 }

@@ -35,29 +35,12 @@ func NewTrendSource(path, label string, perfSink *PerfSink, opts ledger.GateOpts
 }
 
 // Gate snapshots the live perf telemetry and judges it against the
-// rolling baseline. The candidate carries the same metric keys the
-// fbperf ingester writes (perf.*_ns quantiles, queue depth, fairness),
-// so a live verdict and a ledgered one agree on names; host-cost
-// metrics only exist in finished fbperf reports and are simply absent
-// here.
+// rolling baseline. The candidate is ledger.PerfRecord of the snapshot,
+// the function that flattens a finished fbperf report too, so a live
+// verdict and a ledgered one agree on names; host-cost metrics only
+// exist in finished fbperf reports and are simply absent here.
 func (t *TrendSource) Gate() ledger.GateReport {
-	cand := ledger.Record{
-		Schema:  ledger.Schema,
-		Kind:    ledger.KindPerf,
-		Label:   t.label,
-		Metrics: make(map[string]float64),
-	}
-	snap := t.perf.Snapshot()
-	for name, s := range snap.Latency {
-		cand.Metrics[name+".p50"] = float64(s.P50)
-		cand.Metrics[name+".p99"] = float64(s.P99)
-		cand.Metrics[name+".p999"] = float64(s.P999)
-	}
-	cand.Metrics["queue.peak_depth"] = float64(snap.PeakQueueDepth())
-	if snap.ArbFairness > 0 {
-		cand.Metrics["queue.arb_fairness"] = snap.ArbFairness
-	}
-	return ledger.Gate(t.history, cand, t.opts)
+	return ledger.Gate(t.history, ledger.PerfRecord(t.label, t.perf.Snapshot(), nil), t.opts)
 }
 
 // EnableTrend attaches a rolling-baseline trend source to the service:

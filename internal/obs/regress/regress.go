@@ -1,26 +1,26 @@
-// Package regress is the shared regression-decision layer of the
-// observability stack. Every gate in the tree — fbt causal diff, fbt
-// lens diff, fbperf compare, fbtrend gate, the obshttp /trend endpoint —
-// answers the same question: did this metric move in its bad direction
-// by enough to matter? The answer used to be duplicated per tool; this
-// package single-sources it.
+// Package regress is the one regression-decision layer of the
+// observability stack. Every verdict in the tree — fbt causal diff, fbt
+// lens diff, fbtrend diff, fbtrend gate and the obshttp /trend
+// endpoint — comes from ledger.Gate, which asks this package one
+// question per metric: did it move in its bad direction by enough to
+// matter? A pairwise diff is the gate over a one-run history.
 //
 // Two layers:
 //
-//   - Thresholds is the rel+abs double gate the pairwise diffs already
-//     used: a move only counts when it exceeds BOTH the relative
-//     threshold (so large baselines need a proportionally large move)
-//     and the absolute floor (so tiny baselines can't scream over
-//     noise-sized wobble).
+//   - Thresholds is the rel+abs double gate: a move only counts when it
+//     exceeds BOTH the relative threshold (so large baselines need a
+//     proportionally large move) and the absolute floor (so tiny
+//     baselines can't scream over noise-sized wobble). ThresholdsFor
+//     picks both from the metric key.
 //
-//   - Baseline is the rolling-window statistic the longitudinal gates
-//     add: a trailing-window median locates the series and the MAD
-//     (median absolute deviation) scales its noise, so a verdict is
-//     computed against the history of many runs instead of one brittle
-//     baseline file. A candidate is a step (changepoint) when it
-//     deviates from the rolling median by more than K·MAD AND breaches
-//     the rel+abs floors — same-seed repeats of a flat series gate
-//     clean, ±noise jitter stays flat, a real 20% step is flagged.
+//   - Baseline is the rolling-window statistic: a trailing-window
+//     median locates the series and the MAD (median absolute
+//     deviation) scales its noise. A candidate is a step (changepoint)
+//     when it deviates from the rolling median by more than K·MAD AND
+//     breaches the rel+abs floors — same-seed repeats of a flat series
+//     gate clean, ±noise jitter stays flat, a real 20% step is flagged.
+//     Over one run the MAD is zero, so the step reduces exactly to the
+//     double gate.
 package regress
 
 import (
@@ -220,10 +220,11 @@ func BetterUp(key string) bool {
 }
 
 // advisoryMarks are key substrings whose metrics depend on host load —
-// wall clock, GC pauses, host-side throughput. They are reported but
-// never gate, mirroring fbperf compare's advisory rows.
+// wall clock, CPU time, GC pauses, host-side throughput. They are
+// reported but never gate; allocation counts are deterministic and do.
 var advisoryMarks = []string{
 	"wall_ns", "gc_pause", "refs_per_sec", "wall_clock",
+	"ns_per_op", "hostns_per_ref",
 }
 
 // Advisory reports whether the named metric is host-load noise that
@@ -237,11 +238,25 @@ func Advisory(key string) bool {
 	return false
 }
 
+// ThresholdsFor is the one threshold table: the double gate for the
+// named metric. A positive rel overrides the relative default, which is
+// 5% for the lens rates and 10% for everything else; the absolute floor
+// is AbsFloor's.
+func ThresholdsFor(key string, rel float64) Thresholds {
+	if rel <= 0 {
+		rel = 0.10
+		if strings.HasPrefix(key, "lens.") {
+			rel = 0.05
+		}
+	}
+	return Thresholds{Rel: rel, Abs: AbsFloor(key)}
+}
+
 // AbsFloor picks the absolute threshold matching a metric key's unit:
-// nanosecond metrics get the 1µs slack fbt causal/fbperf already used,
-// allocation counts the fbperf half-object slack (bytes 16×), queue
-// depths two slots, and dimensionless rates the fbt lens 0.001. Unknown
-// units get a vanishing floor so the relative gate decides alone.
+// 1µs for nanosecond metrics, half an object for allocation counts (8
+// bytes for allocated bytes), two slots for queue depths and 0.001 for
+// dimensionless rates. Unknown units get a vanishing floor so the
+// relative gate decides alone.
 func AbsFloor(key string) float64 {
 	switch {
 	case strings.Contains(key, "_ns") || strings.Contains(key, "ns_per_op"):

@@ -169,3 +169,49 @@ func TestMetricKeyHeuristics(t *testing.T) {
 		t.Errorf("rate floor = %v, want 0.001", f)
 	}
 }
+
+// TestHostTimeAdvisory: BENCH files' host-time columns (wall-clock and
+// CPU ns/op, host ns per simulated reference) drift with host load on
+// untouched code, so they never gate; allocation columns are
+// deterministic and still do.
+func TestHostTimeAdvisory(t *testing.T) {
+	for _, key := range []string{
+		"bench.BenchmarkBroadcastUpdate.ns_per_op",
+		"bench.BenchmarkLayer/engine.cpu_ns_per_op",
+		"bench.BenchmarkP1/moesi.hostns_per_ref",
+	} {
+		if !Advisory(key) {
+			t.Errorf("%s should be advisory", key)
+		}
+	}
+	for _, key := range []string{
+		"bench.BenchmarkTable2.B_per_op",
+		"bench.BenchmarkP1/moesi.allocs_per_op",
+		"bench.BenchmarkP1/moesi.allocs_per_ref",
+		"bench.BenchmarkP1/moesi.p99arb_ns",
+	} {
+		if Advisory(key) {
+			t.Errorf("%s is deterministic and must gate", key)
+		}
+	}
+}
+
+// TestThresholdsFor: the lens rates default to 5%, everything else to
+// 10%, a nonzero rel overrides both, and the floor is AbsFloor's.
+func TestThresholdsFor(t *testing.T) {
+	cases := []struct {
+		key  string
+		rel  float64
+		want Thresholds
+	}{
+		{"lens.moesi.inv_per_transition", 0, Thresholds{Rel: 0.05, Abs: 0.001}},
+		{"causal.by_cause.data_ns", 0, Thresholds{Rel: 0.10, Abs: 1000}},
+		{"perf.arb_wait_ns.p99", 0.2, Thresholds{Rel: 0.2, Abs: 1000}},
+		{"lens.moesi.transitions", 0.2, Thresholds{Rel: 0.2, Abs: 1e-9}},
+	}
+	for _, c := range cases {
+		if got := ThresholdsFor(c.key, c.rel); got != c.want {
+			t.Errorf("ThresholdsFor(%q, %v) = %+v, want %+v", c.key, c.rel, got, c.want)
+		}
+	}
+}

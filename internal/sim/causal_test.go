@@ -8,6 +8,7 @@ import (
 
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
+	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/obshttp"
 	"futurebus/internal/workload"
 )
@@ -99,9 +100,9 @@ func TestCausalDiffSameSeedDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("same-seed deterministic recordings are not byte-identical")
 	}
-	report := causal.Diff(analyzeTrace(t, a), analyzeTrace(t, b), causal.DefaultThresholds)
-	if report.Regressions != 0 {
-		t.Errorf("self-diff reported %d regressions", report.Regressions)
+	report := ledger.Diff(ledger.CausalRecord("", analyzeTrace(t, a)), ledger.CausalRecord("", analyzeTrace(t, b)), 0)
+	if report.Regressions != 0 || report.Verdict != "ok" {
+		t.Errorf("self-diff: verdict %q, %d regressions", report.Verdict, report.Regressions)
 	}
 }
 
@@ -130,10 +131,10 @@ func TestCausalBSRetryAttribution(t *testing.T) {
 	if writeOnce.ByCause[bsIdx] == 0 {
 		t.Error("write-once migratory run attributed nothing to bs-retry; BS recovery missing")
 	}
-	r := causal.Diff(berkeley, writeOnce, causal.DefaultThresholds)
+	r := ledger.Diff(ledger.CausalRecord("", berkeley), ledger.CausalRecord("", writeOnce), 0)
 	var found bool
-	for _, row := range r.Causes {
-		if row.Name == causal.CauseBSRetry && row.Delta > 0 {
+	for _, row := range r.Rows {
+		if row.Key == "causal.by_cause."+causal.CauseBSRetry+"_ns" && row.Value > row.Baseline.Median {
 			found = true
 		}
 	}
