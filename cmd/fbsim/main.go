@@ -46,6 +46,8 @@ func main() {
 	audit := flag.Uint64("audit", 0, "print the event history of this line address after the run (0 = off)")
 	ledgerPath := flag.String("ledger", "", "with -serve: judge the live run against this run ledger's rolling baseline on /trend (see fbtrend)")
 	flag.Parse()
+	fail(probability("pshared", *pshared))
+	fail(probability("pwrite", *pwrite))
 
 	var boards []sim.BoardSpec
 	for _, name := range strings.Split(*protos, ",") {
@@ -222,6 +224,14 @@ func main() {
 	if s.Verdict(sum, "") {
 		os.Exit(1)
 	}
+}
+
+// probability checks that the named flag's value is a probability.
+func probability(name string, p float64) error {
+	if p >= 0 && p <= 1 {
+		return nil
+	}
+	return fmt.Errorf("-%s %g: want a probability in [0, 1]", name, p)
 }
 
 func fail(err error) {

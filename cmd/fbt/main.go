@@ -16,13 +16,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
+	"futurebus/cmd/internal/cli"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
@@ -68,17 +68,6 @@ thresholds or a trace violated a coherence invariant; 2 on usage, I/O
 or decode errors.
 `
 
-// Exit statuses shared by every subcommand.
-const (
-	exitOK    = 0
-	exitDirty = 1 // a diff metric regressed or a trace violated an invariant
-	exitError = 2 // usage, I/O or decode error
-)
-
-// errUsage marks a command line that did not parse; the parse error or
-// the usage text has already been printed.
-var errUsage = errors.New("usage")
-
 // tool is one invocation's output streams.
 type tool struct{ stdout, stderr io.Writer }
 
@@ -103,41 +92,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(args) < words {
 		fmt.Fprint(stderr, usage)
-		return exitError
+		return cli.Error
 	}
 	name := strings.Join(args[:words], " ")
 	cmd, ok := commands[name]
 	if !ok {
 		fmt.Fprintf(stderr, "fbt: unknown command %q\n\n%s", name, usage)
-		return exitError
+		return cli.Error
 	}
 	dirty, err := cmd(&tool{stdout, stderr}, args[words:])
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		return exitOK
-	case errors.Is(err, errUsage):
-		return exitError
-	case err != nil:
-		fmt.Fprintln(stderr, "fbt:", err)
-		return exitError
-	case dirty:
-		return exitDirty
-	}
-	return exitOK
-}
-
-// parse parses a subcommand's args and checks that at least min and
-// (max >= 0) at most max trace paths follow the flags.
-func (t *tool) parse(fs *flag.FlagSet, args []string, min, max int) error {
-	fs.SetOutput(t.stderr)
-	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("%w: %w", errUsage, err) // -h wraps flag.ErrHelp
-	}
-	if n := fs.NArg(); n < min || max >= 0 && n > max {
-		fmt.Fprint(t.stderr, usage)
-		return errUsage
-	}
-	return nil
+	return cli.Status(stderr, "fbt", dirty, err)
 }
 
 // replay feeds one .fbt file to the sinks in recorded order. A
@@ -208,7 +172,7 @@ func (t *tool) writeAnalysis(path string, meta obs.TraceMeta, asJSON bool, an an
 func (t *tool) diff(fs *flag.FlagSet, args []string, load func(path string) (obs.TraceMeta, ledger.Record, error)) (bool, error) {
 	rel := fs.Float64("rel", 0, "relative regression threshold (fraction; 0 = each metric's default)")
 	asJSON := fs.Bool("json", false, "emit the report as JSON")
-	if err := t.parse(fs, args, 2, 2); err != nil {
+	if err := cli.Parse(t.stderr, usage, fs, args, 2, 2); err != nil {
 		return false, err
 	}
 	oldMeta, oldRec, err := load(fs.Arg(0))
@@ -268,7 +232,7 @@ func causalAnalyze(t *tool, args []string) (bool, error) {
 	top := fs.Int("top", 10, "critical-path segments to list")
 	canonical := fs.Bool("canonical", false, "canonicalize the event stream first (scheduler-independent view)")
 	asJSON := fs.Bool("json", false, "emit the full analysis as JSON")
-	if err := t.parse(fs, args, 1, 1); err != nil {
+	if err := cli.Parse(t.stderr, usage, fs, args, 1, 1); err != nil {
 		return false, err
 	}
 	meta, an, err := loadCausal(fs.Arg(0), *canonical)
@@ -290,7 +254,7 @@ func causalDiff(t *tool, args []string) (bool, error) {
 func causalExport(t *tool, args []string) (bool, error) {
 	fs := flag.NewFlagSet("fbt causal export", flag.ContinueOnError)
 	out := fs.String("o", "", "output file (default stdout)")
-	if err := t.parse(fs, args, 1, 1); err != nil {
+	if err := cli.Parse(t.stderr, usage, fs, args, 1, 1); err != nil {
 		return false, err
 	}
 	export := func(w io.Writer) error {
@@ -319,7 +283,7 @@ func lensAnalyze(t *tool, args []string) (bool, error) {
 	top := fs.Int("top", coherence.DefaultTopLines, "busiest lines to list")
 	asJSON := fs.Bool("json", false, "emit the full analysis as JSON")
 	htmlOut := fs.String("html", "", "also write a self-contained HTML report to this file")
-	if err := t.parse(fs, args, 1, 1); err != nil {
+	if err := cli.Parse(t.stderr, usage, fs, args, 1, 1); err != nil {
 		return false, err
 	}
 	meta, an, err := loadLens(fs.Arg(0), *top)
@@ -347,7 +311,7 @@ func watchTraces(t *tool, args []string) (bool, error) {
 	maxV := fs.Int("max", watch.DefaultMaxViolations, "violation records to keep per trace (counts are always exact)")
 	ctxN := fs.Int("context", watch.DefaultContextDepth, "events of per-line context to keep with each violation")
 	asJSON := fs.Bool("json", false, "emit each trace's full report as JSON")
-	if err := t.parse(fs, args, 1, -1); err != nil {
+	if err := cli.Parse(t.stderr, usage, fs, args, 1, -1); err != nil {
 		return false, err
 	}
 	dirty := false

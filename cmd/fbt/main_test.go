@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"futurebus/cmd/internal/cli"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
@@ -144,7 +145,7 @@ func TestJSONMatchesReplay(t *testing.T) {
 	}
 	for _, tc := range cases {
 		got, code := fbt(tc.args...)
-		if code != exitOK {
+		if code != cli.OK {
 			t.Errorf("fbt %s: exit %d, want 0", strings.Join(tc.args, " "), code)
 		}
 		if got != tc.want {
@@ -154,7 +155,7 @@ func TestJSONMatchesReplay(t *testing.T) {
 	}
 	for _, sub := range []string{"causal", "lens"} {
 		out, code := fbt(sub, "diff", clean, clean)
-		if code != exitOK || !strings.Contains(out, "no regressions") || strings.Contains(out, "note: configs differ") {
+		if code != cli.OK || !strings.Contains(out, "no regressions") || strings.Contains(out, "note: configs differ") {
 			t.Errorf("fbt %s diff self-diff: exit %d\n%s", sub, code, out)
 		}
 	}
@@ -181,7 +182,7 @@ func TestDiffIsLedgerDiffOfAnalyses(t *testing.T) {
 	clean, faulty := traces(t)
 	ingest := func(sub, path string) ledger.Record {
 		doc, code := fbt(sub, "analyze", "-json", path)
-		if code != exitOK {
+		if code != cli.OK {
 			t.Fatalf("fbt %s analyze -json %s: exit %d", sub, path, code)
 		}
 		recs, err := ledger.Ingest([]byte(doc), path)
@@ -202,7 +203,7 @@ func TestDiffIsLedgerDiffOfAnalyses(t *testing.T) {
 				t.Errorf("fbt %s diff -json rows differ from ledger.Diff of the ingested analyses\ngot:  %+v\nwant: %+v",
 					sub, got.Rows, want.Rows)
 			}
-			if wantCode := map[bool]int{false: exitOK, true: exitDirty}[want.Regressions > 0]; code != wantCode {
+			if wantCode := map[bool]int{false: cli.OK, true: cli.Failed}[want.Regressions > 0]; code != wantCode {
 				t.Errorf("fbt %s diff: exit %d, want %d", sub, code, wantCode)
 			}
 		}
@@ -213,13 +214,13 @@ func TestDiffIsLedgerDiffOfAnalyses(t *testing.T) {
 // and names the breached invariant.
 func TestWatchVerdict(t *testing.T) {
 	clean, faulty := traces(t)
-	if out, code := fbt("watch", clean); code != exitOK || !strings.Contains(out, "clean") {
+	if out, code := fbt("watch", clean); code != cli.OK || !strings.Contains(out, "clean") {
 		t.Errorf("fbt watch clean trace: exit %d\n%s", code, out)
 	}
 	out, code := fbt("watch", clean, faulty)
-	if code != exitDirty || !strings.Contains(out, string(watch.InvExclusivity)) {
+	if code != cli.Failed || !strings.Contains(out, string(watch.InvExclusivity)) {
 		t.Errorf("fbt watch faulty trace: exit %d, want %d naming %s\n%s",
-			code, exitDirty, watch.InvExclusivity, out)
+			code, cli.Failed, watch.InvExclusivity, out)
 	}
 }
 
@@ -248,8 +249,8 @@ func TestBrokenInputExits2(t *testing.T) {
 			{"lens", "diff", clean, bad},
 			{"watch", clean, bad},
 		} {
-			if _, code := fbt(args...); code != exitError {
-				t.Errorf("fbt %s: exit %d, want %d", strings.Join(args, " "), code, exitError)
+			if _, code := fbt(args...); code != cli.Error {
+				t.Errorf("fbt %s: exit %d, want %d", strings.Join(args, " "), code, cli.Error)
 			}
 		}
 	}
@@ -257,8 +258,8 @@ func TestBrokenInputExits2(t *testing.T) {
 		{}, {"causal"}, {"lens", "export", clean}, {"causal", "analyze"},
 		{"lens", "diff", clean}, {"watch"}, {"watch", "-bogus", clean},
 	} {
-		if _, code := fbt(args...); code != exitError {
-			t.Errorf("fbt %s: exit %d, want %d", strings.Join(args, " "), code, exitError)
+		if _, code := fbt(args...); code != cli.Error {
+			t.Errorf("fbt %s: exit %d, want %d", strings.Join(args, " "), code, cli.Error)
 		}
 	}
 }

@@ -120,7 +120,7 @@ func addGateFlags(fs *flag.FlagSet) gateFlags {
 	return gateFlags{
 		window:  fs.Int("window", regress.DefaultWindow, "trailing runs in the rolling baseline"),
 		k:       fs.Float64("k", regress.DefaultK, "MAD multiplier of the noise envelope"),
-		rel:     fs.Float64("rel", 0, "relative regression floor (fraction; 0 = each metric's default: 5% lens rates, 10% the rest)"),
+		rel:     fs.Float64("rel", 0, "relative regression floor (fraction; 0 = each metric's default: 5% lens rates and bench allocations, 10% the rest)"),
 		minRuns: fs.Int("min-runs", 2, "minimum baseline runs before a metric is judged"),
 	}
 }

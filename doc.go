@@ -20,8 +20,8 @@
 //     — synthetic workloads, the simulation engines, the consistency
 //     checker, and the table-regeneration machinery.
 //
-// The runnable entry points are under cmd/ (moesi-tables, fbsim,
-// fbsweep, fbtrace) and examples/ (quickstart, mixedbus,
+// The runnable entry points are under cmd/ (fbpaper, fbsim, fbsweep,
+// fbt, fbperf, fbtrend) and examples/ (quickstart, mixedbus,
 // randomprotocol, iodma). The benchmark harness regenerating every
 // table and figure of the paper is bench_test.go in this directory; see
 // DESIGN.md and EXPERIMENTS.md for the experiment index and results.

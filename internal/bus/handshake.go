@@ -190,7 +190,7 @@ func SimulateBroadcastHandshake(cfg HandshakeConfig) HandshakeTrace {
 	return tr
 }
 
-// Render formats the trace for terminal output (cmd/fbtrace).
+// Render formats the trace for terminal output (fbpaper figures).
 func (tr HandshakeTrace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Broadcast address handshake (Figures 1-2)\n")

@@ -155,7 +155,7 @@ type Test struct {
 	// "atomic", "split") and arbitration discipline ("" or "fcfs",
 	// "rr", "priority", "bounded") for every system the test builds.
 	// Litmus outcomes must not depend on either — they change timing,
-	// never the memory image. Set by the harness (fblitmus
+	// never the memory image. Set by the harness (fbpaper litmus
 	// -bus/-discipline), not a file directive.
 	Tenure     string
 	Discipline string

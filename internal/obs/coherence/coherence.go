@@ -131,7 +131,9 @@ type Analysis struct {
 	// subset.
 	Events      int64 `json:"events"`
 	StateEvents int64 `json:"state_events"`
-	// Lines is the number of distinct line addresses observed.
+	// Lines is the number of distinct lines observed, a line being a
+	// (bus, address) pair: in a hierarchy one address has a line on
+	// every bus that caches it.
 	Lines int `json:"lines"`
 	// SpanNS is the largest timestamp (+duration) observed — the
 	// horizon residency intervals are closed against.
@@ -141,7 +143,7 @@ type Analysis struct {
 	Protocols map[string]*ProtoAnalysis `json:"protocols"`
 	// TopLines are the busiest lines by state-event count.
 	TopLines []LineSummary `json:"top_lines,omitempty"`
-	// TruncatedLines counts line addresses beyond the tracking cap:
+	// TruncatedLines counts lines beyond the tracking cap:
 	// their transitions still count in the matrices, but residency
 	// and ownership chains were not reconstructed for them.
 	TruncatedLines int64 `json:"truncated_lines,omitempty"`
@@ -153,7 +155,8 @@ type Analysis struct {
 const (
 	// MaxChainLen caps one line's stored ownership chain.
 	MaxChainLen = 64
-	// MaxLines caps the number of distinct lines tracked per-line.
+	// MaxLines caps the number of distinct (bus, address) lines
+	// tracked per-line.
 	MaxLines = 1 << 20
 	// maxPending caps in-flight per-transaction fan-out trackers
 	// (only reachable if a trace lost KindTx events).
@@ -167,7 +170,7 @@ type Analyzer struct {
 	stateEvents int64
 	maxTS       int64
 	protos      map[string]*ProtoAnalysis
-	lines       map[uint64]*lineAgg
+	lines       map[lineKey]*lineAgg
 	pending     map[uint64]*pendingTx
 	procProto   []string // indexed by proc id
 	txByProc    []*txAgg // indexed by proc id
@@ -181,17 +184,28 @@ type Analyzer struct {
 	lastCause     string
 	lastCauseP    *ProtoAnalysis
 	lastCauseM    *Matrix
-	lastAddr      uint64
+	lastKey       lineKey
 	lastLine      *lineAgg
+}
+
+// lineKey names a line as watch.Monitor does: by bus and address. A
+// hierarchy repeats proc ids on every bus (a bridge and a cluster
+// cache, or the caches of two clusters, share one), so only the bus
+// tells their copies of one address apart. On a single bus or a sharded
+// fabric an address always carries the same bus id.
+type lineKey struct {
+	bus  int
+	addr uint64
 }
 
 // txAgg accumulates per-master transaction statistics. They are keyed
 // by proc (not protocol) because a master's first transactions arrive
 // before its first state event reveals its protocol — a system boundary
 // (KindEpoch) or Analyze merges them under the proc→protocol mapping of
-// the system that ran them. The fan-out histograms are dense slices
-// (fan-out is bounded by the snooper count), bumped without map hashing
-// on the hot path.
+// the system that ran them — and by proc alone, not (bus, proc), because
+// a master's transactions span the shards of a fabric, each its own bus
+// id. The fan-out histograms are dense slices (fan-out is bounded by the
+// snooper count), bumped without map hashing on the hot path.
 type txAgg struct {
 	cacheSourced int64
 	memSourced   int64
@@ -241,7 +255,7 @@ type pendingTx struct {
 func (a *Analyzer) init() {
 	if a.protos == nil {
 		a.protos = make(map[string]*ProtoAnalysis)
-		a.lines = make(map[uint64]*lineAgg)
+		a.lines = make(map[lineKey]*lineAgg)
 		a.pending = make(map[uint64]*pendingTx)
 	}
 }
@@ -267,20 +281,21 @@ func (a *Analyzer) proto(name string) *ProtoAnalysis {
 	return p
 }
 
-func (a *Analyzer) line(addr uint64) *lineAgg {
-	if addr == a.lastAddr && a.lastLine != nil {
+func (a *Analyzer) line(bus int, addr uint64) *lineAgg {
+	key := lineKey{bus, addr}
+	if key == a.lastKey && a.lastLine != nil {
 		return a.lastLine
 	}
-	l, ok := a.lines[addr]
+	l, ok := a.lines[key]
 	if !ok {
 		if len(a.lines) >= MaxLines {
 			a.truncLines++
 			return nil
 		}
 		l = &lineAgg{owner: -1}
-		a.lines[addr] = l
+		a.lines[key] = l
 	}
-	a.lastAddr, a.lastLine = addr, l
+	a.lastKey, a.lastLine = key, l
 	return l
 }
 
@@ -373,7 +388,7 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 		}
 	}
 
-	l := a.line(e.Addr)
+	l := a.line(e.Bus, e.Addr)
 	if l == nil {
 		return
 	}
@@ -597,26 +612,35 @@ func cloneHist(h map[int]int64) map[int]int64 {
 }
 
 func (a *Analyzer) topLines(topN int) []LineSummary {
-	all := make([]LineSummary, 0, len(a.lines))
-	for addr, l := range a.lines {
-		all = append(all, LineSummary{
-			Addr:      addr,
-			Events:    l.events,
-			Owners:    l.owners,
-			Chain:     append([]OwnerSeg(nil), l.chain...),
-			Truncated: l.truncated,
-		})
+	type entry struct {
+		key lineKey
+		l   *lineAgg
+	}
+	all := make([]entry, 0, len(a.lines))
+	for key, l := range a.lines {
+		all = append(all, entry{key, l})
 	}
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].Events != all[j].Events {
-			return all[i].Events > all[j].Events
+		x, y := all[i], all[j]
+		if x.l.events != y.l.events {
+			return x.l.events > y.l.events
 		}
-		return all[i].Addr < all[j].Addr
+		if x.key.addr != y.key.addr {
+			return x.key.addr < y.key.addr
+		}
+		return x.key.bus < y.key.bus
 	})
-	if len(all) > topN {
-		all = all[:topN]
+	out := make([]LineSummary, min(topN, len(all)))
+	for i, e := range all[:len(out)] {
+		out[i] = LineSummary{
+			Addr:      e.key.addr,
+			Events:    e.l.events,
+			Owners:    e.l.owners,
+			Chain:     append([]OwnerSeg(nil), e.l.chain...),
+			Truncated: e.l.truncated,
+		}
 	}
-	return all
+	return out
 }
 
 // Totals are cheap cross-protocol running sums, suitable for pulling

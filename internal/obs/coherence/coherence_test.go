@@ -3,10 +3,13 @@ package coherence
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"futurebus/internal/hierarchy"
 	"futurebus/internal/obs"
+	"futurebus/internal/workload"
 )
 
 func state(ts int64, proc int, addr uint64, from, to, cause, proto string, txid uint64) obs.Event {
@@ -242,5 +245,150 @@ func TestChainCap(t *testing.T) {
 	}
 	if line.Owners != int64(MaxChainLen+20) {
 		t.Errorf("owners = %d, want %d", line.Owners, MaxChainLen+20)
+	}
+}
+
+// TestHierarchyLinesKeyedByBus runs a two-cluster hierarchy, where
+// every bus repeats the proc ids (a bridge on the global bus shares one
+// with a cluster cache, and the caches of the two clusters share theirs)
+// and one address is cached on several buses. Keyed by (bus, address),
+// every state event starts from the state its copy holds, and the
+// analyzer's lines, residency, ownership moves and per-line owners
+// equal a fold over the same stream keyed that way.
+func TestHierarchyLinesKeyedByBus(t *testing.T) {
+	var a Analyzer
+	var events []obs.Event
+	rec := obs.New(&a, obs.SinkFunc(func(e *obs.Event) { events = append(events, *e) }))
+	sys, err := hierarchy.New(hierarchy.Config{Clusters: 2, ProcsPerCluster: 2, CacheSets: 8, CacheWays: 2, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([][]workload.Generator, len(sys.Clusters))
+	for ci := range gens {
+		for pi := 0; pi < 2; pi++ {
+			gens[ci] = append(gens[ci], hierarchy.ClusterModel{
+				Cluster: ci, Proc: pi,
+				GlobalSharedLines: 8, ClusterSharedLines: 8, PrivateLines: 16,
+				PGlobal: 0.3, PCluster: 0.4, PWrite: 0.3,
+				WordsPerLine: sys.Global.LineSize() / 4,
+			}.NewGenerator(7))
+		}
+	}
+	if err := hierarchy.Run(sys, gens, 400); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	an := a.Analyze(MaxLines)
+
+	type busLine struct {
+		bus  int
+		addr uint64
+	}
+	type copyKey struct {
+		line busLine
+		proc int
+	}
+	type copyState struct {
+		state int
+		since int64
+		proto string
+	}
+	type lineState struct {
+		events, owners int64
+		owner          int
+		relTx          uint64
+	}
+	copies := map[copyKey]*copyState{}
+	byAddr := map[[2]uint64]int{} // (addr, proc) -> state
+	lines := map[busLine]*lineState{}
+	residency := map[string]*[NumStates]int64{}
+	moves := map[string]int64{}
+	charge := func(proto string, state int, d int64) {
+		if residency[protoName(proto)] == nil {
+			residency[protoName(proto)] = &[NumStates]int64{}
+		}
+		if d > 0 {
+			residency[protoName(proto)][state] += d
+		}
+	}
+	var horizon, stateEvents, sameBusStale, addrStale int64
+	for i := range events {
+		e := &events[i]
+		horizon = max(horizon, e.TS+e.Dur)
+		from, to := StateIndex(e.From), StateIndex(e.To)
+		if e.Kind != obs.KindState || from < 0 || to < 0 || e.Proc < 0 {
+			continue
+		}
+		stateEvents++
+		lk := busLine{e.Bus, e.Addr}
+		ak := [2]uint64{e.Addr, uint64(e.Proc)}
+		if held, ok := byAddr[ak]; ok && held != from {
+			addrStale++
+		}
+		byAddr[ak] = to
+
+		c := copies[copyKey{lk, e.Proc}]
+		if c == nil {
+			c = &copyState{state: from, since: e.TS, proto: e.Proto}
+			copies[copyKey{lk, e.Proc}] = c
+		} else if c.state != from {
+			sameBusStale++
+		}
+		charge(c.proto, c.state, e.TS-c.since)
+		c.state, c.since, c.proto = to, e.TS, e.Proto
+
+		l := lines[lk]
+		if l == nil {
+			l = &lineState{owner: -1}
+			lines[lk] = l
+		}
+		l.events++
+		owned := to == idxM || to == idxO
+		switch {
+		case owned && l.owner != e.Proc:
+			if l.owner >= 0 || e.TxID != 0 && e.TxID == l.relTx {
+				moves[protoName(e.Proto)]++
+			}
+			l.owner, l.relTx = e.Proc, 0
+			l.owners++
+		case !owned && l.owner == e.Proc && (from == idxM || from == idxO):
+			l.owner, l.relTx = -1, e.TxID
+		}
+	}
+	for _, c := range copies {
+		charge(c.proto, c.state, horizon-c.since)
+	}
+
+	if addrStale == 0 {
+		t.Fatalf("no state event disagrees with an address-keyed shadow: the run does not exercise shared proc ids")
+	}
+	if sameBusStale != 0 {
+		t.Errorf("%d of %d state events start from a state other than their (bus, address) copy holds", sameBusStale, stateEvents)
+	}
+	if an.StateEvents != stateEvents || an.Lines != len(lines) {
+		t.Errorf("analysis: %d state events over %d lines, fold: %d over %d", an.StateEvents, an.Lines, stateEvents, len(lines))
+	}
+	for name, ps := range an.Protocols {
+		want := [NumStates]int64{}
+		if r := residency[name]; r != nil {
+			want = *r
+		}
+		if ps.ResidencyNS != want || ps.OwnershipMoves != moves[name] {
+			t.Errorf("%s: residency %v, %d ownership moves; fold: %v, %d",
+				name, ps.ResidencyNS, ps.OwnershipMoves, want, moves[name])
+		}
+	}
+	type lineStats struct{ addr, events, owners uint64 }
+	got, want := map[lineStats]int{}, map[lineStats]int{}
+	for _, ls := range an.TopLines {
+		got[lineStats{ls.Addr, uint64(ls.Events), uint64(ls.Owners)}]++
+	}
+	for k, l := range lines {
+		want[lineStats{k.addr, uint64(l.events), uint64(l.owners)}]++
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("per-line events and owners differ from the fold")
 	}
 }

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -364,6 +365,33 @@ func TestDiffBenchAddedBenchmark(t *testing.T) {
 	rep.Render(&sb)
 	if out := sb.String(); !strings.Contains(out, "(no baseline)") || strings.Contains(out, "BenchmarkOld") {
 		t.Errorf("render: want the new benchmark's rows marked (no baseline) and no row for the dropped one:\n%s", out)
+	}
+}
+
+// TestDiffBenchAllocationFootprint: a bench diff judges allocations as
+// scripts/bench-compare.sh does, on 5% of the baseline: P1/moesi going
+// from 224 to 240 allocs/op (+7.1%) and the atomic fast path from 0 to
+// 8 B/op both regress, while wall-clock ns/op stays advisory.
+func TestDiffBenchAllocationFootprint(t *testing.T) {
+	doc := func(p1Allocs, rmwBytes, rmwNs int) Record {
+		t.Helper()
+		recs, err := Ingest([]byte(fmt.Sprintf(`{
+  "BenchmarkP1/moesi": {"runs": 5, "ns_per_op": 2137872, "B_per_op": 78452, "allocs_per_op": %d},
+  "BenchmarkBusLockedRMW": {"runs": 5, "ns_per_op": %d, "B_per_op": %d, "allocs_per_op": 0}
+}`, p1Allocs, rmwNs, rmwBytes)), "bench.json")
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("ingest: %v (%d records)", err, len(recs))
+		}
+		return recs[0]
+	}
+	base := doc(224, 0, 338)
+	rep := Diff(base, doc(240, 8, 600), 0)
+	want := []string{"bench.BenchmarkBusLockedRMW.B_per_op", "bench.BenchmarkP1/moesi.allocs_per_op"}
+	if got := regressedKeys(rep); !reflect.DeepEqual(got, want) {
+		t.Errorf("regressed %v, want %v (rows %+v)", got, want, rep.Rows)
+	}
+	if rep := Diff(base, doc(235, 0, 338), 0); rep.Regressions != 0 {
+		t.Errorf("224 -> 235 allocs/op is within 5%%, yet %v regressed", regressedKeys(rep))
 	}
 }
 

@@ -32,8 +32,9 @@ type GateOpts struct {
 	// (regress.DefaultK when 0).
 	K float64
 	// Rel overrides the relative floor when positive; by default each
-	// metric key gets regress.ThresholdsFor's (5% for lens rates, 10%
-	// for the rest). The absolute floor is always the key's.
+	// metric key gets regress.ThresholdsFor's (5% for lens rates and a
+	// benchmark's allocs/op and B/op, 10% for the rest). The absolute
+	// floor is always the key's.
 	Rel float64
 	// MinRuns is the minimum baseline size required to judge a metric
 	// (2 when 0): one prior run is a pairwise diff, not a baseline.

@@ -240,27 +240,37 @@ func Advisory(key string) bool {
 
 // ThresholdsFor is the one threshold table: the double gate for the
 // named metric. A positive rel overrides the relative default, which is
-// 5% for the lens rates and 10% for everything else; the absolute floor
-// is AbsFloor's.
+// 5% for the lens rates and for a benchmark's allocation footprint (the
+// gate of scripts/bench-compare.sh) and 10% for everything else; the
+// absolute floor is AbsFloor's.
 func ThresholdsFor(key string, rel float64) Thresholds {
 	if rel <= 0 {
 		rel = 0.10
-		if strings.HasPrefix(key, "lens.") {
+		if strings.HasPrefix(key, "lens.") || benchAlloc(key, "allocs_per_op") || benchAlloc(key, "B_per_op") {
 			rel = 0.05
 		}
 	}
 	return Thresholds{Rel: rel, Abs: AbsFloor(key)}
 }
 
+// benchAlloc reports whether key is a benchmark record's figure of the
+// given allocation unit ("bench.<benchmark>.<unit>").
+func benchAlloc(key, unit string) bool {
+	return strings.HasPrefix(key, "bench.") && strings.HasSuffix(key, "."+unit)
+}
+
 // AbsFloor picks the absolute threshold matching a metric key's unit:
 // 1µs for nanosecond metrics, half an object for allocation counts (8
-// bytes for allocated bytes), two slots for queue depths and 0.001 for
-// dimensionless rates. Unknown units get a vanishing floor so the
-// relative gate decides alone.
+// bytes for allocated bytes, none for a benchmark's B/op, which
+// scripts/bench-compare.sh gates on the relative threshold alone), two
+// slots for queue depths and 0.001 for dimensionless rates. Unknown
+// units get a vanishing floor so the relative gate decides alone.
 func AbsFloor(key string) float64 {
 	switch {
 	case strings.Contains(key, "_ns") || strings.Contains(key, "ns_per_op"):
 		return 1000
+	case benchAlloc(key, "B_per_op"):
+		return 0
 	case strings.Contains(key, "alloc_bytes") || strings.Contains(key, "B_per_op"):
 		return 8
 	case strings.Contains(key, "alloc") || strings.Contains(key, "bytes_per"):

@@ -196,8 +196,10 @@ func TestHostTimeAdvisory(t *testing.T) {
 	}
 }
 
-// TestThresholdsFor: the lens rates default to 5%, everything else to
-// 10%, a nonzero rel overrides both, and the floor is AbsFloor's.
+// TestThresholdsFor: the lens rates and a benchmark's allocation
+// footprint default to 5% (B/op with no floor, as bench-compare.sh
+// gates it), everything else to 10%, a nonzero rel overrides both, and
+// the floor is AbsFloor's.
 func TestThresholdsFor(t *testing.T) {
 	cases := []struct {
 		key  string
@@ -208,6 +210,10 @@ func TestThresholdsFor(t *testing.T) {
 		{"causal.by_cause.data_ns", 0, Thresholds{Rel: 0.10, Abs: 1000}},
 		{"perf.arb_wait_ns.p99", 0.2, Thresholds{Rel: 0.2, Abs: 1000}},
 		{"lens.moesi.transitions", 0.2, Thresholds{Rel: 0.2, Abs: 1e-9}},
+		{"bench.BenchmarkP1/moesi.allocs_per_op", 0, Thresholds{Rel: 0.05, Abs: 0.5}},
+		{"bench.BenchmarkBusLockedRMW.B_per_op", 0, Thresholds{Rel: 0.05, Abs: 0}},
+		{"bench.BenchmarkP1/moesi.allocs_per_ref", 0, Thresholds{Rel: 0.10, Abs: 0.5}},
+		{"host.alloc_bytes_per_ref", 0, Thresholds{Rel: 0.10, Abs: 8}},
 	}
 	for _, c := range cases {
 		if got := ThresholdsFor(c.key, c.rel); got != c.want {

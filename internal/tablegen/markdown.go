@@ -11,11 +11,11 @@ import (
 // Markdown renders the complete protocol reference — every regenerated
 // paper table, the §4 class-membership verdicts, and each registered
 // protocol's full (extended) table — as a single Markdown document.
-// cmd/moesi-tables -markdown writes it to docs/PROTOCOLS.md.
+// fbpaper tables -markdown writes it to docs/PROTOCOLS.md.
 func Markdown() string {
 	var b strings.Builder
 	b.WriteString("# Protocol reference\n\n")
-	b.WriteString("Generated from the implementation by `moesi-tables -markdown`.\n")
+	b.WriteString("Generated from the implementation by `fbpaper tables -markdown`.\n")
 	b.WriteString("Every table below is produced by the same code that runs in the\n")
 	b.WriteString("simulator; the T1–T7 tables are diffed against the paper in CI.\n\n")
 
@@ -67,7 +67,7 @@ func Markdown() string {
 	}
 
 	b.WriteString("## State diagrams\n\n")
-	b.WriteString("GraphViz sources (`moesi-tables -dot <protocol>` regenerates any of\n")
+	b.WriteString("GraphViz sources (`fbpaper tables -dot <protocol>` regenerates any of\n")
 	b.WriteString("these): solid = local events, dashed = snooped bus events, dotted =\n")
 	b.WriteString("BS abort recoveries.\n\n")
 	for _, name := range []string{"moesi", "berkeley", "dragon", "illinois", "write-once", "firefly"} {

@@ -33,13 +33,13 @@ func TestMarkdownSections(t *testing.T) {
 // TestProtocolsDocUpToDate: the committed docs/PROTOCOLS.md matches the
 // implementation — regenerate with:
 //
-//	go run ./cmd/moesi-tables -markdown > docs/PROTOCOLS.md
+//	go run ./cmd/fbpaper tables -markdown > docs/PROTOCOLS.md
 func TestProtocolsDocUpToDate(t *testing.T) {
 	onDisk, err := os.ReadFile("../../docs/PROTOCOLS.md")
 	if err != nil {
 		t.Fatalf("docs/PROTOCOLS.md missing: %v", err)
 	}
 	if string(onDisk) != Markdown() {
-		t.Fatal("docs/PROTOCOLS.md is stale; regenerate with: go run ./cmd/moesi-tables -markdown > docs/PROTOCOLS.md")
+		t.Fatal("docs/PROTOCOLS.md is stale; regenerate with: go run ./cmd/fbpaper tables -markdown > docs/PROTOCOLS.md")
 	}
 }

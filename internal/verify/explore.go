@@ -8,11 +8,11 @@ import (
 
 // Explore runs the exhaustive check over all reachable states of a
 // system of the given boards (one choice of Chooser per board, at most
-// maxBoards). It returns the reachable-state count and every invariant
+// MaxBoards). It returns the reachable-state count and every invariant
 // violation, each with a shortest event path from power-on.
 func Explore(boards []Chooser) Result {
-	if len(boards) == 0 || len(boards) > maxBoards {
-		panic(fmt.Sprintf("verify: need 1–%d boards, got %d", maxBoards, len(boards)))
+	if len(boards) == 0 || len(boards) > MaxBoards {
+		panic(fmt.Sprintf("verify: need 1–%d boards, got %d", MaxBoards, len(boards)))
 	}
 	e := &explorer{boards: boards}
 	init := sysState{n: len(boards), memCurrent: true}

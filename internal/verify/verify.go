@@ -96,15 +96,15 @@ type boardView struct {
 	current bool
 }
 
-// sysState is the abstract machine state for up to maxBoards boards.
+// sysState is the abstract machine state for up to MaxBoards boards.
 type sysState struct {
 	n          int
-	boards     [maxBoards]boardView
+	boards     [MaxBoards]boardView
 	memCurrent bool
 }
 
-// maxBoards bounds the exhaustive exploration (11^4·2 ≈ 29k states).
-const maxBoards = 4
+// MaxBoards bounds the boards Explore takes (11^4·2 ≈ 29k states).
+const MaxBoards = 4
 
 // key packs the state into a comparable value: 5 bits per board
 // (state:3, current:1, spare) plus the memory bit.
