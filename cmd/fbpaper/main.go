@@ -295,6 +295,9 @@ func litmusFiles(t *tool, args []string) (bool, error) {
 	failed := false
 	for i, test := range tests {
 		res, err := litmus.Run(test)
+		if errors.Is(err, litmus.ErrSystem) {
+			return false, fmt.Errorf("%s: %w", fs.Arg(i), err)
+		}
 		if err != nil {
 			fmt.Fprintf(t.stderr, "fbpaper litmus: %s: %v\n", fs.Arg(i), err)
 			failed = true

@@ -120,6 +120,9 @@ func TestInputErrorsExit2(t *testing.T) {
 		{"litmus", "-discipline", "lottery", shipped(t)[0]},
 		{"litmus", "-shards", "-1", shipped(t)[0]},
 		{"litmus", "-parallel", "-1", shipped(t)[0]},
+		// A system sim.New rejects: 64 sets cannot interleave over 3
+		// shards.
+		{"litmus", "-shards", "3", filepath.Join("..", "..", "litmus", "coherence.litmus")},
 	}
 	for _, args := range values {
 		out, errs, code := fbpaper(args...)

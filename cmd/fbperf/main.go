@@ -18,14 +18,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sync"
 	"time"
 
+	"futurebus/cmd/internal/cli"
 	"futurebus/cmd/internal/session"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/ledger"
@@ -81,31 +84,35 @@ func batteries(procs int) map[string]battery {
 	}
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "run":
-		cmdRun(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usage = `usage:
   fbperf run -battery <name> [-refs N] [-procs N] [-engine det|conc] [-seed S]
              [-out perf.json] [-cpuprofile f] [-heapprofile f]
              [-mutexprofile f] [-blockprofile f]
 
-batteries: ab, migratory, ping-pong, mixed`)
+batteries: ab, migratory, ping-pong, mixed
+
+Exit status: 0 clean; 2 on usage, input or I/O errors.
+`
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one fbperf command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return cli.Error
+	}
+	if args[0] != "run" {
+		fmt.Fprintf(stderr, "fbperf: unknown command %q\n\n%s", args[0], usage)
+		return cli.Error
+	}
+	return cli.Status(stderr, "fbperf", false, runBattery(stdout, stderr, args[1:]))
 }
 
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("fbperf run", flag.ExitOnError)
+// runBattery drives one battery and writes its report. fbperf judges
+// nothing, so every error it returns exits 2.
+func runBattery(stdout, stderr io.Writer, args []string) (err error) {
+	fs := flag.NewFlagSet("fbperf run", flag.ContinueOnError)
 	batteryName := fs.String("battery", "ab", "workload battery: ab, migratory, ping-pong, mixed")
 	refs := fs.Int("refs", 5000, "references per board")
 	procs := fs.Int("procs", 4, "board count (homogeneous batteries; 'mixed' is fixed at 4)")
@@ -118,11 +125,16 @@ func cmdRun(args []string) {
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile")
 	blockProfile := fs.String("blockprofile", "", "write a blocking profile")
 	sample := fs.Duration("sample", 5*time.Millisecond, "runtime sampling interval (goroutine peak)")
-	fail(fs.Parse(args))
+	if err := cli.Parse(stderr, usage, fs, args, 0, 0); err != nil {
+		return err
+	}
 
 	bat, ok := batteries(*procs)[*batteryName]
 	if !ok {
-		fail(fmt.Errorf("unknown battery %q (ab, migratory, ping-pong, mixed)", *batteryName))
+		return fmt.Errorf("unknown battery %q (ab, migratory, ping-pong, mixed)", *batteryName)
+	}
+	if *engine != "det" && *engine != "conc" {
+		return fmt.Errorf("unknown engine %q (det, conc)", *engine)
 	}
 
 	// Profile plumbing around the run. Mutex/block profiling must be
@@ -136,15 +148,22 @@ func cmdRun(args []string) {
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		fail(err)
-		fail(pprof.StartCPUProfile(f))
-		defer func() { fail(f.Close()) }()
+		if err != nil {
+			return err
+		}
+		defer func() { err = errors.Join(err, f.Close()) }()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
 		defer pprof.StopCPUProfile()
 	}
 
 	rec := obs.New(perf.NewSink(0))
+	defer rec.Close()
 	sys, err := sim.New(sim.Config{Boards: bat.boards, Obs: rec, Shards: *shards})
-	fail(err)
+	if err != nil {
+		return err
+	}
 	gens := bat.gens(sys, len(bat.boards), *seed)
 
 	// Bracket the run with host sampling; a ticker tracks the goroutine
@@ -168,41 +187,33 @@ func cmdRun(args []string) {
 	}()
 
 	var m sim.Metrics
-	switch *engine {
-	case "det":
-		eng := sim.Engine{Sys: sys, Gens: gens}
-		m, err = eng.Run(*refs)
-	case "conc":
+	if *engine == "det" {
+		m, err = (&sim.Engine{Sys: sys, Gens: gens}).Run(*refs)
+	} else {
 		m, err = sim.RunConcurrent(sys, gens, *refs)
-	default:
-		err = fmt.Errorf("unknown engine %q", *engine)
 	}
 	close(stop)
 	wg.Wait()
-	fail(err)
+	if err != nil {
+		return err
+	}
 	host := hr.Stop(m.Refs)
-	fail(rec.Close())
+	if err := rec.Close(); err != nil {
+		return err
+	}
 
 	if *heapProfile != "" {
-		f, err := os.Create(*heapProfile)
-		fail(err)
 		runtime.GC() // profile live objects, not garbage
-		fail(pprof.WriteHeapProfile(f))
-		fail(f.Close())
 	}
-	writeLookup := func(path, name string) {
-		if path == "" {
-			return
+	for _, p := range [...][2]string{{*heapProfile, "heap"}, {*mutexProfile, "mutex"}, {*blockProfile, "block"}} {
+		if p[0] != "" {
+			if err := writeProfile(p[0], p[1]); err != nil {
+				return err
+			}
 		}
-		f, err := os.Create(path)
-		fail(err)
-		fail(pprof.Lookup(name).WriteTo(f, 0))
-		fail(f.Close())
 	}
-	writeLookup(*mutexProfile, "mutex")
-	writeLookup(*blockProfile, "block")
 
-	fail(session.WriteJSON(*out, ledger.PerfReport{
+	if err := session.WriteJSON(stdout, *out, ledger.PerfReport{
 		Meta:    ledger.CurrentMeta(),
 		Battery: *batteryName,
 		Engine:  *engine,
@@ -211,15 +222,20 @@ func cmdRun(args []string) {
 		Seed:    *seed,
 		Host:    host,
 		Sim:     perf.FindSink(rec).Snapshot(),
-	}))
-	fmt.Fprintf(os.Stderr, "fbperf: %s (%s) — %d refs in %.1f ms, %.1f B/ref, %.0f refs/s\n",
+	}); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "fbperf: %s (%s) — %d refs in %.1f ms, %.1f B/ref, %.0f refs/s\n",
 		*batteryName, bat.desc, m.Refs, float64(host.WallNS)/1e6,
 		host.AllocBytesPerRef, host.RefsPerSec)
+	return nil
 }
 
-func fail(err error) {
+// writeProfile writes the named pprof profile to path.
+func writeProfile(path, name string) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fbperf:", err)
-		os.Exit(1)
+		return err
 	}
+	return errors.Join(pprof.Lookup(name).WriteTo(f, 0), f.Close())
 }

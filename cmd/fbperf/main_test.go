@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"futurebus/internal/obs"
@@ -146,5 +149,42 @@ func TestReadReportRejectsMissingSim(t *testing.T) {
 	}
 	if _, err := ledger.Ingest([]byte(`{"battery": "ab", "engine": "det"}`), "perf.json"); err == nil {
 		t.Error("fbperf report without \"sim\": want an Ingest error")
+	}
+}
+
+// TestRunExitStatuses drives run through each status: 0 for a clean run
+// (and on -h), 2 for every usage, input and I/O error.
+func TestRunExitStatuses(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "perf.json")
+	small := []string{"-refs", "50", "-procs", "2"}
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{append([]string{"run", "-out", out}, small...), 0},
+		{append([]string{"run", "-engine", "conc", "-out", "-"}, small...), 0},
+		{[]string{"run", "-h"}, 0},
+		{nil, 2},
+		{[]string{"compare", "a.json", "b.json"}, 2},
+		{[]string{"run", "-no-such-flag"}, 2},
+		{[]string{"run", "extra"}, 2},
+		{[]string{"run", "-battery", "no-such-battery"}, 2},
+		{[]string{"run", "-engine", "no-such-engine"}, 2},
+		{append([]string{"run", "-shards", "3"}, small...), 2},
+		{append([]string{"run", "-out", filepath.Join(dir, "no-dir", "perf.json")}, small...), 2},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || strings.Contains(stderr.String(), "panic") {
+			t.Errorf("fbperf %s: exit %d, want %d\nstderr:\n%s", strings.Join(c.args, " "), code, c.code, stderr.String())
+		}
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ledger.Ingest(data, out); err != nil {
+		t.Errorf("the clean run's report does not ingest: %v", err)
 	}
 }

@@ -216,7 +216,7 @@ func main() {
 		fmt.Fprint(sum, auditSink.Explain(*audit))
 	}
 	if shared.MetricsJSON != "" {
-		fail(session.WriteJSON(shared.MetricsJSON, m))
+		fail(session.WriteJSON(os.Stdout, shared.MetricsJSON, m))
 	}
 	// The invariant verdict comes last so every other artifact (metrics
 	// JSON, traces) is written even when the run was dirty; the exit

@@ -109,7 +109,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		fail(session.WriteJSON(*jsonOut, batteryDoc{
+		fail(session.WriteJSON(os.Stdout, *jsonOut, batteryDoc{
 			Fbsweep: batteryParams{
 				Exp: strings.ToUpper(*exp), Refs: shared.Refs, Seed: shared.Seed, Shards: shared.Shards,
 			},
@@ -125,7 +125,7 @@ func main() {
 		}
 	}
 	if shared.MetricsJSON != "" {
-		fail(session.WriteJSON(shared.MetricsJSON, reports))
+		fail(session.WriteJSON(os.Stdout, shared.MetricsJSON, reports))
 	}
 	if s.Verdict(os.Stderr, "fbsweep: ") {
 		os.Exit(1)

@@ -16,13 +16,15 @@
 // gate exits 1 when the candidate run (the newest ledger record, or
 // -candidate's report) regresses any non-advisory metric against the
 // rolling median+MAD baseline of the trailing window; diff is the same
-// gate over a one-run history, judging new.json against old.json. Both
-// exit 2 on usage, input or IO errors, and diff also when the two
-// reports are of different kinds. Every verdict comes from
-// ledger.Gate, as do fbt's diffs and fbsim's /trend.
+// gate over a one-run history, judging new.json against old.json.
+// Every subcommand exits 2 on a usage, input or I/O error (diff also
+// when the two reports are of different kinds) and 0 on -h: the exit
+// contract fbt, fbpaper and fbperf share (cmd/internal/cli). Every
+// verdict comes from ledger.Gate, as do fbt's diffs and fbsim's /trend.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +32,7 @@ import (
 	"sort"
 	"strings"
 
+	"futurebus/cmd/internal/cli"
 	"futurebus/cmd/internal/session"
 	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/regress"
@@ -39,33 +42,7 @@ import (
 // appends to at the repo root.
 const DefaultLedger = "BENCH_LEDGER.jsonl"
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "ingest":
-		cmdIngest(os.Args[2:])
-	case "list":
-		cmdList(os.Args[2:])
-	case "trend":
-		cmdTrend(os.Args[2:])
-	case "gate":
-		cmdGate(os.Args[2:])
-	case "diff":
-		os.Exit(runDiff(os.Args[2:], os.Stdout, os.Stderr))
-	case "report":
-		cmdReport(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "fbtrend: unknown subcommand %q\n\n", os.Args[1])
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `fbtrend — cross-run regression observatory over a JSONL run ledger
+const usage = `fbtrend — cross-run regression observatory over a JSONL run ledger
 
   fbtrend ingest [-ledger file] report.json...
       fold reports (BENCH_*.json, fbperf run, fbt causal analyze -json,
@@ -89,8 +66,46 @@ func usage() {
 
   fbtrend report [-ledger file] [-kind k] [-label l] -html out.html
       self-contained HTML sparkline dashboard per metric family
-`)
-	os.Exit(2)
+
+Exit status: 0 clean; 1 when gate or diff finds a regression; 2 on
+usage, input or I/O errors.
+`
+
+// tool is one invocation's output streams.
+type tool struct{ stdout, stderr io.Writer }
+
+// commands maps each subcommand to its runner, which reports whether
+// gate or diff found a regression. An error it returns is a usage,
+// input or I/O error.
+var commands = map[string]func(t *tool, args []string) (regressed bool, err error){
+	"ingest": ingest,
+	"list":   list,
+	"trend":  trend,
+	"gate":   gate,
+	"diff":   diff,
+	"report": report,
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one fbtrend command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return cli.Error
+	}
+	switch args[0] {
+	case "-h", "-help", "--help", "help":
+		fmt.Fprint(stderr, usage)
+		return cli.OK
+	}
+	cmd, ok := commands[args[0]]
+	if !ok {
+		fmt.Fprintf(stderr, "fbtrend: unknown subcommand %q\n\n%s", args[0], usage)
+		return cli.Error
+	}
+	regressed, err := cmd(&tool{stdout, stderr}, args[1:])
+	return cli.Status(stderr, "fbtrend", regressed, err)
 }
 
 // ledgerFlags are the flags every subcommand shares.
@@ -125,84 +140,95 @@ func addGateFlags(fs *flag.FlagSet) gateFlags {
 	}
 }
 
-func (f ledgerFlags) read() []ledger.Record {
+func (t *tool) read(f ledgerFlags) ([]ledger.Record, error) {
 	recs, dropped, err := ledger.Read(*f.path)
-	fail(err)
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr, "fbtrend: %s: dropped %d truncated trailing record (interrupted append)\n", *f.path, dropped)
+	if err != nil {
+		return nil, err
 	}
-	return ledger.Filter(recs, *f.kind, *f.label)
+	if dropped > 0 {
+		fmt.Fprintf(t.stderr, "fbtrend: %s: dropped %d truncated trailing record (interrupted append)\n", *f.path, dropped)
+	}
+	return ledger.Filter(recs, *f.kind, *f.label), nil
 }
 
-func cmdIngest(args []string) {
-	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
+func ingest(t *tool, args []string) (bool, error) {
+	fs := flag.NewFlagSet("fbtrend ingest", flag.ContinueOnError)
 	lf := addLedgerFlags(fs)
-	fail(fs.Parse(args))
-	if fs.NArg() == 0 {
-		usage()
+	if err := cli.Parse(t.stderr, usage, fs, args, 1, -1); err != nil {
+		return false, err
 	}
 	total := 0
 	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
-		fail(err)
+		if err != nil {
+			return false, err
+		}
 		recs, err := ledger.Ingest(data, path)
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", path, err))
+			return false, fmt.Errorf("%s: %w", path, err)
 		}
-		fail(ledger.Append(*lf.path, recs...))
+		if err := ledger.Append(*lf.path, recs...); err != nil {
+			return false, err
+		}
 		total += len(recs)
 	}
-	fmt.Printf("fbtrend: appended %d record(s) to %s\n", total, *lf.path)
+	fmt.Fprintf(t.stdout, "fbtrend: appended %d record(s) to %s\n", total, *lf.path)
+	return false, nil
 }
 
-func cmdList(args []string) {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
+func list(t *tool, args []string) (bool, error) {
+	fs := flag.NewFlagSet("fbtrend list", flag.ContinueOnError)
 	lf := addLedgerFlags(fs)
-	fail(fs.Parse(args))
-	if fs.NArg() != 0 {
-		usage()
+	if err := cli.Parse(t.stderr, usage, fs, args, 0, 0); err != nil {
+		return false, err
 	}
-	recs := lf.read()
+	recs, err := t.read(lf)
+	if err != nil {
+		return false, err
+	}
 	for i, r := range recs {
 		label := r.Label
 		if label == "" {
 			label = "-"
 		}
-		fmt.Printf("%4d  %-9s %-28s %-9s %-20s %d metrics\n",
+		fmt.Fprintf(t.stdout, "%4d  %-9s %-28s %-9s %-20s %d metrics\n",
 			i, r.Kind, label, orDash(r.Meta.GitSHA), orDash(r.Meta.DateUTC), len(r.Metrics))
 	}
 	if len(recs) == 0 {
-		fmt.Println("fbtrend: no matching records")
+		fmt.Fprintln(t.stdout, "fbtrend: no matching records")
 	}
+	return false, nil
 }
 
-func cmdTrend(args []string) {
-	fs := flag.NewFlagSet("trend", flag.ExitOnError)
+func trend(t *tool, args []string) (bool, error) {
+	fs := flag.NewFlagSet("fbtrend trend", flag.ContinueOnError)
 	lf := addLedgerFlags(fs)
 	gf := addGateFlags(fs)
-	fail(fs.Parse(args))
-	if fs.NArg() != 1 {
-		usage()
+	if err := cli.Parse(t.stderr, usage, fs, args, 1, 1); err != nil {
+		return false, err
 	}
 	key := fs.Arg(0)
-	recs := lf.read()
+	recs, err := t.read(lf)
+	if err != nil {
+		return false, err
+	}
 	series := ledger.Series(recs, key)
 	if len(series) == 0 {
-		fail(fmt.Errorf("metric %q not found in any matching record (try fbtrend list)", key))
+		return false, fmt.Errorf("metric %q not found in any matching record (try fbtrend list)", key)
 	}
 	steps := regress.Changepoints(series, *gf.window, *gf.k, regress.ThresholdsFor(key, *gf.rel))
 	stepSet := make(map[int]bool, len(steps))
 	for _, s := range steps {
 		stepSet[s] = true
 	}
-	fmt.Printf("%s  (%d runs", key, len(series))
+	fmt.Fprintf(t.stdout, "%s  (%d runs", key, len(series))
 	if regress.Advisory(key) {
-		fmt.Printf(", advisory")
+		fmt.Fprintf(t.stdout, ", advisory")
 	}
 	if regress.BetterUp(key) {
-		fmt.Printf(", better-up")
+		fmt.Fprintf(t.stdout, ", better-up")
 	}
-	fmt.Printf(")\n")
+	fmt.Fprintf(t.stdout, ")\n")
 	lo, hi := series[0], series[0]
 	for _, v := range series {
 		if v < lo {
@@ -222,11 +248,12 @@ func cmdTrend(args []string) {
 		if stepSet[idx] {
 			mark = "  << step"
 		}
-		fmt.Printf("  %4d %-9s %14.3f  %s%s\n", idx, orDash(r.Meta.GitSHA), v, sparkbar(v, lo, hi), mark)
+		fmt.Fprintf(t.stdout, "  %4d %-9s %14.3f  %s%s\n", idx, orDash(r.Meta.GitSHA), v, sparkbar(v, lo, hi), mark)
 		idx++
 	}
-	fmt.Printf("slope: %+.4g per run over %d runs; %d changepoint(s)\n",
+	fmt.Fprintf(t.stdout, "slope: %+.4g per run over %d runs; %d changepoint(s)\n",
 		regress.Slope(series), len(series), len(steps))
+	return false, nil
 }
 
 // sparkbar renders v's position in [lo,hi] as a crude text bar, enough
@@ -246,27 +273,29 @@ func sparkbar(v, lo, hi float64) string {
 	return strings.Repeat("▪", n) + strings.Repeat("·", width-n)
 }
 
-func cmdGate(args []string) {
-	fs := flag.NewFlagSet("gate", flag.ExitOnError)
+func gate(t *tool, args []string) (bool, error) {
+	fs := flag.NewFlagSet("fbtrend gate", flag.ContinueOnError)
 	lf := addLedgerFlags(fs)
 	gf := addGateFlags(fs)
 	candidate := fs.String("candidate", "", "judge this report instead of the newest ledger record (not appended)")
 	asJSON := fs.Bool("json", false, "emit the gate report as JSON")
-	fail(fs.Parse(args))
-	if fs.NArg() != 0 {
-		usage()
+	if err := cli.Parse(t.stderr, usage, fs, args, 0, 0); err != nil {
+		return false, err
 	}
-	history := lf.read()
+	history, err := t.read(lf)
+	if err != nil {
+		return false, err
+	}
 	var cand ledger.Record
 	if *candidate != "" {
-		var err error
-		cand, err = ingestOne(*candidate)
-		fail(err)
+		if cand, err = ingestOne(*candidate); err != nil {
+			return false, err
+		}
 		// Only prior runs of the same series form the baseline.
 		history = ledger.Filter(history, cand.Kind, cand.Label)
 	} else {
 		if len(history) == 0 {
-			fail(fmt.Errorf("%s: no matching records to gate (run fbtrend ingest first)", *lf.path))
+			return false, fmt.Errorf("%s: no matching records to gate (run fbtrend ingest first)", *lf.path)
 		}
 		cand = history[len(history)-1]
 		history = ledger.Filter(history[:len(history)-1], cand.Kind, cand.Label)
@@ -275,41 +304,36 @@ func cmdGate(args []string) {
 		Window: *gf.window, K: *gf.k, Rel: *gf.rel, MinRuns: *gf.minRuns,
 	})
 	if *asJSON {
-		fail(session.WriteJSON("-", rep))
+		if err := session.WriteJSON(t.stdout, "-", rep); err != nil {
+			return false, err
+		}
 	} else {
-		rep.Render(os.Stdout)
+		rep.Render(t.stdout)
 	}
-	if rep.Verdict == "regressed" {
-		os.Exit(1)
-	}
+	return rep.Verdict == "regressed", nil
 }
 
-// runDiff judges the report at args[1] against the one at args[0],
-// writes the rendered verdict to stdout and returns the exit status: 0
-// clean, 1 regressed, 2 usage or input error.
-func runDiff(args []string, stdout, stderr io.Writer) int {
-	if len(args) != 2 {
-		fmt.Fprintln(stderr, "usage: fbtrend diff old.json new.json")
-		return 2
+// diff judges the report at new.json against the one at old.json and
+// writes the rendered verdict.
+func diff(t *tool, args []string) (bool, error) {
+	fs := flag.NewFlagSet("fbtrend diff", flag.ContinueOnError)
+	if err := cli.Parse(t.stderr, usage, fs, args, 2, 2); err != nil {
+		return false, err
 	}
-	old, err := ingestOne(args[0])
-	var cand ledger.Record
-	if err == nil {
-		cand, err = ingestOne(args[1])
-	}
-	if err == nil && old.Kind != cand.Kind {
-		err = fmt.Errorf("%s (kind %s) and %s (kind %s) are different report kinds", args[0], old.Kind, args[1], cand.Kind)
-	}
+	old, err := ingestOne(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(stderr, "fbtrend:", err)
-		return 2
+		return false, err
+	}
+	cand, err := ingestOne(fs.Arg(1))
+	if err != nil {
+		return false, err
+	}
+	if old.Kind != cand.Kind {
+		return false, fmt.Errorf("%s (kind %s) and %s (kind %s) are different report kinds", fs.Arg(0), old.Kind, fs.Arg(1), cand.Kind)
 	}
 	rep := ledger.Diff(old, cand, 0)
-	rep.Render(stdout)
-	if rep.Verdict == "regressed" {
-		return 1
-	}
-	return 0
+	rep.Render(t.stdout)
+	return rep.Verdict == "regressed", nil
 }
 
 // ingestOne reads the report at path as exactly one ledger record.
@@ -328,23 +352,33 @@ func ingestOne(path string) (ledger.Record, error) {
 	return recs[0], nil
 }
 
-func cmdReport(args []string) {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+func report(t *tool, args []string) (bool, error) {
+	fs := flag.NewFlagSet("fbtrend report", flag.ContinueOnError)
 	lf := addLedgerFlags(fs)
 	htmlOut := fs.String("html", "", "output HTML file (required)")
-	fail(fs.Parse(args))
-	if fs.NArg() != 0 || *htmlOut == "" {
-		usage()
+	if err := cli.Parse(t.stderr, usage, fs, args, 0, 0); err != nil {
+		return false, err
 	}
-	recs := lf.read()
+	if *htmlOut == "" {
+		fmt.Fprint(t.stderr, usage)
+		return false, cli.ErrUsage
+	}
+	recs, err := t.read(lf)
+	if err != nil {
+		return false, err
+	}
 	if len(recs) == 0 {
-		fail(fmt.Errorf("%s: no matching records", *lf.path))
+		return false, fmt.Errorf("%s: no matching records", *lf.path)
 	}
 	f, err := os.Create(*htmlOut)
-	fail(err)
-	fail(renderHTML(f, recs))
-	fail(f.Close())
-	fmt.Printf("fbtrend: wrote %s (%d records)\n", *htmlOut, len(recs))
+	if err != nil {
+		return false, err
+	}
+	if err := errors.Join(renderHTML(f, recs), f.Close()); err != nil {
+		return false, err
+	}
+	fmt.Fprintf(t.stdout, "fbtrend: wrote %s (%d records)\n", *htmlOut, len(recs))
+	return false, nil
 }
 
 // seriesKeys returns every metric key of the records sorted by family
@@ -375,11 +409,4 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fbtrend:", err)
-		os.Exit(2)
-	}
 }

@@ -166,11 +166,11 @@ func TestDiffExitCodes(t *testing.T) {
 		{"configs differ", []string{base, other}, 0, []string{"note: configs differ", "no regressions"}, ""},
 		{"different kinds", []string{base, bench}, 2, nil, "different report kinds"},
 		{"multi-record sweep", []string{sweep, sweep}, 2, nil, "yields 2 records"},
-		{"one argument", []string{base}, 2, nil, "usage: fbtrend diff"},
+		{"one argument", []string{base}, 2, nil, "fbtrend diff old.json new.json"},
 	}
 	for _, c := range cases {
 		var stdout, stderr strings.Builder
-		if code := runDiff(c.args, &stdout, &stderr); code != c.code {
+		if code := run(append([]string{"diff"}, c.args...), &stdout, &stderr); code != c.code {
 			t.Errorf("%s: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", c.name, code, c.code, stdout.String(), stderr.String())
 			continue
 		}
@@ -181,6 +181,59 @@ func TestDiffExitCodes(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("%s: stderr %q lacks %q", c.name, stderr.String(), c.stderr)
+		}
+	}
+}
+
+// TestRunExitStatuses drives every subcommand through run: 0 clean (and
+// on -h), 1 when gate or diff finds a regression, 2 on usage, input and
+// I/O errors, each with one stderr line unless usage was printed.
+func TestRunExitStatuses(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, doc string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", perfDoc("ab", 42_000, 2))
+	injected := write("regress.json", perfDoc("ab", 84_000, 6))
+	led := filepath.Join(dir, "ledger.jsonl")
+	empty := write("empty.jsonl", "")
+	html := filepath.Join(dir, "trend.html")
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-h"}, 0},
+		{[]string{"help"}, 0},
+		{[]string{"gate", "-h"}, 0},
+		{[]string{"ingest", "-ledger", led, base, base, base}, 0},
+		{[]string{"list", "-ledger", led}, 0},
+		{[]string{"trend", "-ledger", led, "perf.arb_wait_ns.p99"}, 0},
+		{[]string{"gate", "-ledger", led}, 0},
+		{[]string{"gate", "-ledger", led, "-candidate", base, "-json"}, 0},
+		{[]string{"gate", "-ledger", led, "-candidate", injected}, 1},
+		{[]string{"diff", base, base}, 0},
+		{[]string{"diff", base, injected}, 1},
+		{[]string{"report", "-ledger", led, "-html", html}, 0},
+		{nil, 2},
+		{[]string{"plot"}, 2},
+		{[]string{"list", "-no-such-flag"}, 2},
+		{[]string{"list", "-ledger", led, "extra"}, 2},
+		{[]string{"ingest", "-ledger", led}, 2},
+		{[]string{"ingest", "-ledger", led, filepath.Join(dir, "missing.json")}, 2},
+		{[]string{"list", "-ledger", filepath.Join(dir, "missing.jsonl")}, 2},
+		{[]string{"trend", "-ledger", led, "no.such.metric"}, 2},
+		{[]string{"gate", "-ledger", empty}, 2},
+		{[]string{"report", "-ledger", led}, 2},
+		{[]string{"report", "-ledger", led, "-html", filepath.Join(dir, "no-dir", "x.html")}, 2},
+	} {
+		var stdout, stderr strings.Builder
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || strings.Contains(stderr.String(), "panic") {
+			t.Errorf("fbtrend %s: exit %d, want %d\nstderr:\n%s", strings.Join(c.args, " "), code, c.code, stderr.String())
 		}
 	}
 }

@@ -1,7 +1,8 @@
-// Package cli is the command-line contract fbt and fbpaper share. Each
-// subcommand parses its own flags with Parse and reports whether a
-// check failed or returns an error; Status turns that outcome into the
-// one exit status every subcommand of both tools uses.
+// Package cli is the command-line contract fbt, fbpaper, fbperf and
+// fbtrend share. Each subcommand parses its own flags with Parse and
+// reports whether a check failed or returns an error; Status turns that
+// outcome into the one exit status every subcommand of the four tools
+// uses.
 package cli
 
 import (

@@ -246,14 +246,14 @@ func (s *Session) Verdict(w io.Writer, prefix string) (dirty bool) {
 
 // WriteJSON writes v as indented JSON to the file at path, or to
 // stdout when path is "-".
-func WriteJSON(path string, v any) error {
+func WriteJSON(stdout io.Writer, path string, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	out = append(out, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(out)
+		_, err = stdout.Write(out)
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)

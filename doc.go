@@ -12,7 +12,8 @@
 //     wired-OR response lines, DI intervention, BS abort/retry, and the
 //     timing model (including the 25 ns broadcast handshake penalty);
 //   - internal/memory, internal/cache — the main-memory module and the
-//     policy-driven snooping cache (plus uncached masters);
+//     policy-driven snooping cache (a non-caching master is one running
+//     Table 1's ** rows);
 //   - internal/protocols — MOESI variants, Berkeley, Dragon, Write-Once,
 //     Illinois, Firefly, write-through, and the random/round-robin
 //     choosers of §3.4;

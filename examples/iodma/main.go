@@ -1,7 +1,9 @@
 // Iodma: coherent I/O without a cache. A DMA engine (a "processor
 // without cache", the ** rows of Table 1) reads and writes the shared
-// address space directly on the bus. It never snoops and never retains
-// data, yet it always sees and produces a coherent image, because:
+// address space directly on the bus. It is a cache running those rows
+// (protocols.NonCaching): it never retains data, so it never responds
+// to bus events, yet it always sees and produces a coherent image,
+// because:
 //
 //   - its reads appear to caches as column 7 (~CA,~IM,~BC): an owning
 //     cache intervenes (DI) and supplies the dirty line, so the DMA
@@ -32,7 +34,7 @@ func main() {
 	b := bus.New(mem, bus.Config{LineSize: lineSize})
 
 	cpu := cache.New(0, b, protocols.MOESI(), cache.Config{Sets: 16, Ways: 2})
-	dma := cache.NewUncached(1, b, false, nil)
+	dma := cache.New(1, b, protocols.NonCaching(false), cache.Config{Sets: 1, Ways: 1})
 
 	const line = bus.Addr(0x40)
 

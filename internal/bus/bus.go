@@ -568,8 +568,8 @@ func (b *Bus) enter() *frame {
 func (b *Bus) leave() { b.nest-- }
 
 // masterIndex returns the index of the snooper mastering tx, or -1 when the
-// master does not snoop (an uncached board or an external controller):
-// a unit never snoops its own transaction.
+// master does not snoop (an external controller): a unit never snoops its
+// own transaction.
 func (b *Bus) masterIndex(tx *Transaction) int {
 	for i, s := range b.snoopers {
 		if s.id == tx.MasterID {

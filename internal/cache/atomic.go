@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"fmt"
-
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
 )
@@ -19,7 +17,11 @@ import (
 // Update atomically applies f to one word: it reads the current value,
 // computes f(old), writes it, and returns (old, new). The whole
 // operation is one critical section on the bus. In the cache's
-// statistics it counts as one read and one write.
+// statistics it counts as one read and one write. On a non-caching
+// cache (protocols.NonCaching) the read is a column-7 fetch and the
+// write goes past the cache; an owning cache supplies the one and
+// captures the other, so the RMW is atomic and coherent even against
+// dirty cached copies.
 func (c *Cache) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (old, updated uint32, err error) {
 	if err := c.checkWord(wordIdx); err != nil {
 		return 0, 0, err
@@ -76,63 +78,4 @@ func (c *Cache) CompareAndSwap(addr bus.Addr, wordIdx int, old, new uint32) (boo
 func (c *Cache) FetchAdd(addr bus.Addr, wordIdx int, delta uint32) (uint32, error) {
 	old, _, err := c.Update(addr, wordIdx, func(cur uint32) uint32 { return cur + delta })
 	return old, err
-}
-
-// FetchAdd is the uncached master's atomic add (see Update).
-func (u *Uncached) FetchAdd(addr bus.Addr, wordIdx int, delta uint32) (uint32, error) {
-	old, _, err := u.Update(addr, wordIdx, func(cur uint32) uint32 { return cur + delta })
-	return old, err
-}
-
-// CompareAndSwap is the uncached master's atomic swap (see Update).
-func (u *Uncached) CompareAndSwap(addr bus.Addr, wordIdx int, old, new uint32) (bool, error) {
-	swapped := false
-	_, _, err := u.Update(addr, wordIdx, func(cur uint32) uint32 {
-		if cur == old {
-			swapped = true
-			return new
-		}
-		return cur
-	})
-	return swapped, err
-}
-
-// Update is the uncached master's bus-locked RMW: read (column 7) and
-// write (column 9/10) under one bus tenure. An owning cache supplies
-// the read and captures the write, so the operation is atomic and
-// coherent even against dirty cached copies.
-func (u *Uncached) Update(addr bus.Addr, wordIdx int, f func(uint32) uint32) (old, updated uint32, err error) {
-	if wordIdx < 0 || (wordIdx+1)*4 > u.bus.LineSize() {
-		return 0, 0, fmt.Errorf("uncached %d: word %d outside line", u.id, wordIdx)
-	}
-	u.bus.Acquire(addr, u.id)
-	defer u.bus.Release(addr)
-
-	res, err := u.bus.ExecuteHeld(bus.Transaction{MasterID: u.id, Op: core.BusRead, Addr: addr, Data: u.lineBuf()})
-	if err != nil {
-		return 0, 0, err
-	}
-	old = word(res.Data, wordIdx)
-	updated = f(old)
-
-	sig := core.SigIM
-	if u.broadcast {
-		sig |= core.SigBC
-	}
-	wres, err := u.bus.ExecuteHeld(bus.Transaction{
-		MasterID: u.id, Signals: sig, Op: core.BusWrite, Addr: addr,
-		Partial: true, Word: wordIdx, Val: updated,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if u.onWrite != nil {
-		u.onWrite(addr, wordIdx, updated)
-	}
-	u.mu.Lock()
-	u.stats.Reads++
-	u.stats.Writes++
-	u.stats.StallNanos += res.StallCost() + wres.StallCost()
-	u.mu.Unlock()
-	return old, updated, nil
 }

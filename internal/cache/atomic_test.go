@@ -82,7 +82,7 @@ func TestFetchAddMixedProtocols(t *testing.T) {
 		New(0, b, protocols.MOESI(), smallCfg()),
 		New(1, b, protocols.MOESIInvalidate(), smallCfg()),
 		New(2, b, protocols.Dragon(), smallCfg()),
-		NewUncached(3, b, false, nil),
+		newNonCaching(3, b, false, nil),
 	}
 	const perBoard = 300
 	var wg sync.WaitGroup
@@ -101,7 +101,7 @@ func TestFetchAddMixedProtocols(t *testing.T) {
 		}(board)
 	}
 	wg.Wait()
-	u := boards[3].(*Uncached)
+	u := boards[3].(*Cache)
 	v, err := u.ReadWord(3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -118,13 +118,13 @@ func TestCleanCommand(t *testing.T) {
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	owner := New(0, b, protocols.MOESI(), smallCfg())
 	sharer := New(1, b, protocols.MOESI(), smallCfg())
-	dma := NewUncached(9, b, false, nil)
+	dma := newNonCaching(9, b, false, nil)
 
 	mustWrite(t, owner, 5, 0, 0xAB) // owner: M, memory stale
 	if mem.Peek(5)[0] == 0xAB {
 		t.Fatal("setup: memory already current")
 	}
-	if err := dma.Clean(5); err != nil {
+	if err := CleanLine(b, dma.ID(), 5); err != nil {
 		t.Fatal(err)
 	}
 	if mem.Peek(5)[0] != 0xAB {
@@ -151,10 +151,10 @@ func TestCleanCommand(t *testing.T) {
 	}
 
 	// Cleaning an unowned or absent line is a cheap no-op.
-	if err := dma.Clean(6); err != nil {
+	if err := CleanLine(b, dma.ID(), 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := dma.Clean(0x999); err != nil {
+	if err := CleanLine(b, dma.ID(), 0x999); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,7 +165,7 @@ func TestUncachedUpdate(t *testing.T) {
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c := New(0, b, protocols.MOESI(), smallCfg())
-	u := NewUncached(1, b, false, nil)
+	u := newNonCaching(1, b, false, nil)
 	mustWrite(t, c, 4, 0, 10) // dirty in cache
 	old, updated, err := u.Update(4, 0, func(v uint32) uint32 { return v * 3 })
 	if err != nil {

@@ -60,36 +60,3 @@ func (c *Cache) WriteBlock(addr bus.Addr, word int, src []uint32) error {
 	}
 	return nil
 }
-
-// ReadBlock is the uncached master's line-crossing read (§5.1 applies
-// to every processor/bus interface, cached or not).
-func (u *Uncached) ReadBlock(addr bus.Addr, word int, dst []uint32) error {
-	wpl := u.bus.LineSize() / 4
-	if word < 0 || word >= wpl {
-		return fmt.Errorf("uncached %d: block start word %d outside line", u.id, word)
-	}
-	for i := range dst {
-		a, w := wordPos(addr, word, wpl, i)
-		v, err := u.ReadWord(a, w)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// WriteBlock is the uncached master's line-crossing write.
-func (u *Uncached) WriteBlock(addr bus.Addr, word int, src []uint32) error {
-	wpl := u.bus.LineSize() / 4
-	if word < 0 || word >= wpl {
-		return fmt.Errorf("uncached %d: block start word %d outside line", u.id, word)
-	}
-	for i, v := range src {
-		a, w := wordPos(addr, word, wpl, i)
-		if err := u.WriteWord(a, w, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}

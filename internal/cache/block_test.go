@@ -116,7 +116,7 @@ func TestUncachedBlock(t *testing.T) {
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c := New(0, b, protocols.MOESI(), smallCfg())
-	u := NewUncached(1, b, false, nil)
+	u := newNonCaching(1, b, false, nil)
 	wpl := testLineSize / 4
 
 	mustWrite(t, c, 0x61, 0, 0x77) // second line dirty in the cache

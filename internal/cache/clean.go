@@ -12,8 +12,9 @@ import (
 // mechanism a system controller uses before handing a buffer to a
 // device that does not snoop the Futurebus.
 //
-// masterID must not collide with any attached snooper's id (a snooper
-// never observes its own transactions); use a dedicated controller id.
+// masterID must not be the id of a snooper that may own the line (a
+// snooper never observes its own transactions): use a dedicated
+// controller id, or that of a non-caching board, which holds no line.
 func CleanLine(b bus.Fabric, masterID int, addr bus.Addr) error {
 	_, err := b.Execute(bus.Transaction{
 		MasterID: masterID,
@@ -22,10 +23,4 @@ func CleanLine(b bus.Fabric, masterID int, addr bus.Addr) error {
 		Addr:     addr,
 	})
 	return err
-}
-
-// Clean issues CmdClean from this uncached master: any dirty cached
-// copy of the line is pushed to memory before Clean returns.
-func (u *Uncached) Clean(addr bus.Addr) error {
-	return CleanLine(u.bus, u.id, addr)
 }

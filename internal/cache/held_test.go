@@ -134,7 +134,7 @@ func TestAccessors(t *testing.T) {
 	if DefaultConfig().Sets == 0 {
 		t.Error("DefaultConfig has no sets")
 	}
-	u := NewUncached(9, b, false, nil)
+	u := newNonCaching(9, b, false, nil)
 	if u.ID() != 9 {
 		t.Errorf("uncached id %d", u.ID())
 	}

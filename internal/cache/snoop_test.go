@@ -17,7 +17,7 @@ func TestSnoopColumn7(t *testing.T) {
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c := New(0, b, protocols.MOESI(), smallCfg())
-	dma := NewUncached(1, b, false, nil)
+	dma := newNonCaching(1, b, false, nil)
 
 	mustWrite(t, c, 3, 0, 0x99)
 	v, err := dma.ReadWord(3, 0)
@@ -39,7 +39,7 @@ func TestSnoopColumn7OwnedListens(t *testing.T) {
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c0 := New(0, b, protocols.MOESI(), smallCfg())
 	c1 := New(1, b, protocols.MOESI(), smallCfg())
-	dma := NewUncached(2, b, false, nil)
+	dma := newNonCaching(2, b, false, nil)
 
 	// Case 1: owner + sharer → owner stays O.
 	mustWrite(t, c0, 3, 0, 1)
@@ -69,7 +69,7 @@ func TestSnoopColumn10(t *testing.T) {
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c := New(0, b, protocols.MOESI(), smallCfg())
-	dma := NewUncached(1, b, true, nil) // broadcast writes
+	dma := newNonCaching(1, b, true, nil) // broadcast writes
 
 	mustWrite(t, c, 3, 0, 0x11)
 	if err := dma.WriteWord(3, 1, 0x22); err != nil {
@@ -97,7 +97,7 @@ func TestSnoopColumn9InvalidatesSharers(t *testing.T) {
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c0 := New(0, b, protocols.MOESI(), smallCfg())
 	c1 := New(1, b, protocols.MOESI(), smallCfg())
-	dma := NewUncached(2, b, false, nil)
+	dma := newNonCaching(2, b, false, nil)
 
 	mustRead(t, c0, 4, 0)
 	mustRead(t, c1, 4, 0) // both S

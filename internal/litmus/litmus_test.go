@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -287,5 +288,28 @@ func TestRunParallel(t *testing.T) {
 				t.Fatalf("%s", res)
 			}
 		})
+	}
+}
+
+// TestRunParallelManyLoads: a program may load more registers than any
+// fixed buffer holds; RunParallel collects them without blocking its
+// programs.
+func TestRunParallelManyLoads(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("name: many loads\nboards: moesi, uncached\naddr X = 0x10\nproc P0:\n  write X[0] 7\nproc P1:\n")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&b, "  read X[0] -> r%d\n", i)
+	}
+	b.WriteString("assert always if r99 != 0 then r99 == 7\nassert consistent\n")
+	tst, err := ParseString(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunParallel(tst, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Fatalf("%s", res)
 	}
 }

@@ -1,12 +1,15 @@
 package litmus
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
 	"futurebus/internal/bus"
-	"futurebus/internal/core"
+	"futurebus/internal/cache"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/watch"
 	"futurebus/internal/sim"
@@ -40,62 +43,66 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// ErrSystem marks a test whose system sim.New rejects (say, a shard
+// count its caches cannot interleave over): an input error, not a
+// failed check. Run and RunParallel wrap it.
+var ErrSystem = errors.New("cannot build its system")
+
 // Run executes the test: the two sequential extremes plus
 // Test.Schedules seeded random interleavings, each on a fresh system,
 // and evaluates the assertions over all outcomes.
 func Run(t *Test) (*Result, error) {
 	res := &Result{Test: t, Witness: map[string]int{}}
-	sometimesSeen := map[int]bool{}
-
-	schedules := t.Schedules + 2
-	res.Schedules = schedules
-	for sched := 0; sched < schedules; sched++ {
-		regs, mem, consistentErr, err := runOnce(t, sched)
+	seen := map[int]bool{}
+	res.Schedules = t.Schedules + 2
+	for sched := 0; sched < res.Schedules; sched++ {
+		regs, mem, consistent, err := runOnce(t, sched)
 		if err != nil {
 			return nil, err
 		}
-		for ai, a := range t.Assertions {
-			if a.Consistent {
-				if consistentErr != nil {
-					res.Failures = append(res.Failures,
-						fmt.Sprintf("schedule %d: consistency violated: %v", sched, consistentErr))
-				}
-				continue
-			}
-			holds := evalAssertion(t, a, regs, mem)
-			switch a.Kind {
-			case Always:
-				if !holds {
-					res.Failures = append(res.Failures,
-						fmt.Sprintf("schedule %d: %q does not hold (%s)", sched, a.Src, describeEnv(a, regs, mem)))
-				}
-			case Never:
-				if holds {
-					res.Failures = append(res.Failures,
-						fmt.Sprintf("schedule %d: %q holds but must never (%s)", sched, a.Src, describeEnv(a, regs, mem)))
-				}
-			case Sometimes:
-				if holds && !sometimesSeen[ai] {
-					sometimesSeen[ai] = true
-					res.Witness[a.Src] = sched
-				}
-			}
-		}
+		res.judge("schedule", sched, regs, mem, consistent, seen)
 	}
 	for ai, a := range t.Assertions {
-		if !a.Consistent && a.Kind == Sometimes && !sometimesSeen[ai] {
+		if !a.Consistent && a.Kind == Sometimes && !seen[ai] {
 			res.Failures = append(res.Failures,
-				fmt.Sprintf("%q never held over %d schedules", a.Src, schedules))
+				fmt.Sprintf("%q never held over %d schedules", a.Src, res.Schedules))
 		}
 	}
 	return res, nil
 }
 
+// judge checks every assertion against the outcome of schedule or round
+// n: an always that fails, a never that holds or a consistency
+// violation is a failure; a sometimes that holds is marked in seen,
+// with n as its witness. A nil seen skips the sometimes assertions.
+func (r *Result) judge(unit string, n int, regs map[string]uint32, mem map[string]map[int]uint32, consistent error, seen map[int]bool) {
+	for ai, a := range r.Test.Assertions {
+		switch {
+		case a.Consistent:
+			if consistent != nil {
+				r.Failures = append(r.Failures, fmt.Sprintf("%s %d: consistency violated: %v", unit, n, consistent))
+			}
+		case a.Kind == Sometimes:
+			if seen != nil && !seen[ai] && evalAssertion(r.Test, a, regs, mem) {
+				seen[ai] = true
+				r.Witness[a.Src] = n
+			}
+		case a.Kind == Always && !evalAssertion(r.Test, a, regs, mem):
+			r.Failures = append(r.Failures,
+				fmt.Sprintf("%s %d: %q does not hold (%s)", unit, n, a.Src, describeEnv(a, regs, mem)))
+		case a.Kind == Never && evalAssertion(r.Test, a, regs, mem):
+			r.Failures = append(r.Failures,
+				fmt.Sprintf("%s %d: %q holds but must never (%s)", unit, n, a.Src, describeEnv(a, regs, mem)))
+		}
+	}
+}
+
 // system builds the fresh system one schedule or round runs on: the
 // test's boards on the harness's fabric, with the golden shadow, and
 // with the runtime invariant monitor on its own recorder when Watch is
-// set (mon and rec are nil otherwise; the caller closes rec). Paranoid
-// validates every snoop response against the class.
+// set (mon and rec are nil otherwise; outcome closes rec). Paranoid
+// validates every snoop response against the class. A system sim.New
+// rejects is an ErrSystem.
 func (t *Test) system(paranoid bool) (sys *sim.System, mon *watch.Monitor, rec *obs.Recorder, err error) {
 	boards := make([]sim.BoardSpec, len(t.Boards))
 	for i, name := range t.Boards {
@@ -115,22 +122,17 @@ func (t *Test) system(paranoid bool) (sys *sim.System, mon *watch.Monitor, rec *
 		Discipline: t.Discipline,
 		Obs:        rec,
 	})
-	if err != nil && rec != nil {
+	if err != nil {
 		rec.Close()
+		return nil, nil, nil, fmt.Errorf("litmus %s: %w: %w", t.Name, ErrSystem, err)
 	}
-	return sys, mon, rec, err
+	return sys, mon, rec, nil
 }
 
-// runOnce executes one schedule and returns the register file, the
-// final memory view of the declared lines, and the consistency verdict.
-func runOnce(t *Test, sched int) (map[string]uint32, map[string]map[int]uint32, error, error) {
-	sys, mon, rec, err := t.system(true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Build the interleaving: schedule 0 runs programs in order,
-	// schedule 1 in reverse, the rest draw the next program at random.
+// order returns schedule sched's interleaving, as the program index of
+// each op in turn: schedule 0 runs the programs in order, schedule 1 in
+// reverse, the rest draw the next program at random.
+func (t *Test) order(sched int) []int {
 	var order []int
 	remaining := make([]int, len(t.Programs))
 	total := 0
@@ -166,93 +168,100 @@ func runOnce(t *Test, sched int) (map[string]uint32, map[string]map[int]uint32, 
 		order = append(order, i)
 		remaining[i]--
 	}
+	return order
+}
 
-	regs := map[string]uint32{}
-	pcs := make([]int, len(t.Programs))
-	for _, pi := range order {
-		p := &t.Programs[pi]
-		op := p.Ops[pcs[pi]]
-		pcs[pi]++
-		board := sys.Boards[pi]
-		addr := bus.Addr(t.Addrs[op.Line])
-		switch op.Kind {
-		case "flush", "pass":
-			c, ok := board.(interface {
-				Flush(bus.Addr) error
-				Pass(bus.Addr) error
-			})
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("litmus %s: board %d cannot %s", t.Name, pi, op.Kind)
-			}
-			if op.Kind == "flush" {
-				err = c.Flush(addr)
-			} else {
-				err = c.Pass(addr)
-			}
-		case "fetchadd":
-			c, ok := board.(interface {
-				FetchAdd(bus.Addr, int, uint32) (uint32, error)
-			})
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("litmus %s: board %d cannot fetchadd", t.Name, pi)
-			}
-			var old uint32
-			old, err = c.FetchAdd(addr, op.Word, op.Value)
-			regs[p.Name+"."+op.Reg] = old
-		default:
-			if op.Write {
-				err = board.Write(addr, op.Word, op.Value)
-			} else {
-				var v uint32
-				v, err = board.Read(addr, op.Word)
-				regs[p.Name+"."+op.Reg] = v
-			}
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("litmus %s schedule %d: %s %s: %w", t.Name, sched, p.Name, op, err)
+// master is the processor side of a cache.Cache: sim.New builds every
+// board as one, a non-caching board included, so every board takes
+// every op.
+type master interface {
+	sim.Board
+	FetchAdd(addr bus.Addr, word int, delta uint32) (uint32, error)
+	Flush(addr bus.Addr) error
+	Pass(addr bus.Addr) error
+}
+
+// step runs one op on a board and returns the value it loads into its
+// register (reads and fetchadds).
+func (t *Test) step(b sim.Board, op Op) (v uint32, err error) {
+	m := b.(master)
+	addr := bus.Addr(t.Addrs[op.Line])
+	switch op.Kind {
+	case "flush":
+		err = m.Flush(addr)
+	case "pass":
+		err = m.Pass(addr)
+	case "fetchadd":
+		v, err = m.FetchAdd(addr, op.Word, op.Value)
+	default:
+		if op.Write {
+			err = m.Write(addr, op.Word, op.Value)
+		} else {
+			v, err = m.Read(addr, op.Word)
 		}
 	}
+	return v, err
+}
 
-	// Final memory view: flush every board's copies so memory holds the
-	// image, then read the declared lines.
-	memView := map[string]map[int]uint32{}
+// cleaner is the master id outcome's clean commands carry: a controller
+// that is no board.
+const cleaner = 1 << 20
+
+// outcome settles a finished run. A clean command on each declared line
+// makes any owner push it, copies surviving, so memory holds the image
+// outcome then reads; then it closes the monitor's recorder and takes
+// the checker's verdict. A monitor violation is an error, since the
+// simulator, not the test, is broken.
+func (t *Test) outcome(sys *sim.System, mon *watch.Monitor, rec *obs.Recorder) (map[string]map[int]uint32, error, error) {
+	mem := map[string]map[int]uint32{}
 	for name, lineAddr := range t.Addrs {
-		// A clean command forces any owner to push without disturbing
-		// copies.
-		if err := cleanAll(sys, bus.Addr(lineAddr)); err != nil {
-			return nil, nil, nil, err
+		if err := cache.CleanLine(sys.Bus, cleaner, bus.Addr(lineAddr)); err != nil {
+			return nil, nil, errors.Join(err, rec.Close())
 		}
 		words := map[int]uint32{}
 		line := sys.Memory.Peek(bus.Addr(lineAddr))
 		for w := 0; w*4 < len(line); w++ {
-			words[w] = uint32(line[w*4]) | uint32(line[w*4+1])<<8 |
-				uint32(line[w*4+2])<<16 | uint32(line[w*4+3])<<24
+			words[w] = binary.LittleEndian.Uint32(line[w*4:])
 		}
-		memView[name] = words
+		mem[name] = words
 	}
-
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			return nil, nil, nil, err
-		}
+	if err := rec.Close(); err != nil {
+		return nil, nil, err
+	}
+	if mon != nil {
 		if rep := mon.Report(); rep.Total != 0 {
-			return nil, nil, nil, fmt.Errorf("litmus %s schedule %d: invariant monitor: %s",
-				t.Name, sched, rep.Summary())
+			return nil, nil, fmt.Errorf("invariant monitor: %s", rep.Summary())
 		}
 	}
-	return regs, memView, sys.Checker().MustPass(), nil
+	return mem, sys.Checker().MustPass(), nil
 }
 
-// cleanAll issues CmdClean from a controller id: any owner pushes the
-// line so memory holds the image, copies survive.
-func cleanAll(sys *sim.System, addr bus.Addr) error {
-	_, err := sys.Bus.Execute(bus.Transaction{
-		MasterID: 1 << 20,
-		Cmd:      bus.CmdClean,
-		Op:       core.BusAddrOnly,
-		Addr:     addr,
-	})
-	return err
+// runOnce executes one schedule and returns the register file, the
+// final memory view of the declared lines, and the consistency verdict.
+func runOnce(t *Test, sched int) (map[string]uint32, map[string]map[int]uint32, error, error) {
+	sys, mon, rec, err := t.system(true)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	regs := map[string]uint32{}
+	pcs := make([]int, len(t.Programs))
+	for _, pi := range t.order(sched) {
+		p := &t.Programs[pi]
+		op := p.Ops[pcs[pi]]
+		pcs[pi]++
+		v, err := t.step(sys.Boards[pi], op)
+		if err != nil {
+			return nil, nil, nil, errors.Join(fmt.Errorf("litmus %s schedule %d: %s %s: %w", t.Name, sched, p.Name, op, err), rec.Close())
+		}
+		if op.Reg != "" {
+			regs[p.Name+"."+op.Reg] = v
+		}
+	}
+	mem, consistent, err := t.outcome(sys, mon, rec)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("litmus %s schedule %d: %w", t.Name, sched, err)
+	}
+	return regs, mem, consistent, nil
 }
 
 func evalOperand(t *Test, o Operand, regs map[string]uint32, mem map[string]map[int]uint32) uint32 {
@@ -308,31 +317,11 @@ func describeEnv(a Assertion, regs map[string]uint32, mem map[string]map[int]uin
 func RunParallel(t *Test, rounds int) (*Result, error) {
 	res := &Result{Test: t, Schedules: rounds, Witness: map[string]int{}}
 	for round := 0; round < rounds; round++ {
-		regs, mem, consistentErr, err := runParallelOnce(t, round)
+		regs, mem, consistent, err := runParallelOnce(t, round)
 		if err != nil {
 			return nil, err
 		}
-		for _, a := range t.Assertions {
-			if a.Consistent {
-				if consistentErr != nil {
-					res.Failures = append(res.Failures,
-						fmt.Sprintf("round %d: consistency violated: %v", round, consistentErr))
-				}
-				continue
-			}
-			if a.Kind == Sometimes {
-				continue
-			}
-			holds := evalAssertion(t, a, regs, mem)
-			if a.Kind == Always && !holds {
-				res.Failures = append(res.Failures,
-					fmt.Sprintf("round %d: %q does not hold (%s)", round, a.Src, describeEnv(a, regs, mem)))
-			}
-			if a.Kind == Never && holds {
-				res.Failures = append(res.Failures,
-					fmt.Sprintf("round %d: %q holds but must never (%s)", round, a.Src, describeEnv(a, regs, mem)))
-			}
-		}
+		res.judge("round", round, regs, mem, consistent, nil)
 	}
 	return res, nil
 }
@@ -342,11 +331,9 @@ func runParallelOnce(t *Test, round int) (map[string]uint32, map[string]map[int]
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	type regWrite struct {
-		name string
-		val  uint32
-	}
-	results := make(chan regWrite, 64)
+	// Each program loads into its own register file; they merge once
+	// every program is done.
+	files := make([]map[string]uint32, len(t.Programs))
 	errs := make([]error, len(t.Programs))
 	var wg sync.WaitGroup
 	for pi := range t.Programs {
@@ -354,83 +341,30 @@ func runParallelOnce(t *Test, round int) (map[string]uint32, map[string]map[int]
 		go func(pi int) {
 			defer wg.Done()
 			p := &t.Programs[pi]
-			board := sys.Boards[pi]
+			files[pi] = map[string]uint32{}
 			for _, op := range p.Ops {
-				addr := bus.Addr(t.Addrs[op.Line])
-				var err error
-				switch op.Kind {
-				case "flush", "pass":
-					c, ok := board.(interface {
-						Flush(bus.Addr) error
-						Pass(bus.Addr) error
-					})
-					if !ok {
-						err = fmt.Errorf("board %d cannot %s", pi, op.Kind)
-					} else if op.Kind == "flush" {
-						err = c.Flush(addr)
-					} else {
-						err = c.Pass(addr)
-					}
-				case "fetchadd":
-					c, ok := board.(interface {
-						FetchAdd(bus.Addr, int, uint32) (uint32, error)
-					})
-					if !ok {
-						err = fmt.Errorf("board %d cannot fetchadd", pi)
-					} else {
-						var old uint32
-						old, err = c.FetchAdd(addr, op.Word, op.Value)
-						results <- regWrite{p.Name + "." + op.Reg, old}
-					}
-				default:
-					if op.Write {
-						err = board.Write(addr, op.Word, op.Value)
-					} else {
-						var v uint32
-						v, err = board.Read(addr, op.Word)
-						results <- regWrite{p.Name + "." + op.Reg, v}
-					}
-				}
+				v, err := t.step(sys.Boards[pi], op)
 				if err != nil {
-					errs[pi] = err
+					errs[pi] = fmt.Errorf("litmus %s round %d: %s %s: %w", t.Name, round, p.Name, op, err)
 					return
+				}
+				if op.Reg != "" {
+					files[pi][p.Name+"."+op.Reg] = v
 				}
 			}
 		}(pi)
 	}
 	wg.Wait()
-	close(results)
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, nil, errors.Join(err, rec.Close())
 	}
 	regs := map[string]uint32{}
-	for rw := range results {
-		regs[rw.name] = rw.val
+	for _, f := range files {
+		maps.Copy(regs, f)
 	}
-
-	memView := map[string]map[int]uint32{}
-	for name, lineAddr := range t.Addrs {
-		if err := cleanAll(sys, bus.Addr(lineAddr)); err != nil {
-			return nil, nil, nil, err
-		}
-		words := map[int]uint32{}
-		line := sys.Memory.Peek(bus.Addr(lineAddr))
-		for w := 0; w*4 < len(line); w++ {
-			words[w] = uint32(line[w*4]) | uint32(line[w*4+1])<<8 |
-				uint32(line[w*4+2])<<16 | uint32(line[w*4+3])<<24
-		}
-		memView[name] = words
+	mem, consistent, err := t.outcome(sys, mon, rec)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("litmus %s round %d: %w", t.Name, round, err)
 	}
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			return nil, nil, nil, err
-		}
-		if rep := mon.Report(); rep.Total != 0 {
-			return nil, nil, nil, fmt.Errorf("litmus %s round %d: invariant monitor: %s",
-				t.Name, round, rep.Summary())
-		}
-	}
-	return regs, memView, sys.Checker().MustPass(), nil
+	return regs, mem, consistent, nil
 }

@@ -172,8 +172,7 @@ type Analyzer struct {
 	protos      map[string]*ProtoAnalysis
 	lines       map[lineKey]*lineAgg
 	pending     map[uint64]*pendingTx
-	procProto   []string // indexed by proc id
-	txByProc    []*txAgg // indexed by proc id
+	masters     map[masterKey]*master
 	truncLines  int64
 
 	// One-entry caches for the per-event hot path: protocol and cause
@@ -186,6 +185,8 @@ type Analyzer struct {
 	lastCauseM    *Matrix
 	lastKey       lineKey
 	lastLine      *lineAgg
+	lastMKey      masterKey
+	lastMaster    *master
 }
 
 // lineKey names a line as watch.Monitor does: by bus and address. A
@@ -198,15 +199,23 @@ type lineKey struct {
 	addr uint64
 }
 
-// txAgg accumulates per-master transaction statistics. They are keyed
-// by proc (not protocol) because a master's first transactions arrive
-// before its first state event reveals its protocol — a system boundary
-// (KindEpoch) or Analyze merges them under the proc→protocol mapping of
-// the system that ran them — and by proc alone, not (bus, proc), because
-// a master's transactions span the shards of a fabric, each its own bus
-// id. The fan-out histograms are dense slices (fan-out is bounded by the
-// snooper count), bumped without map hashing on the hot path.
-type txAgg struct {
+// masterKey names a bus master by bus and proc, for the reason lineKey
+// names a line by bus: a hierarchy repeats proc ids on every bus
+// (bridge k on the global bus and cache k of each cluster). A fabric's
+// master has one key per shard it used, each of which learns the
+// master's one protocol from a state event on that shard.
+type masterKey struct{ bus, proc int }
+
+// master accumulates one bus master's transaction statistics, with the
+// protocol its latest state event named. They are kept per master (not
+// per protocol) because a master's first transactions arrive before its
+// first state event reveals its protocol — a system boundary
+// (KindEpoch) or Analyze merges them under the protocol of the system
+// that ran them. The fan-out histograms are dense slices (fan-out is
+// bounded by the snooper count), bumped without map hashing on the hot
+// path.
+type master struct {
+	proto        string
 	cacheSourced int64
 	memSourced   int64
 	invFanout    []int64
@@ -257,7 +266,22 @@ func (a *Analyzer) init() {
 		a.protos = make(map[string]*ProtoAnalysis)
 		a.lines = make(map[lineKey]*lineAgg)
 		a.pending = make(map[uint64]*pendingTx)
+		a.masters = make(map[masterKey]*master)
 	}
+}
+
+func (a *Analyzer) master(bus, proc int) *master {
+	key := masterKey{bus, proc}
+	if key == a.lastMKey && a.lastMaster != nil {
+		return a.lastMaster
+	}
+	m, ok := a.masters[key]
+	if !ok {
+		m = &master{}
+		a.masters[key] = m
+	}
+	a.lastMKey, a.lastMaster = key, m
+	return m
 }
 
 func (a *Analyzer) proto(name string) *ProtoAnalysis {
@@ -361,10 +385,7 @@ const (
 // StateLetters indices from and to.
 func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 	a.stateEvents++
-	for len(a.procProto) <= e.Proc {
-		a.procProto = append(a.procProto, "")
-	}
-	a.procProto[e.Proc] = e.Proto
+	a.master(e.Bus, e.Proc).proto = e.Proto
 
 	ps := a.proto(e.Proto)
 	ps.Transitions++
@@ -449,14 +470,7 @@ func colIM(col int) bool { return col == 6 || col == 8 || col == 9 || col == 10 
 func colBC(col int) bool { return col == 8 || col == 10 }
 
 func (a *Analyzer) consumeTx(e *obs.Event) {
-	for len(a.txByProc) <= e.Proc {
-		a.txByProc = append(a.txByProc, nil)
-	}
-	t := a.txByProc[e.Proc]
-	if t == nil {
-		t = &txAgg{}
-		a.txByProc[e.Proc] = t
-	}
+	t := a.master(e.Bus, e.Proc)
 	if e.Op == "R" {
 		if e.DI {
 			t.cacheSourced++
@@ -485,15 +499,15 @@ func (a *Analyzer) Flush() error { return nil }
 // endEpoch settles the system that ran before a KindEpoch marker, as
 // the runtime invariant monitor does, so a sweep sharing one recorder
 // across many systems analyzes each in turn: open residency closes at
-// the horizon so far, per-master transaction stats fold under that
-// system's proc→protocol mapping, and per-line ownership, per-copy and
-// in-flight transaction state start over (the next system's caches
-// begin Invalid, and its transaction ids restart).
+// the horizon so far, per-master transaction stats fold under the
+// protocols that system's masters ran, and per-line ownership,
+// per-copy and in-flight transaction state start over (the next
+// system's caches begin Invalid, and its transaction ids restart).
 func (a *Analyzer) endEpoch() {
 	a.closeResidency(a.proto)
 	a.foldTx(a.proto)
-	clear(a.txByProc)
-	clear(a.procProto)
+	clear(a.masters)
+	a.lastMaster = nil
 	clear(a.pending)
 	for _, l := range a.lines {
 		l.owner, l.relTx, l.procs = -1, 0, l.procs[:0]
@@ -516,15 +530,8 @@ func (a *Analyzer) closeResidency(get func(proto string) *ProtoAnalysis) {
 // foldTx adds each master's transaction stats to the protocol get
 // returns for the protocol the master ran.
 func (a *Analyzer) foldTx(get func(proto string) *ProtoAnalysis) {
-	for proc, t := range a.txByProc {
-		if t == nil {
-			continue
-		}
-		var pn string
-		if proc < len(a.procProto) {
-			pn = a.procProto[proc]
-		}
-		ps := get(protoName(pn))
+	for _, t := range a.masters {
+		ps := get(protoName(t.proto))
 		ps.CacheSourced += t.cacheSourced
 		ps.MemSourced += t.memSourced
 		for k, v := range t.invFanout {
@@ -564,7 +571,7 @@ func (a *Analyzer) Analyze(topN int) *Analysis {
 		res.Protocols[name] = ps.clone()
 	}
 	// Merge the current system's per-master transaction stats under
-	// its final proc→protocol mapping (a master's first transactions
+	// the protocols its masters ran (a master's first transactions
 	// precede its first state event; by now the mapping is as complete
 	// as it will get), and close its open residency intervals at the
 	// horizon — into the copies, so the live state is undisturbed.
@@ -662,10 +669,7 @@ func (a *Analyzer) Totals() Totals {
 		t.CacheSourced += ps.CacheSourced
 		t.MemSourced += ps.MemSourced
 	}
-	for _, tx := range a.txByProc {
-		if tx == nil {
-			continue
-		}
+	for _, tx := range a.masters {
 		t.CacheSourced += tx.cacheSourced
 		t.MemSourced += tx.memSourced
 	}

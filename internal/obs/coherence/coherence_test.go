@@ -392,3 +392,133 @@ func TestHierarchyLinesKeyedByBus(t *testing.T) {
 		t.Errorf("per-line events and owners differ from the fold")
 	}
 }
+
+// TestHierarchyMastersKeyedByBus runs a two-cluster hierarchy whose
+// clusters run different protocols, so bridge k on the global bus and
+// cache k of each cluster share a proc id but not a protocol. Keyed by
+// (bus, proc), every master's read sourcing and fan-out is filed under
+// its own protocol — the bridges under MOESI-invalidate, each cluster's
+// caches under theirs, and a bridge's local agent, which changes no
+// line's state, under unknown — and equals a fold over the same stream
+// keyed that way.
+func TestHierarchyMastersKeyedByBus(t *testing.T) {
+	var a Analyzer
+	var events []obs.Event
+	rec := obs.New(&a, obs.SinkFunc(func(e *obs.Event) { events = append(events, *e) }))
+	sys, err := hierarchy.New(hierarchy.Config{
+		Clusters: 2, ProcsPerCluster: 2, CacheSets: 8, CacheWays: 2, Obs: rec,
+		ClusterProtocols: []string{"moesi-update", "dragon"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([][]workload.Generator, len(sys.Clusters))
+	for ci := range gens {
+		for pi := 0; pi < 2; pi++ {
+			gens[ci] = append(gens[ci], hierarchy.ClusterModel{
+				Cluster: ci, Proc: pi,
+				GlobalSharedLines: 8, ClusterSharedLines: 8, PrivateLines: 16,
+				PGlobal: 0.3, PCluster: 0.4, PWrite: 0.3,
+				WordsPerLine: sys.Global.LineSize() / 4,
+			}.NewGenerator(7))
+		}
+	}
+	if err := hierarchy.Run(sys, gens, 400); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	an := a.Analyze(-1)
+
+	type masterKey struct{ bus, proc int }
+	type txStats struct {
+		cache, mem int64
+		inv, upd   map[int]int64
+	}
+	protoOf := map[masterKey]string{}
+	stats := map[masterKey]*txStats{}
+	inv, upd := map[uint64]int{}, map[uint64]int{}
+	for i := range events {
+		e := &events[i]
+		switch e.Kind {
+		case obs.KindState:
+			if e.Proc < 0 || StateIndex(e.From) < 0 || StateIndex(e.To) < 0 {
+				continue
+			}
+			protoOf[masterKey{e.Bus, e.Proc}] = e.Proto
+			if e.To == "I" && strings.HasPrefix(e.Cause, "snoop-") && e.TxID != 0 {
+				inv[e.TxID]++
+			}
+		case obs.KindUpdate:
+			if e.TxID != 0 {
+				upd[e.TxID]++
+			}
+		case obs.KindTx:
+			if e.Proc < 0 {
+				continue
+			}
+			k := masterKey{e.Bus, e.Proc}
+			s := stats[k]
+			if s == nil {
+				s = &txStats{inv: map[int]int64{}, upd: map[int]int64{}}
+				stats[k] = s
+			}
+			if e.Op == "R" {
+				if e.DI {
+					s.cache++
+				} else {
+					s.mem++
+				}
+			}
+			if colIM(e.Col) {
+				s.inv[inv[e.TxID]]++
+			}
+			if colBC(e.Col) {
+				s.upd[upd[e.TxID]]++
+			}
+			delete(inv, e.TxID)
+			delete(upd, e.TxID)
+		}
+	}
+	want := map[string]*txStats{}
+	for k, s := range stats {
+		name := protoName(protoOf[k])
+		w := want[name]
+		if w == nil {
+			w = &txStats{inv: map[int]int64{}, upd: map[int]int64{}}
+			want[name] = w
+		}
+		w.cache += s.cache
+		w.mem += s.mem
+		for n, v := range s.inv {
+			w.inv[n] += v
+		}
+		for n, v := range s.upd {
+			w.upd[n] += v
+		}
+	}
+
+	for _, name := range []string{"MOESI-invalidate", "MOESI-update", "Dragon", "unknown"} {
+		if w := want[name]; w == nil || w.cache+w.mem+int64(len(w.inv)) == 0 {
+			t.Errorf("the fold files no transactions under %s: the run does not exercise every kind of master", name)
+		}
+	}
+	for name, ps := range an.Protocols {
+		if want[name] == nil && ps.CacheSourced+ps.MemSourced+int64(len(ps.InvFanout)+len(ps.UpdFanout)) != 0 {
+			t.Errorf("%s: transactions in the analysis, none in the fold", name)
+		}
+	}
+	for name, w := range want {
+		ps := an.Protocols[name]
+		if ps == nil {
+			t.Errorf("%s: in the fold, not in the analysis", name)
+			continue
+		}
+		if ps.CacheSourced != w.cache || ps.MemSourced != w.mem ||
+			!reflect.DeepEqual(ps.InvFanout, w.inv) || !reflect.DeepEqual(ps.UpdFanout, w.upd) {
+			t.Errorf("%s: reads %d cache / %d memory, fan-out inv %v upd %v; fold: %d / %d, inv %v upd %v",
+				name, ps.CacheSourced, ps.MemSourced, ps.InvFanout, ps.UpdFanout, w.cache, w.mem, w.inv, w.upd)
+		}
+	}
+}

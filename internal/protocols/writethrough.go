@@ -70,20 +70,36 @@ func newWriteThrough(cfg WriteThroughConfig) core.Policy {
 	return NewPreferred(name, core.WriteThrough, mustInClass(t, core.WriteThrough))
 }
 
-// NonCaching returns the "**" rows of Table 1 as a policy. Dedicated
-// uncached masters (cache.Uncached) hard-code the same two actions; the
-// policy form exists for §3.4's selective use — marking an address
-// region of a CACHED board uncacheable (cache.Region): reads fetch
-// without retaining, writes go past the cache.
+// NonCaching returns the "**" rows of Table 1 as a policy: a processor
+// without a cache. Reads fetch without retaining ("I,R", column 7),
+// writes go past (column 9, or 10 with broadcast), and since it holds no
+// line it never responds (§3.3). A cache running it is a non-caching bus
+// master — sim's "uncached" and "uncached-broadcast" boards, an I/O
+// processor or DMA engine — and as a cache.Region it makes an address
+// range of a caching board uncacheable (§3.4). Each variant is compiled
+// once and shared, like WriteThrough's.
 func NonCaching(broadcast bool) core.Policy {
+	if broadcast {
+		return nonCachings[1]()
+	}
+	return nonCachings[0]()
+}
+
+// nonCachings holds the shared policy of each NonCaching variant,
+// indexed by broadcast.
+var nonCachings = [2]func() core.Policy{
+	shared(func() core.Policy { return newNonCaching(false) }),
+	shared(func() core.Policy { return newNonCaching(true) }),
+}
+
+func newNonCaching(broadcast bool) core.Policy {
 	t := NonCachingTable(broadcast)
 	return NewPreferred(t.Name, core.NonCaching, t)
 }
 
-// NonCachingTable returns the "**" rows of Table 1: the behaviour of a
-// processor without a cache. It is used for class validation and table
-// regeneration; actual uncached masters (cache.Uncached) hard-code the
-// same two actions and never snoop.
+// NonCachingTable returns the "**" rows of Table 1 as a fresh, mutable
+// table: the one row NonCaching runs, also used for class validation and
+// table regeneration.
 func NonCachingTable(broadcast bool) *core.Table {
 	write := "I,IM,W"
 	name := "non-caching"

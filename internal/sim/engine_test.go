@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"futurebus/internal/obs"
 	"futurebus/internal/workload"
 )
 
@@ -161,6 +162,39 @@ func TestUncachedBoardsInEngine(t *testing.T) {
 	}
 	if err := sys.Checker().MustPass(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNonCachingBoardsEmitStalls: a non-caching board is a cache
+// running Table 1's "**" rows, so like every other master it emits a
+// KindStall span per bus access (one per reference, since it never
+// hits), and the spans sum to its Stall.
+func TestNonCachingBoardsEmitStalls(t *testing.T) {
+	var stalls, durs [3]int64
+	rec := obs.New(obs.SinkFunc(func(e *obs.Event) {
+		if e.Kind == obs.KindStall && e.Proc >= 0 && e.Proc < len(stalls) {
+			stalls[e.Proc]++
+			durs[e.Proc] += e.Dur
+		}
+	}))
+	sys, err := New(Config{Boards: []BoardSpec{
+		{Protocol: "moesi"}, {Protocol: "uncached"}, {Protocol: "uncached-broadcast"},
+	}, Shadow: true, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refs = 1000
+	if _, err := (&Engine{Sys: sys, Gens: abGens(sys, 0.5, 0.5, 17)}).Run(refs); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(stalls); i++ {
+		if stalls[i] != refs || durs[i] != sys.Boards[i].Stall() {
+			t.Errorf("%s board: %d stall events spanning %d ns; want %d spanning its Stall() %d ns",
+				sys.Boards[i].Describe(), stalls[i], durs[i], refs, sys.Boards[i].Stall())
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package sim assembles complete Futurebus systems — processors with
-// policy-driven caches, uncached I/O masters, shared memory, the bus —
+// policy-driven caches, non-caching I/O masters, shared memory, the bus —
 // and drives them with synthetic workloads under two engines: a
 // deterministic discrete-event engine for reproducible experiments, and
 // a concurrent engine with one goroutine per processor that exercises
@@ -23,7 +23,8 @@ import (
 )
 
 // Board is a bus master the engines drive with references: a cached
-// processor or an uncached I/O master.
+// processor or a non-caching I/O master. New builds every board as a
+// cache.Cache.
 type Board interface {
 	ID() int
 	Read(addr bus.Addr, word int) (uint32, error)
@@ -50,7 +51,9 @@ type Board interface {
 }
 
 // BoardSpec configures one board. Protocol is a protocols registry name
-// or one of the pseudo-protocols "uncached" / "uncached-broadcast".
+// or one of the pseudo-protocols "uncached" / "uncached-broadcast", a
+// cache running Table 1's "**" rows (protocols.NonCaching) that retains
+// nothing.
 type BoardSpec struct {
 	Protocol string
 	// SectorSubs, when non-zero, makes the board a §5.1 sector cache
@@ -129,8 +132,9 @@ type System struct {
 	Bus    bus.Fabric
 	Memory *memory.Sharded
 	Boards []Board
-	// Caches lists the cached boards, plain and sector (subset of
-	// Boards), for the checker and reports.
+	// Caches lists the boards that retain lines, plain and sector
+	// (subset of Boards; not the non-caching ones), for the checker and
+	// reports.
 	Caches []*cache.Cache
 	Shadow *check.Shadow
 	// Obs is the recorder the system was built with (nil if untraced).
@@ -174,20 +178,9 @@ func (b *cachedBoard) UsesBusNext(addr bus.Addr, write bool) bool { return b.Wou
 func (b *cachedBoard) LineState(addr bus.Addr) core.State         { return b.State(addr) }
 func (b *cachedBoard) Describe() string                           { return b.name }
 
-// uncachedBoard adapts cache.Uncached to Board.
-type uncachedBoard struct {
-	*cache.Uncached
-	name string
-}
-
-func (b *uncachedBoard) Read(addr bus.Addr, word int) (uint32, error) { return b.ReadWord(addr, word) }
-func (b *uncachedBoard) Write(addr bus.Addr, word int, val uint32) error {
-	return b.WriteWord(addr, word, val)
-}
-func (b *uncachedBoard) UsesBusNext(bus.Addr, bool) bool { return true }
-func (b *uncachedBoard) LineState(bus.Addr) core.State   { return core.Invalid }
-func (b *uncachedBoard) Dynamic() bool                   { return false }
-func (b *uncachedBoard) Describe() string                { return b.name }
+// nonCaching maps each pseudo-protocol to whether its writes broadcast
+// (protocols.NonCaching).
+var nonCaching = map[string]bool{"uncached": false, "uncached-broadcast": true}
 
 // New builds a system from the config.
 func New(cfg Config) (*System, error) {
@@ -223,14 +216,21 @@ func New(cfg Config) (*System, error) {
 			gran = spec.SectorSubs
 		}
 	}
+	geos := make([]cache.Config, len(cfg.Boards))
 	for i, spec := range cfg.Boards {
-		if uncached(spec.Protocol) {
-			continue
-		}
 		geo := cache.Config{Sets: cfg.CacheSets, Ways: cfg.CacheWays, SubSectors: spec.SectorSubs}
+		if _, nc := nonCaching[spec.Protocol]; nc {
+			// It retains nothing: the fewest sets that still home each
+			// set on one shard.
+			geo.Sets, geo.Ways = 1, 1
+			if shards > 1 {
+				geo.Sets = gran / max(spec.SectorSubs, 1) * shards
+			}
+		}
 		if err := cache.CheckGeometry(geo, shards, gran); err != nil {
 			return nil, fmt.Errorf("sim: board %d: %w", i, err)
 		}
+		geos[i] = geo
 	}
 	mem := memory.NewSharded(lineSize, shards, gran)
 	if cfg.Obs != nil {
@@ -274,36 +274,28 @@ func New(cfg Config) (*System, error) {
 	}
 
 	for i, spec := range cfg.Boards {
-		switch {
-		case uncached(spec.Protocol):
-			u := cache.NewUncached(i, b, spec.Protocol == "uncached-broadcast", onWrite)
-			sys.Boards = append(sys.Boards, &uncachedBoard{Uncached: u, name: spec.Protocol})
-		default:
-			p, err := protocols.New(spec.Protocol)
-			if err != nil {
-				return nil, fmt.Errorf("sim: board %d: %w", i, err)
-			}
-			if p, err = faults.Wrap(spec.Fault, p); err != nil {
-				return nil, fmt.Errorf("sim: board %d: %w", i, err)
-			}
-			c := cache.New(i, b, p, cache.Config{
-				Sets: cfg.CacheSets, Ways: cfg.CacheWays,
-				SubSectors: spec.SectorSubs, OnWrite: onWrite,
-			})
-			name := spec.Protocol
-			if spec.SectorSubs > 0 {
-				name = fmt.Sprintf("%s/sector%d", spec.Protocol, spec.SectorSubs)
-			}
-			sys.Caches = append(sys.Caches, c)
-			sys.Boards = append(sys.Boards, &cachedBoard{Cache: c, name: name})
+		var p core.Policy
+		broadcast, nc := nonCaching[spec.Protocol]
+		if nc {
+			p = protocols.NonCaching(broadcast)
+		} else if p, err = protocols.New(spec.Protocol); err != nil {
+			return nil, fmt.Errorf("sim: board %d: %w", i, err)
 		}
+		if p, err = faults.Wrap(spec.Fault, p); err != nil {
+			return nil, fmt.Errorf("sim: board %d: %w", i, err)
+		}
+		geos[i].OnWrite = onWrite
+		c := cache.New(i, b, p, geos[i])
+		name := spec.Protocol
+		if spec.SectorSubs > 0 {
+			name = fmt.Sprintf("%s/sector%d", spec.Protocol, spec.SectorSubs)
+		}
+		if !nc {
+			sys.Caches = append(sys.Caches, c)
+		}
+		sys.Boards = append(sys.Boards, &cachedBoard{Cache: c, name: name})
 	}
 	return sys, nil
-}
-
-// uncached reports whether a board protocol names an uncached master.
-func uncached(protocol string) bool {
-	return protocol == "uncached" || protocol == "uncached-broadcast"
 }
 
 // Homogeneous returns a Config with n identical cached boards.

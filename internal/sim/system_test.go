@@ -50,7 +50,7 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 }
 
 // TestNewAcceptsGeometryBounds: the bounds themselves are valid, and an
-// uncached board has no cache geometry to check.
+// uncached board does not take the configured cache geometry.
 func TestNewAcceptsGeometryBounds(t *testing.T) {
 	for _, cfg := range []Config{
 		{LineSize: 4, Boards: []BoardSpec{{Protocol: "moesi"}}},
