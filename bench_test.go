@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -514,12 +515,100 @@ func BenchmarkBroadcastUpdate(b *testing.B) {
 //     the engine's own deterministic work: UsesBusNext probes and the
 //     deferrals they decide, per reference;
 //   - snoop/held-N: one address cycle of an external master's read on
-//     an 8-cache bus, for a line N of the caches hold (ns/op is ns/tx).
+//     an 8-cache bus, for a line N of the caches hold (ns/op is ns/tx);
+//   - obs/emit: the engine rung's event stream re-emitted through a
+//     recorder whose one sink does nothing: Emit and the drain, in
+//     process cpu-ns per event;
+//   - obs/{record,coherence,watch,perf}: the same stream fed to a fresh
+//     sink of simbench's ab-observed set, in ns per event (ns/op is one
+//     whole stream).
 func BenchmarkLayer(b *testing.B) {
 	b.Run("engine", benchLayerEngine)
 	for _, held := range []int{0, 1, 7} {
 		b.Run(fmt.Sprintf("snoop/held-%d", held), func(b *testing.B) { benchLayerSnoop(b, held) })
 	}
+	b.Run("obs/emit", benchLayerObsEmit)
+	for _, rung := range []struct {
+		name string
+		sink func() obs.Sink
+	}{
+		{"record", recordSink},
+		{"coherence", func() obs.Sink { return &obshttp.CoherenceSink{} }},
+		{"watch", func() obs.Sink { return obshttp.NewWatchSink(watch.Config{}, nil) }},
+		{"perf", func() obs.Sink { return obshttp.NewPerfSink(nil) }},
+	} {
+		b.Run("obs/"+rung.name, func(b *testing.B) { benchLayerObsSink(b, rung.sink) })
+	}
+}
+
+// layerStream is the event stream of the engine rung's run (8 MOESI
+// boards, the AB shape, 5,000 references per board), captured once for
+// the obs rungs.
+var layerStream = sync.OnceValues(func() ([]obs.Event, error) {
+	var events []obs.Event
+	rec := obs.New(obs.SinkFunc(func(e *obs.Event) { events = append(events, *e) }))
+	cfg := sim.Homogeneous("moesi", 8)
+	cfg.Obs = rec
+	sys, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := (&sim.Engine{Sys: sys, Gens: abGens(0.2, 0.3)(sys)}).Run(5000); err != nil {
+		return nil, err
+	}
+	if err := rec.Close(); err != nil {
+		return nil, err
+	}
+	return events, nil
+})
+
+// benchLayerObsEmit re-emits the stream each op and waits for the drain
+// goroutine to consume it, so cpu-ns/event counts both sides. A first
+// pass runs before the timer, so the runtime has made the threads the
+// hand-off between the two goroutines needs and B/op is the warm
+// path's alone.
+func benchLayerObsEmit(b *testing.B) {
+	events, err := layerStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := obs.New(obs.SinkFunc(func(*obs.Event) {}))
+	emit := func() {
+		for j := range events {
+			rec.Emit(events[j])
+		}
+		rec.View(func() {})
+	}
+	emit()
+	b.ReportAllocs()
+	c0 := processCPU(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		emit()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(processCPU(b)-c0)/float64(b.N*len(events)), "cpu-ns/event")
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchLayerObsSink feeds the stream to a fresh sink each op.
+func benchLayerObsSink(b *testing.B, newSink func() obs.Sink) {
+	events, err := layerStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := newSink()
+		for j := range events {
+			s.Consume(&events[j])
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }
 
 // probeCounter counts a board's UsesBusNext probes and those that

@@ -145,6 +145,17 @@ func TestInputErrorsExit2(t *testing.T) {
 	}
 }
 
+// TestHelpExits0: every top-level spelling of help prints the usage on
+// stderr and exits 0, with nothing on stdout.
+func TestHelpExits0(t *testing.T) {
+	for _, arg := range []string{"-h", "-help", "--help", "help"} {
+		out, errs, code := fbpaper(arg)
+		if code != cli.OK || out != "" || !strings.Contains(errs, "fbpaper") {
+			t.Errorf("fbpaper %s: exit %d, stdout %q, stderr %q; want exit 0 and the usage on stderr", arg, code, out, errs)
+		}
+	}
+}
+
 // TestLitmusWitnessesDeterministic: -v prints each test's witnesses in
 // its assertion order, so two runs print the same bytes.
 func TestLitmusWitnessesDeterministic(t *testing.T) {

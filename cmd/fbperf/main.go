@@ -98,6 +98,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one fbperf command line and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
+	if cli.Help(stderr, usage, args) {
+		return cli.OK
+	}
 	if len(args) == 0 {
 		fmt.Fprint(stderr, usage)
 		return cli.Error

@@ -165,6 +165,10 @@ func TestRunExitStatuses(t *testing.T) {
 		{append([]string{"run", "-out", out}, small...), 0},
 		{append([]string{"run", "-engine", "conc", "-out", "-"}, small...), 0},
 		{[]string{"run", "-h"}, 0},
+		{[]string{"-h"}, 0},
+		{[]string{"-help"}, 0},
+		{[]string{"--help"}, 0},
+		{[]string{"help"}, 0},
 		{nil, 2},
 		{[]string{"compare", "a.json", "b.json"}, 2},
 		{[]string{"run", "-no-such-flag"}, 2},

@@ -86,6 +86,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one fbt command line and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
+	if cli.Help(stderr, usage, args) {
+		return cli.OK
+	}
 	words := 2 // "causal analyze", "lens diff", ...
 	if len(args) > 0 && args[0] == "watch" {
 		words = 1
@@ -350,8 +353,9 @@ func renderWatch(w io.Writer, path string, meta obs.TraceMeta, rep *watch.Report
 		fmt.Fprintf(w, "\n  #%d %s\n", v.N, v.String())
 		for j := range v.Context {
 			e := &v.Context[j]
+			from, to := e.Letters()
 			fmt.Fprintf(w, "      t=%-8d %-8s proc=%-2d %s→%s %s tx=%d\n",
-				e.TS, e.Kind, e.Proc, e.From, e.To, e.Cause, e.TxID)
+				e.TS, e.Kind, e.Proc, from, to, e.CauseName(), e.TxID)
 		}
 	}
 	if int64(len(rep.Violations)) < rep.Total {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"futurebus/cmd/internal/cli"
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/coherence"
@@ -221,6 +222,49 @@ func TestWatchVerdict(t *testing.T) {
 	if code != cli.Failed || !strings.Contains(out, string(watch.InvExclusivity)) {
 		t.Errorf("fbt watch faulty trace: exit %d, want %d naming %s\n%s",
 			code, cli.Failed, watch.InvExclusivity, out)
+	}
+}
+
+// TestHelpExits0: every top-level spelling of help prints the usage on
+// stderr and exits 0, with nothing on stdout.
+func TestHelpExits0(t *testing.T) {
+	for _, arg := range []string{"-h", "-help", "--help", "help"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{arg}, &out, &errw); code != cli.OK || out.Len() != 0 || !strings.Contains(errw.String(), "fbt") {
+			t.Errorf("fbt %s: exit %d, stdout %q, stderr %q; want exit 0 and the usage on stderr", arg, code, out.String(), errw.String())
+		}
+	}
+}
+
+// TestUnknownValuesExit2: a trace whose kind, op, from, to or cause
+// names no value of its field does not decode, so fbt watch and fbt
+// causal analyze exit 2 and name the field.
+func TestUnknownValuesExit2(t *testing.T) {
+	dir := t.TempDir()
+	for field, e := range map[string]obs.Event{
+		"kind":  {Kind: obs.NumKinds + 1},
+		"op":    {Kind: obs.KindTx, Op: obs.NumOps + 1},
+		"from":  {Kind: obs.KindState, From: core.Modified + 1, To: core.Invalid},
+		"to":    {Kind: obs.KindState, From: core.Invalid, To: core.Modified + 1},
+		"cause": {Kind: obs.KindState, From: core.Invalid, To: core.Shared, Cause: obs.NumCauses + 1},
+	} {
+		var buf bytes.Buffer
+		sink := obs.NewRecordSink(&buf, obs.TraceMeta{Fingerprint: "bad " + field})
+		sink.Consume(&e)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, field+".fbt")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"watch", path}, {"causal", "analyze", path}} {
+			var out, errw bytes.Buffer
+			if code := run(args, &out, &errw); code != cli.Error || !strings.Contains(errw.String(), " "+field+": ") {
+				t.Errorf("fbt %s: exit %d, stderr %q; want exit %d naming %s",
+					strings.Join(args, " "), code, errw.String(), cli.Error, field)
+			}
+		}
 	}
 }
 

@@ -90,14 +90,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one fbtrend command line and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
+	if cli.Help(stderr, usage, args) {
+		return cli.OK
+	}
 	if len(args) == 0 {
 		fmt.Fprint(stderr, usage)
 		return cli.Error
-	}
-	switch args[0] {
-	case "-h", "-help", "--help", "help":
-		fmt.Fprint(stderr, usage)
-		return cli.OK
 	}
 	cmd, ok := commands[args[0]]
 	if !ok {

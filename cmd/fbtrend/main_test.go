@@ -207,6 +207,8 @@ func TestRunExitStatuses(t *testing.T) {
 		code int
 	}{
 		{[]string{"-h"}, 0},
+		{[]string{"-help"}, 0},
+		{[]string{"--help"}, 0},
 		{[]string{"help"}, 0},
 		{[]string{"gate", "-h"}, 0},
 		{[]string{"ingest", "-ledger", led, base, base, base}, 0},

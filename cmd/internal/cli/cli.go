@@ -1,8 +1,8 @@
 // Package cli is the command-line contract fbt, fbpaper, fbperf and
-// fbtrend share. Each subcommand parses its own flags with Parse and
-// reports whether a check failed or returns an error; Status turns that
-// outcome into the one exit status every subcommand of the four tools
-// uses.
+// fbtrend share. Help answers a top-level request for usage. Each
+// subcommand parses its own flags with Parse and reports whether a
+// check failed or returns an error; Status turns that outcome into the
+// one exit status every subcommand of the four tools uses.
 package cli
 
 import (
@@ -22,6 +22,21 @@ const (
 // ErrUsage marks a command line that did not parse; the parse error or
 // the usage text has already been printed.
 var ErrUsage = errors.New("usage")
+
+// Help reports whether args ask a tool for its usage (-h, -help,
+// --help or help), printing usage on stderr if so; the tool then exits
+// OK.
+func Help(stderr io.Writer, usage string, args []string) bool {
+	if len(args) == 0 {
+		return false
+	}
+	switch args[0] {
+	case "-h", "-help", "--help", "help":
+		fmt.Fprint(stderr, usage)
+		return true
+	}
+	return false
+}
 
 // Parse parses a subcommand's args into fs, printing flag errors on
 // stderr, and checks that at least min and (max >= 0) at most max

@@ -479,8 +479,8 @@ func (b *Bus) drainOneLocked(force bool) bool {
 		// the pending-wait edge to the tenure it queued behind.
 		begin := rec.Advance(e.beats)
 		rec.Emit(obs.Event{
-			TS: begin, Dur: e.beats, Kind: obs.KindData, Bus: b.cfg.ObsID,
-			Proc: e.master, Addr: uint64(e.addr), DeferNS: e.beats,
+			TS: begin, Dur: e.beats, Kind: obs.KindData, Bus: int32(b.cfg.ObsID),
+			Proc: int32(e.master), Addr: uint64(e.addr), DeferNS: e.beats,
 			TxID: e.txid, CauseID: b.arb.lastTx.Load(),
 		})
 	}
@@ -503,8 +503,8 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 		b.stats.Nacks++
 		if rec := b.cfg.Obs; rec != nil {
 			rec.Emit(obs.Event{
-				TS: rec.Clock(), Dur: addrCost, Kind: obs.KindNack, Bus: b.cfg.ObsID,
-				Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
+				TS: rec.Clock(), Dur: addrCost, Kind: obs.KindNack, Bus: int32(b.cfg.ObsID),
+				Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 				TxID: txid,
 			})
 		}
@@ -519,8 +519,8 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 	})
 	if rec := b.cfg.Obs; rec != nil {
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Dur: r.Phases.Pend, Kind: obs.KindPend, Bus: b.cfg.ObsID,
-			Proc: tx.MasterID, Addr: uint64(tx.Addr), Op: opLetter(tx.Op),
+			TS: rec.Clock(), Dur: r.Phases.Pend, Kind: obs.KindPend, Bus: int32(b.cfg.ObsID),
+			Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Op: eventOp(tx.Op),
 			PendNS: r.Phases.Pend, TxID: txid,
 		})
 	}
@@ -605,8 +605,8 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			blocker = b.arbBlocker
 		}
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Dur: arbWait, Kind: obs.KindGrant, Bus: b.cfg.ObsID,
-			Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
+			TS: rec.Clock(), Dur: arbWait, Kind: obs.KindGrant, Bus: int32(b.cfg.ObsID),
+			Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 			TxID: txid, CauseID: blocker,
 		})
 	}
@@ -622,9 +622,9 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			b.stats.RetryExhausted++
 			if rec := b.cfg.Obs; rec != nil {
 				rec.Emit(obs.Event{
-					TS: rec.Clock(), Kind: obs.KindRetryExhausted, Bus: b.cfg.ObsID,
-					Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
-					Retries: res.Retries, TxID: txid, CauseID: causeID,
+					TS: rec.Clock(), Kind: obs.KindRetryExhausted, Bus: int32(b.cfg.ObsID),
+					Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
+					Retries: int32(res.Retries), TxID: txid, CauseID: causeID,
 				})
 			}
 			return res, fmt.Errorf("%w: %s", ErrTooManyRetries, tx)
@@ -671,8 +671,8 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			b.stats.Aborts++
 			if rec := b.cfg.Obs; rec != nil {
 				rec.Emit(obs.Event{
-					TS: rec.Clock(), Kind: obs.KindAbort, Bus: b.cfg.ObsID,
-					Proc: tx.MasterID, Addr: uint64(tx.Addr), Col: tx.Event().Column(),
+					TS: rec.Clock(), Kind: obs.KindAbort, Bus: int32(b.cfg.ObsID),
+					Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 					TxID: txid,
 				})
 			}
@@ -688,8 +688,8 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 				}
 				if rec := b.cfg.Obs; rec != nil {
 					rec.Emit(obs.Event{
-						TS: rec.Clock(), Kind: obs.KindRecover, Bus: b.cfg.ObsID,
-						Proc: s.SnooperID(), Addr: uint64(tx.Addr),
+						TS: rec.Clock(), Kind: obs.KindRecover, Bus: int32(b.cfg.ObsID),
+						Proc: int32(s.SnooperID()), Addr: uint64(tx.Addr),
 						TxID: txid, CauseID: causeID,
 					})
 				}
@@ -730,11 +730,11 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			// transaction's slice spans [begin, begin+Cost).
 			begin := rec.Advance(r.Cost)
 			rec.Emit(obs.Event{
-				TS: begin, Dur: r.Cost, Kind: obs.KindTx, Bus: b.cfg.ObsID,
-				Proc: tx.MasterID, Addr: uint64(tx.Addr),
-				Col: tx.Event().Column(), Op: opLetter(tx.Op),
+				TS: begin, Dur: r.Cost, Kind: obs.KindTx, Bus: int32(b.cfg.ObsID),
+				Proc: int32(tx.MasterID), Addr: uint64(tx.Addr),
+				Col: int32(tx.Event().Column()), Op: eventOp(tx.Op),
 				CH: r.CH, DI: r.DI, SL: r.SL,
-				Retries: r.Retries, Bytes: txBytes(tx, b.cfg.LineSize),
+				Retries: int32(r.Retries), Bytes: int32(txBytes(tx, b.cfg.LineSize)),
 				ArbNS: r.Phases.Arb, AddrNS: r.Phases.Addr,
 				DataNS: r.Phases.Data, IntvNS: r.Phases.Intervention,
 				MemNS: r.Phases.Memory, RetryNS: r.Phases.Retry,

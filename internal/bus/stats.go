@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"futurebus/internal/core"
+	"futurebus/internal/obs"
 )
 
 // Stats accumulates per-bus counters. All fields are totals since the
@@ -75,15 +76,15 @@ func txBytes(tx *Transaction, lineSize int) int {
 	return 0
 }
 
-// opLetter abbreviates the data phase for event streams.
-func opLetter(op core.BusOp) string {
+// eventOp is the data phase of op for event streams.
+func eventOp(op core.BusOp) obs.Op {
 	switch op {
 	case core.BusRead:
-		return "R"
+		return obs.OpRead
 	case core.BusWrite:
-		return "W"
+		return obs.OpWrite
 	default:
-		return "A"
+		return obs.OpAddr
 	}
 }
 

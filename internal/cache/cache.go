@@ -89,13 +89,30 @@ type Region struct {
 // policyFor returns the policy governing an address (§3.4 selective
 // use). Safe without c.mu: regions are fixed at construction.
 func (c *Cache) policyFor(addr bus.Addr) core.Policy {
+	if i := c.region(addr); i >= 0 {
+		return c.cfg.Regions[i].Policy
+	}
+	return c.policy
+}
+
+// protoFor returns the name of the policy governing an address, for
+// the state events it emits.
+func (c *Cache) protoFor(addr bus.Addr) obs.Name {
+	if i := c.region(addr); i >= 0 {
+		return c.regionProtos[i]
+	}
+	return c.proto
+}
+
+// region returns the index of the region holding addr, or -1.
+func (c *Cache) region(addr bus.Addr) int {
 	for i := range c.cfg.Regions {
 		r := &c.cfg.Regions[i]
 		if addr >= r.Start && addr < r.End {
-			return r.Policy
+			return i
 		}
 	}
-	return c.policy
+	return -1
 }
 
 // DefaultConfig is a small cache that misses often enough to exercise
@@ -151,6 +168,11 @@ type Cache struct {
 	// single marks the cache single-owner: one goroutine drives it, so
 	// lock and unlock skip the shard mutexes. See SetSingleOwner.
 	single bool
+
+	// proto names the policy, and regionProtos each region's, for the
+	// state events the cache emits.
+	proto        obs.Name
+	regionProtos []obs.Name
 }
 
 // cacheShard is one fabric shard's slice of the cache: the directory
@@ -240,7 +262,7 @@ func (c *Cache) shard(addr bus.Addr) *cacheShard { return &c.shards[c.home(addr)
 // setState records a state change on a line, tagging the emitted
 // event with why it happened. Callers hold sh.mu, where sh guards
 // l.addr.
-func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause string) {
+func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause obs.Cause) {
 	c.setStateTx(sh, l, next, cause, 0)
 }
 
@@ -248,16 +270,16 @@ func (c *Cache) setState(sh *cacheShard, l *line, next core.State, cause string)
 // coherence analyzer can group a write with the fan-out of state
 // changes it triggered (txid 0 = no bus transaction: a silent local
 // transition).
-func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause string, txid uint64) {
+func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause obs.Cause, txid uint64) {
 	if l.state == next {
 		return
 	}
 	sh.stats.Transitions[l.state][next]++
 	if rec := c.obs; rec != nil {
 		rec.Emit(obs.Event{
-			TS: rec.Clock(), Kind: obs.KindState, Bus: c.bus.SegmentID(l.addr), Proc: c.id,
-			Addr: uint64(l.addr), From: l.state.Letter(), To: next.Letter(), Cause: cause,
-			Proto: c.policyFor(l.addr).Name(), TxID: txid,
+			TS: rec.Clock(), Kind: obs.KindState, Bus: int32(c.bus.SegmentID(l.addr)), Proc: int32(c.id),
+			Addr: uint64(l.addr), From: l.state, To: next, Cause: cause,
+			Proto: c.protoFor(l.addr), TxID: txid,
 		})
 	}
 	c.place(sh, l, next)
@@ -277,25 +299,25 @@ func (c *Cache) place(sh *cacheShard, l *line, next core.State) {
 // for the Cause of the resulting state event — distinguishing an
 // invalidation received from a read-for-ownership (CA+IM) from one
 // received from a plain write (IM) or a broadcast write (IM+BC).
-func snoopCause(tx *bus.Transaction) string {
+func snoopCause(tx *bus.Transaction) obs.Cause {
 	if tx.Cmd == bus.CmdClean {
-		return "snoop-clean"
+		return obs.CauseSnoopClean
 	}
 	switch tx.Event() {
 	case core.BusCacheRead:
-		return "snoop-cache-read"
+		return obs.CauseSnoopCacheRead
 	case core.BusCacheRFO:
-		return "snoop-cache-rfo"
+		return obs.CauseSnoopCacheRFO
 	case core.BusPlainRead:
-		return "snoop-read"
+		return obs.CauseSnoopRead
 	case core.BusCacheBroadcastWrite:
-		return "snoop-cache-bcast-write"
+		return obs.CauseSnoopCacheBcastWrite
 	case core.BusPlainWrite:
-		return "snoop-write"
+		return obs.CauseSnoopWrite
 	case core.BusPlainBroadcastWrite:
-		return "snoop-bcast-write"
+		return obs.CauseSnoopBcastWrite
 	}
-	return "snoop"
+	return obs.CauseSnoop
 }
 
 // noteStall accounts simulated bus time this cache's processor spent
@@ -312,7 +334,7 @@ func (c *Cache) noteStall(sh *cacheShard, addr bus.Addr, cost int64) {
 		}
 		rec.Emit(obs.Event{
 			TS: ts, Dur: cost, Kind: obs.KindStall,
-			Bus: c.bus.SegmentID(addr), Proc: c.id, Addr: uint64(addr),
+			Bus: int32(c.bus.SegmentID(addr)), Proc: int32(c.id), Addr: uint64(addr),
 		})
 	}
 }
@@ -407,6 +429,10 @@ func New(id int, b bus.Fabric, policy core.Policy, cfg Config) *Cache {
 	c := &Cache{
 		id: id, bus: b, policy: policy, cfg: cfg, obs: b.Recorder(),
 		nshards: uint64(b.Shards()), gran: uint64(b.Granularity()), subs: subs,
+	}
+	c.proto = obs.NameOf(policy.Name())
+	for _, r := range cfg.Regions {
+		c.regionProtos = append(c.regionProtos, obs.NameOf(r.Policy.Name()))
 	}
 	c.shards = make([]cacheShard, c.nshards)
 	c.nsets, c.setLines, c.lineSize = uint64(cfg.Sets), cfg.Ways*subs, b.LineSize()

@@ -38,7 +38,7 @@ func (c *Cache) ReadWord(addr bus.Addr, wordIdx int) (uint32, error) {
 			c.unlock(sh)
 			return 0, fmt.Errorf("cache %d (%s): no local read action for state %s", c.id, c.policyFor(addr).Name(), l.state)
 		}
-		c.setState(sh, l, action.Next.Resolve(false), "read-hit")
+		c.setState(sh, l, action.Next.Resolve(false), obs.CauseReadHit)
 		c.touch(sh, l)
 		v := word(c.lineData(l), wordIdx)
 		sh.stats.ReadHits++
@@ -76,7 +76,7 @@ func (c *Cache) WriteWord(addr bus.Addr, wordIdx int, val uint32) error {
 		if !action.NeedsBus() {
 			// Silent write: M stays M, E goes to M (the M/E pair of
 			// Figure 4 — no other copy can exist).
-			c.setState(sh, l, action.Next.Resolve(false), "silent-write")
+			c.setState(sh, l, action.Next.Resolve(false), obs.CauseSilentWrite)
 			putWord(c.lineData(l), wordIdx, val)
 			c.touch(sh, l)
 			sh.stats.WriteHits++
@@ -122,7 +122,7 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 	if !action.NeedsBus() {
 		// The state improved (e.g. everyone else was invalidated)
 		// while we waited for the bus.
-		c.setState(sh, l, action.Next.Resolve(false), "write-hit")
+		c.setState(sh, l, action.Next.Resolve(false), obs.CauseWriteHit)
 		putWord(c.lineData(l), wordIdx, val)
 		c.touch(sh, l)
 		c.noteWrite(addr, wordIdx, val)
@@ -155,7 +155,7 @@ func (c *Cache) writeHitBus(addr bus.Addr, wordIdx int, val uint32) error {
 		c.unlock(sh)
 		return fmt.Errorf("cache %d: line %#x vanished during its own upgrade", c.id, uint64(addr))
 	}
-	c.setStateTx(sh, l, action.Next.Resolve(res.CH), "write-upgrade", res.TxID)
+	c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CauseWriteUpgrade, res.TxID)
 	putWord(c.lineData(l), wordIdx, val)
 	c.touch(sh, l)
 	c.noteStall(sh, addr, res.StallCost())
@@ -211,7 +211,7 @@ func (c *Cache) writeMiss(addr bus.Addr, wordIdx int, val uint32) error {
 		}
 		if !action2.NeedsBus() {
 			l := c.lookup(addr)
-			c.setState(sh, l, action2.Next.Resolve(false), "write-hit")
+			c.setState(sh, l, action2.Next.Resolve(false), obs.CauseWriteHit)
 			putWord(c.lineData(l), wordIdx, val)
 			c.touch(sh, l)
 			c.noteWrite(addr, wordIdx, val)
@@ -321,7 +321,7 @@ func (c *Cache) fillLineWith(addr bus.Addr, action core.LocalAction) ([]byte, er
 		// A non-caching read: nothing retained.
 		return data, nil
 	}
-	c.setStateTx(sh, slot, next, "fill", res.TxID)
+	c.setStateTx(sh, slot, next, obs.CauseFill, res.TxID)
 	c.touch(sh, slot)
 	return data, nil
 }
@@ -380,7 +380,7 @@ func (c *Cache) evict(sh *cacheShard, v *line) error {
 		return fmt.Errorf("cache %d (%s): no flush action for state %s", c.id, c.policyFor(victimAddr).Name(), v.state)
 	}
 	if !action.NeedsBus() {
-		c.setState(sh, v, core.Invalid, "evict-clean")
+		c.setState(sh, v, core.Invalid, obs.CauseEvictClean)
 		return nil
 	}
 	data := c.lineData(v)
@@ -407,10 +407,10 @@ func (c *Cache) evict(sh *cacheShard, v *line) error {
 	sh.stats.Flushes++
 	c.noteStall(sh, victimAddr, res.StallCost())
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: c.bus.SegmentID(victimAddr), Proc: c.id, Addr: uint64(victimAddr), TxID: res.TxID})
+		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: int32(c.bus.SegmentID(victimAddr)), Proc: int32(c.id), Addr: uint64(victimAddr), TxID: res.TxID})
 	}
 	if l := c.lookup(victimAddr); l != nil {
-		c.setStateTx(sh, l, action.Next.Resolve(res.CH), "evict", res.TxID)
+		c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CauseEvict, res.TxID)
 	}
 	return nil
 }
@@ -458,7 +458,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 		return fmt.Errorf("cache %d (%s): no %s action for state %s", c.id, c.policyFor(addr).Name(), event, st)
 	}
 	if !action.NeedsBus() {
-		c.setState(sh, l, action.Next.Resolve(false), "push")
+		c.setState(sh, l, action.Next.Resolve(false), obs.CausePush)
 		if event == core.Flush {
 			sh.stats.Flushes++
 		}
@@ -480,7 +480,7 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 	}
 	c.lock(sh)
 	if l := c.lookup(addr); l != nil {
-		c.setStateTx(sh, l, action.Next.Resolve(res.CH), "push", res.TxID)
+		c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CausePush, res.TxID)
 	}
 	switch event {
 	case core.Pass:

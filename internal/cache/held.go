@@ -5,6 +5,7 @@ import (
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
+	"futurebus/internal/obs"
 )
 
 // Bus-held line operations for multi-bus bridges (internal/hierarchy).
@@ -53,7 +54,7 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 	l := c.lookup(addr)
 	if l != nil && l.state.MayModifySilently() {
 		copy(c.lineData(l), data)
-		c.setState(sh, l, core.Modified, "absorb")
+		c.setState(sh, l, core.Modified, obs.CauseAbsorb)
 		c.touch(sh, l)
 		c.unlock(sh)
 		return nil
@@ -89,7 +90,7 @@ func (c *Cache) AbsorbLineHeld(addr bus.Addr, data []byte) error {
 		return fmt.Errorf("cache %d: absorbed line %#x vanished", c.id, uint64(addr))
 	}
 	copy(c.lineData(l), data)
-	c.setState(sh, l, core.Modified, "absorb")
+	c.setState(sh, l, core.Modified, obs.CauseAbsorb)
 	c.touch(sh, l)
 	return nil
 }
@@ -103,6 +104,6 @@ func (c *Cache) InvalidateHeld(addr bus.Addr) {
 	c.lock(sh)
 	defer c.unlock(sh)
 	if l := c.lookup(addr); l != nil {
-		c.setState(sh, l, core.Invalid, "invalidate-held")
+		c.setState(sh, l, core.Invalid, obs.CauseInvalidateHeld)
 	}
 }

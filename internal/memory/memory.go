@@ -61,7 +61,7 @@ func (m *Memory) ReadLine(addr bus.Addr, dst []byte) {
 		panic(fmt.Sprintf("memory: read into %d bytes, line size %d", len(dst), m.lineSize))
 	}
 	if rec := m.rec; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindMemRead, Bus: -1, Proc: -1, Addr: uint64(addr), Bytes: m.lineSize})
+		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindMemRead, Bus: -1, Proc: -1, Addr: uint64(addr), Bytes: int32(m.lineSize)})
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -80,7 +80,7 @@ func (m *Memory) WriteLine(addr bus.Addr, data []byte) {
 		panic(fmt.Sprintf("memory: write of %d bytes, line size %d", len(data), m.lineSize))
 	}
 	if rec := m.rec; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindMemWrite, Bus: -1, Proc: -1, Addr: uint64(addr), Bytes: m.lineSize})
+		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindMemWrite, Bus: -1, Proc: -1, Addr: uint64(addr), Bytes: int32(m.lineSize)})
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

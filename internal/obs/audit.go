@@ -77,7 +77,8 @@ func (s *LineAuditSink) Explain(addr uint64) string {
 			fmt.Fprintf(&b, " col%d %s CH=%t DI=%t SL=%t retries=%d cost=%dns",
 				e.Col, e.Op, e.CH, e.DI, e.SL, e.Retries, e.Dur)
 		case KindState:
-			fmt.Fprintf(&b, " %s→%s (%s)", e.From, e.To, e.Cause)
+			from, to := e.Letters()
+			fmt.Fprintf(&b, " %s→%s (%s)", from, to, e.Cause)
 		}
 		b.WriteByte('\n')
 	}

@@ -139,10 +139,10 @@ type TxNode struct {
 	// bs-retry (the push only exists because of the abort).
 	ByCause CauseVec `json:"by_cause"`
 	// Disc is the arbitration discipline in force when this transaction
-	// ran (from the enclosing KindEpoch marker; "" on traces recorded
+	// ran (from the enclosing KindEpoch marker; none on traces recorded
 	// before the marker carried it). Aggregated into
 	// Analysis.ByDiscipline rather than serialized per node.
-	Disc string `json:"-"`
+	Disc obs.Name `json:"-"`
 }
 
 // causes derives the blame vector from the node's identity and phases.
@@ -172,14 +172,15 @@ type Analyzer struct {
 	txs      []TxNode
 	byID     map[uint64]int    // TxID → index in txs
 	grants   map[uint64]uint64 // TxID → blocking TxID (from KindGrant)
-	blocked  map[int]blockedWait
+	blocked  map[int32]blockedWait
 	aborts   map[uint64]int // TxID → abort count seen
 	overflow int64
 	// disc is the arbitration discipline named by the most recent
 	// KindEpoch marker; queuedData counts split-mode data tenures that
-	// queued behind another (KindData with a cause edge), per label.
-	disc       string
-	queuedData map[string]int
+	// queued behind another (KindData with a cause edge), indexed by
+	// discipline.
+	disc       obs.Name
+	queuedData []int
 }
 
 type blockedWait struct {
@@ -194,11 +195,11 @@ const DefaultLimit = 1 << 20
 func (a *Analyzer) Consume(e *obs.Event) {
 	switch e.Kind {
 	case obs.KindEpoch:
-		a.disc = e.Cause
+		a.disc = e.Disc
 	case obs.KindData:
 		if e.CauseID != 0 {
-			if a.queuedData == nil {
-				a.queuedData = make(map[string]int)
+			for int(a.disc) >= len(a.queuedData) {
+				a.queuedData = append(a.queuedData, 0)
 			}
 			a.queuedData[a.disc]++
 		}
@@ -213,7 +214,7 @@ func (a *Analyzer) Consume(e *obs.Event) {
 		}
 	case obs.KindBlocked:
 		if a.blocked == nil {
-			a.blocked = make(map[int]blockedWait)
+			a.blocked = make(map[int32]blockedWait)
 		}
 		w := a.blocked[e.Proc]
 		w.dur += e.Dur
@@ -236,10 +237,10 @@ func (a *Analyzer) Consume(e *obs.Event) {
 			return
 		}
 		n := TxNode{
-			TxID: e.TxID, Proc: e.Proc, Bus: e.Bus, Addr: e.Addr,
-			Col: e.Col, Op: e.Op,
+			TxID: e.TxID, Proc: int(e.Proc), Bus: int(e.Bus), Addr: e.Addr,
+			Col: int(e.Col), Op: e.Op.String(),
 			Start: e.TS, End: e.TS + e.Dur, Dur: e.Dur,
-			Wait: e.ArbNS, Retries: e.Retries,
+			Wait: e.ArbNS, Retries: int(e.Retries),
 			RecoveredFor: e.CauseID,
 			Disc:         a.disc,
 		}
@@ -374,7 +375,7 @@ func (a *Analyzer) Analyze() *Analysis {
 	}
 
 	boards := make(map[int]*BoardBlame)
-	discs := make(map[string]*DisciplineBlame)
+	discs := make(map[obs.Name]*DisciplineBlame)
 	// prev[proc] is the index of the board's previous transaction, for
 	// program-order edges.
 	prev := make(map[int]int)
@@ -403,10 +404,10 @@ func (a *Analyzer) Analyze() *Analysis {
 		b.Wait += n.Wait
 		b.Retries += n.Retries
 		b.ByCause.Add(n.ByCause)
-		if n.Disc != "" {
+		if n.Disc != 0 {
 			d := discs[n.Disc]
 			if d == nil {
-				d = &DisciplineBlame{Discipline: n.Disc}
+				d = &DisciplineBlame{Discipline: n.Disc.String()}
 				discs[n.Disc] = d
 			}
 			d.Txs++
@@ -431,13 +432,13 @@ func (a *Analyzer) Analyze() *Analysis {
 	// label with queued tenures but no retained transactions (all past
 	// the limit) still earns a row — the queue pressure happened.
 	for label, n := range a.queuedData {
-		if label == "" {
+		if label == 0 || n == 0 {
 			continue
 		}
-		d := discs[label]
+		d := discs[obs.Name(label)]
 		if d == nil {
-			d = &DisciplineBlame{Discipline: label}
-			discs[label] = d
+			d = &DisciplineBlame{Discipline: obs.Name(label).String()}
+			discs[obs.Name(label)] = d
 		}
 		d.QueuedData = n
 	}

@@ -13,7 +13,7 @@ import (
 // analyze builds the analysis of one transaction of dur nanoseconds.
 func analyze(dur int64) *causal.Analysis {
 	return causal.AnalyzeEvents([]obs.Event{{
-		Kind: obs.KindTx, Addr: 0x40, Col: 6, Op: "R",
+		Kind: obs.KindTx, Addr: 0x40, Col: 6, Op: obs.OpRead,
 		Dur: dur, AddrNS: 125, DataNS: dur - 125, TxID: 1,
 	}})
 }

@@ -55,13 +55,13 @@ const (
 func us(ns int64) float64 { return float64(ns) / 1e3 }
 
 func (s *ChromeTraceSink) convert(e *Event) (traceEvent, bool) {
-	pid := e.Bus
+	pid := int(e.Bus)
 	if pid < 0 {
 		pid = defaultPID
 	}
 	tid := busTrack
 	if e.Proc >= 0 {
-		tid = e.Proc + 1
+		tid = int(e.Proc) + 1
 	}
 	te := traceEvent{TS: us(e.TS), PID: pid, TID: tid}
 	addr := fmt.Sprintf("%#x", e.Addr)
@@ -89,19 +89,20 @@ func (s *ChromeTraceSink) convert(e *Event) (traceEvent, bool) {
 	case KindState:
 		te.Ph = "i"
 		te.S = "t"
-		te.Name = fmt.Sprintf("%s→%s %s (%s)", e.From, e.To, addr, e.Cause)
-		te.Args = map[string]any{"addr": addr, "from": e.From, "to": e.To, "cause": e.Cause}
+		from, to := e.Letters()
+		te.Name = fmt.Sprintf("%s→%s %s (%s)", from, to, addr, e.Cause)
+		te.Args = map[string]any{"addr": addr, "from": from, "to": to, "cause": e.Cause.String()}
 	case KindAbort, KindRecover, KindIntervene, KindUpdate, KindCapture, KindEvict, KindGrant:
 		te.Ph = "i"
 		te.S = "t"
-		te.Name = string(e.Kind) + " " + addr
+		te.Name = e.Kind.String() + " " + addr
 		te.Args = map[string]any{"addr": addr}
 	case KindMemRead, KindMemWrite:
 		te.Ph = "i"
 		te.S = "t"
 		te.PID = memoryPID
 		te.TID = memoryTID
-		te.Name = string(e.Kind) + " " + addr
+		te.Name = e.Kind.String() + " " + addr
 		te.Args = map[string]any{"addr": addr}
 	default:
 		return traceEvent{}, false

@@ -15,8 +15,8 @@ package coherence
 
 import (
 	"sort"
-	"strings"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 )
 
@@ -45,6 +45,17 @@ func StateIndex(letter string) int {
 	}
 	return -1
 }
+
+// stateIdx maps a core.State to its StateLetters index (-1 for none).
+var stateIdx = func() (idx [256]int8) {
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, s := range core.States {
+		idx[s] = int8(i)
+	}
+	return idx
+}()
 
 // Matrix is a from×to transition count table in StateLetters order:
 // Matrix[StateIndex("M")][StateIndex("I")] counts M→I transitions.
@@ -169,42 +180,37 @@ type Analyzer struct {
 	events      int64
 	stateEvents int64
 	maxTS       int64
-	protos      map[string]*ProtoAnalysis
-	lines       map[lineKey]*lineAgg
+	protos      []*protoAgg         // indexed by protocol name
+	lines       map[uint64]*lineAgg // by address; see lineAgg.next
+	nlines      int
 	pending     map[uint64]*pendingTx
 	masters     map[masterKey]*master
 	truncLines  int64
 
-	// One-entry caches for the per-event hot path: protocol and cause
-	// strings are constants re-emitted verbatim, so an identity-equal
-	// string comparison usually short-circuits the map lookups.
-	lastProtoName string
-	lastProto     *ProtoAnalysis
-	lastCause     string
-	lastCauseP    *ProtoAnalysis
-	lastCauseM    *Matrix
-	lastKey       lineKey
-	lastLine      *lineAgg
-	lastMKey      masterKey
-	lastMaster    *master
+	// One-entry caches for the per-event hot path: consecutive events
+	// usually touch the same line and master.
+	lastLine   *lineAgg
+	lastMKey   masterKey
+	lastMaster *master
 }
 
-// lineKey names a line as watch.Monitor does: by bus and address. A
-// hierarchy repeats proc ids on every bus (a bridge and a cluster
-// cache, or the caches of two clusters, share one), so only the bus
-// tells their copies of one address apart. On a single bus or a sharded
-// fabric an address always carries the same bus id.
-type lineKey struct {
-	bus  int
-	addr uint64
+// protoAgg is one protocol's running aggregate: its ProtoAnalysis, with
+// the per-cause matrices indexed by cause until Analyze names them.
+type protoAgg struct {
+	ProtoAnalysis
+	byCause [obs.NumCauses]*Matrix
 }
 
-// masterKey names a bus master by bus and proc, for the reason lineKey
-// names a line by bus: a hierarchy repeats proc ids on every bus
-// (bridge k on the global bus and cache k of each cluster). A fabric's
-// master has one key per shard it used, each of which learns the
-// master's one protocol from a state event on that shard.
-type masterKey struct{ bus, proc int }
+// unknownProto files state events that name no protocol.
+var unknownProto = obs.NameOf("unknown")
+
+// masterKey names a bus master by bus and proc, for the reason a line
+// is named by bus and address (see lineAgg): a hierarchy repeats proc
+// ids on every bus (bridge k on the global bus and cache k of each
+// cluster). A fabric's master has one key per shard it used, each of
+// which learns the master's one protocol from a state event on that
+// shard.
+type masterKey struct{ bus, proc int32 }
 
 // master accumulates one bus master's transaction statistics, with the
 // protocol its latest state event named. They are kept per master (not
@@ -215,7 +221,7 @@ type masterKey struct{ bus, proc int }
 // bounded by the snooper count), bumped without map hashing on the hot
 // path.
 type master struct {
-	proto        string
+	proto        obs.Name
 	cacheSourced int64
 	memSourced   int64
 	invFanout    []int64
@@ -229,8 +235,18 @@ func bumpFanout(h *[]int64, k int) {
 	(*h)[k]++
 }
 
-// lineAgg is per-line reconstruction state.
+// lineAgg is per-line reconstruction state. A line is named as
+// watch.Monitor names it: by bus and address. A hierarchy repeats proc
+// ids on every bus (a bridge and a cluster cache, or the caches of two
+// clusters, share one), so only the bus tells their copies of one
+// address apart. On a single bus or a sharded fabric an address always
+// carries the same bus id.
 type lineAgg struct {
+	bus  int32
+	addr uint64
+	// next is the line of the same address on another bus, so the
+	// per-event lookup hashes the address alone.
+	next      *lineAgg
 	events    int64
 	owner     int // proc currently owning the line, -1 = memory
 	owners    int64
@@ -250,7 +266,7 @@ type procLine struct {
 	live  bool
 	state int8 // StateLetters index
 	since int64
-	proto string
+	proto obs.Name
 }
 
 // pendingTx accumulates the snoop fan-out of a bus transaction until
@@ -262,15 +278,14 @@ type pendingTx struct {
 }
 
 func (a *Analyzer) init() {
-	if a.protos == nil {
-		a.protos = make(map[string]*ProtoAnalysis)
-		a.lines = make(map[lineKey]*lineAgg)
+	if a.lines == nil {
+		a.lines = make(map[uint64]*lineAgg)
 		a.pending = make(map[uint64]*pendingTx)
 		a.masters = make(map[masterKey]*master)
 	}
 }
 
-func (a *Analyzer) master(bus, proc int) *master {
+func (a *Analyzer) master(bus, proc int32) *master {
 	key := masterKey{bus, proc}
 	if key == a.lastMKey && a.lastMaster != nil {
 		return a.lastMaster
@@ -284,43 +299,59 @@ func (a *Analyzer) master(bus, proc int) *master {
 	return m
 }
 
-func (a *Analyzer) proto(name string) *ProtoAnalysis {
-	if name == a.lastProtoName && a.lastProto != nil {
-		return a.lastProto
+func (a *Analyzer) proto(name obs.Name) *protoAgg {
+	if name == 0 {
+		name = unknownProto
 	}
-	key := name
-	if key == "" {
-		key = "unknown"
+	if int(name) >= len(a.protos) {
+		a.protos = append(a.protos, make([]*protoAgg, int(name)+1-len(a.protos))...)
 	}
-	p, ok := a.protos[key]
-	if !ok {
-		p = &ProtoAnalysis{
-			ByCause:   make(map[string]*Matrix),
+	p := a.protos[name]
+	if p == nil {
+		p = &protoAgg{ProtoAnalysis: ProtoAnalysis{
 			InvFanout: make(map[int]int64),
 			UpdFanout: make(map[int]int64),
-		}
-		a.protos[key] = p
+		}}
+		a.protos[name] = p
 	}
-	a.lastProtoName, a.lastProto = name, p
 	return p
 }
 
-func (a *Analyzer) line(bus int, addr uint64) *lineAgg {
-	key := lineKey{bus, addr}
-	if key == a.lastKey && a.lastLine != nil {
-		return a.lastLine
+// protoAnalysis is proto for closeResidency and foldTx, which only
+// reach the ProtoAnalysis.
+func (a *Analyzer) protoAnalysis(name obs.Name) *ProtoAnalysis {
+	return &a.proto(name).ProtoAnalysis
+}
+
+func (a *Analyzer) line(bus int32, addr uint64) *lineAgg {
+	if l := a.lastLine; l != nil && l.addr == addr && l.bus == bus {
+		return l
 	}
-	l, ok := a.lines[key]
-	if !ok {
-		if len(a.lines) >= MaxLines {
+	first := a.lines[addr]
+	l := first
+	for l != nil && l.bus != bus {
+		l = l.next
+	}
+	if l == nil {
+		if a.nlines >= MaxLines {
 			a.truncLines++
 			return nil
 		}
-		l = &lineAgg{owner: -1}
-		a.lines[key] = l
+		l = &lineAgg{bus: bus, addr: addr, next: first, owner: -1}
+		a.lines[addr] = l
+		a.nlines++
 	}
-	a.lastKey, a.lastLine = key, l
+	a.lastLine = l
 	return l
+}
+
+// eachLine calls fn with every line.
+func (a *Analyzer) eachLine(fn func(l *lineAgg)) {
+	for _, first := range a.lines {
+		for l := first; l != nil; l = l.next {
+			fn(l)
+		}
+	}
 }
 
 // Consume implements obs.Sink.
@@ -337,9 +368,9 @@ func (a *Analyzer) Consume(e *obs.Event) {
 	}
 	switch e.Kind {
 	case obs.KindState:
-		from, to := StateIndex(e.From), StateIndex(e.To)
+		from, to := stateIdx[e.From], stateIdx[e.To]
 		if from >= 0 && to >= 0 && e.Proc >= 0 {
-			a.consumeState(e, int8(from), int8(to))
+			a.consumeState(e, from, to)
 		}
 	case obs.KindTx:
 		if e.Proc >= 0 {
@@ -390,19 +421,16 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 	ps := a.proto(e.Proto)
 	ps.Transitions++
 	ps.Matrix[from][to]++
-	cm := a.lastCauseM
-	if e.Cause != a.lastCause || ps != a.lastCauseP {
-		var ok bool
-		cm, ok = ps.ByCause[e.Cause]
-		if !ok {
-			cm = &Matrix{}
-			ps.ByCause[e.Cause] = cm
-		}
-		a.lastCause, a.lastCauseP, a.lastCauseM = e.Cause, ps, cm
+	cm := ps.byCause[e.Cause]
+	if cm == nil {
+		cm = &Matrix{}
+		ps.byCause[e.Cause] = cm
 	}
 	cm[from][to]++
 
-	if to == idxI && strings.HasPrefix(e.Cause, "snoop-") {
+	// A snoop that names a Table 2 column ("snoop-…", not the bare
+	// "snoop" of a transaction outside the table) invalidates.
+	if to == idxI && e.Cause.Snoop() && e.Cause != obs.CauseSnoop {
 		ps.Invalidations++
 		if e.TxID != 0 {
 			a.pendingFor(e.TxID).inv++
@@ -417,7 +445,7 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 
 	// Residency: close the copy's previous interval against this
 	// event's timestamp.
-	for len(l.procs) <= e.Proc {
+	for len(l.procs) <= int(e.Proc) {
 		l.procs = append(l.procs, procLine{})
 	}
 	pl := &l.procs[e.Proc]
@@ -433,7 +461,7 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 	// leaving ownership with no successor returns it to memory.
 	owned := to == idxM || to == idxO
 	switch {
-	case owned && l.owner != e.Proc:
+	case owned && l.owner != int(e.Proc):
 		if l.owner >= 0 {
 			ps.OwnershipMoves++
 		} else if e.TxID != 0 && e.TxID == l.relTx {
@@ -445,11 +473,11 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 				l.chain = l.chain[:n-1]
 			}
 		}
-		l.owner = e.Proc
+		l.owner = int(e.Proc)
 		l.owners++
 		l.relTx = 0
-		l.appendChain(OwnerSeg{Proc: e.Proc, State: StateLetters[to], TS: e.TS})
-	case !owned && l.owner == e.Proc && (from == idxM || from == idxO):
+		l.appendChain(OwnerSeg{Proc: int(e.Proc), State: StateLetters[to], TS: e.TS})
+	case !owned && l.owner == int(e.Proc) && (from == idxM || from == idxO):
 		l.owner = -1
 		l.relTx = e.TxID
 		l.appendChain(OwnerSeg{Proc: -1, State: StateLetters[to], TS: e.TS})
@@ -466,12 +494,12 @@ func (l *lineAgg) appendChain(seg OwnerSeg) {
 
 // Table 2 column sets: which bus-transaction columns carry the IM
 // (invalidate) and BC (broadcast) attention signals.
-func colIM(col int) bool { return col == 6 || col == 8 || col == 9 || col == 10 }
-func colBC(col int) bool { return col == 8 || col == 10 }
+func colIM(col int32) bool { return col == 6 || col == 8 || col == 9 || col == 10 }
+func colBC(col int32) bool { return col == 8 || col == 10 }
 
 func (a *Analyzer) consumeTx(e *obs.Event) {
 	t := a.master(e.Bus, e.Proc)
-	if e.Op == "R" {
+	if e.Op == obs.OpRead {
 		if e.DI {
 			t.cacheSourced++
 		} else {
@@ -504,34 +532,32 @@ func (a *Analyzer) Flush() error { return nil }
 // per-copy and in-flight transaction state start over (the next
 // system's caches begin Invalid, and its transaction ids restart).
 func (a *Analyzer) endEpoch() {
-	a.closeResidency(a.proto)
-	a.foldTx(a.proto)
+	a.closeResidency(a.protoAnalysis)
+	a.foldTx(a.protoAnalysis)
 	clear(a.masters)
 	a.lastMaster = nil
 	clear(a.pending)
-	for _, l := range a.lines {
-		l.owner, l.relTx, l.procs = -1, 0, l.procs[:0]
-	}
+	a.eachLine(func(l *lineAgg) { l.owner, l.relTx, l.procs = -1, 0, l.procs[:0] })
 }
 
 // closeResidency charges every live copy's open interval, up to the
 // horizon, to the protocol get returns for the copy's protocol.
-func (a *Analyzer) closeResidency(get func(proto string) *ProtoAnalysis) {
-	for _, l := range a.lines {
+func (a *Analyzer) closeResidency(get func(proto obs.Name) *ProtoAnalysis) {
+	a.eachLine(func(l *lineAgg) {
 		for i := range l.procs {
 			pl := &l.procs[i]
 			if pl.live && a.maxTS > pl.since {
-				get(protoName(pl.proto)).ResidencyNS[pl.state] += a.maxTS - pl.since
+				get(pl.proto).ResidencyNS[pl.state] += a.maxTS - pl.since
 			}
 		}
-	}
+	})
 }
 
 // foldTx adds each master's transaction stats to the protocol get
 // returns for the protocol the master ran.
-func (a *Analyzer) foldTx(get func(proto string) *ProtoAnalysis) {
+func (a *Analyzer) foldTx(get func(proto obs.Name) *ProtoAnalysis) {
 	for _, t := range a.masters {
-		ps := get(protoName(t.proto))
+		ps := get(t.proto)
 		ps.CacheSourced += t.cacheSourced
 		ps.MemSourced += t.memSourced
 		for k, v := range t.invFanout {
@@ -562,24 +588,26 @@ func (a *Analyzer) Analyze(topN int) *Analysis {
 	res := &Analysis{
 		Events:         a.events,
 		StateEvents:    a.stateEvents,
-		Lines:          len(a.lines),
+		Lines:          a.nlines,
 		SpanNS:         a.maxTS,
 		Protocols:      make(map[string]*ProtoAnalysis, len(a.protos)),
 		TruncatedLines: a.truncLines,
 	}
 	for name, ps := range a.protos {
-		res.Protocols[name] = ps.clone()
+		if ps != nil {
+			res.Protocols[protoName(obs.Name(name))] = ps.analysis()
+		}
 	}
 	// Merge the current system's per-master transaction stats under
 	// the protocols its masters ran (a master's first transactions
 	// precede its first state event; by now the mapping is as complete
 	// as it will get), and close its open residency intervals at the
 	// horizon — into the copies, so the live state is undisturbed.
-	get := func(name string) *ProtoAnalysis {
-		ps, ok := res.Protocols[name]
+	get := func(name obs.Name) *ProtoAnalysis {
+		ps, ok := res.Protocols[protoName(name)]
 		if !ok {
-			ps = (&ProtoAnalysis{}).clone()
-			res.Protocols[name] = ps
+			ps = (&protoAgg{}).analysis()
+			res.Protocols[protoName(name)] = ps
 		}
 		return ps
 	}
@@ -591,19 +619,23 @@ func (a *Analyzer) Analyze(topN int) *Analysis {
 	return res
 }
 
-func protoName(name string) string {
-	if name == "" {
+// protoName is the name a protocol's aggregate is reported under.
+func protoName(name obs.Name) string {
+	if name == 0 {
 		return "unknown"
 	}
-	return name
+	return name.String()
 }
 
-func (p *ProtoAnalysis) clone() *ProtoAnalysis {
-	c := *p
-	c.ByCause = make(map[string]*Matrix, len(p.ByCause))
-	for cause, m := range p.ByCause {
-		cm := *m
-		c.ByCause[cause] = &cm
+// analysis copies the aggregate out, naming its per-cause matrices.
+func (p *protoAgg) analysis() *ProtoAnalysis {
+	c := p.ProtoAnalysis
+	c.ByCause = make(map[string]*Matrix)
+	for cause, m := range p.byCause {
+		if m != nil {
+			cm := *m
+			c.ByCause[obs.Cause(cause).String()] = &cm
+		}
 	}
 	c.InvFanout = cloneHist(p.InvFanout)
 	c.UpdFanout = cloneHist(p.UpdFanout)
@@ -619,32 +651,26 @@ func cloneHist(h map[int]int64) map[int]int64 {
 }
 
 func (a *Analyzer) topLines(topN int) []LineSummary {
-	type entry struct {
-		key lineKey
-		l   *lineAgg
-	}
-	all := make([]entry, 0, len(a.lines))
-	for key, l := range a.lines {
-		all = append(all, entry{key, l})
-	}
+	all := make([]*lineAgg, 0, a.nlines)
+	a.eachLine(func(l *lineAgg) { all = append(all, l) })
 	sort.Slice(all, func(i, j int) bool {
 		x, y := all[i], all[j]
-		if x.l.events != y.l.events {
-			return x.l.events > y.l.events
+		if x.events != y.events {
+			return x.events > y.events
 		}
-		if x.key.addr != y.key.addr {
-			return x.key.addr < y.key.addr
+		if x.addr != y.addr {
+			return x.addr < y.addr
 		}
-		return x.key.bus < y.key.bus
+		return x.bus < y.bus
 	})
 	out := make([]LineSummary, min(topN, len(all)))
-	for i, e := range all[:len(out)] {
+	for i, l := range all[:len(out)] {
 		out[i] = LineSummary{
-			Addr:      e.key.addr,
-			Events:    e.l.events,
-			Owners:    e.l.owners,
-			Chain:     append([]OwnerSeg(nil), e.l.chain...),
-			Truncated: e.l.truncated,
+			Addr:      l.addr,
+			Events:    l.events,
+			Owners:    l.owners,
+			Chain:     append([]OwnerSeg(nil), l.chain...),
+			Truncated: l.truncated,
 		}
 	}
 	return out
@@ -664,6 +690,9 @@ type Totals struct {
 func (a *Analyzer) Totals() Totals {
 	t := Totals{StateEvents: a.stateEvents}
 	for _, ps := range a.protos {
+		if ps == nil {
+			continue
+		}
 		t.Invalidations += ps.Invalidations
 		t.OwnershipMoves += ps.OwnershipMoves
 		t.CacheSourced += ps.CacheSourced
@@ -681,7 +710,9 @@ func (a *Analyzer) Totals() Totals {
 // per-protocol read a metrics scrape pulls (Analyze copies far more).
 func (a *Analyzer) Transitions(fn func(proto string, m *Matrix, invalidations int64)) {
 	for name, ps := range a.protos {
-		fn(name, &ps.Matrix, ps.Invalidations)
+		if ps != nil {
+			fn(obs.Name(name).String(), &ps.Matrix, ps.Invalidations)
+		}
 	}
 }
 

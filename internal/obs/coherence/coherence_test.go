@@ -3,18 +3,26 @@ package coherence
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/hierarchy"
 	"futurebus/internal/obs"
 	"futurebus/internal/workload"
 )
 
 func state(ts int64, proc int, addr uint64, from, to, cause, proto string, txid uint64) obs.Event {
-	return obs.Event{TS: ts, Kind: obs.KindState, Proc: proc, Addr: addr,
-		From: from, To: to, Cause: cause, Proto: proto, TxID: txid}
+	f, errF := core.ParseState(from)
+	t, errT := core.ParseState(to)
+	c, errC := obs.ParseCause(cause)
+	if errF != nil || errT != nil || errC != nil {
+		panic(fmt.Sprintf("state(%q, %q, %q): %v %v %v", from, to, cause, errF, errT, errC))
+	}
+	return obs.Event{TS: ts, Kind: obs.KindState, Proc: int32(proc), Addr: addr,
+		From: f, To: t, Cause: c, Proto: obs.NameOf(proto), TxID: txid}
 }
 
 func feed(a *Analyzer, events ...obs.Event) {
@@ -37,7 +45,7 @@ func TestMatrixResidencyOwnership(t *testing.T) {
 		// P1's RFO at t=300 invalidates P0 and fills P1 modified.
 		state(300, 1, 0x40, "I", "M", "fill", "moesi", 2),
 		state(300, 0, 0x40, "M", "I", "snoop-cache-rfo", "moesi", 2),
-		obs.Event{TS: 300, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2},
+		obs.Event{TS: 300, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2},
 		// Horizon marker at t=1000.
 		obs.Event{TS: 1000, Kind: obs.KindStall, Proc: 1},
 	)
@@ -117,7 +125,7 @@ func TestDirectMigrationViaTxID(t *testing.T) {
 		state(0, 0, 0x40, "I", "M", "fill", "moesi", 1),
 		// P1's RFO: P0 snooped out first, then P1's fill, both TxID 2.
 		state(200, 0, 0x40, "M", "I", "snoop-cache-rfo", "moesi", 2),
-		obs.Event{TS: 200, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2},
+		obs.Event{TS: 200, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2},
 		state(200, 1, 0x40, "I", "M", "fill", "moesi", 2),
 	)
 	an := a.Analyze(1)
@@ -145,7 +153,7 @@ func TestUpdateFanout(t *testing.T) {
 		state(0, 0, 0x80, "I", "O", "fill", "firefly", 1),
 		obs.Event{TS: 10, Kind: obs.KindUpdate, Proc: 1, Addr: 0x80, TxID: 7},
 		obs.Event{TS: 10, Kind: obs.KindUpdate, Proc: 2, Addr: 0x80, TxID: 7},
-		obs.Event{TS: 10, Kind: obs.KindTx, Proc: 0, Addr: 0x80, Col: 8, Op: "W", TxID: 7},
+		obs.Event{TS: 10, Kind: obs.KindTx, Proc: 0, Addr: 0x80, Col: 8, Op: obs.OpWrite, TxID: 7},
 	)
 	ps := a.Analyze(-1).Protocols["firefly"]
 	if ps == nil {
@@ -283,21 +291,21 @@ func TestHierarchyLinesKeyedByBus(t *testing.T) {
 	an := a.Analyze(MaxLines)
 
 	type busLine struct {
-		bus  int
+		bus  int32
 		addr uint64
 	}
 	type copyKey struct {
 		line busLine
-		proc int
+		proc int32
 	}
 	type copyState struct {
 		state int
 		since int64
-		proto string
+		proto obs.Name
 	}
 	type lineState struct {
 		events, owners int64
-		owner          int
+		owner          int32
 		relTx          uint64
 	}
 	copies := map[copyKey]*copyState{}
@@ -305,7 +313,7 @@ func TestHierarchyLinesKeyedByBus(t *testing.T) {
 	lines := map[busLine]*lineState{}
 	residency := map[string]*[NumStates]int64{}
 	moves := map[string]int64{}
-	charge := func(proto string, state int, d int64) {
+	charge := func(proto obs.Name, state int, d int64) {
 		if residency[protoName(proto)] == nil {
 			residency[protoName(proto)] = &[NumStates]int64{}
 		}
@@ -317,7 +325,7 @@ func TestHierarchyLinesKeyedByBus(t *testing.T) {
 	for i := range events {
 		e := &events[i]
 		horizon = max(horizon, e.TS+e.Dur)
-		from, to := StateIndex(e.From), StateIndex(e.To)
+		from, to := StateIndex(e.From.Letter()), StateIndex(e.To.Letter())
 		if e.Kind != obs.KindState || from < 0 || to < 0 || e.Proc < 0 {
 			continue
 		}
@@ -431,23 +439,23 @@ func TestHierarchyMastersKeyedByBus(t *testing.T) {
 	}
 	an := a.Analyze(-1)
 
-	type masterKey struct{ bus, proc int }
+	type masterKey struct{ bus, proc int32 }
 	type txStats struct {
 		cache, mem int64
 		inv, upd   map[int]int64
 	}
-	protoOf := map[masterKey]string{}
+	protoOf := map[masterKey]obs.Name{}
 	stats := map[masterKey]*txStats{}
 	inv, upd := map[uint64]int{}, map[uint64]int{}
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
 		case obs.KindState:
-			if e.Proc < 0 || StateIndex(e.From) < 0 || StateIndex(e.To) < 0 {
+			if e.Proc < 0 || StateIndex(e.From.Letter()) < 0 || StateIndex(e.To.Letter()) < 0 {
 				continue
 			}
 			protoOf[masterKey{e.Bus, e.Proc}] = e.Proto
-			if e.To == "I" && strings.HasPrefix(e.Cause, "snoop-") && e.TxID != 0 {
+			if e.To.Letter() == "I" && strings.HasPrefix(e.Cause.String(), "snoop-") && e.TxID != 0 {
 				inv[e.TxID]++
 			}
 		case obs.KindUpdate:
@@ -464,7 +472,7 @@ func TestHierarchyMastersKeyedByBus(t *testing.T) {
 				s = &txStats{inv: map[int]int64{}, upd: map[int]int64{}}
 				stats[k] = s
 			}
-			if e.Op == "R" {
+			if e.Op == obs.OpRead {
 				if e.DI {
 					s.cache++
 				} else {

@@ -2,9 +2,11 @@ package coherence_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/ledger"
@@ -19,8 +21,14 @@ func analyze(events ...obs.Event) *coherence.Analysis {
 }
 
 func state(ts int64, proc int, from, to, cause string, txid uint64) obs.Event {
-	return obs.Event{TS: ts, Kind: obs.KindState, Proc: proc, Addr: 0x40,
-		From: from, To: to, Cause: cause, Proto: "moesi", TxID: txid}
+	f, errF := core.ParseState(from)
+	t, errT := core.ParseState(to)
+	c, errC := obs.ParseCause(cause)
+	if errF != nil || errT != nil || errC != nil {
+		panic(fmt.Sprintf("state(%q, %q, %q): %v %v %v", from, to, cause, errF, errT, errC))
+	}
+	return obs.Event{TS: ts, Kind: obs.KindState, Proc: int32(proc), Addr: 0x40,
+		From: f, To: t, Cause: c, Proto: obs.NameOf("moesi"), TxID: txid}
 }
 
 func diff(oldA, newA *coherence.Analysis) ledger.GateReport {
@@ -49,7 +57,7 @@ func TestDiffSelfCleanAndRegression(t *testing.T) {
 		state(0, 0, "I", "E", "fill", 1),
 		state(50, 1, "I", "M", "fill", 2),
 		state(50, 0, "E", "I", "snoop-cache-rfo", 2),
-		obs.Event{TS: 50, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", TxID: 2},
+		obs.Event{TS: 50, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 2},
 	)
 	r := diff(quiet, noisy)
 	flagged := false

@@ -13,12 +13,13 @@ import (
 // timeline for the busiest lines. No external assets, so the file can
 // be attached to a CI run or mailed around.
 //
-// Protocol names and cause strings come from traces, and traces can be
-// hostile (a replayed .fbt from an untrusted run, a fault wrapper's
-// composed name). The payload is therefore escaped explicitly before
-// embedding rather than trusting json.Marshal's HTML-escaping default,
-// and the inline script only ever inserts those strings with
-// textContent/createTextNode, never innerHTML.
+// Protocol names come from traces, and traces can be hostile (a
+// replayed .fbt from an untrusted run, a fault wrapper's composed
+// name); causes are a closed set the decoder checks. The payload is
+// therefore escaped explicitly before embedding rather than trusting
+// json.Marshal's HTML-escaping default, and the inline script only
+// ever inserts those strings with textContent/createTextNode, never
+// innerHTML.
 func (an *Analysis) RenderHTML(w io.Writer) error {
 	payload, err := json.Marshal(an)
 	if err != nil {

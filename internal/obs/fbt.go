@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"futurebus/internal/core"
 )
 
 // The .fbt binary trace format: the full event stream of a run,
@@ -85,7 +88,7 @@ const (
 )
 
 // seedKinds is the kind dictionary written into the header, in a fixed
-// order so identical runs encode byte-identically. Unknown kinds are
+// order so identical runs encode byte-identically. Kinds outside it are
 // appended to the stream dictionary on first use. APPEND-ONLY (see the
 // flag-bit comment above).
 var seedKinds = []Kind{
@@ -99,11 +102,22 @@ var seedKinds = []Kind{
 // implements Sink, so attaching it to a Recorder records the run; the
 // encoding is a few varints per event, cheap enough to stay under the
 // recording-overhead budget (see BenchmarkObsRecordingOverhead).
+//
+// Its dictionaries are indexed by value: each kind, op, state, cause
+// and name has a slot holding its dictionary index + 1 (0 = not yet
+// written). The string dictionary is one, shared by every field, as
+// the format requires, so a value's first use looks its string up in
+// strs and every later use reads its slot.
 type RecordSink struct {
 	bw      *bufio.Writer
 	scratch []byte
-	kinds   map[Kind]uint64
-	strs    map[string]uint64
+	kinds   [256]uint32
+	nkinds  uint32
+	ops     [256]uint32
+	states  [256]uint32
+	causes  [256]uint32
+	names   []uint32 // indexed by Name
+	strs    map[string]uint32
 	prevSeq uint64
 	prevTS  int64
 	err     error
@@ -113,18 +127,18 @@ type RecordSink struct {
 // compact record per consumed event.
 func NewRecordSink(w io.Writer, meta TraceMeta) *RecordSink {
 	s := &RecordSink{
-		bw:    bufio.NewWriterSize(w, 1<<16),
-		kinds: make(map[Kind]uint64, len(seedKinds)),
-		strs:  make(map[string]uint64),
+		bw:   bufio.NewWriterSize(w, 1<<16),
+		strs: make(map[string]uint32),
 	}
 	b := s.scratch[:0]
 	b = append(b, TraceMagic...)
 	b = binary.AppendUvarint(b, TraceVersion)
 	b = appendString(b, meta.Fingerprint)
 	b = binary.AppendUvarint(b, uint64(len(seedKinds)))
-	for i, k := range seedKinds {
-		s.kinds[k] = uint64(i)
-		b = appendString(b, string(k))
+	for _, k := range seedKinds {
+		s.nkinds++
+		s.kinds[k] = s.nkinds
+		b = appendString(b, k.String())
 	}
 	_, s.err = s.bw.Write(b)
 	s.scratch = b[:0]
@@ -141,17 +155,34 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendRef encodes a dictionary reference, introducing s inline when
-// it is new.
-func (s *RecordSink) appendRef(b []byte, v string) []byte {
-	idx, ok := s.strs[v]
-	if !ok {
-		idx = uint64(len(s.strs))
-		s.strs[v] = idx
-		b = binary.AppendUvarint(b, idx)
-		return appendString(b, v)
+// appendRef encodes a reference to the string dictionary entry of a
+// field value whose slot is *slot. On the value's first use it
+// introduces name() inline, or reuses the entry another field gave the
+// same string.
+func (s *RecordSink) appendRef(b []byte, slot *uint32, name func() string) []byte {
+	if *slot == 0 {
+		str := name()
+		idx, ok := s.strs[str]
+		if !ok {
+			idx = uint32(len(s.strs))
+			s.strs[str] = idx
+			b = binary.AppendUvarint(b, uint64(idx))
+			b = appendString(b, str)
+		} else {
+			b = binary.AppendUvarint(b, uint64(idx))
+		}
+		*slot = idx + 1
+		return b
 	}
-	return binary.AppendUvarint(b, idx)
+	return binary.AppendUvarint(b, uint64(*slot-1))
+}
+
+// nameSlot returns n's slot in the names dictionary.
+func (s *RecordSink) nameSlot(n Name) *uint32 {
+	if int(n) >= len(s.names) {
+		s.names = append(s.names, make([]uint32, int(n)+1-len(s.names))...)
+	}
+	return &s.names[n]
 }
 
 // Consume implements Sink.
@@ -166,16 +197,18 @@ func (s *RecordSink) Consume(e *Event) {
 	if e.Col != 0 {
 		flags |= fbtCol
 	}
-	if e.Op != "" {
+	if e.Op != 0 {
 		flags |= fbtOp
 	}
-	if e.From != "" {
-		flags |= fbtFrom
+	if e.Kind == KindState {
+		if e.From != NoState {
+			flags |= fbtFrom
+		}
+		if e.To != NoState {
+			flags |= fbtTo
+		}
 	}
-	if e.To != "" {
-		flags |= fbtTo
-	}
-	if e.Cause != "" {
+	if (e.Kind == KindEpoch && e.Disc != 0) || (e.Kind != KindEpoch && e.Cause != 0) {
 		flags |= fbtCause
 	}
 	if e.CH {
@@ -217,7 +250,7 @@ func (s *RecordSink) Consume(e *Event) {
 	if e.CauseID != 0 {
 		flags |= fbtCauseID
 	}
-	if e.Proto != "" {
+	if e.Proto != 0 {
 		flags |= fbtProto
 	}
 	if e.PendNS != 0 {
@@ -228,14 +261,13 @@ func (s *RecordSink) Consume(e *Event) {
 	}
 
 	b := s.scratch[:0]
-	kindIdx, ok := s.kinds[e.Kind]
-	if !ok {
-		kindIdx = uint64(len(s.kinds))
-		s.kinds[e.Kind] = kindIdx
-		b = binary.AppendUvarint(b, kindIdx)
-		b = appendString(b, string(e.Kind))
+	if kindIdx := s.kinds[e.Kind]; kindIdx != 0 {
+		b = binary.AppendUvarint(b, uint64(kindIdx-1))
 	} else {
-		b = binary.AppendUvarint(b, kindIdx)
+		b = binary.AppendUvarint(b, uint64(s.nkinds))
+		b = appendString(b, e.Kind.String())
+		s.nkinds++
+		s.kinds[e.Kind] = s.nkinds
 	}
 	b = binary.AppendUvarint(b, flags)
 	// Always-present fields: wraparound deltas reproduce any uint64 /
@@ -253,16 +285,20 @@ func (s *RecordSink) Consume(e *Event) {
 		b = binary.AppendUvarint(b, zigzag(int64(e.Col)))
 	}
 	if flags&fbtOp != 0 {
-		b = s.appendRef(b, e.Op)
+		b = s.appendRef(b, &s.ops[e.Op], e.Op.String)
 	}
 	if flags&fbtFrom != 0 {
-		b = s.appendRef(b, e.From)
+		b = s.appendRef(b, &s.states[e.From], e.From.Letter)
 	}
 	if flags&fbtTo != 0 {
-		b = s.appendRef(b, e.To)
+		b = s.appendRef(b, &s.states[e.To], e.To.Letter)
 	}
 	if flags&fbtCause != 0 {
-		b = s.appendRef(b, e.Cause)
+		if e.Kind == KindEpoch {
+			b = s.appendRef(b, s.nameSlot(e.Disc), e.Disc.String)
+		} else {
+			b = s.appendRef(b, &s.causes[e.Cause], e.Cause.String)
+		}
 	}
 	if flags&fbtRetries != 0 {
 		b = binary.AppendUvarint(b, zigzag(int64(e.Retries)))
@@ -270,17 +306,12 @@ func (s *RecordSink) Consume(e *Event) {
 	if flags&fbtBytes != 0 {
 		b = binary.AppendUvarint(b, zigzag(int64(e.Bytes)))
 	}
-	for _, ph := range [...]struct {
-		bit uint64
-		v   int64
-	}{
-		{fbtArbNS, e.ArbNS}, {fbtAddrNS, e.AddrNS}, {fbtDataNS, e.DataNS},
-		{fbtIntvNS, e.IntvNS}, {fbtMemNS, e.MemNS}, {fbtRetryNS, e.RetryNS},
-	} {
-		if flags&ph.bit != 0 {
-			b = binary.AppendUvarint(b, zigzag(ph.v))
-		}
-	}
+	b = appendSet(b, flags&fbtArbNS, e.ArbNS)
+	b = appendSet(b, flags&fbtAddrNS, e.AddrNS)
+	b = appendSet(b, flags&fbtDataNS, e.DataNS)
+	b = appendSet(b, flags&fbtIntvNS, e.IntvNS)
+	b = appendSet(b, flags&fbtMemNS, e.MemNS)
+	b = appendSet(b, flags&fbtRetryNS, e.RetryNS)
 	if flags&fbtTxID != 0 {
 		b = binary.AppendUvarint(b, e.TxID)
 	}
@@ -288,16 +319,20 @@ func (s *RecordSink) Consume(e *Event) {
 		b = binary.AppendUvarint(b, e.CauseID)
 	}
 	if flags&fbtProto != 0 {
-		b = s.appendRef(b, e.Proto)
+		b = s.appendRef(b, s.nameSlot(e.Proto), e.Proto.String)
 	}
-	if flags&fbtPendNS != 0 {
-		b = binary.AppendUvarint(b, zigzag(e.PendNS))
-	}
-	if flags&fbtDeferNS != 0 {
-		b = binary.AppendUvarint(b, zigzag(e.DeferNS))
-	}
+	b = appendSet(b, flags&fbtPendNS, e.PendNS)
+	b = appendSet(b, flags&fbtDeferNS, e.DeferNS)
 	_, s.err = s.bw.Write(b)
 	s.scratch = b[:0]
+}
+
+// appendSet encodes a signed field whose flag bit, set, is non-zero.
+func appendSet(b []byte, set uint64, v int64) []byte {
+	if set == 0 {
+		return b
+	}
+	return binary.AppendUvarint(b, zigzag(v))
 }
 
 // Flush implements Sink.
@@ -308,16 +343,38 @@ func (s *RecordSink) Flush() error {
 	return s.bw.Flush()
 }
 
-// TraceReader decodes a .fbt stream event by event.
+// TraceReader decodes a .fbt stream event by event. It maps each
+// dictionary entry to its value once, on the entry's first use in a
+// field; a string that names no value of that field is a decode error.
 type TraceReader struct {
 	br      *bufio.Reader
 	meta    TraceMeta
-	kinds   []Kind
-	strs    []string
+	kinds   []string
+	kindOf  []Kind // kindOf[i] is kinds[i]'s Kind, 0 until first used
+	strs    []dictEntry
 	prevSeq uint64
 	prevTS  int64
 	n       int64
 }
+
+// dictEntry is one string dictionary entry and the values it has named
+// so far, one per field domain (resolved marks which are known).
+type dictEntry struct {
+	s        string
+	resolved uint8
+	op       Op
+	state    core.State
+	cause    Cause
+	name     Name
+}
+
+// The field domains a string dictionary entry may name a value of.
+const (
+	domOp = 1 << iota
+	domState
+	domCause
+	domName
+)
 
 // NewTraceReader validates the header and positions the reader at the
 // first event.
@@ -352,7 +409,8 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("obs: fbt header kind %d: %w", i, err)
 		}
-		t.kinds = append(t.kinds, Kind(k))
+		t.kinds = append(t.kinds, k)
+		t.kindOf = append(t.kindOf, 0)
 	}
 	return t, nil
 }
@@ -385,28 +443,76 @@ func (t *TraceReader) string() (string, error) {
 	return string(b), nil
 }
 
-// ref resolves a dictionary reference, accepting an inline new entry.
-func (t *TraceReader) ref() (string, error) {
+// ref resolves a string dictionary reference, accepting an inline new
+// entry, and returns the entry to read dom's value from: resolved, or
+// the error of a string that names no value of dom.
+func (t *TraceReader) ref(dom uint8) (*dictEntry, error) {
 	idx, err := t.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	switch {
 	case idx < uint64(len(t.strs)):
-		return t.strs[idx], nil
 	case idx == uint64(len(t.strs)):
 		if idx >= maxTraceDict {
-			return "", fmt.Errorf("string dictionary exceeds %d entries", maxTraceDict)
+			return nil, fmt.Errorf("string dictionary exceeds %d entries", maxTraceDict)
 		}
 		s, err := t.string()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		t.strs = append(t.strs, s)
-		return s, nil
+		t.strs = append(t.strs, dictEntry{s: s})
 	default:
-		return "", fmt.Errorf("string ref %d beyond dictionary (%d entries)", idx, len(t.strs))
+		return nil, fmt.Errorf("string ref %d beyond dictionary (%d entries)", idx, len(t.strs))
 	}
+	d := &t.strs[idx]
+	if d.resolved&dom != 0 {
+		return d, nil
+	}
+	switch dom {
+	case domOp:
+		d.op, err = parseOp(d.s)
+	case domState:
+		d.state, err = parseState(d.s)
+	case domCause:
+		d.cause, err = ParseCause(d.s)
+	case domName:
+		d.name, err = decodeName(d.s)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.resolved |= dom
+	return d, nil
+}
+
+// kind resolves a kind dictionary reference, accepting an inline new
+// entry.
+func (t *TraceReader) kind(ref uint64) (Kind, error) {
+	switch {
+	case ref < uint64(len(t.kinds)):
+	case ref == uint64(len(t.kinds)):
+		if ref >= maxTraceDict {
+			return 0, fmt.Errorf("kind dictionary exceeds %d entries", maxTraceDict)
+		}
+		k, err := t.string()
+		if err != nil {
+			return 0, err
+		}
+		t.kinds = append(t.kinds, k)
+		t.kindOf = append(t.kindOf, 0)
+	default:
+		return 0, fmt.Errorf("ref %d beyond dictionary (%d entries)", ref, len(t.kinds))
+	}
+	if k := t.kindOf[ref]; k != 0 {
+		return k, nil
+	}
+	k, err := parseKind(t.kinds[ref])
+	if err != nil {
+		return 0, err
+	}
+	t.kindOf[ref] = k
+	return k, nil
 }
 
 // Next decodes one event into e. It returns io.EOF at a clean end of
@@ -423,21 +529,8 @@ func (t *TraceReader) Next(e *Event) error {
 		return fmt.Errorf("obs: fbt event %d %s: %w", t.n, field, err)
 	}
 	*e = Event{}
-	switch {
-	case kindRef < uint64(len(t.kinds)):
-		e.Kind = t.kinds[kindRef]
-	case kindRef == uint64(len(t.kinds)):
-		if kindRef >= maxTraceDict {
-			return fail("kind", fmt.Errorf("kind dictionary exceeds %d entries", maxTraceDict))
-		}
-		k, err := t.string()
-		if err != nil {
-			return fail("kind", err)
-		}
-		t.kinds = append(t.kinds, Kind(k))
-		e.Kind = Kind(k)
-	default:
-		return fail("kind", fmt.Errorf("ref %d beyond dictionary (%d entries)", kindRef, len(t.kinds)))
+	if e.Kind, err = t.kind(kindRef); err != nil {
+		return fail("kind", err)
 	}
 	flags, err := t.uvarint()
 	if err != nil {
@@ -457,13 +550,11 @@ func (t *TraceReader) Next(e *Event) error {
 	e.TS = t.prevTS
 	for _, f := range [...]struct {
 		name string
-		dst  *int
+		dst  *int32
 	}{{"bus", &e.Bus}, {"proc", &e.Proc}} {
-		v, err := t.uvarint()
-		if err != nil {
+		if *f.dst, err = t.int32(); err != nil {
 			return fail(f.name, err)
 		}
-		*f.dst = int(unzigzag(v))
 	}
 	if e.Addr, err = t.uvarint(); err != nil {
 		return fail("addr", err)
@@ -476,43 +567,64 @@ func (t *TraceReader) Next(e *Event) error {
 		e.Dur = unzigzag(v)
 	}
 	if flags&fbtCol != 0 {
-		v, err := t.uvarint()
-		if err != nil {
+		if e.Col, err = t.int32(); err != nil {
 			return fail("col", err)
 		}
-		e.Col = int(unzigzag(v))
+	}
+	if flags&fbtOp != 0 {
+		d, err := t.ref(domOp)
+		if err != nil {
+			return fail("op", err)
+		}
+		e.Op = d.op
+	}
+	if e.Kind == KindState {
+		e.From, e.To = NoState, NoState
 	}
 	for _, f := range [...]struct {
 		name string
 		bit  uint64
-		dst  *string
-	}{
-		{"op", fbtOp, &e.Op}, {"from", fbtFrom, &e.From},
-		{"to", fbtTo, &e.To}, {"cause", fbtCause, &e.Cause},
-	} {
+		dst  *core.State
+	}{{"from", fbtFrom, &e.From}, {"to", fbtTo, &e.To}} {
 		if flags&f.bit == 0 {
 			continue
 		}
-		if *f.dst, err = t.ref(); err != nil {
+		if e.Kind != KindState {
+			return fail(f.name, fmt.Errorf("a %s event carries no state", e.Kind))
+		}
+		d, err := t.ref(domState)
+		if err != nil {
 			return fail(f.name, err)
+		}
+		*f.dst = d.state
+	}
+	if flags&fbtCause != 0 {
+		if e.Kind == KindEpoch {
+			d, err := t.ref(domName)
+			if err != nil {
+				return fail("cause", err)
+			}
+			e.Disc = d.name
+		} else {
+			d, err := t.ref(domCause)
+			if err != nil {
+				return fail("cause", err)
+			}
+			e.Cause = d.cause
 		}
 	}
 	e.CH = flags&fbtCH != 0
 	e.DI = flags&fbtDI != 0
 	e.SL = flags&fbtSL != 0
 	if flags&fbtRetries != 0 {
-		v, err := t.uvarint()
-		if err != nil {
+		if e.Retries, err = t.int32(); err != nil {
 			return fail("retries", err)
 		}
-		e.Retries = int(unzigzag(v))
 	}
 	if flags&fbtBytes != 0 {
-		v, err := t.uvarint()
-		if err != nil {
+		if e.Bytes, err = t.int32(); err != nil {
 			return fail("bytes", err)
 		}
-		e.Bytes = int(unzigzag(v))
 	}
 	for _, f := range [...]struct {
 		name string
@@ -543,9 +655,11 @@ func (t *TraceReader) Next(e *Event) error {
 		}
 	}
 	if flags&fbtProto != 0 {
-		if e.Proto, err = t.ref(); err != nil {
+		d, err := t.ref(domName)
+		if err != nil {
 			return fail("proto", err)
 		}
+		e.Proto = d.name
 	}
 	for _, f := range [...]struct {
 		name string
@@ -565,6 +679,20 @@ func (t *TraceReader) Next(e *Event) error {
 	}
 	t.n++
 	return nil
+}
+
+// int32 decodes a zigzag field of an int32 event field; a value out of
+// its range is an error.
+func (t *TraceReader) int32() (int32, error) {
+	u, err := t.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	v := unzigzag(u)
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("%d is out of range", v)
+	}
+	return int32(v), nil
 }
 
 // ReplayTrace feeds every event of a recorded .fbt stream to the sinks

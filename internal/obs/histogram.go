@@ -138,23 +138,15 @@ const (
 // HistogramSink accumulates latency/stall/retry distributions from the
 // event stream. Summaries may be read concurrently with draining.
 type HistogramSink struct {
-	mu     sync.Mutex
-	byName map[string]*Histogram
+	mu    sync.Mutex
+	hists [len(histNames)]Histogram // indexed like histNames
 }
+
+// histNames are HistogramSink's metrics, in its array order.
+var histNames = [...]string{MetricTxLatency, MetricTxRetries, MetricStall}
 
 // NewHistogramSink creates an empty histogram sink.
-func NewHistogramSink() *HistogramSink {
-	return &HistogramSink{byName: make(map[string]*Histogram)}
-}
-
-func (s *HistogramSink) hist(name string) *Histogram {
-	h, ok := s.byName[name]
-	if !ok {
-		h = &Histogram{}
-		s.byName[name] = h
-	}
-	return h
-}
+func NewHistogramSink() *HistogramSink { return &HistogramSink{} }
 
 // Consume implements Sink.
 func (s *HistogramSink) Consume(e *Event) {
@@ -162,10 +154,10 @@ func (s *HistogramSink) Consume(e *Event) {
 	defer s.mu.Unlock()
 	switch e.Kind {
 	case KindTx:
-		s.hist(MetricTxLatency).Observe(e.Dur)
-		s.hist(MetricTxRetries).Observe(int64(e.Retries))
+		s.hists[0].Observe(e.Dur)
+		s.hists[1].Observe(int64(e.Retries))
 	case KindStall:
-		s.hist(MetricStall).Observe(e.Dur)
+		s.hists[2].Observe(e.Dur)
 	}
 }
 
@@ -176,9 +168,11 @@ func (s *HistogramSink) Flush() error { return nil }
 func (s *HistogramSink) Summaries() map[string]Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]Summary, len(s.byName))
-	for name, h := range s.byName {
-		out[name] = h.Summary()
+	out := make(map[string]Summary, len(histNames))
+	for i, name := range histNames {
+		if s.hists[i].Count() > 0 {
+			out[name] = s.hists[i].Summary()
+		}
 	}
 	return out
 }

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -28,7 +25,7 @@ func (s *JSONLSink) Consume(e *Event) {
 	if s.err != nil {
 		return
 	}
-	b, err := json.Marshal(e)
+	b, err := e.MarshalJSON()
 	if err != nil {
 		s.err = err
 		return
@@ -45,29 +42,4 @@ func (s *JSONLSink) Flush() error {
 		return s.err
 	}
 	return s.bw.Flush()
-}
-
-// ReadJSONL parses a JSONL event stream back into events (the reverse
-// of JSONLSink, for round-trip tests and offline tools).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", lineNo, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
 }

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"futurebus/internal/core"
 )
 
 // TestHistogramQuantiles: log-bucket bounds behave as documented.
@@ -67,9 +70,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		{Seq: 0, TS: 0, Kind: KindGrant, Bus: 0, Proc: 2, Addr: 0x10},
 		{Seq: 1, TS: 10, Dur: 425, Kind: KindTx, Bus: 0, Proc: 2, Addr: 0x10,
-			Col: 6, Op: "R", CH: true, DI: true, Retries: 1, Bytes: 32},
+			Col: 6, Op: OpRead, CH: true, DI: true, Retries: 1, Bytes: 32},
 		{Seq: 2, TS: 435, Kind: KindState, Bus: 0, Proc: 1, Addr: 0x10,
-			From: "M", To: "O", Cause: "snoop"},
+			From: core.Modified, To: core.Owned, Cause: CauseSnoop},
 		{Seq: 3, TS: 435, Kind: KindMemWrite, Bus: -1, Proc: -1, Addr: 0x20},
 	}
 	var buf bytes.Buffer
@@ -80,8 +83,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadJSONL(&buf)
-	if err != nil {
+	var out []Event
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) {
@@ -98,9 +109,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestLineAudit(t *testing.T) {
 	a := NewLineAuditSink(8)
 	for i := 0; i < 20; i++ {
-		a.Consume(&Event{Seq: uint64(i), Kind: KindTx, Addr: 0x10, Col: 5, Op: "R"})
+		a.Consume(&Event{Seq: uint64(i), Kind: KindTx, Addr: 0x10, Col: 5, Op: OpRead})
 	}
-	a.Consume(&Event{Kind: KindState, Addr: 0x20, From: "I", To: "M", Cause: "fill"})
+	a.Consume(&Event{Kind: KindState, Addr: 0x20, From: core.Invalid, To: core.Modified, Cause: CauseFill})
 	a.Consume(&Event{Kind: KindGrant, Addr: 0x20}) // not audited
 	h := a.LineHistory(0x10)
 	if len(h) > 8 {
@@ -125,8 +136,8 @@ func TestLineAudit(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewChromeTraceSink(&buf)
-	s.Consume(&Event{Seq: 1, TS: 0, Dur: 425, Kind: KindTx, Bus: 0, Proc: 1, Addr: 0x10, Col: 5, Op: "R", Bytes: 32})
-	s.Consume(&Event{Seq: 2, TS: 425, Kind: KindState, Bus: 0, Proc: 0, Addr: 0x10, From: "I", To: "S", Cause: "fill"})
+	s.Consume(&Event{Seq: 1, TS: 0, Dur: 425, Kind: KindTx, Bus: 0, Proc: 1, Addr: 0x10, Col: 5, Op: OpRead, Bytes: 32})
+	s.Consume(&Event{Seq: 2, TS: 425, Kind: KindState, Bus: 0, Proc: 0, Addr: 0x10, From: core.Invalid, To: core.Shared, Cause: CauseFill})
 	s.Consume(&Event{Seq: 3, TS: 425, Kind: KindMemRead, Bus: -1, Proc: -1, Addr: 0x10})
 	s.Consume(&Event{Seq: 4, TS: 425, Dur: 425, Kind: KindStall, Bus: 0, Proc: 1, Addr: 0x10})
 	if err := s.Flush(); err != nil {

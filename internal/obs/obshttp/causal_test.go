@@ -49,10 +49,10 @@ func TestCausalEndpointAndDroppedMetric(t *testing.T) {
 	// waiting behind it.
 	rec.Emit(obs.Event{Seq: 0, TS: 0, Kind: obs.KindGrant, Proc: 0, TxID: 1})
 	rec.Emit(obs.Event{Seq: 1, TS: 0, Dur: 400, Kind: obs.KindTx, Proc: 0,
-		Op: "R", AddrNS: 125, DataNS: 275, TxID: 1})
+		Op: obs.OpRead, AddrNS: 125, DataNS: 275, TxID: 1})
 	rec.Emit(obs.Event{Seq: 2, TS: 400, Dur: 400, Kind: obs.KindGrant, Proc: 1, TxID: 2, CauseID: 1})
 	rec.Emit(obs.Event{Seq: 3, TS: 400, Dur: 300, Kind: obs.KindTx, Proc: 1,
-		Op: "W", ArbNS: 400, AddrNS: 125, DataNS: 175, TxID: 2})
+		Op: obs.OpWrite, ArbNS: 400, AddrNS: 125, DataNS: 175, TxID: 2})
 
 	get := func(path string) string {
 		resp, err := http.Get(srv.URL() + path)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/leaktest"
 )
@@ -96,7 +97,7 @@ func TestSummarySumExact(t *testing.T) {
 func TestServedFoldPhasesAndSlowest(t *testing.T) {
 	tx := func(seq uint64, proc int, dur, arb, addr, data, intv, mem, retry int64) *obs.Event {
 		return &obs.Event{
-			Seq: seq, Kind: obs.KindTx, Proc: proc, Dur: dur, Op: "R", Col: 6,
+			Seq: seq, Kind: obs.KindTx, Proc: int32(proc), Dur: dur, Op: obs.OpRead, Col: 6,
 			ArbNS: arb, AddrNS: addr, DataNS: data, IntvNS: intv, MemNS: mem, RetryNS: retry,
 		}
 	}
@@ -165,7 +166,7 @@ func TestEventStreamIdleMarshalsNothing(t *testing.T) {
 	es := NewEventStream()
 	events := make([]obs.Event, DefaultReplay+10)
 	for i := range events {
-		events[i] = obs.Event{Kind: obs.KindState, Seq: uint64(i), Addr: uint64(i) * 32, From: "I", To: "S"}
+		events[i] = obs.Event{Kind: obs.KindState, Seq: uint64(i), Addr: uint64(i) * 32, From: core.Invalid, To: core.Shared}
 		es.Consume(&events[i])
 	}
 	if frames, _ := es.Stats(); frames != 0 {
@@ -219,11 +220,11 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Feed a little traffic through the recorder so every endpoint has
 	// something to show.
-	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 0, Op: "R", Dur: 645,
+	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 0, Op: obs.OpRead, Dur: 645,
 		AddrNS: 125, DataNS: 320, MemNS: 200})
-	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 1, Op: "W", Dur: 565, Retries: 1,
+	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 1, Op: obs.OpWrite, Dur: 565, Retries: 1,
 		AddrNS: 125, DataNS: 320, IntvNS: 120})
-	rec.Emit(obs.Event{Kind: obs.KindState, Proc: 0, From: "I", To: "E"})
+	rec.Emit(obs.Event{Kind: obs.KindState, Proc: 0, From: core.Invalid, To: core.Exclusive})
 	rec.Emit(obs.Event{Kind: obs.KindAbort, Proc: 1})
 
 	get := func(path string) string {
@@ -297,7 +298,7 @@ func TestServerEndpoints(t *testing.T) {
 		if err := json.Unmarshal([]byte(frame), &e); err != nil {
 			t.Fatalf("bad SSE frame %q: %v", frame, err)
 		}
-		if e.Kind == "" {
+		if e.Kind == 0 {
 			t.Errorf("SSE frame missing kind: %q", frame)
 		}
 	case <-deadline:

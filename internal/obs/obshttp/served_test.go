@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/coherence"
 	"futurebus/internal/obs/leaktest"
@@ -89,12 +90,12 @@ func TestServedViewsExactBeforeFlush(t *testing.T) {
 
 	// P0 fills the line to M, then P1 fills the same line to M: a
 	// second owner, detected on the last event.
-	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: "R", TxID: 1})
+	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 1})
 	rec.Emit(obs.Event{TS: 2, Kind: obs.KindState, Proc: 0, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 1})
-	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2})
+		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 1})
+	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
 	rec.Emit(obs.Event{TS: 4, Kind: obs.KindState, Proc: 1, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 2})
+		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 2})
 
 	scrape := func() (states, stateEvents int64) {
 		var rep watch.Report

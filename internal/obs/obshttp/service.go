@@ -224,8 +224,8 @@ const DefaultTopK = 16
 // Recorder calls it one event at a time, and the registry and /slow
 // read it inside the recorder's View.
 type metricsSink struct {
-	events  map[obs.Kind]int64
-	txOps   map[string]int64
+	events  [obs.NumKinds]int64
+	txOps   [obs.NumOps]int64
 	aborts  int64
 	retries int64
 	nacks   int64
@@ -240,16 +240,20 @@ func newMetricsSink(reg *Registry, topK int) *metricsSink {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	m := &metricsSink{events: make(map[obs.Kind]int64), txOps: make(map[string]int64), topK: topK}
+	m := &metricsSink{topK: topK}
 	reg.FamilyFunc(MetricEvents, "counter", "Events by kind.", func(add func(string, int64)) {
 		for k, n := range m.events {
-			add(fmt.Sprintf("kind=%q", k), n)
+			if n > 0 {
+				add(fmt.Sprintf("kind=%q", obs.Kind(k)), n)
+			}
 		}
 	})
 	reg.FamilyFunc(MetricTransactions, "counter", "Completed bus transactions by data-phase op.",
 		func(add func(string, int64)) {
 			for op, n := range m.txOps {
-				add(fmt.Sprintf("op=%q", op), n)
+				if n > 0 {
+					add(fmt.Sprintf("op=%q", obs.Op(op)), n)
+				}
 			}
 		})
 	for _, c := range []struct {
@@ -278,8 +282,8 @@ func (m *metricsSink) Consume(e *obs.Event) {
 	switch e.Kind {
 	case obs.KindTx:
 		op := e.Op
-		if op == "" {
-			op = "A"
+		if op == 0 {
+			op = obs.OpAddr
 		}
 		m.txOps[op]++
 		m.retries += int64(e.Retries)

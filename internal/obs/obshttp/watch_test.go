@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/leaktest"
 	"futurebus/internal/obs/watch"
@@ -47,12 +48,12 @@ func TestWatchSinkEndpointAndMetrics(t *testing.T) {
 	}
 
 	// Two caches fill the same line to M — a single-owner violation.
-	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: "R", TxID: 1})
+	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 1})
 	rec.Emit(obs.Event{TS: 2, Kind: obs.KindState, Proc: 0, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 1})
-	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: "R", DI: true, TxID: 2})
+		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 1})
+	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
 	rec.Emit(obs.Event{TS: 4, Kind: obs.KindState, Proc: 1, Addr: 0x40,
-		From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: 2})
+		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 2})
 
 	var rep watch.Report
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL()+"/violations")), &rep); err != nil {
@@ -189,12 +190,12 @@ func TestServiceConcurrentScrapeStreamFold(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		addr := uint64(0x1000 + (i%64)*64)
 		txid := uint64(i + 1)
-		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindTx, Proc: i % 4, Addr: addr,
-			Col: 6, Op: "R", TxID: txid})
-		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: i % 4, Addr: addr,
-			From: "I", To: "M", Cause: "fill", Proto: "moesi", TxID: txid})
-		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: i % 4, Addr: addr,
-			From: "M", To: "I", Cause: "snoop-cache-rfo", TxID: txid + 1})
+		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindTx, Proc: int32(i % 4), Addr: addr,
+			Col: 6, Op: obs.OpRead, TxID: txid})
+		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: int32(i % 4), Addr: addr,
+			From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: txid})
+		rec.Emit(obs.Event{TS: int64(i), Kind: obs.KindState, Proc: int32(i % 4), Addr: addr,
+			From: core.Modified, To: core.Invalid, Cause: obs.CauseSnoopCacheRFO, TxID: txid + 1})
 	}
 	// With the emitter done, a scrape sees the whole stream.
 	var rep watch.Report

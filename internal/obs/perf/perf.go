@@ -345,10 +345,10 @@ func (s *Sink) Consume(e *obs.Event) {
 		}
 		observe(&s.cum.arbWait, &s.epoch.arbWait, e.Dur)
 		if e.Proc >= 0 {
-			s.cum.boardWait[e.Proc] += e.Dur
-			s.epoch.boardWait[e.Proc] += e.Dur
+			s.cum.boardWait[int(e.Proc)] += e.Dur
+			s.epoch.boardWait[int(e.Proc)] += e.Dur
 		}
-		s.observeDepth(e.Bus, e.TS, e.Dur)
+		s.observeDepth(int(e.Bus), e.TS, e.Dur)
 	case obs.KindPend:
 		// Split-mode off-bus memory service (the first-word latency a
 		// pending transaction spends in the table).

@@ -7,7 +7,7 @@ import (
 )
 
 func grant(bus int, ts, dur int64) *obs.Event {
-	return &obs.Event{Kind: obs.KindGrant, Bus: bus, TS: ts, Dur: dur}
+	return &obs.Event{Kind: obs.KindGrant, Bus: int32(bus), TS: ts, Dur: dur}
 }
 
 // The queue reconstruction derives depth from wait-interval overlap:

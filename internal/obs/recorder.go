@@ -151,7 +151,7 @@ func (r *Recorder) MarkEpoch(bus int, discipline string) {
 	if r == nil {
 		return
 	}
-	r.Emit(Event{TS: r.Clock(), Kind: KindEpoch, Bus: bus, Proc: -1, Cause: discipline})
+	r.Emit(Event{TS: r.Clock(), Kind: KindEpoch, Bus: int32(bus), Proc: -1, Disc: NameOf(discipline)})
 }
 
 // Dropped returns the number of events discarded because they were

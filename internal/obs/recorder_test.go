@@ -31,7 +31,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				rec.Emit(Event{Kind: KindTx, Proc: p, Addr: uint64(i)})
+				rec.Emit(Event{Kind: KindTx, Proc: int32(p), Addr: uint64(i)})
 			}
 		}(p)
 	}
@@ -219,7 +219,7 @@ func TestRecorderStalledSinkParks(t *testing.T) {
 func TestRecorderEmitAllocFree(t *testing.T) {
 	rec := New(NewRecordSink(io.Discard, TraceMeta{Fingerprint: "alloc"}))
 	defer rec.Close()
-	e := Event{Kind: KindTx, Proc: 1, Addr: 0x40, Col: 5, Op: "R", Dur: 425, Bytes: 32}
+	e := Event{Kind: KindTx, Proc: 1, Addr: 0x40, Col: 5, Op: OpRead, Dur: 425, Bytes: 32}
 	for i := 0; i < 4*DefaultBuffer; i++ {
 		rec.Emit(e)
 	}

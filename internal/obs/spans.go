@@ -44,8 +44,8 @@ func SpanFromEvent(e *Event) (TxSpan, bool) {
 		return TxSpan{}, false
 	}
 	return TxSpan{
-		Seq: e.Seq, TS: e.TS, Dur: e.Dur, Bus: e.Bus, Proc: e.Proc,
-		Col: e.Col, Op: e.Op, Addr: e.Addr, Retries: e.Retries,
+		Seq: e.Seq, TS: e.TS, Dur: e.Dur, Bus: int(e.Bus), Proc: int(e.Proc),
+		Col: int(e.Col), Op: e.Op.String(), Addr: e.Addr, Retries: int(e.Retries),
 		Phases: [NumPhases]int64{
 			PhaseArb: e.ArbNS, PhaseAddr: e.AddrNS, PhaseData: e.DataNS,
 			PhaseIntervention: e.IntvNS, PhaseMemory: e.MemNS, PhaseRetry: e.RetryNS,

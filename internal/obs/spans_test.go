@@ -6,7 +6,7 @@ import "testing"
 // phases sum to dur.
 func txEvent(seq uint64, proc int, dur, arb, addr, data, intv, mem, retry int64) *Event {
 	return &Event{
-		Seq: seq, Kind: KindTx, Proc: proc, Dur: dur, Op: "R", Col: 6,
+		Seq: seq, Kind: KindTx, Proc: int32(proc), Dur: dur, Op: OpRead, Col: 6,
 		ArbNS: arb, AddrNS: addr, DataNS: data, IntvNS: intv, MemNS: mem, RetryNS: retry,
 	}
 }

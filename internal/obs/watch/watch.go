@@ -187,11 +187,6 @@ type Report struct {
 	Violations  []Violation         `json:"violations,omitempty"`
 }
 
-type lineKey struct {
-	bus  int
-	addr uint64
-}
-
 type countKey struct {
 	inv   Invariant
 	proto string
@@ -216,6 +211,11 @@ type pendEntry struct {
 // state, derived counts, the per-transaction owner snapshot, and the
 // causal-context ring.
 type line struct {
+	bus  int32
+	addr uint64
+	// next is the line of the same address on another bus (a hierarchy
+	// caches one address on several).
+	next                *line
 	states              []int8 // per proc; -1 = never seen (treated as I)
 	owners, excl, valid int
 	// txSnap / ownersAtSnap / ownerAtSnap capture the owner situation
@@ -337,8 +337,10 @@ func (ln *line) holders() string {
 type Monitor struct {
 	cfg Config
 
-	lines    map[lineKey]*line
-	lastKey  lineKey
+	// lines holds each address's lines, chained through line.next, so
+	// the per-event lookup hashes one word.
+	lines    map[uint64]*line
+	nlines   int
 	lastLine *line
 
 	pending []pendEntry // direct-mapped by txid & (maxPending-1)
@@ -350,7 +352,7 @@ type Monitor struct {
 	splitPend    map[uint64]struct{}
 	splitDropped bool
 
-	procProto []string // indexed by proc; "" = unknown
+	procProto []obs.Name // indexed by proc; 0 = unknown
 
 	events, states, txs, truncated int64
 
@@ -373,7 +375,7 @@ func New(cfg Config) *Monitor {
 	}
 	return &Monitor{
 		cfg:     cfg,
-		lines:   make(map[lineKey]*line),
+		lines:   make(map[uint64]*line),
 		pending: make([]pendEntry, maxPending),
 		counts:  make(map[countKey]int64),
 	}
@@ -477,13 +479,15 @@ func (m *Monitor) reset() {
 	// benchmarks replay the same address set epoch after epoch, so the
 	// shadow reaches a steady state with no per-epoch garbage (the
 	// context rings and states slices keep their capacity).
-	for _, ln := range m.lines {
-		ln.states = ln.states[:0]
-		ln.owners, ln.excl, ln.valid = 0, 0, 0
-		ln.txSnap, ln.ownersAtSnap, ln.ownerAtSnap = 0, 0, -1
-		ln.held, ln.heldTx = ln.held[:0], 0
-		ln.ring = ln.ring[:0]
-		ln.ringPos, ln.ringFull = 0, false
+	for _, first := range m.lines {
+		for ln := first; ln != nil; ln = ln.next {
+			ln.states = ln.states[:0]
+			ln.owners, ln.excl, ln.valid = 0, 0, 0
+			ln.txSnap, ln.ownersAtSnap, ln.ownerAtSnap = 0, 0, -1
+			ln.held, ln.heldTx = ln.held[:0], 0
+			ln.ring = ln.ring[:0]
+			ln.ringPos, ln.ringFull = 0, false
+		}
 	}
 	m.lastLine = nil
 	clear(m.pending)
@@ -492,27 +496,28 @@ func (m *Monitor) reset() {
 	clear(m.procProto)
 }
 
-func (m *Monitor) lookup(bus int, addr uint64, create bool) *line {
-	key := lineKey{bus, addr}
-	if m.lastLine != nil && m.lastKey == key {
-		return m.lastLine
+func (m *Monitor) lookup(bus int32, addr uint64, create bool) *line {
+	if ln := m.lastLine; ln != nil && ln.addr == addr && ln.bus == bus {
+		return ln
 	}
-	ln := m.lines[key]
+	first := m.lines[addr]
+	ln := first
+	for ln != nil && ln.bus != bus {
+		ln = ln.next
+	}
 	if ln == nil {
-		if !create {
+		if !create || m.nlines >= m.cfg.MaxLines {
 			return nil
 		}
-		if len(m.lines) >= m.cfg.MaxLines {
-			return nil
-		}
-		ln = &line{ownerAtSnap: -1}
-		m.lines[key] = ln
+		ln = &line{bus: bus, addr: addr, next: first, ownerAtSnap: -1}
+		m.lines[addr] = ln
+		m.nlines++
 	}
-	m.lastKey, m.lastLine = key, ln
+	m.lastLine = ln
 	return ln
 }
 
-func (m *Monitor) notePending(txid uint64, col int, ch bool) {
+func (m *Monitor) notePending(txid uint64, col int32, ch bool) {
 	if txid == 0 {
 		return
 	}
@@ -549,16 +554,16 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 	// capture non-broadcast plain writes. Broadcast transfers (SL) and
 	// pushes carry their own data path, so only columns 5–7 reads and
 	// column 9 writes are constrained.
-	foreign := ln.foreignOwner(e.Proc)
+	foreign := ln.foreignOwner(int(e.Proc))
 	switch {
-	case e.Op == "R":
+	case e.Op == obs.OpRead:
 		if e.DI && !foreign {
 			m.reportTx(e, ln, "a cache intervened (DI) on a read of a line no other cache owned")
 		} else if !e.DI && foreign {
 			m.reportTx(e, ln, fmt.Sprintf(
 				"memory supplied a read while cache %d owned the line — memory must be invalid while a cache owns (stale data served)", ln.ownerAtSnap))
 		}
-	case e.Op == "W" && e.Col == 9:
+	case e.Op == obs.OpWrite && e.Col == 9:
 		if e.DI && !foreign {
 			m.reportTx(e, ln, "a cache captured (DI) a plain write to a line no other cache owned")
 		} else if !e.DI && foreign {
@@ -570,13 +575,11 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 
 func (m *Monitor) consumeState(e *obs.Event) {
 	m.states++
-	if e.Proto != "" && e.Proc >= 0 {
-		for len(m.procProto) <= e.Proc {
-			m.procProto = append(m.procProto, "")
+	if e.Proto != 0 && e.Proc >= 0 {
+		for len(m.procProto) <= int(e.Proc) {
+			m.procProto = append(m.procProto, 0)
 		}
-		if m.procProto[e.Proc] != e.Proto {
-			m.procProto[e.Proc] = e.Proto
-		}
+		m.procProto[e.Proc] = e.Proto
 	}
 	ln := m.lookup(e.Bus, e.Addr, true)
 	if ln == nil {
@@ -585,10 +588,10 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	}
 	ln.remember(e, m.cfg.ContextDepth)
 
-	from, errF := core.ParseState(e.From)
-	to, errT := core.ParseState(e.To)
-	if errF != nil || errT != nil {
-		m.report(InvLegalLocal, e, ln, fmt.Sprintf("malformed state letters %q→%q", e.From, e.To))
+	from, to := e.From, e.To
+	if !known(from) || !known(to) {
+		letterFrom, letterTo := e.Letters()
+		m.report(InvLegalLocal, e, ln, fmt.Sprintf("malformed state letters %q→%q", letterFrom, letterTo))
 		return
 	}
 
@@ -603,7 +606,7 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	}
 
 	// Trace integrity: the event's From must match the shadow.
-	if prev := ln.stateOf(e.Proc); prev >= 0 && core.State(prev) != from {
+	if prev := ln.stateOf(int(e.Proc)); prev >= 0 && core.State(prev) != from {
 		m.report(InvShadow, e, ln, fmt.Sprintf(
 			"shadow recorded %s for this copy but the event departs from %s — the stream skipped a transition",
 			core.State(prev).Letter(), from.Letter()))
@@ -615,7 +618,7 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	}
 
 	// Apply, then the structural §3.1 invariants.
-	ln.setState(e.Proc, to)
+	ln.setState(int(e.Proc), to)
 	if to.OwnedCopy() && ln.owners > 1 {
 		m.report(InvSingleOwner, e, ln, fmt.Sprintf(
 			"%d caches own the line after this transition — §3.1.3 allows at most one", ln.owners))
@@ -625,7 +628,7 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	}
 	switch detail := exclusivity(ln, to); {
 	case detail == "":
-	case strings.HasPrefix(e.Cause, "snoop") && e.TxID != 0:
+	case e.Cause.Snoop() && e.TxID != 0:
 		// Judged when the KindTx arrives, once every snooper has
 		// committed.
 		ln.held, ln.heldTx = append(ln.held, *e), e.TxID
@@ -659,7 +662,7 @@ func exclusivity(ln *line, to core.State) string {
 func (m *Monitor) judgeHeld(ln *line) {
 	for i := range ln.held {
 		e := &ln.held[i]
-		if s := ln.stateOf(e.Proc); s > 0 {
+		if s := ln.stateOf(int(e.Proc)); s > 0 {
 			if detail := exclusivity(ln, core.State(s)); detail != "" {
 				m.report(InvExclusivity, e, ln, detail)
 			}
@@ -669,7 +672,7 @@ func (m *Monitor) judgeHeld(ln *line) {
 }
 
 // snoopLegal checks a snooper-side transition against its Table 2
-// column (the snoop-* cause strings name the column consulted).
+// column (the snoop-* causes name the column consulted).
 func snoopLegal(ev core.BusEvent, from, to core.State) (Invariant, string, bool) {
 	mask := snoopNext[int(ev)][int(from)]
 	if !has(mask, to) {
@@ -680,24 +683,22 @@ func snoopLegal(ev core.BusEvent, from, to core.State) (Invariant, string, bool)
 	return "", "", true
 }
 
-// legal checks one state transition against the class tables. The
-// cause dispatch is a single string switch (no map hash) because it
-// runs once per state event.
+// legal checks one state transition against the class tables.
 func (m *Monitor) legal(e *obs.Event, from, to core.State) (Invariant, string, bool) {
 	switch e.Cause {
-	case "snoop-cache-read":
+	case obs.CauseSnoopCacheRead:
 		return snoopLegal(core.BusCacheRead, from, to)
-	case "snoop-cache-rfo":
+	case obs.CauseSnoopCacheRFO:
 		return snoopLegal(core.BusCacheRFO, from, to)
-	case "snoop-read":
+	case obs.CauseSnoopRead:
 		return snoopLegal(core.BusPlainRead, from, to)
-	case "snoop-cache-bcast-write":
+	case obs.CauseSnoopCacheBcastWrite:
 		return snoopLegal(core.BusCacheBroadcastWrite, from, to)
-	case "snoop-write":
+	case obs.CauseSnoopWrite:
 		return snoopLegal(core.BusPlainWrite, from, to)
-	case "snoop-bcast-write":
+	case obs.CauseSnoopBcastWrite:
 		return snoopLegal(core.BusPlainBroadcastWrite, from, to)
-	case "fill":
+	case obs.CauseFill:
 		if from != core.Invalid {
 			return InvLegalLocal, "a fill must start from Invalid", false
 		}
@@ -725,7 +726,7 @@ func (m *Monitor) legal(e *obs.Event, from, to core.State) (Invariant, string, b
 			return InvLegalLocal, fmt.Sprintf(
 				"Table 1 permits %s to install {%s}, not %s", desc, letters(mask), to.Letter()), false
 		}
-	case "write-upgrade":
+	case obs.CauseWriteUpgrade:
 		mask := upgradeNext[int(from)].union()
 		if info, ok := m.pendingFor(e.TxID); ok {
 			mask = upgradeNext[int(from)].resolve(info.ch, true)
@@ -735,51 +736,51 @@ func (m *Monitor) legal(e *obs.Event, from, to core.State) (Invariant, string, b
 				"Table 1 permits an announced write from %s to reach {%s}, not %s",
 				from.Letter(), letters(mask), to.Letter()), false
 		}
-	case "silent-write", "write-hit":
+	case obs.CauseSilentWrite, obs.CauseWriteHit:
 		if mask := silentWrite[int(from)]; !has(mask, to) {
 			return InvLegalLocal, fmt.Sprintf(
 				"Table 1 permits a silent write only from M/E (to {%s}); %s→%s announces nothing on the bus",
 				letters(mask), from.Letter(), to.Letter()), false
 		}
-	case "read-hit":
+	case obs.CauseReadHit:
 		if mask := readHitNext[int(from)]; !has(mask, to) {
 			return InvLegalLocal, fmt.Sprintf(
 				"a read hit must not change the copy's state (%s→%s)", from.Letter(), to.Letter()), false
 		}
-	case "evict":
+	case obs.CauseEvict:
 		if mask := evictBus[int(from)]; !has(mask, to) {
 			return InvLegalLocal, fmt.Sprintf(
 				"Table 1's Flush from %s permits {%s}, not %s (a dirty eviction must write back)",
 				from.Letter(), letters(mask), to.Letter()), false
 		}
-	case "evict-clean":
+	case obs.CauseEvictClean:
 		if mask := evictSilent[int(from)]; !has(mask, to) {
 			return InvLegalLocal, fmt.Sprintf(
 				"Table 1 has no silent Flush from %s — discarding an owned line loses the only up-to-date copy",
 				from.Letter()), false
 		}
-	case "push":
+	case obs.CausePush:
 		if mask := pushNext[int(from)]; !has(mask, to) {
 			return InvLegalLocal, fmt.Sprintf(
 				"Table 1's Pass/Flush from %s permit {%s}, not %s",
 				from.Letter(), letters(mask), to.Letter()), false
 		}
-	case "bs-recovery":
+	case obs.CauseBSRecovery:
 		if !from.OwnedCopy() {
 			return InvLegalSnoop, "only an owner (M/O) may assert BS and recover", false
 		}
 		if to.OwnedCopy() {
 			return InvLegalSnoop, "a BS recovery push must pass ownership back to memory", false
 		}
-	case "snoop-clean":
+	case obs.CauseSnoopClean:
 		if to.OwnedCopy() {
 			return InvLegalSnoop, "after CmdClean no cache may own the line", false
 		}
-	case "absorb":
+	case obs.CauseAbsorb:
 		if to != core.Modified {
 			return InvLegalLocal, "absorbing a write-back must leave the bridge Modified", false
 		}
-	case "invalidate-held":
+	case obs.CauseInvalidateHeld:
 		if to != core.Invalid {
 			return InvLegalLocal, "invalidate-held must leave the copy Invalid", false
 		}
@@ -789,29 +790,34 @@ func (m *Monitor) legal(e *obs.Event, from, to core.State) (Invariant, string, b
 	return "", "", true
 }
 
+// known reports whether s is one of the five MOESI states, which index
+// the legality tables.
+func known(s core.State) bool { return int(s) < len(core.States) }
+
 func (m *Monitor) protoFor(e *obs.Event) string {
-	if e.Proto != "" {
-		return e.Proto
+	if e.Proto != 0 {
+		return e.Proto.String()
 	}
-	if e.Proc >= 0 && e.Proc < len(m.procProto) && m.procProto[e.Proc] != "" {
-		return m.procProto[e.Proc]
+	if e.Proc >= 0 && int(e.Proc) < len(m.procProto) && m.procProto[e.Proc] != 0 {
+		return m.procProto[e.Proc].String()
 	}
 	return "unknown"
 }
 
 func (m *Monitor) reportTx(e *obs.Event, ln *line, detail string) {
 	m.record(Violation{
-		Invariant: InvMemoryOwner, TS: e.TS, Bus: e.Bus, Proc: e.Proc,
+		Invariant: InvMemoryOwner, TS: e.TS, Bus: int(e.Bus), Proc: int(e.Proc),
 		Addr: e.Addr, Proto: m.protoFor(e), TxID: e.TxID,
 		Holders: ln.holders(), Detail: detail, Context: ln.context(),
 	})
 }
 
 func (m *Monitor) report(inv Invariant, e *obs.Event, ln *line, detail string) {
+	from, to := e.Letters()
 	m.record(Violation{
-		Invariant: inv, TS: e.TS, Bus: e.Bus, Proc: e.Proc,
-		Addr: e.Addr, Proto: m.protoFor(e), TxID: e.TxID, Cause: e.Cause,
-		From: e.From, To: e.To,
+		Invariant: inv, TS: e.TS, Bus: int(e.Bus), Proc: int(e.Proc),
+		Addr: e.Addr, Proto: m.protoFor(e), TxID: e.TxID, Cause: e.CauseName(),
+		From: from, To: to,
 		Holders: ln.holders(), Detail: detail, Context: ln.context(),
 	})
 }
@@ -866,7 +872,7 @@ func (m *Monitor) Violations() []Violation {
 func (m *Monitor) Report() *Report {
 	r := &Report{
 		Events: m.events, States: m.states, Txs: m.txs,
-		Lines: len(m.lines), TruncatedEvents: m.truncated,
+		Lines: m.nlines, TruncatedEvents: m.truncated,
 		Total:       m.total,
 		ByInvariant: make(map[Invariant]int64),
 		Counts:      m.Counts(),

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"futurebus/internal/core"
 	"futurebus/internal/obs"
 )
 
@@ -22,17 +23,25 @@ func newRig(t *testing.T, cfg Config) *rig {
 
 func (r *rig) tx(proc int, addr uint64, col int, op string, ch, di bool, txid uint64) {
 	r.ts++
+	ops := map[string]obs.Op{"R": obs.OpRead, "W": obs.OpWrite, "A": obs.OpAddr}
 	r.m.Consume(&obs.Event{
-		TS: r.ts, Kind: obs.KindTx, Bus: 0, Proc: proc, Addr: addr,
-		Col: col, Op: op, CH: ch, DI: di, TxID: txid,
+		TS: r.ts, Kind: obs.KindTx, Bus: 0, Proc: int32(proc), Addr: addr,
+		Col: int32(col), Op: ops[op], CH: ch, DI: di, TxID: txid,
 	})
 }
 
 func (r *rig) st(proc int, addr uint64, from, to, cause string, txid uint64) {
+	r.t.Helper()
 	r.ts++
+	f, errF := core.ParseState(from)
+	t, errT := core.ParseState(to)
+	c, errC := obs.ParseCause(cause)
+	if errF != nil || errT != nil || errC != nil {
+		r.t.Fatalf("rig.st(%q, %q, %q): %v %v %v", from, to, cause, errF, errT, errC)
+	}
 	r.m.Consume(&obs.Event{
-		TS: r.ts, Kind: obs.KindState, Bus: 0, Proc: proc, Addr: addr,
-		From: from, To: to, Cause: cause, Proto: "moesi", TxID: txid,
+		TS: r.ts, Kind: obs.KindState, Bus: 0, Proc: int32(proc), Addr: addr,
+		From: f, To: t, Cause: c, Proto: obs.NameOf("moesi"), TxID: txid,
 	})
 }
 
@@ -269,9 +278,11 @@ func TestFillExclusiveDespiteSharers(t *testing.T) {
 
 func TestUnknownCause(t *testing.T) {
 	r := newRig(t, Config{})
-	r.st(0, 0x2800, "I", "M", "quantum-tunnel", 0)
+	bad := obs.Cause(obs.NumCauses + 7)
+	r.m.Consume(&obs.Event{TS: 1, Kind: obs.KindState, Addr: 0x2800,
+		From: core.Invalid, To: core.Modified, Cause: bad, Proto: obs.NameOf("moesi")})
 	v := r.wantViolation(InvLegalLocal)
-	if !strings.Contains(v.Detail, "quantum-tunnel") {
+	if !strings.Contains(v.Detail, bad.String()) {
 		t.Fatalf("detail should quote the cause: %q", v.Detail)
 	}
 }
@@ -294,7 +305,7 @@ func TestContextRingBounded(t *testing.T) {
 		t.Fatalf("context has %d events, want exactly depth 4", len(v.Context))
 	}
 	last := v.Context[len(v.Context)-1]
-	if last.Cause != "evict-clean" {
+	if last.Cause != obs.CauseEvictClean {
 		t.Fatalf("context should end with the trigger, got cause %q", last.Cause)
 	}
 	for i := 1; i < len(v.Context); i++ {
@@ -323,7 +334,7 @@ func TestEpochResetsShadow(t *testing.T) {
 
 func TestEpochKeepsCounters(t *testing.T) {
 	r := newRig(t, Config{})
-	r.st(0, 0x3100, "I", "M", "quantum-tunnel", 0)
+	r.st(0, 0x3100, "I", "M", "read-hit", 0)
 	r.m.Consume(&obs.Event{Kind: obs.KindEpoch})
 	if r.m.Total() != 1 {
 		t.Fatalf("epoch must not erase violation counters, total=%d", r.m.Total())
@@ -333,7 +344,7 @@ func TestEpochKeepsCounters(t *testing.T) {
 func TestViolationStorageBounded(t *testing.T) {
 	r := newRig(t, Config{MaxViolations: 3})
 	for i := 0; i < 10; i++ {
-		r.st(0, uint64(0x4000+i*64), "I", "M", "quantum-tunnel", 0)
+		r.st(0, uint64(0x4000+i*64), "I", "M", "read-hit", 0)
 	}
 	if r.m.Total() != 10 {
 		t.Fatalf("counter should keep counting, total=%d", r.m.Total())
@@ -366,7 +377,7 @@ func TestLineCapTruncates(t *testing.T) {
 
 func TestCountsLabelledByProto(t *testing.T) {
 	r := newRig(t, Config{})
-	r.st(0, 0x6000, "I", "M", "quantum-tunnel", 0)
+	r.st(0, 0x6000, "I", "M", "read-hit", 0)
 	counts := r.m.Counts()
 	if len(counts) != 1 || counts[0].Proto != "moesi" || counts[0].Invariant != InvLegalLocal {
 		t.Fatalf("counts = %+v", counts)
@@ -394,8 +405,8 @@ func TestViolationString(t *testing.T) {
 func (r *rig) split(kind obs.Kind, proc int, addr uint64, txid uint64, retries int) {
 	r.ts++
 	r.m.Consume(&obs.Event{
-		TS: r.ts, Kind: kind, Bus: 0, Proc: proc, Addr: addr,
-		TxID: txid, Retries: retries,
+		TS: r.ts, Kind: kind, Bus: 0, Proc: int32(proc), Addr: addr,
+		TxID: txid, Retries: int32(retries),
 	})
 }
 

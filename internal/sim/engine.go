@@ -301,8 +301,8 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 					TS:      rec.Clock(),
 					Dur:     p.waited,
 					Kind:    obs.KindBlocked,
-					Bus:     e.Sys.Bus.SegmentID(busAddr(ref.Line)),
-					Proc:    ev.proc,
+					Bus:     int32(e.Sys.Bus.SegmentID(busAddr(ref.Line))),
+					Proc:    int32(ev.proc),
 					Addr:    uint64(busAddr(ref.Line)),
 					CauseID: p.blocker,
 				})

@@ -172,7 +172,7 @@ func TestUncachedBoardsInEngine(t *testing.T) {
 func TestNonCachingBoardsEmitStalls(t *testing.T) {
 	var stalls, durs [3]int64
 	rec := obs.New(obs.SinkFunc(func(e *obs.Event) {
-		if e.Kind == obs.KindStall && e.Proc >= 0 && e.Proc < len(stalls) {
+		if e.Kind == obs.KindStall && e.Proc >= 0 && int(e.Proc) < len(stalls) {
 			stalls[e.Proc]++
 			durs[e.Proc] += e.Dur
 		}

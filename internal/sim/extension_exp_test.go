@@ -68,7 +68,7 @@ func TestP10HonoursFabricOptions(t *testing.T) {
 	buses := map[int]bool{}
 	rec := obs.New(obs.SinkFunc(func(e *obs.Event) {
 		if e.Kind == obs.KindTx {
-			buses[e.Bus] = true
+			buses[int(e.Bus)] = true
 		}
 	}))
 	if _, err := SectorVsPlain(ExperimentOpts{RefsPerProc: 200, Seed: 1986, Shards: 4, Obs: rec}); err != nil {

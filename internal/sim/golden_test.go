@@ -177,13 +177,15 @@ func matchGolden(t *testing.T, what, file string, got any) {
 }
 
 // goldenStream is what a fixed-seed observed run hands its sinks: the
-// sha256 of the .fbt recording, the event count, and the verdicts of
-// the watch and perf sinks that rode the same recorder.
+// sha256 of the .fbt recording and of the JSONL export, the event
+// count, and the verdicts of the watch and perf sinks that rode the
+// same recorder.
 type goldenStream struct {
-	FbtSHA256 string
-	Events    uint64
-	Watch     goldenWatch
-	Perf      *perf.Snapshot
+	FbtSHA256   string
+	JSONLSHA256 string
+	Events      uint64
+	Watch       goldenWatch
+	Perf        *perf.Snapshot
 }
 
 // goldenAnalyses pins the full coherence and causal reports of the
@@ -220,7 +222,8 @@ type goldenWatch struct {
 // reports of the same runs against testdata/analyses_<name>.json. A
 // reordered, lost or duplicated event moves the .fbt digest, so a
 // change to how the recorder moves events to its sinks is checked to
-// be invisible; a change to how an analyzer folds them moves its
+// be invisible, and a change to how the JSONL exporter renders them
+// moves its digest; a change to how an analyzer folds them moves its
 // report digest.
 // Regenerate with -update only for a deliberate change to what is
 // emitted.
@@ -235,7 +238,7 @@ func TestEventStreamGolden(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			h := sha256.New()
+			h, jh := sha256.New(), sha256.New()
 			mon := watch.New(watch.Config{})
 			var events, misordered uint64
 			count := obs.SinkFunc(func(e *obs.Event) {
@@ -246,7 +249,7 @@ func TestEventStreamGolden(t *testing.T) {
 			})
 			coh, cau := &coherence.Analyzer{}, &causal.Analyzer{}
 			rec := obs.New(obs.NewRecordSink(h, obs.TraceMeta{Fingerprint: "golden " + name}),
-				mon, perf.NewSink(0), coh, cau, count)
+				obs.NewJSONLSink(jh), mon, perf.NewSink(0), coh, cau, count)
 			cfg := gc.cfg
 			cfg.Shadow = true
 			cfg.Obs = rec
@@ -269,8 +272,9 @@ func TestEventStreamGolden(t *testing.T) {
 			}
 			rep := mon.Report()
 			got := goldenStream{
-				FbtSHA256: hex.EncodeToString(h.Sum(nil)),
-				Events:    events,
+				FbtSHA256:   hex.EncodeToString(h.Sum(nil)),
+				JSONLSHA256: hex.EncodeToString(jh.Sum(nil)),
+				Events:      events,
 				Watch: goldenWatch{
 					Events: rep.Events, States: rep.States, Txs: rep.Txs,
 					Lines: rep.Lines, Total: rep.Total,

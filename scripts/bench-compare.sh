@@ -22,9 +22,16 @@
 # ROADMAP item 1), the same with §3.4 random-choice boards
 # (BenchmarkP4), the random chooser itself
 # (BenchmarkRandomPolicyChoice — the class choice lists are built once,
-# so a choice allocates nothing), and the engine and snoop rungs of the
+# so a choice allocates nothing), the engine and snoop rungs of the
 # layer ladder (BenchmarkLayer/engine, BenchmarkLayer/snoop/held-N —
-# nothing is allocated per deferral or per address cycle). The gated
+# nothing is allocated per deferral or per address cycle), and its sink
+# rungs (BenchmarkLayer/obs/{record,coherence,watch,perf}, each sink of
+# simbench's ab-observed set folding one run's event stream). The obs
+# emit rung is not gated: its footprint is the Go runtime's, which now
+# and then makes a thread while the recorder hands a batch to its drain
+# goroutine (0 or about 1,100 B/op at -benchtime 5x);
+# internal/obs/recorder_test.go pins that a warm Emit allocates
+# nothing. The gated
 # statistic is the per-op allocation
 # footprint (B/op, allocs/op): it is deterministic, so 5% means a real
 # change, whereas wall-clock ns/op on shared hardware has >5%
@@ -193,7 +200,9 @@ END {
 	# Gated on the deterministic allocation footprint; ns/op shown as
 	# advisory.
 	split("BenchmarkBusLockedRMW BenchmarkP1/moesi BenchmarkP4 BenchmarkRandomPolicyChoice " \
-		"BenchmarkLayer/engine BenchmarkLayer/snoop/held-0 BenchmarkLayer/snoop/held-1 BenchmarkLayer/snoop/held-7", gated, " ")
+		"BenchmarkLayer/engine BenchmarkLayer/snoop/held-0 BenchmarkLayer/snoop/held-1 BenchmarkLayer/snoop/held-7 " \
+		"BenchmarkLayer/obs/record BenchmarkLayer/obs/coherence BenchmarkLayer/obs/watch " \
+		"BenchmarkLayer/obs/perf", gated, " ")
 	label["BenchmarkBusLockedRMW"] = "atomic fast path"
 	label["BenchmarkP1/moesi"] = "simulation hot path"
 	label["BenchmarkP4"] = "random-choice simulation"
@@ -202,6 +211,10 @@ END {
 	label["BenchmarkLayer/snoop/held-0"] = "snoop rung, no holder"
 	label["BenchmarkLayer/snoop/held-1"] = "snoop rung, one holder"
 	label["BenchmarkLayer/snoop/held-7"] = "snoop rung, seven holders"
+	label["BenchmarkLayer/obs/record"] = "record sink rung"
+	label["BenchmarkLayer/obs/coherence"] = "coherence sink rung"
+	label["BenchmarkLayer/obs/watch"] = "watch sink rung"
+	label["BenchmarkLayer/obs/perf"] = "perf sink rung"
 	for (g = 1; g in gated; g++) {
 		fp = gated[g]
 		if (!(fp in base && fp in cur)) continue
