@@ -257,36 +257,32 @@ func BenchmarkP8(b *testing.B) {
 }
 
 // BenchmarkP9 runs the two-level hierarchy (§6 extension): one 4×4
-// tree per iteration with cluster-heavy sharing.
+// tree per iteration with cluster-heavy sharing, on the deterministic
+// engine.
 func BenchmarkP9(b *testing.B) {
 	b.ReportAllocs()
 	var lastGlobal float64
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		sys, err := hierarchy.New(hierarchy.Config{
+		sys, err := sim.NewTree(hierarchy.Config{
 			Clusters: 4, ProcsPerCluster: 4, CacheSets: 32, CacheWays: 2, Shadow: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		gens := make([][]workload.Generator, 4)
-		for ci := 0; ci < 4; ci++ {
-			for pi := 0; pi < 4; pi++ {
-				m := hierarchy.ClusterModel{
-					Cluster: ci, Proc: pi,
-					GlobalSharedLines: 16, ClusterSharedLines: 24, PrivateLines: 48,
-					PGlobal: 0.05, PCluster: 0.25, PWrite: 0.3,
-					WordsPerLine: sys.Global.LineSize() / 4,
-				}
-				gens[ci] = append(gens[ci], m.NewGenerator(1986))
-			}
-		}
-		if err := hierarchy.Run(sys, gens, 500); err != nil {
+		gens := sys.Generators(func(proc int) workload.Generator {
+			return hierarchy.ClusterModel{
+				Cluster: proc / 4, Proc: proc % 4,
+				GlobalSharedLines: 16, ClusterSharedLines: 24, PrivateLines: 48,
+				PGlobal: 0.05, PCluster: 0.25, PWrite: 0.3,
+				WordsPerLine: sys.WordsPerLine(),
+			}.NewGenerator(1986)
+		})
+		if _, err := (&sim.Engine{Sys: sys, Gens: gens}).Run(500); err != nil {
 			b.Fatal(err)
 		}
-		st := sys.CollectStats()
-		lastGlobal = float64(st.GlobalTransactions) / float64(500*16)
+		lastGlobal = float64(sys.Tree().CollectStats().GlobalTransactions) / float64(500*16)
 	}
 	reportPerRef(b, int64(b.N)*500*16, &before)
 	b.ReportMetric(lastGlobal, "globalTrans/ref")

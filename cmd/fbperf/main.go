@@ -131,6 +131,14 @@ func runBattery(stdout, stderr io.Writer, args []string) (err error) {
 	if err := cli.Parse(stderr, usage, fs, args, 0, 0); err != nil {
 		return err
 	}
+	switch {
+	case *refs <= 0:
+		return fmt.Errorf("-refs %d: want at least one reference per board", *refs)
+	case *procs <= 0:
+		return fmt.Errorf("-procs %d: want at least one board", *procs)
+	case *sample <= 0:
+		return fmt.Errorf("-sample %s: want a positive interval", *sample)
+	}
 
 	bat, ok := batteries(*procs)[*batteryName]
 	if !ok {

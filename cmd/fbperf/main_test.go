@@ -177,6 +177,12 @@ func TestRunExitStatuses(t *testing.T) {
 		{[]string{"run", "-engine", "no-such-engine"}, 2},
 		{append([]string{"run", "-shards", "3"}, small...), 2},
 		{append([]string{"run", "-out", filepath.Join(dir, "no-dir", "perf.json")}, small...), 2},
+		{[]string{"run", "-procs", "-3"}, 2},
+		{[]string{"run", "-procs", "0"}, 2},
+		{[]string{"run", "-sample", "0"}, 2},
+		{[]string{"run", "-sample", "-1s"}, 2},
+		{[]string{"run", "-refs", "0"}, 2},
+		{[]string{"run", "-refs", "-1"}, 2},
 	} {
 		var stdout, stderr strings.Builder
 		code := run(c.args, &stdout, &stderr)

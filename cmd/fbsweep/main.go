@@ -29,6 +29,10 @@ func main() {
 	outDir := flag.String("out", "", "also write each report as <dir>/<ID>.csv")
 	jsonOut := flag.String("json", "", "write the battery as a machine-readable document to this file ('-' = stdout): {fbsweep, _meta, reports}, ingestable by fbtrend")
 	flag.Parse()
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "unknown format %q (table, csv)\n", *format)
+		os.Exit(2)
+	}
 
 	s, err := startSession(&shared, *exp)
 	fail(err)

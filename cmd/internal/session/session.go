@@ -97,13 +97,18 @@ type Session struct {
 	srv   *obshttp.Server
 }
 
-// Start creates the trace files and sinks f and o ask for, the
-// recorder they attach to when anything consumes events, and under
-// -serve the running endpoint. A tool that configures Svc further
-// (labels, gauges) does so before its run starts.
+// Start checks the shared flags, then creates the trace files and sinks
+// f and o ask for, the recorder they attach to when anything consumes
+// events, and under -serve the running endpoint. A tool that configures
+// Svc further (labels, gauges) does so before its run starts.
 func Start(f *Flags, o Options) (_ *Session, err error) {
-	if o.Ledger != "" && f.Serve == "" {
+	switch {
+	case o.Ledger != "" && f.Serve == "":
 		return nil, errors.New("-ledger requires -serve (the verdict lives on /trend)")
+	case f.Refs <= 0:
+		return nil, fmt.Errorf("-refs %d: want at least one reference per board", f.Refs)
+	case f.PendingTable < 0:
+		return nil, fmt.Errorf("-pending-table %d: want a table size, or 0 for the default", f.PendingTable)
 	}
 	s := &Session{f: f, tool: o.Tool}
 	defer func() {

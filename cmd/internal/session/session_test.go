@@ -1,6 +1,7 @@
 package session
 
 import (
+	"strings"
 	"testing"
 
 	"futurebus/internal/obs/perf"
@@ -27,6 +28,7 @@ func TestPerfSinkRule(t *testing.T) {
 		{"per-run perf, hist", Flags{Hist: true}, true, true, true},
 	}
 	for _, tc := range cases {
+		tc.flags.Refs = 20000
 		s, err := Start(&tc.flags, Options{Tool: "test", PerRunPerf: tc.perRun})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -45,7 +47,28 @@ func TestPerfSinkRule(t *testing.T) {
 
 // TestLedgerRequiresServe: the /trend verdict needs the live endpoint.
 func TestLedgerRequiresServe(t *testing.T) {
-	if _, err := Start(&Flags{}, Options{Tool: "test", Ledger: "ledger.jsonl"}); err == nil {
+	if _, err := Start(&Flags{Refs: 20000}, Options{Tool: "test", Ledger: "ledger.jsonl"}); err == nil {
 		t.Fatal("-ledger without -serve started a session")
+	}
+}
+
+// TestStartRejectsBadFlags: a shared flag value no run can use is an
+// error naming the flag, not a run of nothing or of the default.
+func TestStartRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag  string
+		flags Flags
+	}{
+		{"-refs", Flags{Refs: 0}},
+		{"-refs", Flags{Refs: -1}},
+		{"-pending-table", Flags{Refs: 20000, PendingTable: -3}},
+	} {
+		s, err := Start(&tc.flags, Options{Tool: "test"})
+		if err == nil {
+			s.Close()
+			t.Errorf("%+v started a session", tc.flags)
+		} else if !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%+v: error %q does not name %s", tc.flags, err, tc.flag)
+		}
 	}
 }

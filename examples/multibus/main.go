@@ -10,6 +10,10 @@
 // cluster's memory, and is itself a MOESI cache on the global bus,
 // intervening when another cluster needs data this one owns.
 //
+// The tree runs on sim.Engine, the deterministic engine every flat
+// system runs on: each board waits for its cluster's bus, and a miss
+// its bridge forwards also waits for the global bus.
+//
 // Run with: go run ./examples/multibus
 package main
 
@@ -18,12 +22,13 @@ import (
 	"log"
 
 	"futurebus/internal/hierarchy"
+	"futurebus/internal/sim"
 	"futurebus/internal/workload"
 )
 
 func main() {
 	const clusters, procs = 4, 4
-	sys, err := hierarchy.New(hierarchy.Config{
+	sys, err := sim.NewTree(hierarchy.Config{
 		Clusters:        clusters,
 		ProcsPerCluster: procs,
 		CacheSets:       32,
@@ -36,25 +41,18 @@ func main() {
 
 	// Cluster-heavy sharing: 25% of references hit lines shared within
 	// the cluster, 5% cross clusters.
-	gens := make([][]workload.Generator, clusters)
-	for ci := 0; ci < clusters; ci++ {
-		for pi := 0; pi < procs; pi++ {
-			m := hierarchy.ClusterModel{
-				Cluster: ci, Proc: pi,
-				GlobalSharedLines:  16,
-				ClusterSharedLines: 24,
-				PrivateLines:       48,
-				PGlobal:            0.05,
-				PCluster:           0.25,
-				PWrite:             0.3,
-				WordsPerLine:       sys.Global.LineSize() / 4,
-			}
-			gens[ci] = append(gens[ci], m.NewGenerator(1986))
-		}
-	}
+	gens := sys.Generators(func(proc int) workload.Generator {
+		return hierarchy.ClusterModel{
+			Cluster: proc / procs, Proc: proc % procs,
+			GlobalSharedLines: 16, ClusterSharedLines: 24, PrivateLines: 48,
+			PGlobal: 0.05, PCluster: 0.25, PWrite: 0.3,
+			WordsPerLine: sys.WordsPerLine(),
+		}.NewGenerator(1986)
+	})
 
 	const refs = 5000
-	if err := hierarchy.Run(sys, gens, refs); err != nil {
+	m, err := (&sim.Engine{Sys: sys, Gens: gens}).Run(refs)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("two-level consistency verified:")
@@ -62,16 +60,18 @@ func main() {
 	fmt.Println("  cluster level: no E/M below a bridge, inclusion, bridge currency")
 	fmt.Println()
 
-	st := sys.CollectStats()
-	total := float64(refs * clusters * procs)
-	fmt.Printf("%d processors, %d references each:\n", clusters*procs, refs)
+	tree := sys.Tree()
+	st := tree.CollectStats()
+	total := float64(m.Refs)
+	fmt.Printf("%d processors, %d references each, %.2f ms simulated, efficiency %.3f:\n",
+		clusters*procs, refs, float64(m.ElapsedNanos)/1e6, m.Efficiency())
 	fmt.Printf("  local buses:  %.4f transactions/ref (spread over %d buses)\n",
 		float64(st.LocalTransactions)/total, clusters)
 	fmt.Printf("  global bus:   %.4f transactions/ref\n", float64(st.GlobalTransactions)/total)
 	fmt.Printf("  bridge work:  %d global fetches, %d absorbs, %d cluster invalidations\n",
 		st.GlobalFetches, st.Absorbs, st.ClusterInvalidations)
 	fmt.Println()
-	for _, cl := range sys.Clusters {
+	for _, cl := range tree.Clusters {
 		bs := cl.Bridge.Stats()
 		fmt.Printf("  cluster %d bridge: fills=%d fetches=%d absorbs=%d inclusions=%d\n",
 			cl.ID, bs.LocalFills, bs.GlobalFetches, bs.Absorbs, bs.Inclusions)

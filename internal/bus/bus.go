@@ -53,6 +53,11 @@ type SnoopResponse struct {
 	State core.State
 	// Hit records whether the snooper held the line at all (for stats).
 	Hit bool
+	// Err, when set, says the snooper cannot answer: its state has no
+	// legal action for the bus event (a "—" cell of Table 2). The bus
+	// releases every directory the address cycle queried and fails the
+	// transaction with Err.
+	Err error
 }
 
 // Snooper is a unit that monitors broadcast address cycles (a cache).
@@ -634,7 +639,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 		// unit that does not hold the line answers from Table 2's
 		// Invalid row — nothing — so only the holders are asked.
 		busy := false
-		paranoidErr := ""
+		var failed error
 		visit := b.snoopSet(f, tx.Addr, self)
 		for _, i := range visit {
 			s := b.snoopers[i]
@@ -642,18 +647,21 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			if responses[i].Action.Abort != nil {
 				busy = true
 			}
-			if b.cfg.Paranoid && responses[i].Hit && tx.Cmd == CmdNone && paranoidErr == "" {
+			if failed == nil {
+				failed = responses[i].Err
+			}
+			if b.cfg.Paranoid && responses[i].Hit && tx.Cmd == CmdNone && failed == nil {
 				verdict, reason := core.CheckSnoopAction(responses[i].State, tx.Event(), responses[i].Action)
 				if verdict == core.NotInClass {
-					paranoidErr = fmt.Sprintf("bus: snooper %d asserted out-of-class action %s from state %s on col %d (%s) for %s",
+					failed = fmt.Errorf("bus: snooper %d asserted out-of-class action %s from state %s on col %d (%s) for %s",
 						s.SnooperID(), responses[i].Action, responses[i].State.Letter(), tx.Event().Column(), reason, tx)
 				}
 			}
 		}
-		if paranoidErr != "" {
+		if failed != nil {
 			// Release every directory before failing.
 			b.cancel(f)
-			return res, errors.New(paranoidErr)
+			return res, failed
 		}
 		// Every address cycle pays the full broadcast handshake; aborted
 		// attempts charge it to the retry phase, the successful one to

@@ -112,34 +112,44 @@ func TestSnoopColumn9InvalidatesSharers(t *testing.T) {
 	}
 }
 
-// TestSnoopIllegalColumnPanics: a "—" cell is an error condition; the
-// snooper fails loudly instead of guessing.
-func TestSnoopIllegalColumnPanics(t *testing.T) {
-	// Build a deliberately-broken policy: M on column 8 is illegal, so
-	// force it by having a cache in M while another broadcasts. A
-	// correct class mix can't produce it, so we drive the bus by hand.
+// TestSnoopIllegalColumnFails: a "—" cell is an error condition; the
+// snooper fails the transaction instead of guessing, naming itself, its
+// protocol, the column and its state, and the address cycle releases
+// every directory it queried.
+func TestSnoopIllegalColumnFails(t *testing.T) {
+	// M on column 8 is illegal, so force it by having a cache in M while
+	// another broadcasts. A correct class mix can't produce it, so we
+	// drive the bus by hand.
 	mem := memory.New(testLineSize)
 	b := bus.New(mem, bus.Config{LineSize: testLineSize})
 	c := New(0, b, protocols.MOESI(), smallCfg())
 	mustWrite(t, c, 6, 0, 1) // c holds M
 
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("illegal column did not panic")
-		}
-		if !strings.Contains(r.(string), "col 8") {
-			t.Errorf("panic message: %v", r)
-		}
-	}()
 	// A forged column-8 broadcast write against an M holder.
-	_, _ = b.Execute(bus.Transaction{
+	_, err := b.Execute(bus.Transaction{
 		MasterID: 99,
 		Signals:  core.SigCA | core.SigIM | core.SigBC,
 		Op:       core.BusWrite,
 		Addr:     6,
 		Partial:  true, Word: 0, Val: 2,
 	})
+	if err == nil {
+		t.Fatal("illegal column did not fail the transaction")
+	}
+	for _, want := range []string{"cache 0 (MOESI)", "col 8", "state Modified"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	// Nothing was applied, and neither the directory nor the bus is
+	// still held: the cache serves its line and takes the bus again.
+	if st := c.State(6); st != core.Modified {
+		t.Errorf("the failed transaction moved the holder to %s", st)
+	}
+	if v := mustRead(t, c, 6, 0); v != 1 {
+		t.Errorf("the failed transaction's word reached the holder: %#x", v)
+	}
+	mustRead(t, c, 7, 0)
 }
 
 // TestAdaptiveRecency: the §5.2 adaptive policy updates the MRU line

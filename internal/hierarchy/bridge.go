@@ -31,7 +31,6 @@ package hierarchy
 
 import (
 	"fmt"
-	"sync"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/cache"
@@ -39,13 +38,15 @@ import (
 	"futurebus/internal/protocols"
 )
 
-// Bridge couples one cluster's local bus to the global bus.
+// Bridge couples one cluster's local bus to the global bus. Every
+// bridge callback runs inside a transaction, under the arbiter all the
+// tree's buses share, so the bridge needs no lock of its own; read
+// Stats and Err on a quiesced tree.
 type Bridge struct {
 	clusterID int
 	local     *bus.Bus // set by NewCluster after the local bus exists
 	store     *cache.Cache
 
-	mu    sync.Mutex
 	stats BridgeStats
 	// err records a failure inside a MemoryPort callback (the port API
 	// cannot return errors); the next driver-level call surfaces it.
@@ -86,24 +87,16 @@ func newBridge(clusterID, globalID int, global *bus.Bus, storeCfg cache.Config) 
 func (b *Bridge) Store() *cache.Cache { return b.store }
 
 // Stats returns a snapshot of the bridge counters.
-func (b *Bridge) Stats() BridgeStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
+func (b *Bridge) Stats() BridgeStats { return b.stats }
 
 // takeErr returns and clears a deferred port error.
 func (b *Bridge) takeErr() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	err := b.err
 	b.err = nil
 	return err
 }
 
 func (b *Bridge) setErr(err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.err == nil {
 		b.err = err
 	}
@@ -118,13 +111,11 @@ var _ bus.MemoryPort = (*Bridge)(nil)
 // the local master's buffer. The bus (and therefore the shared arbiter)
 // is held, so a global fetch nests safely.
 func (b *Bridge) ReadLine(addr bus.Addr, dst []byte) {
-	b.mu.Lock()
 	if b.store.Contains(addr) {
 		b.stats.LocalFills++
 	} else {
 		b.stats.GlobalFetches++
 	}
-	b.mu.Unlock()
 	if err := b.store.FetchLineHeld(addr, dst); err != nil {
 		b.setErr(fmt.Errorf("hierarchy: cluster %d fetch of %#x: %w", b.clusterID, uint64(addr), err))
 		clear(dst)
@@ -136,9 +127,7 @@ func (b *Bridge) ReadLine(addr bus.Addr, dst []byte) {
 // here. The bridge absorbs the line as global Modified owner, which
 // announces the write to the other clusters (invalidate-style).
 func (b *Bridge) WriteLine(addr bus.Addr, data []byte) {
-	b.mu.Lock()
 	b.stats.Absorbs++
-	b.mu.Unlock()
 	if err := b.store.AbsorbLineHeld(addr, data); err != nil {
 		b.setErr(fmt.Errorf("hierarchy: cluster %d absorb of %#x: %w", b.clusterID, uint64(addr), err))
 	}
@@ -190,20 +179,16 @@ func (b *Bridge) onGlobalSnoop(addr bus.Addr, from, to core.State, dataChanged b
 // onStoreEvict maintains inclusion: before the store drops a line,
 // clear the cluster's copies (their backing entry is going away).
 func (b *Bridge) onStoreEvict(addr bus.Addr) error {
-	b.mu.Lock()
 	b.stats.Inclusions++
-	b.mu.Unlock()
 	return b.invalidateCluster(addr)
 }
 
 // invalidateCluster issues an address-only column-6 invalidate on the
 // local bus (the shared arbiter is held by the enclosing transaction).
 func (b *Bridge) invalidateCluster(addr bus.Addr) error {
-	b.mu.Lock()
 	b.stats.ClusterInvalidations++
-	b.mu.Unlock()
 	_, err := b.local.ExecuteHeld(bus.Transaction{
-		MasterID: b.localMasterID(),
+		MasterID: bridgeLocalID,
 		Signals:  core.SigCA | core.SigIM,
 		Op:       core.BusAddrOnly,
 		Addr:     addr,
@@ -214,10 +199,7 @@ func (b *Bridge) invalidateCluster(addr bus.Addr) error {
 	return nil
 }
 
-// localMasterID is the bridge's master id on its local bus (the
-// localAgent's id), distinct from every cluster cache.
-func (b *Bridge) localMasterID() int { return bridgeLocalID }
-
-// bridgeLocalID is the bridge's id on every local bus; cluster caches
-// use ids 0..n-1.
+// bridgeLocalID is the bridge's master id on every local bus (its
+// localAgent's id), distinct from every cluster cache: those take the
+// ids 0..n-1 of the tree's n caches.
 const bridgeLocalID = 1 << 16

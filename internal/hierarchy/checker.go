@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"futurebus/internal/bus"
-	"futurebus/internal/cache"
 	"futurebus/internal/core"
 )
 
@@ -132,15 +131,6 @@ func (s *System) CollectStats() Stats {
 		out.GlobalFetches += bs.GlobalFetches
 		out.Absorbs += bs.Absorbs
 		out.ClusterInvalidations += bs.ClusterInvalidations
-	}
-	return out
-}
-
-// Caches returns every processor cache in the tree (for aggregation).
-func (s *System) Caches() []*cache.Cache {
-	var out []*cache.Cache
-	for _, cl := range s.Clusters {
-		out = append(out, cl.Caches...)
 	}
 	return out
 }

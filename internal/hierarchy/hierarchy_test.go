@@ -1,16 +1,22 @@
-package hierarchy
+// The tests of a whole tree's run drive it as a sim.System, on the
+// engines every flat system runs on; package sim imports hierarchy, so
+// they live in this external test package.
+package hierarchy_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/core"
+	"futurebus/internal/hierarchy"
+	"futurebus/internal/sim"
 	"futurebus/internal/workload"
 )
 
-func smallConfig(clusters, procs int) Config {
-	return Config{
+func smallConfig(clusters, procs int) hierarchy.Config {
+	return hierarchy.Config{
 		Clusters:        clusters,
 		ProcsPerCluster: procs,
 		CacheSets:       8,
@@ -19,9 +25,18 @@ func smallConfig(clusters, procs int) Config {
 	}
 }
 
-func mustNew(t *testing.T, cfg Config) *System {
+func mustNew(t *testing.T, cfg hierarchy.Config) *hierarchy.System {
 	t.Helper()
-	sys, err := New(cfg)
+	sys, err := hierarchy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+func mustNewTree(t *testing.T, cfg hierarchy.Config) *sim.System {
+	t.Helper()
+	sys, err := sim.NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,29 +45,23 @@ func mustNew(t *testing.T, cfg Config) *System {
 
 // abGens builds per-processor generators; shared lines are shared
 // ACROSS clusters, exercising the global level.
-func abGens(t *testing.T, sys *System, pShared float64, seed uint64) [][]workload.Generator {
+func abGens(t *testing.T, sys *sim.System, pShared float64, seed uint64) []workload.Generator {
 	t.Helper()
-	out := make([][]workload.Generator, len(sys.Clusters))
-	proc := 0
-	for ci, cl := range sys.Clusters {
-		for range cl.Caches {
-			g, err := workload.NewModel(workload.Model{
-				Proc:         proc,
-				SharedLines:  24,
-				PrivateLines: 32,
-				WordsPerLine: sys.Global.LineSize() / 4,
-				PShared:      pShared,
-				PWrite:       0.3,
-				Locality:     0.3,
-			}, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[ci] = append(out[ci], g)
-			proc++
+	return sys.Generators(func(proc int) workload.Generator {
+		g, err := workload.NewModel(workload.Model{
+			Proc:         proc,
+			SharedLines:  24,
+			PrivateLines: 32,
+			WordsPerLine: sys.WordsPerLine(),
+			PShared:      pShared,
+			PWrite:       0.3,
+			Locality:     0.3,
+		}, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	return out
+		return g
+	})
 }
 
 // TestBasicCrossClusterFlow walks one line across clusters by hand.
@@ -151,13 +160,14 @@ func TestIntraClusterSharingStaysLocal(t *testing.T) {
 }
 
 // TestHierarchyWorkloadConsistent: the full two-level machine stays
-// consistent under a mixed shared workload.
+// consistent under a mixed shared workload (the engine checks both
+// levels at the end of the run).
 func TestHierarchyWorkloadConsistent(t *testing.T) {
-	sys := mustNew(t, smallConfig(3, 2))
-	if err := Run(sys, abGens(t, sys, 0.4, 11), 1500); err != nil {
+	sys := mustNewTree(t, smallConfig(3, 2))
+	if _, err := (&sim.Engine{Sys: sys, Gens: abGens(t, sys, 0.4, 11)}).Run(1500); err != nil {
 		t.Fatal(err)
 	}
-	st := sys.CollectStats()
+	st := sys.Tree().CollectStats()
 	if st.LocalTransactions == 0 || st.GlobalTransactions == 0 {
 		t.Errorf("stats: %+v", st)
 	}
@@ -167,11 +177,12 @@ func TestHierarchyWorkloadConsistent(t *testing.T) {
 	}
 }
 
-// TestHierarchyConcurrentConsistent: goroutine per processor across the
-// tree (run with -race).
+// TestHierarchyConcurrentConsistent: sim.RunConcurrent drives the tree
+// with a goroutine per processor, the arbiter all its buses share
+// serialising them, and checks both levels (run with -race).
 func TestHierarchyConcurrentConsistent(t *testing.T) {
-	sys := mustNew(t, smallConfig(2, 2))
-	if err := RunConcurrent(sys, abGens(t, sys, 0.4, 23), 1000); err != nil {
+	sys := mustNewTree(t, smallConfig(2, 2))
+	if _, err := sim.RunConcurrent(sys, abGens(t, sys, 0.4, 23), 1000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -182,13 +193,13 @@ func TestClusterPolicyValidation(t *testing.T) {
 	cfg := smallConfig(1, 1)
 	for _, bad := range []string{"moesi-invalidate", "berkeley", "illinois", "moesi"} {
 		cfg.ClusterProtocol = bad
-		if _, err := New(cfg); err == nil {
+		if _, err := hierarchy.New(cfg); err == nil {
 			t.Errorf("cluster protocol %q accepted", bad)
 		}
 	}
 	for _, good := range []string{"moesi-update", "dragon"} {
 		cfg.ClusterProtocol = good
-		if _, err := New(cfg); err != nil {
+		if _, err := hierarchy.New(cfg); err != nil {
 			t.Errorf("cluster protocol %q rejected: %v", good, err)
 		}
 	}
@@ -267,23 +278,24 @@ func TestClusterCheckerDetectsStaleCopy(t *testing.T) {
 func TestMixedClusterProtocols(t *testing.T) {
 	cfg := smallConfig(2, 2)
 	cfg.ClusterProtocols = []string{"dragon", "moesi-update"}
-	sys := mustNew(t, cfg)
-	if err := Run(sys, abGens(t, sys, 0.4, 31), 1200); err != nil {
+	sys := mustNewTree(t, cfg)
+	if _, err := (&sim.Engine{Sys: sys, Gens: abGens(t, sys, 0.4, 31)}).Run(1200); err != nil {
 		t.Fatal(err)
 	}
 	// A wrong-length protocol list is rejected.
 	cfg.ClusterProtocols = []string{"dragon"}
-	if _, err := New(cfg); err == nil {
+	if _, err := hierarchy.New(cfg); err == nil {
 		t.Error("mismatched cluster protocol list accepted")
 	}
 }
 
 // TestHierarchyAccessors: stats plumbing and the global checker.
 func TestHierarchyAccessors(t *testing.T) {
-	sys := mustNew(t, smallConfig(2, 1))
-	if err := Run(sys, abGens(t, sys, 0.3, 5), 400); err != nil {
+	tree := mustNewTree(t, smallConfig(2, 1))
+	if _, err := (&sim.Engine{Sys: tree, Gens: abGens(t, tree, 0.3, 5)}).Run(400); err != nil {
 		t.Fatal(err)
 	}
+	sys := tree.Tree()
 	st := sys.CollectStats()
 	if st.GlobalFetches == 0 || st.Absorbs == 0 {
 		t.Errorf("bridge stats empty: %+v", st)
@@ -298,24 +310,46 @@ func TestHierarchyAccessors(t *testing.T) {
 	if sys.Proc(1, 0) != sys.Clusters[1].Caches[0] {
 		t.Error("Proc accessor wrong")
 	}
-	if len(sys.Caches()) != 2 {
-		t.Errorf("Caches() = %d", len(sys.Caches()))
-	}
-	// Generator count mismatches are rejected by both drivers.
-	if err := Run(sys, nil, 1); err == nil {
-		t.Error("mismatched generators accepted")
-	}
-	if err := RunConcurrent(sys, nil, 1); err == nil {
-		t.Error("mismatched generators accepted (concurrent)")
+	if len(tree.Caches) != 2 {
+		t.Errorf("Caches = %d", len(tree.Caches))
 	}
 }
 
 // TestHierarchyConfigErrors: invalid shapes are rejected.
 func TestHierarchyConfigErrors(t *testing.T) {
-	if _, err := New(Config{Clusters: 0, ProcsPerCluster: 1}); err == nil {
+	if _, err := hierarchy.New(hierarchy.Config{Clusters: 0, ProcsPerCluster: 1}); err == nil {
 		t.Error("zero clusters accepted")
 	}
-	if _, err := New(Config{Clusters: 1, ProcsPerCluster: 0}); err == nil {
+	if _, err := hierarchy.New(hierarchy.Config{Clusters: 1, ProcsPerCluster: 0}); err == nil {
 		t.Error("zero processors accepted")
+	}
+}
+
+// TestBridgeErrorFailsRun: an error a bridge defers (its memory-port
+// and snoop hooks cannot return one) fails an engine run: the
+// deterministic engine names the board and the reference whose access
+// found it, and the concurrent engine's closing checks report it.
+func TestBridgeErrorFailsRun(t *testing.T) {
+	injected := errors.New("injected bridge failure")
+	for _, engine := range []string{"det", "conc"} {
+		sys := mustNewTree(t, smallConfig(2, 1))
+		sys.Tree().Clusters[1].Bridge.SetErr(injected)
+		// Board 0's first reference is a write miss: a bus access.
+		gens := []workload.Generator{
+			workload.NewReplay(workload.Trace{{Line: 0x40, Write: true, Val: 1}}),
+			workload.NewReplay(workload.Trace{{Line: 0x41}}),
+		}
+		var err error
+		if engine == "det" {
+			_, err = (&sim.Engine{Sys: sys, Gens: gens}).Run(1)
+			if err == nil || !strings.Contains(err.Error(), "board 0 ref W 0x40") {
+				t.Errorf("det run error %v does not name board 0's write", err)
+			}
+		} else {
+			_, err = sim.RunConcurrent(sys, gens, 1)
+		}
+		if !errors.Is(err, injected) {
+			t.Errorf("%s run error %v, want the bridge's", engine, err)
+		}
 	}
 }

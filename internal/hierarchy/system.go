@@ -51,18 +51,20 @@ type Cluster struct {
 	Caches []*cache.Cache
 }
 
-// System is the assembled two-level machine.
+// System is the assembled two-level machine. Its caches take bus-master
+// ids across the whole tree: cluster ci's cache pi is master
+// ci·ProcsPerCluster+pi.
 type System struct {
 	Global   *bus.Bus
-	Memory   *memory.Memory
+	Memory   *memory.Sharded
 	Clusters []*Cluster
 	Shadow   *check.Shadow
-	arbiter  *bus.Arbiter
 }
 
 // New builds the hierarchy: one global bus holding main memory and the
 // bridges, plus Clusters local buses each holding ProcsPerCluster
 // caches. Every bus shares one arbiter (see the package comment).
+// sim.NewTree builds one its engines drive.
 func New(cfg Config) (*System, error) {
 	if cfg.Clusters <= 0 || cfg.ProcsPerCluster <= 0 {
 		return nil, fmt.Errorf("hierarchy: need clusters and processors, got %d×%d", cfg.Clusters, cfg.ProcsPerCluster)
@@ -95,13 +97,13 @@ func New(cfg Config) (*System, error) {
 	// Every bus shares one FCFS arbiter.
 	cfg.Obs.MarkEpoch(0, "fcfs")
 	arb := bus.NewArbiter()
-	mem := memory.New(cfg.LineSize)
+	mem := memory.NewSharded(cfg.LineSize, 1, 1)
 	if cfg.Obs != nil {
 		mem.SetObs(cfg.Obs)
 	}
-	global := bus.New(mem, bus.Config{LineSize: cfg.LineSize, Arbiter: arb, Obs: cfg.Obs, ObsID: 0})
+	global := bus.New(mem.Shard(0), bus.Config{LineSize: cfg.LineSize, Arbiter: arb, Obs: cfg.Obs, ObsID: 0})
 
-	sys := &System{Global: global, Memory: mem, arbiter: arb}
+	sys := &System{Global: global, Memory: mem}
 	if cfg.Shadow {
 		sys.Shadow = check.NewShadow(cfg.LineSize)
 	}
@@ -149,7 +151,7 @@ func newCluster(ci int, cfg Config, sys *System, global *bus.Bus, arb *bus.Arbit
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: cluster %d: %w", ci, err)
 		}
-		c := cache.New(pi, local, p, cache.Config{
+		c := cache.New(ci*cfg.ProcsPerCluster+pi, local, p, cache.Config{
 			Sets: cfg.CacheSets, Ways: cfg.CacheWays, OnWrite: onWrite,
 		})
 		cluster.Caches = append(cluster.Caches, c)

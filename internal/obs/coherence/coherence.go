@@ -206,8 +206,9 @@ var unknownProto = obs.NameOf("unknown")
 
 // masterKey names a bus master by bus and proc, for the reason a line
 // is named by bus and address (see lineAgg): a hierarchy repeats proc
-// ids on every bus (bridge k on the global bus and cache k of each
-// cluster). A fabric's master has one key per shard it used, each of
+// ids across its buses (bridge k on the global bus and the tree's cache
+// k, and every bridge's agent on its local bus). A fabric's master has
+// one key per shard it used, each of
 // which learns the master's one protocol from a state event on that
 // shard.
 type masterKey struct{ bus, proc int32 }

@@ -13,9 +13,11 @@ func busAddr(line uint64) bus.Addr { return bus.Addr(line) }
 
 // RunConcurrent drives every board from its own goroutine — the natural
 // Go mapping of concurrent cache agents — until each has executed
-// refsPerProc references, then quiesces and runs the consistency
-// checker. Interleavings are scheduler-dependent, so metrics vary
-// between runs; correctness (the checker) must not.
+// refsPerProc references (none when refsPerProc ≤ 0), then quiesces and
+// runs the consistency checks (for a tree, both levels'; the arbiter
+// its buses share serialises the tree). Interleavings are
+// scheduler-dependent, so metrics vary between runs; correctness (the
+// checks) must not.
 func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Metrics, error) {
 	if len(gens) != len(sys.Boards) {
 		return Metrics{}, fmt.Errorf("sim: %d generators for %d boards", len(gens), len(sys.Boards))
@@ -55,26 +57,24 @@ func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Met
 	m := Metrics{
 		System:     sys.Describe(),
 		Procs:      len(sys.Boards),
-		Refs:       int64(refsPerProc) * int64(len(sys.Boards)),
+		Refs:       int64(max(refsPerProc, 0)) * int64(len(sys.Boards)),
 		HitLatency: DefaultHitLatency,
-		Bus:        sys.Bus.Stats(),
+		Bus:        sys.busStats(),
 		Memory:     sys.Memory.Stats(),
 		Cache:      aggregate(sys.Caches),
 		Hist:       histSummaries(sys.Obs),
 		Perf:       perfSnapshot(sys.Obs),
 	}
-	// Shards serve transactions in parallel, so the backplane's
-	// contribution to completion time is the busiest shard, not the sum.
+	// Shards, and a tree's buses, serve transactions in parallel (a
+	// tree's shared arbiter serialises only the host), so the buses'
+	// contribution to completion time is the busiest one's, not the sum.
 	var busiest int64
-	for i := 0; i < sys.Bus.Shards(); i++ {
-		if busy := sys.Bus.Shard(i).Stats().BusyNanos; busy > busiest {
-			busiest = busy
-		}
+	for _, b := range sys.buses {
+		busiest = max(busiest, b.Stats().BusyNanos)
 	}
 	m.ElapsedNanos = busiest + m.Refs*DefaultHitLatency/int64(max(1, len(sys.Boards)))
-
-	if err := sys.Checker().MustPass(); err != nil {
-		return m, err
+	if sys.tree != nil {
+		return m, sys.tree.MustPass()
 	}
-	return m, nil
+	return m, sys.Checker().MustPass()
 }

@@ -174,15 +174,25 @@ type procState struct {
 	seen core.State
 	// dynamic caches Board.Dynamic: such a board is never parked.
 	dynamic bool
+	// home is added to the home shard of the board's line to give its
+	// home bus: 0 on a flat system, a tree board's cluster bus on a tree
+	// (whose Bus, the global bus, homes every line on shard 0).
+	home int
 }
 
-// shardState is the engine's view of one fabric shard.
+// shardState is the engine's view of one bus: a fabric shard, or a bus
+// of a tree.
 type shardState struct {
 	// busFreeAt is the shard's occupancy clock: a board only waits when
 	// the home shard of its next access is busy, which is how the
 	// deterministic engine models the backplane's parallelism while
 	// keeping one merged virtual timeline.
 	busFreeAt int64
+	// busy is a tree bus's BusyNanos the engine has charged, and moved
+	// whether the last forwarded access moved it beyond the board's own
+	// transactions.
+	busy  int64
+	moved bool
 	// waiters heads the shard's wait list, linked through procState.next
 	// in no particular order (the heap orders them through the token);
 	// -1 when empty. tok is the token's index in the heap, -1 when absent.
@@ -205,10 +215,12 @@ type run struct {
 	dynamic []int
 }
 
-// Run executes refsPerProc references on every board and returns the
-// aggregated metrics. The engine is the only goroutine that touches the
-// system's caches while it runs, so it marks them single-owner for the
-// run (cache.Cache.SetSingleOwner).
+// Run executes refsPerProc references on every board (none when
+// refsPerProc ≤ 0) and returns the aggregated metrics; a tree's run
+// ends with both levels' checks (hierarchy.System.MustPass). The engine
+// is the only goroutine that touches the system's caches while it runs,
+// a tree's bridge stores included, so it marks them single-owner for
+// the run (cache.Cache.SetSingleOwner).
 //
 // A deferred access waits parked on its home shard's wait list, not in
 // the event heap. When an access moves the shard's free time, every
@@ -219,6 +231,9 @@ type run struct {
 // chooser draws is never parked, and while one has an event no later
 // than the waiters', every waiter goes back to the heap: its probe may
 // say "local" while its access takes the bus.
+//
+// A board's home is its own bus: a flat board's home shard, or a tree
+// board's cluster bus (see forward for what a bridge forwards).
 func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 	if len(e.Gens) != len(e.Sys.Boards) {
 		return Metrics{}, fmt.Errorf("sim: %d generators for %d boards", len(e.Gens), len(e.Sys.Boards))
@@ -227,11 +242,11 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 	if hit == 0 {
 		hit = DefaultHitLatency
 	}
-	for _, c := range e.Sys.Caches {
+	for _, c := range e.Sys.owned {
 		c.SetSingleOwner(true)
 	}
 	defer func() {
-		for _, c := range e.Sys.Caches {
+		for _, c := range e.Sys.owned {
 			c.SetSingleOwner(false)
 		}
 	}()
@@ -239,26 +254,34 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 	r := run{
 		e:      e,
 		procs:  make([]procState, len(e.Sys.Boards)),
-		shards: make([]shardState, e.Sys.Bus.Shards()),
+		shards: make([]shardState, len(e.Sys.buses)),
 	}
 	r.h = eventHeap{e: make([]procEvent, 0, len(r.procs)+len(r.shards)), shards: r.shards}
-	// Every board starts at time 0 in seq order: already a heap.
+	// Every board with references to run starts at time 0 in seq order:
+	// already a heap.
 	var seq int64
 	for i, b := range e.Sys.Boards {
 		p := &r.procs[i]
 		p.remaining = refsPerProc
 		p.ticket = -1
-		p.ev = procEvent{time: 0, proc: i, seq: seq}
+		p.ev = procEvent{time: math.MaxInt64, proc: i, seq: seq}
 		p.dynamic = b.Dynamic()
 		if p.dynamic {
 			r.dynamic = append(r.dynamic, i)
 		}
-		r.h.e = append(r.h.e, p.ev)
+		if e.Sys.homes != nil {
+			p.home = e.Sys.homes[i]
+		}
+		if refsPerProc > 0 {
+			p.ev.time = 0
+			r.h.e = append(r.h.e, p.ev)
+		}
 		seq++
 	}
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.waiters, sh.tok = -1, -1
+		sh.busy = e.Sys.buses[i].BusyNanos()
 		if e.Sys.disc != nil {
 			sh.disc = e.Sys.disc()
 		}
@@ -279,7 +302,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		}
 		ref := p.pending
 		board := e.Sys.Boards[ev.proc]
-		si := e.Sys.Bus.HomeShard(busAddr(ref.Line))
+		si := e.Sys.Bus.HomeShard(busAddr(ref.Line)) + p.home
 
 		// Bus accesses are executed in global time order: if the home
 		// shard is still busy with an earlier transaction, this board
@@ -301,7 +324,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 					TS:      rec.Clock(),
 					Dur:     p.waited,
 					Kind:    obs.KindBlocked,
-					Bus:     int32(e.Sys.Bus.SegmentID(busAddr(ref.Line))),
+					Bus:     int32(e.Sys.buses[si].ObsID()),
 					Proc:    int32(ev.proc),
 					Addr:    uint64(busAddr(ref.Line)),
 					CauseID: p.blocker,
@@ -313,7 +336,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		before := board.Stall()
 		var busyBefore int64
 		if e.Sys.split {
-			busyBefore = e.Sys.Bus.Shard(si).BusyNanos()
+			busyBefore = e.Sys.buses[si].BusyNanos()
 		}
 		var err error
 		if ref.Write {
@@ -337,17 +360,22 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 			if sh.disc != nil {
 				sh.disc.Granted(ev.proc)
 			}
-			if e.Sys.split {
+			switch {
+			case e.Sys.split:
 				// Split mode: the shard is occupied only for the on-bus
 				// portion (address tenure, drained data tenures, NACK
 				// cycles) — the occupancy-clock delta — while the board's
 				// own clock also absorbs the off-bus service it stalled
 				// on. Overlapped tenures fall out: the next contender may
 				// start before this board's stall ends.
-				if free := ev.time + (e.Sys.Bus.Shard(si).BusyNanos() - busyBefore); free > sh.busFreeAt {
+				if free := ev.time + (e.Sys.buses[si].BusyNanos() - busyBefore); free > sh.busFreeAt {
 					sh.busFreeAt = free
 				}
-			} else {
+			case e.Sys.tree != nil:
+				if err := r.forward(ev, si, busCost); err != nil {
+					return Metrics{}, fmt.Errorf("sim: board %d ref %s: %w", ev.proc, ref, err)
+				}
+			default:
 				sh.busFreeAt = p.time
 			}
 		}
@@ -372,7 +400,51 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 	// Retire any split-mode responses still pending so the final stats
 	// account every owed data tenure.
 	e.Sys.Bus.DrainPending()
-	return e.metrics(refs, elapsed, hit), nil
+	m := e.metrics(refs, elapsed, hit)
+	if t := e.Sys.tree; t != nil {
+		return m, t.MustPass()
+	}
+	return m, nil
+}
+
+// forward charges a tree access after it ran, from the buses'
+// occupancy clocks, and returns any error a bridge deferred during it.
+// An access the bridge forwarded moved the global bus, and maybe
+// another cluster's bus through an invalidation. That part starts once
+// every bus it moved, and the board's own, is free; the board's clock
+// absorbs the wait, and the board's bus and every bus it moved stay
+// busy until the part ends. Each moved bus settles its wait list; the
+// caller settles the board's own.
+func (r *run) forward(ev procEvent, si int, busCost int64) error {
+	p, buses := &r.procs[ev.proc], r.e.Sys.buses
+	if r.shards[si].busy += busCost; buses[0].BusyNanos() == r.shards[0].busy {
+		// Not forwarded: only the board's own transactions moved a bus.
+		r.shards[si].busFreeAt = p.time
+		return r.e.Sys.tree.Err()
+	}
+	start, extra := ev.time, int64(0)
+	for i := range r.shards {
+		sh := &r.shards[i]
+		busy := buses[i].BusyNanos()
+		moved := busy - sh.busy
+		sh.busy, sh.moved = busy, moved > 0
+		if sh.moved || i == si {
+			start = max(start, sh.busFreeAt)
+		}
+		if sh.moved {
+			extra += moved
+		}
+	}
+	p.time += start - ev.time + extra
+	for i := range r.shards {
+		if sh := &r.shards[i]; sh.moved || i == si {
+			sh.busFreeAt = p.time
+			if i != si {
+				r.settle(i)
+			}
+		}
+	}
+	return r.e.Sys.tree.Err()
 }
 
 // deferAccess moves a board's event for its access on shard si to the
@@ -382,7 +454,7 @@ func (r *run) deferAccess(proc int, ev *procEvent, si int) {
 	p, sh := &r.procs[proc], &r.shards[si]
 	if r.e.Sys.Obs != nil {
 		p.waited += sh.busFreeAt - ev.time
-		p.blocker = r.e.Sys.Bus.Shard(si).LastTxID()
+		p.blocker = r.e.Sys.buses[si].LastTxID()
 	}
 	if sh.disc != nil {
 		if p.ticket < 0 {
@@ -525,7 +597,7 @@ func (e *Engine) metrics(refs, elapsed, hit int64) Metrics {
 		Refs:         refs,
 		ElapsedNanos: elapsed,
 		HitLatency:   hit,
-		Bus:          e.Sys.Bus.Stats(),
+		Bus:          e.Sys.busStats(),
 		Memory:       e.Sys.Memory.Stats(),
 		Cache:        aggregate(e.Sys.Caches),
 		Hist:         histSummaries(e.Sys.Obs),

@@ -82,6 +82,32 @@ func TestEngineGeneratorMismatch(t *testing.T) {
 	}
 }
 
+// TestEngineNoRefs: a run of zero or fewer references per board runs
+// none, on either engine.
+func TestEngineNoRefs(t *testing.T) {
+	for _, engine := range []string{"det", "conc"} {
+		for _, n := range []int{0, -1} {
+			sys, err := New(Homogeneous("moesi", 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens := abGens(sys, 0.2, 0.2, 1)
+			var m Metrics
+			if engine == "det" {
+				m, err = (&Engine{Sys: sys, Gens: gens}).Run(n)
+			} else {
+				m, err = RunConcurrent(sys, gens, n)
+			}
+			if err != nil {
+				t.Fatalf("%s %d: %v", engine, n, err)
+			}
+			if m.Refs != 0 || m.Bus.Transactions != 0 {
+				t.Errorf("%s engine at %d refs per board: %d refs, %d bus transactions", engine, n, m.Refs, m.Bus.Transactions)
+			}
+		}
+	}
+}
+
 // TestMetricsDerivations: the derived figures behave sensibly on a
 // constructed Metrics value.
 func TestMetricsDerivations(t *testing.T) {

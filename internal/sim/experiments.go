@@ -94,11 +94,17 @@ func runHomogeneous(protocol string, n int, pShared, pWrite float64, opts Experi
 		}
 		return Metrics{}, err
 	}
-	eng := Engine{Sys: sys, Gens: abWorkload(sys, pShared, pWrite, opts.Seed)}
-	m, err := eng.Run(opts.RefsPerProc)
+	m, err := runChecked(sys, abWorkload(sys, pShared, pWrite, opts.Seed), opts.RefsPerProc)
 	if rec != nil {
 		_ = rec.Close()
 	}
+	return m, err
+}
+
+// runChecked runs refs references per board on sys with the
+// deterministic engine, then checks the quiesced system's consistency.
+func runChecked(sys *System, gens []workload.Generator, refs int) (Metrics, error) {
+	m, err := (&Engine{Sys: sys, Gens: gens}).Run(refs)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -190,13 +196,9 @@ func UpdateVsInvalidate(opts ExperimentOpts) (*Report, error) {
 				return nil, err
 			}
 			gens := sys.Generators(func(proc int) workload.Generator { return pat.gen(sys, proc) })
-			eng := Engine{Sys: sys, Gens: gens}
-			m, err := eng.Run(opts.RefsPerProc)
+			m, err := runChecked(sys, gens, opts.RefsPerProc)
 			if err != nil {
 				return nil, fmt.Errorf("P2 %s/%s: %w", pat.name, name, err)
-			}
-			if err := sys.Checker().MustPass(); err != nil {
-				return nil, err
 			}
 			rep.AddRow(pat.name, name, f(m.MissRatio()), f(m.TransPerRef()),
 				f2(m.BytesPerRef()), f(m.Efficiency()))
@@ -227,13 +229,8 @@ func MixedBus(opts ExperimentOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := Engine{Sys: sys, Gens: abWorkload(sys, 0.3, 0.3, opts.Seed)}
-	m, err := eng.Run(opts.RefsPerProc)
+	m, err := runChecked(sys, abWorkload(sys, 0.3, 0.3, opts.Seed), opts.RefsPerProc)
 	if err != nil {
-		return nil, err
-	}
-	consistent := "yes"
-	if err := sys.Checker().MustPass(); err != nil {
 		return nil, err
 	}
 	rep := &Report{
@@ -241,7 +238,7 @@ func MixedBus(opts ExperimentOpts) (*Report, error) {
 		Title:   "heterogeneous bus: copy-back + write-through + non-caching + random boards",
 		Columns: []string{"mix", "consistent", "miss", "trans/ref", "bytes/ref", "efficiency"},
 	}
-	rep.AddRow(m.System, consistent, f(m.MissRatio()), f(m.TransPerRef()),
+	rep.AddRow(m.System, "yes", f(m.MissRatio()), f(m.TransPerRef()),
 		f2(m.BytesPerRef()), f(m.Efficiency()))
 	rep.AddNote("§3.4: caches of different types coexist on the bus simultaneously; the shared memory image stays single-valued (checker invariants 1–6 all hold)")
 	return rep, nil
@@ -266,12 +263,8 @@ func RandomChoice(opts ExperimentOpts) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := Engine{Sys: sys, Gens: abWorkload(sys, 0.4, 0.4, opts.Seed)}
-		m, err := eng.Run(opts.RefsPerProc)
+		m, err := runChecked(sys, abWorkload(sys, 0.4, 0.4, opts.Seed), opts.RefsPerProc)
 		if err != nil {
-			return nil, err
-		}
-		if err := sys.Checker().MustPass(); err != nil {
 			return nil, err
 		}
 		rep.AddRow(m.System, "yes", f(m.MissRatio()), f(m.TransPerRef()),
@@ -351,13 +344,9 @@ func LineSizeSweep(opts ExperimentOpts) (*Report, error) {
 		gens := sys.Generators(func(proc int) workload.Generator {
 			return workload.NewSequential(proc, 4096, sys.WordsPerLine(), 0.05, opts.Seed)
 		})
-		eng := Engine{Sys: sys, Gens: gens}
-		m, err := eng.Run(opts.RefsPerProc)
+		m, err := runChecked(sys, gens, opts.RefsPerProc)
 		if err != nil {
 			return nil, fmt.Errorf("P7 %d: %w", lineSize, err)
-		}
-		if err := sys.Checker().MustPass(); err != nil {
-			return nil, err
 		}
 		rep.AddRow(d(int64(lineSize)), f(m.MissRatio()), f(m.TransPerRef()),
 			f2(m.BytesPerRef()), f(m.BusUtilization()), f(m.Efficiency()))
@@ -386,13 +375,9 @@ func AbortRetryOverhead(opts ExperimentOpts) (*Report, error) {
 		gens := sys.Generators(func(proc int) workload.Generator {
 			return workload.NewMigratory(proc, 4, 16, 24, sys.WordsPerLine(), opts.Seed)
 		})
-		eng := Engine{Sys: sys, Gens: gens}
-		m, err := eng.Run(opts.RefsPerProc)
+		m, err := runChecked(sys, gens, opts.RefsPerProc)
 		if err != nil {
 			return nil, fmt.Errorf("P8 %s: %w", name, err)
-		}
-		if err := sys.Checker().MustPass(); err != nil {
-			return nil, err
 		}
 		rep.AddRow(name, d(m.Bus.Aborts), d(m.Cache.InterventionsSupplied),
 			f(m.TransPerRef()), f(m.BusUtilization()), f(m.Efficiency()))
@@ -465,16 +450,12 @@ func ArbitrationDisciplines(opts ExperimentOpts) (*Report, error) {
 			gens := sys.Generators(func(proc int) workload.Generator {
 				return workload.NewPingPong(proc, 4, sys.WordsPerLine(), opts.Seed)
 			})
-			eng := Engine{Sys: sys, Gens: gens}
-			m, err := eng.Run(opts.RefsPerProc)
+			m, err := runChecked(sys, gens, opts.RefsPerProc)
 			if rec != nil {
 				_ = rec.Close()
 			}
 			if err != nil {
 				return nil, fmt.Errorf("P11 %s/%s: %w", tenure, disc, err)
-			}
-			if err := sys.Checker().MustPass(); err != nil {
-				return nil, err
 			}
 			p50, p99, fair, peakQ := "-", "-", "-", "-"
 			if m.Perf != nil {

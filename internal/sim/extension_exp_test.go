@@ -81,3 +81,37 @@ func TestP10HonoursFabricOptions(t *testing.T) {
 		t.Errorf("4-shard P10 put every transaction on buses %v", buses)
 	}
 }
+
+// TestP9TimeModel: on every P9 shape the tree's time model is
+// consistent — no bus of the tree is busy for longer than the run
+// takes, and efficiency is a fraction — and clustering pays: efficiency
+// rises from 1×16 through 2×8 to 4×4. On 1×16 every global transaction
+// is part of a forwarded access that holds the one cluster bus, so the
+// run takes at least both buses' busy time.
+func TestP9TimeModel(t *testing.T) {
+	var eff []float64
+	for _, clusters := range []int{1, 2, 4, 8} {
+		sys, m, err := runP9Tree(clusters, ExperimentOpts{RefsPerProc: 2000, Seed: 1986})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for i, b := range sys.buses {
+			busy := b.Stats().BusyNanos
+			if busy <= 0 || busy > m.ElapsedNanos {
+				t.Errorf("%d clusters: bus %d busy %d ns of %d ns elapsed", clusters, i, busy, m.ElapsedNanos)
+			}
+			total += busy
+		}
+		if clusters == 1 && total > m.ElapsedNanos {
+			t.Errorf("1×16: the global and cluster buses are busy %d ns in all, but the run takes %d ns", total, m.ElapsedNanos)
+		}
+		if e := m.Efficiency(); e <= 0 || e > 1 {
+			t.Errorf("%d clusters: efficiency %v", clusters, e)
+		}
+		eff = append(eff, m.Efficiency())
+	}
+	if !(eff[0] < eff[1] && eff[1] < eff[2]) {
+		t.Errorf("efficiency does not rise from 1×16 to 4×4: %v", eff)
+	}
+}

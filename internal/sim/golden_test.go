@@ -11,6 +11,7 @@ import (
 
 	"futurebus/internal/bus"
 	"futurebus/internal/cache"
+	"futurebus/internal/hierarchy"
 	"futurebus/internal/memory"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/causal"
@@ -34,12 +35,27 @@ type goldenStats struct {
 	Stalls       []int64
 }
 
-// goldenCase is one fixed-seed deterministic-engine configuration.
+// goldenCase is one fixed-seed deterministic-engine configuration: a
+// flat system of cfg, or a tree of tree when it is set.
 type goldenCase struct {
 	name string
 	cfg  Config
+	tree *hierarchy.Config
 	gens func(sys *System) []workload.Generator
 	refs int
+}
+
+// build assembles the case's system with golden-image tracking, every
+// event going to rec (nil: untraced).
+func (gc goldenCase) build(rec *obs.Recorder) (*System, error) {
+	if gc.tree != nil {
+		cfg := *gc.tree
+		cfg.Shadow, cfg.Obs = true, rec
+		return NewTree(cfg)
+	}
+	cfg := gc.cfg
+	cfg.Shadow, cfg.Obs = true, rec
+	return New(cfg)
 }
 
 // abShape is the Archibald–Baer hit-bound shape: 32 shared and 80
@@ -114,6 +130,22 @@ func goldenCases() []goldenCase {
 		{name: "priority", cfg: Config{
 			Boards: Homogeneous("moesi", 8).Boards, Discipline: "priority",
 		}, gens: abShape(0.2, 31), refs: 3000},
+		// A §6 tree of three clusters of three caches, one cluster on
+		// Dragon: boards wait for their cluster's bus, and forwarded
+		// misses for the global bus too, invalidating other clusters.
+		{name: "tree", tree: &hierarchy.Config{
+			Clusters: 3, ProcsPerCluster: 3, CacheSets: 16, CacheWays: 2,
+			ClusterProtocols: []string{"moesi-update", "dragon", "moesi-update"},
+		}, gens: func(sys *System) []workload.Generator {
+			return sys.Generators(func(proc int) workload.Generator {
+				return hierarchy.ClusterModel{
+					Cluster: proc / 3, Proc: proc % 3,
+					GlobalSharedLines: 12, ClusterSharedLines: 16, PrivateLines: 40,
+					PGlobal: 0.1, PCluster: 0.3, PWrite: 0.3,
+					WordsPerLine: sys.WordsPerLine(),
+				}.NewGenerator(37)
+			})
+		}, refs: 1500},
 	}
 }
 
@@ -127,9 +159,7 @@ func goldenCases() []goldenCase {
 func TestSimulatedStatsGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			cfg := gc.cfg
-			cfg.Shadow = true
-			sys, err := New(cfg)
+			sys, err := gc.build(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,6 +248,7 @@ type goldenWatch struct {
 // and the zipf-mix protocol mix under split tenure, rr and 2 shards —
 // and of the mixed-bus, mixed-choosers and priority rows, whose
 // KindBlocked events carry every deferred access's wait and blocker,
+// and of the tree row, whose events span the global and cluster buses,
 // against testdata/events_<name>.json, and the coherence and causal
 // reports of the same runs against testdata/analyses_<name>.json. A
 // reordered, lost or duplicated event moves the .fbt digest, so a
@@ -231,6 +262,7 @@ func TestEventStreamGolden(t *testing.T) {
 	names := map[string]string{
 		"ab-hits": "ab-observed", "zipf-mix": "zipf-mix",
 		"mixed-bus": "mixed-bus", "mixed-choosers": "mixed-choosers", "priority": "priority",
+		"tree": "tree",
 	}
 	for _, gc := range goldenCases() {
 		name, ok := names[gc.name]
@@ -250,10 +282,7 @@ func TestEventStreamGolden(t *testing.T) {
 			coh, cau := &coherence.Analyzer{}, &causal.Analyzer{}
 			rec := obs.New(obs.NewRecordSink(h, obs.TraceMeta{Fingerprint: "golden " + name}),
 				obs.NewJSONLSink(jh), mon, perf.NewSink(0), coh, cau, count)
-			cfg := gc.cfg
-			cfg.Shadow = true
-			cfg.Obs = rec
-			sys, err := New(cfg)
+			sys, err := gc.build(rec)
 			if err != nil {
 				t.Fatal(err)
 			}

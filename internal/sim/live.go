@@ -57,7 +57,7 @@ func (s *System) LiveMetrics(hitLatency int64) LiveMetrics {
 		Refs:       s.RefsDone(),
 		Procs:      len(s.Boards),
 		HitLatency: hitLatency,
-		Bus:        s.Bus.Stats(),
+		Bus:        s.busStats(),
 		Dropped:    s.Obs.Dropped(),
 	}
 }
@@ -85,8 +85,7 @@ func (s *System) RegisterLiveGauges(reg *obshttp.Registry, hitLatency int64) {
 	// Per-shard arbitration queue occupancy, polled from the arbiter at
 	// scrape time (no hot-path publishing). Labelled by the shard's
 	// ObsID so the series line up with the perf sink's reconstruction.
-	for i := 0; i < s.Bus.Shards(); i++ {
-		shard := s.Bus.Shard(i)
+	for _, shard := range s.buses {
 		reg.GaugeFunc("futurebus_arb_queue_live", fmt.Sprintf("bus=%q", fmt.Sprint(shard.ObsID())),
 			"Instantaneous arbitration queue occupancy (master plus waiters), per fabric shard.",
 			func() float64 { return float64(shard.ArbQueueDepth()) })

@@ -16,6 +16,7 @@ import (
 	"futurebus/internal/check"
 	"futurebus/internal/core"
 	"futurebus/internal/faults"
+	"futurebus/internal/hierarchy"
 	"futurebus/internal/memory"
 	"futurebus/internal/obs"
 	"futurebus/internal/protocols"
@@ -152,6 +153,18 @@ type System struct {
 	// order its deferred-access queue the same way the concurrent
 	// engine's arbiter does.
 	disc bus.DisciplineFactory
+
+	// buses are the buses the engines charge: the fabric's shards, or a
+	// tree's global bus and then its cluster buses. owned are the caches
+	// the deterministic engine alone drives: Caches, and a tree's bridge
+	// stores.
+	buses []*bus.Bus
+	owned []*cache.Cache
+	// tree is the two-level tree a NewTree system runs (nil when flat);
+	// homes gives each of its boards its cluster's bus, as an index into
+	// buses.
+	tree  *hierarchy.System
+	homes []int
 }
 
 // Split reports whether the system runs split-transaction bus tenures.
@@ -260,6 +273,9 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 	sys := &System{Bus: b, Memory: mem, Obs: cfg.Obs, split: tenure.TableSize() > 0, disc: disc}
+	for i := 0; i < shards; i++ {
+		sys.buses = append(sys.buses, b.Shard(i))
+	}
 	discName := cfg.Discipline
 	if discName == "" {
 		discName = "fcfs" // the bus default grant order
@@ -295,7 +311,17 @@ func New(cfg Config) (*System, error) {
 		}
 		sys.Boards = append(sys.Boards, &cachedBoard{Cache: c, name: name})
 	}
+	sys.owned = sys.Caches
 	return sys, nil
+}
+
+// busStats sums the counters of every bus in the system.
+func (s *System) busStats() bus.Stats {
+	var st bus.Stats
+	for _, b := range s.buses {
+		st.Add(b.Stats())
+	}
+	return st
 }
 
 // Homogeneous returns a Config with n identical cached boards.
@@ -307,9 +333,13 @@ func Homogeneous(protocol string, n int) Config {
 	return Config{Boards: boards}
 }
 
-// Checker returns a consistency checker over the system. Run it only
-// when the system is quiesced.
+// Checker returns a consistency checker over the system (for a tree,
+// its global level: the bridges against main memory). Run it only when
+// the system is quiesced.
 func (s *System) Checker() *check.Checker {
+	if s.tree != nil {
+		return s.tree.GlobalChecker()
+	}
 	sources := make([]check.LineSource, 0, len(s.Caches))
 	for _, c := range s.Caches {
 		sources = append(sources, c)

@@ -1,28 +1,32 @@
 package sim
 
 import (
+	"strings"
 	"testing"
+	"time"
 
+	"futurebus/internal/bus"
+	"futurebus/internal/core"
 	"futurebus/internal/faults"
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/leaktest"
 	"futurebus/internal/obs/watch"
 	"futurebus/internal/protocols"
 )
 
-// runWatched assembles a 4-board moesi system (board 0 optionally
+// runWatched assembles a 4-board system of the base protocol (board 0
 // faulted, and a sector cache of subs lines per tag when subs > 0),
 // runs it with a sharing-heavy workload under the given engine and
-// shard count, and returns the monitor's report.
-func runWatched(t *testing.T, fault, engine string, shards, subs, refs int) *watch.Report {
+// shard count, and returns the system, the monitor's report and the
+// run's error. A faulted system may trip a substrate error (the bus
+// rejecting duplicate DI, or a snooper meeting a "—" cell of Table 2)
+// and end the run early; the monitor has then judged the events that
+// led up to it.
+func runWatched(t *testing.T, base, fault, engine string, shards, subs, refs int) (*System, *watch.Report, error) {
 	t.Helper()
 	mon := watch.New(watch.Config{})
 	rec := obs.New(mon)
-	// The invalidation-style base never issues broadcast writes
-	// (column 8), whose Table 2 cells are undefined for M/E snoopers:
-	// once a fault has broken coherence, an update-style base would
-	// panic the substrate on those cells before the monitor's verdict
-	// matters.
-	cfg := Homogeneous("moesi-invalidate", 4)
+	cfg := Homogeneous(base, 4)
 	cfg.Boards[0].Fault = fault
 	cfg.CacheSets = 8 // small cache: replacement traffic exercises Flush
 	cfg.CacheWays = 2
@@ -39,29 +43,50 @@ func runWatched(t *testing.T, fault, engine string, shards, subs, refs int) *wat
 		t.Fatal(err)
 	}
 	gens := abGens(sys, 0.5, 0.4, 7)
-	switch engine {
-	case "det":
-		eng := Engine{Sys: sys, Gens: gens}
-		_, err = eng.Run(refs)
-	case "conc":
-		_, err = RunConcurrent(sys, gens, refs)
-	default:
-		t.Fatalf("unknown engine %q", engine)
-	}
-	if err != nil {
-		if fault == "" {
-			t.Fatalf("%s run: %v", engine, err)
+	done := make(chan error, 1)
+	go func() {
+		switch engine {
+		case "det":
+			eng := Engine{Sys: sys, Gens: gens}
+			_, err = eng.Run(refs)
+		case "conc":
+			_, err = RunConcurrent(sys, gens, refs)
+		default:
+			t.Errorf("unknown engine %q", engine)
 		}
-		// A faulted system may also trip a substrate error (e.g. the
-		// bus rejecting duplicate DI) and end the run early; the
-		// monitor must still have flagged the bug from the events that
-		// led up to it.
-		t.Logf("%s run ended early (expected under fault %s): %v", engine, fault, err)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("%s run under fault %s did not finish: a lock leaked?", engine, fault)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return mon.Report()
+	return sys, mon.Report(), err
+}
+
+// unlocked fails t unless every bus shard's arbiter and every cache
+// directory shard of sys is free: a lock a failed transaction leaked
+// would block here.
+func unlocked(t *testing.T, sys *System) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < sys.Bus.Shards(); i++ {
+			sys.Bus.Shard(i).Stats() // takes the arbiter
+		}
+		for _, c := range sys.Caches {
+			c.ForEachLine(func(bus.Addr, core.State, []byte) {})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a bus arbiter or cache directory is still locked after the run")
+	}
 }
 
 // TestWatchDetectsEveryFault is the fault-injection proof: every fault
@@ -80,7 +105,13 @@ func TestWatchDetectsEveryFault(t *testing.T) {
 				for _, org := range orgs {
 					f, engine, shards, org := f, engine, shards, org
 					t.Run(f.Name+"/"+engine+"/shards="+string(rune('0'+shards))+org.suffix, func(t *testing.T) {
-						rep := runWatched(t, f.Name, engine, shards, org.subs, 3000)
+						// The invalidation-style base never issues
+						// broadcast writes (column 8), so no snooper meets
+						// their "—" cells.
+						_, rep, err := runWatched(t, "moesi-invalidate", f.Name, engine, shards, org.subs, 3000)
+						if err != nil {
+							t.Logf("%s run ended early (expected under fault %s): %v", engine, f.Name, err)
+						}
 						if rep.Total == 0 {
 							t.Fatalf("fault %s went undetected (%d states, %d txs checked)",
 								f.Name, rep.States, rep.Txs)
@@ -92,6 +123,29 @@ func TestWatchDetectsEveryFault(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestWatchUpdateBaseFaults runs every fault of the catalog on an
+// update-style base (moesi), on both engines. Its broadcast writes
+// (column 8) have "—" cells for M and E snoopers, and a faulted board
+// can lead a snooper to one. Each fault is either flagged by the
+// monitor or ends the run with that cell's error; no run panics, and
+// none leaves a lock held or a goroutine behind.
+func TestWatchUpdateBaseFaults(t *testing.T) {
+	for _, f := range faults.Catalog() {
+		for _, engine := range []string{"det", "conc"} {
+			t.Run(f.Name+"/"+engine, func(t *testing.T) {
+				leaktest.Check(t)
+				sys, rep, err := runWatched(t, "moesi", f.Name, engine, 1, 0, 3000)
+				illegal := err != nil && strings.Contains(err.Error(), "illegal bus event")
+				if rep.Total == 0 && !illegal {
+					t.Fatalf("fault %s neither flagged (%d states, %d txs checked) nor ended by an illegal cell (err %v)",
+						f.Name, rep.States, rep.Txs, err)
+				}
+				unlocked(t, sys)
+			})
 		}
 	}
 }
