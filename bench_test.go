@@ -288,40 +288,20 @@ func BenchmarkP9(b *testing.B) {
 	b.ReportMetric(lastGlobal, "globalTrans/ref")
 }
 
-// BenchmarkP10 runs the sector-cache organisation on the reuse
-// workload.
+// BenchmarkP10 runs P10's sector organisation (4 MOESI boards, 64
+// tags of 4×16 B sub-sectors) on its reuse workload.
 func BenchmarkP10(b *testing.B) {
-	b.ReportAllocs()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < b.N; i++ {
-		mem := memory.New(16)
-		bb := bus.New(mem, bus.Config{LineSize: 16})
-		caches := make([]*cache.Cache, 4)
-		for j := range caches {
-			caches[j] = cache.New(j, bb, protocols.MOESI(),
-				cache.Config{Sets: 32, Ways: 2, SubSectors: 4})
-		}
-		gens := make([]workload.Generator, 4)
-		for j := range gens {
-			gens[j] = workload.NewSequential(j, 640, 4, 0.02, 1986)
-		}
-		for n := 0; n < 2000; n++ {
-			for j, c := range caches {
-				ref := gens[j].Next()
-				var err error
-				if ref.Write {
-					err = c.WriteWord(bus.Addr(ref.Line), ref.Word, ref.Val)
-				} else {
-					_, err = c.ReadWord(bus.Addr(ref.Line), ref.Word)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+	cfg := sim.Homogeneous("moesi", 4)
+	for i := range cfg.Boards {
+		cfg.Boards[i].SectorSubs = 4
 	}
-	reportPerRef(b, int64(b.N)*2000*4, &before)
+	cfg.LineSize, cfg.CacheSets, cfg.CacheWays, cfg.Shadow = 16, 32, 2, true
+	rewalk := func(sys *sim.System) []workload.Generator {
+		return sys.Generators(func(proc int) workload.Generator {
+			return workload.NewSequential(proc, 640, sys.WordsPerLine(), 0.02, 1986)
+		})
+	}
+	benchSim(b, cfg, rewalk, 2000)
 }
 
 // BenchmarkShardedFabric runs the concurrent engine over the

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
 	"futurebus/cmd/internal/session"
@@ -23,7 +24,7 @@ import (
 func main() {
 	var shared session.Flags
 	shared.Register(flag.CommandLine)
-	exp := flag.String("exp", "all", "experiment to run (P1…P11, F1, or 'all')")
+	exp := flag.String("exp", "all", "experiment to run (P1…P11, F1/F2 or either part, F2B, or 'all')")
 	jobs := flag.Int("jobs", 0, "worker pool size for -exp all (0 = one per CPU, forced to 1 when tracing so the event stream stays coherent)")
 	format := flag.String("format", "table", "output format: table or csv")
 	outDir := flag.String("out", "", "also write each report as <dir>/<ID>.csv")
@@ -48,45 +49,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fbsweep: -jobs %d ignored — tracing (-record-out/-trace-out/-hist/-serve/-watch) forces a serial sweep so the event stream stays coherent\n", *jobs)
 	}
 
-	runners := map[string]func(sim.ExperimentOpts) (*sim.Report, error){
-		"P2":  sim.UpdateVsInvalidate,
-		"P3":  sim.MixedBus,
-		"P4":  sim.RandomChoice,
-		"P5":  sim.CopyBackVsWriteThrough,
-		"P6":  sim.ReplacementStatusRefinement,
-		"P7":  sim.LineSizeSweep,
-		"P8":  sim.AbortRetryOverhead,
-		"P9":  sim.MultiBusScaling,
-		"P10": sim.SectorVsPlain,
-		"P11": sim.ArbitrationDisciplines,
-		"F1":  sim.HandshakePenalty,
-		"F2":  sim.HandshakePenalty,
-		"F2B": sim.SlowBoardTax,
+	list := experiments(*exp)
+	if list == nil {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
 	}
-
-	var reports []*sim.Report
-	switch key := strings.ToUpper(*exp); key {
-	case "ALL":
-		all, err := sim.RunBattery(sim.Battery(), opts, workers)
-		fail(err)
-		reports = all
-	case "P1":
-		rep, err := sim.ProtocolComparison([]string{
-			"moesi", "moesi-invalidate", "moesi-update", "berkeley", "dragon",
-			"illinois", "write-once", "firefly", "synapse", "write-through",
-		}, []int{1, 2, 4, 8, 16}, opts)
-		fail(err)
-		reports = []*sim.Report{rep}
-	default:
-		run, ok := runners[key]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
-		rep, err := run(opts)
-		fail(err)
-		reports = []*sim.Report{rep}
-	}
+	reports, err := sim.RunBattery(list, opts, workers)
+	fail(err)
 
 	if *outDir != "" {
 		fail(os.MkdirAll(*outDir, 0o755))
@@ -156,6 +125,23 @@ func experimentOpts(shared *session.Flags, rec *obs.Recorder) sim.ExperimentOpts
 		RefsPerProc: shared.Refs, Seed: shared.Seed, Obs: rec, Shards: shared.Shards, Perf: shared.Perf,
 		Tenure: shared.Bus, Discipline: shared.Discipline, PendingTable: shared.PendingTable,
 	}
+}
+
+// experiments looks the -exp argument up in the battery, in any case:
+// "all" selects every experiment, anything else the experiment whose ID
+// or one of whose '/'-separated parts ("F1" of "F1/F2") it names. It
+// returns nil for an unknown name.
+func experiments(exp string) []sim.NamedExperiment {
+	key := strings.ToUpper(exp)
+	if key == "ALL" {
+		return sim.Battery()
+	}
+	for _, ne := range sim.Battery() {
+		if ne.ID == key || slices.Contains(strings.Split(ne.ID, "/"), key) {
+			return []sim.NamedExperiment{ne}
+		}
+	}
+	return nil
 }
 
 // batteryDoc is the fbsweep -json document: the sweep's parameters,

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"futurebus/cmd/internal/session"
@@ -34,6 +35,31 @@ func TestEffectiveWorkers(t *testing.T) {
 		if workers != tc.wantWorkers || forced != tc.wantForced {
 			t.Errorf("%s: effectiveWorkers(%d, %d, %v) = (%d, %v), want (%d, %v)",
 				tc.name, tc.jobs, tc.cpus, tc.tracing, workers, forced, tc.wantWorkers, tc.wantForced)
+		}
+	}
+}
+
+// TestExperimentLookup: -exp names a battery experiment by its ID or
+// one part of "F1/F2", in any case; "all" is the whole battery, and an
+// unknown name resolves to nothing (main exits 2).
+func TestExperimentLookup(t *testing.T) {
+	battery := sim.Battery()
+	if got := experiments("All"); len(got) != len(battery) {
+		t.Errorf("-exp All selects %d experiments, want %d", len(got), len(battery))
+	}
+	want := map[string]string{"F1": "F1/F2", "f2": "F1/F2", "f2b": "F2B", "p10": "P10"}
+	for _, ne := range battery {
+		want[ne.ID] = ne.ID
+		want[strings.ToLower(ne.ID)] = ne.ID
+	}
+	for exp, id := range want {
+		if got := experiments(exp); len(got) != 1 || got[0].ID != id {
+			t.Errorf("-exp %s selects %v, want %s", exp, got, id)
+		}
+	}
+	for _, exp := range []string{"nope", "", "P12", "F", "F1/"} {
+		if got := experiments(exp); got != nil {
+			t.Errorf("-exp %q selects %v, want nothing", exp, got)
 		}
 	}
 }

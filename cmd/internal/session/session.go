@@ -23,8 +23,11 @@ import (
 )
 
 // Flags are the command-line flags fbsim and fbsweep both parse. In
-// fbsweep the system flags apply to every system the sweep builds,
-// except the tenure × discipline axis P11 sweeps itself.
+// fbsweep the system flags apply to every flat system the sweep builds,
+// except the tenure × discipline axis P11 sweeps itself. P9's trees run
+// atomic tenure under one FCFS arbiter, unsharded, whatever -shards,
+// -bus, -discipline and -pending-table say; P9's report names the ones
+// it ignored.
 type Flags struct {
 	Refs         int
 	Seed         uint64

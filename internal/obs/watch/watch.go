@@ -352,7 +352,13 @@ type Monitor struct {
 	splitPend    map[uint64]struct{}
 	splitDropped bool
 
-	procProto []obs.Name // indexed by proc; 0 = unknown
+	// procProto gives each bus master's protocol, indexed by bus, then
+	// proc (0 = unknown): a tree repeats proc ids across its buses
+	// (bridge k on the global bus, cache k on its cluster's bus).
+	// busProto backs its first row, so a single-bus monitor allocates
+	// only that row.
+	procProto [][]obs.Name
+	busProto  [1][]obs.Name
 
 	events, states, txs, truncated int64
 
@@ -373,12 +379,14 @@ func New(cfg Config) *Monitor {
 	if cfg.MaxViolations <= 0 {
 		cfg.MaxViolations = DefaultMaxViolations
 	}
-	return &Monitor{
+	m := &Monitor{
 		cfg:     cfg,
 		lines:   make(map[uint64]*line),
 		pending: make([]pendEntry, maxPending),
 		counts:  make(map[countKey]int64),
 	}
+	m.procProto = m.busProto[:0]
+	return m
 }
 
 // Consume implements obs.Sink.
@@ -493,7 +501,9 @@ func (m *Monitor) reset() {
 	clear(m.pending)
 	clear(m.splitPend)
 	m.splitDropped = false
-	clear(m.procProto)
+	for _, protos := range m.procProto {
+		clear(protos)
+	}
 }
 
 func (m *Monitor) lookup(bus int32, addr uint64, create bool) *line {
@@ -575,11 +585,15 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 
 func (m *Monitor) consumeState(e *obs.Event) {
 	m.states++
-	if e.Proto != 0 && e.Proc >= 0 {
-		for len(m.procProto) <= int(e.Proc) {
-			m.procProto = append(m.procProto, 0)
+	if e.Proto != 0 && e.Bus >= 0 && e.Proc >= 0 {
+		for len(m.procProto) <= int(e.Bus) {
+			m.procProto = append(m.procProto, nil)
 		}
-		m.procProto[e.Proc] = e.Proto
+		protos := &m.procProto[e.Bus]
+		for len(*protos) <= int(e.Proc) {
+			*protos = append(*protos, 0)
+		}
+		(*protos)[e.Proc] = e.Proto
 	}
 	ln := m.lookup(e.Bus, e.Addr, true)
 	if ln == nil {
@@ -798,8 +812,10 @@ func (m *Monitor) protoFor(e *obs.Event) string {
 	if e.Proto != 0 {
 		return e.Proto.String()
 	}
-	if e.Proc >= 0 && int(e.Proc) < len(m.procProto) && m.procProto[e.Proc] != 0 {
-		return m.procProto[e.Proc].String()
+	if e.Bus >= 0 && int(e.Bus) < len(m.procProto) {
+		if protos := m.procProto[e.Bus]; e.Proc >= 0 && int(e.Proc) < len(protos) && protos[e.Proc] != 0 {
+			return protos[e.Proc].String()
+		}
 	}
 	return "unknown"
 }

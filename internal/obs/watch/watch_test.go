@@ -387,6 +387,41 @@ func TestCountsLabelledByProto(t *testing.T) {
 	}
 }
 
+// TestTxViolationProtoKeyedByBus: in a tree, bridge k is master k on
+// the global bus and cluster cache k is master k on its cluster's bus,
+// so a transaction-level violation is filed under the protocol the
+// master's own bus last named, not the other bus's.
+func TestTxViolationProtoKeyedByBus(t *testing.T) {
+	m := New(Config{})
+	var ts int64
+	emit := func(e obs.Event) {
+		ts++
+		e.TS = ts
+		m.Consume(&e)
+	}
+	fill := func(bus, proc int32, addr uint64, proto string, txid uint64) {
+		emit(obs.Event{Kind: obs.KindTx, Bus: bus, Proc: proc, Addr: addr, Col: 6, Op: obs.OpRead, TxID: txid})
+		emit(obs.Event{Kind: obs.KindState, Bus: bus, Proc: proc, Addr: addr, From: core.Invalid,
+			To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf(proto), TxID: txid})
+	}
+	fill(0, 0, 0x100, "moesi-invalidate", 1) // bridge 0, global bus
+	fill(0, 1, 0x200, "moesi-invalidate", 2) // bridge 1 owns 0x200
+	fill(1, 0, 0x300, "moesi", 3)            // cluster cache 0, bus 1
+	// Bridge 0 reads 0x200 without DI: memory answers for an owned line.
+	emit(obs.Event{Kind: obs.KindTx, Bus: 0, Proc: 0, Addr: 0x200, Col: 5, Op: obs.OpRead, TxID: 4})
+
+	v := m.First()
+	if v == nil || v.Invariant != InvMemoryOwner {
+		t.Fatalf("first violation = %v, want %s", v, InvMemoryOwner)
+	}
+	if v.Proto != "moesi-invalidate" {
+		t.Errorf("bridge 0's violation filed under %q, want moesi-invalidate", v.Proto)
+	}
+	if counts := m.Counts(); len(counts) != 1 || counts[0].Proto != "moesi-invalidate" {
+		t.Errorf("counts = %+v, want one moesi-invalidate count", counts)
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	r := newRig(t, Config{})
 	const a = 0x7000

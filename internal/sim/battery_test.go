@@ -62,9 +62,9 @@ func TestRunBatteryError(t *testing.T) {
 	}
 }
 
-// TestBatteryMatchesAllExperiments: AllExperiments is the sequential
-// battery — same IDs, same order.
-func TestBatteryMatchesAllExperiments(t *testing.T) {
+// TestBatteryOrder: the battery lists every experiment once, in
+// DESIGN.md order.
+func TestBatteryOrder(t *testing.T) {
 	ids := []string{"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11", "F1/F2", "F2B"}
 	battery := Battery()
 	if len(battery) != len(ids) {

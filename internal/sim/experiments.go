@@ -11,11 +11,13 @@ import (
 	"futurebus/internal/workload"
 )
 
-// This file implements the performance experiments P1–P8 of DESIGN.md:
-// the Archibald–Baer-style comparison the paper's §5.2 preference
-// discussion rests on, plus ablations of the design choices the paper
-// calls out. Absolute numbers depend on the Timing model; the
-// experiments report the *shapes* the paper predicts.
+// This file implements the performance experiments of DESIGN.md (P9
+// is in tree.go, P10 in sector_exp.go): the Archibald–Baer-style
+// comparison the paper's §5.2 preference discussion rests on, plus
+// ablations of the design choices the paper calls out. Every flat
+// experiment cell is built, run and checked by ExperimentOpts.run.
+// Absolute numbers depend on the Timing model; the experiments report
+// the *shapes* the paper predicts.
 
 // ExperimentOpts sizes an experiment run.
 type ExperimentOpts struct {
@@ -30,38 +32,60 @@ type ExperimentOpts struct {
 	// Shards builds every system on an N-shard interleaved fabric
 	// instead of a single bus (0/1 = single bus).
 	Shards int
-	// Perf asks for saturation telemetry (internal/obs/perf) on each
-	// homogeneous run: it fills Metrics.Perf and the P1 p99arb/peakQ
-	// columns. Without Obs each run gets a private perf sink; with Obs
-	// the shared recorder's own perf sink (if any) covers every run, as
-	// a second recorder would split the event stream.
+	// Perf asks for saturation telemetry (internal/obs/perf) on each P1
+	// run: it fills Metrics.Perf and the P1 p99arb/peakQ columns.
+	// Without Obs each run gets a private perf sink; with Obs the shared
+	// recorder's own perf sink (if any) covers every run, as a second
+	// recorder would split the event stream.
 	Perf bool
 	// Tenure, Discipline and PendingTable select the bus-tenure policy
 	// and arbitration discipline for every system the experiments build
 	// ("" = atomic tenure, FCFS ticket order; see bus.NewTenure and
 	// bus.NewDiscipline). P11 sweeps its own tenure×discipline axis and
-	// ignores these two.
+	// ignores these two; P9's trees ignore all three and Shards.
 	Tenure       string
 	Discipline   string
 	PendingTable int
 }
 
-// apply copies the sweep-wide system knobs onto a config an experiment
-// built, so every experiment honours the same fabric/tenure/discipline
-// selection without repeating the field list.
-func (o ExperimentOpts) apply(cfg *Config) {
+// boardGen makes one board's reference stream on a built system.
+type boardGen func(sys *System, proc int) workload.Generator
+
+// run turns one experiment cell — a system configuration and the
+// reference stream each of its boards runs — into checked metrics. It
+// builds cfg under the sweep-wide recorder, fabric, tenure and
+// discipline options, runs RefsPerProc references per board on the
+// deterministic engine, and returns the metrics once the quiesced
+// system passes the consistency checker. readsPerf marks a cell whose
+// experiment reads Metrics.Perf: when no shared recorder covers the
+// run, the cell gets a private perf sink.
+func (o ExperimentOpts) run(cfg Config, gen boardGen, readsPerf bool) (Metrics, error) {
 	cfg.Obs, cfg.Shards = o.Obs, o.Shards
 	cfg.Tenure, cfg.Discipline, cfg.PendingTable = o.Tenure, o.Discipline, o.PendingTable
+	if readsPerf && cfg.Obs == nil {
+		// A private recorder per run keeps the battery parallelisable:
+		// each cell's perf window is its own, no epoch bookkeeping shared
+		// across worker goroutines.
+		cfg.Obs = obs.New(perf.NewSink(0))
+		defer cfg.Obs.Close()
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	gens := sys.Generators(func(proc int) workload.Generator { return gen(sys, proc) })
+	m, err := (&Engine{Sys: sys, Gens: gens}).Run(o.RefsPerProc)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return m, sys.Checker().MustPass()
 }
 
-// DefaultOpts is used by the commands; tests use smaller runs.
-func DefaultOpts() ExperimentOpts { return ExperimentOpts{RefsPerProc: 20000, Seed: 1986} }
-
-// abWorkload builds Archibald–Baer model generators tuned so the
-// private working set mostly fits the default cache (realistic miss
-// ratios) and sharing is controlled by pShared/pWrite.
-func abWorkload(sys *System, pShared, pWrite float64, seed uint64) []workload.Generator {
-	return sys.Generators(func(proc int) workload.Generator {
+// abModel is the Archibald–Baer model, tuned so the private working
+// set mostly fits the default cache (realistic miss ratios), with
+// sharing controlled by pShared/pWrite.
+func abModel(pShared, pWrite float64, seed uint64) boardGen {
+	return func(sys *System, proc int) workload.Generator {
 		return workload.MustModel(workload.Model{
 			Proc:         proc,
 			SharedLines:  32,
@@ -71,44 +95,7 @@ func abWorkload(sys *System, pShared, pWrite float64, seed uint64) []workload.Ge
 			PWrite:       pWrite,
 			Locality:     0.5,
 		}, seed)
-	})
-}
-
-// runHomogeneous builds an n-board system of one protocol, runs the AB
-// model, and returns the metrics.
-func runHomogeneous(protocol string, n int, pShared, pWrite float64, opts ExperimentOpts) (Metrics, error) {
-	cfg := Homogeneous(protocol, n)
-	opts.apply(&cfg)
-	var rec *obs.Recorder
-	if opts.Perf && opts.Obs == nil {
-		// A private recorder per run keeps the battery parallelisable:
-		// each cell's perf window is its own, no epoch bookkeeping shared
-		// across worker goroutines.
-		rec = obs.New(perf.NewSink(0))
-		cfg.Obs = rec
 	}
-	sys, err := New(cfg)
-	if err != nil {
-		if rec != nil {
-			_ = rec.Close()
-		}
-		return Metrics{}, err
-	}
-	m, err := runChecked(sys, abWorkload(sys, pShared, pWrite, opts.Seed), opts.RefsPerProc)
-	if rec != nil {
-		_ = rec.Close()
-	}
-	return m, err
-}
-
-// runChecked runs refs references per board on sys with the
-// deterministic engine, then checks the quiesced system's consistency.
-func runChecked(sys *System, gens []workload.Generator, refs int) (Metrics, error) {
-	m, err := (&Engine{Sys: sys, Gens: gens}).Run(refs)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return m, sys.Checker().MustPass()
 }
 
 // ProtocolComparison is experiment P1: every protocol on the
@@ -124,7 +111,7 @@ func ProtocolComparison(protocolNames []string, procCounts []int, opts Experimen
 	}
 	for _, name := range protocolNames {
 		for _, n := range procCounts {
-			m, err := runHomogeneous(name, n, 0.2, 0.3, opts)
+			m, err := opts.run(Homogeneous(name, n), abModel(0.2, 0.3, opts.Seed), opts.Perf)
 			if err != nil {
 				return nil, fmt.Errorf("P1 %s×%d: %w", name, n, err)
 			}
@@ -157,23 +144,13 @@ func UpdateVsInvalidate(opts ExperimentOpts) (*Report, error) {
 		Title:   "broadcast-update vs invalidate (MOESI preferred vs MOESI-invalidate)",
 		Columns: []string{"workload", "protocol", "miss", "trans/ref", "bytes/ref", "efficiency"},
 	}
-	protos := []string{"moesi", "moesi-invalidate"}
-
-	for _, pShared := range []float64{0.05, 0.2, 0.4} {
-		for _, name := range protos {
-			m, err := runHomogeneous(name, 4, pShared, 0.3, opts)
-			if err != nil {
-				return nil, fmt.Errorf("P2 %s: %w", name, err)
-			}
-			rep.AddRow(fmt.Sprintf("AB pShared=%.2f", pShared), name,
-				f(m.MissRatio()), f(m.TransPerRef()), f2(m.BytesPerRef()), f(m.Efficiency()))
-		}
-	}
-
-	patterns := []struct {
+	for _, wl := range []struct {
 		name string
-		gen  func(sys *System, proc int) workload.Generator
+		gen  boardGen
 	}{
+		{"AB pShared=0.05", abModel(0.05, 0.3, opts.Seed)},
+		{"AB pShared=0.20", abModel(0.2, 0.3, opts.Seed)},
+		{"AB pShared=0.40", abModel(0.4, 0.3, opts.Seed)},
 		{"producer-consumer", func(sys *System, proc int) workload.Generator {
 			return workload.NewProducerConsumer(proc, 16, sys.WordsPerLine(), opts.Seed)
 		}},
@@ -186,21 +163,13 @@ func UpdateVsInvalidate(opts ExperimentOpts) (*Report, error) {
 		{"zipf-hotspot", func(sys *System, proc int) workload.Generator {
 			return workload.NewZipf(proc, 64, sys.WordsPerLine(), 1.1, 0.3, opts.Seed)
 		}},
-	}
-	for _, pat := range patterns {
-		for _, name := range protos {
-			cfg := Homogeneous(name, 4)
-			opts.apply(&cfg)
-			sys, err := New(cfg)
+	} {
+		for _, name := range []string{"moesi", "moesi-invalidate"} {
+			m, err := opts.run(Homogeneous(name, 4), wl.gen, false)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("P2 %s/%s: %w", wl.name, name, err)
 			}
-			gens := sys.Generators(func(proc int) workload.Generator { return pat.gen(sys, proc) })
-			m, err := runChecked(sys, gens, opts.RefsPerProc)
-			if err != nil {
-				return nil, fmt.Errorf("P2 %s/%s: %w", pat.name, name, err)
-			}
-			rep.AddRow(pat.name, name, f(m.MissRatio()), f(m.TransPerRef()),
+			rep.AddRow(wl.name, name, f(m.MissRatio()), f(m.TransPerRef()),
 				f2(m.BytesPerRef()), f(m.Efficiency()))
 		}
 	}
@@ -224,12 +193,7 @@ func MixedBus(opts ExperimentOpts) (*Report, error) {
 		},
 		Shadow: true,
 	}
-	opts.apply(&cfg)
-	sys, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := runChecked(sys, abWorkload(sys, 0.3, 0.3, opts.Seed), opts.RefsPerProc)
+	m, err := opts.run(cfg, abModel(0.3, 0.3, opts.Seed), false)
 	if err != nil {
 		return nil, err
 	}
@@ -257,13 +221,7 @@ func RandomChoice(opts ExperimentOpts) (*Report, error) {
 		{{Protocol: "round-robin"}, {Protocol: "round-robin"}, {Protocol: "round-robin"}, {Protocol: "round-robin"}},
 		{{Protocol: "random"}, {Protocol: "round-robin"}, {Protocol: "moesi"}, {Protocol: "berkeley"}},
 	} {
-		cfg := Config{Boards: mix, Shadow: true}
-		opts.apply(&cfg)
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m, err := runChecked(sys, abWorkload(sys, 0.4, 0.4, opts.Seed), opts.RefsPerProc)
+		m, err := opts.run(Config{Boards: mix, Shadow: true}, abModel(0.4, 0.4, opts.Seed), false)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +243,7 @@ func CopyBackVsWriteThrough(opts ExperimentOpts) (*Report, error) {
 	}
 	for _, pWrite := range []float64{0.1, 0.3, 0.5} {
 		for _, name := range []string{"moesi", "write-through", "write-through-broadcast"} {
-			m, err := runHomogeneous(name, 4, 0.2, pWrite, opts)
+			m, err := opts.run(Homogeneous(name, 4), abModel(0.2, pWrite, opts.Seed), false)
 			if err != nil {
 				return nil, fmt.Errorf("P5 %s: %w", name, err)
 			}
@@ -306,7 +264,7 @@ func ReplacementStatusRefinement(opts ExperimentOpts) (*Report, error) {
 		Columns: []string{"protocol", "miss", "updatesReceived", "invalidations", "trans/ref", "bytes/ref", "efficiency"},
 	}
 	for _, name := range []string{"moesi", "moesi-invalidate", "moesi-adaptive"} {
-		m, err := runHomogeneous(name, 4, 0.3, 0.3, opts)
+		m, err := opts.run(Homogeneous(name, 4), abModel(0.3, 0.3, opts.Seed), false)
 		if err != nil {
 			return nil, fmt.Errorf("P6 %s: %w", name, err)
 		}
@@ -326,25 +284,20 @@ func LineSizeSweep(opts ExperimentOpts) (*Report, error) {
 		Title:   "line size sweep (MOESI, constant cache capacity)",
 		Columns: []string{"lineSize", "miss", "trans/ref", "bytes/ref", "busUtil", "efficiency"},
 	}
+	// A sequential walk over a shared buffer with sparse writes: the
+	// workload with real spatial locality, so line size matters — bigger
+	// lines amortise misses but widen the false-sharing blast radius of
+	// each write.
+	sequential := func(sys *System, proc int) workload.Generator {
+		return workload.NewSequential(proc, 4096, sys.WordsPerLine(), 0.05, opts.Seed)
+	}
 	for _, lineSize := range []int{16, 32, 64, 128} {
 		cfg := Homogeneous("moesi", 4)
 		cfg.LineSize = lineSize
 		// Keep capacity constant at 4 KiB per cache.
 		cfg.CacheSets = 4096 / lineSize / 2
 		cfg.CacheWays = 2
-		opts.apply(&cfg)
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// A sequential walk over a shared buffer with sparse writes:
-		// the workload with real spatial locality, so line size
-		// matters — bigger lines amortise misses but widen the
-		// false-sharing blast radius of each write.
-		gens := sys.Generators(func(proc int) workload.Generator {
-			return workload.NewSequential(proc, 4096, sys.WordsPerLine(), 0.05, opts.Seed)
-		})
-		m, err := runChecked(sys, gens, opts.RefsPerProc)
+		m, err := opts.run(cfg, sequential, false)
 		if err != nil {
 			return nil, fmt.Errorf("P7 %d: %w", lineSize, err)
 		}
@@ -365,17 +318,11 @@ func AbortRetryOverhead(opts ExperimentOpts) (*Report, error) {
 		Title:   "BS abort/retry vs DI intervention on migratory sharing",
 		Columns: []string{"protocol", "aborts", "interventions", "trans/ref", "busUtil", "efficiency"},
 	}
+	migratory := func(sys *System, proc int) workload.Generator {
+		return workload.NewMigratory(proc, 4, 16, 24, sys.WordsPerLine(), opts.Seed)
+	}
 	for _, name := range []string{"moesi-invalidate", "berkeley", "illinois", "synapse", "write-once", "firefly"} {
-		cfg := Homogeneous(name, 4)
-		opts.apply(&cfg)
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		gens := sys.Generators(func(proc int) workload.Generator {
-			return workload.NewMigratory(proc, 4, 16, 24, sys.WordsPerLine(), opts.Seed)
-		})
-		m, err := runChecked(sys, gens, opts.RefsPerProc)
+		m, err := opts.run(Homogeneous(name, 4), migratory, false)
 		if err != nil {
 			return nil, fmt.Errorf("P8 %s: %w", name, err)
 		}
@@ -398,13 +345,7 @@ func HandshakePenalty(opts ExperimentOpts) (*Report, error) {
 		cfg := Homogeneous("moesi", 4)
 		cfg.Timing = bus.DefaultTiming()
 		cfg.Timing.WiredORPenalty = penalty
-		opts.apply(&cfg)
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng := Engine{Sys: sys, Gens: abWorkload(sys, 0.2, 0.3, opts.Seed)}
-		m, err := eng.Run(opts.RefsPerProc)
+		m, err := opts.run(cfg, abModel(0.2, 0.3, opts.Seed), false)
 		if err != nil {
 			return nil, err
 		}
@@ -427,33 +368,16 @@ func ArbitrationDisciplines(opts ExperimentOpts) (*Report, error) {
 		Columns: []string{"tenure", "discipline", "p50arb", "p99arb", "fairness",
 			"peakQ", "nacks", "busBusy(ms)", "efficiency"},
 	}
+	pingPong := func(sys *System, proc int) workload.Generator {
+		return workload.NewPingPong(proc, 4, sys.WordsPerLine(), opts.Seed)
+	}
 	for _, tenure := range []string{"atomic", "split"} {
 		for _, disc := range bus.DisciplineNames() {
-			cfg := Homogeneous("moesi", 8)
-			opts.apply(&cfg)
-			cfg.Tenure, cfg.Discipline = tenure, disc
-			// The arbitration columns are the experiment, so a perf sink is
-			// attached unconditionally when no shared recorder covers the
-			// sweep (unlike P1, where telemetry is opt-in via Perf).
-			var rec *obs.Recorder
-			if opts.Obs == nil {
-				rec = obs.New(perf.NewSink(0))
-				cfg.Obs = rec
-			}
-			sys, err := New(cfg)
-			if err != nil {
-				if rec != nil {
-					_ = rec.Close()
-				}
-				return nil, fmt.Errorf("P11 %s/%s: %w", tenure, disc, err)
-			}
-			gens := sys.Generators(func(proc int) workload.Generator {
-				return workload.NewPingPong(proc, 4, sys.WordsPerLine(), opts.Seed)
-			})
-			m, err := runChecked(sys, gens, opts.RefsPerProc)
-			if rec != nil {
-				_ = rec.Close()
-			}
+			cell := opts
+			cell.Tenure, cell.Discipline = tenure, disc
+			// The arbitration columns are the experiment, so every cell
+			// reads Metrics.Perf (unlike P1, where telemetry is opt-in).
+			m, err := cell.run(Homogeneous("moesi", 8), pingPong, true)
 			if err != nil {
 				return nil, fmt.Errorf("P11 %s/%s: %w", tenure, disc, err)
 			}
@@ -506,52 +430,38 @@ func Battery() []NamedExperiment {
 }
 
 // RunBattery executes the experiments on a bounded pool of jobs worker
-// goroutines (jobs ≤ 1 runs sequentially) and returns the reports in
-// battery order regardless of completion order. Every experiment is
-// internally deterministic — each builds its own systems and drives
-// them with the deterministic engine — so the reports are identical at
-// any worker count; only wall-clock time changes. The first error wins;
-// remaining queued experiments are skipped.
+// goroutines (jobs ≤ 1 runs them one at a time, in order) and returns
+// the reports in battery order regardless of completion order. Every
+// experiment is internally deterministic — each builds its own systems
+// and drives them with the deterministic engine — so the reports are
+// identical at any worker count; only wall-clock time changes. The
+// first error wins; remaining queued experiments are skipped.
 func RunBattery(list []NamedExperiment, opts ExperimentOpts, jobs int) ([]*Report, error) {
 	out := make([]*Report, len(list))
-	if jobs <= 1 {
-		for i, ne := range list {
-			rep, err := ne.Run(opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", ne.ID, err)
-			}
-			out[i] = rep
-		}
-		return out, nil
-	}
-	type job struct {
-		idx int
-		ne  NamedExperiment
-	}
-	work := make(chan job)
 	errs := make([]error, len(list))
+	work := make(chan int)
 	var wg sync.WaitGroup
 	var failed atomic.Bool
-	for w := 0; w < jobs; w++ {
+	for w := 0; w < max(jobs, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range work {
+			for i := range work {
 				if failed.Load() {
 					continue // drain the queue after a failure
 				}
-				rep, err := j.ne.Run(opts)
+				rep, err := list[i].Run(opts)
 				if err != nil {
-					errs[j.idx] = fmt.Errorf("%s: %w", j.ne.ID, err)
+					errs[i] = fmt.Errorf("%s: %w", list[i].ID, err)
 					failed.Store(true)
 					continue
 				}
-				out[j.idx] = rep
+				out[i] = rep
 			}
 		}()
 	}
-	for i, ne := range list {
-		work <- job{idx: i, ne: ne}
+	for i := range list {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
@@ -561,12 +471,6 @@ func RunBattery(list []NamedExperiment, opts ExperimentOpts, jobs int) ([]*Repor
 		}
 	}
 	return out, nil
-}
-
-// AllExperiments runs the full battery in DESIGN.md order,
-// sequentially (fbsweep schedules RunBattery with a worker pool).
-func AllExperiments(opts ExperimentOpts) ([]*Report, error) {
-	return RunBattery(Battery(), opts, 1)
 }
 
 // SlowBoardTax quantifies the other half of §2.2: a broadcast bus runs
@@ -587,13 +491,7 @@ func SlowBoardTax(opts ExperimentOpts) (*Report, error) {
 		cfg := Homogeneous("moesi", 4)
 		cfg.Timing = bus.DefaultTiming()
 		cfg.Timing.AddressCycle = tr.Complete - cfg.Timing.WiredORPenalty
-		opts.apply(&cfg)
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eng := Engine{Sys: sys, Gens: abWorkload(sys, 0.2, 0.3, opts.Seed)}
-		m, err := eng.Run(opts.RefsPerProc)
+		m, err := opts.run(cfg, abModel(0.2, 0.3, opts.Seed), false)
 		if err != nil {
 			return nil, err
 		}

@@ -239,6 +239,24 @@ func TestP1Shapes(t *testing.T) {
 	}
 }
 
+// TestRunnerChecksEveryCell: the one runner every flat experiment cell
+// goes through (F1/F2, F2b and P10 included) ends each run with the
+// consistency checker, so a board that keeps its copy after a foreign
+// RFO (+drop-inv) fails the cell with the checker's verdict, while the
+// same cell with correct boards passes.
+func TestRunnerChecksEveryCell(t *testing.T) {
+	opts := smallOpts()
+	cfg := Homogeneous("moesi-invalidate", 4)
+	if _, err := opts.run(cfg, abModel(0.2, 0.3, opts.Seed), false); err != nil {
+		t.Fatalf("correct boards: %v", err)
+	}
+	cfg.Boards[0].Fault = "drop-inv"
+	_, err := opts.run(cfg, abModel(0.2, 0.3, opts.Seed), false)
+	if err == nil || !strings.HasPrefix(err.Error(), "consistency check failed") {
+		t.Fatalf("+drop-inv board: got %v, want the checker's verdict", err)
+	}
+}
+
 // TestReportRender: the report formatter produces aligned output with
 // notes.
 func TestReportRender(t *testing.T) {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"futurebus/internal/obs"
@@ -79,6 +81,40 @@ func TestP10HonoursFabricOptions(t *testing.T) {
 	}
 	if len(buses) < 2 {
 		t.Errorf("4-shard P10 put every transaction on buses %v", buses)
+	}
+}
+
+// TestP9NamesIgnoredFabricOptions: a tree runs atomic tenure under one
+// FCFS arbiter, unsharded, so P9 notes the sweep options it drops; with
+// none set its report is unchanged, and the options never move a row.
+func TestP9NamesIgnoredFabricOptions(t *testing.T) {
+	plain, err := MultiBusScaling(ExperimentOpts{RefsPerProc: 200, Seed: 1986})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honoured, err := MultiBusScaling(ExperimentOpts{RefsPerProc: 200, Seed: 1986, Shards: 1, Tenure: "atomic", Discipline: "fcfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if honoured.Render() != plain.Render() {
+		t.Errorf("options the tree honours changed P9:\n%s\nwant:\n%s", honoured.Render(), plain.Render())
+	}
+	fabric, err := MultiBusScaling(ExperimentOpts{RefsPerProc: 200, Seed: 1986,
+		Shards: 4, Tenure: "split", Discipline: "rr", PendingTable: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fabric.Rows, plain.Rows) {
+		t.Errorf("fabric options moved P9's rows:\n%v\nwant:\n%v", fabric.Rows, plain.Rows)
+	}
+	if len(fabric.Notes) != len(plain.Notes)+1 {
+		t.Fatalf("P9 has %d notes under fabric options, want %d", len(fabric.Notes), len(plain.Notes)+1)
+	}
+	note := fabric.Notes[len(fabric.Notes)-1]
+	for _, flag := range []string{"-shards 4", "-bus split", "-discipline rr", "-pending-table 2"} {
+		if !strings.Contains(note, flag) {
+			t.Errorf("P9's note does not name %s: %q", flag, note)
+		}
 	}
 }
 

@@ -100,10 +100,12 @@ func checkPerfMetrics(t *testing.T, m Metrics) {
 	}
 }
 
-// ExperimentOpts.Perf gives each run a private sink, so Metrics.Perf
-// arrives without the caller wiring a recorder.
+// A cell that reads Metrics.Perf (P1 under ExperimentOpts.Perf) gets a
+// private sink, so Metrics.Perf arrives without the caller wiring a
+// recorder.
 func TestExperimentOptsPerf(t *testing.T) {
-	m, err := runHomogeneous("moesi", 4, 0.3, 0.3, ExperimentOpts{RefsPerProc: 800, Seed: 3, Perf: true})
+	opts := ExperimentOpts{RefsPerProc: 800, Seed: 3, Perf: true}
+	m, err := opts.run(Homogeneous("moesi", 4), abModel(0.3, 0.3, opts.Seed), opts.Perf)
 	if err != nil {
 		t.Fatal(err)
 	}

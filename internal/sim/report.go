@@ -52,7 +52,7 @@ func (r *Report) Render() string {
 	for _, w := range widths {
 		total += w + 3
 	}
-	b.WriteString(strings.Repeat("-", maxInt(total-3, 1)))
+	b.WriteString(strings.Repeat("-", max(total-3, 1)))
 	b.WriteByte('\n')
 	for _, row := range r.Rows {
 		for i, cell := range row {
@@ -71,13 +71,6 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CSV renders the report as comma-separated values (header row first),

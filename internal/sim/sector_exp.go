@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"futurebus/internal/bus"
 	"futurebus/internal/workload"
 )
 
@@ -26,20 +25,20 @@ import (
 // reuse fits the 4 KiB organisations but not the tag-starved one.
 func SectorVsPlain(opts ExperimentOpts) (*Report, error) {
 	rep := &Report{
-		ID:      "P10",
-		Title:   "sector cache vs plain caches at a fixed tag budget (§5.1, [Hill84])",
-		Columns: []string{"organisation", "tags", "data", "miss", "trans/ref", "bytes/ref", "invalidations"},
+		ID:    "P10",
+		Title: "sector cache vs plain caches at a fixed tag budget (§5.1, [Hill84])",
+		Columns: []string{"organisation", "tags", "data", "miss", "trans/ref", "bytes/ref",
+			"invalidations", "elapsed(ms)", "eff"},
 	}
-	const procs = 4
-	refs := opts.RefsPerProc
-
-	type shape struct {
+	rewalk := func(sys *System, proc int) workload.Generator {
+		return workload.NewSequential(proc, 640, sys.WordsPerLine(), 0.02, opts.Seed)
+	}
+	for _, sh := range []struct {
 		name     string
 		lineSize int
 		sector   int // sub-sectors per sector; 0 = plain cache
 		capacity int // bytes per cache
-	}
-	for _, sh := range []shape{
+	}{
 		{"plain 16B, 64 tags", 16, 0, 1024},
 		{"sector 4×16B, 64 tags", 16, 4, 4096},
 		{"plain 64B, 64 tags", 64, 0, 4096},
@@ -47,49 +46,18 @@ func SectorVsPlain(opts ExperimentOpts) (*Report, error) {
 	} {
 		// A sector's one tag covers sh.sector lines.
 		tags := sh.capacity / (sh.lineSize * max(sh.sector, 1))
-		cfg := Config{
-			LineSize: sh.lineSize, CacheSets: tags / 2, CacheWays: 2,
-			Boards: make([]BoardSpec, procs), Shadow: true,
-		}
+		cfg := Homogeneous("moesi", 4)
 		for i := range cfg.Boards {
-			cfg.Boards[i] = BoardSpec{Protocol: "moesi", SectorSubs: sh.sector}
+			cfg.Boards[i].SectorSubs = sh.sector
 		}
-		opts.apply(&cfg)
-		sys, err := New(cfg)
+		cfg.LineSize, cfg.CacheSets, cfg.CacheWays, cfg.Shadow = sh.lineSize, tags/2, 2, true
+		m, err := opts.run(cfg, rewalk, false)
 		if err != nil {
 			return nil, fmt.Errorf("P10 %s: %w", sh.name, err)
 		}
-
-		// A 2.5 KiB shared buffer, re-walked: reuse fits 4 KiB caches
-		// but not the tag-starved 1 KiB organisation.
-		gens := sys.Generators(func(proc int) workload.Generator {
-			return workload.NewSequential(proc, 640, sh.lineSize/4, 0.02, opts.Seed)
-		})
-		for n := 0; n < refs; n++ {
-			for pi, bd := range sys.Boards {
-				ref := gens[pi].Next()
-				if ref.Write {
-					err = bd.Write(bus.Addr(ref.Line), ref.Word, ref.Val)
-				} else {
-					_, err = bd.Read(bus.Addr(ref.Line), ref.Word)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("P10 %s: %w", sh.name, err)
-				}
-			}
-		}
-		if err := sys.Checker().MustPass(); err != nil {
-			return nil, fmt.Errorf("P10 %s: %w", sh.name, err)
-		}
-
-		st := sys.Bus.Stats()
-		cs := aggregate(sys.Caches)
-		total := float64(refs * procs)
 		rep.AddRow(sh.name, d(int64(tags)), fmt.Sprintf("%dB", sh.capacity),
-			f(float64(cs.ReadMisses+cs.WriteMisses)/total),
-			f(float64(st.Transactions)/total),
-			f2(float64(st.BytesTransferred)/total),
-			d(cs.InvalidationsReceived))
+			f(m.MissRatio()), f(m.TransPerRef()), f2(m.BytesPerRef()),
+			d(m.Cache.InvalidationsReceived), f2(float64(m.ElapsedNanos)/1e6), f(m.Efficiency()))
 	}
 	rep.AddNote("shape: at a fixed tag budget the sector organisation recovers almost all of the 4× data capacity the plain small-line cache forfeits, while keeping 16-byte transfers and per-sub-sector consistency state — \"consistency status also appears to be necessarily associated with the transfer subsector\" (§5.1)")
 	return rep, nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"futurebus/internal/bus"
 	"futurebus/internal/hierarchy"
@@ -74,7 +75,30 @@ func MultiBusScaling(opts ExperimentOpts) (*Report, error) {
 	rep.AddNote("shape: with cluster-heavy sharing, the global bus's share of the traffic shrinks as clusters are added — the headroom a multiple-bus Futurebus buys; the 1×16 row is the single-bus baseline (its \"local\" bus is the only bus)")
 	rep.AddNote("time: the deterministic engine runs every reference in simulated-time order; a board waits for its cluster's bus, and a miss its bridge forwards also waits for the global bus and holds both until it is served")
 	rep.AddNote("consistency is checked at both levels after every run: global MOESI invariants over the bridges, and cluster invariants (no E/M below a bridge, inclusion, bridge currency)")
+	if ignored := opts.treeIgnores(); len(ignored) > 0 {
+		rep.AddNote("fabric: a tree runs atomic tenure under one FCFS arbiter, unsharded, so this sweep's %s did not apply here", strings.Join(ignored, ", "))
+	}
 	return rep, nil
+}
+
+// treeIgnores names the sweep's fabric options a tree does not honour:
+// a shard count, a split tenure, a grant order other than FCFS, and a
+// pending-table size.
+func (o ExperimentOpts) treeIgnores() []string {
+	var ignored []string
+	if o.Shards > 1 {
+		ignored = append(ignored, fmt.Sprintf("-shards %d", o.Shards))
+	}
+	if o.Tenure != "" && o.Tenure != "atomic" {
+		ignored = append(ignored, "-bus "+o.Tenure)
+	}
+	if o.Discipline != "" && o.Discipline != "fcfs" {
+		ignored = append(ignored, "-discipline "+o.Discipline)
+	}
+	if o.PendingTable != 0 {
+		ignored = append(ignored, fmt.Sprintf("-pending-table %d", o.PendingTable))
+	}
+	return ignored
 }
 
 // runP9Tree runs P9's cluster-heavy sharing on the deterministic engine
