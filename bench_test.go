@@ -12,6 +12,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -492,6 +493,9 @@ func BenchmarkBroadcastUpdate(b *testing.B) {
 //     deferrals they decide, per reference;
 //   - snoop/held-N: one address cycle of an external master's read on
 //     an 8-cache bus, for a line N of the caches hold (ns/op is ns/tx);
+//   - arbiter/{uncontended,contended}: grants of one bus through
+//     Acquire and Release, to a lone master or handed between two
+//     masters, each grant going to a parked waiter (ns/grant);
 //   - obs/emit: the engine rung's event stream re-emitted through a
 //     recorder whose one sink does nothing: Emit and the drain, in
 //     process cpu-ns per event;
@@ -503,6 +507,8 @@ func BenchmarkLayer(b *testing.B) {
 	for _, held := range []int{0, 1, 7} {
 		b.Run(fmt.Sprintf("snoop/held-%d", held), func(b *testing.B) { benchLayerSnoop(b, held) })
 	}
+	b.Run("arbiter/uncontended", func(b *testing.B) { benchLayerArbiter(b, false) })
+	b.Run("arbiter/contended", func(b *testing.B) { benchLayerArbiter(b, true) })
 	b.Run("obs/emit", benchLayerObsEmit)
 	for _, rung := range []struct {
 		name string
@@ -660,6 +666,64 @@ func benchLayerSnoop(b *testing.B, held int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchLayerArbiter times the arbiter's grants through Bus.Acquire and
+// Release. Uncontended, an op acquires the free bus and releases it.
+// Contended, an op is two hand-offs between this goroutine and a
+// partner, each releasing the bus only once the other has parked on it,
+// so every grant goes to a parked waiter. Warm-up ops run before the
+// timer, so both sides have waited and allocs/op is the warm path's
+// alone.
+func benchLayerArbiter(b *testing.B, contended bool) {
+	bb := bus.New(memory.New(32), bus.Config{LineSize: 32})
+	grant := func() {
+		bb.Acquire(0, 0)
+		bb.Release(0)
+	}
+	grants := 1
+	if contended {
+		handOff := func() {
+			for bb.ArbQueueDepth() < 2 { // the other side has parked
+				runtime.Gosched()
+			}
+			bb.Release(0)
+		}
+		var stop atomic.Bool
+		done := make(chan struct{})
+		bb.Acquire(0, 0)
+		go func() {
+			defer close(done)
+			for {
+				bb.Acquire(0, 1)
+				if stop.Load() {
+					bb.Release(0)
+					return
+				}
+				handOff()
+			}
+		}()
+		defer func() {
+			stop.Store(true)
+			bb.Release(0)
+			<-done
+		}()
+		grant = func() {
+			handOff()
+			bb.Acquire(0, 0)
+		}
+		grants = 2
+	}
+	for i := 0; i < 100; i++ {
+		grant()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		grant()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*grants), "ns/grant")
 }
 
 // BenchmarkRandomPolicyChoice measures the §3.4 dynamic chooser. The

@@ -35,6 +35,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Resolve -exp before the session creates any trace file, so a
+	// mistyped name leaves an existing -record-out file as it was.
+	list := experiments(*exp)
+	if list == nil {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 	s, err := startSession(&shared, *exp)
 	fail(err)
 	opts := experimentOpts(&shared, s.Rec)
@@ -49,11 +56,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fbsweep: -jobs %d ignored — tracing (-record-out/-trace-out/-hist/-serve/-watch) forces a serial sweep so the event stream stays coherent\n", *jobs)
 	}
 
-	list := experiments(*exp)
-	if list == nil {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
 	reports, err := sim.RunBattery(list, opts, workers)
 	fail(err)
 

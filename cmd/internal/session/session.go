@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"futurebus/internal/bus"
 	"futurebus/internal/obs"
 	"futurebus/internal/obs/ledger"
 	"futurebus/internal/obs/obshttp"
@@ -102,8 +103,10 @@ type Session struct {
 
 // Start checks the shared flags, then creates the trace files and sinks
 // f and o ask for, the recorder they attach to when anything consumes
-// events, and under -serve the running endpoint. A tool that configures
-// Svc further (labels, gauges) does so before its run starts.
+// events, and under -serve the running endpoint. It checks the -bus and
+// -discipline names too, so every tool refuses a bad one alike, even one
+// whose runs would ignore it (P9's trees). A tool that configures Svc
+// further (labels, gauges) does so before its run starts.
 func Start(f *Flags, o Options) (_ *Session, err error) {
 	switch {
 	case o.Ledger != "" && f.Serve == "":
@@ -112,6 +115,12 @@ func Start(f *Flags, o Options) (_ *Session, err error) {
 		return nil, fmt.Errorf("-refs %d: want at least one reference per board", f.Refs)
 	case f.PendingTable < 0:
 		return nil, fmt.Errorf("-pending-table %d: want a table size, or 0 for the default", f.PendingTable)
+	}
+	if _, err := bus.NewTenure(f.Bus, f.PendingTable); err != nil {
+		return nil, fmt.Errorf("-bus %s: %w", f.Bus, err)
+	}
+	if _, err := bus.NewDiscipline(f.Discipline); err != nil {
+		return nil, fmt.Errorf("-discipline %s: %w", f.Discipline, err)
 	}
 	s := &Session{f: f, tool: o.Tool}
 	defer func() {

@@ -62,6 +62,8 @@ func TestStartRejectsBadFlags(t *testing.T) {
 		{"-refs", Flags{Refs: 0}},
 		{"-refs", Flags{Refs: -1}},
 		{"-pending-table", Flags{Refs: 20000, PendingTable: -3}},
+		{"-bus", Flags{Refs: 20000, Bus: "bogus"}},
+		{"-discipline", Flags{Refs: 20000, Discipline: "nope"}},
 	} {
 		s, err := Start(&tc.flags, Options{Tool: "test"})
 		if err == nil {

@@ -67,10 +67,14 @@ func (a *Arbiter) Discipline() Discipline { return a.mu.disc }
 // time rather than making the hot path publish a sample per grant.
 func (a *Arbiter) Pending() int { return a.mu.pending() }
 
-// arbWaiter is one parked contender.
+// arbWaiter is one parked contender. Its wake channel has room for the
+// one grant it will receive, so Unlock never blocks handing it over,
+// and the waiter is used again for a later wait (arbMutex.free).
 type arbWaiter struct {
 	w  Waiter
 	ch chan struct{}
+	// next links the arbiter's free list.
+	next *arbWaiter
 }
 
 // arbMutex is the grant machinery: a mutual-exclusion lock whose wake
@@ -86,6 +90,11 @@ type arbMutex struct {
 	// disc orders wakeups; nil = arrival order.
 	disc    Discipline
 	waiters []*arbWaiter
+	// granted is the waiter the lock was last handed to, while its
+	// holder has the lock; the holder's Unlock puts it on the free list,
+	// since by then the holder has taken its grant off the channel.
+	granted *arbWaiter
+	free    *arbWaiter
 }
 
 // Lock blocks until mastership is granted. board identifies the
@@ -100,10 +109,13 @@ func (m *arbMutex) Lock(board int) {
 		m.mu.Unlock()
 		return
 	}
-	w := &arbWaiter{
-		w:  Waiter{Board: board, Ticket: m.tickets},
-		ch: make(chan struct{}),
+	w := m.free
+	if w != nil {
+		m.free = w.next
+	} else {
+		w = &arbWaiter{ch: make(chan struct{}, 1)}
 	}
+	w.w = Waiter{Board: board, Ticket: m.tickets}
 	m.tickets++
 	m.waiters = append(m.waiters, w)
 	m.mu.Unlock()
@@ -117,6 +129,9 @@ func (m *arbMutex) Lock(board int) {
 func (m *arbMutex) Unlock() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if g := m.granted; g != nil {
+		g.next, m.free, m.granted = m.free, g, nil
+	}
 	if len(m.waiters) == 0 {
 		m.locked = false
 		return
@@ -137,7 +152,8 @@ func (m *arbMutex) Unlock() {
 		m.disc.Granted(winner.w.Board)
 	}
 	// The lock transfers to the winner without ever being observed free.
-	close(winner.ch)
+	m.granted = winner
+	winner.ch <- struct{}{}
 }
 
 func (m *arbMutex) key(w Waiter) int64 {

@@ -52,3 +52,33 @@ func TestArbQueueDepthSharedArbiter(t *testing.T) {
 	}
 	b1.Release(0)
 }
+
+// A warm contended grant allocates nothing: the waiter a contender
+// parks on, and its wake channel, go back on the arbiter's free list
+// once the waiter has held and released the lock.
+func TestContendedGrantAllocatesNothing(t *testing.T) {
+	var m arbMutex
+	m.disc = disciplines["rr"]()
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			m.Lock(1)
+			m.Unlock()
+			done <- struct{}{}
+		}
+	}()
+	defer close(start)
+	grant := func() {
+		m.Lock(0)
+		start <- struct{}{}
+		for m.pending() < 2 { // the contender has parked
+			runtime.Gosched()
+		}
+		m.Unlock()
+		<-done
+	}
+	grant() // the first wait makes the waiter
+	if allocs := testing.AllocsPerRun(100, grant); allocs != 0 {
+		t.Errorf("a contended grant allocated %.1f times", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,52 @@ func TestShadowConcurrent(t *testing.T) {
 	wg.Wait()
 	if s.Writes() != 8000 {
 		t.Errorf("writes = %d", s.Writes())
+	}
+}
+
+// TestShadowStripedWriters: writers on many lines, spread over every
+// stripe, keep each line's own values, while the writes of one shared
+// line, ordered by a lock as a directory lock or the bus orders them,
+// leave the line holding the last one.
+func TestShadowStripedWriters(t *testing.T) {
+	const writers, lines, rounds = 8, 64, 50
+	s := NewShadow(lineSize)
+	const shared = bus.Addr(1 << 20)
+	var order sync.Mutex
+	var last uint32
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for l := 0; l < lines; l++ {
+					s.OnWrite(bus.Addr(g*lines+l), g%8, uint32(r))
+				}
+				order.Lock()
+				last++
+				s.OnWrite(shared, 0, last)
+				order.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := s.Writes(), int64(writers*rounds*(lines+1)); got != want {
+		t.Errorf("writes = %d, want %d", got, want)
+	}
+	if got := len(s.Lines()); got != writers*lines+1 {
+		t.Errorf("%d lines, want %d", got, writers*lines+1)
+	}
+	for g := 0; g < writers; g++ {
+		for l := 0; l < lines; l++ {
+			line := s.Line(bus.Addr(g*lines + l))
+			if got := binary.LittleEndian.Uint32(line[g%8*4:]); got != rounds-1 {
+				t.Fatalf("line %d word %d = %d, want %d", g*lines+l, g%8, got, rounds-1)
+			}
+		}
+	}
+	if got := binary.LittleEndian.Uint32(s.Line(shared)); got != last {
+		t.Errorf("shared line = %d, want the last write %d", got, last)
 	}
 }
 

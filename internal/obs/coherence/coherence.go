@@ -183,7 +183,7 @@ type Analyzer struct {
 	protos      []*protoAgg         // indexed by protocol name
 	lines       map[uint64]*lineAgg // by address; see lineAgg.next
 	nlines      int
-	pending     map[uint64]*pendingTx
+	pending     map[uint64]pendingTx
 	masters     map[masterKey]*master
 	truncLines  int64
 
@@ -281,7 +281,7 @@ type pendingTx struct {
 func (a *Analyzer) init() {
 	if a.lines == nil {
 		a.lines = make(map[uint64]*lineAgg)
-		a.pending = make(map[uint64]*pendingTx)
+		a.pending = make(map[uint64]pendingTx)
 		a.masters = make(map[masterKey]*master)
 	}
 }
@@ -379,30 +379,30 @@ func (a *Analyzer) Consume(e *obs.Event) {
 		}
 	case obs.KindUpdate:
 		if e.TxID != 0 {
-			a.pendingFor(e.TxID).upd++
+			a.addPending(e.TxID, 0, 1)
 		}
 	}
 }
 
-func (a *Analyzer) pendingFor(txid uint64) *pendingTx {
+// addPending adds inv invalidations and upd updates to a transaction's
+// pending fan-out.
+func (a *Analyzer) addPending(txid uint64, inv, upd int) {
 	p, ok := a.pending[txid]
-	if !ok {
-		if len(a.pending) >= maxPending {
-			// Only reachable when KindTx events were lost. Evict the
-			// oldest txid (smallest — arbiter ids are monotonic) so
-			// the result stays deterministic for a given stream.
-			oldest := txid
-			for id := range a.pending {
-				if id < oldest {
-					oldest = id
-				}
+	if !ok && len(a.pending) >= maxPending {
+		// Only reachable when KindTx events were lost. Evict the
+		// oldest txid (smallest — arbiter ids are monotonic) so the
+		// result stays deterministic for a given stream.
+		oldest := txid
+		for id := range a.pending {
+			if id < oldest {
+				oldest = id
 			}
-			delete(a.pending, oldest)
 		}
-		p = &pendingTx{}
-		a.pending[txid] = p
+		delete(a.pending, oldest)
 	}
-	return p
+	p.inv += inv
+	p.upd += upd
+	a.pending[txid] = p
 }
 
 // StateLetters indices used by the hot path: M and O confer ownership,
@@ -434,7 +434,7 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 	if to == idxI && e.Cause.Snoop() && e.Cause != obs.CauseSnoop {
 		ps.Invalidations++
 		if e.TxID != 0 {
-			a.pendingFor(e.TxID).inv++
+			a.addPending(e.TxID, 1, 0)
 		}
 	}
 
@@ -509,7 +509,7 @@ func (a *Analyzer) consumeTx(e *obs.Event) {
 	}
 	inv, upd := 0, 0
 	if len(a.pending) > 0 {
-		if p := a.pending[e.TxID]; p != nil {
+		if p, ok := a.pending[e.TxID]; ok {
 			inv, upd = p.inv, p.upd
 			delete(a.pending, e.TxID)
 		}

@@ -164,6 +164,29 @@ func TestUpdateFanout(t *testing.T) {
 	}
 }
 
+// TestPendingEvictsOldest: with more transactions in flight than
+// maxPending (a trace that lost KindTx events), the oldest txid's
+// fan-out is dropped and every later one kept.
+func TestPendingEvictsOldest(t *testing.T) {
+	var a Analyzer
+	for id := uint64(1); id <= maxPending+1; id++ {
+		a.Consume(&obs.Event{Kind: obs.KindUpdate, Proc: 1, TxID: id})
+	}
+	a.Consume(&obs.Event{Kind: obs.KindUpdate, Proc: 2, TxID: maxPending + 1})
+	if len(a.pending) != maxPending {
+		t.Fatalf("%d transactions pending, want %d", len(a.pending), maxPending)
+	}
+	if _, ok := a.pending[1]; ok {
+		t.Error("the oldest transaction was kept")
+	}
+	if p := a.pending[2]; p.upd != 1 {
+		t.Errorf("tx 2 has %d updates, want 1", p.upd)
+	}
+	if p := a.pending[maxPending+1]; p.upd != 2 {
+		t.Errorf("the newest tx has %d updates, want 2", p.upd)
+	}
+}
+
 // TestAnalysisJSONRoundTrip: the Analysis must survive JSON (the CLI's
 // -json mode and the /coherence endpoint both rely on it).
 func TestAnalysisJSONRoundTrip(t *testing.T) {
