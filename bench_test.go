@@ -24,6 +24,7 @@ import (
 	"futurebus/internal/litmus"
 	"futurebus/internal/memory"
 	"futurebus/internal/obs"
+	"futurebus/internal/obs/causal"
 	"futurebus/internal/obs/obshttp"
 	"futurebus/internal/obs/perf"
 	"futurebus/internal/obs/watch"
@@ -501,7 +502,9 @@ func BenchmarkBroadcastUpdate(b *testing.B) {
 //     process cpu-ns per event;
 //   - obs/{record,coherence,watch,perf}: the same stream fed to a fresh
 //     sink of simbench's ab-observed set, in ns per event (ns/op is one
-//     whole stream).
+//     whole stream);
+//   - obs/causal: the same for the fourth analyzer -serve runs, which
+//     simbench does not attach.
 func BenchmarkLayer(b *testing.B) {
 	b.Run("engine", benchLayerEngine)
 	for _, held := range []int{0, 1, 7} {
@@ -518,6 +521,7 @@ func BenchmarkLayer(b *testing.B) {
 		{"coherence", func() obs.Sink { return &obshttp.CoherenceSink{} }},
 		{"watch", func() obs.Sink { return obshttp.NewWatchSink(watch.Config{}, nil) }},
 		{"perf", func() obs.Sink { return obshttp.NewPerfSink(nil) }},
+		{"causal", func() obs.Sink { return &causal.Analyzer{} }},
 	} {
 		b.Run("obs/"+rung.name, func(b *testing.B) { benchLayerObsSink(b, rung.sink) })
 	}
@@ -557,7 +561,7 @@ func benchLayerObsEmit(b *testing.B) {
 	rec := obs.New(obs.SinkFunc(func(*obs.Event) {}))
 	emit := func() {
 		for j := range events {
-			rec.Emit(events[j])
+			rec.Emit(&events[j])
 		}
 		rec.View(func() {})
 	}

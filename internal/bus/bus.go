@@ -481,7 +481,7 @@ func (b *Bus) drainOneLocked(force bool) bool {
 		// The data tenure occupies [begin, begin+beats); CauseID links
 		// the pending-wait edge to the tenure it queued behind.
 		begin := rec.Advance(e.beats)
-		rec.Emit(obs.Event{
+		rec.Emit(&obs.Event{
 			TS: begin, Dur: e.beats, Kind: obs.KindData, Bus: int32(b.cfg.ObsID),
 			Proc: int32(e.master), Addr: uint64(e.addr), DeferNS: e.beats,
 			TxID: e.txid, CauseID: b.arb.lastTx.Load(),
@@ -505,7 +505,7 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 		r.Phases.Retry += addrCost
 		b.stats.Nacks++
 		if rec := b.cfg.Obs; rec != nil {
-			rec.Emit(obs.Event{
+			rec.Emit(&obs.Event{
 				TS: rec.Clock(), Dur: addrCost, Kind: obs.KindNack, Bus: int32(b.cfg.ObsID),
 				Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 				TxID: txid,
@@ -521,7 +521,7 @@ func (b *Bus) deferDataLocked(tx *Transaction, r *Result, txid uint64) {
 		readyAt: b.stats.BusyNanos + r.Cost + r.Phases.Pend,
 	})
 	if rec := b.cfg.Obs; rec != nil {
-		rec.Emit(obs.Event{
+		rec.Emit(&obs.Event{
 			TS: rec.Clock(), Dur: r.Phases.Pend, Kind: obs.KindPend, Bus: int32(b.cfg.ObsID),
 			Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Op: eventOp(tx.Op),
 			PendNS: r.Phases.Pend, TxID: txid,
@@ -607,7 +607,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 		if arbWait > 0 {
 			blocker = b.arbBlocker
 		}
-		rec.Emit(obs.Event{
+		rec.Emit(&obs.Event{
 			TS: rec.Clock(), Dur: arbWait, Kind: obs.KindGrant, Bus: int32(b.cfg.ObsID),
 			Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 			TxID: txid, CauseID: blocker,
@@ -624,7 +624,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			// runtime monitor folds into a forward-progress violation.
 			b.stats.RetryExhausted++
 			if rec := b.cfg.Obs; rec != nil {
-				rec.Emit(obs.Event{
+				rec.Emit(&obs.Event{
 					TS: rec.Clock(), Kind: obs.KindRetryExhausted, Bus: int32(b.cfg.ObsID),
 					Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 					Retries: int32(res.Retries), TxID: txid, CauseID: causeID,
@@ -676,7 +676,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			res.Retries++
 			b.stats.Aborts++
 			if rec := b.cfg.Obs; rec != nil {
-				rec.Emit(obs.Event{
+				rec.Emit(&obs.Event{
 					TS: rec.Clock(), Kind: obs.KindAbort, Bus: int32(b.cfg.ObsID),
 					Proc: int32(tx.MasterID), Addr: uint64(tx.Addr), Col: int32(tx.Event().Column()),
 					TxID: txid,
@@ -693,7 +693,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 					return res, fmt.Errorf("bus: snooper %d asserted BS without implementing Aborter", s.SnooperID())
 				}
 				if rec := b.cfg.Obs; rec != nil {
-					rec.Emit(obs.Event{
+					rec.Emit(&obs.Event{
 						TS: rec.Clock(), Kind: obs.KindRecover, Bus: int32(b.cfg.ObsID),
 						Proc: int32(s.SnooperID()), Addr: uint64(tx.Addr),
 						TxID: txid, CauseID: causeID,
@@ -735,7 +735,7 @@ func (b *Bus) executeLocked(txv Transaction) (Result, error) {
 			// The recorder's clock is cumulative bus occupancy; this
 			// transaction's slice spans [begin, begin+Cost).
 			begin := rec.Advance(r.Cost)
-			rec.Emit(obs.Event{
+			rec.Emit(&obs.Event{
 				TS: begin, Dur: r.Cost, Kind: obs.KindTx, Bus: int32(b.cfg.ObsID),
 				Proc: int32(tx.MasterID), Addr: uint64(tx.Addr),
 				Col: int32(tx.Event().Column()), Op: eventOp(tx.Op),

@@ -276,7 +276,7 @@ func (c *Cache) setStateTx(sh *cacheShard, l *line, next core.State, cause obs.C
 	}
 	sh.stats.Transitions[l.state][next]++
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{
+		rec.Emit(&obs.Event{
 			TS: rec.Clock(), Kind: obs.KindState, Bus: int32(c.bus.SegmentID(l.addr)), Proc: int32(c.id),
 			Addr: uint64(l.addr), From: l.state, To: next, Cause: cause,
 			Proto: c.protoFor(l.addr), TxID: txid,
@@ -332,7 +332,7 @@ func (c *Cache) noteStall(sh *cacheShard, addr bus.Addr, cost int64) {
 		if ts < 0 {
 			ts = 0
 		}
-		rec.Emit(obs.Event{
+		rec.Emit(&obs.Event{
 			TS: ts, Dur: cost, Kind: obs.KindStall,
 			Bus: int32(c.bus.SegmentID(addr)), Proc: int32(c.id), Addr: uint64(addr),
 		})

@@ -407,7 +407,7 @@ func (c *Cache) evict(sh *cacheShard, v *line) error {
 	sh.stats.Flushes++
 	c.noteStall(sh, victimAddr, res.StallCost())
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: int32(c.bus.SegmentID(victimAddr)), Proc: int32(c.id), Addr: uint64(victimAddr), TxID: res.TxID})
+		rec.Emit(&obs.Event{TS: rec.Clock(), Kind: obs.KindEvict, Bus: int32(c.bus.SegmentID(victimAddr)), Proc: int32(c.id), Addr: uint64(victimAddr), TxID: res.TxID})
 	}
 	if l := c.lookup(victimAddr); l != nil {
 		c.setStateTx(sh, l, action.Next.Resolve(res.CH), obs.CauseEvict, res.TxID)

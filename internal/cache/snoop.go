@@ -185,6 +185,6 @@ func (c *Cache) Recover(b *bus.Bus, aborted *bus.Transaction, resp bus.SnoopResp
 // captured). Callers hold the line's shard lock.
 func (c *Cache) emitSnoop(kind obs.Kind, tx *bus.Transaction) {
 	if rec := c.obs; rec != nil {
-		rec.Emit(obs.Event{TS: rec.Clock(), Kind: kind, Bus: int32(c.bus.SegmentID(tx.Addr)), Proc: int32(c.id), Addr: uint64(tx.Addr), TxID: tx.TxID()})
+		rec.Emit(&obs.Event{TS: rec.Clock(), Kind: kind, Bus: int32(c.bus.SegmentID(tx.Addr)), Proc: int32(c.id), Addr: uint64(tx.Addr), TxID: tx.TxID()})
 	}
 }

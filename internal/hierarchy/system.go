@@ -69,6 +69,11 @@ func New(cfg Config) (*System, error) {
 	if cfg.Clusters <= 0 || cfg.ProcsPerCluster <= 0 {
 		return nil, fmt.Errorf("hierarchy: need clusters and processors, got %d×%d", cfg.Clusters, cfg.ProcsPerCluster)
 	}
+	// The tree's caches take ids 0..n-1 and its buses 0..Clusters; the
+	// analyzers keep per-line state only for ids below obs.MaxID.
+	if cfg.Clusters >= obs.MaxID || cfg.ProcsPerCluster > obs.MaxID/cfg.Clusters {
+		return nil, fmt.Errorf("hierarchy: %d×%d caches: cache and bus ids must stay below %d", cfg.Clusters, cfg.ProcsPerCluster, obs.MaxID)
+	}
 	if cfg.ClusterProtocol == "" {
 		cfg.ClusterProtocol = "moesi-update"
 	}

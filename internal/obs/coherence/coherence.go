@@ -154,9 +154,11 @@ type Analysis struct {
 	Protocols map[string]*ProtoAnalysis `json:"protocols"`
 	// TopLines are the busiest lines by state-event count.
 	TopLines []LineSummary `json:"top_lines,omitempty"`
-	// TruncatedLines counts lines beyond the tracking cap:
-	// their transitions still count in the matrices, but residency
-	// and ownership chains were not reconstructed for them.
+	// TruncatedLines counts the state events that got no line: those
+	// on a line past MaxLines and those whose bus or proc lies outside
+	// [0, obs.MaxID). Their transitions still count in the matrices,
+	// but residency and ownership chains were not reconstructed for
+	// them.
 	TruncatedLines int64 `json:"truncated_lines,omitempty"`
 }
 
@@ -180,16 +182,29 @@ type Analyzer struct {
 	events      int64
 	stateEvents int64
 	maxTS       int64
-	protos      []*protoAgg         // indexed by protocol name
-	lines       map[uint64]*lineAgg // by address; see lineAgg.next
-	nlines      int
-	pending     map[uint64]pendingTx
-	masters     map[masterKey]*master
+	protos      []*protoAgg // indexed by protocol name
+	lines       obs.LineTable[lineAgg]
 	truncLines  int64
+	pending     map[uint64]pendingTx
 
-	// One-entry caches for the per-event hot path: consecutive events
-	// usually touch the same line and master.
-	lastLine   *lineAgg
+	// masters indexes mlist, this system's masters. An epoch empties
+	// both but keeps mlist's storage, the masters' fan-out histograms
+	// included, for the next system's.
+	masters map[masterKey]int32
+	mlist   []master
+
+	// nprocs is one past the largest proc a state event has named: a
+	// line's per-proc slots are made with that capacity, once, and
+	// extended within it up to the largest proc the line has seen since
+	// the last epoch.
+	nprocs int
+	slots  obs.Arena[procLine]
+	links  obs.Arena[chainBlock]
+
+	// A one-entry cache for the per-event hot path: consecutive events
+	// usually touch the same master (the line table keeps its own). It
+	// points into mlist, so master replaces it whenever mlist grows and
+	// endEpoch clears it.
 	lastMKey   masterKey
 	lastMaster *master
 }
@@ -237,22 +252,13 @@ func bumpFanout(h *[]int64, k int) {
 }
 
 // lineAgg is per-line reconstruction state. A line is named as
-// watch.Monitor names it: by bus and address. A hierarchy repeats proc
-// ids on every bus (a bridge and a cluster cache, or the caches of two
-// clusters, share one), so only the bus tells their copies of one
-// address apart. On a single bus or a sharded fabric an address always
-// carries the same bus id.
+// watch.Monitor names it, by bus and address (see obs.LineTable).
 type lineAgg struct {
-	bus  int32
-	addr uint64
-	// next is the line of the same address on another bus, so the
-	// per-event lookup hashes the address alone.
-	next      *lineAgg
 	events    int64
-	owner     int // proc currently owning the line, -1 = memory
 	owners    int64
-	chain     []OwnerSeg
+	owner     int32 // proc currently owning the line, -1 = memory
 	truncated bool
+	chain     ownerChain
 	procs     []procLine // indexed by proc id; live marks real entries
 	// relTx is the bus transaction that snooped the last owner out. A
 	// following acquisition under the same transaction is one direct
@@ -270,6 +276,60 @@ type procLine struct {
 	proto obs.Name
 }
 
+// ownerLink is one link of an ownership chain as the analyzer stores it;
+// Analyze renders it as an OwnerSeg.
+type ownerLink struct {
+	ts    int64
+	proc  int32 // -1 = memory
+	state int8  // StateLetters index
+}
+
+// chainLinks is how many links one block of an ownership chain holds.
+const chainLinks = 8
+
+// chainBlock is a fixed-size block of a line's ownership chain.
+type chainBlock struct {
+	links [chainLinks]ownerLink
+	next  *chainBlock
+}
+
+// ownerChain is a line's ownership chain: n links, in blocks from the
+// analyzer's arena, chained from head; tail holds the newest.
+type ownerChain struct {
+	head, tail *chainBlock
+	n          int
+}
+
+func (c *ownerChain) last() *ownerLink { return &c.tail.links[(c.n-1)%chainLinks] }
+
+func (c *ownerChain) push(link ownerLink, blocks *obs.Arena[chainBlock]) {
+	if c.n%chainLinks == 0 {
+		b := &blocks.Make(1)[0]
+		if c.head == nil {
+			c.head = b
+		} else {
+			c.tail.next = b
+		}
+		c.tail = b
+	}
+	c.tail.links[c.n%chainLinks] = link
+	c.n++
+}
+
+// segs renders the chain.
+func (c *ownerChain) segs() []OwnerSeg {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]OwnerSeg, 0, c.n)
+	for b := c.head; len(out) < c.n; b = b.next {
+		for _, l := range b.links[:min(chainLinks, c.n-len(out))] {
+			out = append(out, OwnerSeg{Proc: int(l.proc), State: StateLetters[l.state], TS: l.ts})
+		}
+	}
+	return out
+}
+
 // pendingTx accumulates the snoop fan-out of a bus transaction until
 // its KindTx event arrives (snoop commits are emitted before the tx
 // event, so by stream order the counts are complete by then).
@@ -279,10 +339,9 @@ type pendingTx struct {
 }
 
 func (a *Analyzer) init() {
-	if a.lines == nil {
-		a.lines = make(map[uint64]*lineAgg)
+	if a.pending == nil {
 		a.pending = make(map[uint64]pendingTx)
-		a.masters = make(map[masterKey]*master)
+		a.masters = make(map[masterKey]int32)
 	}
 }
 
@@ -291,11 +350,20 @@ func (a *Analyzer) master(bus, proc int32) *master {
 	if key == a.lastMKey && a.lastMaster != nil {
 		return a.lastMaster
 	}
-	m, ok := a.masters[key]
+	i, ok := a.masters[key]
 	if !ok {
-		m = &master{}
-		a.masters[key] = m
+		i = int32(len(a.mlist))
+		if len(a.mlist) < cap(a.mlist) {
+			// Reuse an earlier system's master and its histograms.
+			a.mlist = a.mlist[:i+1]
+			m := &a.mlist[i]
+			*m = master{invFanout: m.invFanout[:0], updFanout: m.updFanout[:0]}
+		} else {
+			a.mlist = append(a.mlist, master{})
+		}
+		a.masters[key] = i
 	}
+	m := &a.mlist[i]
 	a.lastMKey, a.lastMaster = key, m
 	return m
 }
@@ -324,35 +392,33 @@ func (a *Analyzer) protoAnalysis(name obs.Name) *ProtoAnalysis {
 	return &a.proto(name).ProtoAnalysis
 }
 
-func (a *Analyzer) line(bus int32, addr uint64) *lineAgg {
-	if l := a.lastLine; l != nil && l.addr == addr && l.bus == bus {
-		return l
+// line returns the state event e's line, with a slot for e's proc; nil
+// (counted as truncated) past MaxLines, or for a bus or proc past
+// obs.MaxID.
+func (a *Analyzer) line(e *obs.Event) *lineAgg {
+	if uint32(e.Bus) >= obs.MaxID || uint32(e.Proc) >= obs.MaxID {
+		a.truncLines++
+		return nil
 	}
-	first := a.lines[addr]
-	l := first
-	for l != nil && l.bus != bus {
-		l = l.next
-	}
+	l, added := a.lines.Add(e.Bus, e.Addr, MaxLines)
 	if l == nil {
-		if a.nlines >= MaxLines {
-			a.truncLines++
-			return nil
-		}
-		l = &lineAgg{bus: bus, addr: addr, next: first, owner: -1}
-		a.lines[addr] = l
-		a.nlines++
+		a.truncLines++
+		return nil
 	}
-	a.lastLine = l
+	if added {
+		l.owner = -1
+	}
+	if n := int(e.Proc) + 1; n > len(l.procs) {
+		if n > cap(l.procs) {
+			a.nprocs = max(a.nprocs, n)
+			procs := a.slots.Make(a.nprocs)
+			l.procs = procs[:copy(procs, l.procs)]
+		}
+		old := len(l.procs)
+		l.procs = l.procs[:n]
+		clear(l.procs[old:])
+	}
 	return l
-}
-
-// eachLine calls fn with every line.
-func (a *Analyzer) eachLine(fn func(l *lineAgg)) {
-	for _, first := range a.lines {
-		for l := first; l != nil; l = l.next {
-			fn(l)
-		}
-	}
 }
 
 // Consume implements obs.Sink.
@@ -438,7 +504,7 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 		}
 	}
 
-	l := a.line(e.Bus, e.Addr)
+	l := a.line(e)
 	if l == nil {
 		return
 	}
@@ -446,9 +512,6 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 
 	// Residency: close the copy's previous interval against this
 	// event's timestamp.
-	for len(l.procs) <= int(e.Proc) {
-		l.procs = append(l.procs, procLine{})
-	}
 	pl := &l.procs[e.Proc]
 	if !pl.live {
 		*pl = procLine{live: true, state: from, since: e.TS, proto: e.Proto}
@@ -462,35 +525,40 @@ func (a *Analyzer) consumeState(e *obs.Event, from, to int8) {
 	// leaving ownership with no successor returns it to memory.
 	owned := to == idxM || to == idxO
 	switch {
-	case owned && l.owner != int(e.Proc):
+	case owned && l.owner != e.Proc:
+		replace := false
 		if l.owner >= 0 {
 			ps.OwnershipMoves++
 		} else if e.TxID != 0 && e.TxID == l.relTx {
 			// The same bus transaction that removed the previous
 			// owner installed this one: a direct migration, not a
-			// round-trip through memory — collapse the mem link.
+			// round-trip through memory — the new owner's link
+			// replaces the mem link.
 			ps.OwnershipMoves++
-			if n := len(l.chain); !l.truncated && n > 0 && l.chain[n-1].Proc == -1 {
-				l.chain = l.chain[:n-1]
-			}
+			replace = !l.truncated && l.chain.n > 0 && l.chain.last().proc == -1
 		}
-		l.owner = int(e.Proc)
+		l.owner = e.Proc
 		l.owners++
 		l.relTx = 0
-		l.appendChain(OwnerSeg{Proc: int(e.Proc), State: StateLetters[to], TS: e.TS})
-	case !owned && l.owner == int(e.Proc) && (from == idxM || from == idxO):
+		link := ownerLink{ts: e.TS, proc: e.Proc, state: to}
+		if replace {
+			*l.chain.last() = link
+		} else {
+			a.appendChain(l, link)
+		}
+	case !owned && l.owner == e.Proc && (from == idxM || from == idxO):
 		l.owner = -1
 		l.relTx = e.TxID
-		l.appendChain(OwnerSeg{Proc: -1, State: StateLetters[to], TS: e.TS})
+		a.appendChain(l, ownerLink{ts: e.TS, proc: -1, state: to})
 	}
 }
 
-func (l *lineAgg) appendChain(seg OwnerSeg) {
-	if len(l.chain) >= MaxChainLen {
+func (a *Analyzer) appendChain(l *lineAgg, link ownerLink) {
+	if l.chain.n >= MaxChainLen {
 		l.truncated = true
 		return
 	}
-	l.chain = append(l.chain, seg)
+	l.chain.push(link, &a.links)
 }
 
 // Table 2 column sets: which bus-transaction columns carry the IM
@@ -536,15 +604,16 @@ func (a *Analyzer) endEpoch() {
 	a.closeResidency(a.protoAnalysis)
 	a.foldTx(a.protoAnalysis)
 	clear(a.masters)
+	a.mlist = a.mlist[:0]
 	a.lastMaster = nil
 	clear(a.pending)
-	a.eachLine(func(l *lineAgg) { l.owner, l.relTx, l.procs = -1, 0, l.procs[:0] })
+	a.lines.Each(func(_ int32, _ uint64, l *lineAgg) { l.owner, l.relTx, l.procs = -1, 0, l.procs[:0] })
 }
 
 // closeResidency charges every live copy's open interval, up to the
 // horizon, to the protocol get returns for the copy's protocol.
 func (a *Analyzer) closeResidency(get func(proto obs.Name) *ProtoAnalysis) {
-	a.eachLine(func(l *lineAgg) {
+	a.lines.Each(func(_ int32, _ uint64, l *lineAgg) {
 		for i := range l.procs {
 			pl := &l.procs[i]
 			if pl.live && a.maxTS > pl.since {
@@ -557,7 +626,8 @@ func (a *Analyzer) closeResidency(get func(proto obs.Name) *ProtoAnalysis) {
 // foldTx adds each master's transaction stats to the protocol get
 // returns for the protocol the master ran.
 func (a *Analyzer) foldTx(get func(proto obs.Name) *ProtoAnalysis) {
-	for _, t := range a.masters {
+	for i := range a.mlist {
+		t := &a.mlist[i]
 		ps := get(t.proto)
 		ps.CacheSourced += t.cacheSourced
 		ps.MemSourced += t.memSourced
@@ -589,7 +659,7 @@ func (a *Analyzer) Analyze(topN int) *Analysis {
 	res := &Analysis{
 		Events:         a.events,
 		StateEvents:    a.stateEvents,
-		Lines:          a.nlines,
+		Lines:          a.lines.Len(),
 		SpanNS:         a.maxTS,
 		Protocols:      make(map[string]*ProtoAnalysis, len(a.protos)),
 		TruncatedLines: a.truncLines,
@@ -652,12 +722,17 @@ func cloneHist(h map[int]int64) map[int]int64 {
 }
 
 func (a *Analyzer) topLines(topN int) []LineSummary {
-	all := make([]*lineAgg, 0, a.nlines)
-	a.eachLine(func(l *lineAgg) { all = append(all, l) })
+	type top struct {
+		bus  int32
+		addr uint64
+		l    *lineAgg
+	}
+	all := make([]top, 0, a.lines.Len())
+	a.lines.Each(func(bus int32, addr uint64, l *lineAgg) { all = append(all, top{bus, addr, l}) })
 	sort.Slice(all, func(i, j int) bool {
 		x, y := all[i], all[j]
-		if x.events != y.events {
-			return x.events > y.events
+		if x.l.events != y.l.events {
+			return x.l.events > y.l.events
 		}
 		if x.addr != y.addr {
 			return x.addr < y.addr
@@ -665,13 +740,13 @@ func (a *Analyzer) topLines(topN int) []LineSummary {
 		return x.bus < y.bus
 	})
 	out := make([]LineSummary, min(topN, len(all)))
-	for i, l := range all[:len(out)] {
+	for i, t := range all[:len(out)] {
 		out[i] = LineSummary{
-			Addr:      l.addr,
-			Events:    l.events,
-			Owners:    l.owners,
-			Chain:     append([]OwnerSeg(nil), l.chain...),
-			Truncated: l.truncated,
+			Addr:      t.addr,
+			Events:    t.l.events,
+			Owners:    t.l.owners,
+			Chain:     t.l.chain.segs(),
+			Truncated: t.l.truncated,
 		}
 	}
 	return out
@@ -699,7 +774,8 @@ func (a *Analyzer) Totals() Totals {
 		t.CacheSourced += ps.CacheSourced
 		t.MemSourced += ps.MemSourced
 	}
-	for _, tx := range a.masters {
+	for i := range a.mlist {
+		tx := &a.mlist[i]
 		t.CacheSourced += tx.cacheSourced
 		t.MemSourced += tx.memSourced
 	}

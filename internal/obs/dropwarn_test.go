@@ -7,7 +7,7 @@ import (
 
 func TestWarnDroppedCleanRecorder(t *testing.T) {
 	rec := New(SinkFunc(func(*Event) {}))
-	rec.Emit(Event{Kind: KindTx})
+	rec.Emit(&Event{Kind: KindTx})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +25,8 @@ func TestWarnDroppedAfterClose(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec.Emit(Event{Kind: KindTx})
-	rec.Emit(Event{Kind: KindState})
+	rec.Emit(&Event{Kind: KindTx})
+	rec.Emit(&Event{Kind: KindState})
 	var buf strings.Builder
 	if !WarnDropped(&buf, "fbsweep", rec) {
 		t.Fatal("dropped events produced no warning")

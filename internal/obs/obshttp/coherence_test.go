@@ -30,15 +30,15 @@ func TestCoherenceEndpointAndMetrics(t *testing.T) {
 
 	// One line migrating P0 → P1 under an RFO (snoop invalidation
 	// first, then the tx, then the new owner's fill — stream order).
-	rec.Emit(obs.Event{Seq: 0, TS: 0, Kind: obs.KindState, Proc: 0, Addr: 0x40,
+	rec.Emit(&obs.Event{Seq: 0, TS: 0, Kind: obs.KindState, Proc: 0, Addr: 0x40,
 		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 1})
-	rec.Emit(obs.Event{Seq: 1, TS: 0, Dur: 400, Kind: obs.KindTx, Proc: 0, Addr: 0x40,
+	rec.Emit(&obs.Event{Seq: 1, TS: 0, Dur: 400, Kind: obs.KindTx, Proc: 0, Addr: 0x40,
 		Col: 6, Op: obs.OpRead, TxID: 1})
-	rec.Emit(obs.Event{Seq: 2, TS: 500, Kind: obs.KindState, Proc: 0, Addr: 0x40,
+	rec.Emit(&obs.Event{Seq: 2, TS: 500, Kind: obs.KindState, Proc: 0, Addr: 0x40,
 		From: core.Modified, To: core.Invalid, Cause: obs.CauseSnoopCacheRFO, Proto: obs.NameOf("moesi"), TxID: 2})
-	rec.Emit(obs.Event{Seq: 3, TS: 500, Dur: 400, Kind: obs.KindTx, Proc: 1, Addr: 0x40,
+	rec.Emit(&obs.Event{Seq: 3, TS: 500, Dur: 400, Kind: obs.KindTx, Proc: 1, Addr: 0x40,
 		Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
-	rec.Emit(obs.Event{Seq: 4, TS: 500, Kind: obs.KindState, Proc: 1, Addr: 0x40,
+	rec.Emit(&obs.Event{Seq: 4, TS: 500, Kind: obs.KindState, Proc: 1, Addr: 0x40,
 		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 2})
 
 	get := func(path string) string {

@@ -220,12 +220,12 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Feed a little traffic through the recorder so every endpoint has
 	// something to show.
-	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 0, Op: obs.OpRead, Dur: 645,
+	rec.Emit(&obs.Event{Kind: obs.KindTx, Proc: 0, Op: obs.OpRead, Dur: 645,
 		AddrNS: 125, DataNS: 320, MemNS: 200})
-	rec.Emit(obs.Event{Kind: obs.KindTx, Proc: 1, Op: obs.OpWrite, Dur: 565, Retries: 1,
+	rec.Emit(&obs.Event{Kind: obs.KindTx, Proc: 1, Op: obs.OpWrite, Dur: 565, Retries: 1,
 		AddrNS: 125, DataNS: 320, IntvNS: 120})
-	rec.Emit(obs.Event{Kind: obs.KindState, Proc: 0, From: core.Invalid, To: core.Exclusive})
-	rec.Emit(obs.Event{Kind: obs.KindAbort, Proc: 1})
+	rec.Emit(&obs.Event{Kind: obs.KindState, Proc: 0, From: core.Invalid, To: core.Exclusive})
+	rec.Emit(&obs.Event{Kind: obs.KindAbort, Proc: 1})
 
 	get := func(path string) string {
 		resp, err := http.Get(srv.URL() + path)

@@ -108,7 +108,7 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				rec.Emit(obs.Event{Kind: obs.KindTx, TS: int64(i), Dur: int64(g*1000 + i)})
+				rec.Emit(&obs.Event{Kind: obs.KindTx, TS: int64(i), Dur: int64(g*1000 + i)})
 			}
 		}(g)
 	}
@@ -187,8 +187,8 @@ func TestServicePerfEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rec.Emit(obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: 80})
-	rec.Emit(obs.Event{Kind: obs.KindTx, Bus: 0, TS: 200, Dur: 645, MemNS: 200})
+	rec.Emit(&obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: 80})
+	rec.Emit(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 200, Dur: 645, MemNS: 200})
 
 	resp, err := http.Get(srv.URL() + "/perf")
 	if err != nil {

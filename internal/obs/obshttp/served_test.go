@@ -51,7 +51,7 @@ func TestServedSplitViolations(t *testing.T) {
 	}
 	offline := watch.New(watch.Config{})
 	for i := range events {
-		rec.Emit(events[i])
+		rec.Emit(&events[i])
 		offline.Consume(&events[i])
 	}
 	want := map[watch.Invariant]int64{watch.InvProgress: 1, watch.InvPendingTx: 2}
@@ -90,11 +90,11 @@ func TestServedViewsExactBeforeFlush(t *testing.T) {
 
 	// P0 fills the line to M, then P1 fills the same line to M: a
 	// second owner, detected on the last event.
-	rec.Emit(obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 1})
-	rec.Emit(obs.Event{TS: 2, Kind: obs.KindState, Proc: 0, Addr: 0x40,
+	rec.Emit(&obs.Event{TS: 1, Kind: obs.KindTx, Proc: 0, Addr: 0x40, Col: 6, Op: obs.OpRead, TxID: 1})
+	rec.Emit(&obs.Event{TS: 2, Kind: obs.KindState, Proc: 0, Addr: 0x40,
 		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 1})
-	rec.Emit(obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
-	rec.Emit(obs.Event{TS: 4, Kind: obs.KindState, Proc: 1, Addr: 0x40,
+	rec.Emit(&obs.Event{TS: 3, Kind: obs.KindTx, Proc: 1, Addr: 0x40, Col: 6, Op: obs.OpRead, DI: true, TxID: 2})
+	rec.Emit(&obs.Event{TS: 4, Kind: obs.KindState, Proc: 1, Addr: 0x40,
 		From: core.Invalid, To: core.Modified, Cause: obs.CauseFill, Proto: obs.NameOf("moesi"), TxID: 2})
 
 	scrape := func() (states, stateEvents int64) {

@@ -77,7 +77,7 @@ func TestTrendEndpointLiveVerdict(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rec.Emit(obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: base})
+	rec.Emit(&obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 100, Dur: base})
 
 	get := func() ledger.GateReport {
 		t.Helper()
@@ -99,7 +99,7 @@ func TestTrendEndpointLiveVerdict(t *testing.T) {
 
 	// Blow the live arb wait far past the baseline (and the 1µs ns
 	// floor); the verdict must flip without restarting the server.
-	rec.Emit(obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 200, Dur: 500000})
+	rec.Emit(&obs.Event{Kind: obs.KindGrant, Bus: 0, TS: 200, Dur: 500000})
 	rep := get()
 	if rep.Verdict != "regressed" {
 		t.Fatalf("blown live run verdict = %q, want regressed (%+v)", rep.Verdict, rep)

@@ -113,12 +113,15 @@ func (r *Recorder) Advance(d int64) int64 {
 	return r.clock.Add(d) - d
 }
 
-// Emit stamps e with the next Seq and buffers it. Safe from any
-// goroutine. When every batch is full or in flight, Emit parks until
-// the drain goroutine frees one (events are never dropped while the
-// recorder is open, so audit trails stay complete). Emits after Close
-// are discarded and counted (Dropped) instead of being silently lost.
-func (r *Recorder) Emit(e Event) {
+// Emit buffers a copy of *e stamped with the next Seq; e itself is
+// neither changed nor retained, so an emit site passes the address of
+// an event literal and the event is copied once, into the batch. Safe
+// from any goroutine. When every batch is full or in flight, Emit parks
+// until the drain goroutine frees one (events are never dropped while
+// the recorder is open, so audit trails stay complete). Emits after
+// Close are discarded and counted (Dropped) instead of being silently
+// lost.
+func (r *Recorder) Emit(e *Event) {
 	if r == nil {
 		return
 	}
@@ -128,9 +131,9 @@ func (r *Recorder) Emit(e Event) {
 		r.dropped.Add(1)
 		return
 	}
-	e.Seq = r.seq
+	r.cur = append(r.cur, *e)
+	r.cur[len(r.cur)-1].Seq = r.seq
 	r.seq++
-	r.cur = append(r.cur, e)
 	if len(r.cur) == cap(r.cur) {
 		r.full <- r.cur
 		// Wait for an empty batch still holding mu: the next Seq must
@@ -151,7 +154,7 @@ func (r *Recorder) MarkEpoch(bus int, discipline string) {
 	if r == nil {
 		return
 	}
-	r.Emit(Event{TS: r.Clock(), Kind: KindEpoch, Bus: int32(bus), Proc: -1, Disc: NameOf(discipline)})
+	r.Emit(&Event{TS: r.Clock(), Kind: KindEpoch, Bus: int32(bus), Proc: -1, Disc: NameOf(discipline)})
 }
 
 // Dropped returns the number of events discarded because they were

@@ -31,7 +31,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				rec.Emit(Event{Kind: KindTx, Proc: int32(p), Addr: uint64(i)})
+				rec.Emit(&Event{Kind: KindTx, Proc: int32(p), Addr: uint64(i)})
 			}
 		}(p)
 	}
@@ -75,7 +75,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 // TestNilRecorder: the nil fast path is inert and safe.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.Emit(Event{Kind: KindTx})
+	r.Emit(&Event{Kind: KindTx})
 	r.Advance(100)
 	ran := false
 	r.View(func() { ran = true })
@@ -119,15 +119,15 @@ func TestRecorderDropped(t *testing.T) {
 	leaktest.Check(t)
 	var got int
 	rec := NewSized(16, SinkFunc(func(*Event) { got++ }))
-	rec.Emit(Event{Kind: KindTx})
+	rec.Emit(&Event{Kind: KindTx})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Dropped() != 0 {
 		t.Errorf("dropped before close = %d", rec.Dropped())
 	}
-	rec.Emit(Event{Kind: KindTx})
-	rec.Emit(Event{Kind: KindStall})
+	rec.Emit(&Event{Kind: KindTx})
+	rec.Emit(&Event{Kind: KindStall})
 	if rec.Dropped() != 2 {
 		t.Errorf("dropped = %d, want 2", rec.Dropped())
 	}
@@ -156,7 +156,7 @@ func TestRecorderDropped(t *testing.T) {
 					return
 				default:
 				}
-				rec.Emit(Event{Kind: KindTx})
+				rec.Emit(&Event{Kind: KindTx})
 				emitted.Add(1)
 			}
 		}()
@@ -188,7 +188,7 @@ func TestRecorderStalledSinkParks(t *testing.T) {
 	go func() {
 		defer close(emitted)
 		for i := 0; i < 4*buffer; i++ {
-			rec.Emit(Event{Kind: KindTx})
+			rec.Emit(&Event{Kind: KindTx})
 		}
 	}()
 	time.Sleep(window / 10) // the producer fills every batch and waits
@@ -221,10 +221,10 @@ func TestRecorderEmitAllocFree(t *testing.T) {
 	defer rec.Close()
 	e := Event{Kind: KindTx, Proc: 1, Addr: 0x40, Col: 5, Op: OpRead, Dur: 425, Bytes: 32}
 	for i := 0; i < 4*DefaultBuffer; i++ {
-		rec.Emit(e)
+		rec.Emit(&e)
 	}
 	rec.View(func() {})
-	if n := testing.AllocsPerRun(4*DefaultBuffer, func() { rec.Emit(e) }); n != 0 {
+	if n := testing.AllocsPerRun(4*DefaultBuffer, func() { rec.Emit(&e) }); n != 0 {
 		t.Errorf("warm Emit allocates %v times per event", n)
 	}
 }

@@ -175,7 +175,8 @@ type Report struct {
 	States int64 `json:"states"`
 	Txs    int64 `json:"txs"`
 	// Lines is the number of tracked line shadows; TruncatedEvents
-	// counts events skipped because MaxLines was hit.
+	// counts events skipped because MaxLines was hit, and state events
+	// skipped because their bus or proc lies outside [0, obs.MaxID).
 	Lines           int   `json:"lines"`
 	TruncatedEvents int64 `json:"truncated_events,omitempty"`
 	// Total counts every violation; ByInvariant and Counts break it
@@ -207,31 +208,26 @@ type pendEntry struct {
 	ch   bool
 }
 
-// line is the shadow of one (bus, address) pair: every board's copy
-// state, derived counts, the per-transaction owner snapshot, and the
-// causal-context ring.
+// line is the shadow of one (bus, address) pair (see obs.LineTable):
+// every board's copy state, derived counts, the per-transaction owner
+// snapshot, and the causal-context ring.
 type line struct {
-	bus  int32
-	addr uint64
-	// next is the line of the same address on another bus (a hierarchy
-	// caches one address on several).
-	next                *line
 	states              []int8 // per proc; -1 = never seen (treated as I)
-	owners, excl, valid int
+	owners, excl, valid int32
 	// txSnap / ownersAtSnap / ownerAtSnap capture the owner situation
 	// when the first event of a transaction touched this line — i.e.
 	// before its snoop commits applied — which is what the DI rule of
 	// §3.1.4 is stated against.
 	txSnap       uint64
-	ownersAtSnap int
-	ownerAtSnap  int
+	ownersAtSnap int32
+	ownerAtSnap  int32
 	// held are the snoop-caused state events of transaction heldTx that
 	// broke real exclusivity when they committed, to be judged again
 	// when the transaction's KindTx arrives.
 	held     []obs.Event
 	heldTx   uint64
 	ring     []obs.Event
-	ringPos  int
+	ringPos  int32
 	ringFull bool
 }
 
@@ -242,10 +238,9 @@ func (ln *line) stateOf(proc int) int8 {
 	return ln.states[proc]
 }
 
+// setState records proc's copy in state s; the line has a slot for proc
+// (Monitor.slot).
 func (ln *line) setState(proc int, s core.State) {
-	for len(ln.states) <= proc {
-		ln.states = append(ln.states, -1)
-	}
 	old := ln.states[proc]
 	if old >= 0 {
 		ln.account(core.State(old), -1)
@@ -254,7 +249,7 @@ func (ln *line) setState(proc int, s core.State) {
 	ln.account(s, +1)
 }
 
-func (ln *line) account(s core.State, d int) {
+func (ln *line) account(s core.State, d int32) {
 	if s.Valid() {
 		ln.valid += d
 	}
@@ -276,7 +271,7 @@ func (ln *line) snapshot(txid uint64) {
 	if ln.owners > 0 {
 		for p, s := range ln.states {
 			if s >= 0 && core.State(s).OwnedCopy() {
-				ln.ownerAtSnap = p
+				ln.ownerAtSnap = int32(p)
 				break
 			}
 		}
@@ -285,23 +280,23 @@ func (ln *line) snapshot(txid uint64) {
 
 // foreignOwner reports whether, at the transaction snapshot, some cache
 // other than master owned the line.
-func (ln *line) foreignOwner(master int) bool {
+func (ln *line) foreignOwner(master int32) bool {
 	return ln.ownersAtSnap > 1 || (ln.ownersAtSnap == 1 && ln.ownerAtSnap != master)
 }
 
-func (ln *line) remember(e *obs.Event, depth int) {
-	if depth <= 0 {
-		return
-	}
+// remember adds e to the line's context ring, carving the ring from the
+// monitor's arena on the line's first event.
+func (m *Monitor) remember(ln *line, e *obs.Event) {
+	depth := m.cfg.ContextDepth
 	if ln.ring == nil {
-		ln.ring = make([]obs.Event, 0, depth)
+		ln.ring = m.rings.Make(depth)[:0]
 	}
 	if len(ln.ring) < depth {
 		ln.ring = append(ln.ring, *e)
 		return
 	}
 	ln.ring[ln.ringPos] = *e
-	ln.ringPos = (ln.ringPos + 1) % depth
+	ln.ringPos = (ln.ringPos + 1) % int32(depth)
 	ln.ringFull = true
 }
 
@@ -337,11 +332,12 @@ func (ln *line) holders() string {
 type Monitor struct {
 	cfg Config
 
-	// lines holds each address's lines, chained through line.next, so
-	// the per-event lookup hashes one word.
-	lines    map[uint64]*line
-	nlines   int
-	lastLine *line
+	lines obs.LineTable[line]
+	// nprocs is one past the largest proc a state event has named: a
+	// line's states are made with that capacity (see slot).
+	nprocs int
+	slots  obs.Arena[int8]
+	rings  obs.Arena[obs.Event]
 
 	pending []pendEntry // direct-mapped by txid & (maxPending-1)
 
@@ -381,7 +377,6 @@ func New(cfg Config) *Monitor {
 	}
 	m := &Monitor{
 		cfg:     cfg,
-		lines:   make(map[uint64]*line),
 		pending: make([]pendEntry, maxPending),
 		counts:  make(map[countKey]int64),
 	}
@@ -409,7 +404,7 @@ func (m *Monitor) Consume(e *obs.Event) {
 			m.truncated++
 			return
 		}
-		ln.remember(e, m.cfg.ContextDepth)
+		m.remember(ln, e)
 		m.report(InvProgress, e, ln, fmt.Sprintf(
 			"transaction gave up after %d BS aborts (ErrTooManyRetries) — recovery pushes never quiesced the line",
 			e.Retries))
@@ -421,7 +416,7 @@ func (m *Monitor) Consume(e *obs.Event) {
 		// they are over a third of the stream — dropping them keeps the
 		// monitor's share of a single-core run inside the overhead budget.
 		if ln := m.lookup(e.Bus, e.Addr, false); ln != nil {
-			ln.remember(e, m.cfg.ContextDepth)
+			m.remember(ln, e)
 		}
 	}
 }
@@ -438,7 +433,7 @@ func (m *Monitor) consumePend(e *obs.Event) {
 		m.truncated++
 		return
 	}
-	ln.remember(e, m.cfg.ContextDepth)
+	m.remember(ln, e)
 	if e.TxID == 0 {
 		return
 	}
@@ -466,7 +461,7 @@ func (m *Monitor) consumeData(e *obs.Event) {
 		m.truncated++
 		return
 	}
-	ln.remember(e, m.cfg.ContextDepth)
+	m.remember(ln, e)
 	if e.TxID == 0 {
 		return
 	}
@@ -483,21 +478,18 @@ func (m *Monitor) consumeData(e *obs.Event) {
 // reset clears the per-line shadow at a system boundary (KindEpoch)
 // while keeping cumulative violation counters and records.
 func (m *Monitor) reset() {
-	// Reset lines in place instead of reallocating the map: sweeps and
-	// benchmarks replay the same address set epoch after epoch, so the
-	// shadow reaches a steady state with no per-epoch garbage (the
-	// context rings and states slices keep their capacity).
-	for _, first := range m.lines {
-		for ln := first; ln != nil; ln = ln.next {
-			ln.states = ln.states[:0]
-			ln.owners, ln.excl, ln.valid = 0, 0, 0
-			ln.txSnap, ln.ownersAtSnap, ln.ownerAtSnap = 0, 0, -1
-			ln.held, ln.heldTx = ln.held[:0], 0
-			ln.ring = ln.ring[:0]
-			ln.ringPos, ln.ringFull = 0, false
-		}
-	}
-	m.lastLine = nil
+	// Reset lines in place: sweeps and benchmarks replay the same
+	// address set epoch after epoch, so the shadow reaches a steady
+	// state with no per-epoch garbage (every line keeps its states,
+	// ring and held storage).
+	m.lines.Each(func(_ int32, _ uint64, ln *line) {
+		ln.states = ln.states[:0]
+		ln.owners, ln.excl, ln.valid = 0, 0, 0
+		ln.txSnap, ln.ownersAtSnap, ln.ownerAtSnap = 0, 0, -1
+		ln.held, ln.heldTx = ln.held[:0], 0
+		ln.ring = ln.ring[:0]
+		ln.ringPos, ln.ringFull = 0, false
+	})
 	clear(m.pending)
 	clear(m.splitPend)
 	m.splitDropped = false
@@ -507,24 +499,32 @@ func (m *Monitor) reset() {
 }
 
 func (m *Monitor) lookup(bus int32, addr uint64, create bool) *line {
-	if ln := m.lastLine; ln != nil && ln.addr == addr && ln.bus == bus {
-		return ln
+	if !create {
+		return m.lines.Get(bus, addr)
 	}
-	first := m.lines[addr]
-	ln := first
-	for ln != nil && ln.bus != bus {
-		ln = ln.next
+	ln, added := m.lines.Add(bus, addr, m.cfg.MaxLines)
+	if added {
+		ln.ownerAtSnap = -1
 	}
-	if ln == nil {
-		if !create || m.nlines >= m.cfg.MaxLines {
-			return nil
-		}
-		ln = &line{bus: bus, addr: addr, next: first, ownerAtSnap: -1}
-		m.lines[addr] = ln
-		m.nlines++
-	}
-	m.lastLine = ln
 	return ln
+}
+
+// slot makes sure ln has a state for proc. A line's states are made
+// once, with room for the procs seen so far, and again only when a
+// larger proc turns up; within that room they extend, never seen, up to
+// the largest proc the line has seen since the last epoch.
+func (m *Monitor) slot(ln *line, proc int) {
+	if proc < len(ln.states) {
+		return
+	}
+	if proc >= cap(ln.states) {
+		m.nprocs = max(m.nprocs, proc+1)
+		states := m.slots.Make(m.nprocs)
+		ln.states = states[:copy(states, ln.states)]
+	}
+	for len(ln.states) <= proc {
+		ln.states = append(ln.states, -1)
+	}
 }
 
 func (m *Monitor) notePending(txid uint64, col int32, ch bool) {
@@ -553,7 +553,7 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 		m.truncated++
 		return
 	}
-	ln.remember(e, m.cfg.ContextDepth)
+	m.remember(ln, e)
 	if e.TxID != 0 {
 		ln.snapshot(e.TxID)
 	}
@@ -564,7 +564,7 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 	// capture non-broadcast plain writes. Broadcast transfers (SL) and
 	// pushes carry their own data path, so only columns 5–7 reads and
 	// column 9 writes are constrained.
-	foreign := ln.foreignOwner(int(e.Proc))
+	foreign := ln.foreignOwner(e.Proc)
 	switch {
 	case e.Op == obs.OpRead:
 		if e.DI && !foreign {
@@ -585,7 +585,11 @@ func (m *Monitor) consumeTx(e *obs.Event) {
 
 func (m *Monitor) consumeState(e *obs.Event) {
 	m.states++
-	if e.Proto != 0 && e.Bus >= 0 && e.Proc >= 0 {
+	if uint32(e.Bus) >= obs.MaxID || uint32(e.Proc) >= obs.MaxID {
+		m.truncated++
+		return
+	}
+	if e.Proto != 0 {
 		for len(m.procProto) <= int(e.Bus) {
 			m.procProto = append(m.procProto, nil)
 		}
@@ -600,7 +604,7 @@ func (m *Monitor) consumeState(e *obs.Event) {
 		m.truncated++
 		return
 	}
-	ln.remember(e, m.cfg.ContextDepth)
+	m.remember(ln, e)
 
 	from, to := e.From, e.To
 	if !known(from) || !known(to) {
@@ -632,6 +636,7 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	}
 
 	// Apply, then the structural §3.1 invariants.
+	m.slot(ln, int(e.Proc))
 	ln.setState(int(e.Proc), to)
 	if to.OwnedCopy() && ln.owners > 1 {
 		m.report(InvSingleOwner, e, ln, fmt.Sprintf(
@@ -888,7 +893,7 @@ func (m *Monitor) Violations() []Violation {
 func (m *Monitor) Report() *Report {
 	r := &Report{
 		Events: m.events, States: m.states, Txs: m.txs,
-		Lines: m.nlines, TruncatedEvents: m.truncated,
+		Lines: m.lines.Len(), TruncatedEvents: m.truncated,
 		Total:       m.total,
 		ByInvariant: make(map[Invariant]int64),
 		Counts:      m.Counts(),

@@ -322,7 +322,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		}
 		if p.waited > 0 {
 			if rec := e.Sys.Obs; rec != nil {
-				rec.Emit(obs.Event{
+				rec.Emit(&obs.Event{
 					TS:      rec.Clock(),
 					Dur:     p.waited,
 					Kind:    obs.KindBlocked,

@@ -220,6 +220,12 @@ func New(cfg Config) (*System, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: invalid shard count %d", cfg.Shards)
 	}
+	// Events name a board by its index and a shard by ObsID plus its
+	// index; the analyzers keep per-line state only for ids below
+	// obs.MaxID.
+	if len(cfg.Boards) > obs.MaxID || cfg.ObsID+shards > obs.MaxID {
+		return nil, fmt.Errorf("sim: %d boards on %d shards: board and shard ids must stay below %d", len(cfg.Boards), shards, obs.MaxID)
+	}
 	// The interleave granularity is the largest sector size on any
 	// board, so every sector (and its write-backs) is homed on one
 	// shard; smaller sector sizes must divide it (cache.CheckGeometry).

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"futurebus/internal/cache"
+	"futurebus/internal/hierarchy"
+	"futurebus/internal/obs"
 )
 
 // TestNewRejectsBadGeometry: an invalid line size or cache geometry is
@@ -65,6 +67,31 @@ func TestNewAcceptsGeometryBounds(t *testing.T) {
 		}
 		if _, err := sys.Boards[0].Read(5, 0); err != nil {
 			t.Errorf("%+v: read: %v", cfg, err)
+		}
+	}
+}
+
+// TestNewRejectsIDsPastMaxID: every board and bus id a system gives its
+// events stays below obs.MaxID, the bound under which the analyzers
+// keep per-line state; a larger flat system or tree is an error.
+func TestNewRejectsIDsPastMaxID(t *testing.T) {
+	if _, err := New(Homogeneous("moesi", obs.MaxID)); err != nil {
+		t.Fatalf("%d boards rejected: %v", obs.MaxID, err)
+	}
+	for name, cfg := range map[string]Config{
+		"boards": Homogeneous("moesi", obs.MaxID+1),
+		"shards": {Boards: []BoardSpec{{Protocol: "moesi"}}, ObsID: 1, Shards: obs.MaxID},
+	} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "must stay below") {
+			t.Errorf("%s: New error = %v", name, err)
+		}
+	}
+	for _, cfg := range []hierarchy.Config{
+		{Clusters: 2, ProcsPerCluster: obs.MaxID/2 + 1},
+		{Clusters: obs.MaxID, ProcsPerCluster: 1},
+	} {
+		if _, err := NewTree(cfg); err == nil || !strings.Contains(err.Error(), "must stay below") {
+			t.Errorf("%d×%d tree: NewTree error = %v", cfg.Clusters, cfg.ProcsPerCluster, err)
 		}
 	}
 }

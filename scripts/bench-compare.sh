@@ -28,7 +28,8 @@
 # contended} — nothing is allocated per deferral, per address cycle or
 # per grant, contended or not), and its sink rungs
 # (BenchmarkLayer/obs/{record,coherence,watch,perf}, each sink of
-# simbench's ab-observed set folding one run's event stream). The obs
+# simbench's ab-observed set folding one run's event stream, and
+# BenchmarkLayer/obs/causal, the fourth analyzer -serve runs). The obs
 # emit rung is not gated: its footprint is the Go runtime's, which now
 # and then makes a thread while the recorder hands a batch to its drain
 # goroutine (0 or about 1,100 B/op at -benchtime 5x);
@@ -205,7 +206,7 @@ END {
 		"BenchmarkLayer/engine BenchmarkLayer/snoop/held-0 BenchmarkLayer/snoop/held-1 BenchmarkLayer/snoop/held-7 " \
 		"BenchmarkLayer/arbiter/uncontended BenchmarkLayer/arbiter/contended " \
 		"BenchmarkLayer/obs/record BenchmarkLayer/obs/coherence BenchmarkLayer/obs/watch " \
-		"BenchmarkLayer/obs/perf", gated, " ")
+		"BenchmarkLayer/obs/perf BenchmarkLayer/obs/causal", gated, " ")
 	label["BenchmarkBusLockedRMW"] = "atomic fast path"
 	label["BenchmarkP1/moesi"] = "simulation hot path"
 	label["BenchmarkP4"] = "random-choice simulation"
@@ -220,6 +221,7 @@ END {
 	label["BenchmarkLayer/obs/coherence"] = "coherence sink rung"
 	label["BenchmarkLayer/obs/watch"] = "watch sink rung"
 	label["BenchmarkLayer/obs/perf"] = "perf sink rung"
+	label["BenchmarkLayer/obs/causal"] = "causal sink rung"
 	for (g = 1; g in gated; g++) {
 		fp = gated[g]
 		if (!(fp in base && fp in cur)) continue
