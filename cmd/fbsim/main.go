@@ -122,11 +122,17 @@ func main() {
 
 	gens := sys.Generators(func(proc int) workload.Generator {
 		if *replay != "" {
-			f, err := os.Open(fmt.Sprintf("%s.%d.trace", *replay, proc))
+			path := fmt.Sprintf("%s.%d.trace", *replay, proc)
+			f, err := os.Open(path)
 			fail(err)
 			defer f.Close()
 			trace, err := workload.ReadTrace(f)
-			fail(err)
+			if err != nil {
+				fail(fmt.Errorf("%s: %w", path, err))
+			}
+			if len(trace) == 0 {
+				fail(fmt.Errorf("%s: trace holds no references", path))
+			}
 			return workload.NewReplay(trace)
 		}
 		switch *wl {

@@ -289,9 +289,6 @@ func New(memory MemoryPort, cfg Config) *Bus {
 	}
 }
 
-// Tenure returns the tenure policy in effect.
-func (b *Bus) Tenure() TenurePolicy { return b.tenure }
-
 // LineSize returns the system-wide line size in bytes.
 func (b *Bus) LineSize() int { return b.cfg.LineSize }
 

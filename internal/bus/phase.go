@@ -47,10 +47,3 @@ type PhaseCosts struct {
 func (p PhaseCosts) Occupancy() int64 {
 	return p.Addr + p.Data + p.Intervention + p.Memory + p.Retry
 }
-
-// Transfer is the data-movement portion: beats plus whichever
-// first-word latency applied, including a split transaction's deferred
-// beats and off-bus service.
-func (p PhaseCosts) Transfer() int64 {
-	return p.Data + p.Intervention + p.Memory + p.Pend + p.Deferred
-}

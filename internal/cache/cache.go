@@ -115,10 +115,6 @@ func (c *Cache) region(addr bus.Addr) int {
 	return -1
 }
 
-// DefaultConfig is a small cache that misses often enough to exercise
-// the protocols.
-func DefaultConfig() Config { return Config{Sets: 64, Ways: 2} }
-
 // line is one line of a set. A set holds Ways × SubSectors lines, way
 // w being set[w*SubSectors : (w+1)*SubSectors]. A way's tag is its
 // lines' addresses and its LRU position the latest lastUse among them

@@ -131,9 +131,6 @@ func TestAccessors(t *testing.T) {
 	if c.ID() != 0 || c.LineSize() != testLineSize || c.Policy().Name() != "MOESI" {
 		t.Errorf("accessors: %d %d %s", c.ID(), c.LineSize(), c.Policy().Name())
 	}
-	if DefaultConfig().Sets == 0 {
-		t.Error("DefaultConfig has no sets")
-	}
 	u := newNonCaching(9, b, false, nil)
 	if u.ID() != 9 {
 		t.Errorf("uncached id %d", u.ID())

@@ -279,9 +279,6 @@ func (a *Analyzer) limit() int {
 	return DefaultLimit
 }
 
-// Overflow reports how many transactions were discarded past Limit.
-func (a *Analyzer) Overflow() int64 { return a.overflow }
-
 // AnalyzeEvents runs a one-shot analysis over an in-memory event slice.
 func AnalyzeEvents(events []obs.Event) *Analysis {
 	var a Analyzer

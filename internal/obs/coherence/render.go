@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"futurebus/internal/obs"
 )
 
 // Render writes a human-readable report of the analysis: per-protocol
@@ -14,8 +16,8 @@ func (an *Analysis) Render(w io.Writer) {
 	fmt.Fprintf(w, "coherence analysis: %d events (%d state transitions), %d lines, span %s\n",
 		an.Events, an.StateEvents, an.Lines, fmtNS(an.SpanNS))
 	if an.TruncatedLines > 0 {
-		fmt.Fprintf(w, "note: %d lines past the tracking cap (matrices complete; chains/residency partial)\n",
-			an.TruncatedLines)
+		fmt.Fprintf(w, "note: %d state events got no line: past the %d-line cap, or a bus or proc outside [0, %d) (matrices complete; chains/residency partial)\n",
+			an.TruncatedLines, MaxLines, obs.MaxID)
 	}
 	for _, name := range an.ProtocolNames() {
 		ps := an.Protocols[name]

@@ -344,32 +344,172 @@ func TestDiffZeroFill(t *testing.T) {
 // dropped is not judged; the diff stays clean.
 func TestDiffBenchAddedBenchmark(t *testing.T) {
 	base := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{
-		"bench.BenchmarkOld.allocs_per_op":  230,
-		"bench.BenchmarkKept.allocs_per_op": 40,
+		"bench.BenchmarkP4.allocs_per_op":       230,
+		"bench.BenchmarkP1/moesi.allocs_per_op": 40,
 	}}
 	cand := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{
-		"bench.BenchmarkKept.allocs_per_op": 40,
-		"bench.BenchmarkNew.allocs_per_op":  500,
-		"bench.BenchmarkNew.B_per_op":       12_000,
+		"bench.BenchmarkP1/moesi.allocs_per_op":     40,
+		"bench.BenchmarkLayer/engine.allocs_per_op": 500,
+		"bench.BenchmarkLayer/engine.B_per_op":      12_000,
 	}}
 	rep := Diff(base, cand, 0)
 	if rep.Verdict != "ok" || rep.Regressions != 0 || len(rep.Rows) != 3 {
 		t.Fatalf("verdict %q, %d regressed, %d rows; want ok, 0, 3 (rows %+v)", rep.Verdict, rep.Regressions, len(rep.Rows), rep.Rows)
 	}
 	for _, row := range rep.Rows {
-		if skipped := strings.HasPrefix(row.Key, "bench.BenchmarkNew."); row.Skipped != skipped {
+		if skipped := strings.HasPrefix(row.Key, "bench.BenchmarkLayer/engine."); row.Skipped != skipped {
 			t.Errorf("%s: skipped %v, want %v", row.Key, row.Skipped, skipped)
 		}
 	}
 	var sb strings.Builder
 	rep.Render(&sb)
-	if out := sb.String(); !strings.Contains(out, "(no baseline)") || strings.Contains(out, "BenchmarkOld") {
+	if out := sb.String(); !strings.Contains(out, "(no baseline)") || strings.Contains(out, "BenchmarkP4") {
 		t.Errorf("render: want the new benchmark's rows marked (no baseline) and no row for the dropped one:\n%s", out)
 	}
 }
 
-// TestDiffBenchAllocationFootprint: a bench diff judges allocations as
-// scripts/bench-compare.sh does, on 5% of the baseline: P1/moesi going
+// gatedBench are the benchmarks whose B/op and allocs/op CI's
+// allocation gate has judged since the layer ladder's sink rungs joined
+// it. None may drop out of the gate.
+var gatedBench = []string{
+	"BenchmarkBusLockedRMW", "BenchmarkP1/moesi", "BenchmarkP4", "BenchmarkRandomPolicyChoice",
+	"BenchmarkLayer/engine", "BenchmarkLayer/snoop/held-0", "BenchmarkLayer/snoop/held-1",
+	"BenchmarkLayer/snoop/held-7", "BenchmarkLayer/arbiter/uncontended",
+	"BenchmarkLayer/arbiter/contended", "BenchmarkLayer/obs/record",
+	"BenchmarkLayer/obs/coherence", "BenchmarkLayer/obs/watch", "BenchmarkLayer/obs/perf",
+	"BenchmarkLayer/obs/causal",
+}
+
+// gatedRegressions returns the keys of the rows that flip the verdict.
+func gatedRegressions(rep GateReport) []string {
+	var keys []string
+	for _, row := range rep.Rows {
+		if row.Direction == "regressed" && !row.Advisory {
+			keys = append(keys, row.Key)
+		}
+	}
+	return keys
+}
+
+// TestDiffBenchGatedPairs: every (gated benchmark, unit) pair regresses
+// one unit past the limit the allocation gate has always applied
+// (B/op past base×1.05, allocs/op past base×1.05 + 0.5), whatever the
+// baseline, and it is the only key that does: the same benchmark's
+// ns/op, allocs per reference and ns per grant, doubled beside it, stay
+// advisory.
+func TestDiffBenchGatedPairs(t *testing.T) {
+	limit := map[string]func(float64) float64{
+		"B_per_op":      func(b float64) float64 { return b * 1.05 },
+		"allocs_per_op": func(b float64) float64 { return b*1.05 + 0.5 },
+	}
+	for _, name := range gatedBench {
+		for unit, lim := range limit {
+			for _, b := range []float64{0, 1, 86, 67792} {
+				base := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{}}
+				cand := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{}}
+				for _, u := range []string{"B_per_op", "allocs_per_op", "ns_per_op", "allocs_per_ref", "ns_per_grant"} {
+					base.Metrics["bench."+name+"."+u] = b + 100
+					cand.Metrics["bench."+name+"."+u] = 2 * (b + 100)
+				}
+				key := "bench." + name + "." + unit
+				base.Metrics[key] = b
+				cand.Metrics[key] = lim(b) + 1
+				other := "bench." + name + ".B_per_op"
+				if unit == "B_per_op" {
+					other = "bench." + name + ".allocs_per_op"
+				}
+				cand.Metrics[other] = base.Metrics[other]
+				rep := Diff(base, cand, 0)
+				if got := gatedRegressions(rep); !reflect.DeepEqual(got, []string{key}) || rep.Verdict != "regressed" {
+					t.Errorf("%s %v -> %v: regressed %v (verdict %s), want only %s", key, b, cand.Metrics[key], got, rep.Verdict, key)
+				}
+			}
+		}
+	}
+}
+
+// TestDiffBenchRatioRows: a bench report shows the intra-run overhead
+// and scaling ratios as advisory rows, each marked WARN past its limit
+// and none flipping the verdict.
+func TestDiffBenchRatioRows(t *testing.T) {
+	doc := func(fbt, serve, watch, perf, shards8 float64) Record {
+		m := map[string]float64{"bench.BenchmarkP4.allocs_per_op": 100}
+		for name, v := range map[string]float64{
+			"BenchmarkObsRecordingOverhead/off":       1000,
+			"BenchmarkObsRecordingOverhead/fbt":       1000 * fbt,
+			"BenchmarkObsRecordingOverhead/serve":     1000 * serve,
+			"BenchmarkWatchSinkOverhead/record":       2000,
+			"BenchmarkWatchSinkOverhead/record+watch": 2000 * watch,
+			"BenchmarkPerfSinkOverhead/record":        4000,
+			"BenchmarkPerfSinkOverhead/record+perf":   4000 * perf,
+		} {
+			m["bench."+name+".ns_per_op"] = v
+			m["bench."+name+".cpu_ns_per_op"] = 2 * v
+		}
+		m["bench.BenchmarkShardedFabric/shards1.refs_per_simms"] = 10_000
+		m["bench.BenchmarkShardedFabric/shards8.refs_per_simms"] = 10_000 * shards8
+		return Record{Schema: Schema, Kind: KindBench, Metrics: m}
+	}
+	want := []struct {
+		key   string
+		limit float64
+	}{
+		{"ratio.fbt/off.ns_per_op", 1.05},
+		{"ratio.fbt/off.cpu_ns_per_op", 0},
+		{"ratio.serve/off.ns_per_op", 0},
+		{"ratio.serve/off.cpu_ns_per_op", 0},
+		{"ratio.record+watch/record.ns_per_op", 1.10},
+		{"ratio.record+watch/record.cpu_ns_per_op", 0},
+		{"ratio.record+perf/record.ns_per_op", 1.10},
+		{"ratio.record+perf/record.cpu_ns_per_op", 0},
+		{"ratio.shards8/shards1.refs_per_simms", 2},
+	}
+	base := doc(1.02, 3.1, 1.05, 1.05, 4.4)
+	for _, c := range []struct {
+		name string
+		cand Record
+		past bool
+	}{
+		{"within limits", doc(1.04, 9, 1.09, 1.09, 2.1), false},
+		{"past limits", doc(1.06, 9, 1.11, 1.11, 1.9), true},
+	} {
+		rep := Diff(base, c.cand, 0)
+		rows := map[string]GateRow{}
+		for _, row := range rep.Rows {
+			rows[row.Key] = row
+		}
+		for _, w := range want {
+			row, ok := rows[w.key]
+			if !ok {
+				t.Errorf("%s: no %s row", c.name, w.key)
+				continue
+			}
+			wantDir := "flat"
+			if c.past && w.limit != 0 {
+				wantDir = "regressed"
+			}
+			if !row.Advisory || row.Limit != w.limit || row.Direction != wantDir {
+				t.Errorf("%s: %s advisory %v, limit %v, %s; want advisory, limit %v, %s", c.name, w.key, row.Advisory, row.Limit, row.Direction, w.limit, wantDir)
+			}
+		}
+		if rep.Verdict != "ok" {
+			t.Errorf("%s: verdict %s, want ok (ratios are advisory)", c.name, rep.Verdict)
+		}
+		var sb strings.Builder
+		rep.Render(&sb)
+		if warned := strings.Contains(sb.String(), "(advisory, limit 2) WARN"); warned != c.past {
+			t.Errorf("%s: shard-scaling row marked WARN %v, want %v:\n%s", c.name, warned, c.past, sb.String())
+		}
+	}
+	perf := doc(2, 2, 2, 2, 1)
+	perf.Kind = KindPerf
+	if rows := Diff(perf, perf, 0).Rows; len(rows) != len(perf.Metrics) {
+		t.Errorf("a non-bench record got %d rows for %d metrics", len(rows), len(perf.Metrics))
+	}
+}
+
+// TestDiffBenchAllocationFootprint: a bench diff judges a gated
+// benchmark's allocations on 5% of the baseline: P1/moesi going
 // from 224 to 240 allocs/op (+7.1%) and the atomic fast path from 0 to
 // 8 B/op both regress, while wall-clock ns/op stays advisory.
 func TestDiffBenchAllocationFootprint(t *testing.T) {

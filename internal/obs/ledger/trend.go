@@ -62,9 +62,12 @@ type GateRow struct {
 	// Direction is the regress.Direction string: "flat", "regressed"
 	// or "improved".
 	Direction string `json:"direction"`
-	// Advisory marks host-load metrics (wall clock, GC) that are
-	// reported but never flip the gate.
+	// Advisory marks metrics that are reported but never flip the
+	// gate (regress.Advisory) and a bench record's intra-run ratios.
 	Advisory bool `json:"advisory,omitempty"`
+	// Limit is a ratio row's advisory bound (regress.BenchRatio); its
+	// Direction is "regressed" when Value is past it.
+	Limit float64 `json:"limit,omitempty"`
 	// Skipped is set when the metric had fewer than MinRuns baseline
 	// values and was not judged.
 	Skipped bool `json:"skipped,omitempty"`
@@ -91,7 +94,9 @@ type GateReport struct {
 // history (oldest first; pre-filter with Filter so kind and label
 // match the candidate). Every metric present in the candidate is
 // judged against the trailing Window values of that metric in the
-// history; advisory metrics are classified but never counted.
+// history; advisory metrics are classified but never counted. A bench
+// candidate also gets one advisory row per regress.BenchRatios ratio
+// it carries.
 func Gate(history []Record, candidate Record, opts GateOpts) GateReport {
 	o := opts.withDefaults()
 	rep := GateReport{
@@ -129,6 +134,13 @@ func Gate(history []Record, candidate Record, opts GateOpts) GateReport {
 			rep.Improvements++
 		}
 	}
+	if candidate.Kind == KindBench {
+		for _, r := range regress.BenchRatios {
+			if row, ok := ratioRow(r, history, candidate, o.Window); ok {
+				rep.Rows = append(rep.Rows, row)
+			}
+		}
+	}
 	switch {
 	case !judged:
 		rep.Verdict = "no-baseline"
@@ -138,6 +150,33 @@ func Gate(history []Record, candidate Record, opts GateOpts) GateReport {
 		rep.Verdict = "ok"
 	}
 	return rep
+}
+
+// ratioRow is r's advisory row for a bench candidate: the ratio in the
+// candidate, its baseline over the trailing window of the history's
+// ratios, and Direction "regressed" when the ratio is past r's limit.
+func ratioRow(r regress.BenchRatio, history []Record, cand Record, window int) (GateRow, bool) {
+	v, ok := r.Of(cand.Metrics)
+	if !ok {
+		return GateRow{}, false
+	}
+	var series []float64
+	for _, h := range history {
+		if x, ok := r.Of(h.Metrics); ok {
+			series = append(series, x)
+		}
+	}
+	if len(series) > window {
+		series = series[len(series)-window:]
+	}
+	row := GateRow{
+		Key: r.Key(), Baseline: regress.NewBaseline(series), Value: v,
+		Direction: regress.Flat.String(), Advisory: true, Limit: r.Limit,
+	}
+	if r.Past(v) {
+		row.Direction = regress.Regressed.String()
+	}
+	return row, true
 }
 
 // Diff judges cand against base as a one-run rolling gate. Over a
@@ -177,14 +216,19 @@ func zeroFill(r, other Record) Record {
 }
 
 // Render writes the report as a table: one row per metric with its
-// baseline median, value, relative change and verdict, then the verdict
-// line and either "no regressions" or "N regression(s)".
+// baseline median, value, relative change and verdict (an advisory row
+// that moved past its thresholds or limit is marked WARN), then the
+// verdict line and either "no regressions" or "N regression(s)".
 func (r GateReport) Render(w io.Writer) {
 	if r.Note != "" {
 		fmt.Fprintf(w, "note: %s\n", r.Note)
 	}
 	fmt.Fprintf(w, "gate: kind=%s label=%s baseline=%d run(s)\n", orDash(r.Kind), orDash(r.Label), r.Runs)
-	fmt.Fprintf(w, "  %-42s %14s %14s %8s  %s\n", "metric", "baseline", "value", "change", "verdict")
+	width := 42 // the metric column fits the longest key
+	for _, row := range r.Rows {
+		width = max(width, len(row.Key))
+	}
+	fmt.Fprintf(w, "  %-*s %14s %14s %8s  %s\n", width, "metric", "baseline", "value", "change", "verdict")
 	for _, row := range r.Rows {
 		verdict := row.Direction
 		switch {
@@ -192,6 +236,12 @@ func (r GateReport) Render(w io.Writer) {
 			verdict = "(no baseline)"
 		case row.Advisory:
 			verdict = "(advisory)"
+			if row.Limit != 0 {
+				verdict = fmt.Sprintf("(advisory, limit %g)", row.Limit)
+			}
+			if row.Direction == regress.Regressed.String() {
+				verdict += " WARN"
+			}
 		case row.Direction == regress.Regressed.String():
 			verdict = "REGRESSED"
 		}
@@ -202,7 +252,7 @@ func (r GateReport) Render(w io.Writer) {
 		} else if row.Value == 0 {
 			change = "+0.0%"
 		}
-		fmt.Fprintf(w, "  %-42s %14.4f %14.4f %8s  %s\n", row.Key, base, row.Value, change, verdict)
+		fmt.Fprintf(w, "  %-*s %14.4f %14.4f %8s  %s\n", width, row.Key, base, row.Value, change, verdict)
 	}
 	fmt.Fprintf(w, "verdict: %s (%d regressed, %d improved)\n", r.Verdict, r.Regressions, r.Improvements)
 	if r.Regressions == 0 {

@@ -1,11 +1,17 @@
 // Package regress is the one regression-decision layer of the
 // observability stack. Every verdict in the tree — fbt causal diff, fbt
-// lens diff, fbtrend diff, fbtrend gate and the obshttp /trend
-// endpoint — comes from ledger.Gate, which asks this package one
-// question per metric: did it move in its bad direction by enough to
-// matter? A pairwise diff is the gate over a one-run history.
+// lens diff, fbtrend diff, fbtrend gate (and so scripts/bench-compare.sh,
+// which calls them) and the obshttp /trend endpoint — comes from
+// ledger.Gate, which asks this package one question per metric: did it
+// move in its bad direction by enough to matter? A pairwise diff is the
+// gate over a one-run history.
 //
-// Two layers:
+// Three layers:
+//
+//   - Advisory says which keys may gate at all. Host-time metrics never
+//     do, and of a bench record's keys only the allocation footprint of
+//     the benchmarks gatedBenchmarks lists does. BenchRatios are the
+//     advisory intra-run ratios a bench report shows beside them.
 //
 //   - Thresholds is the rel+abs double gate: a move only counts when it
 //     exceeds BOTH the relative threshold (so large baselines need a
@@ -25,6 +31,7 @@ package regress
 
 import (
 	"math"
+	"path"
 	"sort"
 	"strings"
 )
@@ -220,16 +227,55 @@ func BetterUp(key string) bool {
 }
 
 // advisoryMarks are key substrings whose metrics depend on host load —
-// wall clock, CPU time, GC pauses, host-side throughput. They are
-// reported but never gate; allocation counts are deterministic and do.
-var advisoryMarks = []string{
-	"wall_ns", "gc_pause", "refs_per_sec", "wall_clock",
-	"ns_per_op", "hostns_per_ref",
+// wall clock, GC pauses, host-side throughput. They are reported but
+// never gate; allocation counts are deterministic and do. A bench
+// record's keys are judged by gatedBenchmarks instead.
+var advisoryMarks = []string{"wall_ns", "gc_pause", "refs_per_sec"}
+
+// gatedBenchmarks are the benchmarks whose allocation footprint, a
+// bench record's B_per_op and allocs_per_op, gates. Both are
+// deterministic and these paths allocate nothing per reference,
+// transaction, grant or event once warm, so a move past ThresholdsFor's
+// 5% is a code change. Every other key of a bench record is advisory:
+// wall-clock and CPU time, host-time units such as ns_per_grant,
+// simulated figures, and the footprint of benchmarks not listed, such
+// as BenchmarkLayer/obs/emit, whose footprint is the Go runtime's (now
+// and then it makes a thread while the recorder hands a batch to its
+// drain goroutine).
+var gatedBenchmarks = map[string]bool{
+	// The atomic-mode bus fast path, a whole deterministic simulation
+	// (preferred and §3.4 random-choice boards) and one class choice.
+	"BenchmarkBusLockedRMW":       true,
+	"BenchmarkP1/moesi":           true,
+	"BenchmarkP4":                 true,
+	"BenchmarkRandomPolicyChoice": true,
+	// The layer ladder's engine, snoop and arbiter rungs.
+	"BenchmarkLayer/engine":              true,
+	"BenchmarkLayer/snoop/held-0":        true,
+	"BenchmarkLayer/snoop/held-1":        true,
+	"BenchmarkLayer/snoop/held-7":        true,
+	"BenchmarkLayer/arbiter/uncontended": true,
+	"BenchmarkLayer/arbiter/contended":   true,
+	// Its sink rungs: each analyzer folding one run's event stream.
+	"BenchmarkLayer/obs/record":    true,
+	"BenchmarkLayer/obs/coherence": true,
+	"BenchmarkLayer/obs/watch":     true,
+	"BenchmarkLayer/obs/perf":      true,
+	"BenchmarkLayer/obs/causal":    true,
 }
 
-// Advisory reports whether the named metric is host-load noise that
-// must never flip a gate.
+// Advisory reports whether the named metric must never flip a gate:
+// host-load noise, or a bench record's key other than the allocation
+// footprint of a gated benchmark.
 func Advisory(key string) bool {
+	if name, ok := strings.CutPrefix(key, "bench."); ok {
+		for _, unit := range []string{".B_per_op", ".allocs_per_op"} {
+			if name, ok := strings.CutSuffix(name, unit); ok {
+				return !gatedBenchmarks[name]
+			}
+		}
+		return true
+	}
 	for _, m := range advisoryMarks {
 		if strings.Contains(key, m) {
 			return true
@@ -238,11 +284,64 @@ func Advisory(key string) bool {
 	return false
 }
 
+// BenchRatio is an advisory ratio of one unit between two benchmarks of
+// the same bench run: what a monitored run costs over a bare one, or
+// how far a fabric scales. A nonzero Limit bounds the ratio in the
+// unit's bad direction: a ceiling for time, a floor for throughput
+// (BetterUp).
+type BenchRatio struct {
+	Num, Den string
+	Unit     string
+	Limit    float64
+}
+
+// BenchRatios are the ratios a bench report shows. The overhead limits
+// judge wall-clock time; the CPU-time ratios beside them, which count
+// the drain goroutine's work on another core, have none.
+var BenchRatios = []BenchRatio{
+	{"BenchmarkObsRecordingOverhead/fbt", "BenchmarkObsRecordingOverhead/off", "ns_per_op", 1.05},
+	{"BenchmarkObsRecordingOverhead/fbt", "BenchmarkObsRecordingOverhead/off", "cpu_ns_per_op", 0},
+	{"BenchmarkObsRecordingOverhead/serve", "BenchmarkObsRecordingOverhead/off", "ns_per_op", 0},
+	{"BenchmarkObsRecordingOverhead/serve", "BenchmarkObsRecordingOverhead/off", "cpu_ns_per_op", 0},
+	{"BenchmarkWatchSinkOverhead/record+watch", "BenchmarkWatchSinkOverhead/record", "ns_per_op", 1.10},
+	{"BenchmarkWatchSinkOverhead/record+watch", "BenchmarkWatchSinkOverhead/record", "cpu_ns_per_op", 0},
+	{"BenchmarkPerfSinkOverhead/record+perf", "BenchmarkPerfSinkOverhead/record", "ns_per_op", 1.10},
+	{"BenchmarkPerfSinkOverhead/record+perf", "BenchmarkPerfSinkOverhead/record", "cpu_ns_per_op", 0},
+	{"BenchmarkShardedFabric/shards8", "BenchmarkShardedFabric/shards1", "refs_per_simms", 2},
+}
+
+// Key names the ratio's report row after the last segment of each
+// benchmark's name: "ratio.fbt/off.ns_per_op".
+func (r BenchRatio) Key() string {
+	return "ratio." + path.Base(r.Num) + "/" + path.Base(r.Den) + "." + r.Unit
+}
+
+// Of computes the ratio from a bench record's metrics; false when
+// either figure is missing or not positive.
+func (r BenchRatio) Of(metrics map[string]float64) (float64, bool) {
+	num, den := metrics["bench."+r.Num+"."+r.Unit], metrics["bench."+r.Den+"."+r.Unit]
+	if num <= 0 || den <= 0 {
+		return 0, false
+	}
+	return num / den, true
+}
+
+// Past reports whether ratio v lies beyond the limit.
+func (r BenchRatio) Past(v float64) bool {
+	switch {
+	case r.Limit == 0:
+		return false
+	case BetterUp(r.Unit):
+		return v < r.Limit
+	default:
+		return v > r.Limit
+	}
+}
+
 // ThresholdsFor is the one threshold table: the double gate for the
 // named metric. A positive rel overrides the relative default, which is
-// 5% for the lens rates and for a benchmark's allocation footprint (the
-// gate of scripts/bench-compare.sh) and 10% for everything else; the
-// absolute floor is AbsFloor's.
+// 5% for the lens rates and for a benchmark's allocation footprint and
+// 10% for everything else; the absolute floor is AbsFloor's.
 func ThresholdsFor(key string, rel float64) Thresholds {
 	if rel <= 0 {
 		rel = 0.10
@@ -261,10 +360,10 @@ func benchAlloc(key, unit string) bool {
 
 // AbsFloor picks the absolute threshold matching a metric key's unit:
 // 1µs for nanosecond metrics, half an object for allocation counts (8
-// bytes for allocated bytes, none for a benchmark's B/op, which
-// scripts/bench-compare.sh gates on the relative threshold alone), two
-// slots for queue depths and 0.001 for dimensionless rates. Unknown
-// units get a vanishing floor so the relative gate decides alone.
+// bytes for allocated bytes, none for a benchmark's B/op, which gates
+// on the relative threshold alone), two slots for queue depths and
+// 0.001 for dimensionless rates. Unknown units get a vanishing floor so
+// the relative gate decides alone.
 func AbsFloor(key string) float64 {
 	switch {
 	case strings.Contains(key, "_ns") || strings.Contains(key, "ns_per_op"):

@@ -171,24 +171,26 @@ func TestMetricKeyHeuristics(t *testing.T) {
 }
 
 // TestHostTimeAdvisory: BENCH files' host-time columns (wall-clock and
-// CPU ns/op, host ns per simulated reference) drift with host load on
-// untouched code, so they never gate; allocation columns are
-// deterministic and still do.
+// CPU ns/op, host ns per simulated reference, ns per grant) drift with
+// host load on untouched code, so they never gate; a gated benchmark's
+// allocation columns are deterministic and still do, as do the
+// deterministic keys of other report kinds.
 func TestHostTimeAdvisory(t *testing.T) {
 	for _, key := range []string{
 		"bench.BenchmarkBroadcastUpdate.ns_per_op",
 		"bench.BenchmarkLayer/engine.cpu_ns_per_op",
 		"bench.BenchmarkP1/moesi.hostns_per_ref",
+		"bench.BenchmarkLayer/arbiter/contended.ns_per_grant",
 	} {
 		if !Advisory(key) {
 			t.Errorf("%s should be advisory", key)
 		}
 	}
 	for _, key := range []string{
-		"bench.BenchmarkTable2.B_per_op",
+		"bench.BenchmarkP1/moesi.B_per_op",
 		"bench.BenchmarkP1/moesi.allocs_per_op",
-		"bench.BenchmarkP1/moesi.allocs_per_ref",
-		"bench.BenchmarkP1/moesi.p99arb_ns",
+		"host.alloc_objects_per_ref",
+		"perf.arb_wait_ns.p99",
 	} {
 		if Advisory(key) {
 			t.Errorf("%s is deterministic and must gate", key)
@@ -196,10 +198,54 @@ func TestHostTimeAdvisory(t *testing.T) {
 	}
 }
 
+// TestBenchAdvisoryUnlessListed: of a bench record's keys only the
+// B/op and allocs/op of a listed benchmark gate. The obs emit rung's
+// footprint is the Go runtime's, an unlisted benchmark's allocations
+// and a listed one's other figures, simulated ones included, are shown
+// but never gate.
+func TestBenchAdvisoryUnlessListed(t *testing.T) {
+	for key, advisory := range map[string]bool{
+		"bench.BenchmarkLayer/obs/emit.B_per_op":              true,
+		"bench.BenchmarkLayer/obs/emit.allocs_per_op":         true,
+		"bench.BenchmarkTable2.allocs_per_op":                 true,
+		"bench.BenchmarkTable2.B_per_op":                      true,
+		"bench.BenchmarkLayer/arbiter/contended.ns_per_grant": true,
+		"bench.BenchmarkP1/moesi.allocs_per_ref":              true,
+		"bench.BenchmarkP1/moesi.p99arb_ns":                   true,
+		"bench.BenchmarkLayer/arbiter/contended.B_per_op":     false,
+		"bench.BenchmarkLayer/obs/causal.allocs_per_op":       false,
+		"bench.BenchmarkRandomPolicyChoice.B_per_op":          false,
+	} {
+		if Advisory(key) != advisory {
+			t.Errorf("Advisory(%q) = %v, want %v", key, !advisory, advisory)
+		}
+	}
+}
+
+// TestBenchRatioPast: a time ratio is past its limit above it, a
+// throughput ratio below it, and a ratio with no limit never is.
+func TestBenchRatioPast(t *testing.T) {
+	slow := BenchRatio{Num: "BenchmarkA/x", Den: "BenchmarkA/y", Unit: "ns_per_op", Limit: 1.05}
+	scale := BenchRatio{Num: "BenchmarkS/8", Den: "BenchmarkS/1", Unit: "refs_per_simms", Limit: 2}
+	free := BenchRatio{Num: "BenchmarkA/x", Den: "BenchmarkA/y", Unit: "ns_per_op"}
+	if !slow.Past(1.06) || slow.Past(1.05) || !scale.Past(1.9) || scale.Past(2) || free.Past(100) {
+		t.Error("Past misjudges a limit")
+	}
+	if k := slow.Key(); k != "ratio.x/y.ns_per_op" {
+		t.Errorf("key %q", k)
+	}
+	m := map[string]float64{"bench.BenchmarkA/x.ns_per_op": 30, "bench.BenchmarkA/y.ns_per_op": 20}
+	if v, ok := slow.Of(m); !ok || v != 1.5 {
+		t.Errorf("Of = %v, %v; want 1.5, true", v, ok)
+	}
+	if _, ok := scale.Of(m); ok {
+		t.Error("a ratio of missing figures")
+	}
+}
+
 // TestThresholdsFor: the lens rates and a benchmark's allocation
-// footprint default to 5% (B/op with no floor, as bench-compare.sh
-// gates it), everything else to 10%, a nonzero rel overrides both, and
-// the floor is AbsFloor's.
+// footprint default to 5% (B/op with no floor), everything else to
+// 10%, a nonzero rel overrides both, and the floor is AbsFloor's.
 func TestThresholdsFor(t *testing.T) {
 	cases := []struct {
 		key  string

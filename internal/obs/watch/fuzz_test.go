@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"futurebus/internal/obs"
@@ -47,4 +51,41 @@ func FuzzAnalyzeTrace(f *testing.F) {
 		_ = rep.Summary()
 		an.Render(io.Discard)
 	})
+}
+
+// TestTruncationNamesBothCauses: a trace's one state event from proc
+// 1<<20 (the proc-1M seed) gets no line in either analyzer. Both count
+// it as truncated, and both reports say that an event outside the id
+// bound is counted there too, not only one past the line cap.
+func TestTruncationNamesBothCauses(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzAnalyzeTrace", "proc-1M"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.NewTraceReader(strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := watch.New(watch.Config{})
+	var lens coherence.Analyzer
+	for e := (obs.Event{}); tr.Next(&e) == nil; {
+		mon.Consume(&e)
+		lens.Consume(&e)
+	}
+	rep, an := mon.Report(), lens.Analyze(0)
+	if rep.TruncatedEvents != 1 || an.TruncatedLines != 1 {
+		t.Fatalf("truncated_events %d, truncated_lines %d; want 1 and 1", rep.TruncatedEvents, an.TruncatedLines)
+	}
+	var sb strings.Builder
+	an.Render(&sb)
+	for name, text := range map[string]string{"watch": rep.Summary(), "lens": sb.String()} {
+		if !strings.Contains(text, "line cap") || !strings.Contains(text, "bus or proc outside [0, 1024)") {
+			t.Errorf("%s report does not name both causes:\n%s", name, text)
+		}
+	}
 }

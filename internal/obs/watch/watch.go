@@ -923,8 +923,8 @@ func (r *Report) Summary() string {
 		}
 	}
 	if r.TruncatedEvents > 0 {
-		fmt.Fprintf(&b, "  (%d events on lines beyond the %d-line cap were not checked)\n",
-			r.TruncatedEvents, DefaultMaxLines)
+		fmt.Fprintf(&b, "  (%d events were not checked: on lines past the line cap, or state events with a bus or proc outside [0, %d))\n",
+			r.TruncatedEvents, obs.MaxID)
 	}
 	return b.String()
 }

@@ -103,38 +103,39 @@ func (t Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadTrace deserialises a trace written by WriteTo.
+// ReadTrace deserialises a trace written by WriteTo. The trace grows as
+// references arrive, so a header that claims more references than the
+// input holds fails at the first missing one, having allocated only for
+// those read.
 func ReadTrace(r io.Reader) (Trace, error) {
 	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+	buf := make([]byte, 16) // one reference: line, flags, value
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, fmt.Errorf("workload: reading trace header: %w", err)
 	}
-	if magic != traceMagic {
+	if magic := binary.LittleEndian.Uint32(buf); magic != traceMagic {
 		return nil, fmt.Errorf("workload: bad trace magic %#x", magic)
 	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	if _, err := io.ReadFull(br, buf[:8]); err != nil {
 		return nil, fmt.Errorf("workload: reading trace length: %w", err)
 	}
+	count := binary.LittleEndian.Uint64(buf)
 	const maxTrace = 1 << 28
 	if count > maxTrace {
 		return nil, fmt.Errorf("workload: trace length %d exceeds limit", count)
 	}
-	t := make(Trace, count)
-	for i := range t {
-		var line uint64
-		var flags, val uint32
-		if err := binary.Read(br, binary.LittleEndian, &line); err != nil {
+	t := make(Trace, 0, min(count, 1024))
+	for i := uint64(0); i < count; i++ {
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("workload: ref %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-			return nil, fmt.Errorf("workload: ref %d: %w", i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &val); err != nil {
-			return nil, fmt.Errorf("workload: ref %d: %w", i, err)
-		}
-		t[i] = Ref{Line: line, Word: int(flags >> 1), Write: flags&1 != 0, Val: val}
+		flags := binary.LittleEndian.Uint32(buf[8:])
+		t = append(t, Ref{
+			Line:  binary.LittleEndian.Uint64(buf),
+			Word:  int(flags >> 1),
+			Write: flags&1 != 0,
+			Val:   binary.LittleEndian.Uint32(buf[12:]),
+		})
 	}
 	return t, nil
 }

@@ -50,10 +50,23 @@ gomaxprocs=${GOMAXPROCS:-$cpus} # go's default GOMAXPROCS is the CPU count
 date_utc=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+status=$(mktemp)
+trap 'rm -f "$raw" "$status"' EXIT
 
 echo "running benchmarks (-bench '$bench' -benchtime $benchtime -count $count)..." >&2
-go test -run '^$' -bench "$bench" -benchtime "$benchtime" -count "$count" ./... | tee "$raw" >&2
+# sh has no pipefail: the pipeline's status is tee's, so go test's goes
+# through a file. A benchmark that fails (b.Fatal, a panic) fails the
+# run, and nothing is written or ledgered.
+{
+	rc=0
+	go test -run '^$' -bench "$bench" -benchtime "$benchtime" -count "$count" ./... || rc=$?
+	echo "$rc" >"$status"
+} | tee "$raw" >&2
+rc=$(cat "$status")
+if [ "$rc" != 0 ]; then
+	echo "bench.sh: go test exited ${rc:-abnormally}; no results written" >&2
+	exit "${rc:-1}"
+fi
 
 # `go test -bench` lines look like:
 #   BenchmarkCacheReadHit-8   5   123.4 ns/op
