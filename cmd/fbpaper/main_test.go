@@ -81,6 +81,24 @@ func TestCleanPaths(t *testing.T) {
 	}
 }
 
+// TestVerifyGolden pins verify's whole stdout at 2, 3 and 4 boards: the
+// state and transition counts of every exploration and the two hazard
+// witnesses, message for message. Regenerate a golden with `go run
+// ./cmd/fbpaper verify -boards N > cmd/fbpaper/testdata/verify-boardsN.txt`
+// only for a deliberate change to the model or its messages.
+func TestVerifyGolden(t *testing.T) {
+	for _, n := range []string{"2", "3", "4"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "verify-boards"+n+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, code := fbpaper("verify", "-boards", n)
+		if code != cli.OK || out != string(want) {
+			t.Errorf("verify -boards %s: exit %d, stdout moved from its golden:\ngot:\n%s\nwant:\n%s", n, code, out, want)
+		}
+	}
+}
+
 // TestFailedCheckExits1: a litmus test whose `always` assertion is false
 // is a failed check, not an input error.
 func TestFailedCheckExits1(t *testing.T) {

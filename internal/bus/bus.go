@@ -292,9 +292,6 @@ func New(memory MemoryPort, cfg Config) *Bus {
 // LineSize returns the system-wide line size in bytes.
 func (b *Bus) LineSize() int { return b.cfg.LineSize }
 
-// Timing returns the cost model in use.
-func (b *Bus) Timing() Timing { return b.cfg.Timing }
-
 // Recorder returns the observability recorder (nil when tracing is
 // off). Attached units emit their own events through it, so wiring a
 // recorder into the bus instruments the whole segment.

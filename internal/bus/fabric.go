@@ -40,8 +40,6 @@ type Fabric interface {
 	ExecuteHeld(tx Transaction) (Result, error)
 	// LineSize is the system-wide line size in bytes.
 	LineSize() int
-	// Timing is the per-transaction cost model (identical across shards).
-	Timing() Timing
 	// Stats is a snapshot of the counters, summed over shards.
 	Stats() Stats
 	// Recorder is the observability recorder shared by every shard (nil
@@ -166,9 +164,6 @@ func (f *Interleaved) ExecuteHeld(tx Transaction) (Result, error) {
 
 // LineSize returns the system-wide line size in bytes.
 func (f *Interleaved) LineSize() int { return f.shards[0].LineSize() }
-
-// Timing returns the cost model (identical on every shard).
-func (f *Interleaved) Timing() Timing { return f.shards[0].Timing() }
 
 // Recorder returns the observability recorder shared by the shards.
 func (f *Interleaved) Recorder() *obs.Recorder { return f.shards[0].Recorder() }

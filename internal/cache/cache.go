@@ -350,7 +350,7 @@ func (c *Cache) unlock(sh *cacheShard) {
 }
 
 // lockAll takes every shard lock in shard order (whole-directory
-// operations: Stats, StateCensus, ForEachLine). The matching
+// operations: Stats, ForEachLine). The matching
 // unlockAll releases them.
 func (c *Cache) lockAll() {
 	for i := range c.shards {
@@ -371,20 +371,6 @@ func (c *Cache) unlockAll() {
 // Change the mark only while the cache is quiescent, with no shard lock
 // held.
 func (c *Cache) SetSingleOwner(on bool) { c.single = on }
-
-// StateCensus returns the number of valid lines per state — the
-// occupancy distribution the Archibald–Baer style reports use.
-func (c *Cache) StateCensus() map[core.State]int {
-	c.lockAll()
-	defer c.unlockAll()
-	census := make(map[core.State]int)
-	for i := range c.lines {
-		if s := c.lines[i].state; s.Valid() {
-			census[s]++
-		}
-	}
-	return census
-}
 
 // MaxSubSectors bounds Config.SubSectors: a 64-line sector already
 // spans 2 KiB at the default 32-byte line.

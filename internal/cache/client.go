@@ -493,27 +493,6 @@ func (c *Cache) pushLine(addr bus.Addr, event core.LocalEvent) error {
 	return nil
 }
 
-// FlushAll pushes every dirty line and drops every clean one — a
-// context switch or checkpoint handing the cache's contents back to
-// memory. Afterwards the cache is empty and memory holds the image of
-// everything it owned.
-func (c *Cache) FlushAll() error {
-	c.lockAll()
-	var addrs []bus.Addr
-	for i := range c.lines {
-		if l := &c.lines[i]; l.state.Valid() {
-			addrs = append(addrs, l.addr)
-		}
-	}
-	c.unlockAll()
-	for _, addr := range addrs {
-		if err := c.Flush(addr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // noteWrite reports an applied write to the golden-image observer.
 // Callers hold the shard lock or the bus (the point of visibility).
 func (c *Cache) noteWrite(addr bus.Addr, wordIdx int, val uint32) {

@@ -29,3 +29,23 @@ func (c *Cache) forceLine(addr bus.Addr, s core.State, data []byte) {
 	c.place(sh, v, s)
 	copy(c.lineData(v), data)
 }
+
+// FlushAll pushes every dirty line and drops every clean one, leaving
+// the cache empty and memory holding the image of everything it owned.
+func (c *Cache) FlushAll() error {
+	var addrs []bus.Addr
+	c.ForEachLine(func(addr bus.Addr, _ core.State, _ []byte) { addrs = append(addrs, addr) })
+	for _, addr := range addrs {
+		if err := c.Flush(addr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// StateCensus returns the number of valid lines per state.
+func (c *Cache) StateCensus() map[core.State]int {
+	census := make(map[core.State]int)
+	c.ForEachLine(func(_ bus.Addr, s core.State, _ []byte) { census[s]++ })
+	return census
+}

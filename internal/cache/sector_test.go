@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"futurebus/internal/bus"
+	"futurebus/internal/check"
 	"futurebus/internal/core"
 	"futurebus/internal/memory"
 	"futurebus/internal/protocols"
@@ -175,10 +176,17 @@ func TestSectorCoherentWithPlainCache(t *testing.T) {
 	}
 }
 
-// TestSectorWithConsistencyChecker: the checker invariants hold over a
-// mixed sector/plain system via ForEachLine.
+// TestSectorWithConsistencyChecker: the consistency checker, judging
+// against the golden record of writes, passes a mixed sector/plain
+// system via ForEachLine.
 func TestSectorWithConsistencyChecker(t *testing.T) {
-	_, mem, sc, pc := sectorRig(t)
+	mem := memory.New(testLineSize)
+	b := bus.New(mem, bus.Config{LineSize: testLineSize})
+	shadow := check.NewShadow(testLineSize)
+	scfg, pcfg := sectorCfg(), smallCfg()
+	scfg.OnWrite, pcfg.OnWrite = shadow.OnWrite, shadow.OnWrite
+	sc := New(0, b, protocols.MOESI(), scfg)
+	pc := New(1, b, protocols.MOESI(), pcfg)
 	for i := 0; i < 200; i++ {
 		addr := bus.Addr(i % 12)
 		if i%3 == 0 {
@@ -194,42 +202,9 @@ func TestSectorWithConsistencyChecker(t *testing.T) {
 			}
 		}
 	}
-	// Manual invariant pass: per line, unique ownership and identical
-	// copies between the two organisations.
-	type cp struct {
-		state core.State
-		data  []byte
-	}
-	lines := map[bus.Addr][]cp{}
-	sc.ForEachLine(func(a bus.Addr, s core.State, d []byte) { lines[a] = append(lines[a], cp{s, d}) })
-	pc.ForEachLine(func(a bus.Addr, s core.State, d []byte) { lines[a] = append(lines[a], cp{s, d}) })
-	for addr, copies := range lines {
-		owners := 0
-		for _, c := range copies {
-			if c.state.OwnedCopy() {
-				owners++
-			}
-		}
-		if owners > 1 {
-			t.Errorf("line %#x: %d owners", uint64(addr), owners)
-		}
-		for _, c := range copies[1:] {
-			for i := range c.data {
-				if c.data[i] != copies[0].data[i] {
-					t.Errorf("line %#x: divergent copies", uint64(addr))
-					break
-				}
-			}
-		}
-		if owners == 0 {
-			m := mem.Peek(addr)
-			for i := range m {
-				if copies[0].data[i] != m[i] {
-					t.Errorf("line %#x: unowned copy differs from memory", uint64(addr))
-					break
-				}
-			}
-		}
+	checker := &check.Checker{Caches: []check.LineSource{sc, pc}, Memory: mem, Shadow: shadow}
+	if err := checker.MustPass(); err != nil {
+		t.Fatal(err)
 	}
 }
 

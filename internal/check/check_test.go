@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -244,10 +245,205 @@ func TestCheckerDetectsStaleMemoryWithoutOwner(t *testing.T) {
 	}
 }
 
-// TestViolationString: locations are human-readable.
+// TestViolationString: locations are human-readable, and the breached
+// invariant is named by its section.
 func TestViolationString(t *testing.T) {
-	v := Violation{Addr: 0x40, Reason: "broken"}
-	if got := v.String(); !strings.Contains(got, "0x40") || !strings.Contains(got, "broken") {
+	v := Violation{Addr: 0x40, Invariant: core.SingleImage, Reason: "broken"}
+	if got := v.String(); got != "line 0x40: §3.1.1 single-valued image: broken" {
 		t.Errorf("violation renders %q", got)
 	}
+}
+
+// copySpec is one cache's copy in an enumerated snapshot.
+type copySpec struct {
+	state core.State
+	stale bool
+}
+
+// snapshots calls fn with every multiset of up to three copies over
+// {S, E, O, M} × {current, stale}, with memory current and stale: 330
+// snapshots.
+func snapshots(fn func(copies []copySpec, memStale bool)) {
+	var kinds []copySpec
+	for _, s := range []core.State{core.Shared, core.Exclusive, core.Owned, core.Modified} {
+		kinds = append(kinds, copySpec{s, false}, copySpec{s, true})
+	}
+	var grow func(from int, set []copySpec)
+	grow = func(from int, set []copySpec) {
+		fn(set, false)
+		fn(set, true)
+		if len(set) < 3 {
+			for k := from; k < len(kinds); k++ {
+				grow(k, append(set[:len(set):len(set)], kinds[k]))
+			}
+		}
+	}
+	grow(0, nil)
+}
+
+// oneLine is a LineSource holding one line.
+type oneLine struct {
+	id    int
+	addr  bus.Addr
+	state core.State
+	data  []byte
+}
+
+func (c oneLine) ID() int { return c.id }
+
+func (c oneLine) ForEachLine(fn func(bus.Addr, core.State, []byte)) { fn(c.addr, c.state, c.data) }
+
+// word returns a line whose first word is v.
+func word(v uint32) []byte {
+	line := make([]byte, lineSize)
+	binary.LittleEndian.PutUint32(line, v)
+	return line
+}
+
+// staleness is how an enumerated snapshot's stale copies and stale
+// memory differ from the last write (word 1): all alike, each its own
+// value, or stale copies alike and memory apart.
+var staleness = []struct {
+	name       string
+	copy       func(i int) uint32
+	memoryWord uint32
+}{
+	{"alike", func(int) uint32 { return 2 }, 2},
+	{"distinct", func(i int) uint32 { return uint32(10 + i) }, 9},
+	{"memory apart", func(int) uint32 { return 2 }, 9},
+}
+
+// snapshot builds the checker of one enumerated snapshot at addr: the
+// program last wrote word 1 (recorded in a golden shadow when golden is
+// set), each copy holds it or a stale value, and so does memory.
+func snapshot(copies []copySpec, memStale, golden bool, addr bus.Addr, stale func(int) uint32, memWord uint32) *Checker {
+	mem := memory.New(lineSize)
+	c := &Checker{Memory: mem}
+	if memStale {
+		mem.WriteLine(addr, word(memWord))
+	} else {
+		mem.WriteLine(addr, word(1))
+	}
+	if golden {
+		c.Shadow = NewShadow(lineSize)
+		c.Shadow.OnWrite(addr, 0, 1)
+	}
+	for i, cp := range copies {
+		data := word(1)
+		if cp.stale {
+			data = word(stale(i))
+		}
+		c.Caches = append(c.Caches, oneLine{id: i, addr: addr, state: cp.state, data: data})
+	}
+	return c
+}
+
+// TestCheckMatchesCore: with a golden shadow, the checker reports on
+// every snapshot exactly the §3.1 invariants core's predicate names.
+func TestCheckMatchesCore(t *testing.T) {
+	for _, st := range staleness {
+		snapshots(func(copies []copySpec, memStale bool) {
+			want := core.Copies{MemStale: memStale}
+			for _, cp := range copies {
+				want.Add(cp.state, cp.stale)
+			}
+			var got core.Invariant
+			for _, v := range snapshot(copies, memStale, true, 0x40, st.copy, st.memoryWord).Check() {
+				got |= v.Invariant
+			}
+			if got != want.Breaches() {
+				t.Errorf("%s: copies %v, memory stale %t: checker reports %q, core %q",
+					st.name, copies, memStale, got, want.Breaches())
+			}
+		})
+	}
+}
+
+// TestCheckFlagsWhatTheSixChecksFlagged: on every snapshot, with and
+// without a golden shadow, the checker flags a line exactly when the
+// six separate checks it was built from did (referenceCheckLine).
+func TestCheckFlagsWhatTheSixChecksFlagged(t *testing.T) {
+	const addr = 0x40
+	for _, golden := range []bool{false, true} {
+		for _, st := range staleness {
+			n := 0
+			snapshots(func(copies []copySpec, memStale bool) {
+				n++
+				c := snapshot(copies, memStale, golden, addr, st.copy, st.memoryWord)
+				var infos []copyInfo
+				for _, src := range c.Caches {
+					src.ForEachLine(func(_ bus.Addr, s core.State, data []byte) {
+						infos = append(infos, copyInfo{cacheID: src.ID(), state: s, data: data})
+					})
+				}
+				got, want := len(c.Check()) > 0, len(referenceCheckLine(c, addr, infos)) > 0
+				if got != want {
+					t.Errorf("golden %t, %s: copies %v, memory stale %t: flagged %t, the six checks %t",
+						golden, st.name, copies, memStale, got, want)
+				}
+			})
+			if n != 330 {
+				t.Errorf("%d snapshots, want 330", n)
+			}
+		}
+	}
+}
+
+// referenceCheckLine is the checker's per-line judgement before it
+// asked core's predicate: six separate checks, kept as the reference
+// the summary's verdict must match.
+func referenceCheckLine(c *Checker, addr bus.Addr, copies []copyInfo) []string {
+	var out []string
+	bad := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	var owners, exclusives []copyInfo
+	for _, cp := range copies {
+		if cp.state.OwnedCopy() {
+			owners = append(owners, cp)
+		}
+		if cp.state.ExclusiveCopy() {
+			exclusives = append(exclusives, cp)
+		}
+	}
+	// 1. Unique ownership.
+	if len(owners) > 1 {
+		bad("owned by %d caches", len(owners))
+	}
+	// 2. Real exclusivity.
+	if len(exclusives) > 0 && len(copies) > 1 {
+		bad("cache %d claims exclusivity", exclusives[0].cacheID)
+	}
+	// 3. Single-valued image across caches.
+	for _, cp := range copies[min(1, len(copies)):] {
+		if !bytes.Equal(cp.data, copies[0].data) {
+			bad("caches %d and %d hold divergent copies", copies[0].cacheID, cp.cacheID)
+			break
+		}
+	}
+	memLine := c.Memory.Peek(addr)
+	// 4. Unowned implies memory-valid.
+	if len(owners) == 0 {
+		for _, cp := range copies {
+			if !bytes.Equal(cp.data, memLine) {
+				bad("no owner, but cache %d differs from memory", cp.cacheID)
+				break
+			}
+		}
+	}
+	// 5. E matches memory.
+	for _, cp := range copies {
+		if cp.state == core.Exclusive && !bytes.Equal(cp.data, memLine) {
+			bad("cache %d holds E but differs from memory", cp.cacheID)
+		}
+	}
+	// 6. Golden image.
+	if c.Shadow != nil {
+		image := memLine
+		if len(owners) > 0 {
+			image = owners[0].data
+		}
+		if !bytes.Equal(image, c.Shadow.Line(addr)) {
+			bad("image differs from golden record of writes")
+		}
+	}
+	return out
 }

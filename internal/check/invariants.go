@@ -18,12 +18,14 @@ type LineSource interface {
 
 // Violation is one detected breach of the consistency criterion.
 type Violation struct {
-	Addr   bus.Addr
-	Reason string
+	Addr bus.Addr
+	// Invariant is the §3.1 invariant the line breaches.
+	Invariant core.Invariant
+	Reason    string
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("line %#x: %s", uint64(v.Addr), v.Reason)
+	return fmt.Sprintf("line %#x: %s: %s", uint64(v.Addr), v.Invariant, v.Reason)
 }
 
 // copyInfo is one cache's view of a line.
@@ -47,32 +49,21 @@ type MemoryImage interface {
 type Checker struct {
 	Caches []LineSource
 	Memory MemoryImage
-	// Shadow, when non-nil, additionally checks the image against the
-	// golden record of every store performed.
+	// Shadow, when non-nil, is the golden record of every store
+	// performed, and the truth every copy and memory is judged against.
 	Shadow *Shadow
 }
 
-// Check runs all invariants and returns every violation found.
+// Check runs the consistency criterion over every line held in a cache
+// or written by the program, and returns every violation found.
 //
-// The invariants, straight from §3.1:
-//
-//  1. Ownership is unique: at most one cache holds a line in M or O
-//     ("all data is said to be owned uniquely either by one and only
-//     one cache or by main memory").
-//  2. Exclusivity is real: if a cache holds a line in M or E, no other
-//     cache holds it at all ("exclusive data is cached data that is
-//     contained in one and only one cache").
-//  3. The image is single-valued: every valid cached copy of a line is
-//     identical (a write either updates or invalidates all other
-//     copies, so divergent copies mean a lost update).
-//  4. Unowned implies memory-valid: if no cache owns the line, memory
-//     holds the image, so every valid copy must match memory. (On the
-//     Futurebus broadcast writes update memory, which is what makes
-//     this stronger-than-Dragon property hold; see §4.2.)
-//  5. E matches memory: "exclusive data must match the copy in main
-//     memory" (§3.1.2).
-//  6. Golden: the image (owner's copy, or memory) equals the value the
-//     program last wrote (Shadow).
+// Each line is judged against its truth: the value the program last
+// wrote (Shadow) when the checker has one, and otherwise the line's
+// image — the owner's copy, or memory when no cache owns the line
+// (§3.1.3: "main memory is the default owner"). Every valid copy and
+// memory is current or stale against that truth; core.Copies counts
+// them, and the checker reports one violation for each §3.1 invariant
+// core.Copies.Breaches names.
 func (c *Checker) Check() []Violation {
 	var out []Violation
 	byLine := make(map[bus.Addr][]copyInfo)
@@ -104,66 +95,67 @@ func (c *Checker) Check() []Violation {
 }
 
 func (c *Checker) checkLine(addr bus.Addr, copies []copyInfo) []Violation {
-	var out []Violation
-	bad := func(format string, args ...any) {
-		out = append(out, Violation{Addr: addr, Reason: fmt.Sprintf(format, args...)})
-	}
-
-	var owners, exclusives []copyInfo
+	var owners []copyInfo
 	for _, cp := range copies {
 		if cp.state.OwnedCopy() {
 			owners = append(owners, cp)
 		}
-		if cp.state.ExclusiveCopy() {
-			exclusives = append(exclusives, cp)
-		}
 	}
-
-	// 1. Unique ownership.
-	if len(owners) > 1 {
-		bad("owned by %d caches (%s)", len(owners), describe(owners))
-	}
-	// 2. Real exclusivity.
-	if len(exclusives) > 0 && len(copies) > 1 {
-		bad("cache %d claims exclusivity (%s) but %d caches hold copies",
-			exclusives[0].cacheID, exclusives[0].state.Letter(), len(copies))
-	}
-	// 3. Single-valued image across caches.
-	for _, cp := range copies[min(1, len(copies)):] {
-		if !bytes.Equal(cp.data, copies[0].data) {
-			bad("caches %d and %d hold divergent copies", copies[0].cacheID, cp.cacheID)
-			break
-		}
-	}
-
 	memLine := c.Memory.Peek(addr)
-	// 4. Unowned implies memory-valid.
-	if len(owners) == 0 {
-		for _, cp := range copies {
-			if !bytes.Equal(cp.data, memLine) {
-				bad("no owner, but cache %d (%s) differs from memory", cp.cacheID, cp.state.Letter())
-				break
-			}
-		}
+	truth, source := memLine, "memory"
+	switch {
+	case c.Shadow != nil:
+		truth, source = c.Shadow.Line(addr), "the golden record of writes"
+	case len(owners) > 0:
+		truth, source = owners[0].data, "the owner's copy"
 	}
-	// 5. E matches memory.
+	sum := core.Copies{MemStale: !bytes.Equal(memLine, truth)}
+	var stale []copyInfo
 	for _, cp := range copies {
-		if cp.state == core.Exclusive && !bytes.Equal(cp.data, memLine) {
-			bad("cache %d holds E but differs from memory", cp.cacheID)
+		differs := !bytes.Equal(cp.data, truth)
+		sum.Add(cp.state, differs)
+		if differs {
+			stale = append(stale, cp)
 		}
 	}
-	// 6. Golden image.
-	if c.Shadow != nil {
-		want := c.Shadow.Line(addr)
-		image := memLine
-		if len(owners) > 0 {
-			image = owners[0].data
-		}
-		if !bytes.Equal(image, want) {
-			bad("image (%s) differs from golden record of writes", imageSource(owners))
-		}
+
+	breaches := sum.Breaches()
+	if breaches == 0 {
+		return nil
+	}
+	var out []Violation
+	bad := func(inv core.Invariant, format string, args ...any) {
+		out = append(out, Violation{Addr: addr, Invariant: inv, Reason: fmt.Sprintf(format, args...)})
+	}
+	if breaches.Has(core.UniqueOwner) {
+		bad(core.UniqueOwner, "owned by %d caches (%s)", len(owners), describe(owners))
+	}
+	if breaches.Has(core.RealExclusivity) {
+		cp := first(copies, core.State.ExclusiveCopy)
+		bad(core.RealExclusivity, "cache %d claims exclusivity (%s) but %d caches hold copies",
+			cp.cacheID, cp.state.Letter(), sum.Valid)
+	}
+	if breaches.Has(core.MemoryOwner) {
+		bad(core.MemoryOwner, "no owner, but memory differs from %s", source)
+	}
+	if breaches.Has(core.EMatchesMemory) {
+		cp := first(copies, func(s core.State) bool { return s == core.Exclusive })
+		bad(core.EMatchesMemory, "cache %d holds E but memory differs from %s", cp.cacheID, source)
+	}
+	if breaches.Has(core.SingleImage) {
+		bad(core.SingleImage, "copies differ from %s (%s)", source, describe(stale))
 	}
 	return out
+}
+
+// first returns the first copy whose state satisfies is.
+func first(copies []copyInfo, is func(core.State) bool) copyInfo {
+	for _, cp := range copies {
+		if is(cp.state) {
+			return cp
+		}
+	}
+	return copyInfo{}
 }
 
 func describe(copies []copyInfo) string {
@@ -175,13 +167,6 @@ func describe(copies []copyInfo) string {
 		fmt.Fprintf(&b, "cache %d=%s", cp.cacheID, cp.state.Letter())
 	}
 	return b.String()
-}
-
-func imageSource(owners []copyInfo) string {
-	if len(owners) == 0 {
-		return "memory"
-	}
-	return fmt.Sprintf("owner cache %d", owners[0].cacheID)
 }
 
 // MustPass runs Check and returns an error summarising any violations.

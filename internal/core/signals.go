@@ -73,13 +73,3 @@ func (s Signal) String() string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// ParseSignal parses one signal name as used in the paper's tables.
-func ParseSignal(name string) (Signal, bool) {
-	for _, n := range signalNames {
-		if n.name == name {
-			return n.sig, true
-		}
-	}
-	return 0, false
-}

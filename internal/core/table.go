@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -159,22 +158,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// UsesBS reports whether any snoop cell aborts a transaction (asserts
-// BS). Protocols that do cannot be implemented on the base Futurebus
-// facilities without the busy line (§3.2.2, §4.3–4.5).
-func (t *Table) UsesBS() bool {
-	for _, s := range t.States {
-		for _, e := range t.BusEvents {
-			for _, a := range t.snoop[s][e] {
-				if a.Abort != nil {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // CellDiff describes one mismatching cell between two tables.
 type CellDiff struct {
 	State State
@@ -275,53 +258,4 @@ func renderGrid(title string, rows [][]string) string {
 		}
 	}
 	return b.String()
-}
-
-// ReachableStates returns the set of states reachable from Invalid under
-// the table's own transitions (local results plus snoop results),
-// considering every alternative. Useful for sanity-checking that partial
-// protocols never enter rows they do not define.
-func (t *Table) ReachableStates() []State {
-	seen := map[State]bool{Invalid: true}
-	changed := true
-	for changed {
-		changed = false
-		for _, s := range States {
-			if !seen[s] {
-				continue
-			}
-			mark := func(c CondState) {
-				for _, n := range []State{c.OnCH, c.NoCH} {
-					if !seen[n] {
-						seen[n] = true
-						changed = true
-					}
-				}
-			}
-			for _, e := range t.LocalEvents {
-				for _, a := range t.local[s][e] {
-					if a.Op != BusReadThenWrite {
-						mark(a.Next)
-					}
-				}
-			}
-			for _, e := range t.BusEvents {
-				for _, a := range t.snoop[s][e] {
-					if a.Abort != nil {
-						mark(Uncond(a.Abort.Next))
-					} else {
-						mark(a.Next)
-					}
-				}
-			}
-		}
-	}
-	var out []State
-	for s, ok := range seen {
-		if ok {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,7 +98,8 @@ func TestFrozenTable(t *testing.T) {
 	tbl.Clone().SetLocal(Shared, LocalWrite, mustLocal("M,CA,IM")) // a clone is mutable
 }
 
-// TestUsesBS distinguishes the adapted protocols.
+// TestUsesBS: the validator's report distinguishes the adapted
+// protocols, whose snoop cells abort with BS.
 func TestUsesBS(t *testing.T) {
 	for _, c := range []struct {
 		table *Table
@@ -109,40 +111,50 @@ func TestUsesBS(t *testing.T) {
 		{PaperTable6(), true},
 		{PaperTable7(), true},
 	} {
-		if got := c.table.UsesBS(); got != c.want {
+		if got := Validate(c.table, CopyBack).UsesBS; got != c.want {
 			t.Errorf("%s UsesBS = %t", c.table.Name, got)
 		}
 	}
 }
 
-// TestReachableStates: Berkeley never reaches E; Write-Once never
-// reaches O; the MOESI paper tables reach everything.
+// TestReachableStates: no cell of a paper table leads outside the
+// table's own states, so Berkeley never reaches E and Write-Once and
+// Illinois never reach O.
 func TestReachableStates(t *testing.T) {
-	reach := func(tbl *Table) map[State]bool {
-		m := map[State]bool{}
-		for _, s := range tbl.ReachableStates() {
-			m[s] = true
-		}
-		return m
-	}
-	if r := reach(PaperTable3()); r[Exclusive] {
-		t.Error("Berkeley reaches E")
-	}
-	if r := reach(PaperTable5()); r[Owned] {
-		t.Error("Write-Once reaches O")
-	}
-	if r := reach(PaperTable6()); r[Owned] {
-		t.Error("Illinois reaches O")
-	}
 	for _, tbl := range []*Table{PaperTable3(), PaperTable4(), PaperTable5(), PaperTable6(), PaperTable7()} {
-		allowed := map[State]bool{Invalid: true}
+		own := map[State]bool{Invalid: true}
 		for _, s := range tbl.States {
-			allowed[s] = true
+			own[s] = true
 		}
-		for _, s := range tbl.ReachableStates() {
-			if !allowed[s] {
-				t.Errorf("%s reaches %s, outside its own state set", tbl.Name, s)
+		check := func(s State, next CondState) {
+			for _, n := range []State{next.OnCH, next.NoCH} {
+				if !own[n] {
+					t.Errorf("%s leads from %s to %s, outside its own state set", tbl.Name, s.Letter(), n.Letter())
+				}
 			}
+		}
+		for _, s := range tbl.States {
+			for _, e := range tbl.LocalEvents {
+				for _, a := range tbl.Local(s, e) {
+					if a.Op != BusReadThenWrite {
+						check(s, a.Next)
+					}
+				}
+			}
+			for _, e := range tbl.BusEvents {
+				for _, a := range tbl.Snoop(s, e) {
+					if a.Abort != nil {
+						check(s, Uncond(a.Abort.Next))
+					} else {
+						check(s, a.Next)
+					}
+				}
+			}
+		}
+	}
+	for tbl, never := range map[*Table]State{PaperTable3(): Exclusive, PaperTable5(): Owned, PaperTable6(): Owned} {
+		if slices.Contains(tbl.States, never) {
+			t.Errorf("%s has a %s row", tbl.Name, never.Letter())
 		}
 	}
 }

@@ -25,11 +25,11 @@ func (v ClusterViolation) String() string {
 //  1. No cluster cache holds E or M — the bridge's unconditional CH
 //     pins every cluster line into the S/O pair, which is what keeps
 //     the bridge's copy current.
-//  2. At most one cluster cache owns (O) a line within the cluster.
-//  3. Inclusion: every line a cluster cache holds is tracked by its
+//  2. Inclusion: every line a cluster cache holds is tracked by its
 //     bridge.
-//  4. Currency: every valid cluster copy is byte-identical to the
-//     bridge's copy.
+//  3. core's §3.1 predicate, with the bridge's copy as the cluster's
+//     image: at most one cluster cache owns (O) a line, and every
+//     valid cluster copy is byte-identical to the bridge's copy.
 func (s *System) CheckClusters() []ClusterViolation {
 	var out []ClusterViolation
 	for _, cl := range s.Clusters {
@@ -49,28 +49,45 @@ func checkCluster(cl *Cluster) []ClusterViolation {
 		bridgeLines[addr] = data
 	})
 
-	owners := map[bus.Addr]int{}
+	// Each cluster line's copies: the cache, its state, and whether the
+	// copy differs from the bridge's.
+	type clusterCopy struct {
+		id    int
+		state core.State
+		stale bool
+	}
+	byLine := map[bus.Addr][]clusterCopy{}
+	var addrs []bus.Addr
 	for _, c := range cl.Caches {
 		id := c.ID()
 		c.ForEachLine(func(addr bus.Addr, st core.State, data []byte) {
 			if st == core.Exclusive || st == core.Modified {
 				bad(addr, "cache %d holds %s; the bridge's CH must pin cluster lines to S/O", id, st.Letter())
 			}
-			if st.OwnedCopy() {
-				owners[addr]++
-				if owners[addr] > 1 {
-					bad(addr, "multiple cluster owners")
-				}
-			}
 			bline, ok := bridgeLines[addr]
 			if !ok {
 				bad(addr, "cache %d holds a line the bridge does not track (inclusion broken)", id)
-				return
 			}
-			if !bytes.Equal(data, bline) {
-				bad(addr, "cache %d copy differs from the bridge's (bridge stale)", id)
+			if byLine[addr] == nil {
+				addrs = append(addrs, addr)
 			}
+			byLine[addr] = append(byLine[addr], clusterCopy{id, st, ok && !bytes.Equal(data, bline)})
 		})
+	}
+	for _, addr := range addrs {
+		var sum core.Copies
+		for _, cp := range byLine[addr] {
+			sum.Add(cp.state, cp.stale)
+		}
+		breaches := sum.Breaches()
+		if breaches.Has(core.UniqueOwner) {
+			bad(addr, "multiple cluster owners")
+		}
+		for _, cp := range byLine[addr] {
+			if breaches.Has(core.SingleImage) && cp.stale {
+				bad(addr, "cache %d copy differs from the bridge's (bridge stale)", cp.id)
+			}
+		}
 	}
 	return out
 }

@@ -307,9 +307,6 @@ func TestHierarchyAccessors(t *testing.T) {
 	if err := sys.GlobalChecker().MustPass(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Proc(1, 0) != sys.Clusters[1].Caches[0] {
-		t.Error("Proc accessor wrong")
-	}
 	if len(tree.Caches) != 2 {
 		t.Errorf("Caches = %d", len(tree.Caches))
 	}

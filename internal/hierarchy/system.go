@@ -194,9 +194,6 @@ func validateClusterPolicy(p core.Policy) error {
 	return nil
 }
 
-// Proc returns cluster ci's pi-th cache.
-func (s *System) Proc(ci, pi int) *cache.Cache { return s.Clusters[ci].Caches[pi] }
-
 // Err surfaces any deferred bridge error (memory-port callbacks cannot
 // return errors); call it after driving traffic.
 func (s *System) Err() error {

@@ -104,10 +104,3 @@ func (m *Memory) Stats() Stats {
 	defer m.mu.Unlock()
 	return m.stats
 }
-
-// PopulatedLines returns the number of lines ever written.
-func (m *Memory) PopulatedLines() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lines.Len()
-}

@@ -43,8 +43,8 @@ func TestWriteReadPeek(t *testing.T) {
 	if st.Reads != 1 || st.Writes != 1 {
 		t.Errorf("stats %+v (Peek must not count)", st)
 	}
-	if m.PopulatedLines() != 1 {
-		t.Errorf("populated = %d", m.PopulatedLines())
+	if n := m.lines.Len(); n != 1 {
+		t.Errorf("populated = %d", n)
 	}
 }
 

@@ -89,13 +89,3 @@ func (s *Sharded) Stats() Stats {
 	}
 	return total
 }
-
-// PopulatedLines returns the number of lines ever written, over all
-// modules.
-func (s *Sharded) PopulatedLines() int {
-	n := 0
-	for _, m := range s.mods {
-		n += m.PopulatedLines()
-	}
-	return n
-}

@@ -28,24 +28,6 @@ const NumStates = 5
 // in this package is indexed in this order.
 var StateLetters = [NumStates]string{"M", "O", "E", "S", "I"}
 
-// StateIndex maps a state letter to its StateLetters index (-1 if the
-// letter is not one of M/O/E/S/I).
-func StateIndex(letter string) int {
-	switch letter {
-	case "M":
-		return 0
-	case "O":
-		return 1
-	case "E":
-		return 2
-	case "S":
-		return 3
-	case "I":
-		return 4
-	}
-	return -1
-}
-
 // stateIdx maps a core.State to its StateLetters index (-1 for none).
 var stateIdx = func() (idx [256]int8) {
 	for i := range idx {
@@ -58,7 +40,7 @@ var stateIdx = func() (idx [256]int8) {
 }()
 
 // Matrix is a from×to transition count table in StateLetters order:
-// Matrix[StateIndex("M")][StateIndex("I")] counts M→I transitions.
+// Matrix[0][4] counts M→I transitions.
 type Matrix [NumStates][NumStates]int64
 
 // Total sums every cell.

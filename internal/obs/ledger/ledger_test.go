@@ -339,22 +339,26 @@ func TestDiffZeroFill(t *testing.T) {
 }
 
 // TestDiffBenchAddedBenchmark: in a bench record a missing key means
-// the benchmark was not run, not that it measured 0, so a benchmark new
-// in the candidate is a "(no baseline)" row and one the candidate
-// dropped is not judged; the diff stays clean.
+// the benchmark was not run, not that it measured 0. A benchmark new in
+// the candidate is a "(no baseline)" row, and an ungated figure the
+// candidate dropped is not judged, so that diff stays clean. A gated
+// figure the candidate dropped is a regressed "missing" row: a partial
+// run fails closed.
 func TestDiffBenchAddedBenchmark(t *testing.T) {
 	base := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{
 		"bench.BenchmarkP4.allocs_per_op":       230,
+		"bench.BenchmarkP4.ns_per_op":           2_300_000,
 		"bench.BenchmarkP1/moesi.allocs_per_op": 40,
 	}}
 	cand := Record{Schema: Schema, Kind: KindBench, Metrics: map[string]float64{
+		"bench.BenchmarkP4.allocs_per_op":           230,
 		"bench.BenchmarkP1/moesi.allocs_per_op":     40,
 		"bench.BenchmarkLayer/engine.allocs_per_op": 500,
 		"bench.BenchmarkLayer/engine.B_per_op":      12_000,
 	}}
 	rep := Diff(base, cand, 0)
-	if rep.Verdict != "ok" || rep.Regressions != 0 || len(rep.Rows) != 3 {
-		t.Fatalf("verdict %q, %d regressed, %d rows; want ok, 0, 3 (rows %+v)", rep.Verdict, rep.Regressions, len(rep.Rows), rep.Rows)
+	if rep.Verdict != "ok" || rep.Regressions != 0 || len(rep.Rows) != 4 {
+		t.Fatalf("verdict %q, %d regressed, %d rows; want ok, 0, 4 (rows %+v)", rep.Verdict, rep.Regressions, len(rep.Rows), rep.Rows)
 	}
 	for _, row := range rep.Rows {
 		if skipped := strings.HasPrefix(row.Key, "bench.BenchmarkLayer/engine."); row.Skipped != skipped {
@@ -363,8 +367,25 @@ func TestDiffBenchAddedBenchmark(t *testing.T) {
 	}
 	var sb strings.Builder
 	rep.Render(&sb)
-	if out := sb.String(); !strings.Contains(out, "(no baseline)") || strings.Contains(out, "BenchmarkP4") {
-		t.Errorf("render: want the new benchmark's rows marked (no baseline) and no row for the dropped one:\n%s", out)
+	if out := sb.String(); !strings.Contains(out, "(no baseline)") || strings.Contains(out, "BenchmarkP4.ns_per_op") {
+		t.Errorf("render: want the new benchmark's rows marked (no baseline) and no row for the dropped figure:\n%s", out)
+	}
+
+	delete(cand.Metrics, "bench.BenchmarkP4.allocs_per_op")
+	rep = Diff(base, cand, 0)
+	if rep.Verdict != "regressed" || !reflect.DeepEqual(regressedKeys(rep), []string{"bench.BenchmarkP4.allocs_per_op"}) {
+		t.Fatalf("dropped gated figure: verdict %q, regressed %v; want regressed, only P4's allocs/op", rep.Verdict, regressedKeys(rep))
+	}
+	sb.Reset()
+	rep.Render(&sb)
+	if out := sb.String(); !strings.Contains(out, "REGRESSED (missing from the run)") {
+		t.Errorf("render: want the dropped figure marked missing:\n%s", out)
+	}
+	for _, kind := range []string{KindPerf, KindCausal} {
+		base.Kind, cand.Kind = kind, kind
+		if rows := Diff(base, cand, 0).Rows; len(rows) == 0 || rows[len(rows)-1].Missing {
+			t.Errorf("a %s diff judged a dropped key missing", kind)
+		}
 	}
 }
 

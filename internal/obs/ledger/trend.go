@@ -71,6 +71,9 @@ type GateRow struct {
 	// Skipped is set when the metric had fewer than MinRuns baseline
 	// values and was not judged.
 	Skipped bool `json:"skipped,omitempty"`
+	// Missing marks a gated bench key the baseline holds and the run
+	// lacks (Diff); the row counts as regressed.
+	Missing bool `json:"missing,omitempty"`
 }
 
 // GateReport is the full verdict of one candidate run against the
@@ -187,14 +190,29 @@ func ratioRow(r regress.BenchRatio, history []Record, cand Record, window int) (
 // counts as 0 on the other: a protocol that vanished or a blame
 // category that appeared is judged, not skipped. In the other kinds a
 // missing key means the benchmark, row or metric was not run, so a key
-// only the candidate has is a "(no baseline)" row and a key only the
-// baseline has is not judged. Labels are not filtered; a mismatch is
-// noted.
+// only the candidate has is a "(no baseline)" row, and a key only the
+// baseline has is not judged — except in a bench diff, where a gated
+// key (regress.Advisory says no) the run lacks is a regressed "missing"
+// row, so a partial run fails closed. Labels are not filtered; a
+// mismatch is noted.
 func Diff(base, cand Record, rel float64) GateReport {
 	if cand.Kind == KindCausal || cand.Kind == KindLens {
 		base, cand = zeroFill(base, cand), zeroFill(cand, base)
 	}
 	rep := Gate([]Record{base}, cand, GateOpts{Window: 1, MinRuns: 1, Rel: rel})
+	if cand.Kind == KindBench {
+		for _, key := range Keys([]Record{base}) {
+			if _, ok := cand.Metrics[key]; ok || regress.Advisory(key) {
+				continue
+			}
+			rep.Rows = append(rep.Rows, GateRow{
+				Key: key, Baseline: regress.NewBaseline([]float64{base.Metrics[key]}),
+				Direction: regress.Regressed.String(), Missing: true,
+			})
+			rep.Regressions++
+			rep.Verdict = "regressed"
+		}
+	}
 	if base.Label != cand.Label {
 		rep.Note = "configs differ — deltas compare different runs, not a regression test"
 	}
@@ -247,7 +265,9 @@ func (r GateReport) Render(w io.Writer) {
 		}
 		base := row.Baseline.Median
 		change := "new"
-		if base != 0 {
+		if row.Missing {
+			change, verdict = "missing", "REGRESSED (missing from the run)"
+		} else if base != 0 {
 			change = fmt.Sprintf("%+.1f%%", 100*(row.Value-base)/base)
 		} else if row.Value == 0 {
 			change = "+0.0%"

@@ -638,41 +638,42 @@ func (m *Monitor) consumeState(e *obs.Event) {
 	// Apply, then the structural §3.1 invariants.
 	m.slot(ln, int(e.Proc))
 	ln.setState(int(e.Proc), to)
-	if to.OwnedCopy() && ln.owners > 1 {
+	breaches := ln.copies().Breaches()
+	if to.OwnedCopy() && breaches.Has(core.UniqueOwner) {
 		m.report(InvSingleOwner, e, ln, fmt.Sprintf(
 			"%d caches own the line after this transition — §3.1.3 allows at most one", ln.owners))
 	}
-	if !to.Valid() {
-		return
-	}
-	switch detail := exclusivity(ln, to); {
-	case detail == "":
+	switch {
+	case !to.Valid() || !breaches.Has(core.RealExclusivity):
 	case e.Cause.Snoop() && e.TxID != 0:
 		// Judged when the KindTx arrives, once every snooper has
 		// committed.
 		ln.held, ln.heldTx = append(ln.held, *e), e.TxID
 	default:
-		m.report(InvExclusivity, e, ln, detail)
+		m.report(InvExclusivity, e, ln, exclusivity(ln, to))
 	}
 }
 
-// exclusivity checks §3.1.2 for a copy of the line in state to: an
-// exclusive copy must be the only one, and no copy may coexist with
-// another cache's exclusive one. It returns the breach, or "".
+// copies summarises the line's states for core's §3.1 predicate; the
+// monitor sees no data, so no copy or memory counts as stale.
+func (ln *line) copies() core.Copies {
+	return core.Copies{Valid: int(ln.valid), Owned: int(ln.owners), Exclusive: int(ln.excl)}
+}
+
+// exclusivity words a §3.1.2 breach for a valid copy of the line in
+// state to: the copy is exclusive but not the only one, or it coexists
+// with another cache's exclusive copy. It returns "" when the line
+// keeps real exclusivity.
 func exclusivity(ln *line, to core.State) string {
-	exclOthers := ln.excl
-	if to.ExclusiveCopy() {
-		exclOthers--
-	}
 	switch {
-	case to.ExclusiveCopy() && ln.valid > 1:
+	case !ln.copies().Breaches().Has(core.RealExclusivity):
+		return ""
+	case to.ExclusiveCopy():
 		return fmt.Sprintf(
 			"copy became %s (exclusive) while %d cached copies exist — §3.1.2 requires it to be the only one",
 			to.Letter(), ln.valid)
-	case exclOthers > 0:
-		return "copy became valid while another cache holds the line in an exclusive state (M/E)"
 	}
-	return ""
+	return "copy became valid while another cache holds the line in an exclusive state (M/E)"
 }
 
 // judgeHeld reports the held snoop-caused state events that still break

@@ -505,3 +505,45 @@ func TestRetryExhaustedIsProgressViolation(t *testing.T) {
 		t.Fatalf("detail should carry the abort count: %q", v.Detail)
 	}
 }
+
+// TestStructuralChecksMatchCore: on every multiset of up to three copies
+// over {S, E, O, M}, installed one fill at a time, the monitor reports
+// exactly the §3.1 invariants core's predicate names for the line's
+// states. It sees no data, so only ownership and exclusivity can be
+// breached.
+func TestStructuralChecksMatchCore(t *testing.T) {
+	names := map[Invariant]core.Invariant{
+		InvSingleOwner: core.UniqueOwner,
+		InvExclusivity: core.RealExclusivity,
+	}
+	kinds := []core.State{core.Shared, core.Exclusive, core.Owned, core.Modified}
+	n := 0
+	var grow func(from int, set []core.State)
+	grow = func(from int, set []core.State) {
+		n++
+		r := newRig(t, Config{})
+		var want core.Copies
+		for proc, s := range set {
+			r.st(proc, 0x40, "I", s.Letter(), "fill", 0)
+			want.Add(s, false)
+		}
+		var got core.Invariant
+		for inv, c := range r.m.Report().ByInvariant {
+			if c > 0 {
+				got |= names[inv]
+			}
+		}
+		if got != want.Breaches() {
+			t.Errorf("copies %v: monitor reports %q, core %q", set, got, want.Breaches())
+		}
+		if len(set) < 3 {
+			for k := from; k < len(kinds); k++ {
+				grow(k, append(set[:len(set):len(set)], kinds[k]))
+			}
+		}
+	}
+	grow(0, nil)
+	if n != 35 {
+		t.Errorf("%d multisets, want 35", n)
+	}
+}

@@ -21,13 +21,6 @@ const (
 	StyleUpdate
 )
 
-func (s Style) String() string {
-	if s == StyleUpdate {
-		return "update"
-	}
-	return "invalidate"
-}
-
 // Extend completes a partial protocol table (the paper's Tables 3–7
 // define only the columns their own algorithm generates) to the full
 // event set of a mixed Futurebus, by filling every undefined cell with

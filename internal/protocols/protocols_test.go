@@ -45,19 +45,6 @@ func TestRegistryVerdicts(t *testing.T) {
 	}
 }
 
-// TestPureOnly: only the §4-adapted protocols are restricted to
-// protocol-pure systems.
-func TestPureOnly(t *testing.T) {
-	for name, want := range map[string]bool{
-		"moesi": false, "berkeley": false, "dragon": false,
-		"illinois": false, "write-once": true, "firefly": true,
-	} {
-		if got := PureOnly(name); got != want {
-			t.Errorf("PureOnly(%s) = %t", name, got)
-		}
-	}
-}
-
 // TestExtendPreservesOriginalCells: Extend never touches a cell the
 // paper defines (this is what makes the T3–T7 regeneration meaningful).
 func TestExtendPreservesOriginalCells(t *testing.T) {
@@ -120,7 +107,8 @@ func anyWithin(s core.State, e core.LocalEvent, paper *core.Table) bool {
 }
 
 // TestExtendRespectsStateSets: extension never introduces a state the
-// protocol does not define.
+// protocol does not define: no cell of the extended table, local or
+// snoop, leads outside the paper table's own states.
 func TestExtendRespectsStateSets(t *testing.T) {
 	for _, paper := range []*core.Table{core.PaperTable3(), core.PaperTable5(), core.PaperTable6()} {
 		full := Extend(paper, StyleInvalidate)
@@ -128,9 +116,27 @@ func TestExtendRespectsStateSets(t *testing.T) {
 		for _, s := range paper.States {
 			allowed[s] = true
 		}
-		for _, s := range full.ReachableStates() {
-			if !allowed[s] {
-				t.Errorf("%s extended reaches %s", paper.Name, s)
+		check := func(s core.State, next ...core.State) {
+			for _, n := range next {
+				if !allowed[n] {
+					t.Errorf("%s extended leads from %s to %s", paper.Name, s.Letter(), n.Letter())
+				}
+			}
+		}
+		for _, s := range full.States {
+			for _, e := range full.LocalEvents {
+				for _, a := range full.Local(s, e) {
+					check(s, a.Next.OnCH, a.Next.NoCH)
+				}
+			}
+			for _, e := range full.BusEvents {
+				for _, a := range full.Snoop(s, e) {
+					if a.Abort != nil {
+						check(s, a.Abort.Next)
+					} else {
+						check(s, a.Next.OnCH, a.Next.NoCH)
+					}
+				}
 			}
 		}
 	}

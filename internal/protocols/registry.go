@@ -55,14 +55,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// PureOnly reports whether the named protocol uses §4 adapted actions
-// and must therefore run in a protocol-pure system (never share a bus
-// with O-capable boards). See core.RequiresAdaptation.
-func PureOnly(name string) bool {
-	p, err := New(name)
-	if err != nil {
-		return false
-	}
-	return core.Validate(p.Table(), p.Variant()).Verdict == core.RequiresAdaptation
-}

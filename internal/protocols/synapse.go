@@ -16,8 +16,8 @@ import "futurebus/internal/core"
 //   - writes to shared lines take ownership with an address-only
 //     invalidate (the historical machine re-read the line through its
 //     read-invalidate ownership request; the address-only upgrade is
-//     the class-legal equivalent — see TestSynapseRefetchVariant for
-//     the refetch form, which the model checker also proves safe);
+//     the class-legal equivalent — see verify's TestSynapseRefetchVariantSafe
+//     for the refetch form, which the model checker also proves safe);
 //   - write misses are read-for-modify.
 //
 // Like Illinois, the result needs the BS extension but no §4 adapted
@@ -43,32 +43,3 @@ var synapse = shared(func() core.Policy {
 	full.Name = "Synapse"
 	return NewPreferred("Synapse", core.CopyBack, mustInClass(full, core.CopyBack))
 })
-
-// SynapseRefetchTable is the historically faithful write-hit behaviour:
-// the Synapse machine did not trust its shared copy and re-read the
-// line with its read-invalidate ownership request ("M,CA,IM,R" from S).
-// That action is not printed in Table 1 — it is strictly more
-// conservative than the address-only upgrade (it refetches through
-// column 6, where any owner supplies the current line and every copy
-// dies) — so it validates as NotInClass under the letter of the paper
-// while the model checker proves it safe (see the verify tests). It is
-// exposed for that analysis, not registered for simulation.
-func SynapseRefetchTable() *core.Table {
-	states := []core.State{core.Modified, core.Shared, core.Invalid}
-	locals := []core.LocalEvent{core.LocalRead, core.LocalWrite}
-	buses := []core.BusEvent{core.BusCacheRead, core.BusCacheRFO}
-	t := core.TableFromCells("Synapse (refetch)", states, locals, buses,
-		[][]string{
-			{"M", "M"},
-			{"S", "M,CA,IM,R"},
-			{"S,CA,R", "M,CA,IM,R"},
-		},
-		[][]string{
-			{"BS;I,W", "BS;I,W"},
-			{"S,CH", "I"},
-			{"I", "I"},
-		})
-	full := Extend(t, StyleInvalidate)
-	full.Name = "Synapse (refetch)"
-	return full
-}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"futurebus/internal/core"
@@ -47,7 +48,7 @@ func TestCoherenceMatricesDifferAcrossProtocols(t *testing.T) {
 	if berkeley.Matrix == writeOnce.Matrix {
 		t.Error("berkeley and write-once produced identical transition matrices")
 	}
-	ei, oi := coherence.StateIndex("E"), coherence.StateIndex("O")
+	ei, oi := slices.Index(coherence.StateLetters[:], "E"), slices.Index(coherence.StateLetters[:], "O")
 	var intoE, intoO int64
 	for f := 0; f < coherence.NumStates; f++ {
 		intoE += berkeley.Matrix[f][ei]

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"futurebus/internal/bus"
+	"futurebus/internal/cache"
+	"futurebus/internal/core"
 	"futurebus/internal/workload"
 )
 
@@ -26,10 +28,17 @@ func checkHolders(t *testing.T, sys *System, step string, lines []bus.Addr) {
 	}
 }
 
+// held returns the lines c's directory holds.
+func held(c *cache.Cache) []bus.Addr {
+	var addrs []bus.Addr
+	c.ForEachLine(func(addr bus.Addr, _ core.State, _ []byte) { addrs = append(addrs, addr) })
+	return addrs
+}
+
 // TestHolderRecordExact walks every kind of valid↔invalid transition a
 // cache makes and checks the bus's holder record after each: fill,
 // silent write, snoop invalidation, plain and sector eviction, BS
-// recovery push, Flush, Pass and FlushAll.
+// recovery push, Flush, Pass and a flush of every line.
 func TestHolderRecordExact(t *testing.T) {
 	sys, err := New(Config{
 		Boards: []BoardSpec{
@@ -62,10 +71,12 @@ func TestHolderRecordExact(t *testing.T) {
 		{"Flush", func() error { return c[0].Flush(0x40) }},
 		{"owner again", func() error { return c[2].WriteWord(0x50, 0, 11) }},
 		{"Pass", func() error { return c[2].Pass(0x50) }},
-		{"FlushAll", func() error {
+		{"flush every line", func() error {
 			for _, cc := range c {
-				if err := cc.FlushAll(); err != nil {
-					return err
+				for _, addr := range held(cc) {
+					if err := cc.Flush(addr); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
@@ -81,8 +92,8 @@ func TestHolderRecordExact(t *testing.T) {
 		t.Fatal("the illinois owner never asserted BS: the recovery push went untested")
 	}
 	for _, cc := range c {
-		if st := cc.StateCensus(); len(st) != 0 {
-			t.Fatalf("cache %d still holds %v after FlushAll", cc.ID(), st)
+		if addrs := held(cc); len(addrs) != 0 {
+			t.Fatalf("cache %d still holds %#x after flushing every line", cc.ID(), addrs)
 		}
 	}
 	if err := sys.Checker().MustPass(); err != nil {

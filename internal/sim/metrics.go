@@ -164,7 +164,7 @@ func (m Metrics) BytesPerRef() float64 {
 // is NOT clamped: a value above 1.0 means the accounting model was
 // overcommitted (BusyNanos exceeded the elapsed clock — e.g. the
 // concurrent engine's wall-clock elapsed time undercounting simulated
-// bus time) and should be surfaced, not hidden. See Overcommitted.
+// bus time), and the report shows it as it is.
 func (m Metrics) BusUtilization() float64 {
 	if m.ElapsedNanos == 0 {
 		return 0
@@ -186,13 +186,6 @@ func (m Metrics) Efficiency() float64 {
 		return 0
 	}
 	return useful / total
-}
-
-// Overcommitted reports whether either derived ratio exceeds 1.0 —
-// i.e. the run's time accounting is internally inconsistent and the
-// ratios should be read as model diagnostics, not physical fractions.
-func (m Metrics) Overcommitted() bool {
-	return m.BusUtilization() > 1 || m.Efficiency() > 1
 }
 
 // SystemPower is Procs × Efficiency: the effective number of

@@ -16,8 +16,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestMetricsUnclamped: BusUtilization and Efficiency above 1.0 are
-// reported as-is (the accounting is inconsistent and must be visible),
-// and Overcommitted flags the condition.
+// reported as-is (the accounting is inconsistent and must be visible).
 func TestMetricsUnclamped(t *testing.T) {
 	m := Metrics{
 		Refs: 1000, Procs: 1, HitLatency: 50,
@@ -29,15 +28,6 @@ func TestMetricsUnclamped(t *testing.T) {
 	}
 	if got := m.Efficiency(); got != 5.0 {
 		t.Errorf("efficiency = %f, want 5.0 (unclamped)", got)
-	}
-	if !m.Overcommitted() {
-		t.Error("Overcommitted() = false for ratios > 1")
-	}
-
-	sane := Metrics{Refs: 100, Procs: 2, HitLatency: 50, ElapsedNanos: 100000}
-	sane.Bus.BusyNanos = 50000
-	if sane.Overcommitted() {
-		t.Error("Overcommitted() = true for ratios <= 1")
 	}
 }
 

@@ -36,7 +36,7 @@ func TestSplitModeConsistent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !sys.Split() {
+				if !sys.split {
 					t.Fatal("system not in split mode")
 				}
 				gens := abGens(sys, 0.5, 0.4, 31)

@@ -167,9 +167,6 @@ type System struct {
 	homes []int
 }
 
-// Split reports whether the system runs split-transaction bus tenures.
-func (s *System) Split() bool { return s.split }
-
 // noteRef records one completed reference for live progress reporting.
 func (s *System) noteRef() { s.refsDone.Add(1) }
 

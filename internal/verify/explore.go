@@ -89,36 +89,35 @@ func (e *explorer) violate(s sysState, reason string) {
 	})
 }
 
-// checkInvariants applies the §3.1 invariants to one state.
+// checkInvariants asks core's §3.1 predicate of one state and words
+// each breach: a stale copy and an E copy over stale memory per board,
+// in board order, then the line-wide breaches.
 func (e *explorer) checkInvariants(s sysState) {
-	owners, valids := 0, 0
+	sum := core.Copies{MemStale: !s.memCurrent}
 	exclusiveAt := -1
 	for i := 0; i < s.n; i++ {
-		b := s.boards[i]
-		if !b.state.Valid() {
-			continue
-		}
-		valids++
-		if b.state.OwnedCopy() {
-			owners++
-		}
-		if b.state.ExclusiveCopy() {
+		sum.Add(s.boards[i].state, !s.boards[i].current)
+		if s.boards[i].state.ExclusiveCopy() {
 			exclusiveAt = i
 		}
-		if !b.current {
+	}
+	breaches := sum.Breaches()
+	for i := 0; i < s.n; i++ {
+		b := s.boards[i]
+		if breaches.Has(core.SingleImage) && b.state.Valid() && !b.current {
 			e.violate(s, fmt.Sprintf("board %d holds a stale %s copy (lost update)", i, b.state.Letter()))
 		}
-		if b.state == core.Exclusive && !s.memCurrent {
+		if breaches.Has(core.EMatchesMemory) && b.state == core.Exclusive {
 			e.violate(s, fmt.Sprintf("board %d holds E but memory is stale (§3.1.2)", i))
 		}
 	}
-	if owners > 1 {
-		e.violate(s, fmt.Sprintf("%d owners (§3.1.3: ownership is unique)", owners))
+	if breaches.Has(core.UniqueOwner) {
+		e.violate(s, fmt.Sprintf("%d owners (§3.1.3: ownership is unique)", sum.Owned))
 	}
-	if exclusiveAt >= 0 && valids > 1 {
-		e.violate(s, fmt.Sprintf("board %d claims exclusivity but %d copies exist (§3.1.2)", exclusiveAt, valids))
+	if breaches.Has(core.RealExclusivity) {
+		e.violate(s, fmt.Sprintf("board %d claims exclusivity but %d copies exist (§3.1.2)", exclusiveAt, sum.Valid))
 	}
-	if owners == 0 && !s.memCurrent {
+	if breaches.Has(core.MemoryOwner) {
 		e.violate(s, "no owner and memory stale (the shared image is lost, §3.1.3)")
 	}
 }

@@ -180,12 +180,38 @@ func TestSynapseMixesSafely(t *testing.T) {
 	}
 }
 
+// synapseRefetchTable is the historically faithful Synapse write hit:
+// the machine did not trust its shared copy and re-read the line with
+// its read-invalidate ownership request ("M,CA,IM,R" from S). Table 1
+// does not print that action. It is strictly more conservative than the
+// address-only upgrade: it refetches through column 6, where any owner
+// supplies the current line and every copy dies.
+func synapseRefetchTable() *core.Table {
+	states := []core.State{core.Modified, core.Shared, core.Invalid}
+	locals := []core.LocalEvent{core.LocalRead, core.LocalWrite}
+	buses := []core.BusEvent{core.BusCacheRead, core.BusCacheRFO}
+	t := core.TableFromCells("Synapse (refetch)", states, locals, buses,
+		[][]string{
+			{"M", "M"},
+			{"S", "M,CA,IM,R"},
+			{"S,CA,R", "M,CA,IM,R"},
+		},
+		[][]string{
+			{"BS;I,W", "BS;I,W"},
+			{"S,CH", "I"},
+			{"I", "I"},
+		})
+	full := protocols.Extend(t, protocols.StyleInvalidate)
+	full.Name = "Synapse (refetch)"
+	return full
+}
+
 // TestSynapseRefetchVariantSafe: the historically faithful Synapse
 // write hit ("M,CA,IM,R" from S) is NotInClass under the letter of
 // Table 1 but exhaustively safe — the model checker extends the
 // validator's reach.
 func TestSynapseRefetchVariantSafe(t *testing.T) {
-	refetch := protocols.SynapseRefetchTable()
+	refetch := synapseRefetchTable()
 	if core.Validate(refetch, core.CopyBack).Verdict == core.RequiresBS {
 		t.Log("note: refetch write-hit unexpectedly entered the class")
 	}
@@ -313,4 +339,72 @@ func TestFourWayProtocolMix(t *testing.T) {
 		t.Fatalf("four-way mix:\n%s", res)
 	}
 	t.Logf("four-way mix: %s", res)
+}
+
+// copySpec is one board's copy in an enumerated snapshot.
+type copySpec struct {
+	state core.State
+	stale bool
+}
+
+// snapshots calls fn with every multiset of up to three copies over
+// {S, E, O, M} × {current, stale}, with memory current and stale: 330
+// snapshots.
+func snapshots(fn func(copies []copySpec, memStale bool)) {
+	var kinds []copySpec
+	for _, s := range []core.State{core.Shared, core.Exclusive, core.Owned, core.Modified} {
+		kinds = append(kinds, copySpec{s, false}, copySpec{s, true})
+	}
+	var grow func(from int, set []copySpec)
+	grow = func(from int, set []copySpec) {
+		fn(set, false)
+		fn(set, true)
+		if len(set) < 3 {
+			for k := from; k < len(kinds); k++ {
+				grow(k, append(set[:len(set):len(set)], kinds[k]))
+			}
+		}
+	}
+	grow(0, nil)
+}
+
+// TestInvariantsMatchCore: on every snapshot the model can express, the
+// explorer reports exactly the §3.1 invariants core's predicate names.
+func TestInvariantsMatchCore(t *testing.T) {
+	words := []struct {
+		inv  core.Invariant
+		text string
+	}{
+		{core.UniqueOwner, "ownership is unique"},
+		{core.RealExclusivity, "claims exclusivity"},
+		{core.MemoryOwner, "no owner and memory stale"},
+		{core.EMatchesMemory, "holds E but memory is stale"},
+		{core.SingleImage, "holds a stale"},
+	}
+	n := 0
+	snapshots(func(copies []copySpec, memStale bool) {
+		n++
+		s := sysState{n: len(copies), memCurrent: !memStale}
+		want := core.Copies{MemStale: memStale}
+		for i, cp := range copies {
+			s.boards[i] = boardView{state: cp.state, current: !cp.stale}
+			want.Add(cp.state, cp.stale)
+		}
+		e := &explorer{}
+		e.checkInvariants(s)
+		var got core.Invariant
+		for _, v := range e.result.Violations {
+			for _, w := range words {
+				if strings.Contains(v.Reason, w.text) {
+					got |= w.inv
+				}
+			}
+		}
+		if got != want.Breaches() {
+			t.Errorf("%s: explorer reports %q, core %q", s, got, want.Breaches())
+		}
+	})
+	if n != 330 {
+		t.Errorf("%d snapshots, want 330", n)
+	}
 }

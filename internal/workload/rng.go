@@ -47,13 +47,3 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
-// Geometric returns a geometrically distributed value with success
-// probability p (mean ≈ 1/p − 1), capped at max.
-func (r *RNG) Geometric(p float64, max int) int {
-	n := 0
-	for n < max && !r.Bool(p) {
-		n++
-	}
-	return n
-}

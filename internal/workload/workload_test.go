@@ -64,27 +64,6 @@ func TestRNGBoolFrequency(t *testing.T) {
 	}
 }
 
-// TestGeometric: distribution mean is near 1/p − 1 and respects max.
-func TestGeometric(t *testing.T) {
-	r := NewRNG(9)
-	const n = 20000
-	sum := 0
-	for i := 0; i < n; i++ {
-		g := r.Geometric(0.5, 100)
-		if g < 0 || g > 100 {
-			t.Fatalf("geometric out of range: %d", g)
-		}
-		sum += g
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-1.0) > 0.1 {
-		t.Errorf("geometric mean = %.3f, want ≈1", mean)
-	}
-	if g := r.Geometric(0.0001, 3); g > 3 {
-		t.Errorf("cap ignored: %d", g)
-	}
-}
-
 // TestModelValidation rejects bad parameters.
 func TestModelValidation(t *testing.T) {
 	base := Model{SharedLines: 8, PrivateLines: 8, WordsPerLine: 8, PShared: 0.5, PWrite: 0.5}

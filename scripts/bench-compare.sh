@@ -10,8 +10,11 @@
 # benchmarks regress lists gates, because it is deterministic; every
 # other figure, wall-clock and CPU time above all, and the intra-run
 # overhead and shard-scaling ratios are advisory rows, marked WARN when
-# past their thresholds or limits. The exit status is fbtrend's: 0
-# clean, 1 a gated figure regressed, 2 a document that cannot be read
+# past their thresholds or limits. A partial run fails closed: a gated
+# figure the baseline holds and the run lacks is a regressed "missing"
+# row, so judge every gated benchmark in one run (CI merges its runs
+# with `jq -s add` first). The exit status is fbtrend's: 0 clean, 1 a
+# gated figure regressed or missing, 2 a document that cannot be read
 # (a truncated one included).
 #
 # Usage:
