@@ -112,8 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cli.Status(stderr, "fbperf", false, runBattery(stdout, stderr, args[1:]))
 }
 
-// runBattery drives one battery and writes its report. fbperf judges
-// nothing, so every error it returns exits 2.
+// runBattery drives one battery, checks it and writes its report. Its
+// batteries run only correct protocols, so a failed check is a fault of
+// the program and, like every error it returns, exits 2.
 func runBattery(stdout, stderr io.Writer, args []string) (err error) {
 	fs := flag.NewFlagSet("fbperf run", flag.ContinueOnError)
 	batteryName := fs.String("battery", "ab", "workload battery: ab, migratory, ping-pong, mixed")
@@ -169,7 +170,7 @@ func runBattery(stdout, stderr io.Writer, args []string) (err error) {
 		defer pprof.StopCPUProfile()
 	}
 
-	rec := obs.New(perf.NewSink(0))
+	rec := obs.New(perf.NewSink())
 	defer rec.Close()
 	sys, err := sim.New(sim.Config{Boards: bat.boards, Obs: rec, Shards: *shards})
 	if err != nil {
@@ -209,7 +210,8 @@ func runBattery(stdout, stderr io.Writer, args []string) (err error) {
 		return err
 	}
 	host := hr.Stop(m.Refs)
-	if err := rec.Close(); err != nil {
+	// Judged outside the host-cost bracket, on both engines alike.
+	if err := errors.Join(sys.Check(), rec.Close()); err != nil {
 		return err
 	}
 

@@ -45,6 +45,14 @@ func main() {
 	s, err := startSession(&shared, *exp)
 	fail(err)
 	opts := experimentOpts(&shared, s.Rec)
+	// From here every exit ends the session, so a failed battery still
+	// leaves whole traces and prints its verdict.
+	end := func(err error, report func() error) { os.Exit(s.End(os.Stderr, "fbsweep: ", err, report)) }
+	check := func(err error) {
+		if err != nil {
+			end(err, nil)
+		}
+	}
 
 	// Experiments are independent and internally deterministic, so the
 	// full battery fans out over a bounded worker pool; reports come
@@ -57,13 +65,13 @@ func main() {
 	}
 
 	reports, err := sim.RunBattery(list, opts, workers)
-	fail(err)
+	check(err)
 
 	if *outDir != "" {
-		fail(os.MkdirAll(*outDir, 0o755))
+		check(os.MkdirAll(*outDir, 0o755))
 		for _, rep := range reports {
 			name := strings.ReplaceAll(strings.ToLower(rep.ID), "/", "-")
-			fail(os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(rep.CSV()), 0o644))
+			check(os.WriteFile(filepath.Join(*outDir, name+".csv"), []byte(rep.CSV()), 0o644))
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d CSV files to %s\n", len(reports), *outDir)
 	}
@@ -84,7 +92,7 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		fail(session.WriteJSON(os.Stdout, *jsonOut, batteryDoc{
+		check(session.WriteJSON(os.Stdout, *jsonOut, batteryDoc{
 			Fbsweep: batteryParams{
 				Exp: strings.ToUpper(*exp), Refs: shared.Refs, Seed: shared.Seed, Shards: shared.Shards,
 			},
@@ -93,18 +101,17 @@ func main() {
 		}))
 	}
 
-	fail(s.Close())
-	if shared.Hist {
-		if h := obs.FindHistogram(s.Rec); h != nil {
-			fmt.Printf("\nsweep-wide latency histograms:\n%s", h.Render())
+	end(nil, func() error {
+		if shared.Hist {
+			if h := obs.FindHistogram(s.Rec); h != nil {
+				fmt.Printf("\nsweep-wide latency histograms:\n%s", h.Render())
+			}
 		}
-	}
-	if shared.MetricsJSON != "" {
-		fail(session.WriteJSON(os.Stdout, shared.MetricsJSON, reports))
-	}
-	if s.Verdict(os.Stderr, "fbsweep: ") {
-		os.Exit(1)
-	}
+		if shared.MetricsJSON != "" {
+			return session.WriteJSON(os.Stdout, shared.MetricsJSON, reports)
+		}
+		return nil
+	})
 }
 
 // startSession opens the sweep's observability session. One recorder
@@ -117,7 +124,7 @@ func startSession(shared *session.Flags, exp string) (*session.Session, error) {
 		Tool:        "fbsweep",
 		Fingerprint: fmt.Sprintf("fbsweep exp=%s refs=%d seed=%d shards=%d", strings.ToUpper(exp), shared.Refs, shared.Seed, shared.Shards),
 		PerRunPerf:  true,
-	})
+	}, os.Stderr)
 }
 
 // experimentOpts sizes every experiment from the shared flags and

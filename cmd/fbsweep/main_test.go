@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"futurebus/cmd/internal/session"
+	"futurebus/internal/obs"
 	"futurebus/internal/obs/ledger"
 	"futurebus/internal/sim"
 )
@@ -66,6 +68,26 @@ func TestUnknownExperimentKeepsTrace(t *testing.T) {
 		if got, err := os.ReadFile(keep); err != nil || string(got) != old {
 			t.Errorf("fbsweep %s left %q (%v), want %q", strings.Join(args, " "), got, err, old)
 		}
+	}
+}
+
+// TestFailedBatteryKeepsTrace: a battery that fails (here, on a shard
+// count its caches' sets cannot interleave over) still ends its
+// session: the -record-out trace decodes, the -watch verdict is
+// printed, and the error exits 1.
+func TestFailedBatteryKeepsTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.fbt")
+	code, stderr := runMain(t, "-exp", "P2", "-refs", "100", "-shards", "3", "-watch", "-record-out", path)
+	if code != 1 || !strings.Contains(stderr, "cannot interleave") || !strings.Contains(stderr, "fbsweep: invariants: clean") {
+		t.Errorf("exit %d, stderr %q; want 1, the battery's error and the verdict", code, stderr)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, _, err := obs.ReplayTrace(f); err != nil {
+		t.Errorf("the failed battery's trace does not decode: %v", err)
 	}
 }
 
@@ -182,8 +204,8 @@ func TestTracedTablesMatchUntraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+		if code := s.End(io.Discard, "", nil, func() error { return nil }); code != 0 {
+			t.Fatalf("session ended with exit %d", code)
 		}
 		return p11.Render() + p1.Render()
 	}

@@ -1,8 +1,9 @@
 // Package session holds what fbsim and fbsweep share: the flags that
 // size a run, choose its bus and ask for observability, and the
 // observability session those flags describe — the recorder and the
-// sinks it carries, the live HTTP service, the end-of-run teardown and
-// trace notes, and the invariant verdict. Its '-'-or-file JSON writer
+// sinks it carries, the live HTTP service, and the one end of every
+// run: the teardown, the trace notes, the invariant verdict and the
+// exit status. Its '-'-or-file JSON writer
 // also writes fbperf's and fbtrend's documents.
 package session
 
@@ -94,11 +95,12 @@ type Session struct {
 	// Svc is the live service under -serve, else nil.
 	Svc *obshttp.Service
 
-	f     *Flags
-	tool  string
-	files []*os.File
-	mon   *watch.Monitor
-	srv   *obshttp.Server
+	f      *Flags
+	tool   string
+	stderr io.Writer
+	files  []*os.File
+	mon    *watch.Monitor
+	srv    *obshttp.Server
 }
 
 // Start checks the shared flags, then creates the trace files and sinks
@@ -106,8 +108,9 @@ type Session struct {
 // events, and under -serve the running endpoint. It checks the -bus and
 // -discipline names too, so every tool refuses a bad one alike, even one
 // whose runs would ignore it (P9's trees). A tool that configures Svc
-// further (labels, gauges) does so before its run starts.
-func Start(f *Flags, o Options) (_ *Session, err error) {
+// further (labels, gauges) does so before its run starts, and ends the
+// session with End. The session's notes go to stderr.
+func Start(f *Flags, o Options, stderr io.Writer) (_ *Session, err error) {
 	switch {
 	case o.Ledger != "" && f.Serve == "":
 		return nil, errors.New("-ledger requires -serve (the verdict lives on /trend)")
@@ -122,7 +125,7 @@ func Start(f *Flags, o Options) (_ *Session, err error) {
 	if _, err := bus.NewDiscipline(f.Discipline); err != nil {
 		return nil, fmt.Errorf("-discipline %s: %w", f.Discipline, err)
 	}
-	s := &Session{f: f, tool: o.Tool}
+	s := &Session{f: f, tool: o.Tool, stderr: stderr}
 	defer func() {
 		if err != nil {
 			_ = s.Rec.Close() // the failure is already being reported
@@ -181,7 +184,7 @@ func Start(f *Flags, o Options) (_ *Session, err error) {
 		needPerf = len(sinks) > 0
 	}
 	if needPerf && s.Svc == nil {
-		sinks = append(sinks, perf.NewSink(0))
+		sinks = append(sinks, perf.NewSink())
 	}
 	if len(sinks) > 0 {
 		s.Rec = obs.New(sinks...)
@@ -198,20 +201,48 @@ func Start(f *Flags, o Options) (_ *Session, err error) {
 	if s.srv, err = s.Svc.Serve(f.Serve); err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "%s: serving observability on %s (%s)\n", s.tool, s.srv.URL(), obshttp.EndpointList())
+	fmt.Fprintf(s.stderr, "%s: serving observability on %s (%s)\n", s.tool, s.srv.URL(), obshttp.EndpointList())
 	return s, nil
 }
 
-// Close ends the session once the run is done: it keeps a served
+// End ends a run, failed (err) or not, through one path: it closes the
+// session, flushing every trace file and sink; calls report, unless the
+// run or the close failed, to print what reads the closed sinks; prints
+// the -watch verdict (the summary to w after prefix, each violation on
+// stderr), then any error; and returns the exit status, 1 for an error
+// or a violated invariant.
+func (s *Session) End(w io.Writer, prefix string, err error, report func() error) int {
+	if err = errors.Join(err, s.close()); err == nil {
+		err = report()
+	}
+	status := 0
+	if s.mon != nil {
+		rep := s.mon.Report()
+		fmt.Fprintf(w, "%sinvariants: %s\n", prefix, rep.Summary())
+		for i := range rep.Violations {
+			fmt.Fprintf(s.stderr, "%s: %s\n", s.tool, rep.Violations[i].String())
+		}
+		if rep.Total > 0 {
+			status = 1
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(s.stderr, "%s: %v\n", s.tool, err)
+		status = 1
+	}
+	return status
+}
+
+// close ends the session once the run is done: it keeps a served
 // endpoint up for -serve-linger and stops it, closes the recorder
 // (flushing every sink) and the trace files, warns about dropped
 // events, and notes the traces written. The sinks stay readable
 // through Rec afterwards.
-func (s *Session) Close() error {
+func (s *Session) close() error {
 	var errs []error
 	if s.srv != nil {
 		if d := s.f.ServeLinger; d > 0 {
-			fmt.Fprintf(os.Stderr, "%s: run finished; observability endpoint stays up for %s\n", s.tool, d)
+			fmt.Fprintf(s.stderr, "%s: run finished; observability endpoint stays up for %s\n", s.tool, d)
 			s.srv.Linger(d)
 		}
 		errs = append(errs, s.srv.Close())
@@ -220,7 +251,7 @@ func (s *Session) Close() error {
 		return errors.Join(errs...)
 	}
 	errs = append(errs, s.Rec.Close())
-	obs.WarnDropped(os.Stderr, s.tool, s.Rec)
+	obs.WarnDropped(s.stderr, s.tool, s.Rec)
 	for _, f := range s.files {
 		errs = append(errs, f.Close())
 	}
@@ -228,10 +259,10 @@ func (s *Session) Close() error {
 		return err
 	}
 	if s.f.TraceOut != "" {
-		fmt.Fprintf(os.Stderr, "%s: wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", s.tool, s.f.TraceOut)
+		fmt.Fprintf(s.stderr, "%s: wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", s.tool, s.f.TraceOut)
 	}
 	if s.f.RecordOut != "" {
-		fmt.Fprintf(os.Stderr, "%s: wrote binary trace to %s (fbt causal analyze %s)\n", s.tool, s.f.RecordOut, s.f.RecordOut)
+		fmt.Fprintf(s.stderr, "%s: wrote binary trace to %s (fbt causal analyze %s)\n", s.tool, s.f.RecordOut, s.f.RecordOut)
 	}
 	return nil
 }
@@ -243,22 +274,6 @@ func (s *Session) create(path string) (*os.File, error) {
 		s.files = append(s.files, f)
 	}
 	return f, err
-}
-
-// Verdict prints the invariant monitor's summary to w after prefix,
-// and each violation on stderr, and reports whether the run violated
-// an invariant. Without -watch it prints nothing. Tools call it last,
-// so every other artifact is written even when the run was dirty.
-func (s *Session) Verdict(w io.Writer, prefix string) (dirty bool) {
-	if s.mon == nil {
-		return false
-	}
-	rep := s.mon.Report()
-	fmt.Fprintf(w, "%sinvariants: %s\n", prefix, rep.Summary())
-	for i := range rep.Violations {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", s.tool, rep.Violations[i].String())
-	}
-	return rep.Total > 0
 }
 
 // WriteJSON writes v as indented JSON to the file at path, or to

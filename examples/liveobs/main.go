@@ -37,7 +37,7 @@ func main() {
 	cfg.Obs = rec
 	sys, err := sim.New(cfg)
 	must(err)
-	sys.RegisterLiveGauges(svc.Registry, 0)
+	sys.RegisterLiveGauges(svc.Registry)
 
 	// ":0" binds an ephemeral port; URL() reports where we landed.
 	srv, err := svc.Serve("127.0.0.1:0")
@@ -57,6 +57,7 @@ func main() {
 	})
 	m, err := sim.RunConcurrent(sys, gens, 5000)
 	must(err)
+	must(sys.Check())
 
 	// Scrape ourselves exactly like Prometheus would: the scrape covers
 	// every event the run emitted, buffered or not.

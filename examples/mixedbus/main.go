@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		log.Fatalf("MIXED BUS INCONSISTENT: %v", err)
 	}
 	fmt.Println("mixed bus is consistent: unique ownership, real exclusivity,")

@@ -55,6 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := sys.Check(); err != nil {
+		log.Fatalf("TREE INCONSISTENT: %v", err)
+	}
 	fmt.Println("two-level consistency verified:")
 	fmt.Println("  global level: MOESI invariants over the four bridges + golden image")
 	fmt.Println("  cluster level: no E/M below a bridge, inclusion, bridge currency")

@@ -47,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sys.Checker().MustPass(); err != nil {
+		if err := sys.Check(); err != nil {
 			log.Fatalf("trial %d INCONSISTENT: %v", trial, err)
 		}
 		fmt.Printf("trial %d (%s):\n", trial+1, m.System)

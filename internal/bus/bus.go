@@ -192,14 +192,6 @@ type Config struct {
 	// state to be found later by a checker. Costs one class lookup per
 	// snoop response.
 	Paranoid bool
-	// Handshake, when non-nil, derives the address-cycle cost from an
-	// electrical-level simulation of the Figure 1/2 broadcast
-	// handshake over the configured board timings, instead of the flat
-	// Timing.AddressCycle: the cycle completes when the SLOWEST board
-	// releases AI* plus the wired-OR glitch filter (§2.2). Slower
-	// boards on the bus make every address cycle slower for everyone —
-	// the price of "broadcast operations are guaranteed to work".
-	Handshake *HandshakeConfig
 	// Obs, when non-nil, receives structured events for every
 	// transaction, abort, recovery push and grant; attached caches
 	// inherit it (via Bus.Recorder) for state-transition and stall
@@ -264,13 +256,6 @@ func New(memory MemoryPort, cfg Config) *Bus {
 	}
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
-	}
-	if cfg.Handshake != nil {
-		// The simulated handshake's completion time already includes
-		// the glitch filter; AddressCycleCost adds WiredORPenalty, so
-		// subtract it here to charge exactly the simulated figure.
-		tr := SimulateBroadcastHandshake(*cfg.Handshake)
-		cfg.Timing.AddressCycle = tr.Complete - cfg.Timing.WiredORPenalty
 	}
 	arb := cfg.Arbiter
 	if arb == nil {

@@ -190,6 +190,15 @@ func SimulateBroadcastHandshake(cfg HandshakeConfig) HandshakeTrace {
 	return tr
 }
 
+// Timing returns the default cost model with the address cycle this
+// handshake took, so one slow board slows every cycle (§2.2). Complete
+// already includes the WiredORPenalty AddressCycleCost adds.
+func (tr HandshakeTrace) Timing() Timing {
+	t := DefaultTiming()
+	t.AddressCycle = tr.Complete - t.WiredORPenalty
+	return t
+}
+
 // Render formats the trace for terminal output (fbpaper figures).
 func (tr HandshakeTrace) Render() string {
 	var b strings.Builder

@@ -109,15 +109,15 @@ func TestHandshakeRender(t *testing.T) {
 	}
 }
 
-// TestHandshakeDrivenTiming: with Config.Handshake set, every address
-// cycle costs exactly the simulated handshake completion time — adding
-// a slow board to the bus slows every transaction for everyone (§2.2).
+// TestHandshakeDrivenTiming: on a bus timed by a simulated handshake,
+// every address cycle costs exactly its completion time — adding a slow
+// board to the bus slows every transaction for everyone (§2.2).
 func TestHandshakeDrivenTiming(t *testing.T) {
 	run := func(slowest int64) int64 {
 		cfg := DefaultHandshakeConfig()
 		cfg.Slaves = append(cfg.Slaves, SlaveTiming{AckDelay: 5, ProcessTime: slowest})
 		mem := newFakeMemory(16)
-		b := New(mem, Config{LineSize: 16, Handshake: &cfg})
+		b := New(mem, Config{LineSize: 16, Timing: SimulateBroadcastHandshake(cfg).Timing()})
 		res, err := b.Execute(Transaction{MasterID: 0, Signals: core.SigCA | core.SigIM, Op: core.BusAddrOnly, Addr: 1})
 		if err != nil {
 			t.Fatal(err)

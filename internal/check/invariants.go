@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -171,12 +172,17 @@ func describe(copies []copyInfo) string {
 
 // MustPass runs Check and returns an error summarising any violations.
 func (c *Checker) MustPass() error {
-	vs := c.Check()
+	return Failure("consistency check failed with", c.Check())
+}
+
+// Failure summarises violations as one error, led by what and their
+// count and listing the first 20; nil when there are none.
+func Failure[V fmt.Stringer](what string, vs []V) error {
 	if len(vs) == 0 {
 		return nil
 	}
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "consistency check failed with %d violations:", len(vs))
+	fmt.Fprintf(&b, "%s %d violations:", what, len(vs))
 	for i, v := range vs {
 		if i == 20 {
 			fmt.Fprintf(&b, "\n  … and %d more", len(vs)-i)
@@ -184,5 +190,5 @@ func (c *Checker) MustPass() error {
 		}
 		fmt.Fprintf(&b, "\n  %s", v)
 	}
-	return fmt.Errorf("%s", b.String())
+	return errors.New(b.String())
 }

@@ -33,88 +33,57 @@ func (v ClusterViolation) String() string {
 func (s *System) CheckClusters() []ClusterViolation {
 	var out []ClusterViolation
 	for _, cl := range s.Clusters {
-		out = append(out, checkCluster(cl)...)
-	}
-	return out
-}
+		bad := func(addr bus.Addr, format string, args ...any) {
+			out = append(out, ClusterViolation{Cluster: cl.ID, Addr: addr, Reason: fmt.Sprintf(format, args...)})
+		}
 
-func checkCluster(cl *Cluster) []ClusterViolation {
-	var out []ClusterViolation
-	bad := func(addr bus.Addr, format string, args ...any) {
-		out = append(out, ClusterViolation{Cluster: cl.ID, Addr: addr, Reason: fmt.Sprintf(format, args...)})
-	}
-
-	bridgeLines := map[bus.Addr][]byte{}
-	cl.Bridge.Store().ForEachLine(func(addr bus.Addr, st core.State, data []byte) {
-		bridgeLines[addr] = data
-	})
-
-	// Each cluster line's copies: the cache, its state, and whether the
-	// copy differs from the bridge's.
-	type clusterCopy struct {
-		id    int
-		state core.State
-		stale bool
-	}
-	byLine := map[bus.Addr][]clusterCopy{}
-	var addrs []bus.Addr
-	for _, c := range cl.Caches {
-		id := c.ID()
-		c.ForEachLine(func(addr bus.Addr, st core.State, data []byte) {
-			if st == core.Exclusive || st == core.Modified {
-				bad(addr, "cache %d holds %s; the bridge's CH must pin cluster lines to S/O", id, st.Letter())
-			}
-			bline, ok := bridgeLines[addr]
-			if !ok {
-				bad(addr, "cache %d holds a line the bridge does not track (inclusion broken)", id)
-			}
-			if byLine[addr] == nil {
-				addrs = append(addrs, addr)
-			}
-			byLine[addr] = append(byLine[addr], clusterCopy{id, st, ok && !bytes.Equal(data, bline)})
+		bridgeLines := map[bus.Addr][]byte{}
+		cl.Bridge.Store().ForEachLine(func(addr bus.Addr, st core.State, data []byte) {
+			bridgeLines[addr] = data
 		})
-	}
-	for _, addr := range addrs {
-		var sum core.Copies
-		for _, cp := range byLine[addr] {
-			sum.Add(cp.state, cp.stale)
+
+		// Each cluster line's copies: the cache, its state, and whether
+		// the copy differs from the bridge's.
+		type clusterCopy struct {
+			id    int
+			state core.State
+			stale bool
 		}
-		breaches := sum.Breaches()
-		if breaches.Has(core.UniqueOwner) {
-			bad(addr, "multiple cluster owners")
+		byLine := map[bus.Addr][]clusterCopy{}
+		var addrs []bus.Addr
+		for _, c := range cl.Caches {
+			id := c.ID()
+			c.ForEachLine(func(addr bus.Addr, st core.State, data []byte) {
+				if st == core.Exclusive || st == core.Modified {
+					bad(addr, "cache %d holds %s; the bridge's CH must pin cluster lines to S/O", id, st.Letter())
+				}
+				bline, ok := bridgeLines[addr]
+				if !ok {
+					bad(addr, "cache %d holds a line the bridge does not track (inclusion broken)", id)
+				}
+				if byLine[addr] == nil {
+					addrs = append(addrs, addr)
+				}
+				byLine[addr] = append(byLine[addr], clusterCopy{id, st, ok && !bytes.Equal(data, bline)})
+			})
 		}
-		for _, cp := range byLine[addr] {
-			if breaches.Has(core.SingleImage) && cp.stale {
-				bad(addr, "cache %d copy differs from the bridge's (bridge stale)", cp.id)
+		for _, addr := range addrs {
+			var sum core.Copies
+			for _, cp := range byLine[addr] {
+				sum.Add(cp.state, cp.stale)
+			}
+			breaches := sum.Breaches()
+			if breaches.Has(core.UniqueOwner) {
+				bad(addr, "multiple cluster owners")
+			}
+			for _, cp := range byLine[addr] {
+				if breaches.Has(core.SingleImage) && cp.stale {
+					bad(addr, "cache %d copy differs from the bridge's (bridge stale)", cp.id)
+				}
 			}
 		}
 	}
 	return out
-}
-
-// MustPass runs both levels of checking — the global single-bus
-// invariants over the bridges, and the cluster invariants — plus any
-// deferred bridge error.
-func (s *System) MustPass() error {
-	if err := s.Err(); err != nil {
-		return err
-	}
-	if err := s.GlobalChecker().MustPass(); err != nil {
-		return fmt.Errorf("hierarchy global level: %w", err)
-	}
-	if vs := s.CheckClusters(); len(vs) > 0 {
-		var b bytes.Buffer
-		fmt.Fprintf(&b, "hierarchy cluster level: %d violations:", len(vs))
-		for i, v := range vs {
-			if i == 20 {
-				fmt.Fprintf(&b, "\n  … and %d more", len(vs)-i)
-				break
-			}
-			fmt.Fprintf(&b, "\n  %s", v)
-		}
-		return fmt.Errorf("%s", b.String())
-	}
-	return nil
 }
 
 // Stats aggregates traffic over the tree for the scaling experiment.

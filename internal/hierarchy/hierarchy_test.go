@@ -43,6 +43,15 @@ func mustNewTree(t *testing.T, cfg hierarchy.Config) *sim.System {
 	return sys
 }
 
+// mustPass fails the test if a tree deferred a bridge error or breaches
+// consistency at either level.
+func mustPass(t *testing.T, tree *sim.System) {
+	t.Helper()
+	if err := errors.Join(tree.Tree().Err(), tree.Check()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // abGens builds per-processor generators; shared lines are shared
 // ACROSS clusters, exercising the global level.
 func abGens(t *testing.T, sys *sim.System, pShared float64, seed uint64) []workload.Generator {
@@ -66,7 +75,8 @@ func abGens(t *testing.T, sys *sim.System, pShared float64, seed uint64) []workl
 
 // TestBasicCrossClusterFlow walks one line across clusters by hand.
 func TestBasicCrossClusterFlow(t *testing.T) {
-	sys := mustNew(t, smallConfig(2, 2))
+	tree := mustNewTree(t, smallConfig(2, 2))
+	sys := tree.Tree()
 	a := sys.Proc(0, 0)
 	b := sys.Proc(1, 0)
 	const line = bus.Addr(0x100)
@@ -115,16 +125,14 @@ func TestBasicCrossClusterFlow(t *testing.T) {
 	if v, err := a.ReadWord(line, 0); err != nil || v != 0xAA {
 		t.Fatalf("read back word0 %#x, %v", v, err)
 	}
-
-	if err := sys.MustPass(); err != nil {
-		t.Fatal(err)
-	}
+	mustPass(t, tree)
 }
 
 // TestIntraClusterSharingStaysLocal: two caches in one cluster sharing
 // a line generate no global traffic beyond the initial fetch.
 func TestIntraClusterSharingStaysLocal(t *testing.T) {
-	sys := mustNew(t, smallConfig(2, 2))
+	tree := mustNewTree(t, smallConfig(2, 2))
+	sys := tree.Tree()
 	a, b := sys.Proc(0, 0), sys.Proc(0, 1)
 	const line = bus.Addr(0x200)
 
@@ -154,17 +162,17 @@ func TestIntraClusterSharingStaysLocal(t *testing.T) {
 	if grew := globalAfter - globalBefore; grew != 0 {
 		t.Errorf("intra-cluster sharing leaked %d global transactions", grew)
 	}
-	if err := sys.MustPass(); err != nil {
-		t.Fatal(err)
-	}
+	mustPass(t, tree)
 }
 
 // TestHierarchyWorkloadConsistent: the full two-level machine stays
-// consistent under a mixed shared workload (the engine checks both
-// levels at the end of the run).
+// consistent at both levels under a mixed shared workload.
 func TestHierarchyWorkloadConsistent(t *testing.T) {
 	sys := mustNewTree(t, smallConfig(3, 2))
 	if _, err := (&sim.Engine{Sys: sys, Gens: abGens(t, sys, 0.4, 11)}).Run(1500); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.Tree().CollectStats()
@@ -179,10 +187,14 @@ func TestHierarchyWorkloadConsistent(t *testing.T) {
 
 // TestHierarchyConcurrentConsistent: sim.RunConcurrent drives the tree
 // with a goroutine per processor, the arbiter all its buses share
-// serialising them, and checks both levels (run with -race).
+// serialising them, and the tree passes both levels' checks (run with
+// -race).
 func TestHierarchyConcurrentConsistent(t *testing.T) {
 	sys := mustNewTree(t, smallConfig(2, 2))
 	if _, err := sim.RunConcurrent(sys, abGens(t, sys, 0.4, 23), 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,13 +204,13 @@ func TestHierarchyConcurrentConsistent(t *testing.T) {
 func TestClusterPolicyValidation(t *testing.T) {
 	cfg := smallConfig(1, 1)
 	for _, bad := range []string{"moesi-invalidate", "berkeley", "illinois", "moesi"} {
-		cfg.ClusterProtocol = bad
+		cfg.ClusterProtocols = []string{bad}
 		if _, err := hierarchy.New(cfg); err == nil {
 			t.Errorf("cluster protocol %q accepted", bad)
 		}
 	}
 	for _, good := range []string{"moesi-update", "dragon"} {
-		cfg.ClusterProtocol = good
+		cfg.ClusterProtocols = []string{good}
 		if _, err := hierarchy.New(cfg); err != nil {
 			t.Errorf("cluster protocol %q rejected: %v", good, err)
 		}
@@ -213,7 +225,8 @@ func TestBridgeInclusionEviction(t *testing.T) {
 	cfg.BridgeWays = 4
 	cfg.CacheSets = 8
 	cfg.CacheWays = 2
-	sys := mustNew(t, cfg)
+	tree := mustNewTree(t, cfg)
+	sys := tree.Tree()
 	c := sys.Proc(0, 0)
 
 	// Touch more lines than one bridge set holds; all map to bridge
@@ -231,9 +244,7 @@ func TestBridgeInclusionEviction(t *testing.T) {
 	if inclusions == 0 {
 		t.Fatal("no inclusion evictions despite bridge pressure")
 	}
-	if err := sys.MustPass(); err != nil {
-		t.Fatal(err)
-	}
+	mustPass(t, tree)
 	// The evicted lines' data must still be correct when re-read.
 	for _, ln := range lines {
 		v, err := c.ReadWord(ln, 0)
@@ -282,6 +293,9 @@ func TestMixedClusterProtocols(t *testing.T) {
 	if _, err := (&sim.Engine{Sys: sys, Gens: abGens(t, sys, 0.4, 31)}).Run(1200); err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.Check(); err != nil {
+		t.Fatal(err)
+	}
 	// A wrong-length protocol list is rejected.
 	cfg.ClusterProtocols = []string{"dragon"}
 	if _, err := hierarchy.New(cfg); err == nil {
@@ -295,6 +309,9 @@ func TestHierarchyAccessors(t *testing.T) {
 	if _, err := (&sim.Engine{Sys: tree, Gens: abGens(t, tree, 0.3, 5)}).Run(400); err != nil {
 		t.Fatal(err)
 	}
+	if err := tree.Check(); err != nil {
+		t.Fatal(err)
+	}
 	sys := tree.Tree()
 	st := sys.CollectStats()
 	if st.GlobalFetches == 0 || st.Absorbs == 0 {
@@ -304,7 +321,7 @@ func TestHierarchyAccessors(t *testing.T) {
 	if bs.LocalFills+bs.GlobalFetches == 0 {
 		t.Errorf("bridge fill stats empty: %+v", bs)
 	}
-	if err := sys.GlobalChecker().MustPass(); err != nil {
+	if err := tree.Checker().MustPass(); err != nil {
 		t.Fatal(err)
 	}
 	if len(tree.Caches) != 2 {
@@ -325,7 +342,7 @@ func TestHierarchyConfigErrors(t *testing.T) {
 // TestBridgeErrorFailsRun: an error a bridge defers (its memory-port
 // and snoop hooks cannot return one) fails an engine run: the
 // deterministic engine names the board and the reference whose access
-// found it, and the concurrent engine's closing checks report it.
+// found it, and the concurrent engine reports it once it quiesces.
 func TestBridgeErrorFailsRun(t *testing.T) {
 	injected := errors.New("injected bridge failure")
 	for _, engine := range []string{"det", "conc"} {

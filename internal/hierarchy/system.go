@@ -18,13 +18,10 @@ type Config struct {
 	Clusters int
 	// ProcsPerCluster is the number of processor caches per cluster.
 	ProcsPerCluster int
-	// ClusterProtocol names the protocol cluster caches run. It must be
-	// an update-style class member (see validateClusterPolicy); empty
-	// selects "moesi-update".
-	ClusterProtocol string
-	// ClusterProtocols optionally names a protocol per cluster
-	// (overriding ClusterProtocol) — different clusters may run
-	// different update-style members, the class's compatibility claim
+	// ClusterProtocols names the protocol each cluster's caches run,
+	// one per cluster; empty runs "moesi-update" everywhere. Each must
+	// be an update-style class member (see validateClusterPolicy), and
+	// clusters may run different ones — the class's compatibility claim
 	// applied per local bus.
 	ClusterProtocols []string
 	// LineSize is the system-wide line size (§5.1 applies across the
@@ -74,9 +71,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Clusters >= obs.MaxID || cfg.ProcsPerCluster > obs.MaxID/cfg.Clusters {
 		return nil, fmt.Errorf("hierarchy: %d×%d caches: cache and bus ids must stay below %d", cfg.Clusters, cfg.ProcsPerCluster, obs.MaxID)
 	}
-	if cfg.ClusterProtocol == "" {
-		cfg.ClusterProtocol = "moesi-update"
-	}
 	if cfg.LineSize == 0 {
 		cfg.LineSize = bus.DefaultLineSize
 	}
@@ -124,7 +118,7 @@ func New(cfg Config) (*System, error) {
 }
 
 func newCluster(ci int, cfg Config, sys *System, global *bus.Bus, arb *bus.Arbiter) (*Cluster, error) {
-	protoName := cfg.ClusterProtocol
+	protoName := "moesi-update"
 	if len(cfg.ClusterProtocols) != 0 {
 		protoName = cfg.ClusterProtocols[ci]
 	}
@@ -203,16 +197,4 @@ func (s *System) Err() error {
 		}
 	}
 	return nil
-}
-
-// GlobalChecker verifies the global level: the bridges are ordinary
-// caches on the global bus, so the standard single-bus invariants apply
-// to them against main memory, including the golden image (bridge data
-// is current because clusters are update-style).
-func (s *System) GlobalChecker() *check.Checker {
-	caches := make([]check.LineSource, len(s.Clusters))
-	for i, cl := range s.Clusters {
-		caches[i] = cl.Bridge.Store()
-	}
-	return &check.Checker{Caches: caches, Memory: s.Memory, Shadow: s.Shadow}
 }

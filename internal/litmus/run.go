@@ -233,7 +233,7 @@ func (t *Test) outcome(sys *sim.System, mon *watch.Monitor, rec *obs.Recorder) (
 			return nil, nil, fmt.Errorf("invariant monitor: %s", rep.Summary())
 		}
 	}
-	return mem, sys.Checker().MustPass(), nil
+	return mem, sys.Check(), nil
 }
 
 // runOnce executes one schedule and returns the register file, the

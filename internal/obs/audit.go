@@ -6,27 +6,23 @@ import (
 	"sync"
 )
 
-// LineAuditSink keeps a bounded per-line trail of every event that
-// touched each address — the "why is this line Owned here?" view. It
-// retains the most recent MaxPerLine events per address; older history
-// is discarded, which keeps long runs bounded while the recent causal
-// chain (the part a divergence investigation needs) stays intact.
+// LineAuditSink keeps the trail of every event that touched one
+// address — the "why is this line Owned here?" view. It retains the
+// most recent AuditDepth events; older history is discarded, which
+// keeps long runs bounded while the recent causal chain (the part a
+// divergence investigation needs) stays intact.
 type LineAuditSink struct {
-	mu      sync.Mutex
-	perLine map[uint64][]Event
-	max     int
+	mu    sync.Mutex
+	addr  uint64
+	trail []Event
 }
 
-// DefaultAuditDepth is the per-line retention of NewLineAuditSink.
-const DefaultAuditDepth = 128
+// AuditDepth is the number of recent events a LineAuditSink retains.
+const AuditDepth = 128
 
-// NewLineAuditSink creates an audit sink retaining maxPerLine events
-// per address (0 = DefaultAuditDepth).
-func NewLineAuditSink(maxPerLine int) *LineAuditSink {
-	if maxPerLine <= 0 {
-		maxPerLine = DefaultAuditDepth
-	}
-	return &LineAuditSink{perLine: make(map[uint64][]Event), max: maxPerLine}
+// NewLineAuditSink creates an audit sink for the line at addr.
+func NewLineAuditSink(addr uint64) *LineAuditSink {
+	return &LineAuditSink{addr: addr}
 }
 
 // audited reports whether kind is part of a line's causal history.
@@ -41,36 +37,34 @@ func auditedKind(k Kind) bool {
 
 // Consume implements Sink.
 func (s *LineAuditSink) Consume(e *Event) {
-	if !auditedKind(e.Kind) {
+	if e.Addr != s.addr || !auditedKind(e.Kind) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	trail := s.perLine[e.Addr]
-	if len(trail) >= s.max {
+	if len(s.trail) >= AuditDepth {
 		// Drop the oldest half in one move instead of shifting per
 		// event; amortised O(1) per append.
-		n := copy(trail, trail[len(trail)-s.max/2:])
-		trail = trail[:n]
+		s.trail = s.trail[:copy(s.trail, s.trail[len(s.trail)-AuditDepth/2:])]
 	}
-	s.perLine[e.Addr] = append(trail, *e)
+	s.trail = append(s.trail, *e)
 }
 
 // Flush implements Sink.
 func (s *LineAuditSink) Flush() error { return nil }
 
-// LineHistory returns the retained events for a line, oldest first.
-func (s *LineAuditSink) LineHistory(addr uint64) []Event {
+// LineHistory returns the retained events, oldest first.
+func (s *LineAuditSink) LineHistory() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.perLine[addr]...)
+	return append([]Event(nil), s.trail...)
 }
 
-// Explain renders a line's history as a human-readable audit trail.
-func (s *LineAuditSink) Explain(addr uint64) string {
+// Explain renders the line's history as a human-readable audit trail.
+func (s *LineAuditSink) Explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "line %#x:\n", addr)
-	for _, e := range s.LineHistory(addr) {
+	fmt.Fprintf(&b, "line %#x:\n", s.addr)
+	for _, e := range s.LineHistory() {
 		fmt.Fprintf(&b, "  t=%-8d bus=%d proc=%-2d %-9s", e.TS, e.Bus, e.Proc, e.Kind)
 		switch e.Kind {
 		case KindTx:

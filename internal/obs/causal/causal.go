@@ -165,9 +165,9 @@ func (n *TxNode) causes() CauseVec {
 // Feed it live (Recorder sink) or offline (obs.ReplayTrace), then call
 // Analyze. The zero value is ready to use.
 type Analyzer struct {
-	// Limit bounds the number of transactions retained (0 = DefaultLimit).
+	// limit bounds the number of transactions retained (0 = MaxTxs).
 	// Past the limit further transactions are counted but not stored.
-	Limit int
+	limit int
 
 	txs      []TxNode
 	byID     map[uint64]int    // TxID → index in txs
@@ -188,8 +188,8 @@ type blockedWait struct {
 	blocker uint64
 }
 
-// DefaultLimit bounds retained transactions when Analyzer.Limit is 0.
-const DefaultLimit = 1 << 20
+// MaxTxs bounds the transactions an Analyzer retains.
+const MaxTxs = 1 << 20
 
 // Consume implements obs.Sink.
 func (a *Analyzer) Consume(e *obs.Event) {
@@ -208,7 +208,7 @@ func (a *Analyzer) Consume(e *obs.Event) {
 			if a.grants == nil {
 				a.grants = make(map[uint64]uint64)
 			}
-			if len(a.grants) < a.limit() {
+			if len(a.grants) < a.maxTxs() {
 				a.grants[e.TxID] = e.CauseID
 			}
 		}
@@ -227,12 +227,12 @@ func (a *Analyzer) Consume(e *obs.Event) {
 			if a.aborts == nil {
 				a.aborts = make(map[uint64]int)
 			}
-			if len(a.aborts) < a.limit() || a.aborts[e.TxID] > 0 {
+			if len(a.aborts) < a.maxTxs() || a.aborts[e.TxID] > 0 {
 				a.aborts[e.TxID]++
 			}
 		}
 	case obs.KindTx:
-		if len(a.txs) >= a.limit() {
+		if len(a.txs) >= a.maxTxs() {
 			a.overflow++
 			return
 		}
@@ -272,11 +272,11 @@ func (a *Analyzer) Consume(e *obs.Event) {
 // Flush implements obs.Sink (no buffering).
 func (a *Analyzer) Flush() error { return nil }
 
-func (a *Analyzer) limit() int {
-	if a.Limit > 0 {
-		return a.Limit
+func (a *Analyzer) maxTxs() int {
+	if a.limit > 0 {
+		return a.limit
 	}
-	return DefaultLimit
+	return MaxTxs
 }
 
 // AnalyzeEvents runs a one-shot analysis over an in-memory event slice.

@@ -117,7 +117,7 @@ func TestAnalyzerProgramOrder(t *testing.T) {
 }
 
 func TestAnalyzerLimit(t *testing.T) {
-	a := Analyzer{Limit: 2}
+	a := Analyzer{limit: 2}
 	for i := uint64(1); i <= 5; i++ {
 		e := tx(i, int64(i)*100, 100, 0, i, 0)
 		a.Consume(&e)

@@ -14,7 +14,7 @@ import (
 
 // runTree runs a tree of two clusters of two caches each, whose
 // clusters run protocols (nil: the default), on the deterministic
-// engine, and closes rec, which saw every event.
+// engine, checks it, and closes rec, which saw every event.
 func runTree(t *testing.T, rec *obs.Recorder, protocols []string) {
 	t.Helper()
 	sys, err := sim.NewTree(hierarchy.Config{
@@ -33,6 +33,9 @@ func runTree(t *testing.T, rec *obs.Recorder, protocols []string) {
 		}.NewGenerator(7)
 	})
 	if _, err := (&sim.Engine{Sys: sys, Gens: gens}).Run(400); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {

@@ -105,29 +105,36 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLineAudit: history is per-line, bounded, and explainable.
+// TestLineAudit: history is the audited line's only, bounded, and
+// explainable.
 func TestLineAudit(t *testing.T) {
-	a := NewLineAuditSink(8)
-	for i := 0; i < 20; i++ {
+	a := NewLineAuditSink(0x10)
+	const n = 3 * AuditDepth
+	for i := 0; i < n; i++ {
 		a.Consume(&Event{Seq: uint64(i), Kind: KindTx, Addr: 0x10, Col: 5, Op: OpRead})
 	}
-	a.Consume(&Event{Kind: KindState, Addr: 0x20, From: core.Invalid, To: core.Modified, Cause: CauseFill})
-	a.Consume(&Event{Kind: KindGrant, Addr: 0x20}) // not audited
-	h := a.LineHistory(0x10)
-	if len(h) > 8 {
+	a.Consume(&Event{Kind: KindState, Addr: 0x20, From: core.Invalid, To: core.Modified, Cause: CauseFill}) // another line
+	h := a.LineHistory()
+	if len(h) > AuditDepth {
 		t.Errorf("history overflow: %d", len(h))
 	}
-	if h[len(h)-1].Seq != 19 {
+	if h[len(h)-1].Seq != n-1 {
 		t.Errorf("newest event lost: seq %d", h[len(h)-1].Seq)
 	}
-	if got := a.LineHistory(0x20); len(got) != 1 {
+	for _, e := range h {
+		if e.Addr != 0x10 {
+			t.Fatalf("phantom history: line 0x10's trail holds an event on %#x", e.Addr)
+		}
+	}
+
+	b := NewLineAuditSink(0x20)
+	b.Consume(&Event{Kind: KindState, Addr: 0x20, From: core.Invalid, To: core.Modified, Cause: CauseFill})
+	b.Consume(&Event{Kind: KindGrant, Addr: 0x20}) // not audited
+	if got := b.LineHistory(); len(got) != 1 {
 		t.Errorf("line 0x20 history = %d events", len(got))
 	}
-	if s := a.Explain(0x20); !strings.Contains(s, "I→M (fill)") {
+	if s := b.Explain(); !strings.Contains(s, "I→M (fill)") {
 		t.Errorf("explain = %q", s)
-	}
-	if len(a.LineHistory(0x99)) != 0 {
-		t.Error("phantom history")
 	}
 }
 

@@ -42,7 +42,7 @@ type PerfSink struct{ *perf.Sink }
 // (nil = no metric export: fbsim -perf without -serve, and the
 // overhead benchmark).
 func NewPerfSink(reg *Registry) *PerfSink {
-	s := &PerfSink{perf.NewSink(0)}
+	s := &PerfSink{perf.NewSink()}
 	if reg == nil {
 		return s
 	}

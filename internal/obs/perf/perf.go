@@ -53,9 +53,9 @@ const (
 	MetricMemSvc = "perf.mem_service_ns"
 )
 
-// DefaultTimelinePoints bounds the per-shard depth timeline kept for
-// the /perf document; older points are dropped FIFO.
-const DefaultTimelinePoints = 512
+// TimelinePoints bounds the per-shard depth timeline kept for the
+// /perf document; older points are dropped FIFO.
+const TimelinePoints = 512
 
 // DepthPoint is one sample of a shard's arbitration queue depth.
 type DepthPoint struct {
@@ -149,7 +149,7 @@ type queueAccum struct {
 	tlFull   bool
 }
 
-func (q *queueAccum) observe(ts, depth int64, keepTimeline bool, cap int) {
+func (q *queueAccum) observe(ts, depth int64, keepTimeline bool) {
 	q.depth.Observe(depth)
 	q.last = depth
 	if depth > q.peak {
@@ -159,15 +159,15 @@ func (q *queueAccum) observe(ts, depth int64, keepTimeline bool, cap int) {
 		return
 	}
 	if q.timeline == nil {
-		q.timeline = make([]DepthPoint, 0, cap)
+		q.timeline = make([]DepthPoint, 0, TimelinePoints)
 	}
 	p := DepthPoint{TS: ts, Depth: depth}
-	if len(q.timeline) < cap {
+	if len(q.timeline) < TimelinePoints {
 		q.timeline = append(q.timeline, p)
 		return
 	}
 	q.timeline[q.tlHead] = p
-	q.tlHead = (q.tlHead + 1) % cap
+	q.tlHead = (q.tlHead + 1) % TimelinePoints
 	q.tlFull = true
 }
 
@@ -292,21 +292,15 @@ type Sink struct {
 	// depth samples come from. Sorted ascending (grant times are
 	// monotone per shard).
 	ends map[int][]int64
-	// tlCap bounds the cumulative window's per-shard timeline.
-	tlCap int
 }
 
-// NewSink creates a sink keeping timelinePoints depth samples per shard
-// in the cumulative window (0 = DefaultTimelinePoints).
-func NewSink(timelinePoints int) *Sink {
-	if timelinePoints <= 0 {
-		timelinePoints = DefaultTimelinePoints
-	}
+// NewSink creates a sink keeping TimelinePoints depth samples per shard
+// in the cumulative window.
+func NewSink() *Sink {
 	return &Sink{
 		cum:   newAccum(),
 		epoch: newAccum(),
 		ends:  make(map[int][]int64),
-		tlCap: timelinePoints,
 	}
 }
 
@@ -390,8 +384,8 @@ func (s *Sink) observeDepth(bus int, ts, dur int64) {
 	// Grant times are monotone per shard, so appending keeps the slice
 	// sorted.
 	s.ends[bus] = append(ends, ts)
-	s.cum.queue(bus).observe(ts, depth, true, s.tlCap)
-	s.epoch.queue(bus).observe(ts, depth, false, 0)
+	s.cum.queue(bus).observe(ts, depth, true)
+	s.epoch.queue(bus).observe(ts, depth, false)
 }
 
 // Flush implements obs.Sink (the sink is pull-only).

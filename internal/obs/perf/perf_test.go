@@ -14,7 +14,7 @@ func grant(bus int, ts, dur int64) *obs.Event {
 // the depth at a grant is the number of earlier waits still unfinished
 // when this wait began, plus the new waiter itself.
 func TestQueueDepthReconstruction(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	// Three overlapping waits on bus 0: [0,100], [50,150], [120,200] —
 	// depths 1 (nothing before), 2 (overlaps the first), 2 (the first
 	// ended at 100 ≤ 120, the second is still live).
@@ -50,7 +50,7 @@ func TestQueueDepthReconstruction(t *testing.T) {
 // Zero-duration grants are not waiting episodes; they must not pollute
 // the wait distribution or the queue reconstruction.
 func TestZeroWaitIgnored(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(grant(0, 100, 0))
 	snap := s.Snapshot()
 	if snap.Latency[MetricArbWait].Count != 0 || len(snap.Queue) != 0 {
@@ -61,7 +61,7 @@ func TestZeroWaitIgnored(t *testing.T) {
 // KindBlocked (the deterministic engine's wait shape) feeds the same
 // distribution as KindGrant, so both engines report symmetric waits.
 func TestBlockedCountsAsWait(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(&obs.Event{Kind: obs.KindBlocked, Bus: 0, TS: 100, Dur: 40})
 	snap := s.Snapshot()
 	if snap.Latency[MetricArbWait].Count != 1 {
@@ -70,7 +70,7 @@ func TestBlockedCountsAsWait(t *testing.T) {
 }
 
 func TestLatencyMetricsFromTx(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 1000, Dur: 300, RetryNS: 50, MemNS: 120})
 	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 2000, Dur: 200})
 	snap := s.Snapshot()
@@ -94,7 +94,7 @@ func TestLatencyMetricsFromTx(t *testing.T) {
 // per-system quantiles from EpochSnapshot and whole-sweep data from
 // Snapshot.
 func TestEpochReset(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(grant(0, 100, 100))
 	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 150, Dur: 50})
 	s.Consume(&obs.Event{Kind: obs.KindEpoch})
@@ -115,22 +115,24 @@ func TestEpochReset(t *testing.T) {
 }
 
 func TestTimelineBounded(t *testing.T) {
-	s := NewSink(4)
-	for i := int64(0); i < 10; i++ {
+	s := NewSink()
+	const n = TimelinePoints + 6
+	for i := int64(0); i < n; i++ {
 		s.Consume(grant(0, i*1000, 1))
 	}
 	tl := s.Snapshot().Queue[0].Timeline
-	if len(tl) != 4 {
-		t.Fatalf("timeline length = %d, want 4", len(tl))
+	if len(tl) != TimelinePoints {
+		t.Fatalf("timeline length = %d, want %d", len(tl), TimelinePoints)
 	}
-	// FIFO: the survivors are the most recent four, oldest first.
-	if tl[0].TS != 6000 || tl[3].TS != 9000 {
-		t.Errorf("timeline not the most recent window: %v", tl)
+	// FIFO: the survivors are the most recent TimelinePoints, oldest
+	// first.
+	if tl[0].TS != 6000 || tl[TimelinePoints-1].TS != (n-1)*1000 {
+		t.Errorf("timeline not the most recent window: first %v, last %v", tl[0], tl[TimelinePoints-1])
 	}
 }
 
 func TestPeakQueueDepthAcrossShards(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(grant(0, 100, 100))
 	s.Consume(grant(1, 100, 100))
 	s.Consume(grant(1, 150, 100))
@@ -140,7 +142,7 @@ func TestPeakQueueDepthAcrossShards(t *testing.T) {
 }
 
 func TestFindSinkDirect(t *testing.T) {
-	sink := NewSink(0)
+	sink := NewSink()
 	rec := obs.New(sink)
 	defer rec.Close()
 	if FindSink(rec) != sink {
@@ -152,7 +154,7 @@ func TestFindSinkDirect(t *testing.T) {
 // QueueDepths: copies of the histograms Snapshot digests, and each
 // shard's latest and deepest queue.
 func TestCumulativeReads(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(grant(0, 100, 100)) // depth 1
 	s.Consume(grant(0, 150, 100)) // overlaps the first wait: depth 2
 	s.Consume(grant(0, 400, 50))  // alone again: depth 1
@@ -179,7 +181,7 @@ func TestCumulativeReads(t *testing.T) {
 // The Jain fairness index over per-board arbitration waits: 1.0 when
 // every board waits equally, 1/n when one board absorbs all the wait.
 func TestArbFairnessIndex(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	// Two boards, equal waits → index 1.
 	s.Consume(&obs.Event{Kind: obs.KindGrant, Bus: 0, Proc: 0, TS: 100, Dur: 50})
 	s.Consume(&obs.Event{Kind: obs.KindGrant, Bus: 0, Proc: 1, TS: 200, Dur: 50})
@@ -201,7 +203,7 @@ func TestArbFairnessIndex(t *testing.T) {
 // No waits → the index is undefined and reported as 0 with no boards,
 // not NaN.
 func TestArbFairnessUndefinedWithoutWaits(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	s.Consume(&obs.Event{Kind: obs.KindTx, Bus: 0, TS: 100, Dur: 10})
 	snap := s.Snapshot()
 	if snap.WaitingBoards != 0 || snap.ArbFairness != 0 {
@@ -213,7 +215,7 @@ func TestArbFairnessUndefinedWithoutWaits(t *testing.T) {
 // KindPend's duration folds into the memory-service distribution, both
 // respecting the epoch reset.
 func TestSplitEventsFolded(t *testing.T) {
-	s := NewSink(0)
+	s := NewSink()
 	if !relevant(obs.KindNack) || !relevant(obs.KindPend) {
 		t.Fatal("split kinds not relevant to the perf sink")
 	}

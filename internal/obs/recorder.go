@@ -64,10 +64,10 @@ type Recorder struct {
 }
 
 // New creates a recorder that buffers DefaultBuffer events.
-func New(sinks ...Sink) *Recorder { return NewSized(DefaultBuffer, sinks...) }
+func New(sinks ...Sink) *Recorder { return newSized(DefaultBuffer, sinks...) }
 
-// NewSized creates a recorder that buffers at least buffer events.
-func NewSized(buffer int, sinks ...Sink) *Recorder {
+// newSized creates a recorder that buffers at least buffer events.
+func newSized(buffer int, sinks ...Sink) *Recorder {
 	size := max(1, (buffer+batches-1)/batches)
 	r := &Recorder{
 		sinks: sinks,

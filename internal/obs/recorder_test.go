@@ -24,7 +24,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 	leaktest.Check(t)
 	const producers, each = 8, 5000
 	var got []Event
-	rec := NewSized(64, SinkFunc(func(e *Event) { got = append(got, *e) }))
+	rec := newSized(64, SinkFunc(func(e *Event) { got = append(got, *e) }))
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -118,7 +118,7 @@ func TestRecorderClock(t *testing.T) {
 func TestRecorderDropped(t *testing.T) {
 	leaktest.Check(t)
 	var got int
-	rec := NewSized(16, SinkFunc(func(*Event) { got++ }))
+	rec := newSized(16, SinkFunc(func(*Event) { got++ }))
 	rec.Emit(&Event{Kind: KindTx})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestRecorderDropped(t *testing.T) {
 	// Producers still emitting while Close runs.
 	const producers = 8
 	var delivered int64
-	rec = NewSized(64, SinkFunc(func(*Event) { delivered++ }))
+	rec = newSized(64, SinkFunc(func(*Event) { delivered++ }))
 	var emitted atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -180,7 +180,7 @@ func TestRecorderStalledSinkParks(t *testing.T) {
 	const buffer, window = 64, 200 * time.Millisecond
 	release := make(chan struct{})
 	var seqs []uint64
-	rec := NewSized(buffer, SinkFunc(func(e *Event) {
+	rec := newSized(buffer, SinkFunc(func(e *Event) {
 		<-release
 		seqs = append(seqs, e.Seq)
 	}))

@@ -82,9 +82,6 @@ var Invariants = []Invariant{
 
 // Config bounds the monitor's memory.
 type Config struct {
-	// MaxLines caps tracked (bus, line) shadows; extra lines are
-	// counted, not checked. 0 = DefaultMaxLines.
-	MaxLines int
 	// ContextDepth is the per-line ring of recent events attached to a
 	// Violation as causal context. 0 = DefaultContextDepth.
 	ContextDepth int
@@ -93,9 +90,12 @@ type Config struct {
 	MaxViolations int
 }
 
+// MaxLines caps the tracked (bus, line) shadows; events on further
+// lines are counted, not checked.
+const MaxLines = 1 << 16
+
 // Defaults for Config zero values.
 const (
-	DefaultMaxLines      = 1 << 16
 	DefaultContextDepth  = 8
 	DefaultMaxViolations = 64
 
@@ -333,6 +333,9 @@ type Monitor struct {
 	cfg Config
 
 	lines obs.LineTable[line]
+	// maxLines caps lines: MaxLines, lowered only by the truncation
+	// test.
+	maxLines int
 	// nprocs is one past the largest proc a state event has named: a
 	// line's states are made with that capacity (see slot).
 	nprocs int
@@ -366,9 +369,6 @@ type Monitor struct {
 
 // New builds a monitor; zero Config fields take the defaults.
 func New(cfg Config) *Monitor {
-	if cfg.MaxLines <= 0 {
-		cfg.MaxLines = DefaultMaxLines
-	}
 	if cfg.ContextDepth <= 0 {
 		cfg.ContextDepth = DefaultContextDepth
 	}
@@ -376,9 +376,10 @@ func New(cfg Config) *Monitor {
 		cfg.MaxViolations = DefaultMaxViolations
 	}
 	m := &Monitor{
-		cfg:     cfg,
-		pending: make([]pendEntry, maxPending),
-		counts:  make(map[countKey]int64),
+		cfg:      cfg,
+		maxLines: MaxLines,
+		pending:  make([]pendEntry, maxPending),
+		counts:   make(map[countKey]int64),
 	}
 	m.procProto = m.busProto[:0]
 	return m
@@ -502,7 +503,7 @@ func (m *Monitor) lookup(bus int32, addr uint64, create bool) *line {
 	if !create {
 		return m.lines.Get(bus, addr)
 	}
-	ln, added := m.lines.Add(bus, addr, m.cfg.MaxLines)
+	ln, added := m.lines.Add(bus, addr, m.maxLines)
 	if added {
 		ln.ownerAtSnap = -1
 	}

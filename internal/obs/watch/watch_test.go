@@ -358,7 +358,8 @@ func TestViolationStorageBounded(t *testing.T) {
 }
 
 func TestLineCapTruncates(t *testing.T) {
-	r := newRig(t, Config{MaxLines: 2})
+	r := newRig(t, Config{})
+	r.m.maxLines = 2
 	for i := 0; i < 5; i++ {
 		r.tx(0, uint64(0x5000+i*64), 6, "R", false, false, uint64(i+1))
 		r.st(0, uint64(0x5000+i*64), "I", "M", "fill", uint64(i+1))

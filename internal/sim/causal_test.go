@@ -39,6 +39,9 @@ func recordRun(t *testing.T, protocol string, boards, refs int, engine string,
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.Check(); err != nil {
+		t.Fatal(err)
+	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -131,6 +131,9 @@ func TestCoherenceMatrixEngineDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := sys.Check(); err != nil {
+			t.Fatal(err)
+		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -13,11 +13,12 @@ func busAddr(line uint64) bus.Addr { return bus.Addr(line) }
 
 // RunConcurrent drives every board from its own goroutine — the natural
 // Go mapping of concurrent cache agents — until each has executed
-// refsPerProc references (none when refsPerProc ≤ 0), then quiesces and
-// runs the consistency checks (for a tree, both levels'; the arbiter
-// its buses share serialises the tree). Interleavings are
-// scheduler-dependent, so metrics vary between runs; correctness (the
-// checks) must not.
+// refsPerProc references (none when refsPerProc ≤ 0), then quiesces
+// and returns the metrics (on a tree, the arbiter its buses share
+// serialises the tree). Like Engine.Run it returns only a run's errors
+// and judges nothing: System.Check does. Interleavings are
+// scheduler-dependent, so metrics vary between runs; the verdict must
+// not.
 func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Metrics, error) {
 	if len(gens) != len(sys.Boards) {
 		return Metrics{}, fmt.Errorf("sim: %d generators for %d boards", len(gens), len(sys.Boards))
@@ -50,21 +51,7 @@ func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Met
 			return Metrics{}, err
 		}
 	}
-	// Retire any split-mode responses still pending before snapshotting
-	// stats, so every owed data tenure is accounted.
-	sys.Bus.DrainPending()
-
-	m := Metrics{
-		System:     sys.Describe(),
-		Procs:      len(sys.Boards),
-		Refs:       int64(max(refsPerProc, 0)) * int64(len(sys.Boards)),
-		HitLatency: DefaultHitLatency,
-		Bus:        sys.busStats(),
-		Memory:     sys.Memory.Stats(),
-		Cache:      aggregate(sys.Caches),
-		Hist:       histSummaries(sys.Obs),
-		Perf:       perfSnapshot(sys.Obs),
-	}
+	m, err := sys.finish(int64(max(refsPerProc, 0))*int64(len(sys.Boards)), 0)
 	// Shards, and a tree's buses, serve transactions in parallel (a
 	// tree's shared arbiter serialises only the host), so the buses'
 	// contribution to completion time is the busiest one's, not the sum.
@@ -73,8 +60,5 @@ func RunConcurrent(sys *System, gens []workload.Generator, refsPerProc int) (Met
 		busiest = max(busiest, b.Stats().BusyNanos)
 	}
 	m.ElapsedNanos = busiest + m.Refs*DefaultHitLatency/int64(max(1, len(sys.Boards)))
-	if sys.tree != nil {
-		return m, sys.tree.MustPass()
-	}
-	return m, sys.Checker().MustPass()
+	return m, err
 }

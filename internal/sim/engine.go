@@ -22,8 +22,6 @@ const DefaultHitLatency = 50
 type Engine struct {
 	Sys  *System
 	Gens []workload.Generator
-	// HitLatency is the per-reference processor time; 0 = default.
-	HitLatency int64
 }
 
 // procEvent is one board's position on the timeline.
@@ -216,8 +214,9 @@ type run struct {
 }
 
 // Run executes refsPerProc references on every board (none when
-// refsPerProc ≤ 0) and returns the aggregated metrics; a tree's run
-// ends with both levels' checks (hierarchy.System.MustPass). The engine
+// refsPerProc ≤ 0) and returns the aggregated metrics. It returns only
+// a run's errors: a board's, or one a tree's bridge deferred. It
+// judges nothing; System.Check does, once Run has returned. The engine
 // is the only goroutine that touches the system's caches while it runs,
 // a tree's bridge stores included, so it marks them single-owner for
 // the run (cache.Cache.SetSingleOwner), and the only one that runs
@@ -239,10 +238,6 @@ type run struct {
 func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 	if len(e.Gens) != len(e.Sys.Boards) {
 		return Metrics{}, fmt.Errorf("sim: %d generators for %d boards", len(e.Gens), len(e.Sys.Boards))
-	}
-	hit := e.HitLatency
-	if hit == 0 {
-		hit = DefaultHitLatency
 	}
 	for _, c := range e.Sys.owned {
 		c.SetSingleOwner(true)
@@ -355,7 +350,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		refs++
 		e.Sys.noteRef()
 
-		p.time += hit + busCost
+		p.time += DefaultHitLatency + busCost
 		sh := &r.shards[si]
 		freed := sh.busFreeAt
 		if busCost > 0 {
@@ -399,14 +394,7 @@ func (e *Engine) Run(refsPerProc int) (Metrics, error) {
 		}
 	}
 
-	// Retire any split-mode responses still pending so the final stats
-	// account every owed data tenure.
-	e.Sys.Bus.DrainPending()
-	m := e.metrics(refs, elapsed, hit)
-	if t := e.Sys.tree; t != nil {
-		return m, t.MustPass()
-	}
-	return m, nil
+	return e.Sys.finish(refs, elapsed)
 }
 
 // forward charges a tree access after it ran, from the buses'
@@ -590,19 +578,4 @@ func (r *run) settle(si int) {
 		w = next
 	}
 	r.retoken(si)
-}
-
-func (e *Engine) metrics(refs, elapsed, hit int64) Metrics {
-	return Metrics{
-		System:       e.Sys.Describe(),
-		Procs:        len(e.Sys.Boards),
-		Refs:         refs,
-		ElapsedNanos: elapsed,
-		HitLatency:   hit,
-		Bus:          e.Sys.busStats(),
-		Memory:       e.Sys.Memory.Stats(),
-		Cache:        aggregate(e.Sys.Caches),
-		Hist:         histSummaries(e.Sys.Obs),
-		Perf:         perfSnapshot(e.Sys.Obs),
-	}
 }

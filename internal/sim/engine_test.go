@@ -98,6 +98,9 @@ func TestEngineNoRefs(t *testing.T) {
 			} else {
 				m, err = RunConcurrent(sys, gens, n)
 			}
+			if err == nil {
+				err = sys.Check()
+			}
 			if err != nil {
 				t.Fatalf("%s %d: %v", engine, n, err)
 			}
@@ -186,7 +189,7 @@ func TestUncachedBoardsInEngine(t *testing.T) {
 	if _, err := eng.Run(2000); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,7 +298,7 @@ func TestSectorBoardsInEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cache.Reads == 0 || m.MissRatio() == 0 {

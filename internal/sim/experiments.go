@@ -15,7 +15,8 @@ import (
 // is in tree.go, P10 in sector_exp.go): the Archibald–Baer-style
 // comparison the paper's §5.2 preference discussion rests on, plus
 // ablations of the design choices the paper calls out. Every flat
-// experiment cell is built, run and checked by ExperimentOpts.run.
+// experiment cell is built by ExperimentOpts.run, and every cell, P9's
+// trees included, is run and checked by ExperimentOpts.drive.
 // Absolute numbers depend on the Timing model; the experiments report
 // the *shapes* the paper predicts.
 
@@ -51,14 +52,12 @@ type ExperimentOpts struct {
 // boardGen makes one board's reference stream on a built system.
 type boardGen func(sys *System, proc int) workload.Generator
 
-// run turns one experiment cell — a system configuration and the
-// reference stream each of its boards runs — into checked metrics. It
+// run turns one flat experiment cell — a system configuration and the
+// reference stream each of its boards runs — into checked metrics: it
 // builds cfg under the sweep-wide recorder, fabric, tenure and
-// discipline options, runs RefsPerProc references per board on the
-// deterministic engine, and returns the metrics once the quiesced
-// system passes the consistency checker. readsPerf marks a cell whose
-// experiment reads Metrics.Perf: when no shared recorder covers the
-// run, the cell gets a private perf sink.
+// discipline options and hands the system to drive. readsPerf marks a
+// cell whose experiment reads Metrics.Perf: when no shared recorder
+// covers the run, the cell gets a private perf sink.
 func (o ExperimentOpts) run(cfg Config, gen boardGen, readsPerf bool) (Metrics, error) {
 	cfg.Obs, cfg.Shards = o.Obs, o.Shards
 	cfg.Tenure, cfg.Discipline, cfg.PendingTable = o.Tenure, o.Discipline, o.PendingTable
@@ -66,19 +65,26 @@ func (o ExperimentOpts) run(cfg Config, gen boardGen, readsPerf bool) (Metrics, 
 		// A private recorder per run keeps the battery parallelisable:
 		// each cell's perf window is its own, no epoch bookkeeping shared
 		// across worker goroutines.
-		cfg.Obs = obs.New(perf.NewSink(0))
+		cfg.Obs = obs.New(perf.NewSink())
 		defer cfg.Obs.Close()
 	}
 	sys, err := New(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
+	return o.drive(sys, gen)
+}
+
+// drive runs every experiment cell, flat or a §6 tree: RefsPerProc
+// references per board of the built system on the deterministic
+// engine, then the metrics once the quiesced system passes its Check.
+func (o ExperimentOpts) drive(sys *System, gen boardGen) (Metrics, error) {
 	gens := sys.Generators(func(proc int) workload.Generator { return gen(sys, proc) })
 	m, err := (&Engine{Sys: sys, Gens: gens}).Run(o.RefsPerProc)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return m, sys.Checker().MustPass()
+	return m, sys.Check()
 }
 
 // abModel is the Archibald–Baer model, tuned so the private working
@@ -477,7 +483,7 @@ func RunBattery(list []NamedExperiment, opts ExperimentOpts, jobs int) ([]*Repor
 // every address cycle at the pace of its SLOWEST board ("no matter how
 // new or old, fast or slow, a particular board may be"). The address
 // cost is derived from the simulated Figure 1/2 handshake over the
-// board timings, exactly as bus.Config.Handshake would.
+// board timings (bus.HandshakeTrace.Timing).
 func SlowBoardTax(opts ExperimentOpts) (*Report, error) {
 	rep := &Report{
 		ID:      "F2b",
@@ -489,8 +495,7 @@ func SlowBoardTax(opts ExperimentOpts) (*Report, error) {
 		hs.Slaves = append(hs.Slaves, bus.SlaveTiming{AckDelay: 5, ProcessTime: slow})
 		tr := bus.SimulateBroadcastHandshake(hs)
 		cfg := Homogeneous("moesi", 4)
-		cfg.Timing = bus.DefaultTiming()
-		cfg.Timing.AddressCycle = tr.Complete - cfg.Timing.WiredORPenalty
+		cfg.Timing = tr.Timing()
 		m, err := opts.run(cfg, abModel(0.2, 0.3, opts.Seed), false)
 		if err != nil {
 			return nil, err

@@ -167,7 +167,7 @@ func TestSimulatedStatsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Checker().MustPass(); err != nil {
+			if err := sys.Check(); err != nil {
 				t.Fatal(err)
 			}
 			got := goldenStats{
@@ -281,7 +281,7 @@ func TestEventStreamGolden(t *testing.T) {
 			})
 			coh, cau := &coherence.Analyzer{}, &causal.Analyzer{}
 			rec := obs.New(obs.NewRecordSink(h, obs.TraceMeta{Fingerprint: "golden " + name}),
-				obs.NewJSONLSink(jh), mon, perf.NewSink(0), coh, cau, count)
+				obs.NewJSONLSink(jh), mon, perf.NewSink(), coh, cau, count)
 			sys, err := gc.build(rec)
 			if err != nil {
 				t.Fatal(err)
@@ -293,7 +293,7 @@ func TestEventStreamGolden(t *testing.T) {
 			if err := rec.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Checker().MustPass(); err != nil {
+			if err := sys.Check(); err != nil {
 				t.Fatal(err)
 			}
 			if rec.Dropped() != 0 || misordered != 0 {

@@ -96,7 +96,7 @@ func TestHolderRecordExact(t *testing.T) {
 			t.Fatalf("cache %d still holds %#x after flushing every line", cc.ID(), addrs)
 		}
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +128,7 @@ func TestHolderRecordExactConcurrent(t *testing.T) {
 		}
 	}
 	checkHolders(t, sys, "after RunConcurrent", lines)
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,7 +177,7 @@ func TestDetRunThenConcurrent(t *testing.T) {
 	if _, err := RunConcurrent(sys, gens(3), 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,7 +205,7 @@ func TestDetRunLivePolling(t *testing.T) {
 				return
 			default:
 			}
-			_ = sys.LiveMetrics(0)
+			_ = sys.LiveMetrics()
 			_ = sys.Bus.Stats()
 			for i := 0; i < sys.Bus.Shards(); i++ {
 				_ = sys.Bus.Shard(i).ArbQueueDepth()

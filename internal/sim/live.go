@@ -46,17 +46,13 @@ func (m LiveMetrics) BusUtilization() float64 {
 	return float64(m.Bus.BusyNanos) / float64(el)
 }
 
-// LiveMetrics snapshots the system's progress. hitLatency 0 uses
-// DefaultHitLatency. Safe to call from any goroutine while either
-// engine is running.
-func (s *System) LiveMetrics(hitLatency int64) LiveMetrics {
-	if hitLatency == 0 {
-		hitLatency = DefaultHitLatency
-	}
+// LiveMetrics snapshots the system's progress. Safe to call from any
+// goroutine while either engine is running.
+func (s *System) LiveMetrics() LiveMetrics {
 	return LiveMetrics{
 		Refs:       s.RefsDone(),
 		Procs:      len(s.Boards),
-		HitLatency: hitLatency,
+		HitLatency: DefaultHitLatency,
 		Bus:        s.busStats(),
 		Dropped:    s.Obs.Dropped(),
 	}
@@ -66,10 +62,10 @@ func (s *System) LiveMetrics(hitLatency int64) LiveMetrics {
 // registry: bus utilization, busy time, bytes moved, references
 // completed, and recorder discards. Every gauge callback pulls a fresh
 // LiveMetrics, so the scrape always reflects the current run state.
-func (s *System) RegisterLiveGauges(reg *obshttp.Registry, hitLatency int64) {
+func (s *System) RegisterLiveGauges(reg *obshttp.Registry) {
 	reg.GaugeFunc("futurebus_bus_utilization", "",
 		"Live bus busy fraction against the elapsed-time estimate.",
-		func() float64 { return s.LiveMetrics(hitLatency).BusUtilization() })
+		func() float64 { return s.LiveMetrics().BusUtilization() })
 	reg.GaugeFunc("futurebus_bus_busy_ns", "",
 		"Cumulative bus occupancy in simulated ns.",
 		func() float64 { return float64(s.Bus.Stats().BusyNanos) })

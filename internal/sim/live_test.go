@@ -24,7 +24,7 @@ func TestLiveMetricsDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.RegisterLiveGauges(svc.Registry, 0)
+	sys.RegisterLiveGauges(svc.Registry)
 
 	stop := make(chan struct{})
 	polled := make(chan LiveMetrics, 1)
@@ -36,7 +36,7 @@ func TestLiveMetricsDuringRun(t *testing.T) {
 				polled <- last
 				return
 			default:
-				last = sys.LiveMetrics(0)
+				last = sys.LiveMetrics()
 				time.Sleep(50 * time.Microsecond)
 			}
 		}
@@ -54,10 +54,13 @@ func TestLiveMetricsDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.Check(); err != nil {
+		t.Fatal(err)
+	}
 	close(stop)
 	<-polled
 
-	live := sys.LiveMetrics(0)
+	live := sys.LiveMetrics()
 	if live.Refs != m.Refs {
 		t.Errorf("live refs = %d, metrics refs = %d", live.Refs, m.Refs)
 	}
@@ -115,7 +118,7 @@ func TestLiveMetricsDeterministic(t *testing.T) {
 	if got := sys.RefsDone(); got != m.Refs {
 		t.Errorf("RefsDone = %d, want %d", got, m.Refs)
 	}
-	live := sys.LiveMetrics(0)
+	live := sys.LiveMetrics()
 	if live.Dropped != 0 {
 		t.Errorf("dropped = %d", live.Dropped)
 	}

@@ -41,6 +41,30 @@ type Metrics struct {
 	Perf *perf.Snapshot `json:",omitempty"`
 }
 
+// finish ends an engine's run of refs references in elapsed simulated
+// nanoseconds: it retires any split-mode responses still pending, so
+// the stats account every owed data tenure, and returns the metrics and
+// any error a tree's bridge deferred.
+func (s *System) finish(refs, elapsed int64) (Metrics, error) {
+	s.Bus.DrainPending()
+	m := Metrics{
+		System:       s.Describe(),
+		Procs:        len(s.Boards),
+		Refs:         refs,
+		ElapsedNanos: elapsed,
+		HitLatency:   DefaultHitLatency,
+		Bus:          s.busStats(),
+		Memory:       s.Memory.Stats(),
+		Cache:        aggregate(s.Caches),
+		Hist:         histSummaries(s.Obs),
+		Perf:         perfSnapshot(s.Obs),
+	}
+	if s.tree != nil {
+		return m, s.tree.Err()
+	}
+	return m, nil
+}
+
 // histSummaries digests the recorder's histogram sink, if any, as of
 // every event emitted so far. Safe on a nil recorder or a recorder
 // without a HistogramSink.

@@ -95,6 +95,9 @@ func TestConcurrentEngineWithSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sys.Check(); err != nil {
+		t.Fatal(err)
+	}
 	rec.Flush()
 	if got := txEvents.Load(); got != m.Bus.Transactions {
 		t.Errorf("sink saw %d tx events, bus counted %d", got, m.Bus.Transactions)

@@ -15,7 +15,7 @@ import (
 // window (not the cumulative one) is what lands in the metrics, so a
 // sweep sharing one recorder gets per-system quantiles.
 func TestDetEnginePerfMetrics(t *testing.T) {
-	rec := obs.New(perf.NewSink(0))
+	rec := obs.New(perf.NewSink())
 	defer rec.Close()
 	cfg := Homogeneous("moesi", 4)
 	cfg.Obs = rec
@@ -44,7 +44,7 @@ func TestDetEnginePerfMetrics(t *testing.T) {
 // the queue telemetry a depth ≥ 1. The read is an ordinary transaction
 // and counts toward both the tenure samples and the bus's total.
 func TestConcurrentEnginePerfMetrics(t *testing.T) {
-	rec := obs.New(perf.NewSink(0))
+	rec := obs.New(perf.NewSink())
 	defer rec.Close()
 	cfg := Homogeneous("moesi", 4)
 	cfg.Obs = rec
@@ -79,6 +79,9 @@ func TestConcurrentEnginePerfMetrics(t *testing.T) {
 	res := <-done
 	if res.err != nil {
 		t.Fatal(res.err)
+	}
+	if err := sys.Check(); err != nil {
+		t.Fatal(err)
 	}
 	checkPerfMetrics(t, res.m)
 }

@@ -69,7 +69,7 @@ func TestRandomSystemsStayConsistent(t *testing.T) {
 		if _, err := eng.Run(800); err != nil {
 			t.Fatalf("trial %d (%s, line=%d): %v", trial, sys.Describe(), cfg.LineSize, err)
 		}
-		if err := sys.Checker().MustPass(); err != nil {
+		if err := sys.Check(); err != nil {
 			t.Fatalf("trial %d (%s, line=%d):\n%v", trial, sys.Describe(), cfg.LineSize, err)
 		}
 	}
@@ -104,6 +104,9 @@ func TestRandomPatternMixesConsistent(t *testing.T) {
 		if _, err := RunConcurrent(sys, gens, 800); err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, sys.Describe(), err)
 		}
+		if err := sys.Check(); err != nil {
+			t.Fatalf("trial %d (%s): %v", trial, sys.Describe(), err)
+		}
 	}
 }
 
@@ -134,7 +137,7 @@ func TestSoakLargeSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Shadow.Writes() < 50000 {

@@ -46,7 +46,7 @@ func servedZipfMix(t *testing.T) (*obshttp.Server, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.RegisterLiveGauges(svc.Registry, DefaultHitLatency)
+	sys.RegisterLiveGauges(svc.Registry)
 	if _, err := (&Engine{Sys: sys, Gens: gc.gens(sys)}).Run(gc.refs); err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestShardedDetEngineConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Checker().MustPass(); err != nil {
+			if err := sys.Check(); err != nil {
 				t.Fatal(err)
 			}
 			if want := int64(len(sys.Boards)) * 2500; m.Refs != want {
@@ -86,6 +86,9 @@ func TestShardedConcurrentEngineConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RunConcurrent(sys, abGens(sys, 0.4, 0.3, 99), 1500); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,7 +144,7 @@ func TestCrossShardRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,7 +190,7 @@ func TestConcurrentScratchMixedSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Bus.Aborts == 0 || m.Bus.Updates == 0 || m.Bus.Interventions == 0 || m.Bus.DataTenures == 0 {

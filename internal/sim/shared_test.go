@@ -151,7 +151,7 @@ func TestSharedPoliciesConcurrent(t *testing.T) {
 	if _, err := RunConcurrent(sys, abGens(sys, 0.4, 0.4, 5), 1500); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -41,7 +41,7 @@ func TestHomogeneousProtocolsConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Checker().MustPass(); err != nil {
+			if err := sys.Check(); err != nil {
 				t.Fatal(err)
 			}
 			if m.Refs != 4*3000 {
@@ -75,7 +75,7 @@ func TestMixedClassMembersConsistent(t *testing.T) {
 	if _, err := eng.Run(3000); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,6 +97,9 @@ func TestConcurrentEngineConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RunConcurrent(sys, abGens(sys, 0.4, 0.3, 99), 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

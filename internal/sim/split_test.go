@@ -51,7 +51,7 @@ func TestSplitModeConsistent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sys.Checker().MustPass(); err != nil {
+				if err := sys.Check(); err != nil {
 					t.Fatal(err)
 				}
 				if err := rec.Close(); err != nil {
@@ -113,7 +113,7 @@ func TestSplitModeOverlapsTenures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Checker().MustPass(); err != nil {
+		if err := sys.Check(); err != nil {
 			t.Fatal(err)
 		}
 		return m
@@ -153,7 +153,7 @@ func TestSplitModeNacksUnderTinyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checker().MustPass(); err != nil {
+	if err := sys.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Bus.Nacks == 0 {

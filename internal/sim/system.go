@@ -105,10 +105,6 @@ type Config struct {
 	// cache and memory emit structured events into it. Nil = tracing
 	// off (the fast path).
 	Obs *obs.Recorder
-	// ObsID tags the bus segment in emitted events (0 for a single-bus
-	// system; hierarchies number clusters 1..N). An interleaved fabric
-	// numbers its shards ObsID..ObsID+Shards-1.
-	ObsID int
 	// Shards selects the fabric: 1 (or 0) builds the classic single
 	// Futurebus; N>1 builds an address-interleaved backplane of N
 	// independent buses, each with its own arbiter and memory module.
@@ -217,10 +213,9 @@ func New(cfg Config) (*System, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: invalid shard count %d", cfg.Shards)
 	}
-	// Events name a board by its index and a shard by ObsID plus its
-	// index; the analyzers keep per-line state only for ids below
-	// obs.MaxID.
-	if len(cfg.Boards) > obs.MaxID || cfg.ObsID+shards > obs.MaxID {
+	// Events name a board and a shard by its index; the analyzers keep
+	// per-line state only for ids below obs.MaxID.
+	if len(cfg.Boards) > obs.MaxID || shards > obs.MaxID {
 		return nil, fmt.Errorf("sim: %d boards on %d shards: board and shard ids must stay below %d", len(cfg.Boards), shards, obs.MaxID)
 	}
 	// The interleave granularity is the largest sector size on any
@@ -264,8 +259,7 @@ func New(cfg Config) (*System, error) {
 	}
 	busCfg := bus.Config{
 		LineSize: lineSize, Timing: cfg.Timing, Paranoid: cfg.Paranoid,
-		Obs: cfg.Obs, ObsID: cfg.ObsID,
-		Tenure: tenure, Discipline: disc,
+		Obs: cfg.Obs, Tenure: tenure, Discipline: disc,
 	}
 	var b bus.Fabric
 	if shards == 1 {
@@ -283,7 +277,7 @@ func New(cfg Config) (*System, error) {
 	if discName == "" {
 		discName = "fcfs" // the bus default grant order
 	}
-	cfg.Obs.MarkEpoch(cfg.ObsID, discName)
+	cfg.Obs.MarkEpoch(0, discName)
 	if cfg.Shadow {
 		sys.Shadow = check.NewShadow(lineSize)
 	}
@@ -336,16 +330,35 @@ func Homogeneous(protocol string, n int) Config {
 	return Config{Boards: boards}
 }
 
-// Checker returns a consistency checker over the system (for a tree,
-// its global level: the bridges against main memory). Run it only when
-// the system is quiesced.
-func (s *System) Checker() *check.Checker {
-	if s.tree != nil {
-		return s.tree.GlobalChecker()
+// Check judges a quiesced system's consistency (§3.1): a flat system
+// by its Checker, against the golden shadow when it has one, and a tree
+// at both levels, its bridges and then each cluster below its bridge.
+// It is the one end-of-run judge; the engines only drive.
+func (s *System) Check() error {
+	err := s.Checker().MustPass()
+	if s.tree == nil {
+		return err
 	}
+	if err != nil {
+		return fmt.Errorf("hierarchy global level: %w", err)
+	}
+	return check.Failure("hierarchy cluster level:", s.tree.CheckClusters())
+}
+
+// Checker returns a consistency checker over the system's caches and
+// memory; for a tree, over the bridges, which are ordinary caches on the
+// global bus whose data is current because clusters are update-style.
+// Run it only on a quiesced system.
+func (s *System) Checker() *check.Checker {
 	sources := make([]check.LineSource, 0, len(s.Caches))
-	for _, c := range s.Caches {
-		sources = append(sources, c)
+	if s.tree != nil {
+		for _, cl := range s.tree.Clusters {
+			sources = append(sources, cl.Bridge.Store())
+		}
+	} else {
+		for _, c := range s.Caches {
+			sources = append(sources, c)
+		}
 	}
 	return &check.Checker{Caches: sources, Memory: s.Memory, Shadow: s.Shadow}
 }

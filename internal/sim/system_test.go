@@ -80,7 +80,7 @@ func TestNewRejectsIDsPastMaxID(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{
 		"boards": Homogeneous("moesi", obs.MaxID+1),
-		"shards": {Boards: []BoardSpec{{Protocol: "moesi"}}, ObsID: 1, Shards: obs.MaxID},
+		"shards": {Boards: []BoardSpec{{Protocol: "moesi"}}, Shards: obs.MaxID + 1},
 	} {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "must stay below") {
 			t.Errorf("%s: New error = %v", name, err)

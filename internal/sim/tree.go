@@ -101,10 +101,10 @@ func (o ExperimentOpts) treeIgnores() []string {
 	return ignored
 }
 
-// runP9Tree runs P9's cluster-heavy sharing on the deterministic engine
-// over a tree of 16 caches in the given number of clusters: 25% of
-// references touch lines shared within the cluster, 5% lines shared
-// machine-wide.
+// runP9Tree runs P9's cluster-heavy sharing over a tree of 16 caches in
+// the given number of clusters, through the runner every experiment
+// cell goes through: 25% of references touch lines shared within the
+// cluster, 5% lines shared machine-wide.
 func runP9Tree(clusters int, opts ExperimentOpts) (*System, Metrics, error) {
 	procs := 16 / clusters
 	sys, err := NewTree(hierarchy.Config{
@@ -118,7 +118,7 @@ func runP9Tree(clusters int, opts ExperimentOpts) (*System, Metrics, error) {
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	gens := sys.Generators(func(proc int) workload.Generator {
+	m, err := opts.drive(sys, func(sys *System, proc int) workload.Generator {
 		return hierarchy.ClusterModel{
 			Cluster: proc / procs, Proc: proc % procs,
 			GlobalSharedLines: 16, ClusterSharedLines: 24, PrivateLines: 48,
@@ -126,7 +126,6 @@ func runP9Tree(clusters int, opts ExperimentOpts) (*System, Metrics, error) {
 			WordsPerLine: sys.WordsPerLine(),
 		}.NewGenerator(opts.Seed)
 	})
-	m, err := (&Engine{Sys: sys, Gens: gens}).Run(opts.RefsPerProc)
 	if err != nil {
 		return nil, Metrics{}, fmt.Errorf("P9 %d×%d: %w", clusters, procs, err)
 	}

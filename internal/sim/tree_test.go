@@ -26,6 +26,9 @@ func TestTreeRerunIdentical(t *testing.T) {
 		if _, err := (&Engine{Sys: sys, Gens: tree.gens(sys)}).Run(tree.refs); err != nil {
 			t.Fatal(err)
 		}
+		if err := sys.Check(); err != nil {
+			t.Fatal(err)
+		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -274,6 +274,9 @@ func TestWatchCleanMixedAndSharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if err := sys.Check(); err != nil {
+					t.Fatal(err)
+				}
 				if err := rec.Close(); err != nil {
 					t.Fatal(err)
 				}
